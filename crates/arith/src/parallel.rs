@@ -16,6 +16,7 @@
 
 use crate::kernels::gemm_into;
 use crate::qgemm::{qgemm_with_offsets, quantize_matrix, QGemmConfig};
+use crate::shape::GemmShape;
 use mpt_tensor::{ShapeError, Tensor};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,15 +152,7 @@ pub fn qgemm_parallel(
     cfg: &QGemmConfig,
     threads: usize,
 ) -> Result<Tensor, ShapeError> {
-    let (n, k) = a.as_matrix()?;
-    let (k2, m) = b.as_matrix()?;
-    if k != k2 {
-        return Err(ShapeError::Mismatch {
-            left: a.shape().to_vec(),
-            right: b.shape().to_vec(),
-            op: "qgemm_parallel",
-        });
-    }
+    let GemmShape { n, k, m } = GemmShape::of_product(a, b, "qgemm_parallel")?;
     let threads = threads.max(1).min(n.max(1));
     // Fast exit: anything that degenerates to sequential execution
     // (one thread, empty output, identity config) runs on the caller

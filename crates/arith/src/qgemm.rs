@@ -4,8 +4,9 @@
 //! quantize the inputs, run every MAC in the configured formats, and
 //! cast the result back to FP32.
 
-use crate::kernels::gemm_into_tier;
+use crate::kernels::{gemm_into, gemm_into_tier};
 use crate::mac::{input_event_index, mac_step, MacConfig};
+use crate::shape::GemmShape;
 use mpt_formats::{Quantizer, SimdTier};
 use mpt_tensor::{ShapeError, Tensor};
 use std::fmt;
@@ -165,15 +166,7 @@ pub fn qgemm_with_tier(
     col_offset: usize,
     tier: SimdTier,
 ) -> Result<Tensor, ShapeError> {
-    let (n, k) = a.as_matrix()?;
-    let (k2, m) = b.as_matrix()?;
-    if k != k2 {
-        return Err(ShapeError::Mismatch {
-            left: a.shape().to_vec(),
-            right: b.shape().to_vec(),
-            op: "qgemm",
-        });
-    }
+    let GemmShape { n, k, m } = GemmShape::of_product(a, b, "qgemm")?;
     if cfg.is_identity() {
         // Fast path: plain FP32 GEMM in the same reduction order.
         return a.matmul(b);
@@ -198,6 +191,37 @@ pub fn qgemm_with_tier(
     Tensor::from_vec(vec![n, m], out)
 }
 
+/// [`qgemm`] minus the input-quantization stage: `aq`/`bq` have
+/// **already** been quantized with `cfg`'s operand quantizers at
+/// global coordinates `(0, 0)` (see [`quantize_matrix`]), so only the
+/// MAC pipeline runs — the ambient-tier kernel [`qgemm`] itself uses.
+///
+/// The identity shortcut is taken on the *whole* `cfg`, exactly as in
+/// [`qgemm`]: a fully-identity pipeline is the plain FP32 GEMM, while
+/// quantized operands feeding an identity MAC still step through the
+/// fused MAC. (Re-running [`qgemm`] on the quantized operands with
+/// identity input quantizers would get that second case wrong.)
+///
+/// This is the functional half of the `mpt-fpga` simulator, whose
+/// operand cache holds quantized carriers.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] under the same conditions as [`qgemm`].
+pub fn qgemm_prequantized(
+    aq: &Tensor,
+    bq: &Tensor,
+    cfg: &QGemmConfig,
+) -> Result<Tensor, ShapeError> {
+    let GemmShape { n, k, m } = GemmShape::of_product(aq, bq, "qgemm_prequantized")?;
+    if cfg.is_identity() {
+        return aq.matmul(bq);
+    }
+    let mut out = vec![0.0f32; n * m];
+    gemm_into(&mut out, aq.data(), bq.data(), n, k, m, &cfg.mac, 0, 0);
+    Tensor::from_vec(vec![n, m], out)
+}
+
 /// The scalar reference kernel: per-element input quantization through
 /// [`Quantizer::quantize_f32`] and a plain `i/j/k` loop of
 /// [`mac_step`] calls — no slice fast paths, no kernel selection, no
@@ -218,15 +242,7 @@ pub fn qgemm_reference(
     row_offset: usize,
     col_offset: usize,
 ) -> Result<Tensor, ShapeError> {
-    let (n, k) = a.as_matrix()?;
-    let (k2, m) = b.as_matrix()?;
-    if k != k2 {
-        return Err(ShapeError::Mismatch {
-            left: a.shape().to_vec(),
-            right: b.shape().to_vec(),
-            op: "qgemm_reference",
-        });
-    }
+    let GemmShape { n, k, m } = GemmShape::of_product(a, b, "qgemm_reference")?;
     if cfg.is_identity() {
         return a.matmul(b);
     }

@@ -6,6 +6,7 @@
 //! model consumes them to estimate iteration latency (paper
 //! Section IV-A).
 
+use mpt_tensor::{ShapeError, Tensor};
 use std::fmt;
 
 /// The dimensions of one GEMM: `A ∈ R^{n×k}`, `B ∈ R^{k×m}`,
@@ -34,6 +35,26 @@ impl GemmShape {
     /// Creates a shape from `(n, k, m)`.
     pub fn new(n: usize, k: usize, m: usize) -> Self {
         GemmShape { n, k, m }
+    }
+
+    /// The shape of the product `A · B`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ShapeError`] every GEMM entry point reports, on
+    /// behalf of `op`, when an operand is not a matrix or the inner
+    /// dimensions differ.
+    pub fn of_product(a: &Tensor, b: &Tensor, op: &'static str) -> Result<Self, ShapeError> {
+        let (n, k) = a.as_matrix()?;
+        let (k2, m) = b.as_matrix()?;
+        if k != k2 {
+            return Err(ShapeError::Mismatch {
+                left: a.shape().to_vec(),
+                right: b.shape().to_vec(),
+                op,
+            });
+        }
+        Ok(GemmShape { n, k, m })
     }
 
     /// Number of multiply-add floating-point operations (2·n·k·m).

@@ -10,7 +10,12 @@
 //! * the persistent-pool tiles ([`mpt_arith::qgemm_parallel`]) at
 //!   1/2/4/8 threads,
 //! * the systolic-array simulator
-//!   ([`mpt_fpga::Accelerator::execute`]),
+//!   ([`mpt_fpga::Accelerator::execute`], functional result from the
+//!   tiered kernel, latency from the closed form) **and** its
+//!   structural oracle
+//!   ([`mpt_fpga::Accelerator::execute_structural`], every PE stepped
+//!   through the padded, partitioned tile schedule) — equal bit for
+//!   bit *and* cycle for cycle,
 //! * the staged/cached executor
 //!   ([`mpt_fpga::PipelinedExecutor::launch`]), both on a cold
 //!   operand cache and on a warm one (the second launch replays from
@@ -124,8 +129,10 @@ pub fn degenerate_shapes() -> &'static [(usize, usize, usize)] {
 }
 
 /// Asserts `qgemm_reference ≡ qgemm ≡ qgemm (every SIMD tier) ≡
-/// qgemm_parallel(1/2/4/8) ≡ fpga::sim::execute ≡ pipelined launch
-/// (cold and warm cache)`, bit-for-bit, on the given operands.
+/// qgemm_parallel(1/2/4/8) ≡ fpga::sim::execute ≡ fpga structural
+/// oracle ≡ pipelined launch (cold and warm cache)`, bit-for-bit, on
+/// the given operands — and that the simulator's closed-form latency
+/// equals the oracle's counted one.
 ///
 /// # Errors
 ///
@@ -179,10 +186,22 @@ pub fn check_all_paths(
     }
 
     let acc = Accelerator::new(SaConfig::new(4, 4, 2).expect("valid config"), 300.0);
-    let (fpga, _latency) = acc
+    let (fpga, latency) = acc
         .execute(a, b, cfg)
         .map_err(|e| format!("{name}: fpga execute failed: {e}"))?;
     compare("fpga::sim::execute", &fpga)?;
+
+    // The structural oracle: what licenses `execute` to take its
+    // result from the kernel and its latency from `timing_only`.
+    let (structural, counted) = acc
+        .execute_structural(a, b, cfg)
+        .map_err(|e| format!("{name}: fpga structural oracle failed: {e}"))?;
+    compare("fpga::sim::execute_structural", &structural)?;
+    if counted != latency {
+        return Err(format!(
+            "{name}: closed-form latency {latency:?} != structurally counted {counted:?}"
+        ));
+    }
 
     let mut px = PipelinedExecutor::new(acc, DEFAULT_CACHE_BUDGET);
     let (cold, _) = px

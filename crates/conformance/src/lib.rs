@@ -6,8 +6,9 @@
 //! — the scalar oracle (`qgemm_reference`), the monomorphized fast
 //! kernels (`qgemm`), the persistent-pool parallel tiles
 //! (`qgemm_parallel`) and the systolic-array simulator
-//! (`Accelerator::execute`) — plus a tape autograd whose gradients
-//! must be right for training to mean anything.
+//! (`Accelerator::execute`, itself pinned to its per-PE structural
+//! oracle `Accelerator::execute_structural`) — plus a tape autograd
+//! whose gradients must be right for training to mean anything.
 //!
 //! This crate is the safety net: four independent conformance layers
 //! that every future performance PR is validated against.

@@ -12,17 +12,22 @@
 //! valid Chrome trace, and a perf-model calibration record. The
 //! digest comparison runs with *everything* armed — counters,
 //! histograms, and tracing — so the whole observability stack is
-//! covered by the bit-identical guarantee at once.
+//! covered by the bit-identical guarantee at once. A second replay
+//! goes through the pipelined FPGA backend: its MACs run in the same
+//! tallied kernel, so the accumulator's SR up/down counts must show
+//! up there too — globally and in layer scope — where the per-PE
+//! simulator loop used to report 0/0.
 //!
 //! Everything lives in one `#[test]` because the telemetry enable
 //! flag and event buffer are process-global.
 
-use conformance::{replay_digest_path, replay_lenet};
+use conformance::{replay_digest_path, replay_lenet, replay_lenet_with};
 use mpt_arith::GemmShape;
-use mpt_core::select_accelerator;
-use mpt_fpga::SynthesisDb;
+use mpt_core::{select_accelerator, TrainOptions};
+use mpt_fpga::{Accelerator, FpgaBackend, SaConfig, SynthesisDb};
 use mpt_telemetry::json::{self, Value};
 use std::fs;
+use std::rc::Rc;
 
 #[test]
 fn telemetry_on_is_bit_identical_and_emits_required_events() {
@@ -181,6 +186,45 @@ fn telemetry_on_is_bit_identical_and_emits_required_events() {
     assert_eq!(rec.predicted_s, chosen.estimated_s);
     assert_eq!(rec.measured_s, chosen.measured_s);
     assert!(rec.rel_err().is_finite() && rec.rel_err().abs() < 1.0);
+
+    // The same replay through the pipelined FPGA backend, telemetry
+    // on: same weights, and the accumulator's SR tallies are not lost
+    // on the way through the simulator.
+    mpt_telemetry::reset();
+    mpt_telemetry::enable();
+    let accelerator = Accelerator::new(SaConfig::new(8, 8, 4).expect("valid"), 298.0);
+    let fpga = replay_lenet_with(
+        Rc::new(FpgaBackend::new(accelerator).pipelined()),
+        &TrainOptions::default(),
+    )
+    .expect("no checkpoint I/O configured");
+    mpt_telemetry::disable();
+    assert_eq!(
+        fpga.digest, off.digest,
+        "telemetry-on FPGA replay diverged from the telemetry-off CPU replay"
+    );
+    let snap = fpga.report.telemetry.as_ref().expect("snapshot captured");
+    assert!(
+        snap.spans
+            .iter()
+            .any(|s| s.name == "gemm:fpga-pipelined" && s.count > 0),
+        "the replay did not run on the pipelined FPGA backend"
+    );
+    let two_way = |prefix: &str| {
+        snap.quant
+            .iter()
+            .any(|q| q.label.starts_with(prefix) && q.sr_up > 0 && q.sr_down > 0)
+    };
+    // FP8×FP12-SR rounds stochastically at the accumulator only, so a
+    // layer group with both directions can only have got them from it.
+    assert!(
+        two_way("acc:") && two_way("layer:"),
+        "FPGA-backend accumulator SR tallies missing (global or layer scope): {:?}",
+        snap.quant
+            .iter()
+            .map(|q| (&q.label, q.sr_up, q.sr_down))
+            .collect::<Vec<_>>()
+    );
 
     mpt_telemetry::reset();
 }

@@ -284,44 +284,63 @@ impl FloatFormat {
     /// Encodes a representable value into the raw `1+e+m`-bit pattern
     /// (sign-magnitude, IEEE layout) in the low bits of a `u64`.
     ///
+    /// The fields are cut straight out of `x`'s own bit pattern — no
+    /// quantization pass, no floating-point arithmetic — which is what
+    /// lets HBM packing run at memory speed. Cutting truncates, so a
+    /// value that is not representable encodes as if first rounded
+    /// toward zero (saturating, or overflowing to infinity, as the
+    /// format is configured).
+    ///
     /// # Panics
     ///
-    /// Panics in debug builds if `x` is not representable; in release
-    /// builds the value is first quantized with RZ.
+    /// Panics in debug builds if `x` is not representable.
     pub fn encode(&self, x: f64) -> u64 {
         debug_assert!(self.is_representable(x), "{x} not representable in {self}");
-        let rng = SrRng::new(0);
-        let x = self.quantize(x, Rounding::TowardZero, &rng, 0);
-        let sign = u64::from(x.is_sign_negative());
+        self.encode_truncating(x)
+    }
+
+    /// [`encode`](Self::encode) without the representability check.
+    fn encode_truncating(&self, x: f64) -> u64 {
+        let (e, m) = (self.exp_bits, self.man_bits);
+        let sign = (x.to_bits() >> 63) << (e + m);
+        let exp_ones = ((1u64 << e) - 1) << m;
         if x.is_nan() {
             // Canonical NaN: all-ones exponent, MSB of mantissa set.
-            let exp = (1u64 << self.exp_bits) - 1;
-            let man = if self.man_bits > 0 {
-                1u64 << (self.man_bits - 1)
-            } else {
-                0
-            };
-            return (sign << (self.exp_bits + self.man_bits)) | (exp << self.man_bits) | man;
+            return sign | exp_ones | if m > 0 { 1u64 << (m - 1) } else { 0 };
         }
         if x == 0.0 {
-            return sign << (self.exp_bits + self.man_bits);
+            return sign;
         }
-        if x.is_infinite() {
-            let exp = (1u64 << self.exp_bits) - 1;
-            return (sign << (self.exp_bits + self.man_bits)) | (exp << self.man_bits);
+        let magnitude = x.to_bits() & (u64::MAX >> 1);
+        let fraction = magnitude & ((1u64 << 52) - 1);
+        // Unbiased exponent; an f64 subnormal reads -1023, which is
+        // below every format's `min_exp`.
+        let e_x = (magnitude >> 52) as i32 - 1023;
+        if e_x > self.max_exp() {
+            // Infinity, or a finite value beyond the largest one.
+            return if self.saturate {
+                sign | (exp_ones - 1) // largest exponent, mantissa all ones
+            } else {
+                sign | exp_ones
+            };
         }
-        let a = x.abs();
-        let e = exponent_of(a);
-        if e < self.min_exp() {
-            // Subnormal: biased exponent 0, mantissa = a / 2^(min_exp - m).
-            let man = (a * 2f64.powi(self.man_bits as i32 - self.min_exp())) as u64;
-            (sign << (self.exp_bits + self.man_bits)) | man
+        if e_x >= self.min_exp() {
+            // Normal: the top `m` fraction bits are the mantissa.
+            let biased = (e_x + self.bias()) as u64;
+            return sign | (biased << m) | (fraction >> (52 - m));
+        }
+        if !self.subnormals {
+            return sign;
+        }
+        // Biased exponent 0: mantissa = |x| / 2^(min_exp - m), with
+        // |x| = significand · 2^scale.
+        let (significand, scale) = if e_x == -1023 {
+            (fraction, -1074)
         } else {
-            let biased = (e + self.bias()) as u64;
-            let frac = a * 2f64.powi(-e) - 1.0; // in [0, 1)
-            let man = (frac * 2f64.powi(self.man_bits as i32)).round() as u64;
-            (sign << (self.exp_bits + self.man_bits)) | (biased << self.man_bits) | man
-        }
+            (fraction | (1u64 << 52), e_x - 52)
+        };
+        let shift = (self.min_exp() - m as i32 - scale) as u32;
+        sign | significand.checked_shr(shift).unwrap_or(0)
     }
 
     /// Decodes a raw bit pattern produced by [`encode`](Self::encode).
@@ -604,6 +623,130 @@ mod tests {
             }
             let re = f.encode(v);
             assert_eq!(f.decode(re), v, "bits {bits:#x} value {v}");
+        }
+    }
+
+    /// The arithmetic `encode` this crate shipped before the bit-field
+    /// one: RZ-quantize, then rebuild exponent and mantissa with
+    /// `powi`. Kept as the oracle for the exhaustive comparison below.
+    fn encode_oracle(f: &FloatFormat, x: f64) -> u64 {
+        let x = f.quantize(x, Rounding::TowardZero, &rng(), 0);
+        let sign = u64::from(x.is_sign_negative()) << (f.exp_bits + f.man_bits);
+        let exp_ones = ((1u64 << f.exp_bits) - 1) << f.man_bits;
+        if x.is_nan() {
+            return sign | exp_ones | (1u64 << f.man_bits >> 1);
+        }
+        if x == 0.0 {
+            return sign;
+        }
+        if x.is_infinite() {
+            return sign | exp_ones;
+        }
+        let a = x.abs();
+        let e = exponent_of(a);
+        if e < f.min_exp() {
+            sign | (a * 2f64.powi(f.man_bits as i32 - f.min_exp())) as u64
+        } else {
+            let frac = a * 2f64.powi(-e) - 1.0; // in [0, 1)
+            let man = (frac * 2f64.powi(f.man_bits as i32)).round() as u64;
+            sign | (((e + f.bias()) as u64) << f.man_bits) | man
+        }
+    }
+
+    #[test]
+    fn encode_exhaustive_round_trips_and_matches_oracle() {
+        // Every code of every ≤16-bit preset, saturating and with
+        // infinities: `encode` inverts `decode`, and agrees with the
+        // arithmetic oracle. NaN codes collapse onto the canonical NaN
+        // of their sign; a saturating format has no value for its
+        // infinity codes, so those are skipped there.
+        for base in [
+            FloatFormat::e5m2(),
+            FloatFormat::e4m3(),
+            FloatFormat::e6m5(),
+            FloatFormat::e5m10(),
+            FloatFormat::bf16(),
+        ] {
+            for f in [base, base.with_infinities(), base.without_subnormals()] {
+                let exp_ones = ((1u64 << f.exp_bits) - 1) << f.man_bits;
+                let mut checked = 0u32;
+                for code in 0..(1u64 << f.bit_width()) {
+                    let v = f.decode(code);
+                    if !f.is_representable(v) {
+                        assert!(v.is_infinite() || !f.subnormals, "{f} code {code:#x}");
+                        continue;
+                    }
+                    let got = f.encode(v);
+                    assert_eq!(got, encode_oracle(&f, v), "{f} code {code:#x} value {v}");
+                    if v.is_nan() {
+                        assert_eq!(got & exp_ones, exp_ones, "{f} code {code:#x}");
+                        assert_ne!(got & ((1u64 << f.man_bits) - 1), 0, "{f} code {code:#x}");
+                    } else {
+                        assert_eq!(got, code, "{f} value {v}");
+                    }
+                    checked += 1;
+                }
+                assert!(checked >= (1u32 << f.bit_width()) - (2u32 << f.man_bits));
+            }
+        }
+    }
+
+    #[test]
+    fn encode_truncates_toward_zero_like_the_oracle() {
+        // Release builds accept non-representable values; they must
+        // encode exactly as the RZ-quantizing oracle did, including
+        // overflow and values that vanish below the subnormal grid.
+        let probes = [
+            1.1,
+            -1.3,
+            60000.0,
+            70000.0,
+            -1.0e9,
+            3.0e-6,
+            -1.0e-9,
+            1.0e-300,
+            5.0e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        for base in [
+            FloatFormat::e5m2(),
+            FloatFormat::e6m5(),
+            FloatFormat::bf16(),
+        ] {
+            for f in [base, base.with_infinities(), base.without_subnormals()] {
+                for &x in &probes {
+                    assert_eq!(
+                        f.encode_truncating(x),
+                        encode_oracle(&f, x),
+                        "{f} value {x:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_wide_formats_match_native_bits() {
+        // E11M52 is f64 itself (its subnormals are f64 subnormals, where
+        // the oracle's `powi` scale overflows); E8M23 is f32. The
+        // native bit patterns are the ground truth.
+        let f64_fmt = FloatFormat::new(11, 52).unwrap().with_infinities();
+        for &x in &[1.0, -0.1, f64::MAX, f64::MIN_POSITIVE, 5.0e-324, -3.0e-310] {
+            assert_eq!(f64_fmt.encode(x), x.to_bits(), "value {x:e}");
+        }
+        let f32_fmt = FloatFormat::e8m23().with_infinities();
+        for &x in &[
+            1.0f32,
+            -0.1,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            1.0e-45,
+            f32::INFINITY,
+        ] {
+            assert_eq!(f32_fmt.encode(x as f64), x.to_bits() as u64, "value {x:e}");
         }
     }
 

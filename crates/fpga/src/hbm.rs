@@ -110,14 +110,15 @@ impl HbmImage {
         let (rows, cols) = t.as_matrix()?;
         let bits = format.bit_width() as usize;
         let per_word = HBM_PORT_BITS / bits;
-        let words_per_row = cols.div_ceil(per_word.max(1));
+        let words_per_row = cols.div_ceil(per_word);
         let mut words = vec![[0u64; 8]; rows * words_per_row];
         for r in 0..rows {
-            for c in 0..cols {
-                let code = encode(format, t.data()[r * cols + c]);
-                let slot = c / per_word;
-                let off_bits = (c % per_word) * bits;
-                write_bits(&mut words[r * words_per_row + slot], off_bits, bits, code);
+            let row = &t.data()[r * cols..(r + 1) * cols];
+            let row_words = &mut words[r * words_per_row..(r + 1) * words_per_row];
+            for (word, values) in row_words.iter_mut().zip(row.chunks(per_word)) {
+                for (i, &v) in values.iter().enumerate() {
+                    write_bits(word, i * bits, bits, encode(format, v));
+                }
             }
         }
         let crc = words_crc(&words);
@@ -199,24 +200,28 @@ impl HbmImage {
         let per_word = HBM_PORT_BITS / bits;
         let mut data = vec![0.0f32; self.rows * self.cols];
         for r in 0..self.rows {
-            for c in 0..self.cols {
-                let slot = c / per_word;
-                let off_bits = (c % per_word) * bits;
-                let code = read_bits(&self.words[r * self.words_per_row + slot], off_bits, bits);
-                data[r * self.cols + c] = decode(self.format, code);
+            let row = &mut data[r * self.cols..(r + 1) * self.cols];
+            let row_words = &self.words[r * self.words_per_row..(r + 1) * self.words_per_row];
+            for (word, values) in row_words.iter().zip(row.chunks_mut(per_word)) {
+                for (i, v) in values.iter_mut().enumerate() {
+                    *v = decode(self.format, read_bits(word, i * bits, bits));
+                }
             }
         }
         Ok(Tensor::from_vec(vec![self.rows, self.cols], data)?)
     }
 }
 
-/// CRC-32 over the words' limbs in storage order.
+/// CRC-32 over the words' limbs in storage order (little-endian
+/// bytes), absorbed one whole 64-byte word at a time.
 fn words_crc(words: &[[u64; 8]]) -> u32 {
     let mut h = Crc32::new();
+    let mut bytes = [0u8; HBM_PORT_BITS / 8];
     for w in words {
-        for limb in w {
-            h.update(&limb.to_le_bytes());
+        for (chunk, limb) in bytes.chunks_exact_mut(8).zip(w) {
+            chunk.copy_from_slice(&limb.to_le_bytes());
         }
+        h.update(&bytes);
     }
     h.finish()
 }

@@ -5,20 +5,23 @@
 //! architecture) of `N` processing elements × `M` MAC units each, fed
 //! through 512-bit HBM ports, driven over PCIe.
 //!
-//! Three layers of fidelity:
+//! Four layers of fidelity:
 //!
-//! * **Functional** ([`sim`]) — executes a GEMM through the tiled,
-//!   partitioned systolic schedule using the *same* bit-accurate MAC
-//!   as CPU emulation ([`mpt_arith::mac_step`]), so results are
-//!   bitwise identical to `mpt_arith::qgemm` (the paper's bit-level
-//!   accuracy claim, verified by integration tests).
+//! * **Functional** ([`sim::Accelerator::execute`]) — the *same*
+//!   bit-accurate tiered MAC kernel as CPU emulation, run over the
+//!   host-quantized operands, so results are bitwise identical to
+//!   `mpt_arith::qgemm` (the paper's bit-level accuracy claim).
 //! * **Analytic** ([`perf`]) — the paper's performance model: the
 //!   three padding stages, `L_MAC`, `L_write`, `L_data`, `L_total`.
-//! * **"Measured"** ([`sim::Accelerator::execute`]) — cycle counting
-//!   over the schedule plus the non-idealities the paper reports
-//!   (PCIe capped at 80% of peak, per-tile pipeline fill), so
-//!   measured latency lands slightly above the estimate with the
-//!   optimum preserved (Fig. 7).
+//! * **"Measured"** ([`sim::Accelerator::timing_only`]) — the closed
+//!   form of the schedule's cycle count plus the non-idealities the
+//!   paper reports (PCIe capped at 80% of peak, per-tile pipeline
+//!   fill), so measured latency lands slightly above the estimate
+//!   with the optimum preserved (Fig. 7).
+//! * **Structural** ([`sim::Accelerator::execute_structural`]) — the
+//!   tiled, partitioned systolic schedule itself, every PE stepped
+//!   through [`mpt_arith::mac_step`] with cycles counted: the oracle
+//!   tests pin the two layers above to, called by no backend.
 //!
 //! The synthesis results of Table III/IV are embedded as the static
 //! configuration database ([`synthesis::SynthesisDb`]) exactly as the

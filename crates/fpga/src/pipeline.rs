@@ -36,9 +36,7 @@
 //! exhaustion degrades to the caller's CPU fallback as before.
 
 use crate::cache::{CacheStats, OperandCache};
-use crate::config::{PCIE_EFFICIENCY, PCIE_GBPS};
-use crate::padding::PaddedGemm;
-use crate::sim::{Accelerator, LAUNCH_OVERHEAD_S};
+use crate::sim::{Accelerator, PCIE_ACHIEVED_BPS};
 use mpt_arith::{pool_execute, GemmShape, QGemmConfig};
 use mpt_faults::{FaultSite, Injector, RetryPolicy};
 use mpt_tensor::{ShapeError, Tensor};
@@ -375,13 +373,13 @@ impl PipelinedExecutor {
         let _xfer_span = mpt_telemetry::span("fpga:transfer");
         drop(_xfer_span);
         let compute_span = mpt_telemetry::span("fpga:compute");
-        let (out, latency) =
-            self.accelerator
-                .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
+        let (out, _) = self
+            .accelerator
+            .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
         drop(compute_span);
         let _unpack_span = mpt_telemetry::span("fpga:unpack");
 
-        let times = self.stage_times(a, b, cfg, packed_bytes, latency.core_s);
+        let times = self.stage_times(a, b, cfg, packed_bytes);
         self.account_launch(&times);
         Ok((out, times))
     }
@@ -456,10 +454,10 @@ impl PipelinedExecutor {
             }
         }
 
-        let (out, latency) =
-            self.accelerator
-                .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
-        let mut times = self.stage_times(a, b, cfg, packed_bytes, latency.core_s);
+        let (out, _) = self
+            .accelerator
+            .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
+        let mut times = self.stage_times(a, b, cfg, packed_bytes);
         // Charge the replayed stages their extra passes.
         times.transfer_s *= 1.0 + transfer_replays as f64;
         times.compute_s *= 1.0 + compute_replays as f64;
@@ -490,11 +488,7 @@ impl PipelinedExecutor {
             let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
             let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
             let packed_bytes = missed_bytes(&fa) + missed_bytes(&fb);
-            let core_s = self
-                .accelerator
-                .timing_only(shape_of(a, b)?, cfg.quant_a.format().bit_width())
-                .core_s;
-            let times = self.stage_times(a, b, cfg, packed_bytes, core_s);
+            let times = self.stage_times(a, b, cfg, packed_bytes);
             self.account_launch(&times);
 
             // Double buffering: at most one compute stage in flight.
@@ -599,11 +593,7 @@ impl PipelinedExecutor {
                 continue;
             }
 
-            let core_s = self
-                .accelerator
-                .timing_only(shape_of(a, b)?, cfg.quant_a.format().bit_width())
-                .core_s;
-            let mut times = self.stage_times(a, b, cfg, packed_bytes, core_s);
+            let mut times = self.stage_times(a, b, cfg, packed_bytes);
             times.transfer_s *= 1.0 + transfer_replays as f64;
             times.compute_s *= 1.0 + compute_replays as f64;
             self.account_launch(&times);
@@ -636,29 +626,23 @@ impl PipelinedExecutor {
     /// Models the four stage durations of one launch. `packed_bytes`
     /// is what the pack stage actually produced (zero on full cache
     /// hits — resident images are already device-side, so the
-    /// transfer stage moves nothing either); the unpack stage always
-    /// streams the padded result back at the operand width, exactly
-    /// like the eager simulator's accounting.
+    /// transfer stage moves nothing either); compute and the result
+    /// stream-back are the eager simulator's closed-form stages.
     fn stage_times(
         &self,
         a: &Tensor,
         b: &Tensor,
         cfg: &QGemmConfig,
         packed_bytes: usize,
-        core_s: f64,
     ) -> StageTimes {
         let shape = shape_of(a, b).expect("shapes pre-checked");
         let bits = cfg.quant_a.format().bit_width();
-        let padded = PaddedGemm::new(shape, self.accelerator.config(), bits);
-        let bw = PCIE_GBPS * 1.0e9 * PCIE_EFFICIENCY;
-        let out_bytes = (self.accelerator.config().c() * padded.n_core * padded.m_mem) as f64
-            * bits as f64
-            / 8.0;
+        let (_, compute_s, unpack_s) = self.accelerator.stage_timing(shape, bits);
         StageTimes {
             pack_s: packed_bytes as f64 / (HOST_PACK_GBPS * 1.0e9),
-            transfer_s: packed_bytes as f64 / bw,
-            compute_s: core_s + LAUNCH_OVERHEAD_S,
-            unpack_s: out_bytes / bw,
+            transfer_s: packed_bytes as f64 / PCIE_ACHIEVED_BPS,
+            compute_s,
+            unpack_s,
         }
     }
 }
@@ -701,16 +685,7 @@ fn check_shapes(a: &Tensor, b: &Tensor) -> Result<(), ShapeError> {
 }
 
 fn shape_of(a: &Tensor, b: &Tensor) -> Result<GemmShape, ShapeError> {
-    let (n, k) = a.as_matrix()?;
-    let (k2, m) = b.as_matrix()?;
-    if k != k2 {
-        return Err(ShapeError::Mismatch {
-            left: a.shape().to_vec(),
-            right: b.shape().to_vec(),
-            op: "PipelinedExecutor::launch",
-        });
-    }
-    Ok(GemmShape::new(n, k, m))
+    GemmShape::of_product(a, b, "PipelinedExecutor::launch")
 }
 
 #[cfg(test)]
