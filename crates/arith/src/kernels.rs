@@ -1,64 +1,135 @@
-//! Kernel selection and cache-blocked GEMM inner loops.
+//! Kernel selection and the scalar cache-blocked GEMM loop nest.
 //!
-//! [`gemm_into`] inspects the MAC configuration **once** per GEMM and
-//! dispatches to the best inner loop:
+//! [`gemm_into`] inspects the MAC configuration **once** per GEMM,
+//! turns each rounding stage into a monomorphized
+//! [`Stage`](crate::stage::Stage) and runs the loop nest of the
+//! requested tier over the pair:
 //!
-//! | MAC configuration                  | kernel                       |
-//! |------------------------------------|------------------------------|
-//! | fused (`NR` mul) + float acc       | [`gemm_fused`], monomorphized per rounding mode over [`FloatFastF64`] |
-//! | anything else (fixed, block FP, unfused, `NR` acc) | [`gemm_generic`] — the [`mac_step`] oracle, cache-blocked |
+//! | MAC configuration (`mul × acc`)               | stages                         | nest |
+//! |-----------------------------------------------|--------------------------------|------|
+//! | fused (`NR` mul) × float — every `E*M*` row of the paper | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_portable` / `gemm_avx2` |
+//! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8`    | `FixedStage<M> × FixedStage<M>` | tier |
+//! | fused × fixed, unfused float × float | the matching lane stages | tier |
+//! | block FP at either stage, `NR` accumulator, unfused float × fixed or fixed × float, fixed point wider than 52 bits, floats as fine as `f64` | [`Quantizer`] (the scalar oracle) at both stages | [`gemm_scalar`] only |
 //!
-//! Both loops are `i / j-tile / k / j` ordered: for each output row, a
+//! There is one loop nest per tier, generic over the two stages and
+//! the observer; the last row is the scalar nest instantiated with
+//! the oracle stage, not a nest of its own.
+//!
+//! Every nest is `i / j-tile / k / j` ordered: for each output row, a
 //! `J_TILE`-wide chunk of the output and of each `B` row stays hot in
 //! L1 while the `k` reduction streams through, and every output
 //! element still accumulates over `k` in ascending order — the order
 //! the scalar reference uses, so results are bit-identical by
-//! construction (each element sees the same sequence of `mac_step`
-//! operations with the same event indices).
+//! construction (each element sees the same sequence of
+//! [`mac_round`] operations with the same event indices).
 //!
-//! Zero skipping matches [`mac_step`]'s `product == 0` short-circuit
-//! exactly: a whole `A`-zero row of work is skipped only when `B` is
-//! known finite (otherwise `0 × inf` must still produce the NaN the
-//! reference produces).
+//! Zero skipping matches [`mac_step`](crate::mac_step)'s
+//! `product == 0` short-circuit exactly: a whole `A`-zero row of work
+//! is skipped only when `B` is known finite (otherwise `0 × inf` must
+//! still produce the NaN the reference produces).
 //!
-//! Both kernels carry a `const TALLY: bool` parameter for the
-//! telemetry numerics counters: `TALLY = false` monomorphizes to
-//! exactly the uninstrumented loop (the tally branches compile out),
-//! `TALLY = true` classifies every accumulator (and, for the generic
-//! kernel, multiplier) rounding into thread-local tallies flushed
-//! once per kernel call. [`gemm_into`] picks the variant with a
-//! single `telemetry::enabled()` check per GEMM, so the disabled path
-//! costs one relaxed atomic load.
+//! The nests are generic over a [`MacObserver`] for the telemetry
+//! numerics counters: [`NoTally`] monomorphizes to exactly the
+//! uninstrumented loop, [`mpt_telemetry::QuantTally`] classifies every multiplier
+//! and accumulator rounding into thread-local tallies flushed once
+//! per kernel call. [`gemm_into`] picks the variant with a single
+//! `telemetry::enabled()` check per GEMM, so the disabled path costs
+//! one relaxed atomic load.
 
-use crate::mac::{mac_step, mac_step_tallied, sr_event_index, MacConfig, MacStage};
-use crate::simd_fused::gemm_fused_portable;
-use mpt_formats::fast::mode;
-use mpt_formats::{FloatFastF64, SimdTier};
-use mpt_telemetry::QuantTally;
+use crate::mac::{mac_round, MacConfig};
+use crate::simd_fused::gemm_portable;
+use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, NoTally, Stage};
+use mpt_formats::{
+    with_mode, FixedFastF64, FloatFastF64, LanePlanF64, NumberFormat, Quantizer, SimdTier,
+};
 
 /// Output/B-row chunk width: 256 f32 = 1 KiB per row chunk, so the
 /// output chunk plus the streaming B chunk sit comfortably in L1.
 pub(crate) const J_TILE: usize = 256;
 
-/// One kernel choice, resolved once per GEMM from
-/// `(NumberFormat family, Rounding)` of the MAC stages.
-enum Plan {
-    /// Fused multiplier (exact product) with a float-format
-    /// accumulator: the hot path for every `E*M*` configuration in the
-    /// paper, rounded by the precomputed bit-twiddling kernel.
-    Fused(FloatFastF64),
-    /// Everything else runs the scalar [`mac_step`] oracle inside the
-    /// same cache-blocked loop.
-    Generic,
+/// One GEMM tile as the loop nests see it: `out += A · B` with `out`
+/// starting at zero, quantized operands in `ad`/`bd`, rounding events
+/// indexed by global coordinates `(i + row_offset, j + col_offset, k)`.
+pub(crate) struct Gemm<'a> {
+    pub(crate) out: &'a mut [f32],
+    pub(crate) ad: &'a [f32],
+    pub(crate) bd: &'a [f32],
+    pub(crate) n: usize,
+    pub(crate) k: usize,
+    pub(crate) m: usize,
+    pub(crate) row_offset: usize,
+    pub(crate) col_offset: usize,
+    /// `product == 0` skipping can only be hoisted to whole-row
+    /// granularity when B holds no inf/NaN (0 × inf = NaN must not be
+    /// skipped). One O(km) scan amortized over O(nkm) work.
+    pub(crate) b_all_finite: bool,
 }
 
-fn plan(mac: &MacConfig) -> Plan {
-    if mac.is_fused() {
-        if let Some(fast) = mac.acc.fast_f64() {
-            return Plan::Fused(fast);
+/// A stage every tier's nest can run (the AVX2 nest needs its vector
+/// form on top of [`Stage`]).
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait LaneStage: crate::simd_fused::avx2::VecStage {}
+#[cfg(target_arch = "x86_64")]
+impl<S: crate::simd_fused::avx2::VecStage> LaneStage for S {}
+/// A stage every tier's nest can run.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) trait LaneStage: Stage {}
+#[cfg(not(target_arch = "x86_64"))]
+impl<S: Stage> LaneStage for S {}
+
+/// A quantizer's precomputed lane kernel, its rounding mode still a
+/// runtime value.
+enum LaneKernel {
+    Float(FloatFastF64, LanePlanF64),
+    Fixed(FixedFastF64),
+}
+
+impl LaneKernel {
+    /// The lane kernel of `q`, or `None` when it has none (block FP,
+    /// `NR`, fixed point wider than 52 bits, float formats as fine as
+    /// `f64`).
+    fn of(q: &Quantizer) -> Option<Self> {
+        match q.format() {
+            NumberFormat::Float(_) => {
+                let fast = q.fast_f64()?;
+                Some(LaneKernel::Float(fast, fast.lane_plan()?))
+            }
+            NumberFormat::Fixed(_) => q.fixed_fast_f64().map(LaneKernel::Fixed),
+            NumberFormat::BlockFp(_) => None,
         }
     }
-    Plan::Generic
+
+    /// Whether both kernels are float or both fixed point.
+    fn same_family(&self, other: &Self) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+    }
+}
+
+/// Evaluates `$body` with `$stage` bound to the monomorphized stage of
+/// the [`LaneKernel`] `$kernel`: its rounding mode lifted into the
+/// stage's type, one copy of `$body` per `(family, mode)`.
+macro_rules! with_stage {
+    ($kernel:expr, $stage:ident => $body:expr) => {
+        match $kernel {
+            LaneKernel::Float(fast, plan) => with_mode!(
+                fast.rounding(),
+                M => {
+                    let $stage = FloatStage::<M> { fast, plan };
+                    $body
+                },
+                unreachable!("NR has no fast kernel")
+            ),
+            LaneKernel::Fixed(fast) => with_mode!(
+                fast.rounding(),
+                M => {
+                    let $stage = FixedStage::<M>(fast);
+                    $body
+                },
+                unreachable!("NR has no fast kernel")
+            ),
+        }
+    };
 }
 
 /// Computes `out += A · B` under `mac` (with `out` starting at zero),
@@ -80,18 +151,8 @@ pub(crate) fn gemm_into(
     row_offset: usize,
     col_offset: usize,
 ) {
-    gemm_into_tier(
-        out,
-        ad,
-        bd,
-        n,
-        k,
-        m,
-        mac,
-        row_offset,
-        col_offset,
-        mpt_formats::simd::active_tier(),
-    )
+    let tier = mpt_formats::simd::active_tier();
+    gemm_into_tier(out, ad, bd, n, k, m, mac, row_offset, col_offset, tier)
 }
 
 /// [`gemm_into`] with an explicit kernel tier (every tier is
@@ -113,296 +174,125 @@ pub(crate) fn gemm_into_tier(
     debug_assert_eq!(out.len(), n * m);
     debug_assert_eq!(ad.len(), n * k);
     debug_assert_eq!(bd.len(), k * m);
-    // `product == 0` skipping can only be hoisted to whole-row
-    // granularity when B holds no inf/NaN (0 × inf = NaN must not be
-    // skipped). One O(km) scan amortized over O(nkm) work.
     let b_all_finite = bd.iter().all(|v| v.is_finite());
+    let gemm = Gemm {
+        out,
+        ad,
+        bd,
+        n,
+        k,
+        m,
+        row_offset,
+        col_offset,
+        b_all_finite,
+    };
     if mpt_telemetry::enabled() {
-        // Dispatch counter: which kernel family/tier ran this GEMM
-        // (`kernel.tier.off|portable|avx2` for the fused path,
-        // `kernel.tier.generic` for the scalar oracle loop).
-        let tier_label = match plan(mac) {
-            Plan::Fused(_) => tier.name(),
-            Plan::Generic => "generic",
-        };
-        mpt_telemetry::counter(&format!("kernel.tier.{tier_label}")).incr();
         let mut mul_tally = mac.mul.telemetry_tally();
         let mut acc_tally = mac.acc.telemetry_tally();
-        match plan(mac) {
-            Plan::Fused(acc) => dispatch_fused::<true>(
-                out,
-                ad,
-                bd,
-                n,
-                k,
-                m,
-                &acc,
-                row_offset,
-                col_offset,
-                b_all_finite,
-                &mut acc_tally,
-                tier,
-            ),
-            Plan::Generic => gemm_generic::<true>(
-                out,
-                ad,
-                bd,
-                n,
-                k,
-                m,
-                mac,
-                row_offset,
-                col_offset,
-                b_all_finite,
-                &mut mul_tally,
-                &mut acc_tally,
-            ),
-        }
+        // Dispatch counter: which nest ran this GEMM
+        // (`kernel.tier.off|portable|avx2` for the lane stages,
+        // `kernel.tier.generic` for the scalar-oracle stages).
+        let label = dispatch(gemm, mac, tier, &mut mul_tally, &mut acc_tally);
+        mpt_telemetry::counter(&format!("kernel.tier.{label}")).incr();
         // Flush once per kernel call (per worker tile); empty tallies
         // (fused multipliers, identity stages) are free.
         mul_tally.flush(&format!("mul:{}", mac.mul));
         acc_tally.flush(&format!("acc:{}", mac.acc));
-        return;
-    }
-    // Disabled path: TALLY = false monomorphizations; the dummy
-    // tallies are never touched.
-    let mut dummy = QuantTally::new(f64::INFINITY, false);
-    let mut dummy2 = QuantTally::new(f64::INFINITY, false);
-    match plan(mac) {
-        Plan::Fused(acc) => dispatch_fused::<false>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            &acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            &mut dummy,
-            tier,
-        ),
-        Plan::Generic => gemm_generic::<false>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            mac,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            &mut dummy,
-            &mut dummy2,
-        ),
+    } else {
+        dispatch(gemm, mac, tier, &mut NoTally, &mut NoTally);
     }
 }
 
-/// Monomorphizes the fused kernel over the accumulator's rounding
-/// mode, then routes to the tier implementation.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_fused<const TALLY: bool>(
-    out: &mut [f32],
-    ad: &[f32],
-    bd: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    acc: &FloatFastF64,
-    row_offset: usize,
-    col_offset: usize,
-    b_all_finite: bool,
-    tally: &mut QuantTally,
+/// Resolves both stages of `mac` and runs the matching nest; returns
+/// the `kernel.tier.*` label of what ran.
+fn dispatch<T: MacObserver>(
+    gemm: Gemm<'_>,
+    mac: &MacConfig,
     tier: SimdTier,
-) {
-    match acc.rounding() {
-        mpt_formats::Rounding::Nearest => gemm_fused_tier::<{ mode::RN }, TALLY>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            tally,
-            tier,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
+) -> &'static str {
+    match (
+        mac.is_fused(),
+        LaneKernel::of(&mac.mul),
+        LaneKernel::of(&mac.acc),
+    ) {
+        (true, _, Some(acc)) => {
+            with_stage!(acc, acc => gemm_tier(gemm, &Fused, &acc, tier, mul_obs, acc_obs))
+        }
+        (false, Some(mul), Some(acc)) if mul.same_family(&acc) => with_stage!(
+            mul,
+            mul => with_stage!(acc, acc => gemm_tier(gemm, &mul, &acc, tier, mul_obs, acc_obs))
         ),
-        mpt_formats::Rounding::TowardZero => gemm_fused_tier::<{ mode::RZ }, TALLY>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            tally,
-            tier,
-        ),
-        mpt_formats::Rounding::Stochastic { .. } => gemm_fused_tier::<{ mode::SR }, TALLY>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            tally,
-            tier,
-        ),
-        mpt_formats::Rounding::ToOdd => gemm_fused_tier::<{ mode::RO }, TALLY>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            tally,
-            tier,
-        ),
-        // `fast_f64` never yields a kernel for NR.
-        mpt_formats::Rounding::NoRound => unreachable!("NR has no fast kernel"),
-    }
-}
-
-/// Tier selection for one monomorphized fused kernel. On non-x86_64
-/// hosts the `Avx2` tier (unreachable through `active_tier`, but
-/// expressible through the explicit-tier API) degrades to portable.
-#[allow(clippy::too_many_arguments)]
-fn gemm_fused_tier<const MODE: u8, const TALLY: bool>(
-    out: &mut [f32],
-    ad: &[f32],
-    bd: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    acc: &FloatFastF64,
-    row_offset: usize,
-    col_offset: usize,
-    b_all_finite: bool,
-    tally: &mut QuantTally,
-    tier: SimdTier,
-) {
-    match tier {
-        SimdTier::Off => gemm_fused::<MODE, TALLY>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            tally,
-        ),
-        SimdTier::Portable => gemm_fused_portable::<MODE, TALLY>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            tally,
-        ),
-        SimdTier::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                crate::simd_fused::avx2::gemm_fused_avx2::<MODE, TALLY>(
-                    out,
-                    ad,
-                    bd,
-                    n,
-                    k,
-                    m,
-                    acc,
-                    row_offset,
-                    col_offset,
-                    b_all_finite,
-                    tally,
-                )
+        // A stage without a lane kernel, or an unfused pairing across
+        // families (float × fixed: nothing in the paper or the repo
+        // trains it, so it is not worth 64 more instantiations of
+        // each nest), sends the whole MAC to the oracle stages.
+        (fused, ..) => {
+            if fused {
+                gemm_scalar(gemm, &Fused, &mac.acc, mul_obs, acc_obs);
+            } else {
+                gemm_scalar(gemm, &mac.mul, &mac.acc, mul_obs, acc_obs);
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                gemm_fused_portable::<MODE, TALLY>(
-                    out,
-                    ad,
-                    bd,
-                    n,
-                    k,
-                    m,
-                    acc,
-                    row_offset,
-                    col_offset,
-                    b_all_finite,
-                    tally,
-                )
-            }
+            return "generic";
         }
     }
+    tier.name()
 }
 
-/// Fused-MAC float kernel: exact `f64` product and sum, accumulator
-/// rounded by the monomorphized [`FloatFastF64`] (event-index hashing
-/// fused into the mantissa rounding).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_fused<const MODE: u8, const TALLY: bool>(
-    out: &mut [f32],
-    ad: &[f32],
-    bd: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    acc: &FloatFastF64,
-    row_offset: usize,
-    col_offset: usize,
-    b_all_finite: bool,
-    tally: &mut QuantTally,
+/// The existing tier switch, now over any stage pair. On non-x86_64
+/// hosts the `Avx2` tier (unreachable through `active_tier`, but
+/// expressible through the explicit-tier API) degrades to portable.
+fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
+    gemm: Gemm<'_>,
+    mul: &M,
+    acc: &A,
+    tier: SimdTier,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
 ) {
-    for i in 0..n {
-        let gi = i + row_offset;
-        let arow = &ad[i * k..(i + 1) * k];
-        let orow = &mut out[i * m..(i + 1) * m];
+    // A compile-time condition: `dispatch` never pairs lane stages of
+    // different families, and this keeps the nests from being
+    // instantiated for the pairings its macro spells out anyway.
+    if !M::IDENTITY && M::FAMILY != A::FAMILY {
+        unreachable!("mixed-family MACs run the oracle stages");
+    }
+    match tier {
+        SimdTier::Off => gemm_scalar(gemm, mul, acc, mul_obs, acc_obs),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => crate::simd_fused::avx2::gemm_avx2(gemm, mul, acc, mul_obs, acc_obs),
+        _ => gemm_portable(gemm, mul, acc, mul_obs, acc_obs),
+    }
+}
+
+/// The scalar loop nest: one [`mac_round`] per non-zero product.
+pub(crate) fn gemm_scalar<M: Stage, A: Stage, T: MacObserver>(
+    g: Gemm<'_>,
+    mul: &M,
+    acc: &A,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
+) {
+    for i in 0..g.n {
+        let gi = i + g.row_offset;
+        let arow = &g.ad[i * g.k..(i + 1) * g.k];
+        let orow = &mut g.out[i * g.m..(i + 1) * g.m];
         let mut j0 = 0;
-        while j0 < m {
-            let j1 = (j0 + J_TILE).min(m);
+        while j0 < g.m {
+            let j1 = (j0 + J_TILE).min(g.m);
             for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 && b_all_finite {
+                if av == 0.0 && g.b_all_finite {
                     continue;
                 }
                 let av = av as f64;
-                let brow = &bd[kk * m..kk * m + m];
+                let brow = &g.bd[kk * g.m..kk * g.m + g.m];
                 for j in j0..j1 {
                     let product = av * brow[j] as f64;
                     if product == 0.0 {
                         continue;
                     }
-                    let sum = orow[j] as f64 + product;
-                    let idx = sr_event_index(gi, j + col_offset, kk, MacStage::Accumulate);
-                    let q = acc.quantize::<MODE>(sum, idx);
-                    if TALLY {
-                        tally.record(sum, q);
-                    }
-                    orow[j] = q as f32;
+                    let gj = j + g.col_offset;
+                    orow[j] = mac_round(orow[j], product, mul, acc, gi, gj, kk, mul_obs, acc_obs);
                 }
             }
             j0 = j1;
@@ -410,55 +300,69 @@ pub(crate) fn gemm_fused<const MODE: u8, const TALLY: bool>(
     }
 }
 
-/// Fallback kernel: the scalar [`mac_step`] oracle inside the same
-/// cache-blocked loop (fixed point, block FP, unfused multipliers,
-/// `NR` accumulators).
-#[allow(clippy::too_many_arguments)]
-fn gemm_generic<const TALLY: bool>(
-    out: &mut [f32],
-    ad: &[f32],
-    bd: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    mac: &MacConfig,
-    row_offset: usize,
-    col_offset: usize,
-    b_all_finite: bool,
-    mul_tally: &mut QuantTally,
-    acc_tally: &mut QuantTally,
-) {
-    for i in 0..n {
-        let gi = i + row_offset;
-        let arow = &ad[i * k..(i + 1) * k];
-        let orow = &mut out[i * m..(i + 1) * m];
-        let mut j0 = 0;
-        while j0 < m {
-            let j1 = (j0 + J_TILE).min(m);
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 && b_all_finite {
-                    continue;
-                }
-                let brow = &bd[kk * m..kk * m + m];
-                for j in j0..j1 {
-                    orow[j] = if TALLY {
-                        mac_step_tallied(
-                            orow[j],
-                            av,
-                            brow[j],
-                            mac,
-                            gi,
-                            j + col_offset,
-                            kk,
-                            mul_tally,
-                            acc_tally,
-                        )
-                    } else {
-                        mac_step(orow[j], av, brow[j], mac, gi, j + col_offset, kk)
-                    };
-                }
-            }
-            j0 = j1;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpt_formats::{BlockFpFormat, FixedFormat, FloatFormat, Rounding};
+
+    /// Runs a tiny GEMM under `mac` with telemetry on and returns the
+    /// `kernel.tier.*` label it was dispatched to.
+    fn label_of(mac: MacConfig) -> &'static str {
+        let (ad, bd) = ([1.0f32, 0.5, -0.25, 2.0], [0.5f32, -1.0, 1.5, 0.25]);
+        let mut out = [0.0f32; 4];
+        let gemm = Gemm {
+            out: &mut out,
+            ad: &ad,
+            bd: &bd,
+            n: 2,
+            k: 2,
+            m: 2,
+            row_offset: 0,
+            col_offset: 0,
+            b_all_finite: true,
+        };
+        dispatch(gemm, &mac, SimdTier::Portable, &mut NoTally, &mut NoTally)
+    }
+
+    #[test]
+    fn float_and_fixed_stages_run_the_tier_nests() {
+        let rn = Rounding::Nearest;
+        let nr = Rounding::NoRound;
+        let e5m2 = |r| Quantizer::float(FloatFormat::e5m2(), r);
+        let e6m5 = |r| Quantizer::float(FloatFormat::e6m5(), r);
+        let fxp44 = |r| Quantizer::fixed(FixedFormat::fxp4_4(), r);
+        let fxp88 = |r| Quantizer::fixed(FixedFormat::fxp8_8(), r);
+        for mac in [
+            MacConfig::fp8_fp12_sr(),
+            MacConfig::fxp4_4(Rounding::stochastic()),
+            MacConfig::new(fxp44(nr), fxp88(rn)),
+            MacConfig::new(e5m2(rn), e6m5(Rounding::ToOdd)),
+        ] {
+            assert_eq!(label_of(mac), "portable", "{mac}");
+        }
+    }
+
+    #[test]
+    fn stages_without_a_lane_kernel_run_the_oracle_nest() {
+        let rn = Rounding::Nearest;
+        let bfp = Quantizer::new(BlockFpFormat::new(3, 4).unwrap(), rn);
+        let e6m5 = Quantizer::float(FloatFormat::e6m5(), rn);
+        let wide_fixed = Quantizer::fixed(FixedFormat::new(32, 32).unwrap(), rn);
+        let f64_like = Quantizer::float(FloatFormat::new(11, 52).unwrap(), rn);
+        let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
+        for mac in [
+            MacConfig::new(nr, bfp),
+            MacConfig::new(bfp, e6m5),
+            MacConfig::new(nr, nr),
+            MacConfig::new(e6m5, nr),
+            MacConfig::new(nr, wide_fixed),
+            MacConfig::new(wide_fixed, e6m5),
+            MacConfig::new(nr, f64_like),
+            // Unfused across families.
+            MacConfig::new(e6m5, Quantizer::fixed(FixedFormat::fxp8_8(), rn)),
+            MacConfig::new(Quantizer::fixed(FixedFormat::fxp4_4(), rn), e6m5),
+        ] {
+            assert_eq!(label_of(mac), "generic", "{mac}");
         }
     }
 }

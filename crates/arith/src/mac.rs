@@ -7,6 +7,7 @@
 //! simulator in `mpt-fpga`, which is what guarantees the two paths
 //! agree bit-for-bit.
 
+use crate::stage::{Fused, MacObserver, NoTally, Stage};
 use mpt_formats::{FixedFormat, FloatFormat, Quantizer, Rounding};
 use std::fmt;
 
@@ -186,6 +187,27 @@ impl fmt::Display for MacConfig {
 /// accumulator format.
 #[inline]
 pub fn mac_step(acc: f32, a: f32, b: f32, mac: &MacConfig, i: usize, j: usize, k: usize) -> f32 {
+    mac_step_with(acc, a, b, mac, i, j, k, &mut NoTally, &mut NoTally)
+}
+
+/// [`mac_step`] under observation: the same arithmetic (it *is* the
+/// same code — [`mac_step`] passes the zero-sized [`NoTally`]), with
+/// the multiplier rounding shown to `mul_obs` and the accumulator
+/// rounding to `acc_obs`. A fused multiplier never rounds, so it is
+/// never shown; zero products bypass both stages.
+#[inline]
+#[allow(clippy::too_many_arguments)] // mac_step's signature + two observers
+pub fn mac_step_with<T: MacObserver>(
+    acc: f32,
+    a: f32,
+    b: f32,
+    mac: &MacConfig,
+    i: usize,
+    j: usize,
+    k: usize,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
+) -> f32 {
     let product = a as f64 * b as f64; // exact for low-precision operands
     if product == 0.0 {
         // Adding an exact zero cannot change the accumulator, which is
@@ -195,58 +217,41 @@ pub fn mac_step(acc: f32, a: f32, b: f32, mac: &MacConfig, i: usize, j: usize, k
         // This keeps zero-padded tiles and ReLU-sparse operands cheap.
         return acc;
     }
-    let product = if mac.is_fused() {
-        product
+    if mac.is_fused() {
+        mac_round(acc, product, &Fused, &mac.acc, i, j, k, mul_obs, acc_obs)
     } else {
-        mac.mul
-            .quantize(product, sr_event_index(i, j, k, MacStage::Multiply))
-    };
-    let sum = acc as f64 + product;
-    mac.acc
-        .quantize(sum, sr_event_index(i, j, k, MacStage::Accumulate)) as f32
+        mac_round(acc, product, &mac.mul, &mac.acc, i, j, k, mul_obs, acc_obs)
+    }
 }
 
-/// [`mac_step`] with telemetry: identical arithmetic (same quantizer
-/// calls, same event indices, bit-identical result — asserted by
-/// tests), additionally classifying the multiplier rounding into
-/// `mul_tally` and the accumulator rounding into `acc_tally`.
-///
-/// Kept as a separate function so the untallied [`mac_step`] stays
-/// byte-identical to the uninstrumented original; the GEMM loops pick
-/// one or the other once per kernel via a `const TALLY` parameter.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mac_step's signature + two tallies
-pub fn mac_step_tallied(
+/// The one MAC body: rounds the non-zero exact `product` through the
+/// multiplier stage, adds it to `acc`, rounds the sum through the
+/// accumulator stage. [`mac_step_with`] instantiates it with the
+/// scalar-oracle stages; the scalar GEMM nest and the lane nests'
+/// tails with their monomorphized ones.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mac_round<M: Stage, A: Stage, T: MacObserver>(
     acc: f32,
-    a: f32,
-    b: f32,
-    mac: &MacConfig,
+    product: f64,
+    mul_stage: &M,
+    acc_stage: &A,
     i: usize,
     j: usize,
     k: usize,
-    mul_tally: &mut mpt_telemetry::QuantTally,
-    acc_tally: &mut mpt_telemetry::QuantTally,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
 ) -> f32 {
-    let product = a as f64 * b as f64;
-    if product == 0.0 {
-        // Zero-adds bypass both quantizers (see mac_step); nothing to
-        // tally.
-        return acc;
-    }
-    let product = if mac.is_fused() {
+    let product = if M::IDENTITY {
         product
     } else {
-        let rounded = mac
-            .mul
-            .quantize(product, sr_event_index(i, j, k, MacStage::Multiply));
-        mul_tally.record(product, rounded);
+        let rounded = mul_stage.quantize(product, sr_event_index(i, j, k, MacStage::Multiply));
+        mul_obs.record(product, rounded);
         rounded
     };
     let sum = acc as f64 + product;
-    let rounded = mac
-        .acc
-        .quantize(sum, sr_event_index(i, j, k, MacStage::Accumulate));
-    acc_tally.record(sum, rounded);
+    let rounded = acc_stage.quantize(sum, sr_event_index(i, j, k, MacStage::Accumulate));
+    acc_obs.record(sum, rounded);
     rounded as f32
 }
 
@@ -368,8 +373,8 @@ mod tests {
 
     #[test]
     fn tallied_step_is_bit_identical_to_mac_step() {
-        // Every configuration family, specials included: the tallied
-        // mirror must never diverge from the oracle.
+        // Every configuration family, specials included: observing
+        // the step must never change it.
         let configs = [
             MacConfig::fp8_fp12_sr().with_seed(5),
             MacConfig::fp8_fp12(Rounding::Nearest),
@@ -387,7 +392,7 @@ mod tests {
                 for (j, &b) in specials.iter().enumerate() {
                     let acc = (j as f32 - 3.0) * 1.7;
                     let plain = mac_step(acc, a, b, mac, 1, j, k);
-                    let tallied = mac_step_tallied(acc, a, b, mac, 1, j, k, &mut mul_t, &mut acc_t);
+                    let tallied = mac_step_with(acc, a, b, mac, 1, j, k, &mut mul_t, &mut acc_t);
                     assert_eq!(
                         plain.to_bits(),
                         tallied.to_bits(),
@@ -403,21 +408,21 @@ mod tests {
         let mac = MacConfig::fxp4_4(Rounding::Nearest); // unfused: both stages round
         let mut mul_t = mac.mul.telemetry_tally();
         let mut acc_t = mac.acc.telemetry_tally();
-        mac_step_tallied(0.0, 1.3, 1.7, &mac, 0, 0, 0, &mut mul_t, &mut acc_t);
+        mac_step_with(0.0, 1.3, 1.7, &mac, 0, 0, 0, &mut mul_t, &mut acc_t);
         assert!(!mul_t.is_empty(), "unfused multiplier stage must tally");
         assert!(!acc_t.is_empty());
 
         let fused = MacConfig::fp8_fp12_sr();
         let mut mul_f = fused.mul.telemetry_tally();
         let mut acc_f = fused.acc.telemetry_tally();
-        mac_step_tallied(0.0, 1.25, 1.25, &fused, 0, 0, 0, &mut mul_f, &mut acc_f);
+        mac_step_with(0.0, 1.25, 1.25, &fused, 0, 0, 0, &mut mul_f, &mut acc_f);
         assert!(mul_f.is_empty(), "fused multiplier never rounds");
         assert!(!acc_f.is_empty());
 
         // Zero products bypass both quantizers.
         let mut mul_z = fused.mul.telemetry_tally();
         let mut acc_z = fused.acc.telemetry_tally();
-        mac_step_tallied(3.0, 0.0, 5.0, &fused, 0, 0, 0, &mut mul_z, &mut acc_z);
+        mac_step_with(3.0, 0.0, 5.0, &fused, 0, 0, 0, &mut mul_z, &mut acc_z);
         assert!(mul_z.is_empty() && acc_z.is_empty());
     }
 

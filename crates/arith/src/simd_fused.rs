@@ -1,113 +1,95 @@
-//! Lane-parallel fused-MAC GEMM kernels (the `MPT_SIMD` tiers).
+//! Lane-parallel MAC GEMM loop nests (the `MPT_SIMD` tiers).
 //!
-//! These are drop-in replacements for the scalar `gemm_fused` inner
-//! loop in [`crate::kernels`]: same `i / j-tile / k / j` traversal,
-//! same ascending-`k` reduction per output element, same
-//! [`sr_event_index`] event stream — only the innermost `j` loop is
-//! restructured into 4-wide `f64` lane blocks. Because IEEE-754
-//! multiplies/adds are fully specified and the lane quantizers in
-//! `mpt-formats` replay the scalar kernel's exact operation sequence
-//! per lane, results are **bit-identical** to the scalar kernel (and
-//! therefore to `qgemm_reference`) for every input, including NaN/inf
-//! payloads, zero products, and saturating sums:
+//! These are drop-in replacements for the scalar nest in
+//! [`crate::kernels`]: same `i / j-tile / k / j` traversal, same
+//! ascending-`k` reduction per output element, same
+//! [`sr_event_index`] event stream per stage — only the innermost `j`
+//! loop is restructured into 4-wide `f64` lane blocks. Like the
+//! scalar nest they are generic over the two rounding
+//! [`Stage`]s and the [`MacObserver`]; with the
+//! [`Fused`](crate::stage::Fused) multiplier the multiplier stage
+//! compiles out and what remains is the fused-MAC kernel. Because
+//! IEEE-754 multiplies/adds are fully specified and the lane
+//! quantizers in `mpt-formats` replay the scalar kernels' exact
+//! operation sequence per lane, results are **bit-identical** to the
+//! scalar nest (and therefore to `qgemm_reference`) for every input,
+//! including NaN/inf payloads, zero products, and saturating sums:
 //!
 //! * products and running sums are computed per lane with no
 //!   reassociation — lane `j` sees exactly the scalar sequence
-//!   `out[j] + a[kk]·b[kk][j]` at each step;
-//! * zero products (`product == 0.0`) leave the output lane untouched,
-//!   exactly like the scalar `continue`;
-//! * lanes whose sum leaves the provable fast regime (non-finite,
-//!   target-subnormal, carrier-subnormal) are recomputed through the
-//!   scalar quantizer from the same `f64` sum;
-//! * SR event indices are computed per lane with the *same*
-//!   [`sr_event_index`] packing (no incremental shortcuts that could
-//!   diverge on field overflow).
+//!   `out[j] + round_mul(a[kk]·b[kk][j])` at each step;
+//! * zero products (`product == 0.0`, tested *before* the multiplier
+//!   rounds) leave the output lane untouched, exactly like the scalar
+//!   `continue`;
+//! * lanes a stage's vector kernel hands back (floats: non-finite,
+//!   target-subnormal, carrier-subnormal; fixed point: non-finite) are
+//!   recomputed through the stage's scalar quantizer from the same
+//!   `f64` value;
+//! * SR event indices are computed per lane and per stage with the
+//!   *same* [`sr_event_index`] packing (no incremental shortcuts that
+//!   could diverge on field overflow).
 //!
-//! The telemetry tallies (`TALLY = true`) record the identical
-//! `(sum, quantized)` pairs the scalar kernel records, skipping zero
-//! products, so instrumented runs stay tier-independent too.
+//! The observers see the identical `(unrounded, rounded)` pairs the
+//! scalar nest shows them, skipping zero products, so instrumented
+//! runs stay tier-independent too.
 
-use crate::mac::{sr_event_index, MacStage};
-use mpt_formats::fast::mode;
-use mpt_formats::{FloatFastF64, LanePlanF64};
-use mpt_telemetry::QuantTally;
+use crate::kernels::{Gemm, J_TILE};
+use crate::mac::{mac_round, sr_event_index, MacStage};
+use crate::stage::{MacObserver, Stage, L};
 
-use crate::kernels::{gemm_fused, J_TILE};
-
-/// Lane width of the portable blocks (matches the AVX2 register
-/// width: 4 × `f64`).
-const L: usize = 4;
-
-/// Portable lane-block fused kernel: fixed-width arrays in safe Rust,
-/// shaped for the autovectorizer. Falls back to the scalar kernel if
-/// the accumulator has no lane plan (`ts <= 0`, i.e. a format at
-/// least as fine as `f64` — not reachable with the paper's formats).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_fused_portable<const MODE: u8, const TALLY: bool>(
-    out: &mut [f32],
-    ad: &[f32],
-    bd: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    acc: &FloatFastF64,
-    row_offset: usize,
-    col_offset: usize,
-    b_all_finite: bool,
-    tally: &mut QuantTally,
+/// The portable lane-block nest: fixed-width arrays in safe Rust,
+/// shaped for the autovectorizer.
+pub(crate) fn gemm_portable<M: Stage, A: Stage, T: MacObserver>(
+    g: Gemm<'_>,
+    mul: &M,
+    acc: &A,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
 ) {
-    let Some(plan) = acc.lane_plan() else {
-        return gemm_fused::<MODE, TALLY>(
-            out,
-            ad,
-            bd,
-            n,
-            k,
-            m,
-            acc,
-            row_offset,
-            col_offset,
-            b_all_finite,
-            tally,
-        );
-    };
-    for i in 0..n {
-        let gi = i + row_offset;
-        let arow = &ad[i * k..(i + 1) * k];
-        let orow = &mut out[i * m..(i + 1) * m];
+    for i in 0..g.n {
+        let gi = i + g.row_offset;
+        let arow = &g.ad[i * g.k..(i + 1) * g.k];
+        let orow = &mut g.out[i * g.m..(i + 1) * g.m];
         let mut j0 = 0;
-        while j0 < m {
-            let j1 = (j0 + J_TILE).min(m);
+        while j0 < g.m {
+            let j1 = (j0 + J_TILE).min(g.m);
             for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 && b_all_finite {
+                if av == 0.0 && g.b_all_finite {
                     continue;
                 }
                 let av = av as f64;
-                let brow = &bd[kk * m..kk * m + m];
+                let brow = &g.bd[kk * g.m..kk * g.m + g.m];
                 let mut j = j0;
                 while j + L <= j1 {
+                    let gj = j + g.col_offset;
                     let mut prods = [0f64; L];
-                    let mut sums = [0f64; L];
-                    let mut idxs = [0u64; L];
                     let mut any_nonzero = false;
                     for l in 0..L {
                         prods[l] = av * brow[j + l] as f64;
-                        sums[l] = orow[j + l] as f64 + prods[l];
-                        idxs[l] = sr_event_index(gi, j + l + col_offset, kk, MacStage::Accumulate);
                         any_nonzero |= prods[l] != 0.0;
                     }
                     if any_nonzero {
+                        let mut rounded = prods;
+                        if !M::IDENTITY {
+                            let idxs = lane_indices(gi, gj, kk, MacStage::Multiply);
+                            mul.quantize_block(&mut rounded, &idxs);
+                        }
+                        let mut sums = [0f64; L];
+                        for l in 0..L {
+                            sums[l] = orow[j + l] as f64 + rounded[l];
+                        }
                         let mut q = sums;
-                        acc.quantize_block_indexed::<MODE, L>(&plan, &mut q, &idxs);
+                        acc.quantize_block(&mut q, &lane_indices(gi, gj, kk, MacStage::Accumulate));
                         for l in 0..L {
                             // Zero products leave the lane untouched
-                            // (and unrecorded), like the scalar skip.
+                            // (and unobserved), like the scalar skip.
                             if prods[l] == 0.0 {
                                 continue;
                             }
-                            if TALLY {
-                                tally.record(sums[l], q[l]);
+                            if !M::IDENTITY {
+                                mul_obs.record(prods[l], rounded[l]);
                             }
+                            acc_obs.record(sums[l], q[l]);
                             orow[j + l] = q[l] as f32;
                         }
                     }
@@ -116,13 +98,9 @@ pub(crate) fn gemm_fused_portable<const MODE: u8, const TALLY: bool>(
                 while j < j1 {
                     let product = av * brow[j] as f64;
                     if product != 0.0 {
-                        let sum = orow[j] as f64 + product;
-                        let idx = sr_event_index(gi, j + col_offset, kk, MacStage::Accumulate);
-                        let q = acc.quantize::<MODE>(sum, idx);
-                        if TALLY {
-                            tally.record(sum, q);
-                        }
-                        orow[j] = q as f32;
+                        let gj = j + g.col_offset;
+                        orow[j] =
+                            mac_round(orow[j], product, mul, acc, gi, gj, kk, mul_obs, acc_obs);
                     }
                     j += 1;
                 }
@@ -132,9 +110,16 @@ pub(crate) fn gemm_fused_portable<const MODE: u8, const TALLY: bool>(
     }
 }
 
-/// The AVX2 fused kernel (x86_64 only): explicit intrinsics for the
-/// 4-lane widen → multiply → add → quantize pipeline, sharing the
-/// `f64` lane quantizer with `mpt-formats`.
+/// The rounding-event indices of `stage` for the `L` output columns
+/// starting at global column `gj`.
+#[inline(always)]
+fn lane_indices(gi: usize, gj: usize, kk: usize, stage: MacStage) -> [u64; L] {
+    std::array::from_fn(|l| sr_event_index(gi, gj + l, kk, stage))
+}
+
+/// The AVX2 nest (x86_64 only): explicit intrinsics for the 4-lane
+/// widen → multiply → round → add → round pipeline, sharing the `f64`
+/// lane quantizers with `mpt-formats`.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     #![allow(unsafe_code)]
@@ -142,8 +127,77 @@ pub(crate) mod avx2 {
     use core::arch::x86_64::*;
 
     use super::*;
-    use mpt_formats::simd_avx2::QuantVecF64;
-    use mpt_formats::sr::hash;
+    use crate::stage::{FixedStage, FloatStage, Fused};
+    use mpt_formats::simd_avx2::{FixedVecF64, QuantVecF64};
+
+    /// The vector form of a [`Stage`]: its constants broadcast into
+    /// AVX2 registers and a 4-lane quantizer over them.
+    pub(crate) trait VecStage: Stage {
+        /// The broadcast constants.
+        type Vec: Copy;
+
+        /// Builds [`Vec`](VecStage::Vec).
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX2.
+        unsafe fn vec(&self) -> Self::Vec;
+
+        /// Rounds 4 lanes; `hash_input` carries
+        /// `rng().hash_input(index)` per lane (read only when
+        /// [`Stage::SR`]). Returns the results and the mask of valid
+        /// lanes — the caller recomputes the others through
+        /// [`Stage::quantize`].
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX2.
+        unsafe fn quantize4(v: &Self::Vec, x: __m256d, hash_input: __m256i) -> (__m256d, u32);
+    }
+
+    impl VecStage for Fused {
+        type Vec = ();
+
+        #[inline(always)]
+        unsafe fn vec(&self) {}
+
+        #[inline(always)]
+        unsafe fn quantize4(_v: &(), x: __m256d, _hash_input: __m256i) -> (__m256d, u32) {
+            (x, 0xF)
+        }
+    }
+
+    impl<const MODE: u8> VecStage for FloatStage<MODE> {
+        type Vec = QuantVecF64;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn vec(&self) -> QuantVecF64 {
+            QuantVecF64::new(&self.plan)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn quantize4(v: &QuantVecF64, x: __m256d, h: __m256i) -> (__m256d, u32) {
+            v.quantize4::<MODE>(x, h)
+        }
+    }
+
+    impl<const MODE: u8> VecStage for FixedStage<MODE> {
+        type Vec = FixedVecF64;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn vec(&self) -> FixedVecF64 {
+            FixedVecF64::new(&self.0)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn quantize4(v: &FixedVecF64, x: __m256d, h: __m256i) -> (__m256d, u32) {
+            v.quantize4::<MODE>(x, h)
+        }
+    }
 
     /// Collapses a 4×`f64` compare mask to a 4×`f32` mask (low dword
     /// of each 64-bit lane, which is all-ones/all-zero).
@@ -155,104 +209,103 @@ pub(crate) mod avx2 {
         _mm_castsi128_ps(_mm256_castsi256_si128(t))
     }
 
-    /// AVX2 fused kernel entry: re-checks CPU support defensively
-    /// (dispatch already did) and falls back to the portable tier,
-    /// or to the scalar kernel when the accumulator has no lane plan.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn gemm_fused_avx2<const MODE: u8, const TALLY: bool>(
-        out: &mut [f32],
-        ad: &[f32],
-        bd: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        acc: &FloatFastF64,
-        row_offset: usize,
-        col_offset: usize,
-        b_all_finite: bool,
-        tally: &mut QuantTally,
+    /// AVX2 nest entry: re-checks CPU support defensively (dispatch
+    /// already did) and falls back to the portable tier.
+    pub(crate) fn gemm_avx2<M: VecStage, A: VecStage, T: MacObserver>(
+        g: Gemm<'_>,
+        mul: &M,
+        acc: &A,
+        mul_obs: &mut T,
+        acc_obs: &mut T,
     ) {
         if !mpt_formats::simd::avx2_supported() {
-            return gemm_fused_portable::<MODE, TALLY>(
-                out,
-                ad,
-                bd,
-                n,
-                k,
-                m,
-                acc,
-                row_offset,
-                col_offset,
-                b_all_finite,
-                tally,
-            );
+            return gemm_portable(g, mul, acc, mul_obs, acc_obs);
         }
-        let Some(plan) = acc.lane_plan() else {
-            return gemm_fused::<MODE, TALLY>(
-                out,
-                ad,
-                bd,
-                n,
-                k,
-                m,
-                acc,
-                row_offset,
-                col_offset,
-                b_all_finite,
-                tally,
-            );
-        };
         // SAFETY: AVX2 availability checked at runtime just above.
-        unsafe {
-            inner::<MODE, TALLY>(
-                out,
-                ad,
-                bd,
-                n,
-                k,
-                m,
-                acc,
-                &plan,
-                row_offset,
-                col_offset,
-                b_all_finite,
-                tally,
-            )
-        }
+        unsafe { inner(g, mul, acc, mul_obs, acc_obs) }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Where a 4-lane block rounds: output row, first global column,
+    /// reduction step, stage.
+    type At = (usize, usize, usize, MacStage);
+
+    /// A stage's vector quantizer on 4 lanes, with the SR hash inputs
+    /// assembled per lane from the exact `sr_event_index` packing (no
+    /// incremental shortcut — safe against field overflow).
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn inner<const MODE: u8, const TALLY: bool>(
-        out: &mut [f32],
-        ad: &[f32],
-        bd: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        acc: &FloatFastF64,
-        plan: &LanePlanF64,
-        row_offset: usize,
-        col_offset: usize,
-        b_all_finite: bool,
-        tally: &mut QuantTally,
+    unsafe fn quantize4<S: VecStage>(
+        stage: &S,
+        v: &S::Vec,
+        x: __m256d,
+        (gi, gj, kk, which): At,
+    ) -> (__m256d, u32) {
+        let h = if S::SR {
+            let rng = stage.rng();
+            let hi = |l: usize| rng.hash_input(sr_event_index(gi, gj + l, kk, which)) as i64;
+            _mm256_set_epi64x(hi(3), hi(2), hi(1), hi(0))
+        } else {
+            _mm256_setzero_si256()
+        };
+        S::quantize4(v, x, h)
+    }
+
+    /// The spill behind a vector quantizer, taken only when it handed
+    /// lanes back or someone is watching: recomputes the lanes in
+    /// `need_scalar` through the stage's scalar quantizer and shows
+    /// every live lane (zero-product lanes are not) to the observer.
+    /// Returns the settled lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn settle4<S: VecStage, T: MacObserver>(
+        stage: &S,
+        x: __m256d,
+        q: __m256d,
+        need_scalar: u32,
+        live: u32,
+        (gi, gj, kk, which): At,
+        obs: &mut T,
+    ) -> [f64; 4] {
+        let mut xs = [0f64; 4];
+        _mm256_storeu_pd(xs.as_mut_ptr(), x);
+        let mut qs = [0f64; 4];
+        _mm256_storeu_pd(qs.as_mut_ptr(), q);
+        for l in 0..4 {
+            if live & (1 << l) == 0 {
+                continue;
+            }
+            if need_scalar & (1 << l) != 0 {
+                qs[l] = stage.quantize(xs[l], sr_event_index(gi, gj + l, kk, which));
+            }
+            obs.record(xs[l], qs[l]);
+        }
+        qs
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn inner<M: VecStage, A: VecStage, T: MacObserver>(
+        g: Gemm<'_>,
+        mul: &M,
+        acc: &A,
+        mul_obs: &mut T,
+        acc_obs: &mut T,
     ) {
-        let qv = QuantVecF64::new(plan);
+        let (mul_v, acc_v) = (mul.vec(), acc.vec());
         let zero_pd = _mm256_setzero_pd();
-        for i in 0..n {
-            let gi = i + row_offset;
-            let arow = &ad[i * k..(i + 1) * k];
-            let orow = &mut out[i * m..(i + 1) * m];
+        for i in 0..g.n {
+            let gi = i + g.row_offset;
+            let arow = &g.ad[i * g.k..(i + 1) * g.k];
+            let orow = &mut g.out[i * g.m..(i + 1) * g.m];
             let mut j0 = 0;
-            while j0 < m {
-                let j1 = (j0 + J_TILE).min(m);
+            while j0 < g.m {
+                let j1 = (j0 + J_TILE).min(g.m);
                 for (kk, &av) in arow.iter().enumerate() {
-                    if av == 0.0 && b_all_finite {
+                    if av == 0.0 && g.b_all_finite {
                         continue;
                     }
                     let av = av as f64;
                     let av_v = _mm256_set1_pd(av);
-                    let brow = &bd[kk * m..kk * m + m];
+                    let brow = &g.bd[kk * g.m..kk * g.m + g.m];
                     let mut j = j0;
                     while j + 4 <= j1 {
                         // Widen 4 B lanes and the 4 output lanes; the
@@ -268,56 +321,37 @@ pub(crate) mod avx2 {
                             j += 4;
                             continue;
                         }
+                        let live = !pz_bits & 0xF;
+                        let gj = j + g.col_offset;
+                        let mut prod = prod;
+                        if !M::IDENTITY {
+                            let at = (gi, gj, kk, MacStage::Multiply);
+                            let (q, lanes_ok) = quantize4(mul, &mul_v, prod, at);
+                            let need_scalar = !lanes_ok & live;
+                            prod = if T::ACTIVE || need_scalar != 0 {
+                                let qs = settle4(mul, prod, q, need_scalar, live, at, mul_obs);
+                                _mm256_loadu_pd(qs.as_ptr())
+                            } else {
+                                q
+                            };
+                        }
                         let o4_32 = _mm_loadu_ps(orow.as_ptr().add(j));
                         let sum = _mm256_add_pd(_mm256_cvtps_pd(o4_32), prod);
-                        // SR hash inputs per lane, from the exact
-                        // `sr_event_index` packing (no incremental
-                        // shortcut — safe against field overflow).
-                        let h = if MODE == mode::SR {
-                            let hi = |jj: usize| {
-                                (plan.seed
-                                    ^ sr_event_index(gi, jj + col_offset, kk, MacStage::Accumulate)
-                                        .wrapping_mul(hash::INDEX_MUL))
-                                    as i64
-                            };
-                            _mm256_set_epi64x(hi(j + 3), hi(j + 2), hi(j + 1), hi(j))
-                        } else {
-                            _mm256_setzero_si256()
-                        };
-                        let (res, lanes_ok) = qv.quantize4::<MODE>(sum, h);
-                        // Lanes needing the scalar path: outside the
-                        // fast regime AND not a zero-product skip.
-                        let need_scalar = !lanes_ok & 0xF & !pz_bits;
+                        let at = (gi, gj, kk, MacStage::Accumulate);
+                        let (res, lanes_ok) = quantize4(acc, &acc_v, sum, at);
+                        let need_scalar = !lanes_ok & live;
                         // Narrow to f32 (vcvtpd2ps == the scalar `as
                         // f32` cast per lane) and keep old values on
-                        // zero-product lanes.
+                        // zero-product lanes; handed-back lanes are
+                        // overwritten just below.
                         let q32 = _mm256_cvtpd_ps(res);
                         let merged = _mm_blendv_ps(q32, o4_32, narrow_mask_pd(pz));
                         _mm_storeu_ps(orow.as_mut_ptr().add(j), merged);
-                        if TALLY || need_scalar != 0 {
-                            let mut sums = [0f64; 4];
-                            _mm256_storeu_pd(sums.as_mut_ptr(), sum);
-                            let mut qs = [0f64; 4];
-                            _mm256_storeu_pd(qs.as_mut_ptr(), res);
+                        if T::ACTIVE || need_scalar != 0 {
+                            let qs = settle4(acc, sum, res, need_scalar, live, at, acc_obs);
                             for l in 0..4 {
-                                if pz_bits & (1 << l) != 0 {
-                                    continue;
-                                }
-                                let q = if need_scalar & (1 << l) != 0 {
-                                    let idx = sr_event_index(
-                                        gi,
-                                        j + l + col_offset,
-                                        kk,
-                                        MacStage::Accumulate,
-                                    );
-                                    let q = acc.quantize::<MODE>(sums[l], idx);
-                                    orow[j + l] = q as f32;
-                                    q
-                                } else {
-                                    qs[l]
-                                };
-                                if TALLY {
-                                    tally.record(sums[l], q);
+                                if need_scalar & (1 << l) != 0 {
+                                    orow[j + l] = qs[l] as f32;
                                 }
                             }
                         }
@@ -326,13 +360,9 @@ pub(crate) mod avx2 {
                     while j < j1 {
                         let product = av * brow[j] as f64;
                         if product != 0.0 {
-                            let sum = orow[j] as f64 + product;
-                            let idx = sr_event_index(gi, j + col_offset, kk, MacStage::Accumulate);
-                            let q = acc.quantize::<MODE>(sum, idx);
-                            if TALLY {
-                                tally.record(sum, q);
-                            }
-                            orow[j] = q as f32;
+                            let gj = j + g.col_offset;
+                            orow[j] =
+                                mac_round(orow[j], product, mul, acc, gi, gj, kk, mul_obs, acc_obs);
                         }
                         j += 1;
                     }

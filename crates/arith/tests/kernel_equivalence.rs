@@ -8,7 +8,7 @@
 use mpt_arith::{
     qgemm_parallel, qgemm_reference, qgemm_with_offsets, qgemm_with_tier, MacConfig, QGemmConfig,
 };
-use mpt_formats::{FloatFormat, NumberFormat, Quantizer, Rounding, SimdTier};
+use mpt_formats::{FixedFormat, FloatFormat, NumberFormat, Quantizer, Rounding, SimdTier};
 use mpt_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -40,7 +40,36 @@ fn configs() -> impl Strategy<Value = QGemmConfig> {
         Just(QGemmConfig::fp8_fp12_sr()),
         modes().prop_map(|m| QGemmConfig::for_mac(MacConfig::fp8_fp12(m))),
         Just(QGemmConfig::for_mac(MacConfig::fp8_fp16_rn())),
+        // The paper's unfused fixed-point MAC under every multiplier
+        // mode (`NR` makes it fused x fixed).
         modes().prop_map(|m| QGemmConfig::for_mac(MacConfig::fxp4_4(m))),
+        // Unfused float x float, and the mixed-family pairings.
+        (modes(), modes()).prop_map(|(m, a)| {
+            QGemmConfig::for_mac(MacConfig::new(
+                Quantizer::float(FloatFormat::e5m2(), m),
+                Quantizer::float(FloatFormat::e6m5(), a),
+            ))
+        }),
+        (modes(), modes()).prop_map(|(m, a)| {
+            QGemmConfig::for_mac(MacConfig::new(
+                Quantizer::float(FloatFormat::e4m3(), m),
+                Quantizer::fixed(FixedFormat::fxp8_8(), a),
+            ))
+        }),
+        (modes(), modes()).prop_map(|(m, a)| {
+            QGemmConfig::for_mac(MacConfig::new(
+                Quantizer::fixed(FixedFormat::fxp8_4(), m),
+                Quantizer::float(FloatFormat::e5m10(), a),
+            ))
+        }),
+        // What is left on the scalar-oracle stages: block FP.
+        modes().prop_map(|m| {
+            let bfp = mpt_formats::BlockFpFormat::new(3, 4).expect("valid BFP");
+            QGemmConfig::for_mac(MacConfig::new(
+                Quantizer::new(bfp, m),
+                Quantizer::float(FloatFormat::e6m5(), m),
+            ))
+        }),
         // Accumulator variants that stress saturation/subnormal
         // handling inside the fused fast kernel.
         modes().prop_map(|m| {
@@ -94,7 +123,7 @@ fn assert_bitwise_eq(fast: &Tensor, reference: &Tensor) -> Result<(), TestCaseEr
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Dispatched kernels == scalar reference for random shapes,
     /// configurations, seeds and offsets.
@@ -219,5 +248,63 @@ proptest! {
                 "tier {} != off tier", tier.name()
             );
         }
+    }
+}
+
+/// `(total, exact, rounded, saturated, flushed, sr_up, sr_down)` of
+/// one quantizer label's global counter group.
+fn tally_counts(label: &str) -> [u64; 7] {
+    let c = mpt_telemetry::quant_counters(label);
+    [
+        c.total.get(),
+        c.exact.get(),
+        c.rounded.get(),
+        c.saturated.get(),
+        c.flushed.get(),
+        c.sr_up.get(),
+        c.sr_down.get(),
+    ]
+}
+
+/// With telemetry on, every tier of the lane kernels records exactly
+/// the `(x, q)` pairs the scalar `gemm_generic` recorded for
+/// fixed-point MACs before they moved onto the shared loop nests: the
+/// literals below were measured at that parent commit on this very
+/// GEMM (which saturates both stages on both sides, but puts no value
+/// in the band just above a two's-complement minimum, whose
+/// classification that same change corrected). The formats are ones
+/// no other test in this binary uses, so the global counter groups
+/// are this test's alone.
+#[test]
+fn fixed_point_tallies_match_parent_generic_counts() {
+    let mul = Quantizer::fixed(FixedFormat::new(5, 3).unwrap(), Rounding::stochastic());
+    let acc = Quantizer::fixed(FixedFormat::new(7, 2).unwrap(), Rounding::Nearest);
+    let cfg = QGemmConfig::for_mac(MacConfig::new(mul, acc)).with_seed(11);
+    let a = Tensor::from_fn(vec![9, 21], |i| ((i * 37 % 101) as f32 - 50.0) * 0.07);
+    let b = Tensor::from_fn(vec![21, 13], |i| ((i * 53 % 89) as f32 - 44.0) * 0.19);
+    let (mul_label, acc_label) = (
+        format!("mul:{}", cfg.mac.mul),
+        format!("acc:{}", cfg.mac.acc),
+    );
+    for tier in all_tiers() {
+        let before = (tally_counts(&mul_label), tally_counts(&acc_label));
+        mpt_telemetry::enable();
+        qgemm_with_tier(&a, &b, &cfg, 3, 5, tier).unwrap();
+        mpt_telemetry::disable();
+        let delta = |after: [u64; 7], before: [u64; 7]| -> [u64; 7] {
+            std::array::from_fn(|i| after[i] - before[i])
+        };
+        let got_mul = delta(tally_counts(&mul_label), before.0);
+        let got_acc = delta(tally_counts(&acc_label), before.1);
+        assert_eq!(
+            got_mul,
+            [2404, 672, 1398, 329, 5, 678, 720],
+            "mul tally, tier {tier}"
+        );
+        assert_eq!(
+            got_acc,
+            [2404, 1213, 1143, 45, 3, 0, 0],
+            "acc tally, tier {tier}"
+        );
     }
 }

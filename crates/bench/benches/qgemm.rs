@@ -49,6 +49,23 @@ fn bench_configs(c: &mut Criterion) {
     group.finish();
 }
 
+/// Asserts every kernel tier equals `qgemm_reference` bit for bit on
+/// this GEMM (so a throughput row can never come from a kernel that
+/// diverged) and returns the oracle's result.
+fn assert_tiers_match_oracle(a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Tensor {
+    let oracle = qgemm_reference(a, b, cfg, 0, 0).expect("conforming");
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for &tier in SimdTier::available() {
+        let out = qgemm_with_tier(a, b, cfg, 0, 0, tier).expect("conforming");
+        assert_eq!(
+            bits(&out),
+            bits(&oracle),
+            "{cfg}: tier {tier} diverges from qgemm_reference; refusing to bench it"
+        );
+    }
+    oracle
+}
+
 /// Fast dispatched kernels versus the scalar reference loop on the
 /// headline shape/config — the speedup the kernel layer buys, per
 /// SIMD tier. Bit-equality of every measured path against the scalar
@@ -65,7 +82,10 @@ fn bench_configs(c: &mut Criterion) {
 /// * `fp8_fp12_sr_fast_pool` / `fp8_fp12_sr_pool_t1` — the persistent
 ///   pool at `default_threads()` and pinned to one thread (the
 ///   caller-thread fast exit, gated to within 1% of the direct
-///   kernel by `scripts/bench_qgemm.sh`).
+///   kernel by `scripts/bench_qgemm.sh`);
+/// * `fxp44_rn` / `fxp44_sr` — the paper's unfused fixed-point MAC
+///   (`FXP4.4-{RN,SR}` multiplier, `FXP8.8-RN` accumulator) on the
+///   widest tier, with `fxp44_rn_reference` as its scalar baseline.
 fn bench_kernels(c: &mut Criterion) {
     let (a, b) = operands(128, 96, 96);
     let cfg = QGemmConfig::fp8_fp12_sr();
@@ -73,20 +93,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     // Bit-equality preflight: every path measured below must equal
     // the scalar oracle exactly.
-    let oracle = qgemm_reference(&a, &b, &cfg, 0, 0).expect("conforming");
-    for tier in [SimdTier::Off, SimdTier::Portable, simd_tier] {
-        let out = qgemm_with_tier(&a, &b, &cfg, 0, 0, tier).expect("conforming");
-        assert_eq!(
-            out.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            oracle
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            "tier {} diverges from qgemm_reference; refusing to bench it",
-            tier.name()
-        );
-    }
+    let oracle = assert_tiers_match_oracle(&a, &b, &cfg);
     for threads in [1, default_threads()] {
         let out = qgemm_parallel(&a, &b, &cfg, threads).expect("conforming");
         assert_eq!(
@@ -119,6 +126,22 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("fp8_fp12_sr_pool_t1", |bch| {
         bch.iter(|| qgemm_parallel(&a, &b, &cfg, 1).expect("conforming"))
+    });
+    // Operands scaled to span the FXP4.4 range, saturation included.
+    let (a, b) = (a.map(|v| v * 6.0), b.map(|v| v * 6.0));
+    let fxp = |rounding| QGemmConfig::for_mac(MacConfig::fxp4_4(rounding)).with_seed(7);
+    for (name, cfg) in [
+        ("fxp44_rn", fxp(Rounding::Nearest)),
+        ("fxp44_sr", fxp(Rounding::stochastic())),
+    ] {
+        assert_tiers_match_oracle(&a, &b, &cfg);
+        group.bench_function(name, |bch| {
+            bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, simd_tier).expect("conforming"))
+        });
+    }
+    let cfg = fxp(Rounding::Nearest);
+    group.bench_function("fxp44_rn_reference", |bch| {
+        bch.iter(|| qgemm_reference(&a, &b, &cfg, 0, 0).expect("conforming"))
     });
     group.finish();
 }

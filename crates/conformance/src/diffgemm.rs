@@ -68,7 +68,11 @@ impl DiffCase {
 /// The full format × rounding grid: every operand family of the
 /// paper (FP8 `E4M3`, FP8 `E5M2`, `FXP4.4`, block FP) under each of
 /// the five rounding modes (RN, RZ, SR, RO, NR), with the matching
-/// wider accumulator and a fused multiplier. 4 × 5 = 20 named
+/// wider accumulator and a fused multiplier — plus, as a fifth
+/// family, the paper's *unfused* fixed-point topology: an
+/// `FXP4.4-{RN,RZ,SR,RO,NR}` multiplier rounding every product into
+/// an `FXP8.8-RN` accumulator (`NR` makes it fused × fixed), which is
+/// what the ResNet-20 FXP runs actually train. 5 × 5 = 25 named
 /// configurations.
 pub fn format_rounding_grid() -> Vec<(String, QGemmConfig)> {
     let roundings = [
@@ -112,6 +116,11 @@ pub fn format_rounding_grid() -> Vec<(String, QGemmConfig)> {
                 .with_seed(0x5eed_0000 + (fi * 16 + ri) as u64);
             grid.push((format!("{fname}-{}", rounding.mnemonic()), cfg));
         }
+    }
+    for (ri, rounding) in roundings.into_iter().enumerate() {
+        let cfg = QGemmConfig::for_mac(MacConfig::fxp4_4(rounding))
+            .with_seed(0x5eed_0000 + (4 * 16 + ri) as u64);
+        grid.push((format!("fxp4.4*fxp8.8rn-{}", rounding.mnemonic()), cfg));
     }
     grid
 }
@@ -221,17 +230,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_has_twenty_named_configs() {
+    fn grid_has_twenty_five_named_configs() {
         let grid = format_rounding_grid();
-        assert_eq!(grid.len(), 20);
+        assert_eq!(grid.len(), 25);
         // Every family × every mnemonic appears exactly once.
         for mn in ["RN", "RZ", "SR", "RO", "NR"] {
             assert_eq!(
                 grid.iter().filter(|(n, _)| n.ends_with(mn)).count(),
-                4,
+                5,
                 "{mn} missing from grid"
             );
         }
+        // The fifth family is the only one whose multiplier rounds.
+        let unfused = grid.iter().filter(|(_, c)| !c.mac.is_fused()).count();
+        assert_eq!(unfused, 4, "FXP4.4-{{RN,RZ,SR,RO}} x FXP8.8-RN");
     }
 
     #[test]

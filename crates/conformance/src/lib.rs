@@ -44,6 +44,6 @@ pub use diffgemm::{
 pub use digest::{digest_params, digest_tensor, hex_digest};
 pub use gradcheck::{assert_gradients, check_gradients, GradCheckReport};
 pub use replay::{
-    replay_config, replay_digest_path, replay_lenet, replay_lenet_with, ReplayOutcome,
-    REPLAY_THREAD_COUNTS,
+    replay_config, replay_digest_path, replay_lenet, replay_lenet_with, replay_resnet_fxp,
+    resnet_fxp_digest_path, ReplayOutcome, REPLAY_THREAD_COUNTS, RESNET_FXP_ROUNDINGS,
 };

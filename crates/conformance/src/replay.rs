@@ -9,10 +9,12 @@
 //! the golden file under `tests/golden/`.
 
 use crate::digest::{digest_params, hex_digest};
+use mpt_arith::MacConfig;
 use mpt_arith::{CpuBackend, GemmBackend};
 use mpt_core::{train_cnn_resumable, CheckpointError, TrainConfig, TrainOptions, TrainReport};
-use mpt_data::synthetic_mnist;
-use mpt_models::lenet5;
+use mpt_data::{synthetic_cifar10_16, synthetic_mnist};
+use mpt_formats::Rounding;
+use mpt_models::{lenet5, ResNet, ResNetKind};
 use mpt_nn::{GemmPrecision, Layer, Sgd};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -94,4 +96,48 @@ pub fn replay_lenet_with(
 /// training recipe — or the platform baseline — changes.
 pub fn replay_digest_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/lenet_fp8_replay.digest")
+}
+
+/// The multiplier roundings the ResNet-20 fixed-point replay pins:
+/// `RN` is what the `resnet_fxp_cpu` benchmark workload trains, `SR`
+/// additionally exercises the per-stage hashed event streams.
+pub const RESNET_FXP_ROUNDINGS: [Rounding; 2] = [Rounding::Nearest, Rounding::stochastic()];
+
+/// Trains the quick-scale ResNet-20 (16×16 inputs, BatchNorm +
+/// residual adds + 3×3 im2col) under the paper's unfused fixed-point
+/// MAC — `FXP4.4-<rounding>` multiplier into an `FXP8.8-RN`
+/// accumulator — for a fixed tiny schedule, and digests the weights.
+/// Like [`replay_lenet_with`], everything is seeded, so the digest
+/// must not depend on the backend, its thread count or the SIMD tier.
+pub fn replay_resnet_fxp(rounding: Rounding, backend: Rc<dyn GemmBackend>) -> ReplayOutcome {
+    let train = synthetic_cifar10_16(16, 21);
+    let test = synthetic_cifar10_16(8, 22);
+    let prec = GemmPrecision::for_mac(MacConfig::fxp4_4(rounding)).with_seed(5);
+    let model = ResNet::new(ResNetKind::ResNet20Scaled16, prec, 7);
+    let mut opt = Sgd::new(0.05, 0.9, 0.0);
+    let cfg = TrainConfig {
+        batch_size: 4,
+        ..replay_config()
+    };
+    let report = train_cnn_resumable(
+        &model,
+        &mut opt,
+        &train,
+        &test,
+        cfg,
+        backend,
+        &TrainOptions::default(),
+    )
+    .expect("replay without checkpoint I/O cannot fail");
+    let digest = hex_digest(digest_params(&model.parameters()));
+    ReplayOutcome { digest, report }
+}
+
+/// Path of the checked-in golden digests for [`replay_resnet_fxp`]:
+/// one `<mnemonic> <digest>` line per entry of
+/// [`RESNET_FXP_ROUNDINGS`]. Same `libm` caveat and regeneration
+/// script as [`replay_digest_path`].
+pub fn resnet_fxp_digest_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/resnet20_fxp44_replay.digest")
 }

@@ -12,12 +12,12 @@ use mpt_formats::{FloatFormat, Quantizer, Rounding};
 use mpt_fpga::{Accelerator, SaConfig};
 use proptest::prelude::*;
 
-/// The headline grid: 20 format×rounding configurations, each run
-/// over every standard shape (100 differential cases).
+/// The headline grid: 25 format×rounding configurations, each run
+/// over every standard shape (125 differential cases).
 #[test]
 fn full_grid_all_paths_bitwise_equal() {
     let grid = format_rounding_grid();
-    assert!(grid.len() >= 20, "grid shrank below the acceptance floor");
+    assert!(grid.len() >= 25, "grid shrank below the acceptance floor");
     let mut cases = 0usize;
     for (ci, (name, cfg)) in grid.iter().enumerate() {
         for (si, &(n, k, m)) in standard_shapes().iter().enumerate() {
@@ -33,7 +33,7 @@ fn full_grid_all_paths_bitwise_equal() {
             cases += 1;
         }
     }
-    assert!(cases >= 20, "only {cases} differential cases ran");
+    assert!(cases >= 125, "only {cases} differential cases ran");
 }
 
 /// Degenerate shapes — zero-sized outputs/reductions, `K = 1`, 1×1×1 —
@@ -48,7 +48,7 @@ fn degenerate_shapes_all_paths_bitwise_equal() {
         .iter()
         .filter(|(n, _)| n.ends_with("RN") || n.ends_with("SR") || n.ends_with("NR"))
         .collect();
-    assert_eq!(picked.len(), 12);
+    assert_eq!(picked.len(), 15);
     for (ci, (name, cfg)) in picked.iter().enumerate() {
         for (si, &(n, k, m)) in degenerate_shapes().iter().enumerate() {
             let case = DiffCase {

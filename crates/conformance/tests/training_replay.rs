@@ -9,8 +9,25 @@
 //! sets `MPT_REGEN_GOLDEN=1`) after intentional changes to the
 //! training recipe.
 
-use conformance::{replay_digest_path, replay_lenet, REPLAY_THREAD_COUNTS};
+use conformance::{
+    replay_digest_path, replay_lenet, replay_resnet_fxp, resnet_fxp_digest_path,
+    REPLAY_THREAD_COUNTS, RESNET_FXP_ROUNDINGS,
+};
+use mpt_arith::{qgemm_with_tier, CpuBackend, GemmBackend, QGemmConfig};
+use mpt_formats::SimdTier;
+use mpt_tensor::{ShapeError, Tensor};
 use std::fs;
+use std::rc::Rc;
+
+/// A sequential backend pinned to one explicit kernel tier, so one
+/// process can replay every tier regardless of the ambient `MPT_SIMD`.
+struct TierBackend(SimdTier);
+
+impl GemmBackend for TierBackend {
+    fn gemm(&self, a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Result<Tensor, ShapeError> {
+        qgemm_with_tier(a, b, cfg, 0, 0, self.0)
+    }
+}
 
 /// One full replay per thread count, plus a repeat run — every digest
 /// must match, and every loss must be finite.
@@ -85,4 +102,60 @@ fn replay_matches_golden_digest() {
          libm differs), regenerate with scripts/regen_golden.sh",
         path.display()
     );
+}
+
+/// The quick-scale ResNet-20 under the unfused `FXP4.4 × FXP8.8-RN`
+/// MAC (what `resnet_fxp_cpu` trains) must reproduce its golden
+/// digests at every GEMM thread count and on every kernel tier. Run
+/// with `MPT_REGEN_GOLDEN=1` (see `scripts/regen_golden.sh`) to
+/// rewrite them.
+#[test]
+fn resnet_fxp_replay_matches_golden_across_threads_and_tiers() {
+    let path = resnet_fxp_digest_path();
+    if std::env::var("MPT_REGEN_GOLDEN").is_ok() {
+        let lines: String = RESNET_FXP_ROUNDINGS
+            .iter()
+            .map(|&r| {
+                let run = replay_resnet_fxp(r, Rc::new(CpuBackend::with_threads(1)));
+                format!("{} {}\n", r.mnemonic(), run.digest)
+            })
+            .collect();
+        fs::write(&path, lines).expect("write golden digests");
+        return;
+    }
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden digests {}: {e}\nregenerate with scripts/regen_golden.sh",
+            path.display()
+        )
+    });
+    for rounding in RESNET_FXP_ROUNDINGS {
+        let want = golden
+            .lines()
+            .find_map(|l| l.strip_prefix(rounding.mnemonic()))
+            .unwrap_or_else(|| panic!("no {rounding} line in {}", path.display()))
+            .trim();
+        let mut backends: Vec<(String, Rc<dyn GemmBackend>)> = Vec::new();
+        for threads in REPLAY_THREAD_COUNTS {
+            backends.push((
+                format!("cpu x{threads}"),
+                Rc::new(CpuBackend::with_threads(threads)),
+            ));
+        }
+        for &tier in SimdTier::available() {
+            backends.push((format!("tier {tier}"), Rc::new(TierBackend(tier))));
+        }
+        for (label, backend) in backends {
+            let run = replay_resnet_fxp(rounding, backend);
+            assert!(
+                run.report.epoch_losses.iter().all(|l| l.is_finite()),
+                "FXP4.4-{rounding} {label}: non-finite loss {:?}",
+                run.report.epoch_losses
+            );
+            assert_eq!(
+                run.digest, want,
+                "ResNet-20 FXP4.4-{rounding} digest diverged from golden on {label}"
+            );
+        }
+    }
 }

@@ -98,24 +98,37 @@ impl BlockFpFormat {
         if max_abs == 0.0 {
             return block.to_vec();
         }
-        let shared_exp = exponent_of(max_abs);
-        // Mantissas span [-2^(m), 2^m] in units of 2^(shared_exp - m + 1)?
-        // Use the convention: ulp = 2^(shared_exp - man_bits + 1) so the
-        // max magnitude's mantissa occupies man_bits bits.
-        let ulp_exp = shared_exp - self.man_bits as i32 + 1;
-        let scale = 2f64.powi(-ulp_exp);
-        let limit = 2f64.powi(self.man_bits as i32) - 1.0;
+        let grid = self.grid(max_abs);
         block
             .iter()
             .enumerate()
-            .map(|(i, &v)| {
-                if !v.is_finite() {
-                    return v;
-                }
-                let r = round_scaled(v * scale, mode, rng, base_index + i as u64);
-                r.clamp(-limit, limit) * 2f64.powi(ulp_exp)
-            })
+            .map(|(i, &v)| grid.quantize(v, mode, rng, base_index + i as u64))
             .collect()
+    }
+
+    /// Quantizes a single value as a block of one (its own magnitude
+    /// sets the exponent) — bit-identical to
+    /// `quantize_block(&[x], ..)[0]` without the two heap allocations,
+    /// which is what the scalar [`crate::NumberFormat::quantize`] API
+    /// (one call per MAC on the generic GEMM path) needs.
+    #[inline]
+    pub fn quantize_one(&self, x: f64, mode: Rounding, rng: &SrRng, index: u64) -> f64 {
+        if matches!(mode, Rounding::NoRound) || !x.is_finite() || x == 0.0 {
+            return x;
+        }
+        self.grid(x.abs()).quantize(x, mode, rng, index)
+    }
+
+    /// The mantissa grid of a block whose largest finite magnitude is
+    /// `max_abs > 0`: ulp = `2^(shared_exp - man_bits + 1)`, so the
+    /// maximum's mantissa occupies `man_bits` bits.
+    fn grid(&self, max_abs: f64) -> BlockGrid {
+        let ulp_exp = exponent_of(max_abs) - self.man_bits as i32 + 1;
+        BlockGrid {
+            scale: 2f64.powi(-ulp_exp),
+            ulp: 2f64.powi(ulp_exp),
+            limit: 2f64.powi(self.man_bits as i32) - 1.0,
+        }
     }
 
     /// Quantizes a full slice in consecutive blocks of
@@ -134,6 +147,27 @@ impl BlockFpFormat {
             out.extend(self.quantize_block(chunk, mode, rng, idx));
         }
         out
+    }
+}
+
+/// One block's shared-exponent grid (see [`BlockFpFormat::grid`]).
+struct BlockGrid {
+    /// `1 / ulp`.
+    scale: f64,
+    /// Grid step.
+    ulp: f64,
+    /// Largest mantissa magnitude, `2^man_bits - 1`.
+    limit: f64,
+}
+
+impl BlockGrid {
+    #[inline]
+    fn quantize(&self, v: f64, mode: Rounding, rng: &SrRng, index: u64) -> f64 {
+        if !v.is_finite() {
+            return v;
+        }
+        let r = round_scaled(v * self.scale, mode, rng, index);
+        r.clamp(-self.limit, self.limit) * self.ulp
     }
 }
 
@@ -213,6 +247,44 @@ mod tests {
         // ulp = 2^(2-3+1) = 1.0: every output is an integer.
         for v in q {
             assert_eq!(v.fract(), 0.0, "{v}");
+        }
+    }
+
+    #[test]
+    fn quantize_one_is_a_block_of_one() {
+        let modes = [
+            Rounding::Nearest,
+            Rounding::TowardZero,
+            Rounding::stochastic(),
+            Rounding::ToOdd,
+            Rounding::NoRound,
+        ];
+        for bfp in [
+            BlockFpFormat::new(1, 4).unwrap(),
+            BlockFpFormat::new(3, 4).unwrap(),
+            BlockFpFormat::new(52, 1).unwrap(),
+        ] {
+            for mode in modes {
+                for (i, x) in [
+                    0.0,
+                    -0.0,
+                    1.0,
+                    -2.7,
+                    1.0e-310,
+                    f64::MAX,
+                    f64::MIN_POSITIVE,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    let want = bfp.quantize_block(&[x], mode, &rng(), i as u64)[0];
+                    let got = bfp.quantize_one(x, mode, &rng(), i as u64);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{bfp}-{mode} x {x:e}");
+                }
+            }
         }
     }
 

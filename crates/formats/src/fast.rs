@@ -60,6 +60,35 @@ pub fn mode_of(rounding: Rounding) -> Option<u8> {
     }
 }
 
+/// Evaluates `$body` with `$m` bound, as a `const`, to the [`mode`]
+/// discriminant of the [`Rounding`] `$rounding` — the one place a
+/// runtime rounding mode becomes a `const`-generic argument — or `$nr`
+/// for [`Rounding::NoRound`], which has no kernel.
+#[macro_export]
+macro_rules! with_mode {
+    ($rounding:expr, $m:ident => $body:expr, $nr:expr) => {
+        match $rounding {
+            $crate::Rounding::Nearest => {
+                const $m: u8 = $crate::fast::mode::RN;
+                $body
+            }
+            $crate::Rounding::TowardZero => {
+                const $m: u8 = $crate::fast::mode::RZ;
+                $body
+            }
+            $crate::Rounding::Stochastic { .. } => {
+                const $m: u8 = $crate::fast::mode::SR;
+                $body
+            }
+            $crate::Rounding::ToOdd => {
+                const $m: u8 = $crate::fast::mode::RO;
+                $body
+            }
+            $crate::Rounding::NoRound => $nr,
+        }
+    };
+}
+
 macro_rules! define_float_fast {
     (
         $(#[$doc:meta])*
@@ -192,6 +221,12 @@ macro_rules! define_float_fast {
                 self.rounding
             }
 
+            /// The SR bit source (lane kernels hash its
+            /// [`hash_input`](SrRng::hash_input) per lane).
+            pub fn rng(&self) -> SrRng {
+                self.rng
+            }
+
             /// Quantizes one carrier value at rounding event `index`,
             /// bit-identical to the oracle.
             ///
@@ -280,13 +315,7 @@ macro_rules! define_float_fast {
             /// [`quantize`](Self::quantize) in hot loops).
             #[inline]
             pub fn quantize_dyn(&self, x: $carrier, index: u64) -> $carrier {
-                match self.rounding {
-                    Rounding::Nearest => self.quantize::<{ mode::RN }>(x, index),
-                    Rounding::TowardZero => self.quantize::<{ mode::RZ }>(x, index),
-                    Rounding::Stochastic { .. } => self.quantize::<{ mode::SR }>(x, index),
-                    Rounding::ToOdd => self.quantize::<{ mode::RO }>(x, index),
-                    Rounding::NoRound => x,
-                }
+                with_mode!(self.rounding, M => self.quantize::<M>(x, index), x)
             }
 
             /// Quantizes a slice in place with the monomorphized
@@ -305,19 +334,7 @@ macro_rules! define_float_fast {
             /// [`quantize_slice`](Self::quantize_slice) with the mode
             /// matched once, outside the loop.
             pub fn quantize_slice_dyn(&self, values: &mut [$carrier], base_index: u64) {
-                match self.rounding {
-                    Rounding::Nearest => {
-                        self.quantize_slice::<{ mode::RN }>(values, base_index)
-                    }
-                    Rounding::TowardZero => {
-                        self.quantize_slice::<{ mode::RZ }>(values, base_index)
-                    }
-                    Rounding::Stochastic { .. } => {
-                        self.quantize_slice::<{ mode::SR }>(values, base_index)
-                    }
-                    Rounding::ToOdd => self.quantize_slice::<{ mode::RO }>(values, base_index),
-                    Rounding::NoRound => {}
-                }
+                with_mode!(self.rounding, M => self.quantize_slice::<M>(values, base_index), ())
             }
 
             /// The precomputed lane-kernel parameters, or `None` when
@@ -561,17 +578,11 @@ impl FloatFastF32 {
     /// [`quantize_slice_tier`](Self::quantize_slice_tier) with the
     /// rounding mode matched once, outside the loop.
     pub fn quantize_slice_tier_dyn(&self, values: &mut [f32], base_index: u64, tier: SimdTier) {
-        match self.rounding {
-            Rounding::Nearest => self.quantize_slice_tier::<{ mode::RN }>(values, base_index, tier),
-            Rounding::TowardZero => {
-                self.quantize_slice_tier::<{ mode::RZ }>(values, base_index, tier)
-            }
-            Rounding::Stochastic { .. } => {
-                self.quantize_slice_tier::<{ mode::SR }>(values, base_index, tier)
-            }
-            Rounding::ToOdd => self.quantize_slice_tier::<{ mode::RO }>(values, base_index, tier),
-            Rounding::NoRound => {}
-        }
+        with_mode!(
+            self.rounding,
+            M => self.quantize_slice_tier::<M>(values, base_index, tier),
+            ()
+        )
     }
 }
 
@@ -601,17 +612,11 @@ impl FloatFastF64 {
     /// [`quantize_slice_tier`](Self::quantize_slice_tier) with the
     /// rounding mode matched once, outside the loop.
     pub fn quantize_slice_tier_dyn(&self, values: &mut [f64], base_index: u64, tier: SimdTier) {
-        match self.rounding {
-            Rounding::Nearest => self.quantize_slice_tier::<{ mode::RN }>(values, base_index, tier),
-            Rounding::TowardZero => {
-                self.quantize_slice_tier::<{ mode::RZ }>(values, base_index, tier)
-            }
-            Rounding::Stochastic { .. } => {
-                self.quantize_slice_tier::<{ mode::SR }>(values, base_index, tier)
-            }
-            Rounding::ToOdd => self.quantize_slice_tier::<{ mode::RO }>(values, base_index, tier),
-            Rounding::NoRound => {}
-        }
+        with_mode!(
+            self.rounding,
+            M => self.quantize_slice_tier::<M>(values, base_index, tier),
+            ()
+        )
     }
 }
 

@@ -90,16 +90,27 @@ impl FixedFormat {
         self.int_bits + self.frac_bits
     }
 
+    /// The `(min, max)` integer codes, `-2^(w-1)` and `2^(w-1) - 1`,
+    /// as `f64` — the single source of the clamp bounds for
+    /// [`quantize`](Self::quantize), [`min_value`](Self::min_value) /
+    /// [`max_value`](Self::max_value) and the lane kernels in
+    /// [`crate::fixed_fast`]. Computed in floating point, so 64-bit
+    /// formats need no `i64` arithmetic at its overflow edge; above
+    /// 54 bits `max` rounds to `2^(w-1)` (exactly what converting the
+    /// integer to `f64` yields).
+    pub fn code_bounds(&self) -> (f64, f64) {
+        let half_range = exp2i(self.bit_width() as i32 - 1);
+        (-half_range, half_range - 1.0)
+    }
+
     /// Largest representable value, `(2^(i+f-1) - 1) · 2^-f`.
     pub fn max_value(&self) -> f64 {
-        let max_code = (1i64 << (self.bit_width() - 1)) - 1;
-        max_code as f64 * self.resolution()
+        self.code_bounds().1 * self.resolution()
     }
 
     /// Smallest (most negative) representable value, `-2^(i-1)`.
     pub fn min_value(&self) -> f64 {
-        let min_code = -(1i64 << (self.bit_width() - 1));
-        min_code as f64 * self.resolution()
+        self.code_bounds().0 * self.resolution()
     }
 
     /// Grid step, `2^-f`.
@@ -119,8 +130,7 @@ impl FixedFormat {
         }
         let scaled = x * exp2i(self.frac_bits as i32);
         let rounded = round_scaled(scaled, mode, rng, index);
-        let code_max = ((1i64 << (self.bit_width() - 1)) - 1) as f64;
-        let code_min = -((1i64 << (self.bit_width() - 1)) as f64);
+        let (code_min, code_max) = self.code_bounds();
         let clamped = rounded.clamp(code_min, code_max);
         clamped * self.resolution()
     }
@@ -204,6 +214,28 @@ mod tests {
         assert!(FixedFormat::new(0, 4).is_err());
         assert!(FixedFormat::new(4, 61).is_err());
         assert!(FixedFormat::new(32, 33).is_err());
+    }
+
+    #[test]
+    fn widest_formats_have_finite_bounds_and_saturate() {
+        // 62..=64-bit totals: `(1i64 << 63) - 1` and `-(1i64 << 63)`
+        // used to overflow here (debug-build panics).
+        for (i, f) in [(30, 32), (10, 52), (31, 32), (11, 52), (32, 32), (12, 52)] {
+            let fmt = FixedFormat::new(i, f).unwrap();
+            let w = fmt.bit_width();
+            assert!((62..=64).contains(&w));
+            let half_range = 2f64.powi(i as i32 - 1);
+            assert_eq!(fmt.min_value(), -half_range, "FXP{i}.{f}");
+            // 2^(w-1) - 1 is not an f64 above 54 bits: it rounds up.
+            assert_eq!(fmt.max_value(), half_range, "FXP{i}.{f}");
+            for mode in [Rounding::Nearest, Rounding::TowardZero, Rounding::ToOdd] {
+                assert_eq!(q(fmt, 1.0e300, mode), fmt.max_value());
+                assert_eq!(q(fmt, f64::NEG_INFINITY, mode), fmt.min_value());
+                assert_eq!(q(fmt, -1.5, mode), -1.5, "in-range grid point");
+            }
+            assert_eq!(fmt.decode(fmt.encode(fmt.min_value())), fmt.min_value());
+        }
+        assert!(FixedFormat::new(33, 32).is_err());
     }
 
     #[test]

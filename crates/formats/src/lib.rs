@@ -55,6 +55,7 @@ pub mod block;
 pub mod error;
 pub mod fast;
 pub mod fixed;
+pub mod fixed_fast;
 pub mod float;
 pub mod quant;
 pub mod rounding;
@@ -67,6 +68,7 @@ pub use block::BlockFpFormat;
 pub use error::FormatError;
 pub use fast::{FloatFastF32, FloatFastF64, LanePlanF32, LanePlanF64};
 pub use fixed::FixedFormat;
+pub use fixed_fast::{FixedFastF32, FixedFastF64};
 pub use float::FloatFormat;
 pub use quant::{NumberFormat, Quantizer};
 pub use rounding::Rounding;

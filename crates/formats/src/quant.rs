@@ -8,6 +8,7 @@
 use crate::block::BlockFpFormat;
 use crate::fast::FloatFastF32;
 use crate::fixed::FixedFormat;
+use crate::fixed_fast::{FixedFastF32, FixedFastF64};
 use crate::float::FloatFormat;
 use crate::rounding::Rounding;
 use crate::sr::SrRng;
@@ -55,7 +56,7 @@ impl NumberFormat {
         match self {
             NumberFormat::Float(f) => f.quantize(x, mode, rng, index),
             NumberFormat::Fixed(f) => f.quantize(x, mode, rng, index),
-            NumberFormat::BlockFp(f) => f.quantize_block(&[x], mode, rng, index)[0],
+            NumberFormat::BlockFp(f) => f.quantize_one(x, mode, rng, index),
         }
     }
 
@@ -261,10 +262,11 @@ impl Quantizer {
     /// subnormals (the scalar `quantize_f32` would saturate/flush
     /// those).
     ///
-    /// Float formats dispatch once to a monomorphized
-    /// [`FloatFastF32`] kernel — the bulk operand-quantization fast
-    /// path the GEMM kernels use; other families fall back to the
-    /// scalar oracle. Bit-identical to the scalar path in all cases.
+    /// Float and fixed-point formats dispatch once to a monomorphized
+    /// [`FloatFastF32`] / [`FixedFastF32`] lane kernel — the bulk
+    /// operand-quantization fast path the GEMM kernels use; block FP
+    /// (and fixed point wider than 52 bits) falls back to the scalar
+    /// oracle. Bit-identical to the scalar path in all cases.
     pub fn quantize_slice_f32(&self, values: &mut [f32], base_index: u64) {
         self.quantize_slice_f32_tier(values, base_index, crate::simd::active_tier());
     }
@@ -297,14 +299,21 @@ impl Quantizer {
         base_index: u64,
         tier: crate::simd::SimdTier,
     ) {
-        if let NumberFormat::Float(f) = self.format {
-            if let Some(fast) = FloatFastF32::new(f, self.rounding, self.rng) {
-                // Lane kernels — every tier is bit-identical to the
-                // scalar loop, so the telemetry observe-after wrapper
-                // above stays tier-independent.
-                fast.quantize_slice_tier_dyn(values, base_index, tier);
-                return;
+        // Lane kernels — every tier is bit-identical to the scalar
+        // loop, so the telemetry observe-after wrapper above stays
+        // tier-independent.
+        match self.format {
+            NumberFormat::Float(f) => {
+                if let Some(fast) = FloatFastF32::new(f, self.rounding, self.rng) {
+                    return fast.quantize_slice_tier_dyn(values, base_index, tier);
+                }
             }
+            NumberFormat::Fixed(f) => {
+                if let Some(fast) = FixedFastF32::new(f, self.rounding, self.rng) {
+                    return fast.quantize_slice_tier_dyn(values, base_index, tier);
+                }
+            }
+            NumberFormat::BlockFp(_) => {}
         }
         for (i, v) in values.iter_mut().enumerate() {
             *v = self.quantize_f32(*v, base_index.wrapping_add(i as u64));
@@ -322,26 +331,39 @@ impl Quantizer {
         }
     }
 
-    /// The largest finite magnitude this quantizer can produce —
-    /// the threshold the telemetry tally uses to classify clamps as
-    /// saturation. Block floating point has no per-element clamp
-    /// (the shared exponent absorbs the range), so it reports `+inf`
-    /// and never counts saturation.
-    pub fn telemetry_threshold(&self) -> f64 {
+    /// [`fast_f64`](Quantizer::fast_f64) for fixed-point formats (at
+    /// most 52 bits wide, rounding other than `NR`).
+    pub fn fixed_fast_f64(&self) -> Option<FixedFastF64> {
         match self.format {
-            NumberFormat::Float(f) => f.max_value(),
-            NumberFormat::Fixed(f) => f.max_value(),
-            NumberFormat::BlockFp(_) => f64::INFINITY,
+            NumberFormat::Fixed(f) => FixedFastF64::new(f, self.rounding, self.rng),
+            _ => None,
+        }
+    }
+
+    /// The `(most negative, largest)` finite values this quantizer
+    /// can produce — the range the telemetry tally classifies clamps
+    /// as saturation against. Sign-symmetric for floats; asymmetric
+    /// for two's-complement fixed point (`FXP4.4` spans
+    /// `[-8, 7.9375]`, so `-7.99 → -8` is an ordinary rounding).
+    /// Block floating point has no per-element clamp (the shared
+    /// exponent absorbs the range), so it reports `(-inf, +inf)` and
+    /// never counts saturation.
+    pub fn telemetry_range(&self) -> (f64, f64) {
+        match self.format {
+            NumberFormat::Float(f) => (-f.max_value(), f.max_value()),
+            NumberFormat::Fixed(f) => (f.min_value(), f.max_value()),
+            NumberFormat::BlockFp(_) => (f64::NEG_INFINITY, f64::INFINITY),
         }
     }
 
     /// A fresh [`mpt_telemetry::QuantTally`] configured for this
-    /// quantizer (saturation threshold + SR flag). Consumers that
+    /// quantizer (saturation range + SR flag). Consumers that
     /// quantize outside the slice entry points (the GEMM MAC loops)
     /// build one, record per element, and flush under
     /// [`telemetry_label`](Quantizer::telemetry_label).
     pub fn telemetry_tally(&self) -> mpt_telemetry::QuantTally {
-        mpt_telemetry::QuantTally::new(self.telemetry_threshold(), self.rounding.is_stochastic())
+        let (min, max) = self.telemetry_range();
+        mpt_telemetry::QuantTally::with_range(min, max, self.rounding.is_stochastic())
     }
 
     /// The registry label this quantizer's counters live under (its
@@ -590,6 +612,49 @@ mod tests {
         assert_eq!(inf_c.saturated.get() - base.3, 0);
         assert_eq!(inf_c.inf_passthrough.get() - base.4, 2);
         assert_eq!(inf_c.overflow_inf.get() - base.5, 1);
+    }
+
+    #[test]
+    fn fixed_point_saturation_is_classified_against_the_asymmetric_range() {
+        // Walk every FXP4.4 code boundary (each code, each midpoint
+        // and a point either side of it) plus both overflow sides:
+        // only inputs beyond [-8, 7.9375] may count as saturated —
+        // in particular nothing in (-8, -7.9375), which rounds onto
+        // the two's-complement minimum without any clamp.
+        let q = Quantizer::fixed(FixedFormat::fxp4_4(), Rounding::Nearest);
+        let (min, max) = q.telemetry_range();
+        assert_eq!((min, max), (-8.0, 7.9375));
+        let mut xs = vec![-8.5, -8.03125, 7.96, 8.0, 100.0, -100.0];
+        for code in -128..=127 {
+            for off in [0.0, 0.25, 0.5, 0.75] {
+                xs.push((code as f64 + off) / 16.0);
+            }
+        }
+        let (mut inside, mut outside) = (q.telemetry_tally(), q.telemetry_tally());
+        let mut n_outside = 0;
+        for x in xs {
+            if x < min || x > max {
+                outside.record(x, q.quantize(x, 0));
+                n_outside += 1;
+            } else {
+                inside.record(x, q.quantize(x, 0));
+            }
+        }
+        inside.flush("fxp44-walk:inside");
+        outside.flush("fxp44-walk:outside");
+        let c = mpt_telemetry::quant_counters("fxp44-walk:inside");
+        assert_eq!(
+            c.saturated.get(),
+            0,
+            "an in-range rounding was tallied saturated"
+        );
+        assert_eq!(c.exact.get(), 256);
+        assert_eq!(
+            c.exact.get() + c.rounded.get() + c.flushed.get(),
+            c.total.get()
+        );
+        let c = mpt_telemetry::quant_counters("fxp44-walk:outside");
+        assert_eq!((c.saturated.get(), c.total.get()), (n_outside, n_outside));
     }
 
     #[test]

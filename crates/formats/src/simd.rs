@@ -1,7 +1,8 @@
 //! Kernel-tier selection for the lane-parallel quantize and MAC paths.
 //!
 //! The hot loops in this crate ([`crate::FloatFastF32`] /
-//! [`crate::FloatFastF64`]) and in `mpt-arith`'s fused GEMM kernel
+//! [`crate::FloatFastF64`], [`crate::FixedFastF32`] /
+//! [`crate::FixedFastF64`]) and in `mpt-arith`'s MAC GEMM loop nests
 //! exist in three implementations that produce **bit-identical**
 //! results:
 //!

@@ -7,7 +7,7 @@
 //! are **bit-identical** to the scalar and portable tiers (pinned by
 //! the differential tests in `tests/fast_equivalence.rs`).
 //!
-//! Two entry points:
+//! Entry points:
 //!
 //! * [`quantize_slice_f32`] — 8 `f32` lanes per iteration, for the
 //!   operand-quantization path (`Quantizer::quantize_slice_f32`). SR
@@ -19,6 +19,12 @@
 //!   fused-MAC AVX2 kernel, where the event indices are the structured
 //!   [`sr_event_index`]-style words and the caller supplies the
 //!   pre-multiplied hash inputs per lane.
+//!
+//! * [`FixedVecF64`] / [`quantize_slice_fixed_f32`] — the fixed-point
+//!   siblings of the two above, over [`crate::FixedFastF64`]: the
+//!   oracle's own scale / clamp / round-to-integer sequence on 4 `f64`
+//!   lanes (`vroundpd`), with the `f32` slice path widening 8 carriers
+//!   into two such halves.
 //!
 //! Lanes outside the provable fast regime (zero, subnormal,
 //! non-finite, below `min_exp`) are reported in a lane mask and the
@@ -35,6 +41,7 @@
 use core::arch::x86_64::*;
 
 use crate::fast::{mode, FloatFastF32, LanePlanF32, LanePlanF64};
+use crate::fixed_fast::{FixedFastF32, FixedFastF64};
 use crate::sr::hash;
 
 /// Full 64-bit low-half multiply per lane (AVX2 has no `vpmullq`):
@@ -105,6 +112,27 @@ unsafe fn narrow64x2_to_32(lo: __m256i, hi: __m256i) -> __m256i {
     _mm256_inserti128_si256::<1>(lo_p, _mm256_castsi256_si128(hi_p))
 }
 
+/// The un-seeded SR hash inputs `(base + lane)·K` of an 8-lane slice
+/// block — lanes 0..3, lanes 4..7 — and the per-block step `8K`. The
+/// `·K` product is maintained incrementally (wrapping adds, exact by
+/// distributivity mod 2^64); the seed XOR must happen per block,
+/// *after* the additive advance: `seed ^ (h + step)` is not
+/// `(seed ^ h) + step`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn slice_hash_lanes(base_index: u64) -> (__m256i, __m256i, __m256i) {
+    let k = hash::INDEX_MUL;
+    let h0 = base_index.wrapping_mul(k);
+    let h_lo = _mm256_set_epi64x(
+        h0.wrapping_add(k.wrapping_mul(3)) as i64,
+        h0.wrapping_add(k.wrapping_mul(2)) as i64,
+        h0.wrapping_add(k) as i64,
+        h0 as i64,
+    );
+    let h_hi = _mm256_add_epi64(h_lo, _mm256_set1_epi64x(k.wrapping_mul(4) as i64));
+    (h_lo, h_hi, _mm256_set1_epi64x(k.wrapping_mul(8) as i64))
+}
+
 /// AVX2 slice quantizer for `f32` carriers: 8 lanes per iteration,
 /// lane `i` of a block at offset `o` uses rounding event
 /// `base_index + o + i`. Bit-identical to
@@ -152,23 +180,8 @@ unsafe fn quantize_slice_f32_avx2<const MODE: u8>(
     let sr_cnt = _mm_cvtsi32_si128(plan.ts.saturating_sub(plan.rb) as i32);
     let rnd_cnt = _mm_cvtsi32_si128(64 - plan.rb as i32);
     let ts_bit64 = _mm256_set1_epi64x(plan.ts_bit as i64);
-    // Per-lane SR hash inputs `seed ^ (base + lane)·K`, with the
-    // `·K` product maintained incrementally (wrapping adds of `K` per
-    // lane, `8K` per block — exact by distributivity mod 2^64).
-    let k = hash::INDEX_MUL;
-    let h0 = base_index.wrapping_mul(k);
     let seed_v = _mm256_set1_epi64x(plan.seed as i64);
-    // The seed XOR must happen per block, *after* the additive index
-    // advance: `seed ^ (h + step)` is not `(seed ^ h) + step`.
-    let mut h_lo = _mm256_set_epi64x(
-        h0.wrapping_add(k.wrapping_mul(3)) as i64,
-        h0.wrapping_add(k.wrapping_mul(2)) as i64,
-        h0.wrapping_add(k) as i64,
-        h0 as i64,
-    );
-    let lane4 = _mm256_set1_epi64x(k.wrapping_mul(4) as i64);
-    let mut h_hi = _mm256_add_epi64(h_lo, lane4);
-    let h_step = _mm256_set1_epi64x(k.wrapping_mul(8) as i64);
+    let (mut h_lo, mut h_hi, h_step) = slice_hash_lanes(base_index);
 
     let mut idx = base_index;
     let mut chunks = values.chunks_exact_mut(8);
@@ -370,6 +383,167 @@ impl QuantVecF64 {
         let lanes_ok = _mm256_movemask_pd(_mm256_castsi256_pd(fastm)) as u32;
         (_mm256_castsi256_pd(res), lanes_ok)
     }
+}
+
+/// Broadcast [`FixedFastF64`] constants for the 4-lane fixed-point
+/// AVX2 quantizer — the fixed-point sibling of [`QuantVecF64`], with
+/// the same `quantize4` contract, used by `mpt-arith`'s MAC kernel
+/// for either stage and by [`quantize_slice_fixed_f32`].
+///
+/// The lane body is the oracle's own float sequence on vectors:
+/// scale, clamp (`vmaxpd`/`vminpd`), round to integer (`vroundpd`),
+/// scale back.
+#[derive(Debug, Clone, Copy)]
+pub struct FixedVecF64 {
+    scale: __m256d,
+    inv: __m256d,
+    code_min: __m256d,
+    code_max: __m256d,
+    sr_scale: __m256d,
+    rnd_cnt: __m128i,
+    /// SR draws are compared as `f64`; the integer → `f64` conversion
+    /// below is exact only below `2^52`, so SR with 53 random bits
+    /// reports every lane as needing the scalar path.
+    sr_lanes: u32,
+}
+
+impl FixedVecF64 {
+    /// Broadcasts the quantizer constants into vector registers.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn new(fast: &FixedFastF64) -> Self {
+        FixedVecF64 {
+            scale: _mm256_set1_pd(fast.scale),
+            inv: _mm256_set1_pd(fast.inv),
+            code_min: _mm256_set1_pd(fast.code_min),
+            code_max: _mm256_set1_pd(fast.code_max),
+            sr_scale: _mm256_set1_pd(fast.sr_scale),
+            rnd_cnt: _mm_cvtsi32_si128(64 - fast.rb as i32),
+            sr_lanes: if fast.rb <= 52 { 0xF } else { 0 },
+        }
+    }
+
+    /// Quantizes 4 `f64` lanes; returns the results and a 4-bit mask
+    /// of lanes whose result is valid (finite inputs) — the caller
+    /// recomputes the others through [`FixedFastF64::quantize`].
+    /// `hash_input` carries `seed ^ event_index·INDEX_MUL` per lane
+    /// (only read under SR). Bit-identical to the scalar kernel on
+    /// valid lanes.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quantize4<const MODE: u8>(
+        &self,
+        x: __m256d,
+        hash_input: __m256i,
+    ) -> (__m256d, u32) {
+        const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+        const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+        const FLOOR: i32 = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
+        let one = _mm256_set1_pd(1.0);
+        let y = _mm256_mul_pd(x, self.scale);
+        let y = _mm256_min_pd(_mm256_max_pd(y, self.code_min), self.code_max);
+        let mut lanes = 0xF;
+        let code = match MODE {
+            mode::RN => {
+                // `vroundpd` keeps the sign of zero on [-0.5, 0); the
+                // oracle returns +0.0 at exactly -0.5 (see
+                // `fixed_fast`).
+                let r = _mm256_round_pd::<NEAREST>(y);
+                let quirk = _mm256_cmp_pd::<_CMP_EQ_OQ>(y, _mm256_set1_pd(-0.5));
+                _mm256_andnot_pd(quirk, r)
+            }
+            mode::RZ => _mm256_round_pd::<TRUNC>(y),
+            mode::RO => {
+                let t = _mm256_round_pd::<TRUNC>(y);
+                let h = _mm256_mul_pd(t, _mm256_set1_pd(0.5));
+                let even = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_round_pd::<TRUNC>(h), h);
+                let inexact = _mm256_cmp_pd::<_CMP_NEQ_OQ>(t, y);
+                // ±1.0 carrying y's sign: one step away from zero.
+                let sign = _mm256_and_pd(y, _mm256_set1_pd(-0.0));
+                let away = _mm256_add_pd(t, _mm256_or_pd(one, sign));
+                _mm256_blendv_pd(t, away, _mm256_and_pd(inexact, even))
+            }
+            mode::SR => {
+                lanes = self.sr_lanes;
+                let t = _mm256_round_pd::<FLOOR>(y);
+                let frac = _mm256_mul_pd(_mm256_sub_pd(y, t), self.sr_scale);
+                let frac_bits = _mm256_round_pd::<FLOOR>(frac);
+                // The `rb`-bit draw as an exact f64: OR it into the
+                // mantissa of 2^52 and subtract 2^52.
+                let rnd = _mm256_srl_epi64(mix4(hash_input), self.rnd_cnt);
+                let two52 = _mm256_set1_pd(4_503_599_627_370_496.0);
+                let draw = _mm256_sub_pd(_mm256_or_pd(_mm256_castsi256_pd(rnd), two52), two52);
+                let up = _mm256_cmp_pd::<_CMP_GT_OQ>(frac_bits, draw);
+                _mm256_blendv_pd(t, _mm256_add_pd(t, one), up)
+            }
+            _ => unreachable!("invalid mode discriminant"),
+        };
+        let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+        let finite = _mm256_cmp_pd::<_CMP_LT_OQ>(abs, _mm256_set1_pd(f64::INFINITY));
+        let lanes_ok = _mm256_movemask_pd(finite) as u32 & lanes;
+        (_mm256_mul_pd(code, self.inv), lanes_ok)
+    }
+}
+
+/// AVX2 slice quantizer for fixed-point formats on `f32` carriers: 8
+/// lanes per iteration, widened to two [`FixedVecF64`] halves (the
+/// oracle rounds the `f64` image of each carrier too) and narrowed
+/// back with `vcvtpd2ps` — the scalar `as f32` cast per lane.
+/// Bit-identical to the scalar slice loop. Falls back to the portable
+/// tier if the host lacks AVX2.
+pub fn quantize_slice_fixed_f32<const MODE: u8>(
+    fast: &FixedFastF32,
+    values: &mut [f32],
+    base_index: u64,
+) {
+    if !crate::simd::avx2_supported() {
+        return fast.quantize_slice_portable::<MODE>(values, base_index);
+    }
+    // SAFETY: AVX2 availability checked at runtime just above.
+    unsafe { quantize_slice_fixed_f32_avx2::<MODE>(fast, values, base_index) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_slice_fixed_f32_avx2<const MODE: u8>(
+    fast: &FixedFastF32,
+    values: &mut [f32],
+    base_index: u64,
+) {
+    let qv = FixedVecF64::new(fast.wide());
+    let seed_v = _mm256_set1_epi64x(fast.wide().rng().seed() as i64);
+    let (mut h_lo, mut h_hi, h_step) = slice_hash_lanes(base_index);
+
+    let mut idx = base_index;
+    let mut chunks = values.chunks_exact_mut(8);
+    for chunk in chunks.by_ref() {
+        let mut orig = [0f32; 8];
+        orig.copy_from_slice(chunk);
+        let lo = _mm256_cvtps_pd(_mm_loadu_ps(chunk.as_ptr()));
+        let hi = _mm256_cvtps_pd(_mm_loadu_ps(chunk.as_ptr().add(4)));
+        let (q_lo, ok_lo) = qv.quantize4::<MODE>(lo, _mm256_xor_si256(h_lo, seed_v));
+        let (q_hi, ok_hi) = qv.quantize4::<MODE>(hi, _mm256_xor_si256(h_hi, seed_v));
+        _mm_storeu_ps(chunk.as_mut_ptr(), _mm256_cvtpd_ps(q_lo));
+        _mm_storeu_ps(chunk.as_mut_ptr().add(4), _mm256_cvtpd_ps(q_hi));
+        let lanes_ok = ok_lo | (ok_hi << 4);
+        if lanes_ok != 0xFF {
+            for (i, &x) in orig.iter().enumerate() {
+                if lanes_ok & (1 << i) == 0 {
+                    chunk[i] = fast.quantize::<MODE>(x, idx.wrapping_add(i as u64));
+                }
+            }
+        }
+        idx = idx.wrapping_add(8);
+        h_lo = _mm256_add_epi64(h_lo, h_step);
+        h_hi = _mm256_add_epi64(h_hi, h_step);
+    }
+    fast.quantize_tail::<MODE>(chunks.into_remainder(), idx);
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Cross-path bit-equality: the monomorphized fast kernels
-//! ([`FloatFastF32`]/[`FloatFastF64`]) and the slice entry point
-//! ([`Quantizer::quantize_slice_f32`]) must agree **bit for bit** with
-//! the scalar reference quantizer for every format, rounding mode, and
-//! input — including negative zero, subnormals, NaN payloads, and
-//! values straddling the saturation boundary.
+//! ([`FloatFastF32`]/[`FloatFastF64`], [`FixedFastF64`]) and the slice
+//! entry point ([`Quantizer::quantize_slice_f32`]) must agree **bit
+//! for bit** with the scalar reference quantizer for every format,
+//! rounding mode, and input — including negative zero, subnormals,
+//! NaN payloads, and values straddling the saturation boundary.
 
 use mpt_formats::{
-    FixedFormat, FloatFastF32, FloatFastF64, FloatFormat, Quantizer, Rounding, SimdTier, SrRng,
+    with_mode, FixedFastF64, FixedFormat, FloatFastF32, FloatFastF64, FloatFormat, Quantizer,
+    Rounding, SimdTier, SrRng,
 };
 use proptest::prelude::*;
 
@@ -50,6 +51,20 @@ fn float_formats_f64() -> impl Strategy<Value = FloatFormat> {
         }
         f
     })
+}
+
+/// Fixed-point formats from 1 to 64 bits: the lane kernels cover
+/// widths up to 52, wider ones exercise the oracle fallback.
+fn fixed_formats() -> impl Strategy<Value = FixedFormat> {
+    (1u32..=32, 0u32..=32).prop_map(|(i, f)| FixedFormat::new(i, f).expect("valid"))
+}
+
+/// Quantizers of both lane-kernel families under every mode.
+fn lane_quantizers() -> impl Strategy<Value = Quantizer> {
+    prop_oneof![
+        (float_formats_f32(), all_modes()).prop_map(|(f, m)| Quantizer::float(f, m)),
+        (fixed_formats(), all_modes()).prop_map(|(f, m)| Quantizer::fixed(f, m)),
+    ]
 }
 
 fn all_modes() -> impl Strategy<Value = Rounding> {
@@ -214,17 +229,19 @@ proptest! {
         }
     }
 
-    /// The slice path's scalar fallback (fixed point) also matches.
+    /// The slice path's fixed-point lane kernel (ambient tier) also
+    /// matches, on ordinary magnitudes and on raw bit patterns.
     #[test]
     fn slice_matches_scalar_fixed(
-        ibits in 1u32..=16,
-        fbits in 0u32..=16,
+        fmt in fixed_formats(),
         mode in all_modes(),
-        values in proptest::collection::vec(-300.0f32..300.0, 0..24),
+        values in proptest::collection::vec(
+            prop_oneof![-300.0f32..300.0, f32_values()],
+            0..24,
+        ),
         seed in 0u64..1 << 16,
         base in 0u64..1 << 40,
     ) {
-        let fmt = FixedFormat::new(ibits, fbits).expect("valid");
         let q = Quantizer::fixed(fmt, mode).with_seed(seed);
         let mut fast = values.clone();
         q.quantize_slice_f32(&mut fast, base);
@@ -235,19 +252,18 @@ proptest! {
     }
 
     /// Every SIMD tier of the f32 slice kernel is bit-identical to
-    /// the scalar reference — across formats, modes (including SR
-    /// seeds), raw bit patterns (NaN payloads, ±inf, subnormals), and
-    /// slice lengths that are *not* multiples of the 8-wide lane
-    /// count (tail handling).
+    /// the scalar reference — across float and fixed-point formats,
+    /// modes (including SR seeds), raw bit patterns (NaN payloads,
+    /// ±inf, subnormals), and slice lengths that are *not* multiples
+    /// of the 8-wide lane count (tail handling).
     #[test]
     fn slice_tiers_match_scalar(
-        fmt in float_formats_f32(),
-        mode in all_modes(),
+        q in lane_quantizers(),
         values in proptest::collection::vec(f32_values(), 0..40),
         seed in 0u64..1 << 16,
         base in 0u64..1 << 40,
     ) {
-        let q = Quantizer::float(fmt, mode).with_seed(seed);
+        let q = q.with_seed(seed);
         for tier in all_tiers() {
             let mut out = values.clone();
             q.quantize_slice_f32_tier(&mut out, base, tier);
@@ -287,15 +303,45 @@ proptest! {
         };
         let mut block = [vals[0], vals[1], vals[2], vals[3]];
         let indices = [idxs[0], idxs[1], idxs[2], idxs[3]];
-        match mode {
-            Rounding::Nearest => fast.quantize_block_indexed::<{ mpt_formats::fast::mode::RN }, 4>(&plan, &mut block, &indices),
-            Rounding::TowardZero => fast.quantize_block_indexed::<{ mpt_formats::fast::mode::RZ }, 4>(&plan, &mut block, &indices),
-            Rounding::ToOdd => fast.quantize_block_indexed::<{ mpt_formats::fast::mode::RO }, 4>(&plan, &mut block, &indices),
-            Rounding::Stochastic { .. } => fast.quantize_block_indexed::<{ mpt_formats::fast::mode::SR }, 4>(&plan, &mut block, &indices),
-            Rounding::NoRound => return Ok(()),
-        }
+        with_mode!(
+            mode,
+            M => fast.quantize_block_indexed::<M, 4>(&plan, &mut block, &indices),
+            return Ok(())
+        );
         for l in 0..4 {
             let reference = fast.quantize_dyn(vals[l], indices[l]);
+            assert_bits_f64(block[l], reference)?;
+        }
+    }
+
+    /// The fixed-point f64 kernel — scalar body and lane block, the
+    /// MAC stages' building blocks — matches the scalar oracle on
+    /// products/sums of any magnitude and arbitrary event indices.
+    #[test]
+    fn fixed_f64_lane_block_matches_scalar(
+        fmt in fixed_formats(),
+        mode in all_modes(),
+        vals in proptest::collection::vec(
+            prop_oneof![f64_values(), (-40000i64..40000).prop_map(|c| c as f64 / 512.0)],
+            4,
+        ),
+        idxs in proptest::collection::vec(any::<u64>(), 4),
+        seed in 0u64..1 << 16,
+    ) {
+        let rng = SrRng::new(seed);
+        let Some(fast) = FixedFastF64::new(fmt, mode, rng) else {
+            return Ok(());
+        };
+        let mut block = [vals[0], vals[1], vals[2], vals[3]];
+        let indices = [idxs[0], idxs[1], idxs[2], idxs[3]];
+        with_mode!(
+            mode,
+            M => fast.quantize_block_indexed::<M, 4>(&mut block, &indices),
+            return Ok(())
+        );
+        for l in 0..4 {
+            let reference = fmt.quantize(vals[l], mode, &rng, indices[l]);
+            assert_bits_f64(fast.quantize_dyn(vals[l], indices[l]), reference)?;
             assert_bits_f64(block[l], reference)?;
         }
     }
@@ -401,11 +447,14 @@ fn tier_lane_tails_and_specials() {
         -65504.0,
         3.0e-8,
     ];
-    let formats = [
-        FloatFormat::e5m2(),
-        FloatFormat::new(4, 3).unwrap(),
-        FloatFormat::e6m5().without_subnormals(),
-        FloatFormat::new(5, 0).unwrap().with_infinities(),
+    let formats: [mpt_formats::NumberFormat; 7] = [
+        FloatFormat::e5m2().into(),
+        FloatFormat::new(4, 3).unwrap().into(),
+        FloatFormat::e6m5().without_subnormals().into(),
+        FloatFormat::new(5, 0).unwrap().with_infinities().into(),
+        FixedFormat::fxp4_4().into(),
+        FixedFormat::fxp16_8().into(),
+        FixedFormat::new(20, 32).unwrap().into(),
     ];
     let modes = [
         Rounding::Nearest,
@@ -415,7 +464,7 @@ fn tier_lane_tails_and_specials() {
     ];
     for fmt in formats {
         for mode in modes {
-            let q = Quantizer::float(fmt, mode).with_seed(77);
+            let q = Quantizer::new(fmt, mode).with_seed(77);
             for len in 0..=19 {
                 for rot in 0..specials.len() {
                     let values: Vec<f32> = (0..len)

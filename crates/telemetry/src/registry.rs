@@ -69,10 +69,12 @@ impl QuantCounters {
 /// quantization costs about as much as eleven uncontended atomics.
 #[derive(Debug, Clone)]
 pub struct QuantTally {
-    /// Saturation threshold: the format's largest finite magnitude
-    /// (`+inf` for formats without a meaningful clamp, e.g. BFP
-    /// blocks, which then never report `saturated`).
-    threshold: f64,
+    /// Saturation range `(min, max)`: the format's most negative and
+    /// largest finite values — symmetric for floats, asymmetric for
+    /// two's-complement fixed point, `(-inf, +inf)` for formats
+    /// without a meaningful clamp (BFP blocks), which then never
+    /// report `saturated`.
+    range: (f64, f64),
     /// Whether the rounding mode is stochastic (enables up/down
     /// direction counts).
     sr: bool,
@@ -90,10 +92,17 @@ pub struct QuantTally {
 
 impl QuantTally {
     /// A fresh tally for a quantizer whose largest finite magnitude
-    /// is `threshold`, using stochastic rounding iff `sr`.
+    /// is `threshold` (a sign-symmetric format), using stochastic
+    /// rounding iff `sr`.
     pub fn new(threshold: f64, sr: bool) -> Self {
+        QuantTally::with_range(-threshold, threshold, sr)
+    }
+
+    /// A fresh tally for a quantizer clamping to `[min, max]`, using
+    /// stochastic rounding iff `sr`.
+    pub fn with_range(min: f64, max: f64, sr: bool) -> Self {
         QuantTally {
-            threshold,
+            range: (min, max),
             sr,
             total: 0,
             exact: 0,
@@ -112,8 +121,9 @@ impl QuantTally {
     ///
     /// Classification order matters and is part of the event schema
     /// (DESIGN.md §8): NaN → infinite input (passthrough vs clamp)
-    /// → exact → overflow to inf → finite saturation at
-    /// `threshold` → flush-to-zero → rounded (with SR direction).
+    /// → exact → overflow to inf → finite saturation (input beyond
+    /// the range, output at its bound) → flush-to-zero → rounded
+    /// (with SR direction).
     #[inline]
     pub fn record(&mut self, x: f64, y: f64) {
         self.total += 1;
@@ -130,7 +140,8 @@ impl QuantTally {
             self.exact += 1;
         } else if y.is_infinite() {
             self.overflow_inf += 1;
-        } else if y.abs() >= self.threshold && x.abs() > self.threshold {
+        } else if (x > self.range.1 && y >= self.range.1) || (x < self.range.0 && y <= self.range.0)
+        {
             self.saturated += 1;
         } else if y == 0.0 && x != 0.0 {
             self.flushed += 1;
@@ -187,7 +198,7 @@ impl QuantTally {
         if let Some(scope) = layer_scope() {
             self.add_into(quant_counters(&format!("layer:{scope}")));
         }
-        *self = QuantTally::new(self.threshold, self.sr);
+        *self = QuantTally::with_range(self.range.0, self.range.1, self.sr);
     }
 
     fn add_into(&self, c: &QuantCounters) {

@@ -3,14 +3,17 @@
 # per-benchmark JSON lines into BENCH_qgemm.json, including the
 # before/after throughput comparison for the headline configuration
 # (128x96x96 fp8_fp12_sr: scalar reference kernel vs scalar-dispatch
-# fast kernel vs SIMD lane kernels vs the persistent worker pool).
+# fast kernel vs SIMD lane kernels vs the persistent worker pool),
+# plus the unfused fixed-point MAC (fxp44_rn / fxp44_sr) on the widest
+# tier against its scalar reference.
 #
 # The bench binary itself asserts bit-equality of every measured path
 # against qgemm_reference before timing; this script then gates the
 # throughput ratios:
 #   * simd >= 1.5x over the scalar-dispatch fast kernel,
 #   * simd >= 4.5x over the scalar reference kernel,
-#   * the single-thread pool path within 1% of the direct kernel.
+#   * the single-thread pool path within 1% of the direct kernel,
+#   * fxp44_rn on the lane kernels >= 4x over its scalar reference.
 #
 # Usage: scripts/bench_qgemm.sh [criterion-filter]
 set -euo pipefail
@@ -43,6 +46,9 @@ portable = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_simd_portable")
 simd = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_simd")
 pool = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_fast_pool")
 pool_t1 = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_pool_t1")
+fxp_rn = rate("qgemm_kernels_128x96x96/fxp44_rn")
+fxp_sr = rate("qgemm_kernels_128x96x96/fxp44_sr")
+fxp_ref = rate("qgemm_kernels_128x96x96/fxp44_rn_reference")
 
 out = {
     "benchmarks": rows,
@@ -59,6 +65,12 @@ out = {
         "pool_speedup_vs_reference": (pool / ref) if ref and pool else None,
         "pool_t1_vs_direct": (pool_t1 / simd) if simd and pool_t1 else None,
     },
+    "fixed_point_128x96x96_fxp44": {
+        "rn_elem_per_s": fxp_rn,
+        "sr_elem_per_s": fxp_sr,
+        "rn_reference_elem_per_s": fxp_ref,
+        "rn_speedup_vs_reference": (fxp_rn / fxp_ref) if fxp_rn and fxp_ref else None,
+    },
 }
 json.dump(out, sys.stdout, indent=2)
 print()
@@ -68,12 +80,18 @@ echo "wrote BENCH_qgemm.json"
 python3 <<'EOF'
 import json, sys
 
-h = json.load(open("BENCH_qgemm.json"))["headline_128x96x96_fp8_fp12_sr"]
+bench = json.load(open("BENCH_qgemm.json"))
+h = bench["headline_128x96x96_fp8_fp12_sr"]
+fxp = bench["fixed_point_128x96x96_fxp44"]
 
 if h["simd_speedup_vs_fast"]:
     print(f"headline fp8_fp12_sr: simd {h['simd_speedup_vs_reference']:.2f}x vs reference,"
           f" {h['simd_speedup_vs_fast']:.2f}x vs scalar-dispatch fast,"
           f" pool(t=1) at {100 * h['pool_t1_vs_direct']:.1f}% of direct")
+
+if fxp["rn_speedup_vs_reference"]:
+    print(f"fixed point fxp44: rn {fxp['rn_elem_per_s'] / 1e6:.0f} / sr {fxp['sr_elem_per_s'] / 1e6:.0f} MMAC/s,"
+          f" rn {fxp['rn_speedup_vs_reference']:.2f}x vs reference")
 
 failures = []
 def gate(name, value, minimum):
@@ -88,6 +106,7 @@ gate("simd_speedup_vs_reference", h["simd_speedup_vs_reference"], 4.5)
 # runs the very same direct kernel: anything beyond measurement noise
 # (1%) is a regression in the exit path.
 gate("pool_t1_vs_direct", h["pool_t1_vs_direct"], 0.99)
+gate("fxp44_rn_speedup_vs_reference", fxp["rn_speedup_vs_reference"], 4.0)
 
 if failures:
     sys.exit("performance gate FAILED:\n  " + "\n  ".join(failures))

@@ -10,6 +10,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 MPT_REGEN_GOLDEN=1 cargo test -p conformance --release --test training_replay \
-    replay_matches_golden_digest
+    golden
 echo "regenerated:"
 git --no-pager diff --stat -- tests/golden/ || true
