@@ -3,21 +3,33 @@
 //! hardware latency.
 //!
 //! The same per-iteration GEMM sequence (all forward and backward
-//! products of one LeNet5 step) is replayed with frozen operands —
-//! the steady state of evaluation / inference serving — through three
-//! executors:
+//! products of one LeNet5 step) is replayed twice, and the report says
+//! which traffic each figure stands for:
 //!
-//! * **eager** — [`FpgaBackend`], every launch re-quantizes and
-//!   re-packs both operands;
+//! * **frozen** — identical operands every iteration: the steady
+//!   state of evaluation / inference serving, where weights (and
+//!   here activations too) stay resident and warm iterations hit the
+//!   operand cache on every lookup;
+//! * **fresh** — operands regenerated every iteration, cache hit
+//!   ratio 0: the training case (every activation, gradient and
+//!   transpose of a step is new), which is what the `lenet_fpga`
+//!   workload of `BENCHMARK.json` measures.
+//!
+//! Each replay goes through three executors, interleaved iteration by
+//! iteration so all three see the same host:
+//!
+//! * **eager** — [`FpgaBackend`], every launch re-quantizes both
+//!   operands;
 //! * **pipelined** — [`FpgaBackend::pipelined`], launches are staged
-//!   and operands served from the packed-operand cache (warm
-//!   iterations pack nothing);
+//!   and operands served from the packed-operand cache;
 //! * **overlapped** — [`PipelinedExecutor::execute_batch`], which
 //!   additionally runs fabric compute on the worker pool while the
-//!   caller packs the next launch.
+//!   caller stages the next launch.
 //!
 //! All three produce bit-identical results (asserted). A JSON report
-//! goes to `$MPT_BENCH_JSON` (default `BENCH_pipeline.json`).
+//! goes to `$MPT_BENCH_JSON` (default `BENCH_pipeline.json`); its
+//! count fields (`cold_packs` … `cache_hits`, the `mpt-report
+//! --check-gates` gates) describe the frozen replay.
 //!
 //! ```text
 //! cargo run --release -p mpt-bench --bin pipeline_throughput
@@ -26,8 +38,8 @@
 use mpt_arith::{GemmBackend, GemmShape, QGemmConfig};
 use mpt_bench::scale::{run_scale, RunScale};
 use mpt_fpga::{
-    estimate_workload, estimate_workload_pipelined, Accelerator, FpgaBackend, PipelinedExecutor,
-    SaConfig, DEFAULT_CACHE_BUDGET,
+    estimate_workload, estimate_workload_pipelined, Accelerator, CacheStats, FpgaBackend,
+    PipelinedExecutor, SaConfig, DEFAULT_CACHE_BUDGET,
 };
 use mpt_models::ModelDesc;
 use mpt_tensor::Tensor;
@@ -48,6 +60,98 @@ fn operands(shape: GemmShape, seed: u64) -> (Tensor, Tensor) {
     )
 }
 
+/// What one replay measured.
+struct Replay {
+    eager_wall: f64,
+    pipelined_wall: f64,
+    overlapped_wall: f64,
+    /// Pipelined backend's cache counters after the first iteration
+    /// and after the last.
+    cold: CacheStats,
+    total: CacheStats,
+    /// The overlapped executor's modeled clock, per iteration.
+    accounted_eager: f64,
+    accounted_pipelined: f64,
+}
+
+/// Replays `workload` for `iters` iterations through the three
+/// executors. `fresh` regenerates every operand each iteration
+/// (outside the timed regions); otherwise iteration 0's are reused.
+fn replay(
+    workload: &[GemmShape],
+    cfg: &QGemmConfig,
+    acc: &Accelerator,
+    iters: usize,
+    fresh: bool,
+) -> Replay {
+    let eager = FpgaBackend::new(acc.clone());
+    let pipelined = FpgaBackend::new(acc.clone()).pipelined();
+    let mut px = PipelinedExecutor::new(acc.clone(), DEFAULT_CACHE_BUDGET);
+    let (mut eager_wall, mut pipelined_wall, mut overlapped_wall) = (0.0, 0.0, 0.0);
+    let mut cold = None;
+    let mut ops: Vec<(Tensor, Tensor)> = Vec::new();
+    for it in 0..iters {
+        if fresh || it == 0 {
+            let base = (it * workload.len()) as u64;
+            ops = workload
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| operands(s, base + i as u64))
+                .collect();
+        }
+
+        let t0 = Instant::now();
+        let golden: Vec<Tensor> = ops
+            .iter()
+            .map(|(a, b)| eager.gemm(a, b, cfg).expect("conforming"))
+            .collect();
+        eager_wall += t0.elapsed().as_secs_f64();
+
+        let t0 = Instant::now();
+        let staged: Vec<Tensor> = ops
+            .iter()
+            .map(|(a, b)| pipelined.gemm(a, b, cfg).expect("conforming"))
+            .collect();
+        pipelined.step_boundary();
+        pipelined_wall += t0.elapsed().as_secs_f64();
+        assert_eq!(staged, golden, "pipelined diverged from eager");
+        if it == 0 {
+            cold = pipelined.cache_stats();
+        }
+
+        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
+            ops.iter().map(|(a, b)| (a, b, *cfg)).collect();
+        let t0 = Instant::now();
+        let overlapped = px.execute_batch(&items).expect("conforming");
+        px.flush();
+        overlapped_wall += t0.elapsed().as_secs_f64();
+        assert_eq!(overlapped, golden, "overlapped diverged from eager");
+    }
+    Replay {
+        eager_wall,
+        pipelined_wall,
+        overlapped_wall,
+        cold: cold.expect("pipelined mode, at least one iteration"),
+        total: pipelined.cache_stats().expect("pipelined mode"),
+        accounted_eager: px.eager_elapsed_s() / iters as f64,
+        accounted_pipelined: px.pipelined_elapsed_s() / iters as f64,
+    }
+}
+
+fn print_wall(label: &str, traffic: &str, r: &Replay) {
+    println!(
+        "{label} replay — {traffic} ({} hits / {} misses):",
+        r.total.hits, r.total.misses
+    );
+    println!("  eager      {:>8.3} s", r.eager_wall);
+    for (name, wall) in [
+        ("pipelined ", r.pipelined_wall),
+        ("overlapped", r.overlapped_wall),
+    ] {
+        println!("  {name} {wall:>8.3} s   ({:.2}x)", r.eager_wall / wall);
+    }
+}
+
 fn main() {
     let telemetry = mpt_telemetry::init_from_env();
     let (batch, iters) = match run_scale() {
@@ -60,89 +164,37 @@ fn main() {
     let cfg = QGemmConfig::fp8_fp12_sr().with_seed(17);
     let sa = SaConfig::new(8, 8, 4).expect("valid");
     let freq = 298.0;
-    let ops: Vec<(Tensor, Tensor)> = workload
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| operands(s, i as u64))
-        .collect();
+    let acc = Accelerator::new(sa, freq);
     println!(
         "LeNet5 step replay: batch {batch}, {} GEMMs/iter x {iters} iters on {sa}@{freq}MHz\n",
         workload.len()
     );
 
-    // Eager: every launch re-quantizes and re-packs.
-    let eager = FpgaBackend::new(Accelerator::new(sa, freq));
-    let t0 = Instant::now();
-    let mut golden: Vec<Tensor> = Vec::new();
-    for it in 0..iters {
-        for (a, b) in &ops {
-            let c = eager.gemm(a, b, &cfg).expect("conforming");
-            if it == 0 {
-                golden.push(c);
-            }
-        }
-    }
-    let eager_wall = t0.elapsed().as_secs_f64();
+    let frozen = replay(&workload, &cfg, &acc, iters, false);
+    let fresh = replay(&workload, &cfg, &acc, iters, true);
+    let images_built = frozen.total.images_built + fresh.total.images_built;
+    assert_eq!(images_built, 0, "fault-free launches build no HBM image");
 
-    // Pipelined: staged launches over the packed-operand cache.
-    let pipelined = FpgaBackend::new(Accelerator::new(sa, freq)).pipelined();
-    let t0 = Instant::now();
-    let mut cold = None;
-    for it in 0..iters {
-        for (j, (a, b)) in ops.iter().enumerate() {
-            let c = pipelined.gemm(a, b, &cfg).expect("conforming");
-            assert_eq!(c, golden[j], "pipelined diverged from eager");
-        }
-        pipelined.step_boundary();
-        if it == 0 {
-            cold = pipelined.cache_stats();
-        }
-    }
-    let pipelined_wall = t0.elapsed().as_secs_f64();
-    let cold = cold.expect("pipelined mode");
-    let total = pipelined.cache_stats().expect("pipelined mode");
+    // Frozen-replay cache effect. Eager packs every operand every
+    // iteration; the cache packs only on cold misses. Ratios are per
+    // whole run.
+    let (cold, total) = (frozen.cold, frozen.total);
     let warm_packs = total.packs - cold.packs;
     let warm_bytes = total.bytes_packed - cold.bytes_packed;
-    // Eager packs every operand every iteration; the cache packs only
-    // on cold misses. Ratios are per whole run.
     let eager_packs = cold.packs * iters as u64;
     let eager_bytes = cold.bytes_packed * iters as u64;
     let pack_reduction = eager_packs as f64 / total.packs.max(1) as f64;
     let bytes_reduction = eager_bytes as f64 / total.bytes_packed.max(1) as f64;
 
-    // Overlapped: execute_batch computes launch i on the worker pool
-    // while the caller packs launch i+1.
-    let mut px = PipelinedExecutor::new(Accelerator::new(sa, freq), DEFAULT_CACHE_BUDGET);
-    let batch_items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-        ops.iter().map(|(a, b)| (a, b, cfg)).collect();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let out = px.execute_batch(&batch_items).expect("conforming");
-        for (j, c) in out.iter().enumerate() {
-            assert_eq!(c, &golden[j], "overlapped diverged from eager");
-        }
-        px.flush();
-    }
-    let overlapped_wall = t0.elapsed().as_secs_f64();
-
     // Modeled hardware latency for one iteration: eager stage sums vs
     // the overlap-aware pipeline recurrence.
     let modeled_eager = estimate_workload(&workload, sa, freq, 8, 8);
     let modeled_pipelined = estimate_workload_pipelined(&workload, sa, freq, 8, 8);
-    let accounted_eager = px.eager_elapsed_s() / iters as f64;
-    let accounted_pipelined = px.pipelined_elapsed_s() / iters as f64;
 
     println!("host wall-clock ({iters} iters):");
-    println!("  eager      {eager_wall:>8.3} s");
-    println!(
-        "  pipelined  {pipelined_wall:>8.3} s   ({:.2}x)",
-        eager_wall / pipelined_wall
-    );
-    println!(
-        "  overlapped {overlapped_wall:>8.3} s   ({:.2}x)",
-        eager_wall / overlapped_wall
-    );
-    println!("\noperand cache over the run:");
+    print_wall("frozen", "serving / evaluation", &frozen);
+    print_wall("fresh ", "training", &fresh);
+    println!("\noperand cache over the frozen replay (modeled pack-stage work):");
     println!(
         "  cold iter: {} packs, {} bytes; warm iters: {} packs, {} bytes",
         cold.packs, cold.bytes_packed, warm_packs, warm_bytes
@@ -151,6 +203,7 @@ fn main() {
         "  vs eager ({eager_packs} packs, {eager_bytes} bytes): \
          {pack_reduction:.1}x fewer packs, {bytes_reduction:.1}x fewer bytes"
     );
+    println!("  HBM images built (either replay): {images_built}");
     println!("\nmodeled hardware latency per iteration:");
     println!("  eager     {:>12.6} s  (perf model)", modeled_eager);
     println!(
@@ -159,19 +212,29 @@ fn main() {
         modeled_eager / modeled_pipelined
     );
     println!(
-        "  accounted {:>12.6} s eager / {:>.6} s overlapped (cycle-level clock)",
-        accounted_eager, accounted_pipelined
+        "  accounted {:>12.6} s eager / {:>.6} s overlapped (cycle-level clock, frozen)",
+        frozen.accounted_eager, frozen.accounted_pipelined
+    );
+    println!(
+        "  accounted {:>12.6} s eager / {:>.6} s overlapped (cycle-level clock, fresh)",
+        fresh.accounted_eager, fresh.accounted_pipelined
     );
 
     let path =
         std::env::var("MPT_BENCH_JSON").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
+    let walls = |tag: &str, r: &Replay| {
+        format!(
+            "  \"{tag}_eager_wall_s\": {:.6},\n  \"{tag}_pipelined_wall_s\": {:.6},\n  \
+             \"{tag}_overlapped_wall_s\": {:.6},\n",
+            r.eager_wall, r.pipelined_wall, r.overlapped_wall,
+        )
+    };
     let json = format!(
         "{{\n  \"workload\": \"lenet5\",\n  \"batch\": {batch},\n  \
          \"gemms_per_iter\": {gemms},\n  \"iters\": {iters},\n  \
-         \"config\": \"{sa}@{freq}MHz\",\n  \
-         \"eager_wall_s\": {eager_wall:.6},\n  \
-         \"pipelined_wall_s\": {pipelined_wall:.6},\n  \
-         \"overlapped_wall_s\": {overlapped_wall:.6},\n  \
+         \"config\": \"{sa}@{freq}MHz\",\n{frozen_walls}{fresh_walls}  \
+         \"fresh_cache_hits\": {fresh_hits},\n  \"fresh_cache_misses\": {fresh_misses},\n  \
+         \"images_built\": {images_built},\n  \
          \"cold_packs\": {cold_packs},\n  \"cold_bytes\": {cold_bytes},\n  \
          \"warm_packs\": {warm_packs},\n  \"warm_bytes\": {warm_bytes},\n  \
          \"cache_hits\": {hits},\n  \"cache_misses\": {misses},\n  \
@@ -182,10 +245,16 @@ fn main() {
          \"accounted_eager_s\": {accounted_eager:.9},\n  \
          \"accounted_pipelined_s\": {accounted_pipelined:.9}\n}}\n",
         gemms = workload.len(),
+        frozen_walls = walls("frozen", &frozen),
+        fresh_walls = walls("fresh", &fresh),
+        fresh_hits = fresh.total.hits,
+        fresh_misses = fresh.total.misses,
         cold_packs = cold.packs,
         cold_bytes = cold.bytes_packed,
         hits = total.hits,
         misses = total.misses,
+        accounted_eager = frozen.accounted_eager,
+        accounted_pipelined = frozen.accounted_pipelined,
     );
     std::fs::write(&path, json).expect("write bench JSON");
     println!("\nwrote {path}");

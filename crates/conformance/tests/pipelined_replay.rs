@@ -11,10 +11,14 @@
 //!   eviction-churning ones) every launch must be bit-identical to
 //!   the uncached eager kernel on the *current* weights, i.e. a
 //!   stale cache read is impossible.
+//!
+//! A third test pins what the replay does *not* do: build HBM images
+//! (packed words + CRC) nobody reads. Only a faulted transfer does.
 
 use conformance::{replay_digest_path, replay_lenet, replay_lenet_with};
 use mpt_arith::{qgemm_parallel, QGemmConfig};
 use mpt_core::TrainOptions;
+use mpt_faults::{FaultPlan, FaultSite, RetryPolicy, Trigger};
 use mpt_fpga::{Accelerator, FpgaBackend, PipelinedExecutor, SaConfig};
 use mpt_tensor::Tensor;
 use proptest::prelude::*;
@@ -51,6 +55,54 @@ fn pipelined_fpga_training_reproduces_golden_digest() {
             pipelined.digest,
             golden.trim(),
             "pipelined digest diverged from the golden file"
+        );
+    }
+}
+
+/// HBM images are materialised on demand: a whole training replay
+/// builds none when fault-free or when an armed plan never fires, and
+/// exactly one per corrupted transfer — with the pack stage's modeled
+/// counts and the trained weights identical in all three.
+#[test]
+fn hbm_images_are_built_only_for_faulted_transfers() {
+    let run = |plan: Option<FaultPlan>| {
+        let mut backend = FpgaBackend::new(Accelerator::new(
+            SaConfig::new(8, 8, 4).expect("valid"),
+            298.0,
+        ))
+        .pipelined()
+        .with_retry_policy(RetryPolicy::no_delay(3));
+        if let Some(plan) = plan {
+            backend = backend.with_fault_plan(plan);
+        }
+        let backend = Rc::new(backend);
+        let out = replay_lenet_with(backend.clone(), &TrainOptions::default())
+            .expect("no checkpoint I/O configured");
+        assert_eq!(backend.fallback_count(), 0, "single faults retry clean");
+        (out.digest, backend.cache_stats().expect("pipelined mode"))
+    };
+    let (clean_digest, clean) = run(None);
+    assert!(clean.packs > 0, "training never launched — vacuous test");
+    assert_eq!(clean.images_built, 0, "fault-free run built an image");
+
+    // Armed, every trigger beyond the run's last launch.
+    let idle = FaultPlan::new(7)
+        .with(FaultSite::HbmCorruption, Trigger::AtLaunch(u64::MAX))
+        .with(FaultSite::LaunchTimeout, Trigger::AtLaunch(u64::MAX));
+    let (idle_digest, idle) = run(Some(idle));
+    assert_eq!(idle.images_built, 0, "armed-but-idle run built an image");
+
+    let (hit_digest, hit) = run(Some(
+        FaultPlan::new(7).with(FaultSite::HbmCorruption, Trigger::AtLaunch(5)),
+    ));
+    assert_eq!(hit.images_built, 1, "one corrupted transfer, one image");
+
+    for (digest, stats) in [(idle_digest, idle), (hit_digest, hit)] {
+        assert_eq!(digest, clean_digest);
+        assert_eq!(
+            (stats.packs, stats.bytes_packed, stats.hits, stats.misses),
+            (clean.packs, clean.bytes_packed, clean.hits, clean.misses),
+            "modeled pack-stage work must not depend on image materialisation"
         );
     }
 }

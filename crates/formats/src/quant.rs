@@ -25,7 +25,7 @@ use std::fmt;
 /// assert_eq!(f.bit_width(), 8);
 /// assert_eq!(f.to_string(), "E5M2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumberFormat {
     /// Parameterizable floating point (`EeMm`).
     Float(FloatFormat),
@@ -119,7 +119,7 @@ impl fmt::Display for NumberFormat {
 /// assert_eq!(y, q.quantize(1.234, 7));
 /// assert!((y - 1.234).abs() <= 0.03125, "within one E6M5 ulp");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Quantizer {
     format: NumberFormat,
     rounding: Rounding,

@@ -1,22 +1,32 @@
-//! Packed-operand cache: quantize + HBM-pack reused operands once.
+//! Packed-operand cache: quantize reused operands once, and build
+//! their packed HBM image only when somebody reads it.
 //!
-//! Training reuses the same weight matrices across thousands of
-//! launches, yet the eager path re-quantizes and re-packs every
-//! operand on every launch. [`OperandCache`] keys each operand by its
-//! *content* (an FNV-1a fingerprint of the raw `f32` carrier bits),
-//! its layout `(rows, cols)` and the quantizer that will consume it —
-//! format, rounding mode and stochastic-rounding seed all change the
-//! quantized image, so all three participate in the key.
+//! [`OperandCache`] keys each operand by its *content* (a word-wise
+//! fingerprint of the raw `f32` carrier bits), its layout
+//! `(rows, cols)` and the [`Quantizer`] that will consume it — format,
+//! rounding mode and stochastic-rounding seed all change the quantized
+//! carrier, so the quantizer is in the key by value.
 //!
 //! Content addressing makes invalidation automatic: an optimizer step
 //! that updates a weight produces different carrier bits, which is a
-//! different key, so the stale image simply stops being referenced
-//! and ages out of the byte-budget LRU. Stale reads are *impossible*,
-//! not just improbable: a fingerprint hit is confirmed by comparing
-//! every carrier bit of the stored input against the candidate before
-//! the cached image is used (a colliding fingerprint repacks instead
-//! of returning wrong data — enforced by the cache-invalidation
-//! proptests in the conformance crate).
+//! different key, so the stale entry stops being referenced and ages
+//! out of the byte-budget LRU. Stale reads are *impossible*, not just
+//! improbable: a fingerprint hit is confirmed by comparing every
+//! carrier bit of the stored input against the candidate (a colliding
+//! fingerprint re-quantizes instead of returning wrong data —
+//! enforced by the cache-invalidation proptests in `conformance`).
+//!
+//! The HBM image is **lazy**. Its size is a closed form of shape ×
+//! bit width ([`HbmImage::packed_bytes`]) — all the pack and transfer
+//! stages need for their modeled time and the LRU for its byte charge
+//! — so `packs` / `bytes_packed` count *modeled* pack-stage work and
+//! the words + CRC-32 are built by [`OperandCache::image_of`] alone,
+//! which only a faulted HBM transfer and tests call
+//! ([`CacheStats::images_built`]). That makes a miss one fingerprint
+//! pass, one carrier copy and the quantization. It has to be cheap:
+//! measured hit ratios are 0.0–0.06 in training (every operand of a
+//! step is a fresh activation, gradient or transpose); the cache pays
+//! where operands stay put — serving's resident weights, evaluation.
 //!
 //! Telemetry counters (`fpga.cache.hit` / `.miss` / `.evict` /
 //! `.bytes_packed`) mirror the [`CacheStats`] the cache itself keeps,
@@ -24,6 +34,7 @@
 
 use crate::hbm::HbmImage;
 use mpt_arith::quantize_matrix;
+use mpt_formats::sr::hash::{mix, MIX_ADD, MIX_MUL_1};
 use mpt_formats::{NumberFormat, Quantizer, Rounding};
 use mpt_tensor::{ShapeError, Tensor};
 use std::collections::HashMap;
@@ -37,16 +48,26 @@ pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
 /// the quantizer stream that will consume it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct OperandKey {
-    /// FNV-1a over the raw `f32` carrier bits (content identity: any
-    /// update to the tensor changes this, which *is* the
-    /// invalidation rule).
+    /// [`carrier_fingerprint`] of the raw `f32` carrier bits: any
+    /// update to the tensor changes it, which *is* the invalidation rule.
     fingerprint: u64,
     rows: usize,
     cols: usize,
-    /// FNV-1a over the quantizer descriptor (format, rounding, SR
-    /// seed) — the same tensor quantized by two different streams
-    /// must occupy two entries.
-    quant: u64,
+    /// By value, not by descriptor hash: the same tensor under two
+    /// quantizer streams is two entries and they cannot collide.
+    quant: Quantizer,
+}
+
+impl OperandKey {
+    fn of(t: &Tensor, q: &Quantizer) -> Result<Self, ShapeError> {
+        let (rows, cols) = t.as_matrix()?;
+        Ok(OperandKey {
+            fingerprint: carrier_fingerprint(t.data()),
+            rows,
+            cols,
+            quant: *q,
+        })
+    }
 }
 
 #[derive(Debug)]
@@ -56,13 +77,9 @@ struct Entry {
     input: Tensor,
     /// The quantized carrier, shared with in-flight compute stages.
     quantized: Arc<Tensor>,
-    /// The packed HBM image (`None` for formats the packer does not
-    /// serialize: f32-superset passthrough and block floating point,
-    /// whose shared exponents live out of band).
-    image: Option<HbmImage>,
     /// Modeled HBM footprint of the packed operand, bytes.
     image_bytes: usize,
-    /// Host bytes charged against the budget (carriers + image).
+    /// Bytes charged against the budget (carriers + modeled image).
     resident_bytes: usize,
     /// LRU tick of the most recent use.
     last_use: u64,
@@ -90,10 +107,13 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Pack operations performed (== `misses`).
+    /// Pack operations the modeled pack stage performed (== `misses`).
     pub packs: u64,
-    /// Total bytes packed into HBM images by misses.
+    /// Total modeled bytes those packs produced.
     pub bytes_packed: u64,
+    /// HBM images actually materialised (words + CRC) by
+    /// [`OperandCache::image_of`]: zero unless a transfer faulted.
+    pub images_built: u64,
     /// Bytes currently charged against the budget.
     pub resident_bytes: usize,
     /// Entries currently resident.
@@ -171,29 +191,24 @@ impl OperandCache {
         self.resident_bytes = 0;
     }
 
-    /// Returns the quantized, packed form of `t` under `q`, reusing a
-    /// resident copy when the exact same bits were packed before.
+    /// Returns the quantized form of `t` under `q` and the modeled
+    /// size of its HBM image, reusing a resident copy when the exact
+    /// same bits were fetched before.
     ///
     /// On a miss the operand is quantized at global coordinates
     /// (`quantize_matrix(t, q, 0, 0)` — exactly what the eager
-    /// simulator host does) and packed into an HBM image, then
-    /// inserted under the LRU byte budget.
+    /// simulator host does), charged the image's closed-form byte
+    /// count, and inserted under the LRU byte budget; no image is built.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `t` is not a matrix.
     pub fn get_or_pack(&mut self, t: &Tensor, q: &Quantizer) -> Result<FetchedOperand, ShapeError> {
-        let (rows, cols) = t.as_matrix()?;
-        let key = OperandKey {
-            fingerprint: carrier_fingerprint(t.data()),
-            rows,
-            cols,
-            quant: quantizer_fingerprint(q),
-        };
+        let key = OperandKey::of(t, q)?;
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             // Confirm the hit bit-for-bit: a fingerprint collision
-            // must repack, never serve another tensor's image.
+            // must re-quantize, never serve another tensor's operand.
             if bits_equal(entry.input.data(), t.data()) {
                 entry.last_use = self.tick;
                 self.stats.hits += 1;
@@ -212,7 +227,7 @@ impl OperandCache {
         bump("fpga.cache.miss");
 
         let quantized = Arc::new(quantize_matrix(t, q, 0, 0));
-        let (image, image_bytes) = pack_image(&quantized, q);
+        let image_bytes = image_bytes(key.rows, key.cols, q);
         self.stats.packs += 1;
         self.stats.bytes_packed += image_bytes as u64;
         if mpt_telemetry::enabled() {
@@ -233,7 +248,6 @@ impl OperandCache {
                 Entry {
                     input: t.clone(),
                     quantized,
-                    image,
                     image_bytes,
                     resident_bytes,
                     last_use: self.tick,
@@ -243,21 +257,17 @@ impl OperandCache {
         Ok(fetched)
     }
 
-    /// The resident HBM image for `t` under `q`, if any — the transfer
-    /// stage re-sends this image on a faulted HBM transfer without
-    /// re-running the pack stage.
-    pub fn image_of(&self, t: &Tensor, q: &Quantizer) -> Option<&HbmImage> {
-        let (rows, cols) = t.as_matrix().ok()?;
-        let key = OperandKey {
-            fingerprint: carrier_fingerprint(t.data()),
-            rows,
-            cols,
-            quant: quantizer_fingerprint(q),
-        };
-        let entry = self.entries.get(&key)?;
-        bits_equal(entry.input.data(), t.data())
-            .then_some(entry.image.as_ref())
-            .flatten()
+    /// Builds the HBM image (packed words + CRC-32) of the resident
+    /// operand `t` under `q` from its cached quantized carrier — what
+    /// a faulted HBM transfer re-sends without re-running the pack
+    /// stage. `None` if `t` is not resident or has no dense image.
+    pub fn image_of(&mut self, t: &Tensor, q: &Quantizer) -> Option<HbmImage> {
+        let entry = self.entries.get(&OperandKey::of(t, q).ok()?)?;
+        if !packable(q) || !bits_equal(entry.input.data(), t.data()) {
+            return None;
+        }
+        self.stats.images_built += 1;
+        Some(HbmImage::pack(&entry.quantized, q.format()).expect("cache operands are matrices"))
     }
 
     /// Evicts least-recently-used entries until `incoming` more bytes
@@ -279,55 +289,49 @@ impl OperandCache {
     }
 }
 
-/// Packs the quantized carrier into an HBM image where the format
-/// supports dense serialization. F32-superset formats pass carriers
-/// through untouched (nothing narrower to pack), block floating
-/// point stores its shared exponents out of band, and a
-/// [`Rounding::NoRound`] quantizer deliberately leaves values *off*
-/// the format lattice (the fused-multiplier convention), so all three
-/// are modeled by footprint only: `numel · bits / 8`, no image.
-fn pack_image(quantized: &Tensor, q: &Quantizer) -> (Option<HbmImage>, usize) {
+/// Whether `q`'s output serializes densely into an HBM image: not
+/// f32-superset formats (carriers pass through, nothing narrower to
+/// pack), not block floating point (shared exponents live out of
+/// band), not [`Rounding::NoRound`] (values deliberately stay *off*
+/// the format lattice — the fused-multiplier convention).
+fn packable(q: &Quantizer) -> bool {
     let format = q.format();
-    let packable = !matches!(q.rounding(), Rounding::NoRound)
-        && match format {
-            NumberFormat::Float(_) | NumberFormat::Fixed(_) => !format.is_f32_superset(),
-            NumberFormat::BlockFp(_) => false,
-        };
-    if packable {
-        let image = HbmImage::pack(quantized, format).expect("cache operands are matrices");
-        let bytes = image.byte_size();
-        (Some(image), bytes)
+    !matches!(q.rounding(), Rounding::NoRound)
+        && matches!(format, NumberFormat::Float(_) | NumberFormat::Fixed(_))
+        && !format.is_f32_superset()
+}
+
+/// Modeled HBM footprint of a `rows × cols` operand under `q`: the
+/// image's closed-form size, or `numel · bits / 8` where none exists.
+fn image_bytes(rows: usize, cols: usize, q: &Quantizer) -> usize {
+    if packable(q) {
+        HbmImage::packed_bytes(rows, cols, q.format())
     } else {
-        let bytes = quantized.data().len() * format.bit_width() as usize / 8;
-        (None, bytes)
+        rows * cols * q.format().bit_width() as usize / 8
     }
 }
 
-/// FNV-1a over the raw bit patterns of the carrier. Bit patterns, not
-/// float values: `-0.0` and `0.0` (or two NaN payloads) quantize the
-/// same today, but distinguishing them costs nothing and keeps the
-/// cache correct under any future format.
+/// Content fingerprint of the carrier's raw bit patterns. Blocks of
+/// eight values fold as four 64-bit words into four independent
+/// xor–multiply–rotate chains (one multiply per word, none dependent
+/// on the previous byte); length, tail and lanes then go through
+/// [`mix`]. Every step is a bijection of the running state, so
+/// changing any one value changes the result. Bit patterns, not float
+/// values: `-0.0` and `0.0` (or two NaN payloads) quantize the same
+/// today, but telling them apart costs nothing and keeps the cache
+/// correct under any future format.
 fn carrier_fingerprint(data: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in data {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut lanes = [MIX_ADD; 4];
+    let mut blocks = data.chunks_exact(8);
+    for block in &mut blocks {
+        for (lane, pair) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+            let word = pair[0].to_bits() as u64 | (pair[1].to_bits() as u64) << 32;
+            *lane = (*lane ^ word).wrapping_mul(MIX_MUL_1).rotate_left(29);
         }
     }
-    h
-}
-
-/// FNV-1a over the quantizer's behavioural identity: format, rounding
-/// mode (including SR bit count) and the stochastic seed.
-fn quantizer_fingerprint(q: &Quantizer) -> u64 {
-    let desc = format!("{:?}|{:?}|{}", q.format(), q.rounding(), q.rng().seed());
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in desc.as_bytes() {
-        h ^= *byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let tail = blocks.remainder().iter().map(|v| v.to_bits() as u64);
+    tail.chain(lanes)
+        .fold(data.len() as u64, |h, word| mix(h ^ word))
 }
 
 /// Exact carrier equality at the bit level (NaN-safe, `-0.0 ≠ 0.0`).
@@ -430,9 +434,8 @@ mod tests {
     }
 
     fn cache_entry_bytes(t: &Tensor, q: &Quantizer) -> usize {
-        let quantized = quantize_matrix(t, q, 0, 0);
-        let (_, image_bytes) = pack_image(&quantized, q);
-        2 * t.data().len() * std::mem::size_of::<f32>() + image_bytes
+        let (rows, cols) = t.as_matrix().unwrap();
+        2 * t.data().len() * std::mem::size_of::<f32>() + image_bytes(rows, cols, q)
     }
 
     #[test]
@@ -473,5 +476,140 @@ mod tests {
         let image = cache.image_of(&w, &q).expect("fp8 packs densely");
         assert_eq!(image.unpack().unwrap(), *fetched.quantized);
         assert_eq!(image.byte_size(), fetched.image_bytes);
+    }
+
+    #[test]
+    fn image_is_built_on_demand_and_equals_an_eager_pack() {
+        let mut cache = OperandCache::with_default_budget();
+        let w = weight(0);
+        // E6M5: 12-bit codes straddle limb boundaries, 10 columns end
+        // mid-word.
+        for q in [
+            fp8(),
+            Quantizer::float(FloatFormat::e6m5(), Rounding::stochastic()).with_seed(9),
+        ] {
+            let before = cache.stats();
+            let fetched = cache.get_or_pack(&w, &q).unwrap();
+            assert!(cache.get_or_pack(&w, &q).unwrap().hit);
+            let looked_up = cache.stats();
+            assert_eq!(
+                looked_up.images_built, before.images_built,
+                "lookups build nothing"
+            );
+            assert_eq!(
+                looked_up.packs,
+                before.packs + 1,
+                "the pack stage is still charged"
+            );
+            assert_eq!(
+                looked_up.bytes_packed - before.bytes_packed,
+                fetched.image_bytes as u64
+            );
+
+            let image = cache.image_of(&w, &q).expect("dense format");
+            assert_eq!(cache.stats().images_built, before.images_built + 1);
+            let eager = HbmImage::pack(&fetched.quantized, q.format()).unwrap();
+            assert_eq!(image, eager, "words, geometry and CRC");
+            assert_eq!(image.byte_size(), fetched.image_bytes);
+
+            let mut in_flight = image;
+            in_flight.corrupt_byte(5, 0x10);
+            assert!(matches!(
+                in_flight.unpack(),
+                Err(crate::hbm::HbmError::Corrupted { .. })
+            ));
+        }
+        // Not resident (never fetched / different bits): nothing to build.
+        assert!(cache.image_of(&weight(1), &fp8()).is_none());
+        assert_eq!(cache.stats().images_built, 2);
+    }
+
+    /// Carriers of `len` distinct, position-dependent values.
+    fn carrier(len: usize) -> Vec<f32> {
+        (0..len).map(|i| (i as f32 + 1.0) * 0.37 - 3.0).collect()
+    }
+
+    #[test]
+    fn fingerprint_sees_bit_patterns_not_values() {
+        let fp = |v: &[f32]| carrier_fingerprint(v);
+        assert_ne!(fp(&[0.0, 1.0]), fp(&[-0.0, 1.0]), "signed zero");
+        let (nan_a, nan_b) = (f32::from_bits(0x7fc0_0001), f32::from_bits(0x7fc0_0002));
+        assert!(nan_a.is_nan() && nan_b.is_nan());
+        assert_ne!(fp(&[nan_a]), fp(&[nan_b]), "NaN payloads");
+        // In a full block too, where values fold pairwise into words.
+        let mut block = carrier(16);
+        let clean = fp(&block);
+        block[11] = -block[11];
+        assert_ne!(fp(&block), clean);
+        assert_eq!(fp(&carrier(16)), clean, "pure function of the bits");
+    }
+
+    #[test]
+    fn fingerprint_covers_every_tail_length_and_position() {
+        // Lengths 0..=41 hit every `len % 8` several times, with zero
+        // to five full blocks in front of the tail.
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=41usize {
+            let data = carrier(len);
+            let clean = carrier_fingerprint(&data);
+            assert!(
+                seen.insert(clean),
+                "length {len} collides with a shorter prefix"
+            );
+            // A trailing zero is a different carrier, not padding.
+            let mut padded = data.clone();
+            padded.push(0.0);
+            assert_ne!(carrier_fingerprint(&padded), clean, "len {len} + zero");
+            if len == 0 {
+                continue;
+            }
+            // One flipped bit at the first, middle and last element.
+            for at in [0, len / 2, len - 1] {
+                for bit in [0u32, 13, 31] {
+                    let mut flipped = data.clone();
+                    flipped[at] = f32::from_bits(flipped[at].to_bits() ^ (1 << bit));
+                    assert_ne!(
+                        carrier_fingerprint(&flipped),
+                        clean,
+                        "len {len}, element {at}, bit {bit}"
+                    );
+                }
+            }
+            // Swapping any two elements (same word, same lane, across
+            // lanes, block vs tail) is a different carrier.
+            for i in 0..len {
+                for j in i + 1..len {
+                    let mut swapped = data.clone();
+                    swapped.swap(i, j);
+                    assert_ne!(
+                        carrier_fingerprint(&swapped),
+                        clean,
+                        "len {len}: {i} <-> {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_separates_sparse_carriers() {
+        // Post-ReLU activations and their gradients are mostly zeros:
+        // all-zero carriers of every length and every one-hot carrier
+        // (three values per position) must all be told apart.
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=64usize {
+            let mut data = vec![0.0f32; len];
+            assert!(seen.insert(carrier_fingerprint(&data)), "zeros({len})");
+            for at in 0..len {
+                for v in [1.0f32, -1.0, f32::MIN_POSITIVE] {
+                    data[at] = v;
+                    assert!(
+                        seen.insert(carrier_fingerprint(&data)),
+                        "{v} at {at} of {len}"
+                    );
+                }
+                data[at] = 0.0;
+            }
+        }
     }
 }

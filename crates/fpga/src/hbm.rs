@@ -5,8 +5,11 @@
 //! precisely so rows fill whole ports: "the memory pack size is
 //! 512/8 = 64" for 8-bit values. This module performs the actual bit
 //! packing — encoding quantized `f32` carriers into dense 512-bit
-//! words through the formats' codecs — and is used by tests to verify
-//! that the padded layout round-trips losslessly.
+//! words through the formats' codecs. An image's size is the closed
+//! form [`HbmImage::packed_bytes`] of shape × bit width, so the
+//! launch paths model pack and transfer time without building one;
+//! the words exist only where somebody reads them: a faulted
+//! transfer, and the tests that pin the layout's lossless round trip.
 //!
 //! Every image carries a CRC-32 over its packed words, computed at
 //! pack time and verified on [`HbmImage::unpack`]. A transfer that
@@ -20,6 +23,9 @@ use mpt_faults::crc::Crc32;
 use mpt_formats::NumberFormat;
 use mpt_tensor::{ShapeError, Tensor};
 use std::fmt;
+
+/// Bytes in one 512-bit HBM word.
+const WORD_BYTES: usize = HBM_PORT_BITS / 8;
 
 /// Failure decoding an HBM image back into a tensor.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +117,7 @@ impl HbmImage {
         let bits = format.bit_width() as usize;
         let per_word = HBM_PORT_BITS / bits;
         let words_per_row = cols.div_ceil(per_word);
-        let mut words = vec![[0u64; 8]; rows * words_per_row];
+        let mut words = vec![[0u64; 8]; Self::packed_bytes(rows, cols, format) / WORD_BYTES];
         for r in 0..rows {
             let row = &t.data()[r * cols..(r + 1) * cols];
             let row_words = &mut words[r * words_per_row..(r + 1) * words_per_row];
@@ -132,6 +138,15 @@ impl HbmImage {
         })
     }
 
+    /// Packed size in bytes of a `rows × cols` matrix of `format`
+    /// values, each row filling whole 512-bit words: what
+    /// [`pack`](Self::pack) allocates and [`byte_size`](Self::byte_size)
+    /// reports, computable without an image.
+    pub fn packed_bytes(rows: usize, cols: usize, format: NumberFormat) -> usize {
+        let per_word = HBM_PORT_BITS / format.bit_width() as usize;
+        rows * cols.div_ceil(per_word) * WORD_BYTES
+    }
+
     /// Number of 512-bit words per matrix row.
     pub fn words_per_row(&self) -> usize {
         self.words_per_row
@@ -139,7 +154,7 @@ impl HbmImage {
 
     /// Total packed size in bytes.
     pub fn byte_size(&self) -> usize {
-        self.words.len() * HBM_PORT_BITS / 8
+        self.words.len() * WORD_BYTES
     }
 
     /// The element format.
@@ -178,9 +193,8 @@ impl HbmImage {
         if self.words.is_empty() {
             return;
         }
-        let total = self.words.len() * 64;
-        let i = byte_index % total;
-        let limb = &mut self.words[i / 64][(i % 64) / 8];
+        let i = byte_index % self.byte_size();
+        let limb = &mut self.words[i / WORD_BYTES][(i % WORD_BYTES) / 8];
         *limb ^= (mask as u64) << ((i % 8) * 8);
     }
 
@@ -216,7 +230,7 @@ impl HbmImage {
 /// bytes), absorbed one whole 64-byte word at a time.
 fn words_crc(words: &[[u64; 8]]) -> u32 {
     let mut h = Crc32::new();
-    let mut bytes = [0u8; HBM_PORT_BITS / 8];
+    let mut bytes = [0u8; WORD_BYTES];
     for w in words {
         for (chunk, limb) in bytes.chunks_exact_mut(8).zip(w) {
             chunk.copy_from_slice(&limb.to_le_bytes());
@@ -281,6 +295,59 @@ mod tests {
         let mut t = Tensor::from_fn(vec![rows, cols], |i| ((i * 37 % 101) as f32 - 50.0) * 0.07);
         q.quantize_slice(t.data_mut(), 0);
         t
+    }
+
+    /// Every dense format the repo's configs name. Widths 8, 12, 16,
+    /// 24 and 32 bit: 12 (42 per word) and 24 (21) do not divide 512.
+    fn named_formats() -> [NumberFormat; 10] {
+        [
+            FloatFormat::e5m2().into(),
+            FloatFormat::e4m3().into(),
+            FloatFormat::e6m5().into(),
+            FloatFormat::e5m10().into(),
+            FloatFormat::bf16().into(),
+            FloatFormat::e8m23().into(),
+            FixedFormat::fxp4_4().into(),
+            FixedFormat::fxp8_4().into(),
+            FixedFormat::fxp8_8().into(),
+            FixedFormat::fxp16_8().into(),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The closed form is the size `pack` produces, for every
+        /// named format and shapes that include empty matrices and
+        /// rows that end mid-word.
+        #[test]
+        fn packed_bytes_is_what_pack_produces(
+            sel in 0usize..10,
+            rows in 0usize..5,
+            cols in 0usize..140,
+        ) {
+            let format = named_formats()[sel];
+            let t = quantized(rows, cols, Quantizer::new(format, Rounding::Nearest));
+            let img = HbmImage::pack(&t, format).unwrap();
+            proptest::prop_assert_eq!(img.byte_size(), HbmImage::packed_bytes(rows, cols, format));
+            proptest::prop_assert_eq!(img.unpack().unwrap(), t);
+        }
+    }
+
+    #[test]
+    fn packed_bytes_rounds_rows_up_to_whole_words() {
+        let fp12 = NumberFormat::from(FloatFormat::e6m5());
+        assert_eq!(HbmImage::packed_bytes(3, 42, fp12), 3 * 64);
+        assert_eq!(HbmImage::packed_bytes(3, 43, fp12), 3 * 2 * 64);
+        assert_eq!(HbmImage::packed_bytes(1, 1, fp12), 64);
+        for format in named_formats() {
+            assert_eq!(HbmImage::packed_bytes(0, 17, format), 0, "0 x k");
+            assert_eq!(HbmImage::packed_bytes(17, 0, format), 0, "n x 0");
+            let empty = HbmImage::pack(&Tensor::zeros(vec![0, 17]), format).unwrap();
+            assert_eq!(empty.byte_size(), 0);
+            assert_eq!(empty.unpack().unwrap(), Tensor::zeros(vec![0, 17]));
+            let thin = HbmImage::pack(&Tensor::zeros(vec![17, 0]), format).unwrap();
+            assert_eq!(thin.byte_size(), 0);
+            assert_eq!(thin.unpack().unwrap(), Tensor::zeros(vec![17, 0]));
+        }
     }
 
     #[test]

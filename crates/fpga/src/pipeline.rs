@@ -30,17 +30,20 @@
 //!   thread packs the next launch (double buffering, depth 1).
 //!
 //! Faults replay the *failed stage*, not the whole queue: a corrupted
-//! HBM transfer re-sends the resident image (the pack stage's work is
-//! cached), a launch timeout re-runs compute only. Stage-retry
-//! budgets come from the same [`RetryPolicy`] as the eager path, and
-//! exhaustion degrades to the caller's CPU fallback as before.
+//! HBM transfer re-sends the resident operand (the pack stage's work
+//! is cached), a launch timeout re-runs compute only. That re-send is
+//! the one place a launch materialises an HBM image — pack and
+//! transfer *time* come from the image's closed-form size, so a
+//! fault-free (or armed-but-idle) launch never builds the words + CRC.
+//! Stage-retry budgets come from the same [`RetryPolicy`] as the
+//! eager path, and exhaustion degrades to the caller's CPU fallback.
 
 use crate::cache::{CacheStats, OperandCache};
 use crate::sim::{Accelerator, PCIE_ACHIEVED_BPS};
 use mpt_arith::{pool_execute, GemmShape, QGemmConfig};
-use mpt_faults::{FaultSite, Injector, RetryPolicy};
+use mpt_faults::{Fault, FaultSite, Injector, RetryPolicy};
 use mpt_tensor::{ShapeError, Tensor};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 /// Modeled host-side packing throughput (quantized carriers into
 /// 512-bit HBM words), bytes per second. Memory-bound `memcpy`-class
@@ -406,28 +409,51 @@ impl PipelinedExecutor {
         cfg: &QGemmConfig,
     ) -> Result<Option<(Tensor, StageTimes)>, ShapeError> {
         check_shapes(a, b)?;
+        let Some((aq, bq, times)) =
+            self.stage_resilient(inj, retry, "fpga-pipelined", a, b, cfg)?
+        else {
+            return Ok(None);
+        };
+        let (out, _) = self.accelerator.execute_quantized(&aq, &bq, cfg)?;
+        Ok(Some((out, times)))
+    }
+
+    /// The gate sequence every fault-injected launch runs on the
+    /// submitting thread before its compute is issued — bitstream,
+    /// pack, transfer, compute gates — accounted with each replayed
+    /// stage charged its extra passes. Returns the staged operands,
+    /// or `None` when a stage exhausted its retry budget. `layer`
+    /// labels the fault events (`"fpga-pipelined"` / `"fpga-batch"`).
+    fn stage_resilient(
+        &mut self,
+        inj: &Injector,
+        retry: &RetryPolicy,
+        layer: &'static str,
+        a: &Tensor,
+        b: &Tensor,
+        cfg: &QGemmConfig,
+    ) -> Staged {
         let launch_id = inj.next_launch();
+        let emit = |f: Fault| crate::resilient::emit_fault_event(&f, layer);
 
         // Stage 0 precondition: the bitstream must be resident.
-        if !retry_stage(inj, retry, FaultSite::BitstreamLoad, launch_id, |f| {
-            crate::resilient::emit_fault_event(&f, "fpga-pipelined");
-        }) {
+        if !retry_stage(inj, retry, FaultSite::BitstreamLoad, launch_id, emit) {
             return Ok(None);
         }
 
         // Pack stage (no fault site: host memory).
         let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
         let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
-        let packed_bytes = missed_bytes(&fa) + missed_bytes(&fb);
+        let mut times = self.stage_times(a, b, cfg, missed_bytes(&fa) + missed_bytes(&fb));
 
         // Transfer stage: each faulted attempt corrupts the in-flight
-        // image, the CRC catches it, and the *same packed image* is
-        // re-sent — the pack stage does not run again.
+        // image, the CRC catches it, and the same operand is re-sent —
+        // the pack stage does not run again. This closure is the one
+        // place outside tests where the packed words + CRC are built.
         let mut transfer_replays = 0u32;
-        let image = self.cache.image_of(a, &cfg.quant_a);
-        let transfer_ok = retry_stage(inj, retry, FaultSite::HbmCorruption, launch_id, |f| {
-            if let Some(img) = image {
-                let mut in_flight = img.clone();
+        let cache = &mut self.cache;
+        if !retry_stage(inj, retry, FaultSite::HbmCorruption, launch_id, |f| {
+            if let Some(mut in_flight) = cache.image_of(a, &cfg.quant_a) {
                 let (byte, mask) = inj.corruption(in_flight.byte_size(), launch_id);
                 in_flight.corrupt_byte(byte, mask);
                 assert!(
@@ -435,10 +461,9 @@ impl PipelinedExecutor {
                     "CRC-32 must catch a corrupted transfer byte"
                 );
             }
-            crate::resilient::emit_fault_event(&f, "fpga-pipelined");
+            emit(f);
             transfer_replays += 1;
-        });
-        if !transfer_ok {
+        }) {
             return Ok(None);
         }
 
@@ -447,22 +472,17 @@ impl PipelinedExecutor {
         let mut compute_replays = 0u32;
         for site in [FaultSite::LaunchTimeout, FaultSite::LaunchTransient] {
             if !retry_stage(inj, retry, site, launch_id, |f| {
-                crate::resilient::emit_fault_event(&f, "fpga-pipelined");
+                emit(f);
                 compute_replays += 1;
             }) {
                 return Ok(None);
             }
         }
 
-        let (out, _) = self
-            .accelerator
-            .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
-        let mut times = self.stage_times(a, b, cfg, packed_bytes);
-        // Charge the replayed stages their extra passes.
         times.transfer_s *= 1.0 + transfer_replays as f64;
         times.compute_s *= 1.0 + compute_replays as f64;
         self.account_launch(&times);
-        Ok(Some((out, times)))
+        Ok(Some((fa.quantized, fb.quantized, times)))
     }
 
     /// Executes a batch of *independent* GEMMs with real host-side
@@ -478,42 +498,14 @@ impl PipelinedExecutor {
         &mut self,
         items: &[(&Tensor, &Tensor, QGemmConfig)],
     ) -> Result<Vec<Tensor>, ShapeError> {
-        let mut results: Vec<Option<Tensor>> = (0..items.len()).map(|_| None).collect();
-        let (tx, rx) = mpsc::channel::<(usize, Tensor)>();
-        let mut in_flight = 0usize;
-        for (i, (a, b, cfg)) in items.iter().enumerate() {
+        let results = self.overlap_compute(items, |px, a, b, cfg| {
             check_shapes(a, b)?;
-            // Pack stage on this thread — overlaps the previous
-            // launch's compute running on the pool.
-            let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
-            let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
-            let packed_bytes = missed_bytes(&fa) + missed_bytes(&fb);
-            let times = self.stage_times(a, b, cfg, packed_bytes);
-            self.account_launch(&times);
-
-            // Double buffering: at most one compute stage in flight.
-            if in_flight > 0 {
-                let (j, out) = rx.recv().expect("pipelined compute worker panicked");
-                results[j] = Some(out);
-                in_flight -= 1;
-            }
-            let acc = self.accelerator.clone();
-            let (aq, bq, cfg, tx) = (fa.quantized, fb.quantized, *cfg, tx.clone());
-            pool_execute(move || {
-                let out = acc
-                    .execute_quantized(&aq, &bq, &cfg)
-                    .expect("shapes checked before submit")
-                    .0;
-                let _ = tx.send((i, out));
-            });
-            in_flight += 1;
-        }
-        drop(tx);
-        while in_flight > 0 {
-            let (j, out) = rx.recv().expect("pipelined compute worker panicked");
-            results[j] = Some(out);
-            in_flight -= 1;
-        }
+            let fa = px.cache.get_or_pack(a, &cfg.quant_a)?;
+            let fb = px.cache.get_or_pack(b, &cfg.quant_b)?;
+            let times = px.stage_times(a, b, cfg, missed_bytes(&fa) + missed_bytes(&fb));
+            px.account_launch(&times);
+            Ok(Some((fa.quantized, fb.quantized, times)))
+        })?;
         Ok(results
             .into_iter()
             .map(|r| r.expect("every launch reported"))
@@ -543,68 +535,34 @@ impl PipelinedExecutor {
         for (a, b, _) in items {
             check_shapes(a, b)?;
         }
+        self.overlap_compute(items, |px, a, b, cfg| {
+            px.stage_resilient(inj, retry, "fpga-batch", a, b, cfg)
+        })
+    }
+
+    /// The double-buffered batch loop: `stage` runs each item's host
+    /// side (pack, gates, accounting) on this thread — overlapping
+    /// the previous item's compute on the worker pool — and an item
+    /// it degrades keeps a `None` result. At most one compute is in
+    /// flight.
+    fn overlap_compute(
+        &mut self,
+        items: &[(&Tensor, &Tensor, QGemmConfig)],
+        mut stage: impl FnMut(&mut Self, &Tensor, &Tensor, &QGemmConfig) -> Staged,
+    ) -> Result<Vec<Option<Tensor>>, ShapeError> {
         let mut results: Vec<Option<Tensor>> = (0..items.len()).map(|_| None).collect();
         let (tx, rx) = mpsc::channel::<(usize, Tensor)>();
         let mut in_flight = 0usize;
         for (i, (a, b, cfg)) in items.iter().enumerate() {
-            let launch_id = inj.next_launch();
-
-            if !retry_stage(inj, retry, FaultSite::BitstreamLoad, launch_id, |f| {
-                crate::resilient::emit_fault_event(&f, "fpga-batch");
-            }) {
-                continue; // results[i] stays None: degrade this item.
-            }
-
-            let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
-            let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
-            let packed_bytes = missed_bytes(&fa) + missed_bytes(&fb);
-
-            let mut transfer_replays = 0u32;
-            let image = self.cache.image_of(a, &cfg.quant_a);
-            let transfer_ok = retry_stage(inj, retry, FaultSite::HbmCorruption, launch_id, |f| {
-                if let Some(img) = image {
-                    let mut in_flight_img = img.clone();
-                    let (byte, mask) = inj.corruption(in_flight_img.byte_size(), launch_id);
-                    in_flight_img.corrupt_byte(byte, mask);
-                    assert!(
-                        in_flight_img.unpack().is_err(),
-                        "CRC-32 must catch a corrupted transfer byte"
-                    );
-                }
-                crate::resilient::emit_fault_event(&f, "fpga-batch");
-                transfer_replays += 1;
-            });
-            if !transfer_ok {
+            let Some((aq, bq, _)) = stage(self, a, b, cfg)? else {
                 continue;
-            }
-
-            let mut compute_replays = 0u32;
-            let mut compute_ok = true;
-            for site in [FaultSite::LaunchTimeout, FaultSite::LaunchTransient] {
-                if !retry_stage(inj, retry, site, launch_id, |f| {
-                    crate::resilient::emit_fault_event(&f, "fpga-batch");
-                    compute_replays += 1;
-                }) {
-                    compute_ok = false;
-                    break;
-                }
-            }
-            if !compute_ok {
-                continue;
-            }
-
-            let mut times = self.stage_times(a, b, cfg, packed_bytes);
-            times.transfer_s *= 1.0 + transfer_replays as f64;
-            times.compute_s *= 1.0 + compute_replays as f64;
-            self.account_launch(&times);
-
+            };
             if in_flight > 0 {
                 let (j, out) = rx.recv().expect("pipelined compute worker panicked");
                 results[j] = Some(out);
                 in_flight -= 1;
             }
-            let acc = self.accelerator.clone();
-            let (aq, bq, cfg, tx) = (fa.quantized, fb.quantized, *cfg, tx.clone());
+            let (acc, cfg, tx) = (self.accelerator.clone(), *cfg, tx.clone());
             pool_execute(move || {
                 let out = acc
                     .execute_quantized(&aq, &bq, &cfg)
@@ -647,6 +605,11 @@ impl PipelinedExecutor {
     }
 }
 
+/// What staging one launch on the host yields: the quantized operands
+/// to compute and the accounted stage times, or `None` when a stage
+/// exhausted its retry budget and the launch degrades.
+type Staged = Result<Option<(Arc<Tensor>, Arc<Tensor>, StageTimes)>, ShapeError>;
+
 /// Runs one fault site's retry loop for a stage. Returns `false` when
 /// the budget is exhausted (`on_fault` has run once per fault). The
 /// backoff uses the policy's jittered schedule on the launch id's
@@ -657,7 +620,7 @@ fn retry_stage(
     retry: &RetryPolicy,
     site: FaultSite,
     launch: u64,
-    mut on_fault: impl FnMut(mpt_faults::Fault),
+    mut on_fault: impl FnMut(Fault),
 ) -> bool {
     for attempt in 0..retry.max_attempts {
         match inj.check(site, launch, attempt) {
@@ -917,6 +880,57 @@ mod tests {
         // charge shows up on cold-path faults instead.
         assert!(t2.compute_s > 0.0);
         assert!(t1.transfer_s > 0.0);
+    }
+
+    #[test]
+    fn images_are_built_only_when_a_transfer_faults() {
+        use mpt_faults::{FaultPlan, Trigger};
+        let retry = RetryPolicy::no_delay(3);
+        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
+        let pairs: Vec<(Tensor, Tensor)> = (0..4).map(|i| operands(8 + i, 16, 6)).collect();
+        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
+            pairs.iter().map(|(a, b)| (a, b, cfg)).collect();
+        let armed_idle = FaultPlan::new(9)
+            .with(FaultSite::LaunchTimeout, Trigger::AtLaunch(1_000))
+            .with(FaultSite::HbmCorruption, Trigger::AtLaunch(1_000));
+        let one_single = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(2));
+        let one_batched = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(7));
+        // A sticky corruption re-sends (and rebuilds) once per attempt.
+        let sticky = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::StickyAtLaunch(3));
+        // Each plan runs 4 single then 4 batched launches (ids 1–8).
+        for (plan, want_images, want_degraded) in [
+            (FaultPlan::new(9), 0, 0),
+            (armed_idle, 0, 0),
+            (one_single, 1, 0),
+            (one_batched, 1, 0),
+            (sticky, 3, 1),
+        ] {
+            let inj = Injector::new(plan);
+            let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
+            let mut degraded = 0;
+            for (a, b) in &pairs {
+                match px.launch_resilient(&inj, &retry, a, b, &cfg).unwrap() {
+                    Some((out, _)) => assert_eq!(out, qgemm(a, b, &cfg).unwrap()),
+                    None => degraded += 1,
+                }
+            }
+            let batched = px.execute_batch_resilient(&inj, &retry, &items).unwrap();
+            for ((a, b), out) in pairs.iter().zip(&batched) {
+                assert_eq!(*out.as_ref().unwrap(), qgemm(a, b, &cfg).unwrap());
+            }
+            let stats = px.cache_stats();
+            assert_eq!(stats.images_built, want_images, "{:?}", inj.plan());
+            assert_eq!(degraded, want_degraded, "{:?}", inj.plan());
+            assert_eq!(inj.injected_at(FaultSite::HbmCorruption), want_images);
+            assert_eq!(stats.packs, 5, "4 activations + 1 shared weight");
+        }
+        // The fault-free entry points never look at an image at all.
+        let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
+        for (a, b) in &pairs {
+            px.launch(a, b, &cfg).unwrap();
+        }
+        px.execute_batch(&items).unwrap();
+        assert_eq!(px.cache_stats().images_built, 0);
     }
 
     #[test]
