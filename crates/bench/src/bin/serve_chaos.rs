@@ -76,7 +76,7 @@ fn main() {
     };
     let serve_cfg = ServeConfig {
         retry: RetryPolicy::no_delay(3).with_jitter(seed),
-        ..ServeConfig::from_env()
+        ..ServeConfig::default()
     };
     println!(
         "serve_chaos: {clients} clients x {requests_per_client} requests, \

@@ -2,7 +2,8 @@
 //! reproduce the fault-free golden weight digest.
 //!
 //! The replay recipe of `training_replay.rs` is run through the FPGA
-//! backend with a deterministic [`FaultPlan`] armed — launch
+//! backend — eager and pipelined, which share one fault-gate
+//! sequence — with a deterministic [`FaultPlan`] armed: launch
 //! timeouts, transient failures, CRC-caught HBM corruption and a
 //! sticky fault that exhausts the retry budget and forces a CPU
 //! fallback. Because retry re-executes the identical launch and the
@@ -13,6 +14,7 @@
 //! chaos matrix can sweep seeds without recompiling.
 
 use conformance::{replay_digest_path, replay_lenet, replay_lenet_with};
+use mpt_arith::GemmBackend;
 use mpt_core::TrainOptions;
 use mpt_faults::{FaultPlan, FaultSite, RetryPolicy, Trigger};
 use mpt_fpga::{Accelerator, FpgaBackend, SaConfig};
@@ -35,6 +37,17 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         .with(FaultSite::BitstreamLoad, Trigger::StickyAtLaunch(11))
 }
 
+/// A fresh `<8,8,4>` backend, eager or pipelined, under `plan`.
+fn fpga_backend(pipelined: bool, plan: FaultPlan) -> Rc<FpgaBackend> {
+    let eager = FpgaBackend::new(Accelerator::new(
+        SaConfig::new(8, 8, 4).expect("valid"),
+        298.0,
+    ))
+    .with_fault_plan(plan)
+    .with_retry_policy(RetryPolicy::no_delay(3));
+    Rc::new(if pipelined { eager.pipelined() } else { eager })
+}
+
 #[test]
 fn faulted_fpga_training_reproduces_fault_free_digest() {
     // With MPT_TELEMETRY_JSONL set (the CI chaos job), the injected
@@ -42,44 +55,66 @@ fn faulted_fpga_training_reproduces_fault_free_digest() {
     // proven non-perturbing by telemetry_invariance.rs.
     let telemetry = mpt_telemetry::init_from_env();
     let seed = fault_seed();
-    let backend = Rc::new(
-        FpgaBackend::new(Accelerator::new(
-            SaConfig::new(8, 8, 4).expect("valid"),
-            298.0,
-        ))
-        .with_fault_plan(chaos_plan(seed))
-        .with_retry_policy(RetryPolicy::no_delay(3)),
-    );
-    let chaos = replay_lenet_with(backend.clone(), &TrainOptions::default())
-        .expect("no checkpoint I/O configured");
-
-    let injector = backend.injector().expect("plan is armed");
-    assert!(
-        injector.injected_count() > 0,
-        "chaos run injected no faults (seed {seed}) — the test is vacuous"
-    );
-    assert!(
-        backend.fallback_count() >= 1,
-        "the sticky bitstream fault must force at least one CPU fallback"
-    );
-
-    // Same bits as the fault-free CPU replay...
     let clean = replay_lenet(1);
-    assert_eq!(
-        chaos.digest,
-        clean.digest,
-        "fault recovery changed the trained weights (seed {seed}, \
-         {} faults injected, {} fallbacks)",
-        injector.injected_count(),
-        backend.fallback_count()
-    );
-    // ...and as the checked-in golden digest, when present.
-    if let Ok(golden) = std::fs::read_to_string(replay_digest_path()) {
+    let golden = std::fs::read_to_string(replay_digest_path()).ok();
+
+    // One gate sequence serves both launch modes, so both face the
+    // same schedule and must land on the same bits.
+    for pipelined in [false, true] {
+        let backend = fpga_backend(pipelined, chaos_plan(seed));
+        let mode = backend.label();
+        let chaos = replay_lenet_with(backend.clone(), &TrainOptions::default())
+            .expect("no checkpoint I/O configured");
+
+        let injector = backend.injector().expect("every backend holds one");
+        assert!(
+            injector.injected_count() > 0,
+            "{mode}: chaos run injected no faults (seed {seed}) — the test is vacuous"
+        );
+        assert!(
+            backend.fallback_count() >= 1,
+            "{mode}: the sticky bitstream fault must force at least one CPU fallback"
+        );
+
+        // Same bits as the fault-free CPU replay...
         assert_eq!(
             chaos.digest,
-            golden.trim(),
-            "chaos digest diverged from the golden file (seed {seed})"
+            clean.digest,
+            "{mode}: fault recovery changed the trained weights (seed {seed}, \
+             {} faults injected, {} fallbacks)",
+            injector.injected_count(),
+            backend.fallback_count()
         );
+        // ...and as the checked-in golden digest, when present.
+        if let Some(golden) = &golden {
+            assert_eq!(
+                chaos.digest,
+                golden.trim(),
+                "{mode}: chaos digest diverged from the golden file (seed {seed})"
+            );
+        }
+
+        if pipelined {
+            // Stage replays never re-pack, and a degraded launch has
+            // still packed: the pack stage's work is the fault-free
+            // run's, whatever the schedule did downstream of it.
+            let fault_free = fpga_backend(true, FaultPlan::new(seed));
+            replay_lenet_with(fault_free.clone(), &TrainOptions::default())
+                .expect("no checkpoint I/O configured");
+            let (faulted, free) = (
+                backend.cache_stats().expect("pipelined"),
+                fault_free.cache_stats().expect("pipelined"),
+            );
+            assert!(
+                faulted.images_built > 0,
+                "no corrupted transfer was CRC-checked"
+            );
+            assert_eq!(
+                (faulted.packs, faulted.bytes_packed),
+                (free.packs, free.bytes_packed),
+                "fault recovery changed the pack stage's work (seed {seed})"
+            );
+        }
     }
     if telemetry {
         mpt_telemetry::sink::flush();
@@ -90,17 +125,10 @@ fn faulted_fpga_training_reproduces_fault_free_digest() {
 fn chaos_schedule_is_deterministic_across_runs() {
     let seed = fault_seed();
     let run = |_: usize| {
-        let backend = Rc::new(
-            FpgaBackend::new(Accelerator::new(
-                SaConfig::new(8, 8, 4).expect("valid"),
-                298.0,
-            ))
-            .with_fault_plan(chaos_plan(seed))
-            .with_retry_policy(RetryPolicy::no_delay(3)),
-        );
+        let backend = fpga_backend(false, chaos_plan(seed));
         let out = replay_lenet_with(backend.clone(), &TrainOptions::default())
             .expect("no checkpoint I/O configured");
-        let inj = backend.injector().expect("armed");
+        let inj = backend.injector().expect("every backend holds one");
         (
             out.digest,
             inj.injected_count(),

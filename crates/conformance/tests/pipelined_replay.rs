@@ -4,8 +4,10 @@
 //! Two angles:
 //!
 //! * the full LeNet training replay runs through a pipelined
-//!   [`FpgaBackend`] and must land on the same golden weight digest
-//!   as the eager CPU path (`tests/golden/lenet_fp8_replay.digest`);
+//!   [`FpgaBackend`] — built by hand, and as the trainer-facing
+//!   `Device::fpga_pipelined(..).backend()` — and must land on the
+//!   same golden weight digest as the eager CPU path
+//!   (`tests/golden/lenet_fp8_replay.digest`);
 //! * a property test interleaves arbitrary weight updates with
 //!   cached launches — under any cache budget (including zero and
 //!   eviction-churning ones) every launch must be bit-identical to
@@ -16,46 +18,59 @@
 //! (packed words + CRC) nobody reads. Only a faulted transfer does.
 
 use conformance::{replay_digest_path, replay_lenet, replay_lenet_with};
-use mpt_arith::{qgemm_parallel, QGemmConfig};
-use mpt_core::TrainOptions;
+use mpt_arith::{qgemm_parallel, GemmBackend, QGemmConfig};
+use mpt_core::{Device, TrainOptions};
 use mpt_faults::{FaultPlan, FaultSite, RetryPolicy, Trigger};
-use mpt_fpga::{Accelerator, FpgaBackend, PipelinedExecutor, SaConfig};
+use mpt_fpga::{Accelerator, FpgaBackend, PipelinedExecutor, SaConfig, SynthesisDb};
 use mpt_tensor::Tensor;
 use proptest::prelude::*;
 use std::rc::Rc;
 
 #[test]
 fn pipelined_fpga_training_reproduces_golden_digest() {
-    let backend = Rc::new(
+    let clean = replay_lenet(1);
+    let golden = std::fs::read_to_string(replay_digest_path()).ok();
+
+    // The backend built by hand, and the one the paper's `device=`
+    // value hands the trainer: the same object either way.
+    let by_hand = Rc::new(
         FpgaBackend::new(Accelerator::new(
             SaConfig::new(8, 8, 4).expect("valid"),
             298.0,
         ))
         .pipelined(),
     );
-    let pipelined = replay_lenet_with(backend.clone(), &TrainOptions::default())
-        .expect("no checkpoint I/O configured");
+    let device = Device::fpga_pipelined(8, 8, 4, &SynthesisDb::u55()).expect("synthesized");
+    let Device::Fpga(of_device) = &device else {
+        unreachable!("fpga_pipelined builds an FPGA device")
+    };
+    for (backend, stats_of) in [
+        (by_hand.clone() as Rc<dyn GemmBackend>, &by_hand),
+        (device.backend(), of_device),
+    ] {
+        let pipelined = replay_lenet_with(backend, &TrainOptions::default())
+            .expect("no checkpoint I/O configured");
 
-    let stats = backend.cache_stats().expect("pipelined mode");
-    assert!(stats.misses > 0, "training never launched — vacuous test");
-    assert!(
-        backend.pipelined_elapsed_s() > 0.0,
-        "overlap accounting recorded no hardware time"
-    );
-
-    // Same bits as the fault-free eager CPU replay...
-    let clean = replay_lenet(1);
-    assert_eq!(
-        pipelined.digest, clean.digest,
-        "the staged/cached executor changed the trained weights"
-    );
-    // ...and as the checked-in golden digest, when present.
-    if let Ok(golden) = std::fs::read_to_string(replay_digest_path()) {
-        assert_eq!(
-            pipelined.digest,
-            golden.trim(),
-            "pipelined digest diverged from the golden file"
+        let stats = stats_of.cache_stats().expect("pipelined mode");
+        assert!(stats.misses > 0, "training never launched — vacuous test");
+        assert!(
+            stats_of.pipelined_elapsed_s() > 0.0,
+            "overlap accounting recorded no hardware time"
         );
+
+        // Same bits as the fault-free eager CPU replay...
+        assert_eq!(
+            pipelined.digest, clean.digest,
+            "the staged/cached executor changed the trained weights"
+        );
+        // ...and as the checked-in golden digest, when present.
+        if let Some(golden) = &golden {
+            assert_eq!(
+                pipelined.digest,
+                golden.trim(),
+                "pipelined digest diverged from the golden file"
+            );
+        }
     }
 }
 

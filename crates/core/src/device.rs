@@ -5,214 +5,40 @@
 //! accelerator. Both paths produce bit-identical results; the FPGA
 //! path additionally reports its measured latency.
 //!
-//! The FPGA device is fault-tolerant: arming a
-//! [`FaultPlan`] routes each launch through retry-with-backoff and —
-//! once the budget is exhausted — degrades to the bit-identical CPU
-//! emulation path (latency then reported as `None`), so a training
-//! run survives transient device faults with unchanged weights.
+//! [`Device::Fpga`] is a handle on the one FPGA launch route,
+//! [`FpgaBackend`]: the same object answers single GEMMs here
+//! ([`Device::execute_gemm`]) and, as [`Device::backend`], drives the
+//! trainer. Its fault tolerance — per-site retry with backoff, then
+//! degradation to the bit-identical CPU emulation path (latency then
+//! reported as `None`) — is the backend's, so a training run survives
+//! transient device faults with unchanged weights.
 
-use mpt_arith::{default_threads, qgemm_parallel, GemmBackend, QGemmConfig};
-use mpt_faults::{FaultPlan, Injector, RetryPolicy};
-use mpt_fpga::{
-    emit_fallback_event, resilient_execute, Accelerator, CacheStats, MeasuredLatency,
-    PipelinedExecutor, SaConfig, StageTimes, SynthesisDb, DEFAULT_CACHE_BUDGET,
-};
+use mpt_arith::{default_threads, qgemm_parallel, CpuBackend, GemmBackend, QGemmConfig};
+use mpt_faults::{FaultPlan, RetryPolicy};
+use mpt_fpga::{Accelerator, ConfigError, FpgaBackend, MeasuredLatency, SaConfig, SynthesisDb};
 use mpt_tensor::{ShapeError, Tensor};
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Where custom-precision GEMMs execute.
-// Devices are constructed once per run, never per-GEMM, so the size
-// asymmetry against the payload-free `Cpu` variant costs nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum Device {
     /// Bit-accurate software emulation on the host CPU.
     Cpu,
-    /// The simulated FPGA accelerator (with optional fault-tolerant
-    /// execution).
-    Fpga(FpgaDevice),
-    /// An arbitrary [`GemmBackend`] — the hook that lets the trainer
-    /// run *through* an external execution service (e.g. the
-    /// `mpt-serving` front-end's client handle) without the core
-    /// crate depending on it. The backend must stay bit-identical to
-    /// the CPU path; `step_boundary` is forwarded each batch.
-    Custom(Rc<dyn GemmBackend>),
+    /// The simulated FPGA accelerator. Shared (`Rc`): a cloned device
+    /// and every [`Device::backend`] handle hit the same operand
+    /// cache, launch queue, fault schedule and counters.
+    Fpga(Rc<FpgaBackend>),
 }
 
-impl std::fmt::Debug for Device {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Device::Cpu => f.write_str("Cpu"),
-            Device::Fpga(dev) => f.debug_tuple("Fpga").field(dev).finish(),
-            Device::Custom(b) => f.debug_tuple("Custom").field(&b.label()).finish(),
-        }
-    }
-}
-
-/// FPGA execution state: the accelerator plus the recovery policy.
-///
-/// Fault injection is inert unless a plan is armed — the fault-free
-/// hot path pays one `Option` check per launch.
-#[derive(Debug, Clone)]
-pub struct FpgaDevice {
-    accelerator: Accelerator,
-    injector: Option<Injector>,
-    retry: RetryPolicy,
-    fallbacks: Cell<u64>,
-    // Shared (`Rc`) so a cloned device keeps hitting the same operand
-    // cache and launch queue — cloning must not silently double the
-    // packing work.
-    pipeline: Option<Rc<RefCell<PipelinedExecutor>>>,
-}
-
-impl FpgaDevice {
-    /// Wraps an accelerator with fault injection disarmed.
-    pub fn new(accelerator: Accelerator) -> Self {
-        FpgaDevice {
-            accelerator,
-            injector: None,
-            retry: RetryPolicy::default(),
-            fallbacks: Cell::new(0),
-            pipeline: None,
-        }
-    }
-
-    /// Switches the device to the staged launch queue: operands are
-    /// packed once and cached device-side, and launches are split into
-    /// pack → transfer → compute → unpack stages whose overlap the
-    /// device accounts (see [`Self::pipelined_elapsed_s`]). Results
-    /// stay bit-identical to the eager path.
-    pub fn pipelined(self) -> Self {
-        self.pipelined_with_budget(DEFAULT_CACHE_BUDGET)
-    }
-
-    /// [`Self::pipelined`] with an explicit operand-cache byte budget
-    /// (`0` disables caching, making every launch re-pack).
-    pub fn pipelined_with_budget(mut self, budget_bytes: usize) -> Self {
-        self.pipeline = Some(Rc::new(RefCell::new(PipelinedExecutor::new(
-            self.accelerator.clone(),
-            budget_bytes,
-        ))));
-        self
-    }
-
-    /// `true` when launches go through the staged queue.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline.is_some()
-    }
-
-    /// Operand-cache counters, when pipelined.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.pipeline.as_ref().map(|p| p.borrow().cache_stats())
-    }
-
-    /// Overlap-aware elapsed hardware time across all launches so far
-    /// (`0.0` for an eager device).
-    pub fn pipelined_elapsed_s(&self) -> f64 {
-        self.pipeline
-            .as_ref()
-            .map_or(0.0, |p| p.borrow().pipelined_elapsed_s())
-    }
-
-    /// Drains the staged launch queue at a training-step boundary so
-    /// latency accounting never straddles an optimizer update. No-op
-    /// for an eager device.
-    pub fn step_boundary(&self) {
-        if let Some(p) = &self.pipeline {
-            p.borrow_mut().flush();
-        }
-    }
-
-    /// Arms a deterministic fault schedule.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.injector = Some(Injector::new(plan));
-        self
-    }
-
-    /// Overrides the retry policy (attempts / backoff delays).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The wrapped accelerator.
-    pub fn accelerator(&self) -> &Accelerator {
-        &self.accelerator
-    }
-
-    /// The armed injector, if any.
-    pub fn injector(&self) -> Option<&Injector> {
-        self.injector.as_ref()
-    }
-
-    /// Launches that degraded to the CPU path after exhausting their
-    /// retry budget.
-    pub fn fallback_count(&self) -> u64 {
-        self.fallbacks.get()
-    }
-
-    /// Reassembles a [`MeasuredLatency`] from per-stage times so the
-    /// pipelined path reports through the same type as the eager one.
-    /// `data_s` counts only bytes actually moved — cache hits shrink
-    /// it to the result stream-back.
-    fn latency_of_stages(&self, t: &StageTimes) -> MeasuredLatency {
-        let core_s = (t.compute_s - mpt_fpga::sim::LAUNCH_OVERHEAD_S).max(0.0);
-        MeasuredLatency {
-            core_cycles: (core_s * self.accelerator.freq_mhz() * 1.0e6).round() as u64,
-            core_s,
-            data_s: t.transfer_s + t.unpack_s,
-            total_s: t.eager_s(),
-        }
-    }
-
-    fn execute_pipelined(
-        &self,
-        px: &Rc<RefCell<PipelinedExecutor>>,
-        a: &Tensor,
-        b: &Tensor,
-        cfg: &QGemmConfig,
-    ) -> Result<(Tensor, Option<MeasuredLatency>), ShapeError> {
-        let mut px = px.borrow_mut();
-        let launched = match &self.injector {
-            None => Some(px.launch(a, b, cfg)?),
-            Some(inj) => px.launch_resilient(inj, &self.retry, a, b, cfg)?,
-        };
-        match launched {
-            Some((c, times)) => Ok((c, Some(self.latency_of_stages(&times)))),
-            None => {
-                self.fallbacks.set(self.fallbacks.get() + 1);
-                let launch = self.injector.as_ref().map_or(0, |i| i.launch_count());
-                emit_fallback_event("device-pipelined", launch, self.retry.max_attempts);
-                Ok((qgemm_parallel(a, b, cfg, default_threads())?, None))
-            }
-        }
-    }
-
-    fn execute(
-        &self,
-        a: &Tensor,
-        b: &Tensor,
-        cfg: &QGemmConfig,
-    ) -> Result<(Tensor, Option<MeasuredLatency>), ShapeError> {
-        if let Some(px) = &self.pipeline {
-            return self.execute_pipelined(&Rc::clone(px), a, b, cfg);
-        }
-        let Some(inj) = &self.injector else {
-            let (c, lat) = self.accelerator.execute(a, b, cfg)?;
-            return Ok((c, Some(lat)));
-        };
-        match resilient_execute(inj, &self.retry, "device", a, cfg, || {
-            self.accelerator.execute(a, b, cfg)
-        })? {
-            Some((c, lat)) => Ok((c, Some(lat))),
-            None => {
-                self.fallbacks.set(self.fallbacks.get() + 1);
-                emit_fallback_event("device", inj.launch_count(), self.retry.max_attempts);
-                Ok((qgemm_parallel(a, b, cfg, default_threads())?, None))
-            }
-        }
-    }
+/// The accelerator `⟨n, m, c⟩` at the synthesis database's achieved
+/// frequency.
+fn accelerator(n: usize, m: usize, c: usize, db: &SynthesisDb) -> Result<Accelerator, ConfigError> {
+    let cfg = SaConfig::new(n, m, c)?;
+    db.validate(cfg)?;
+    let freq = db
+        .frequency(n, m, c)
+        .expect("validated configuration has a frequency");
+    Ok(Accelerator::new(cfg, freq))
 }
 
 impl Device {
@@ -232,20 +58,11 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns [`mpt_fpga::ConfigError`] if the configuration is
-    /// invalid or absent from the database.
-    pub fn fpga(
-        n: usize,
-        m: usize,
-        c: usize,
-        db: &SynthesisDb,
-    ) -> Result<Self, mpt_fpga::ConfigError> {
-        let cfg = SaConfig::new(n, m, c)?;
-        db.validate(cfg)?;
-        let freq = db
-            .frequency(n, m, c)
-            .expect("validated configuration has a frequency");
-        Ok(Device::Fpga(FpgaDevice::new(Accelerator::new(cfg, freq))))
+    /// Returns [`ConfigError`] if the configuration is invalid or
+    /// absent from the database.
+    pub fn fpga(n: usize, m: usize, c: usize, db: &SynthesisDb) -> Result<Self, ConfigError> {
+        let backend = FpgaBackend::new(accelerator(n, m, c, db)?);
+        Ok(Device::Fpga(Rc::new(backend)))
     }
 
     /// [`Device::fpga`] routed through the staged launch queue with
@@ -255,35 +72,16 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns [`mpt_fpga::ConfigError`] if the configuration is
-    /// invalid or absent from the database.
+    /// Returns [`ConfigError`] if the configuration is invalid or
+    /// absent from the database.
     pub fn fpga_pipelined(
         n: usize,
         m: usize,
         c: usize,
         db: &SynthesisDb,
-    ) -> Result<Self, mpt_fpga::ConfigError> {
-        match Self::fpga(n, m, c, db)? {
-            Device::Fpga(dev) => Ok(Device::Fpga(dev.pipelined())),
-            _ => unreachable!("fpga constructor returns an FPGA device"),
-        }
-    }
-
-    /// Wraps an arbitrary backend as a device — see
-    /// [`Device::Custom`].
-    pub fn custom(backend: Rc<dyn GemmBackend>) -> Self {
-        Device::Custom(backend)
-    }
-
-    /// Marks a training-step boundary: a pipelined FPGA device drains
-    /// its launch queue here, a custom backend gets the boundary
-    /// forwarded; the CPU device is a no-op.
-    pub fn step_boundary(&self) {
-        match self {
-            Device::Cpu => {}
-            Device::Fpga(dev) => dev.step_boundary(),
-            Device::Custom(b) => b.step_boundary(),
-        }
+    ) -> Result<Self, ConfigError> {
+        let backend = FpgaBackend::new(accelerator(n, m, c, db)?).pipelined();
+        Ok(Device::Fpga(Rc::new(backend)))
     }
 
     /// [`Device::fpga`] with a fault schedule armed and an explicit
@@ -291,8 +89,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns [`mpt_fpga::ConfigError`] if the configuration is
-    /// invalid or absent from the database.
+    /// Returns [`ConfigError`] if the configuration is invalid or
+    /// absent from the database.
     pub fn fpga_with_faults(
         n: usize,
         m: usize,
@@ -300,18 +98,36 @@ impl Device {
         db: &SynthesisDb,
         plan: FaultPlan,
         retry: RetryPolicy,
-    ) -> Result<Self, mpt_fpga::ConfigError> {
-        match Self::fpga(n, m, c, db)? {
-            Device::Fpga(dev) => Ok(Device::Fpga(
-                dev.with_fault_plan(plan).with_retry_policy(retry),
-            )),
-            _ => unreachable!("fpga constructor returns an FPGA device"),
-        }
+    ) -> Result<Self, ConfigError> {
+        let backend = FpgaBackend::new(accelerator(n, m, c, db)?)
+            .with_fault_plan(plan)
+            .with_retry_policy(retry);
+        Ok(Device::Fpga(Rc::new(backend)))
     }
 
     /// `true` for the FPGA device.
     pub fn is_fpga(&self) -> bool {
         matches!(self, Device::Fpga(_))
+    }
+
+    /// This device as the [`GemmBackend`] the trainer takes
+    /// (`train_cnn_with_backend`, `Graph::with_backend`): the paper's
+    /// `device=` value is what drives training. The FPGA variant hands
+    /// out its shared backend, so launches made through it show up in
+    /// this device's counters.
+    pub fn backend(&self) -> Rc<dyn GemmBackend> {
+        match self {
+            Device::Cpu => Rc::new(CpuBackend::new()),
+            Device::Fpga(backend) => Rc::clone(backend) as Rc<dyn GemmBackend>,
+        }
+    }
+
+    /// Marks a training-step boundary: a pipelined FPGA device drains
+    /// its launch queue here; otherwise a no-op.
+    pub fn step_boundary(&self) {
+        if let Device::Fpga(backend) = self {
+            backend.step_boundary();
+        }
     }
 
     /// Executes one custom-precision GEMM on this device. The FPGA
@@ -333,8 +149,7 @@ impl Device {
     ) -> Result<(Tensor, Option<MeasuredLatency>), ShapeError> {
         match self {
             Device::Cpu => Ok((qgemm_parallel(a, b, cfg, default_threads())?, None)),
-            Device::Fpga(dev) => dev.execute(a, b, cfg),
-            Device::Custom(backend) => Ok((backend.gemm(a, b, cfg)?, None)),
+            Device::Fpga(backend) => backend.gemm_timed(a, b, cfg),
         }
     }
 }
@@ -343,6 +158,14 @@ impl Device {
 mod tests {
     use super::*;
 
+    fn operands() -> (Tensor, Tensor, QGemmConfig) {
+        (
+            Tensor::from_fn(vec![9, 14], |i| ((i * 31 % 19) as f32 - 9.0) * 0.11),
+            Tensor::from_fn(vec![14, 5], |i| ((i * 17 % 23) as f32 - 11.0) * 0.07),
+            QGemmConfig::fp8_fp12_sr().with_seed(42),
+        )
+    }
+
     #[test]
     fn cpu_and_fpga_agree_bitwise() {
         let db = SynthesisDb::u55();
@@ -350,38 +173,13 @@ mod tests {
         let fpga = Device::fpga(4, 4, 2, &db).unwrap();
         assert!(fpga.is_fpga());
         assert!(!cpu.is_fpga());
-        let a = Tensor::from_fn(vec![9, 14], |i| ((i * 31 % 19) as f32 - 9.0) * 0.11);
-        let b = Tensor::from_fn(vec![14, 5], |i| ((i * 17 % 23) as f32 - 11.0) * 0.07);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(42);
+        let (a, b, cfg) = operands();
         let (rc, lc) = cpu.execute_gemm(&a, &b, &cfg).unwrap();
         let (rf, lf) = fpga.execute_gemm(&a, &b, &cfg).unwrap();
         assert_eq!(rc, rf, "device changed the numerical result");
         assert!(lc.is_none());
         assert!(lf.unwrap().total_s > 0.0);
-    }
-
-    #[test]
-    fn faulted_device_stays_bit_identical_to_cpu() {
-        use mpt_faults::{FaultSite, Trigger};
-        let db = SynthesisDb::u55();
-        let plan = FaultPlan::new(7)
-            .with(FaultSite::LaunchTimeout, Trigger::EveryNth(2))
-            .with(FaultSite::HbmCorruption, Trigger::AtLaunch(3));
-        let dev = Device::fpga_with_faults(4, 4, 2, &db, plan, RetryPolicy::no_delay(3)).unwrap();
-        let a = Tensor::from_fn(vec![6, 10], |i| ((i * 13 % 17) as f32 - 8.0) * 0.09);
-        let b = Tensor::from_fn(vec![10, 3], |i| ((i * 11 % 13) as f32 - 6.0) * 0.08);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(9);
-        let (want, _) = Device::Cpu.execute_gemm(&a, &b, &cfg).unwrap();
-        for _ in 0..4 {
-            let (got, lat) = dev.execute_gemm(&a, &b, &cfg).unwrap();
-            assert_eq!(got, want, "recovery changed the numerical result");
-            assert!(lat.is_some(), "retried launches still ran on hardware");
-        }
-        let Device::Fpga(fdev) = &dev else {
-            unreachable!()
-        };
-        assert!(fdev.injector().unwrap().injected_count() > 0);
-        assert_eq!(fdev.fallback_count(), 0);
+        assert_eq!(cpu.backend().gemm(&a, &b, &cfg).unwrap(), rc);
     }
 
     #[test]
@@ -390,9 +188,7 @@ mod tests {
         let db = SynthesisDb::u55();
         let plan = FaultPlan::new(1).with(FaultSite::LaunchTransient, Trigger::StickyAtLaunch(2));
         let dev = Device::fpga_with_faults(4, 4, 2, &db, plan, RetryPolicy::no_delay(2)).unwrap();
-        let a = Tensor::from_fn(vec![5, 8], |i| ((i * 7 % 11) as f32 - 5.0) * 0.1);
-        let b = Tensor::from_fn(vec![8, 4], |i| ((i * 5 % 7) as f32 - 3.0) * 0.1);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(2);
+        let (a, b, cfg) = operands();
         let (want, _) = Device::Cpu.execute_gemm(&a, &b, &cfg).unwrap();
         let (first, lat1) = dev.execute_gemm(&a, &b, &cfg).unwrap();
         assert_eq!(first, want);
@@ -400,125 +196,44 @@ mod tests {
         let (second, lat2) = dev.execute_gemm(&a, &b, &cfg).unwrap();
         assert_eq!(second, want, "CPU fallback must be bit-identical");
         assert!(lat2.is_none(), "degraded launch spends no hardware time");
-        let Device::Fpga(fdev) = &dev else {
+        let Device::Fpga(backend) = &dev else {
             unreachable!()
         };
-        assert_eq!(fdev.fallback_count(), 1);
+        assert_eq!(backend.fallback_count(), 1);
     }
 
     #[test]
     fn pipelined_device_is_bit_identical_and_caches_repeats() {
         let db = SynthesisDb::u55();
         let dev = Device::fpga_pipelined(4, 4, 2, &db).unwrap();
-        let a = Tensor::from_fn(vec![9, 14], |i| ((i * 31 % 19) as f32 - 9.0) * 0.11);
-        let b = Tensor::from_fn(vec![14, 5], |i| ((i * 17 % 23) as f32 - 11.0) * 0.07);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(42);
+        let (a, b, cfg) = operands();
         let (want, _) = Device::Cpu.execute_gemm(&a, &b, &cfg).unwrap();
-        for round in 0..3 {
-            let (got, lat) = dev.execute_gemm(&a, &b, &cfg).unwrap();
-            assert_eq!(got, want, "pipelined path changed the result");
-            let lat = lat.expect("hardware ran");
-            assert!(lat.total_s > 0.0);
-            if round > 0 {
-                // Warm launches moved no operand bytes: data time is
-                // just the result stream-back, strictly below the
-                // cold launch's figure.
-                assert!(lat.data_s > 0.0);
-            }
-        }
-        let Device::Fpga(fdev) = &dev else {
+        // The handle and the trainer-facing backend are one object:
+        // launches through either warm the same cache and land in the
+        // same counters.
+        let trainer = dev.backend();
+        let (cold, lat) = dev.execute_gemm(&a, &b, &cfg).unwrap();
+        assert_eq!(cold, want, "pipelined path changed the result");
+        assert!(lat.expect("hardware ran").total_s > 0.0);
+        assert_eq!(trainer.gemm(&a, &b, &cfg).unwrap(), want);
+        assert_eq!(dev.clone().execute_gemm(&a, &b, &cfg).unwrap().0, want);
+        let Device::Fpga(backend) = &dev else {
             unreachable!()
         };
-        assert!(fdev.is_pipelined());
-        let stats = fdev.cache_stats().unwrap();
+        assert!(backend.is_pipelined());
+        assert_eq!(backend.gemm_count(), 3);
+        let stats = backend.cache_stats().unwrap();
         assert_eq!(stats.misses, 2, "one cold pack per operand");
-        assert_eq!(stats.hits, 4, "two warm rounds hit both operands");
+        assert_eq!(stats.hits, 4, "two warm launches hit both operands");
+        let overlapped = backend.pipelined_elapsed_s();
+        assert!(overlapped > 0.0 && overlapped <= backend.elapsed_s());
+        trainer.step_boundary();
         dev.step_boundary();
-        assert!(fdev.pipelined_elapsed_s() > 0.0);
-        // The overlap-aware account can never exceed the eager sum.
-        let eager_total: f64 = 3.0
-            * Device::fpga(4, 4, 2, &db)
-                .unwrap()
-                .execute_gemm(&a, &b, &cfg)
-                .unwrap()
-                .1
-                .unwrap()
-                .total_s;
-        assert!(fdev.pipelined_elapsed_s() <= eager_total + 1e-12);
-    }
-
-    #[test]
-    fn pipelined_device_recovers_from_faults_bit_identically() {
-        use mpt_faults::{FaultSite, Trigger};
-        let db = SynthesisDb::u55();
-        let plan = FaultPlan::new(11)
-            .with(FaultSite::LaunchTimeout, Trigger::EveryNth(2))
-            .with(FaultSite::HbmCorruption, Trigger::AtLaunch(3));
-        let dev = match Device::fpga_pipelined(4, 4, 2, &db).unwrap() {
-            Device::Fpga(d) => Device::Fpga(
-                d.with_fault_plan(plan)
-                    .with_retry_policy(RetryPolicy::no_delay(3)),
-            ),
-            _ => unreachable!(),
-        };
-        let a = Tensor::from_fn(vec![6, 10], |i| ((i * 13 % 17) as f32 - 8.0) * 0.09);
-        let b = Tensor::from_fn(vec![10, 3], |i| ((i * 11 % 13) as f32 - 6.0) * 0.08);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(9);
-        let (want, _) = Device::Cpu.execute_gemm(&a, &b, &cfg).unwrap();
-        for _ in 0..4 {
-            let (got, lat) = dev.execute_gemm(&a, &b, &cfg).unwrap();
-            assert_eq!(got, want, "stage retry changed the numerical result");
-            assert!(lat.is_some());
-        }
-        let Device::Fpga(fdev) = &dev else {
-            unreachable!()
-        };
-        assert!(fdev.injector().unwrap().injected_count() > 0);
-        assert_eq!(fdev.fallback_count(), 0);
-        // Stage replays never re-pack: the cold packs stand alone.
-        assert_eq!(fdev.cache_stats().unwrap().packs, 2);
-    }
-
-    #[test]
-    fn custom_backend_routes_gemms_and_step_boundaries() {
-        struct Recording {
-            calls: Cell<u64>,
-            boundaries: Cell<u64>,
-        }
-        impl GemmBackend for Recording {
-            fn gemm(
-                &self,
-                a: &Tensor,
-                b: &Tensor,
-                cfg: &QGemmConfig,
-            ) -> Result<Tensor, ShapeError> {
-                self.calls.set(self.calls.get() + 1);
-                qgemm_parallel(a, b, cfg, default_threads())
-            }
-            fn label(&self) -> String {
-                "recording".into()
-            }
-            fn step_boundary(&self) {
-                self.boundaries.set(self.boundaries.get() + 1);
-            }
-        }
-        let backend = Rc::new(Recording {
-            calls: Cell::new(0),
-            boundaries: Cell::new(0),
-        });
-        let dev = Device::custom(backend.clone());
-        assert!(!dev.is_fpga());
-        assert!(format!("{dev:?}").contains("recording"));
-        let a = Tensor::from_fn(vec![5, 8], |i| ((i * 7 % 11) as f32 - 5.0) * 0.1);
-        let b = Tensor::from_fn(vec![8, 4], |i| ((i * 5 % 7) as f32 - 3.0) * 0.1);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(4);
-        let (want, _) = Device::Cpu.execute_gemm(&a, &b, &cfg).unwrap();
-        let (got, lat) = dev.execute_gemm(&a, &b, &cfg).unwrap();
-        assert_eq!(got, want);
-        assert!(lat.is_none());
-        dev.step_boundary();
-        assert_eq!(backend.calls.get(), 1);
-        assert_eq!(backend.boundaries.get(), 1);
+        assert_eq!(
+            backend.pipelined_elapsed_s(),
+            overlapped,
+            "drained, not lost"
+        );
     }
 
     #[test]
@@ -527,5 +242,6 @@ mod tests {
         assert!(Device::fpga(8, 8, 10, &db).is_ok());
         assert!(Device::fpga(16, 16, 8, &db).is_err()); // beyond c_max
         assert!(Device::fpga(3, 3, 1, &db).is_err()); // invalid shape
+        assert!(Device::fpga_pipelined(3, 3, 1, &db).is_err());
     }
 }

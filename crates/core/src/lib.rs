@@ -39,7 +39,7 @@ pub mod matching;
 pub mod trainer;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use device::{Device, FpgaDevice};
+pub use device::Device;
 pub use matching::{
     estimate_iteration_pipelined, measure_iteration_pipelined, select_accelerator,
     sweep_core_counts, MatchResult,

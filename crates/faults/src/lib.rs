@@ -17,16 +17,20 @@
 //!   a plan replays identically across runs, threads and machines.
 //! * [`Injector`] — the runtime counterpart: owns the plan plus the
 //!   launch counter, and answers "does site S fault on this attempt?"
-//! * [`RetryPolicy`] — bounded retry with exponential backoff, the
-//!   knob shared by [`FpgaBackend`](../mpt_fpga/struct.FpgaBackend.html)
-//!   and `mpt_core::Device`.
+//! * [`RetryPolicy`] — bounded retry with exponential backoff: the
+//!   per-site budget of the one gate sequence every launch walks
+//!   (`mpt_fpga::resilient`), whether it came through
+//!   [`FpgaBackend`](../mpt_fpga/struct.FpgaBackend.html), its
+//!   `mpt_core::Device` handle, or the serving dispatcher.
 //!
 //! The [`crc`] module provides the CRC-32 used by the HBM image
 //! integrity check and the checkpoint file format.
 //!
-//! Fault injection is **inert by default**: execution layers hold an
-//! `Option<Injector>` that is `None` unless a plan is explicitly
-//! armed, so the fault-free hot path pays one branch per launch.
+//! Fault injection is **inert by default**, and not by a second code
+//! path: execution layers always hold an [`Injector`], and one that
+//! was never armed follows the empty [`FaultPlan`], so the fault-free
+//! hot path is the fault path with four [`Trigger::Never`] reads per
+//! launch.
 //!
 //! ## Example
 //!

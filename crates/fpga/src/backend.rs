@@ -6,20 +6,23 @@
 //! accumulating the measured latency of each launch. Functional
 //! results stay bit-identical to the CPU path.
 //!
-//! The backend is fault-tolerant: arming a [`FaultPlan`] (via
-//! [`FpgaBackend::with_fault_plan`]) routes every launch through the
-//! retry/backoff loop of [`crate::resilient_execute`], and launches
-//! whose retry budget is exhausted degrade to the bit-identical CPU
-//! emulation kernel — so training completes with the same weights as
-//! a fault-free run. With no plan armed the fault machinery is fully
-//! inert: the hot path pays a single `Option` check per launch.
+//! There is one launch route, [`FpgaBackend::gemm_timed`]: every
+//! launch walks the fault gates of [`crate::resilient`] under the
+//! backend's [`Injector`], runs on the hardware (eagerly, or staged
+//! through the [`PipelinedExecutor`] — a constructor choice), and — if
+//! a gate exhausted its retry budget — degrades to the bit-identical
+//! CPU emulation kernel, so training completes with the same weights
+//! as a fault-free run. A backend that was never armed follows the
+//! empty [`FaultPlan`]: same route, and its gates never fire.
 
 use crate::cache::{CacheStats, DEFAULT_CACHE_BUDGET};
+use crate::perf::estimate_gemm_stages;
 use crate::pipeline::PipelinedExecutor;
-use crate::resilient::{emit_fallback_event, resilient_execute};
-use crate::sim::Accelerator;
-use mpt_arith::{default_threads, qgemm_parallel, GemmBackend, QGemmConfig};
+use crate::resilient::{degrade, fresh_image, pass_gates};
+use crate::sim::{Accelerator, MeasuredLatency};
+use mpt_arith::{gemm_span, GemmBackend, GemmShape, QGemmConfig};
 use mpt_faults::{FaultPlan, Injector, RetryPolicy};
+use mpt_telemetry::{record_calibration, CalibrationRecord, SpanField};
 use mpt_tensor::{ShapeError, Tensor};
 use std::cell::{Cell, RefCell};
 
@@ -46,7 +49,8 @@ pub struct FpgaBackend {
     accelerator: Accelerator,
     elapsed_s: RefCell<f64>,
     gemms: Cell<usize>,
-    injector: Option<Injector>,
+    /// The empty plan until [`with_fault_plan`](Self::with_fault_plan).
+    injector: Injector,
     retry: RetryPolicy,
     fallbacks: Cell<u64>,
     /// Staged execution engine; `None` means eager launches.
@@ -54,14 +58,14 @@ pub struct FpgaBackend {
 }
 
 impl FpgaBackend {
-    /// Wraps an accelerator. Fault injection is disarmed and the
-    /// default [`RetryPolicy`] applies if a plan is armed later.
+    /// Wraps an accelerator under the empty fault plan and the default
+    /// [`RetryPolicy`].
     pub fn new(accelerator: Accelerator) -> Self {
         FpgaBackend {
             accelerator,
             elapsed_s: RefCell::new(0.0),
             gemms: Cell::new(0),
-            injector: None,
+            injector: Injector::new(FaultPlan::new(0)),
             retry: RetryPolicy::default(),
             fallbacks: Cell::new(0),
             pipeline: None,
@@ -108,10 +112,9 @@ impl FpgaBackend {
         self
     }
 
-    /// Arms a deterministic fault schedule: every launch now runs
-    /// through the retry/backoff/fallback loop.
+    /// Arms a deterministic fault schedule in place of the empty plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.injector = Some(Injector::new(plan));
+        self.injector = Injector::new(plan);
         self
     }
 
@@ -126,9 +129,12 @@ impl FpgaBackend {
         &self.accelerator
     }
 
-    /// The armed injector, if any (tests assert its tallies).
+    /// The injector every launch consults (tests assert its tallies).
+    /// Always `Some` — a backend that was never armed holds the empty
+    /// plan; the `Option` is the signature existing callers compile
+    /// against.
     pub fn injector(&self) -> Option<&Injector> {
-        self.injector.as_ref()
+        Some(&self.injector)
     }
 
     /// Total measured hardware time accumulated so far, seconds.
@@ -181,143 +187,105 @@ impl FpgaBackend {
         }
     }
 
-    /// One hardware launch with latency accounting and telemetry —
-    /// the fault-free execution path.
-    fn launch(&self, a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Result<Tensor, ShapeError> {
-        let mut span =
-            mpt_arith::gemm_span("gemm:fpga", a, b, cfg, self.accelerator.config().c() as u64);
-        let (out, latency) = self.accelerator.execute(a, b, cfg)?;
-        *self.elapsed_s.borrow_mut() += latency.total_s;
-        self.gemms.set(self.gemms.get() + 1);
-        if span.is_active() {
-            span.field(mpt_telemetry::SpanField::F64("hw_total_s", latency.total_s))
-                .field(mpt_telemetry::SpanField::U64(
-                    "hw_cycles",
-                    latency.core_cycles,
-                ));
-            // Per-GEMM perf-model calibration: the analytic L_total
-            // (Section IV-A) against the cycle-accurate simulation,
-            // at the operand width the simulator itself accounts.
-            if let (&[n, k], &[_, m]) = (a.shape(), b.shape()) {
-                let bits = cfg.quant_a.format().bit_width();
-                let predicted = crate::perf::estimate_gemm(
-                    mpt_arith::GemmShape::new(n, k, m),
-                    self.accelerator.config(),
-                    self.accelerator.freq_mhz(),
-                    bits,
-                    bits,
-                );
-                mpt_telemetry::record_calibration(mpt_telemetry::CalibrationRecord {
-                    context: "fpga_gemm".into(),
-                    label: format!("{n}x{k}x{m}@{}", self.accelerator.config()),
-                    predicted_s: predicted.total_s,
-                    measured_s: latency.total_s,
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// One staged launch through the pipelined executor, with the
-    /// same telemetry and fallback contract as the eager path.
-    fn launch_pipelined(
+    /// One GEMM with its measured hardware latency — the launch route
+    /// behind both [`GemmBackend::gemm`] (which drops the latency) and
+    /// `mpt_core::Device::execute_gemm`: fault gates, then the
+    /// hardware, with telemetry. The eager mode keeps nothing
+    /// resident, so a faulted transfer's in-flight image is quantized
+    /// and packed on the spot — and only then — and replays are not
+    /// charged (the account is the clean pass's latency); the staged
+    /// mode runs its gates inside the executor, which charges them.
+    /// A launch whose gates exhausted a retry budget degrades to the
+    /// CPU fallback and reports `None`: no hardware time was spent,
+    /// and none is accounted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] for non-conforming operands. Injected
+    /// faults are never surfaced as errors — they are retried and,
+    /// past the budget, absorbed by the bit-identical CPU fallback.
+    pub fn gemm_timed(
         &self,
-        px: &RefCell<PipelinedExecutor>,
         a: &Tensor,
         b: &Tensor,
         cfg: &QGemmConfig,
-    ) -> Result<Tensor, ShapeError> {
-        let mut span = mpt_arith::gemm_span(
-            "gemm:fpga-pipelined",
-            a,
-            b,
-            cfg,
-            self.accelerator.config().c() as u64,
-        );
-        let outcome = match &self.injector {
-            None => px.borrow_mut().launch(a, b, cfg).map(Some)?,
-            Some(inj) => px
-                .borrow_mut()
-                .launch_resilient(inj, &self.retry, a, b, cfg)?,
+    ) -> Result<(Tensor, Option<MeasuredLatency>), ShapeError> {
+        let (inj, retry) = (&self.injector, &self.retry);
+        let (layer, name) = match self.pipeline {
+            None => ("fpga", "gemm:fpga"),
+            Some(_) => ("fpga-pipelined", "gemm:fpga-pipelined"),
         };
-        match outcome {
-            Some((out, times)) => {
-                *self.elapsed_s.borrow_mut() += times.eager_s();
-                self.gemms.set(self.gemms.get() + 1);
-                if span.is_active() {
-                    span.field(mpt_telemetry::SpanField::F64("hw_eager_s", times.eager_s()))
-                        .field(mpt_telemetry::SpanField::F64(
-                            "hw_bottleneck_s",
-                            times.bottleneck_s(),
-                        ));
-                    // Eager-vs-pipelined calibration: the analytic
-                    // stage model against the simulator's staged
-                    // accounting (cache effects and the PCIe
-                    // efficiency gap included in "measured").
-                    if let (&[n, k], &[_, m]) = (a.shape(), b.shape()) {
-                        let bits = cfg.quant_a.format().bit_width();
-                        let shape = mpt_arith::GemmShape::new(n, k, m);
-                        let sa = self.accelerator.config();
-                        let freq = self.accelerator.freq_mhz();
-                        let label = format!("{n}x{k}x{m}@{sa}");
-                        let stages = crate::perf::estimate_gemm_stages(shape, sa, freq, bits, bits);
-                        mpt_telemetry::record_calibration(mpt_telemetry::CalibrationRecord {
-                            context: "fpga_gemm".into(),
-                            label: label.clone(),
-                            predicted_s: stages.eager_s(),
-                            measured_s: times.eager_s(),
-                        });
-                        mpt_telemetry::record_calibration(mpt_telemetry::CalibrationRecord {
-                            context: "fpga_gemm_pipelined".into(),
-                            label,
-                            predicted_s: stages.bottleneck_s(),
-                            measured_s: times.bottleneck_s(),
-                        });
-                    }
-                }
-                Ok(out)
+        let mut span = gemm_span(name, a, b, cfg, self.accelerator.config().c() as u64);
+        // (result, latency, bottleneck stage when staged), or `None`.
+        let launched = match &self.pipeline {
+            None => pass_gates(inj, retry, layer, || fresh_image(a, &cfg.quant_a))
+                .map(|_| self.accelerator.execute(a, b, cfg))
+                .transpose()?
+                .map(|(out, latency)| (out, latency, None)),
+            Some(px) => px
+                .borrow_mut()
+                .launch_resilient(inj, retry, a, b, cfg)?
+                .map(|(out, times)| {
+                    let latency = times.as_latency(self.accelerator.freq_mhz());
+                    (out, latency, Some(times.bottleneck_s()))
+                }),
+        };
+        let Some((out, latency, bottleneck_s)) = launched else {
+            drop(span);
+            self.fallbacks.set(self.fallbacks.get() + 1);
+            let out = degrade(layer, inj.launch_count(), retry.max_attempts, a, b, cfg)?;
+            return Ok((out, None));
+        };
+        *self.elapsed_s.borrow_mut() += latency.total_s;
+        self.gemms.set(self.gemms.get() + 1);
+        if span.is_active() {
+            span.field(SpanField::F64("hw_total_s", latency.total_s))
+                .field(SpanField::U64("hw_cycles", latency.core_cycles));
+            if let Some(s) = bottleneck_s {
+                span.field(SpanField::F64("hw_bottleneck_s", s));
             }
-            None => {
-                let inj = self.injector.as_ref().expect("fallback requires injector");
-                self.fallbacks.set(self.fallbacks.get() + 1);
-                emit_fallback_event(
-                    "fpga-pipelined",
-                    inj.launch_count(),
-                    self.retry.max_attempts,
-                );
-                let threads = default_threads();
-                let _span = mpt_arith::gemm_span("gemm:fallback", a, b, cfg, threads as u64);
-                qgemm_parallel(a, b, cfg, threads)
-            }
+            self.calibrate(a, b, cfg, latency.total_s, bottleneck_s);
+        }
+        Ok((out, Some(latency)))
+    }
+
+    /// Per-GEMM perf-model calibration: the analytic stage model
+    /// (Section IV-A) against what the simulator accounted, at the
+    /// operand width the simulator itself uses — `L_total` for every
+    /// launch, and the bottleneck stage for a staged one (cache
+    /// effects and the PCIe efficiency gap included in "measured").
+    fn calibrate(
+        &self,
+        a: &Tensor,
+        b: &Tensor,
+        cfg: &QGemmConfig,
+        total_s: f64,
+        bottleneck_s: Option<f64>,
+    ) {
+        let (&[n, k], &[_, m]) = (a.shape(), b.shape()) else {
+            return;
+        };
+        let bits = cfg.quant_a.format().bit_width();
+        let (sa, freq) = (self.accelerator.config(), self.accelerator.freq_mhz());
+        let stages = estimate_gemm_stages(GemmShape::new(n, k, m), sa, freq, bits, bits);
+        let record = |context: &str, predicted_s: f64, measured_s: f64| {
+            record_calibration(CalibrationRecord {
+                context: context.into(),
+                label: format!("{n}x{k}x{m}@{sa}"),
+                predicted_s,
+                measured_s,
+            });
+        };
+        record("fpga_gemm", stages.eager_s(), total_s);
+        if let Some(measured_s) = bottleneck_s {
+            record("fpga_gemm_pipelined", stages.bottleneck_s(), measured_s);
         }
     }
 }
 
 impl GemmBackend for FpgaBackend {
     fn gemm(&self, a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Result<Tensor, ShapeError> {
-        // Staged mode: cache-aware pack + overlap-aware accounting,
-        // with its own per-stage fault retry.
-        if let Some(px) = &self.pipeline {
-            return self.launch_pipelined(px, a, b, cfg);
-        }
-        // Fault-free configuration: the direct hardware launch. This
-        // branch is the whole cost of the inert fault layer.
-        let Some(inj) = &self.injector else {
-            return self.launch(a, b, cfg);
-        };
-        match resilient_execute(inj, &self.retry, "fpga", a, cfg, || self.launch(a, b, cfg))? {
-            Some(out) => Ok(out),
-            None => {
-                // Retry budget exhausted: degrade to the bit-identical
-                // CPU emulation kernel so training continues with the
-                // exact same numbers (no hardware time accounted).
-                self.fallbacks.set(self.fallbacks.get() + 1);
-                emit_fallback_event("fpga", inj.launch_count(), self.retry.max_attempts);
-                let threads = default_threads();
-                let _span = mpt_arith::gemm_span("gemm:fallback", a, b, cfg, threads as u64);
-                qgemm_parallel(a, b, cfg, threads)
-            }
-        }
+        self.gemm_timed(a, b, cfg).map(|(out, _)| out)
     }
 
     fn label(&self) -> String {
@@ -476,12 +444,56 @@ mod tests {
             assert_eq!(backend.gemm(&a, &b, &cfg).unwrap(), want);
         }
         let inj = backend.injector().unwrap();
-        // Sites short-circuit in launch order, so at launch 6 the HBM
-        // fault masks the timeout that would also have fired.
-        assert_eq!(inj.injected_at(FaultSite::LaunchTimeout), 2); // 2,4
+        // Each site has its own retry budget, so at launch 6 the HBM
+        // fault and the timeout both fire and both retry clean. (This
+        // count was 2 while the eager path shared one whole-launch
+        // budget: the HBM fault's retry then skipped the timeout.)
+        assert_eq!(inj.injected_at(FaultSite::LaunchTimeout), 3); // 2,4,6
         assert_eq!(inj.injected_at(FaultSite::HbmCorruption), 2); // 3,6
         assert_eq!(inj.injected_at(FaultSite::BitstreamLoad), 1); // 5
         assert_eq!(backend.fallback_count(), 0, "single faults retry clean");
+    }
+
+    /// Eager and pipelined agree on which faults exist: an operand
+    /// with no dense HBM image (block FP here) still has its transfer
+    /// fault injected, tallied and retried in both modes — there is
+    /// just no image to corrupt.
+    #[test]
+    fn hbm_fault_on_imageless_operand_fires_in_both_modes() {
+        use mpt_arith::MacConfig;
+        use mpt_faults::{FaultPlan, FaultSite, RetryPolicy, Trigger};
+        use mpt_formats::{BlockFpFormat, Quantizer, Rounding};
+        let bfp = Quantizer::new(BlockFpFormat::new(4, 16).unwrap(), Rounding::Nearest);
+        let cfg = QGemmConfig::new(bfp, bfp, MacConfig::fp8_fp16_rn());
+        let a = Tensor::from_fn(vec![9, 32], |i| ((i * 29 % 31) as f32 - 15.0) * 0.04);
+        let b = Tensor::from_fn(vec![32, 6], |i| ((i * 23 % 29) as f32 - 14.0) * 0.05);
+        let want = qgemm(&a, &b, &cfg).unwrap();
+        let armed = || {
+            FpgaBackend::new(Accelerator::new(SaConfig::new(4, 4, 2).unwrap(), 328.4))
+                .with_fault_plan(
+                    FaultPlan::new(5).with(FaultSite::HbmCorruption, Trigger::EveryNth(1)),
+                )
+                .with_retry_policy(RetryPolicy::no_delay(3))
+        };
+        for backend in [armed(), armed().pipelined()] {
+            for _ in 0..4 {
+                assert_eq!(
+                    backend.gemm(&a, &b, &cfg).unwrap(),
+                    want,
+                    "{}",
+                    backend.label()
+                );
+            }
+            let inj = backend.injector().unwrap();
+            assert_eq!(
+                inj.injected_at(FaultSite::HbmCorruption),
+                4,
+                "{}",
+                backend.label()
+            );
+            assert_eq!(backend.fallback_count(), 0);
+            assert_eq!(backend.cache_stats().map_or(0, |s| s.images_built), 0);
+        }
     }
 
     #[test]

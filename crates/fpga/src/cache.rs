@@ -294,7 +294,7 @@ impl OperandCache {
 /// pack), not block floating point (shared exponents live out of
 /// band), not [`Rounding::NoRound`] (values deliberately stay *off*
 /// the format lattice — the fused-multiplier convention).
-fn packable(q: &Quantizer) -> bool {
+pub(crate) fn packable(q: &Quantizer) -> bool {
     let format = q.format();
     !matches!(q.rounding(), Rounding::NoRound)
         && matches!(format, NumberFormat::Float(_) | NumberFormat::Fixed(_))

@@ -23,6 +23,12 @@
 //!   through [`mpt_arith::mac_step`] with cycles counted: the oracle
 //!   tests pin the two layers above to, called by no backend.
 //!
+//! Launches go one way: [`FpgaBackend::gemm_timed`] — eager, or staged
+//! through the [`PipelinedExecutor`] — behind the fault gates of
+//! [`resilient`], leaving the FPGA path only through [`degrade`].
+//! `mpt_core::Device` is a handle on that backend; the serving
+//! dispatcher drives the executor's batched form under the same gates.
+//!
 //! The synthesis results of Table III/IV are embedded as the static
 //! configuration database ([`synthesis::SynthesisDb`]) exactly as the
 //! paper pre-generates static bitstream configurations offline.
@@ -65,6 +71,6 @@ pub use perf::{
     StageLatency,
 };
 pub use pipeline::{PipelineClock, PipelinedExecutor, StageTimes};
-pub use resilient::{emit_fallback_event, emit_fault_event, resilient_execute};
+pub use resilient::degrade;
 pub use sim::{Accelerator, MeasuredLatency};
 pub use synthesis::{SynthPoint, SynthesisDb};

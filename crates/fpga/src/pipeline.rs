@@ -29,19 +29,25 @@
 //!   stage on the persistent `mpt-arith` worker pool while the caller
 //!   thread packs the next launch (double buffering, depth 1).
 //!
-//! Faults replay the *failed stage*, not the whole queue: a corrupted
-//! HBM transfer re-sends the resident operand (the pack stage's work
-//! is cached), a launch timeout re-runs compute only. That re-send is
-//! the one place a launch materialises an HBM image — pack and
-//! transfer *time* come from the image's closed-form size, so a
-//! fault-free (or armed-but-idle) launch never builds the words + CRC.
-//! Stage-retry budgets come from the same [`RetryPolicy`] as the
-//! eager path, and exhaustion degrades to the caller's CPU fallback.
+//! Every launch is staged by one host-side body — pack, then the
+//! fault gates of [`crate::resilient`], then accounting — under the
+//! caller's [`Injector`]; [`PipelinedExecutor::launch`] and
+//! [`PipelinedExecutor::execute_batch`] are that body under an empty
+//! plan. Faults replay the *failed stage*, not the whole queue: a
+//! corrupted HBM transfer re-sends the resident operand (the pack
+//! stage's work is cached), a launch timeout re-runs compute only.
+//! That re-send is the one place a launch materialises an HBM image —
+//! pack and transfer *time* come from the image's closed-form size, so
+//! a launch whose transfer does not fault never builds the words +
+//! CRC. A stage that exhausts its [`RetryPolicy`] budget hands the
+//! launch back as `None` for the caller to
+//! [`degrade`](crate::resilient::degrade).
 
-use crate::cache::{CacheStats, OperandCache};
-use crate::sim::{Accelerator, PCIE_ACHIEVED_BPS};
+use crate::cache::{CacheStats, FetchedOperand, OperandCache};
+use crate::resilient::pass_gates;
+use crate::sim::{Accelerator, MeasuredLatency, LAUNCH_OVERHEAD_S, PCIE_ACHIEVED_BPS};
 use mpt_arith::{pool_execute, GemmShape, QGemmConfig};
-use mpt_faults::{Fault, FaultSite, Injector, RetryPolicy};
+use mpt_faults::{FaultPlan, Injector, RetryPolicy};
 use mpt_tensor::{ShapeError, Tensor};
 use std::sync::{mpsc, Arc};
 
@@ -89,6 +95,20 @@ impl StageTimes {
     /// the pipeline is full.
     pub fn bottleneck_s(&self) -> f64 {
         self.as_array().into_iter().fold(0.0, f64::max)
+    }
+
+    /// The same launch as the eager path's [`MeasuredLatency`], for an
+    /// accelerator clocked at `freq_mhz`, so both modes report through
+    /// one type. `data_s` counts only bytes actually moved — cache
+    /// hits shrink it to the result stream-back.
+    pub fn as_latency(&self, freq_mhz: f64) -> MeasuredLatency {
+        let core_s = (self.compute_s - LAUNCH_OVERHEAD_S).max(0.0);
+        MeasuredLatency {
+            core_cycles: (core_s * freq_mhz * 1.0e6).round() as u64,
+            core_s,
+            data_s: self.transfer_s + self.unpack_s,
+            total_s: self.eager_s(),
+        }
     }
 }
 
@@ -344,9 +364,9 @@ impl PipelinedExecutor {
         self.stage_busy_s = [0.0; STAGES];
     }
 
-    /// One staged launch: cache-aware pack, modeled transfer, fabric
-    /// compute, modeled unpack. Bit-identical to
-    /// [`Accelerator::execute`].
+    /// One staged launch under the empty fault plan: cache-aware pack,
+    /// modeled transfer, fabric compute, modeled unpack. Bit-identical
+    /// to [`Accelerator::execute`].
     ///
     /// # Errors
     ///
@@ -357,41 +377,16 @@ impl PipelinedExecutor {
         b: &Tensor,
         cfg: &QGemmConfig,
     ) -> Result<(Tensor, StageTimes), ShapeError> {
-        check_shapes(a, b)?;
-
-        let mut pack_span = mpt_telemetry::span("fpga:pack");
-        let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
-        let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
-        let packed_bytes = missed_bytes(&fa) + missed_bytes(&fb);
-        if pack_span.is_active() {
-            pack_span
-                .field(mpt_telemetry::SpanField::U64(
-                    "hits",
-                    fa.hit as u64 + fb.hit as u64,
-                ))
-                .add_bytes(packed_bytes as u64);
-        }
-        drop(pack_span);
-
-        let _xfer_span = mpt_telemetry::span("fpga:transfer");
-        drop(_xfer_span);
-        let compute_span = mpt_telemetry::span("fpga:compute");
-        let (out, _) = self
-            .accelerator
-            .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
-        drop(compute_span);
-        let _unpack_span = mpt_telemetry::span("fpga:unpack");
-
-        let times = self.stage_times(a, b, cfg, packed_bytes);
-        self.account_launch(&times);
-        Ok((out, times))
+        let (inj, retry) = fault_free();
+        let launched = self.launch_resilient(&inj, &retry, a, b, cfg)?;
+        Ok(launched.expect("the empty plan never degrades"))
     }
 
-    /// [`launch`](Self::launch) under fault injection with
-    /// **per-stage** retry: a faulted stage replays itself (its time
-    /// is charged again) without repeating earlier stages — a
-    /// corrupted transfer re-sends the already-packed image, a
-    /// compute fault re-runs the kernel only.
+    /// One staged launch under `inj`'s fault plan with **per-stage**
+    /// retry: a faulted stage replays itself (its time is charged
+    /// again) without repeating earlier stages — a corrupted transfer
+    /// re-sends the already-packed image, a compute fault re-runs the
+    /// kernel only.
     ///
     /// Returns `Ok(None)` when any single stage exhausts the retry
     /// budget; the caller degrades to the bit-identical CPU path.
@@ -408,23 +403,39 @@ impl PipelinedExecutor {
         b: &Tensor,
         cfg: &QGemmConfig,
     ) -> Result<Option<(Tensor, StageTimes)>, ShapeError> {
-        check_shapes(a, b)?;
-        let Some((aq, bq, times)) =
-            self.stage_resilient(inj, retry, "fpga-pipelined", a, b, cfg)?
-        else {
+        // Host wall-clock spans of the single-launch path. Only pack
+        // and compute do host work; transfer and unpack are modeled
+        // time, kept as markers so a trace shows all four stages.
+        let mut pack_span = mpt_telemetry::span("fpga:pack");
+        let Some(staged) = self.stage(inj, retry, "fpga-pipelined", a, b, cfg)? else {
             return Ok(None);
         };
-        let (out, _) = self.accelerator.execute_quantized(&aq, &bq, cfg)?;
-        Ok(Some((out, times)))
+        if pack_span.is_active() {
+            pack_span
+                .field(mpt_telemetry::SpanField::U64("hits", staged.hits))
+                .add_bytes(staged.packed_bytes as u64);
+        }
+        drop(pack_span);
+        drop(mpt_telemetry::span("fpga:transfer"));
+        let compute_span = mpt_telemetry::span("fpga:compute");
+        let (out, _) = self
+            .accelerator
+            .execute_quantized(&staged.aq, &staged.bq, cfg)?;
+        drop(compute_span);
+        drop(mpt_telemetry::span("fpga:unpack"));
+        Ok(Some((out, staged.times)))
     }
 
-    /// The gate sequence every fault-injected launch runs on the
-    /// submitting thread before its compute is issued — bitstream,
-    /// pack, transfer, compute gates — accounted with each replayed
-    /// stage charged its extra passes. Returns the staged operands,
-    /// or `None` when a stage exhausted its retry budget. `layer`
-    /// labels the fault events (`"fpga-pipelined"` / `"fpga-batch"`).
-    fn stage_resilient(
+    /// The host side of every launch, run on the submitting thread
+    /// before its compute is issued: the pack stage (both operands
+    /// through the cache — host memory, no fault site), the modeled
+    /// stage times, the fault gates with each replayed stage charged
+    /// its extra passes, and the accounting. `None` when a gate
+    /// exhausted its retry budget: the launch degrades, unaccounted,
+    /// with its operands left resident. `layer` labels the fault
+    /// events (`"fpga-pipelined"` / `"fpga-batch"`). Shape errors
+    /// surface before anything is packed or claimed.
+    fn stage(
         &mut self,
         inj: &Injector,
         retry: &RetryPolicy,
@@ -432,64 +443,50 @@ impl PipelinedExecutor {
         a: &Tensor,
         b: &Tensor,
         cfg: &QGemmConfig,
-    ) -> Staged {
-        let launch_id = inj.next_launch();
-        let emit = |f: Fault| crate::resilient::emit_fault_event(&f, layer);
-
-        // Stage 0 precondition: the bitstream must be resident.
-        if !retry_stage(inj, retry, FaultSite::BitstreamLoad, launch_id, emit) {
-            return Ok(None);
-        }
-
-        // Pack stage (no fault site: host memory).
+    ) -> Result<Option<Staged>, ShapeError> {
+        let shape = shape_of(a, b)?;
         let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
         let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
-        let mut times = self.stage_times(a, b, cfg, missed_bytes(&fa) + missed_bytes(&fb));
+        // What the pack stage actually produced: zero on full cache
+        // hits — resident images are already device-side, so the
+        // transfer stage moves nothing either. Compute and the result
+        // stream-back are the eager simulator's closed-form stages.
+        let missed = |f: &FetchedOperand| if f.hit { 0 } else { f.image_bytes };
+        let packed_bytes = missed(&fa) + missed(&fb);
+        let bits = cfg.quant_a.format().bit_width();
+        let (_, compute_s, unpack_s) = self.accelerator.stage_timing(shape, bits);
+        let mut times = StageTimes {
+            pack_s: packed_bytes as f64 / (HOST_PACK_GBPS * 1.0e9),
+            transfer_s: packed_bytes as f64 / PCIE_ACHIEVED_BPS,
+            compute_s,
+            unpack_s,
+        };
 
-        // Transfer stage: each faulted attempt corrupts the in-flight
-        // image, the CRC catches it, and the same operand is re-sent —
-        // the pack stage does not run again. This closure is the one
-        // place outside tests where the packed words + CRC are built.
-        let mut transfer_replays = 0u32;
+        // A faulted transfer re-sends the resident operand: this
+        // closure is the one place outside tests where the packed
+        // words + CRC are built, and the pack stage never runs again.
         let cache = &mut self.cache;
-        if !retry_stage(inj, retry, FaultSite::HbmCorruption, launch_id, |f| {
-            if let Some(mut in_flight) = cache.image_of(a, &cfg.quant_a) {
-                let (byte, mask) = inj.corruption(in_flight.byte_size(), launch_id);
-                in_flight.corrupt_byte(byte, mask);
-                assert!(
-                    in_flight.unpack().is_err(),
-                    "CRC-32 must catch a corrupted transfer byte"
-                );
-            }
-            emit(f);
-            transfer_replays += 1;
-        }) {
+        let Some(replays) = pass_gates(inj, retry, layer, || cache.image_of(a, &cfg.quant_a))
+        else {
             return Ok(None);
-        }
-
-        // Compute stage: timeouts and transient launch faults re-run
-        // the kernel without touching the staged operands.
-        let mut compute_replays = 0u32;
-        for site in [FaultSite::LaunchTimeout, FaultSite::LaunchTransient] {
-            if !retry_stage(inj, retry, site, launch_id, |f| {
-                emit(f);
-                compute_replays += 1;
-            }) {
-                return Ok(None);
-            }
-        }
-
-        times.transfer_s *= 1.0 + transfer_replays as f64;
-        times.compute_s *= 1.0 + compute_replays as f64;
+        };
+        times.transfer_s *= 1.0 + replays.transfer as f64;
+        times.compute_s *= 1.0 + replays.compute as f64;
         self.account_launch(&times);
-        Ok(Some((fa.quantized, fb.quantized, times)))
+        Ok(Some(Staged {
+            aq: fa.quantized,
+            bq: fb.quantized,
+            times,
+            hits: fa.hit as u64 + fb.hit as u64,
+            packed_bytes,
+        }))
     }
 
-    /// Executes a batch of *independent* GEMMs with real host-side
-    /// overlap: compute runs on the persistent worker pool while this
-    /// thread packs the next launch's operands (double buffering,
-    /// depth 1 — the staged queue of the hardware design). Results
-    /// come back in order and are bit-identical to eager execution.
+    /// Executes a batch of *independent* GEMMs under the empty fault
+    /// plan with real host-side overlap (see
+    /// [`execute_batch_resilient`](Self::execute_batch_resilient)).
+    /// Results come back in order and are bit-identical to eager
+    /// execution.
     ///
     /// # Errors
     ///
@@ -498,28 +495,23 @@ impl PipelinedExecutor {
         &mut self,
         items: &[(&Tensor, &Tensor, QGemmConfig)],
     ) -> Result<Vec<Tensor>, ShapeError> {
-        let results = self.overlap_compute(items, |px, a, b, cfg| {
-            check_shapes(a, b)?;
-            let fa = px.cache.get_or_pack(a, &cfg.quant_a)?;
-            let fb = px.cache.get_or_pack(b, &cfg.quant_b)?;
-            let times = px.stage_times(a, b, cfg, missed_bytes(&fa) + missed_bytes(&fb));
-            px.account_launch(&times);
-            Ok(Some((fa.quantized, fb.quantized, times)))
-        })?;
+        let (inj, retry) = fault_free();
+        let results = self.execute_batch_resilient(&inj, &retry, items)?;
         Ok(results
             .into_iter()
-            .map(|r| r.expect("every launch reported"))
+            .map(|r| r.expect("the empty plan never degrades"))
             .collect())
     }
 
-    /// [`execute_batch`](Self::execute_batch) under fault injection:
-    /// the batched entry point the serving front-end's coalescer
-    /// drives. Each item runs the same per-stage gate sequence as
-    /// [`launch_resilient`](Self::launch_resilient) on the submitting
-    /// thread, then its compute stage goes to the worker pool with
-    /// the usual depth-1 double buffering. An item whose retry budget
-    /// is exhausted comes back as `None` — the caller degrades that
-    /// item (and only that item) to the bit-identical CPU path —
+    /// Executes a batch of *independent* GEMMs under `inj`'s fault
+    /// plan — the entry point the serving front-end's coalescer
+    /// drives. Each item is staged on this thread exactly as
+    /// [`launch_resilient`](Self::launch_resilient) stages it, then
+    /// its compute goes to the persistent worker pool while this
+    /// thread stages the next item (double buffering, depth 1 — the
+    /// staged queue of the hardware design). An item whose retry
+    /// budget is exhausted comes back as `None` — the caller degrades
+    /// that item (and only that item) to the bit-identical CPU path —
     /// while the rest of the batch proceeds.
     ///
     /// # Errors
@@ -533,28 +525,13 @@ impl PipelinedExecutor {
         items: &[(&Tensor, &Tensor, QGemmConfig)],
     ) -> Result<Vec<Option<Tensor>>, ShapeError> {
         for (a, b, _) in items {
-            check_shapes(a, b)?;
+            shape_of(a, b)?;
         }
-        self.overlap_compute(items, |px, a, b, cfg| {
-            px.stage_resilient(inj, retry, "fpga-batch", a, b, cfg)
-        })
-    }
-
-    /// The double-buffered batch loop: `stage` runs each item's host
-    /// side (pack, gates, accounting) on this thread — overlapping
-    /// the previous item's compute on the worker pool — and an item
-    /// it degrades keeps a `None` result. At most one compute is in
-    /// flight.
-    fn overlap_compute(
-        &mut self,
-        items: &[(&Tensor, &Tensor, QGemmConfig)],
-        mut stage: impl FnMut(&mut Self, &Tensor, &Tensor, &QGemmConfig) -> Staged,
-    ) -> Result<Vec<Option<Tensor>>, ShapeError> {
         let mut results: Vec<Option<Tensor>> = (0..items.len()).map(|_| None).collect();
         let (tx, rx) = mpsc::channel::<(usize, Tensor)>();
         let mut in_flight = 0usize;
         for (i, (a, b, cfg)) in items.iter().enumerate() {
-            let Some((aq, bq, _)) = stage(self, a, b, cfg)? else {
+            let Some(staged) = self.stage(inj, retry, "fpga-batch", a, b, cfg)? else {
                 continue;
             };
             if in_flight > 0 {
@@ -565,7 +542,7 @@ impl PipelinedExecutor {
             let (acc, cfg, tx) = (self.accelerator.clone(), *cfg, tx.clone());
             pool_execute(move || {
                 let out = acc
-                    .execute_quantized(&aq, &bq, &cfg)
+                    .execute_quantized(&staged.aq, &staged.bq, &cfg)
                     .expect("shapes checked before submit")
                     .0;
                 let _ = tx.send((i, out));
@@ -580,71 +557,24 @@ impl PipelinedExecutor {
         }
         Ok(results)
     }
-
-    /// Models the four stage durations of one launch. `packed_bytes`
-    /// is what the pack stage actually produced (zero on full cache
-    /// hits — resident images are already device-side, so the
-    /// transfer stage moves nothing either); compute and the result
-    /// stream-back are the eager simulator's closed-form stages.
-    fn stage_times(
-        &self,
-        a: &Tensor,
-        b: &Tensor,
-        cfg: &QGemmConfig,
-        packed_bytes: usize,
-    ) -> StageTimes {
-        let shape = shape_of(a, b).expect("shapes pre-checked");
-        let bits = cfg.quant_a.format().bit_width();
-        let (_, compute_s, unpack_s) = self.accelerator.stage_timing(shape, bits);
-        StageTimes {
-            pack_s: packed_bytes as f64 / (HOST_PACK_GBPS * 1.0e9),
-            transfer_s: packed_bytes as f64 / PCIE_ACHIEVED_BPS,
-            compute_s,
-            unpack_s,
-        }
-    }
 }
 
 /// What staging one launch on the host yields: the quantized operands
-/// to compute and the accounted stage times, or `None` when a stage
-/// exhausted its retry budget and the launch degrades.
-type Staged = Result<Option<(Arc<Tensor>, Arc<Tensor>, StageTimes)>, ShapeError>;
-
-/// Runs one fault site's retry loop for a stage. Returns `false` when
-/// the budget is exhausted (`on_fault` has run once per fault). The
-/// backoff uses the policy's jittered schedule on the launch id's
-/// stream — exact backoff when jitter is unarmed, decorrelated sleeps
-/// across concurrent launches when it is.
-fn retry_stage(
-    inj: &Injector,
-    retry: &RetryPolicy,
-    site: FaultSite,
-    launch: u64,
-    mut on_fault: impl FnMut(Fault),
-) -> bool {
-    for attempt in 0..retry.max_attempts {
-        match inj.check(site, launch, attempt) {
-            None => return true,
-            Some(fault) => {
-                on_fault(fault);
-                retry.sleep_jittered(attempt, launch);
-            }
-        }
-    }
-    false
+/// to compute, the accounted stage times, and what the pack stage did.
+struct Staged {
+    aq: Arc<Tensor>,
+    bq: Arc<Tensor>,
+    times: StageTimes,
+    /// Operands (of two) that were already resident.
+    hits: u64,
+    /// Bytes the pack stage produced (zero on a full hit).
+    packed_bytes: usize,
 }
 
-/// Bytes the pack stage produced for one operand (zero on a hit).
-fn missed_bytes(f: &crate::cache::FetchedOperand) -> usize {
-    if f.hit {
-        0
-    } else {
-        f.image_bytes
-    }
-}
-
-fn check_shapes(a: &Tensor, b: &Tensor) -> Result<(), ShapeError> {
-    shape_of(a, b).map(|_| ())
+/// The injector and policy of the fault-free launch forms: fault-free
+/// is the empty plan, whose gates never fire, so the policy is moot.
+fn fault_free() -> (Injector, RetryPolicy) {
+    (Injector::new(FaultPlan::new(0)), RetryPolicy::no_delay(1))
 }
 
 fn shape_of(a: &Tensor, b: &Tensor) -> Result<GemmShape, ShapeError> {
@@ -657,6 +587,7 @@ mod tests {
     use crate::cache::DEFAULT_CACHE_BUDGET;
     use crate::config::SaConfig;
     use mpt_arith::qgemm;
+    use mpt_faults::{FaultSite, Trigger};
 
     fn acc() -> Accelerator {
         Accelerator::new(SaConfig::new(4, 4, 2).unwrap(), 300.0)
@@ -807,7 +738,6 @@ mod tests {
 
     #[test]
     fn execute_batch_resilient_matches_eager_and_degrades_per_item() {
-        use mpt_faults::{FaultPlan, Trigger};
         // Launch 3 of 5 is sticky-faulted: only that item degrades.
         let inj = Injector::new(
             FaultPlan::new(2).with(FaultSite::LaunchTransient, Trigger::StickyAtLaunch(3)),
@@ -832,7 +762,7 @@ mod tests {
 
     #[test]
     fn execute_batch_resilient_fault_free_is_bit_identical() {
-        let inj = Injector::new(mpt_faults::FaultPlan::new(0));
+        let inj = Injector::new(FaultPlan::new(0));
         let retry = RetryPolicy::no_delay(3);
         let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
         let cfg = QGemmConfig::fp8_fp12_sr().with_seed(9);
@@ -850,7 +780,6 @@ mod tests {
 
     #[test]
     fn stage_fault_replays_stage_not_pack() {
-        use mpt_faults::{FaultPlan, Trigger};
         let inj =
             Injector::new(FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(2)));
         let retry = RetryPolicy::no_delay(3);
@@ -884,7 +813,6 @@ mod tests {
 
     #[test]
     fn images_are_built_only_when_a_transfer_faults() {
-        use mpt_faults::{FaultPlan, Trigger};
         let retry = RetryPolicy::no_delay(3);
         let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
         let pairs: Vec<(Tensor, Tensor)> = (0..4).map(|i| operands(8 + i, 16, 6)).collect();
@@ -924,18 +852,47 @@ mod tests {
             assert_eq!(inj.injected_at(FaultSite::HbmCorruption), want_images);
             assert_eq!(stats.packs, 5, "4 activations + 1 shared weight");
         }
-        // The fault-free entry points never look at an image at all.
-        let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
-        for (a, b) in &pairs {
-            px.launch(a, b, &cfg).unwrap();
+    }
+
+    /// Fault-free is the empty plan: `launch` / `execute_batch` and
+    /// the armed forms under an empty `FaultPlan` agree on everything
+    /// observable, on cold operands (round 0) and warm ones.
+    #[test]
+    fn empty_plan_is_what_launch_does() {
+        let retry = RetryPolicy::no_delay(3);
+        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
+        let pairs: Vec<(Tensor, Tensor)> = (0..4).map(|i| operands(8 + i, 16, 6)).collect();
+        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
+            pairs.iter().map(|(a, b)| (a, b, cfg)).collect();
+        let inj = Injector::new(FaultPlan::new(7));
+        let mut plain = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
+        let mut armed = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
+        for round in 0..2 {
+            for (a, b) in &pairs {
+                let want = plain.launch(a, b, &cfg).unwrap();
+                let got = armed.launch_resilient(&inj, &retry, a, b, &cfg).unwrap();
+                assert_eq!(got, Some(want), "output or stage times, round {round}");
+            }
+            let want = plain.execute_batch(&items).unwrap();
+            let got = armed.execute_batch_resilient(&inj, &retry, &items).unwrap();
+            assert_eq!(got, want.into_iter().map(Some).collect::<Vec<_>>());
+            assert_eq!(armed.cache_stats(), plain.cache_stats(), "round {round}");
+            assert_eq!(armed.pipelined_elapsed_s(), plain.pipelined_elapsed_s());
+            assert_eq!(armed.eager_elapsed_s(), plain.eager_elapsed_s());
+            assert_eq!(armed.stage_busy_s(), plain.stage_busy_s());
         }
-        px.execute_batch(&items).unwrap();
-        assert_eq!(px.cache_stats().images_built, 0);
+        let stats = plain.cache_stats();
+        assert_eq!(
+            (stats.packs, stats.hits),
+            (5, 27),
+            "16 launches, 5 operands"
+        );
+        assert_eq!(stats.images_built, 0, "no fault, no image");
+        assert_eq!((inj.launch_count(), inj.injected_count()), (16, 0));
     }
 
     #[test]
     fn exhausted_stage_budget_degrades() {
-        use mpt_faults::{FaultPlan, Trigger};
         let inj = Injector::new(
             FaultPlan::new(1).with(FaultSite::LaunchTimeout, Trigger::StickyAtLaunch(1)),
         );
@@ -950,7 +907,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_not_retried() {
-        let inj = Injector::new(mpt_faults::FaultPlan::new(0));
+        let inj = Injector::new(FaultPlan::new(0));
         let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
         let a = Tensor::zeros(vec![3, 4]);
         let b = Tensor::zeros(vec![5, 2]);

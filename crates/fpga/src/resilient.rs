@@ -1,189 +1,209 @@
-//! Fault-tolerant launch orchestration: retry with exponential
-//! backoff, then graceful degradation.
+//! The fault-recovery policy: per-site retry gates, then graceful
+//! degradation. This module is the only place that knows it.
 //!
-//! One function, [`resilient_execute`], is the recovery loop shared
-//! by [`FpgaBackend`](crate::FpgaBackend) and `mpt_core::Device`:
-//! each launch consults the armed [`Injector`] at every fault site
-//! (bitstream load, HBM transfer, kernel launch), retries under a
-//! [`RetryPolicy`], and — when the budget is exhausted — tells the
-//! caller to degrade to the bit-identical CPU emulation path. Because
-//! every execution path produces the same bits, recovery never
-//! perturbs training: a faulted run must reproduce the fault-free
-//! golden weight digest (enforced by the conformance chaos suite).
+//! Every launch — eager or pipelined, single or batched, armed or not
+//! — claims its id from its wrapper's [`Injector`] and walks one gate
+//! sequence (`pass_gates`) in launch order: bitstream load → HBM
+//! transfer → launch timeout → transient launch error. Each site has
+//! its own [`RetryPolicy`] budget, so a fault at one never masks or
+//! spends the attempts of another. Fault-free is no separate route: it
+//! is the empty [`FaultPlan`](mpt_faults::FaultPlan), whose gates cost
+//! four [`Trigger::Never`](mpt_faults::Trigger::Never) reads.
 //!
-//! The HBM site is modeled concretely: the quantized `A` operand is
-//! packed into a CRC-checked [`HbmImage`], the
-//! injector corrupts one byte "in flight", and the CRC verification
-//! on arrival must catch it — re-sending on the next attempt.
+//! The HBM site is modeled concretely, but only when it fires: the
+//! caller's closure yields the image that was in flight (the eager
+//! path quantizes and packs `A` on the spot, the pipelined path takes
+//! it from the operand cache), the injector flips one byte, and the
+//! CRC-32 check on arrival must catch it before the operand is
+//! re-sent. An operand with no dense image (block FP, `NoRound`, f32
+//! supersets) still faults, is tallied and is re-sent — there is just
+//! nothing to corrupt.
+//!
+//! A site that burns its whole budget sends the launch to [`degrade`],
+//! the bit-identical CPU emulation kernel. Every path produces the
+//! same bits, so recovery never perturbs training: a faulted run must
+//! reproduce the fault-free golden weight digest (enforced by the
+//! conformance chaos suite).
 
+use crate::cache::packable;
 use crate::hbm::HbmImage;
-use mpt_arith::{quantize_matrix, QGemmConfig};
-use mpt_faults::{Fault, FaultSite, Injector, RetryPolicy, Trigger};
-use mpt_formats::NumberFormat;
+use mpt_arith::{default_threads, gemm_span, qgemm_parallel, quantize_matrix, QGemmConfig};
+use mpt_faults::{Fault, FaultSite, Injector, RetryPolicy};
+use mpt_formats::Quantizer;
+use mpt_telemetry::json::Field;
 use mpt_tensor::{ShapeError, Tensor};
 
-/// Runs `launch` with fault injection, retry and backoff.
+/// The gated sites, in the order a launch meets them.
+const GATES: [FaultSite; 4] = [
+    FaultSite::BitstreamLoad,
+    FaultSite::HbmCorruption,
+    FaultSite::LaunchTimeout,
+    FaultSite::LaunchTransient,
+];
+
+/// Extra passes a launch's replayable stages took to clear their
+/// gates; the pipelined accounting charges each one its stage time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Replays {
+    /// HBM transfers re-sent after a CRC-caught corruption.
+    pub transfer: u32,
+    /// Kernels re-run after a timeout or transient launch error.
+    pub compute: u32,
+}
+
+/// Claims the next launch id from `inj` and walks it through
+/// [`GATES`]. At each site the attempts run until one comes back
+/// clean; a faulted attempt emits its `fault` event (labelled
+/// `layer`), backs off on the launch id's jitter stream, and — at the
+/// HBM site — corrupts and CRC-checks the image `in_flight` yields.
 ///
-/// Returns `Ok(Some(result))` when an attempt succeeds,
-/// `Ok(None)` when the retry budget is exhausted and the caller must
-/// fall back to CPU emulation (the `fault` telemetry events have
-/// already been emitted; the caller emits its `fallback` event), or
-/// `Err` for real shape errors, which are never retried.
-pub fn resilient_execute<T>(
+/// Returns the replays to charge, or `None` when some site faulted on
+/// all `retry.max_attempts` attempts and the launch must [`degrade`].
+pub(crate) fn pass_gates(
     inj: &Injector,
     retry: &RetryPolicy,
     layer: &'static str,
-    a: &Tensor,
-    cfg: &QGemmConfig,
-    launch: impl Fn() -> Result<T, ShapeError>,
-) -> Result<Option<T>, ShapeError> {
-    let launch_id = inj.next_launch();
-    for attempt in 0..retry.max_attempts {
-        match fault_at(inj, launch_id, attempt, a, cfg) {
-            None => return launch().map(Some),
-            Some(fault) => {
-                emit_fault_event(&fault, layer);
-                retry.sleep(attempt);
+    mut in_flight: impl FnMut() -> Option<HbmImage>,
+) -> Option<Replays> {
+    let launch = inj.next_launch();
+    let mut replays = Replays::default();
+    for site in GATES {
+        let cleared = (0..retry.max_attempts).any(|attempt| {
+            let Some(fault) = inj.check(site, launch, attempt) else {
+                return true;
+            };
+            emit_fault_event(&fault, layer);
+            match site {
+                FaultSite::HbmCorruption => {
+                    if let Some(image) = in_flight() {
+                        assert_crc_catches(inj, launch, image);
+                    }
+                    replays.transfer += 1;
+                }
+                FaultSite::LaunchTimeout | FaultSite::LaunchTransient => replays.compute += 1,
+                _ => {}
             }
+            retry.sleep_jittered(attempt, launch);
+            false
+        });
+        if !cleared {
+            return None;
         }
     }
-    Ok(None)
+    Some(replays)
 }
 
-/// The first fault (if any) the plan injects at this attempt, walking
-/// the sites in launch order: bitstream load, HBM transfer, kernel
-/// launch.
-fn fault_at(
-    inj: &Injector,
-    launch: u64,
-    attempt: u32,
-    a: &Tensor,
-    cfg: &QGemmConfig,
-) -> Option<Fault> {
-    if let Some(f) = inj.check(FaultSite::BitstreamLoad, launch, attempt) {
-        return Some(f);
-    }
-    if let Some(f) = hbm_transfer(inj, launch, attempt, a, cfg) {
-        return Some(f);
-    }
-    if let Some(f) = inj.check(FaultSite::LaunchTimeout, launch, attempt) {
-        return Some(f);
-    }
-    inj.check(FaultSite::LaunchTransient, launch, attempt)
+/// Flips one byte of `image` at the plan's deterministic position for
+/// `launch` and checks the transfer the way the device does: the
+/// CRC-32 verification on arrival has to reject it.
+fn assert_crc_catches(inj: &Injector, launch: u64, mut image: HbmImage) {
+    let (byte, mask) = inj.corruption(image.byte_size(), launch);
+    image.corrupt_byte(byte, mask);
+    assert!(
+        image.unpack().is_err(),
+        "CRC-32 must catch a corrupted transfer byte"
+    );
 }
 
-/// Models the HBM transfer of the quantized `A` operand through a
-/// CRC-checked image. Only materialized when the plan can fire the
-/// `HbmCorruption` site (the transfer itself is a host-side identity,
-/// so skipping it fault-free changes nothing).
-fn hbm_transfer(
-    inj: &Injector,
+/// The image an eager launch has in flight for `t`: quantized and
+/// packed from scratch, since the eager path keeps nothing resident.
+/// `None` where no dense image exists (see [`packable`]) or `t` is not
+/// a matrix — the launch itself reports that.
+pub(crate) fn fresh_image(t: &Tensor, q: &Quantizer) -> Option<HbmImage> {
+    if !packable(q) || t.as_matrix().is_err() {
+        return None;
+    }
+    HbmImage::pack(&quantize_matrix(t, q, 0, 0), q.format()).ok()
+}
+
+/// Graceful degradation, the one way a GEMM leaves the FPGA path: the
+/// `fallback` event and counter, a `gemm:fallback` span, and the
+/// bit-identical CPU emulation kernel. `launch` is the id that gave
+/// up after `attempts` tries per site (`0` attempts: it never reached
+/// the device — the serving breaker's bypass). No hardware time is
+/// accounted.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] for non-conforming operands.
+pub fn degrade(
+    layer: &'static str,
     launch: u64,
-    attempt: u32,
+    attempts: u32,
     a: &Tensor,
+    b: &Tensor,
     cfg: &QGemmConfig,
-) -> Option<Fault> {
-    if matches!(inj.plan().trigger(FaultSite::HbmCorruption), Trigger::Never) {
-        return None;
+) -> Result<Tensor, ShapeError> {
+    if mpt_telemetry::enabled() {
+        mpt_telemetry::event(&[
+            Field::Str("type", "fallback"),
+            Field::Str("layer", layer),
+            Field::U64("launch", launch),
+            Field::U64("attempts", attempts as u64),
+        ]);
+        mpt_telemetry::counter("fault.fallback").incr();
     }
-    // Non-matrix operands and block formats (out-of-band exponent
-    // packing) fail in the launch itself; nothing to transfer here.
-    if a.as_matrix().is_err() {
-        return None;
-    }
-    let fmt = cfg.quant_a.format();
-    if matches!(fmt, NumberFormat::BlockFp(_)) {
-        return None;
-    }
-    let aq = quantize_matrix(a, &cfg.quant_a, 0, 0);
-    let mut img = HbmImage::pack(&aq, fmt).expect("quantized operand is a matrix");
-    match inj.check(FaultSite::HbmCorruption, launch, attempt) {
-        Some(fault) => {
-            let (byte, mask) = inj.corruption(img.byte_size(), launch);
-            img.corrupt_byte(byte, mask);
-            assert!(
-                img.unpack().is_err(),
-                "CRC-32 must catch a corrupted transfer byte"
-            );
-            Some(fault)
-        }
-        None => {
-            img.verify().expect("uncorrupted image verifies");
-            None
-        }
-    }
+    let threads = default_threads();
+    let _span = gemm_span("gemm:fallback", a, b, cfg, threads as u64);
+    qgemm_parallel(a, b, cfg, threads)
 }
 
 /// Emits the `fault` telemetry event and counter for one injected
 /// fault. No-op when telemetry is disabled.
-pub fn emit_fault_event(fault: &Fault, layer: &'static str) {
+fn emit_fault_event(fault: &Fault, layer: &'static str) {
     if !mpt_telemetry::enabled() {
         return;
     }
     mpt_telemetry::event(&[
-        mpt_telemetry::json::Field::Str("type", "fault"),
-        mpt_telemetry::json::Field::Str("layer", layer),
-        mpt_telemetry::json::Field::Str("site", fault.site.name()),
-        mpt_telemetry::json::Field::U64("launch", fault.launch),
-        mpt_telemetry::json::Field::U64("attempt", fault.attempt as u64),
+        Field::Str("type", "fault"),
+        Field::Str("layer", layer),
+        Field::Str("site", fault.site.name()),
+        Field::U64("launch", fault.launch),
+        Field::U64("attempt", fault.attempt as u64),
     ]);
     mpt_telemetry::counter(&format!("fault.injected.{}", fault.site.name())).incr();
-}
-
-/// Emits the `fallback` telemetry event and counter when a launch
-/// degrades to the CPU path. No-op when telemetry is disabled.
-pub fn emit_fallback_event(layer: &'static str, launch: u64, attempts: u32) {
-    if !mpt_telemetry::enabled() {
-        return;
-    }
-    mpt_telemetry::event(&[
-        mpt_telemetry::json::Field::Str("type", "fallback"),
-        mpt_telemetry::json::Field::Str("layer", layer),
-        mpt_telemetry::json::Field::U64("launch", launch),
-        mpt_telemetry::json::Field::U64("attempts", attempts as u64),
-    ]);
-    mpt_telemetry::counter("fault.fallback").incr();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpt_faults::FaultPlan;
+    use mpt_faults::{FaultPlan, Trigger};
+    use std::cell::Cell;
 
-    fn operands() -> (Tensor, Tensor) {
-        (
-            Tensor::from_fn(vec![5, 7], |i| ((i * 13 % 17) as f32 - 8.0) * 0.1),
-            Tensor::from_fn(vec![7, 3], |i| ((i * 11 % 13) as f32 - 6.0) * 0.1),
-        )
+    fn operand() -> Tensor {
+        Tensor::from_fn(vec![5, 7], |i| ((i * 13 % 17) as f32 - 8.0) * 0.1)
+    }
+
+    /// Runs one launch's gates under `inj` with the eager in-flight
+    /// closure; returns the outcome and how many images were built.
+    fn gate(inj: &Injector, attempts: u32) -> (Option<Replays>, u32) {
+        let a = operand();
+        let q = QGemmConfig::fp8_fp12_sr().quant_a;
+        let built = Cell::new(0);
+        let out = pass_gates(inj, &RetryPolicy::no_delay(attempts), "test", || {
+            built.set(built.get() + 1);
+            fresh_image(&a, &q)
+        });
+        (out, built.get())
     }
 
     #[test]
     fn fault_free_plan_launches_first_try() {
         let inj = Injector::new(FaultPlan::new(0));
-        let (a, b) = operands();
-        let cfg = QGemmConfig::fp8_fp12_sr();
-        let calls = std::cell::Cell::new(0u32);
-        let out = resilient_execute(&inj, &RetryPolicy::no_delay(3), "test", &a, &cfg, || {
-            calls.set(calls.get() + 1);
-            mpt_arith::qgemm(&a, &b, &cfg)
-        })
-        .unwrap();
-        assert!(out.is_some());
-        assert_eq!(calls.get(), 1);
+        assert_eq!(gate(&inj, 3), (Some(Replays::default()), 0));
         assert_eq!(inj.injected_count(), 0);
+        assert_eq!(inj.launch_count(), 1);
     }
 
     #[test]
     fn transient_fault_recovers_on_retry() {
         let inj =
             Injector::new(FaultPlan::new(1).with(FaultSite::LaunchTransient, Trigger::EveryNth(1)));
-        let (a, b) = operands();
-        let cfg = QGemmConfig::fp8_fp12_sr();
-        let out = resilient_execute(&inj, &RetryPolicy::no_delay(3), "test", &a, &cfg, || {
-            mpt_arith::qgemm(&a, &b, &cfg)
-        })
-        .unwrap();
-        assert!(out.is_some(), "retry must recover a first-attempt fault");
+        let (out, _) = gate(&inj, 3);
+        assert_eq!(
+            out.expect("retry recovers a first-attempt fault").compute,
+            1
+        );
         assert_eq!(inj.injected_at(FaultSite::LaunchTransient), 1);
     }
 
@@ -192,42 +212,56 @@ mod tests {
         let inj = Injector::new(
             FaultPlan::new(1).with(FaultSite::LaunchTimeout, Trigger::StickyAtLaunch(1)),
         );
-        let (a, b) = operands();
-        let cfg = QGemmConfig::fp8_fp12_sr();
-        let out = resilient_execute(&inj, &RetryPolicy::no_delay(3), "test", &a, &cfg, || {
-            mpt_arith::qgemm(&a, &b, &cfg)
-        })
-        .unwrap();
-        assert!(out.is_none(), "sticky fault must force CPU fallback");
+        assert!(gate(&inj, 3).0.is_none(), "sticky fault must degrade");
         assert_eq!(inj.injected_at(FaultSite::LaunchTimeout), 3);
     }
 
     #[test]
     fn hbm_corruption_is_caught_and_retried() {
+        // Armed from launch 1 but firing only at launch 2: the image
+        // is built for the faulted attempt alone, never to "verify" a
+        // clean transfer.
         let inj =
-            Injector::new(FaultPlan::new(2).with(FaultSite::HbmCorruption, Trigger::AtLaunch(1)));
-        let (a, b) = operands();
-        let cfg = QGemmConfig::fp8_fp12_sr();
-        let out = resilient_execute(&inj, &RetryPolicy::no_delay(3), "test", &a, &cfg, || {
-            mpt_arith::qgemm(&a, &b, &cfg)
-        })
-        .unwrap();
-        assert!(out.is_some(), "re-sent transfer must succeed");
+            Injector::new(FaultPlan::new(2).with(FaultSite::HbmCorruption, Trigger::AtLaunch(2)));
+        assert_eq!(gate(&inj, 3), (Some(Replays::default()), 0));
+        let (out, built) = gate(&inj, 3);
+        assert_eq!(out.expect("re-sent transfer succeeds").transfer, 1);
+        assert_eq!(built, 1, "one image per corrupted transfer");
         assert_eq!(inj.injected_at(FaultSite::HbmCorruption), 1);
     }
 
     #[test]
+    fn each_site_has_its_own_budget() {
+        // Coincident faults at every site of one launch: with two
+        // attempts per *site* all four retry clean; a shared budget
+        // would have been spent by the second gate.
+        let plan = GATES
+            .iter()
+            .fold(FaultPlan::new(3), |p, &s| p.with(s, Trigger::AtLaunch(1)));
+        let inj = Injector::new(plan);
+        let (out, _) = gate(&inj, 2);
+        assert_eq!(
+            out,
+            Some(Replays {
+                transfer: 1,
+                compute: 2
+            })
+        );
+        assert_eq!(inj.injected_count(), 4);
+    }
+
+    #[test]
     fn shape_errors_are_not_retried() {
-        let inj = Injector::new(FaultPlan::new(0));
+        // `degrade` surfaces a real error instead of absorbing it.
         let a = Tensor::zeros(vec![3, 4]);
         let b = Tensor::zeros(vec![5, 2]);
-        let cfg = QGemmConfig::fp32();
-        let calls = std::cell::Cell::new(0u32);
-        let res = resilient_execute(&inj, &RetryPolicy::no_delay(5), "test", &a, &cfg, || {
-            calls.set(calls.get() + 1);
-            mpt_arith::qgemm(&a, &b, &cfg)
-        });
-        assert!(res.is_err());
-        assert_eq!(calls.get(), 1, "real errors must surface immediately");
+        assert!(degrade("test", 1, 3, &a, &b, &QGemmConfig::fp32()).is_err());
+        // And an operand without a dense image faults without one.
+        assert!(fresh_image(&a, &QGemmConfig::fp32().quant_a).is_none());
+        assert!(fresh_image(
+            &Tensor::zeros(vec![2, 3, 4]),
+            &QGemmConfig::fp8_fp12_sr().quant_a
+        )
+        .is_none());
     }
 }

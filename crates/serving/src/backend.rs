@@ -1,7 +1,8 @@
 //! A [`GemmBackend`] adapter: the trainer as one more client.
 //!
 //! Wrapping a [`ServeHandle`](crate::ServeHandle) in a
-//! [`ServingBackend`] and handing it to `Device::custom` routes every
+//! [`ServingBackend`] and handing the trainer an
+//! `Rc<ServingBackend>` (`train_cnn_with_backend`) routes every
 //! trainer GEMM through the serving queue — admission control,
 //! coalescing against concurrent inference traffic, breaker and all —
 //! while the training result stays bit-identical to the direct
@@ -46,7 +47,7 @@ impl GemmBackend for ServingBackend {
             // no deadline, so these arms are unreachable; absorb them
             // defensively via the CPU path rather than panicking.
             ServeResult::Rejected { .. } | ServeResult::DeadlineExceeded => {
-                mpt_arith::qgemm_parallel(a, b, cfg, mpt_arith::default_threads())
+                mpt_fpga::degrade("serving-client", 0, 0, a, b, cfg)
             }
             ServeResult::Failed(e) => Err(e),
         }

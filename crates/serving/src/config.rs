@@ -1,4 +1,4 @@
-//! Service tuning knobs and their `MPT_SERVE_*` environment bindings.
+//! Service tuning knobs.
 
 use mpt_faults::RetryPolicy;
 
@@ -7,40 +7,19 @@ use mpt_faults::RetryPolicy;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bound on the admission queue; a submit past it is rejected
-    /// with an explicit retry-after (`MPT_SERVE_QUEUE_CAP`).
+    /// with an explicit retry-after.
     pub queue_cap: usize,
     /// Most requests drained (and thus coalesced) per dispatcher
-    /// round (`MPT_SERVE_BATCH_MAX`).
+    /// round.
     pub batch_max: usize,
     /// Consecutive FPGA retry-budget exhaustions that trip the
-    /// circuit breaker (`MPT_SERVE_BREAKER_THRESHOLD`).
+    /// circuit breaker.
     pub breaker_threshold: u32,
     /// Requests served on the CPU bypass while open before the
-    /// half-open probe (`MPT_SERVE_BREAKER_COOLDOWN`).
+    /// half-open probe.
     pub breaker_cooldown: u32,
-    /// Per-stage retry policy used by the resilient launch path.
+    /// Per-site retry policy of the batched launches.
     pub retry: RetryPolicy,
-}
-
-impl ServeConfig {
-    /// Starts from defaults and applies any `MPT_SERVE_*` overrides
-    /// present in the environment. Unparsable values are ignored.
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Some(v) = env_usize("MPT_SERVE_QUEUE_CAP") {
-            cfg.queue_cap = v.max(1);
-        }
-        if let Some(v) = env_usize("MPT_SERVE_BATCH_MAX") {
-            cfg.batch_max = v.max(1);
-        }
-        if let Some(v) = env_usize("MPT_SERVE_BREAKER_THRESHOLD") {
-            cfg.breaker_threshold = v as u32;
-        }
-        if let Some(v) = env_usize("MPT_SERVE_BREAKER_COOLDOWN") {
-            cfg.breaker_cooldown = v as u32;
-        }
-        cfg
-    }
 }
 
 impl Default for ServeConfig {
@@ -59,10 +38,6 @@ impl Default for ServeConfig {
             retry: RetryPolicy::no_delay(3),
         }
     }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 #[cfg(test)]

@@ -15,15 +15,18 @@
 //!   ([`ServeResult::DeadlineExceeded`]); training traffic carries no
 //!   deadline and always completes.
 //! * **Circuit breaker** — consecutive FPGA retry-budget exhaustions
-//!   trip it ([`BreakerState::Open`]) and traffic routes to the
-//!   bit-identical `qgemm_parallel` CPU fallback; after a cooldown
+//!   trip it ([`BreakerState::Open`]) and traffic routes to
+//!   [`mpt_fpga::degrade`], the bit-identical CPU fallback every
+//!   exhausted launch in the stack takes; after a cooldown
 //!   (counted in bypassed requests, so chaos replays exactly) a
 //!   half-open probe tests recovery. Every transition is logged and
 //!   emitted as a `breaker_state` telemetry event.
 //! * **Dynamic coalescing** — same-shape / same-quantizer requests
 //!   drained in one round run as a single batched launch through
-//!   [`PipelinedExecutor::execute_batch_resilient`][ebr]; the group
-//!   key is exactly what the operand cache fingerprints.
+//!   [`PipelinedExecutor::execute_batch_resilient`][ebr] — always,
+//!   under the service's injector: a service started without one
+//!   holds the empty fault plan. The group key is exactly what the
+//!   operand cache fingerprints.
 //!
 //! Degradation is a latency statement, never a correctness one:
 //! every path (FPGA, retried FPGA, CPU fallback) produces the same
@@ -32,9 +35,9 @@
 //! service* against the single-device digest while inference clients
 //! inject concurrent chaos traffic.
 //!
-//! Knobs come from [`ServeConfig`] / `MPT_SERVE_*` environment
-//! variables; the `serve_chaos` bench bin drives N clients against
-//! an armed fault plan and emits `BENCH_serving.json`.
+//! Knobs are the fields of [`ServeConfig`]; the `serve_chaos` bench
+//! bin drives N clients against an armed fault plan and emits
+//! `BENCH_serving.json`.
 //!
 //! [ebr]: mpt_fpga::PipelinedExecutor::execute_batch_resilient
 //!

@@ -1,22 +1,23 @@
 //! The queue + dispatcher: admission control, coalescing, breaker.
 //!
-//! One dispatcher thread owns the [`PipelinedExecutor`], the armed
-//! [`Injector`] (if any), and the [`CircuitBreaker`]; clients only
-//! touch the bounded queue. Each round the dispatcher drains up to
-//! `batch_max` requests, expires the ones whose deadline passed,
-//! coalesces the rest by (shape, quantizer-config) key, and runs each
-//! group as one batched launch — through the FPGA path while the
-//! breaker allows it, straight to the bit-identical `qgemm_parallel`
-//! CPU fallback while it is open. Every response is bit-identical to
-//! eager execution regardless of the route taken; chaos only moves
-//! latency and the `degraded` flag.
+//! One dispatcher thread owns the [`PipelinedExecutor`], the
+//! [`Injector`] (the empty plan unless the service was started
+//! chaos-armed), and the [`CircuitBreaker`]; clients only touch the
+//! bounded queue. Each round the dispatcher drains up to `batch_max`
+//! requests, expires the ones whose deadline passed, coalesces the
+//! rest by (shape, quantizer-config) key, and runs each group as one
+//! batched launch — through the FPGA path while the breaker allows
+//! it, straight to [`degrade`] (the bit-identical CPU fallback) while
+//! it is open. Every response is bit-identical to eager execution
+//! regardless of the route taken; chaos only moves latency and the
+//! `degraded` flag.
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::config::ServeConfig;
 use crate::request::{GemmRequest, RequestClass, ServeResult};
-use mpt_arith::{default_threads, qgemm_parallel, QGemmConfig};
-use mpt_faults::{FaultSite, Injector};
-use mpt_fpga::PipelinedExecutor;
+use mpt_arith::QGemmConfig;
+use mpt_faults::{FaultPlan, FaultSite, Injector};
+use mpt_fpga::{degrade, PipelinedExecutor};
 use mpt_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -265,7 +266,8 @@ impl GemmService {
     /// Starts the dispatcher over `executor`, optionally chaos-armed
     /// with `injector` (moved onto the dispatcher thread — its
     /// schedule stays deterministic because only that thread draws
-    /// from it).
+    /// from it). `None` is the empty plan: the same dispatch path,
+    /// and no site ever fires.
     pub fn start(
         cfg: ServeConfig,
         executor: PipelinedExecutor,
@@ -280,10 +282,17 @@ impl GemmService {
             breaker_log: Mutex::new(Vec::new()),
             breaker_state: Mutex::new(BreakerState::Closed),
         });
-        let worker_shared = Arc::clone(&shared);
+        let dispatcher = Dispatcher {
+            shared: Arc::clone(&shared),
+            executor,
+            injector: injector.unwrap_or_else(|| Injector::new(FaultPlan::new(0))),
+            breaker: CircuitBreaker::new(shared.cfg.breaker_threshold, shared.cfg.breaker_cooldown),
+            drains: 0,
+            deadline_checks: 0,
+        };
         let dispatcher = std::thread::Builder::new()
             .name("mpt-serve-dispatch".into())
-            .spawn(move || dispatch_loop(worker_shared, executor, injector))
+            .spawn(move || dispatcher.run())
             .expect("spawn dispatcher");
         GemmService {
             shared,
@@ -321,230 +330,207 @@ impl Drop for GemmService {
     }
 }
 
-/// The dispatcher: drain → expire → coalesce → launch → respond.
-fn dispatch_loop(shared: Arc<Shared>, mut executor: PipelinedExecutor, injector: Option<Injector>) {
-    let mut breaker =
-        CircuitBreaker::new(shared.cfg.breaker_threshold, shared.cfg.breaker_cooldown);
+/// The dispatcher thread's state. Only this thread draws from the
+/// injector, which keeps the fault schedule deterministic.
+struct Dispatcher {
+    shared: Arc<Shared>,
+    executor: PipelinedExecutor,
+    injector: Injector,
+    breaker: CircuitBreaker,
     // Service-level injection sites draw on their own monotonic
     // counters so executor launch ids stay 1, 2, 3, … for launches.
-    let mut drains: u64 = 0;
-    let mut deadline_checks: u64 = 0;
-    loop {
-        let batch = {
-            let mut q = shared.queue.lock().unwrap();
-            while q.jobs.is_empty() && !q.shutdown {
-                q = shared.notify.wait(q).unwrap();
-            }
-            if q.jobs.is_empty() && q.shutdown {
-                return;
-            }
-            let n = q.jobs.len().min(shared.cfg.batch_max);
-            q.jobs.drain(..n).collect::<Vec<_>>()
-        };
-        let mut requests = Vec::new();
-        for job in batch {
-            match job {
-                Job::Gemm(r) => requests.push(*r),
-                Job::Flush(done) => {
-                    // Serve everything drained ahead of the boundary
-                    // first, then drain the clock.
-                    serve_round(
-                        &shared,
-                        &mut executor,
-                        injector.as_ref(),
-                        &mut breaker,
-                        &mut drains,
-                        &mut deadline_checks,
-                        std::mem::take(&mut requests),
-                    );
-                    executor.flush();
-                    let _ = done.send(());
-                }
-            }
-        }
-        serve_round(
-            &shared,
-            &mut executor,
-            injector.as_ref(),
-            &mut breaker,
-            &mut drains,
-            &mut deadline_checks,
-            requests,
-        );
-        let state = breaker.state();
-        *shared.breaker_state.lock().unwrap() = state;
-        *shared.breaker_log.lock().unwrap() = breaker.transitions().to_vec();
-    }
+    drains: u64,
+    deadline_checks: u64,
 }
 
-/// Serves one drained batch of GEMM requests.
-#[allow(clippy::too_many_arguments)]
-fn serve_round(
-    shared: &Shared,
-    executor: &mut PipelinedExecutor,
-    injector: Option<&Injector>,
-    breaker: &mut CircuitBreaker,
-    drains: &mut u64,
-    deadline_checks: &mut u64,
-    requests: Vec<GemmRequest>,
-) {
-    if requests.is_empty() {
-        return;
+impl Dispatcher {
+    /// The dispatch loop: drain → expire → coalesce → launch →
+    /// respond, until shutdown finds the queue empty.
+    fn run(mut self) {
+        loop {
+            let batch = {
+                let mut q = self.shared.queue.lock().unwrap();
+                while q.jobs.is_empty() && !q.shutdown {
+                    q = self.shared.notify.wait(q).unwrap();
+                }
+                if q.jobs.is_empty() && q.shutdown {
+                    return;
+                }
+                let n = q.jobs.len().min(self.shared.cfg.batch_max);
+                q.jobs.drain(..n).collect::<Vec<_>>()
+            };
+            let mut requests = Vec::new();
+            for job in batch {
+                match job {
+                    Job::Gemm(r) => requests.push(*r),
+                    Job::Flush(done) => {
+                        // Serve everything drained ahead of the
+                        // boundary first, then drain the clock.
+                        self.serve_round(std::mem::take(&mut requests));
+                        self.executor.flush();
+                        let _ = done.send(());
+                    }
+                }
+            }
+            self.serve_round(requests);
+            *self.shared.breaker_state.lock().unwrap() = self.breaker.state();
+            *self.shared.breaker_log.lock().unwrap() = self.breaker.transitions().to_vec();
+        }
     }
-    if mpt_telemetry::enabled() {
-        mpt_telemetry::gauge(QUEUE_DEPTH_GAUGE).add(-(requests.len() as i64));
-    }
-    *drains += 1;
 
-    // Injected load spike: the whole drained round is shed with a
-    // retry-after, exactly as if admission control had caught it.
-    if let Some(inj) = injector {
-        if inj.check(FaultSite::QueueOverload, *drains, 0).is_some() {
+    /// Serves one drained batch of GEMM requests.
+    fn serve_round(&mut self, requests: Vec<GemmRequest>) {
+        if requests.is_empty() {
+            return;
+        }
+        if mpt_telemetry::enabled() {
+            mpt_telemetry::gauge(QUEUE_DEPTH_GAUGE).add(-(requests.len() as i64));
+        }
+        self.drains += 1;
+
+        // Injected load spike: the whole drained round is shed with a
+        // retry-after, exactly as if admission control had caught it.
+        let overload = self
+            .injector
+            .check(FaultSite::QueueOverload, self.drains, 0);
+        if overload.is_some() {
             let depth = requests.len();
             for req in requests {
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 if mpt_telemetry::enabled() {
                     mpt_telemetry::counter("serve.rejected").incr();
                 }
                 let _ = req.resp.send(ServeResult::Rejected {
-                    retry_after: shared.retry_after(depth),
+                    retry_after: self.shared.retry_after(depth),
                 });
             }
             return;
         }
-    }
 
-    // Cooperative deadline cancellation: expire before launching.
-    let now = Instant::now();
-    let mut live: Vec<GemmRequest> = Vec::with_capacity(requests.len());
-    for req in requests {
-        let mut expired = req.deadline.is_some_and(|d| now >= d);
-        if !expired && req.deadline.is_some() {
-            if let Some(inj) = injector {
-                *deadline_checks += 1;
+        // Cooperative deadline cancellation: expire before launching.
+        let now = Instant::now();
+        let mut live: Vec<GemmRequest> = Vec::with_capacity(requests.len());
+        for req in requests {
+            let mut expired = req.deadline.is_some_and(|d| now >= d);
+            if !expired && req.deadline.is_some() {
+                self.deadline_checks += 1;
                 // Injected slow-client chaos — only requests that
                 // actually carry a deadline can expire.
-                expired = inj
-                    .check(FaultSite::DeadlineExceeded, *deadline_checks, 0)
+                expired = self
+                    .injector
+                    .check(FaultSite::DeadlineExceeded, self.deadline_checks, 0)
                     .is_some();
             }
-        }
-        if expired {
-            shared
-                .stats
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            if mpt_telemetry::enabled() {
-                mpt_telemetry::counter("serve.deadline_exceeded").incr();
-            }
-            let _ = req.resp.send(ServeResult::DeadlineExceeded);
-        } else {
-            live.push(req);
-        }
-    }
-
-    // Coalesce same-shape / same-quantizer requests into one batched
-    // launch each.
-    let mut groups: Vec<(String, Vec<GemmRequest>)> = Vec::new();
-    for req in live {
-        let key = req.coalesce_key();
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, g)) => g.push(req),
-            None => groups.push((key, vec![req])),
-        }
-    }
-
-    for (_, group) in groups {
-        serve_group(shared, executor, injector, breaker, group);
-    }
-}
-
-/// Runs one coalesced group as a batched launch and responds.
-fn serve_group(
-    shared: &Shared,
-    executor: &mut PipelinedExecutor,
-    injector: Option<&Injector>,
-    breaker: &mut CircuitBreaker,
-    group: Vec<GemmRequest>,
-) {
-    if group.len() > 1 {
-        shared
-            .stats
-            .coalesced
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
-        if mpt_telemetry::enabled() {
-            mpt_telemetry::counter("serve.coalesced").add(group.len() as u64);
-        }
-    }
-
-    let outputs: Vec<(Option<Tensor>, bool)> = if breaker.allows_fpga() {
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-            group.iter().map(|r| (&r.a, &r.b, r.cfg)).collect();
-        let launched = match injector {
-            Some(inj) => executor.execute_batch_resilient(inj, &shared.cfg.retry, &items),
-            None => executor
-                .execute_batch(&items)
-                .map(|outs| outs.into_iter().map(Some).collect()),
-        };
-        match launched {
-            Ok(outs) => outs
-                .into_iter()
-                .map(|o| {
-                    let degraded = o.is_none();
-                    if degraded {
-                        breaker.on_failure();
-                    } else {
-                        breaker.on_success();
-                    }
-                    (o, degraded)
-                })
-                .collect(),
-            Err(e) => {
-                // Shape errors fail the whole group (the key made
-                // shapes uniform, so one bad request is all of them).
-                for req in group {
-                    let _ = req.resp.send(ServeResult::Failed(e.clone()));
+            if expired {
+                let stats = &self.shared.stats;
+                stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                if mpt_telemetry::enabled() {
+                    mpt_telemetry::counter("serve.deadline_exceeded").incr();
                 }
-                return;
+                let _ = req.resp.send(ServeResult::DeadlineExceeded);
+            } else {
+                live.push(req);
             }
         }
-    } else {
-        // Breaker open: bypass the FPGA entirely.
-        (0..group.len())
-            .map(|_| {
-                breaker.on_bypass();
-                (None, true)
-            })
-            .collect()
-    };
 
-    for (req, (out, degraded)) in group.into_iter().zip(outputs) {
-        let out = match out {
-            Some(t) => t,
+        // Coalesce same-shape / same-quantizer requests into one
+        // batched launch each.
+        let mut groups: Vec<(String, Vec<GemmRequest>)> = Vec::new();
+        for req in live {
+            let key = req.coalesce_key();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, g)) => g.push(req),
+                None => groups.push((key, vec![req])),
+            }
+        }
+        for (_, group) in groups {
+            self.serve_group(group);
+        }
+    }
+
+    /// Runs one coalesced group as a batched launch and responds.
+    fn serve_group(&mut self, group: Vec<GemmRequest>) {
+        let stats = &self.shared.stats;
+        if group.len() > 1 {
+            stats
+                .coalesced
+                .fetch_add(group.len() as u64, Ordering::Relaxed);
+            if mpt_telemetry::enabled() {
+                mpt_telemetry::counter("serve.coalesced").add(group.len() as u64);
+            }
+        }
+
+        // Per request the FPGA result, or `None` where it degrades:
+        // its launch exhausted a retry budget, or — breaker open — the
+        // whole group bypasses the device.
+        let (injector, breaker) = (&self.injector, &mut self.breaker);
+        let retry = &self.shared.cfg.retry;
+        let launched = breaker.allows_fpga();
+        // Batch items claim consecutive launch ids, in order.
+        let first_launch = injector.launch_count() + 1;
+        let outputs = if launched {
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+            let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
+                group.iter().map(|r| (&r.a, &r.b, r.cfg)).collect();
+            let outs = self
+                .executor
+                .execute_batch_resilient(injector, retry, &items);
+            match outs {
+                Ok(outs) => outs,
+                Err(e) => {
+                    // Shape errors fail the whole group (the key made
+                    // shapes uniform, so one bad request is all of them).
+                    for req in group {
+                        let _ = req.resp.send(ServeResult::Failed(e.clone()));
+                    }
+                    return;
+                }
+            }
+        } else {
+            group.iter().map(|_| None).collect()
+        };
+
+        for ((req, out), launch) in group.into_iter().zip(outputs).zip(first_launch..) {
+            let degraded = out.is_none();
+            let (a, b, cfg) = (&req.a, &req.b, &req.cfg);
             // Exhausted or bypassed: the bit-identical CPU path.
-            None => match qgemm_parallel(&req.a, &req.b, &req.cfg, default_threads()) {
+            let out = match out {
+                Some(t) => {
+                    breaker.on_success();
+                    Ok(t)
+                }
+                None if launched => {
+                    breaker.on_failure();
+                    degrade("serve", launch, retry.max_attempts, a, b, cfg)
+                }
+                // Never reached the device: no launch, no attempts.
+                None => {
+                    breaker.on_bypass();
+                    degrade("serve", injector.launch_count(), 0, a, b, cfg)
+                }
+            };
+            let out = match out {
                 Ok(t) => t,
                 Err(e) => {
                     let _ = req.resp.send(ServeResult::Failed(e));
                     continue;
                 }
-            },
-        };
-        let service_ns = req.enqueued.elapsed().as_nanos() as u64;
-        shared.observe_service_ns(service_ns);
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        if degraded {
-            shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-        }
-        if mpt_telemetry::enabled() {
-            mpt_telemetry::counter("serve.completed").incr();
+            };
+            let service_ns = req.enqueued.elapsed().as_nanos() as u64;
+            self.shared.observe_service_ns(service_ns);
+            stats.completed.fetch_add(1, Ordering::Relaxed);
             if degraded {
-                mpt_telemetry::counter("serve.degraded").incr();
+                stats.degraded.fetch_add(1, Ordering::Relaxed);
             }
-            mpt_telemetry::histogram(&format!("serve:latency:{}", req.class.name()))
-                .record(service_ns);
+            if mpt_telemetry::enabled() {
+                mpt_telemetry::counter("serve.completed").incr();
+                if degraded {
+                    mpt_telemetry::counter("serve.degraded").incr();
+                }
+                mpt_telemetry::histogram(&format!("serve:latency:{}", req.class.name()))
+                    .record(service_ns);
+            }
+            let _ = req.resp.send(ServeResult::Done { out, degraded });
         }
-        let _ = req.resp.send(ServeResult::Done { out, degraded });
     }
 }

@@ -7,18 +7,23 @@
 //! cargo run --release -p mpt-core --example train_on_fpga
 //! ```
 
+use mpt_core::Device;
 use mpt_data::synthetic_mnist;
-use mpt_fpga::{Accelerator, FpgaBackend, SaConfig, SynthesisDb};
+use mpt_fpga::SynthesisDb;
 use mpt_models::lenet5;
 use mpt_nn::{GemmPrecision, Graph, Layer, Optimizer, Sgd};
-use std::rc::Rc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let db = SynthesisDb::u55();
-    let cfg = SaConfig::new(8, 8, 4)?;
-    let freq = db.frequency(8, 8, 4).expect("synthesized");
-    let backend = Rc::new(FpgaBackend::new(Accelerator::new(cfg, freq)));
-    println!("training LeNet5 (FP8 x FP12-SR) on backend: {cfg} @ {freq} MHz\n");
+    // The paper's `device='fpga'`: the device hands the tape its GEMM
+    // backend and keeps a handle on the same object for the counters.
+    let device = Device::fpga(8, 8, 4, &SynthesisDb::u55())?;
+    let Device::Fpga(backend) = &device else {
+        unreachable!("Device::fpga builds an FPGA device")
+    };
+    println!(
+        "training LeNet5 (FP8 x FP12-SR) on backend: {}\n",
+        device.backend().label()
+    );
 
     let data = synthetic_mnist(64, 1);
     let model = lenet5(GemmPrecision::fp8_fp12_sr().with_seed(4), 9);
@@ -29,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for p in &params {
             p.zero_grad();
         }
-        let mut g = Graph::with_backend(true, backend.clone());
+        let mut g = Graph::with_backend(true, device.backend());
         let idx: Vec<usize> = (0..16).map(|i| (i + step * 16) % data.len()).collect();
         let (images, labels) = data.gather(&idx);
         let x = g.input(images);
