@@ -7,7 +7,7 @@
 //!
 //! | MAC configuration (`mul × acc`)               | stages                         | nest |
 //! |-----------------------------------------------|--------------------------------|------|
-//! | fused (`NR` mul) × float — every `E*M*` row of the paper | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_portable` / `gemm_avx2` |
+//! | fused (`NR` mul) × float — every `E*M*` row of the paper | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_portable` / `gemm_avx2` / `gemm_avx512` |
 //! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8`    | `FixedStage<M> × FixedStage<M>` | tier |
 //! | fused × fixed, unfused float × float | the matching lane stages | tier |
 //! | block FP at either stage, `NR` accumulator, unfused float × fixed or fixed × float, fixed point wider than 52 bits, floats as fine as `f64` | [`Quantizer`] (the scalar oracle) at both stages | [`gemm_scalar`] only |
@@ -16,13 +16,16 @@
 //! the observer; the last row is the scalar nest instantiated with
 //! the oracle stage, not a nest of its own.
 //!
-//! Every nest is `i / j-tile / k / j` ordered: for each output row, a
-//! `J_TILE`-wide chunk of the output and of each `B` row stays hot in
-//! L1 while the `k` reduction streams through, and every output
-//! element still accumulates over `k` in ascending order — the order
-//! the scalar reference uses, so results are bit-identical by
-//! construction (each element sees the same sequence of
-//! [`mac_round`] operations with the same event indices).
+//! The scalar, portable and AVX2 nests are `i / j-tile / k / j`
+//! ordered: for each output row, a `J_TILE`-wide chunk of the output
+//! and of each `B` row stays hot in L1 while the `k` reduction streams
+//! through. The AVX-512 nest is `j-strip / i / k`: a 32-column strip's
+//! accumulators live in registers for the whole reduction (see
+//! `simd_fused::avx512` for why). In all four every output element
+//! accumulates over `k` in ascending order — the order the scalar
+//! reference uses, so results are bit-identical by construction (each
+//! element sees the same sequence of [`mac_round`] operations with the
+//! same event indices).
 //!
 //! Zero skipping matches [`mac_step`](crate::mac_step)'s
 //! `product == 0` short-circuit exactly: a whole `A`-zero row of work
@@ -66,8 +69,8 @@ pub(crate) struct Gemm<'a> {
     pub(crate) b_all_finite: bool,
 }
 
-/// A stage every tier's nest can run (the AVX2 nest needs its vector
-/// form on top of [`Stage`]).
+/// A stage every tier's nest can run (the AVX2 and AVX-512 nests need
+/// its vector forms on top of [`Stage`]).
 #[cfg(target_arch = "x86_64")]
 pub(crate) trait LaneStage: crate::simd_fused::avx2::VecStage {}
 #[cfg(target_arch = "x86_64")]
@@ -190,7 +193,7 @@ pub(crate) fn gemm_into_tier(
         let mut mul_tally = mac.mul.telemetry_tally();
         let mut acc_tally = mac.acc.telemetry_tally();
         // Dispatch counter: which nest ran this GEMM
-        // (`kernel.tier.off|portable|avx2` for the lane stages,
+        // (`kernel.tier.off|portable|avx2|avx512` for the lane stages,
         // `kernel.tier.generic` for the scalar-oracle stages).
         let label = dispatch(gemm, mac, tier, &mut mul_tally, &mut acc_tally);
         mpt_telemetry::counter(&format!("kernel.tier.{label}")).incr();
@@ -241,8 +244,8 @@ fn dispatch<T: MacObserver>(
 }
 
 /// The existing tier switch, now over any stage pair. On non-x86_64
-/// hosts the `Avx2` tier (unreachable through `active_tier`, but
-/// expressible through the explicit-tier API) degrades to portable.
+/// hosts the vector tiers (unreachable through `active_tier`, but
+/// expressible through the explicit-tier API) degrade to portable.
 fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     gemm: Gemm<'_>,
     mul: &M,
@@ -261,6 +264,10 @@ fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
         SimdTier::Off => gemm_scalar(gemm, mul, acc, mul_obs, acc_obs),
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => crate::simd_fused::avx2::gemm_avx2(gemm, mul, acc, mul_obs, acc_obs),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => {
+            crate::simd_fused::avx512::gemm_avx512(gemm, mul, acc, mul_obs, acc_obs)
+        }
         _ => gemm_portable(gemm, mul, acc, mul_obs, acc_obs),
     }
 }

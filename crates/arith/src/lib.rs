@@ -40,9 +40,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 fused-MAC kernel in
-// `simd_fused::avx2` is the one sanctioned `unsafe` island (raw
-// intrinsics behind runtime feature detection); any new `unsafe`
+// `deny` rather than `forbid`: the AVX2 and AVX-512 MAC nests in
+// `simd_fused::{avx2, avx512}` are the sanctioned `unsafe` islands
+// (raw intrinsics behind runtime feature detection); any new `unsafe`
 // elsewhere is still a hard error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

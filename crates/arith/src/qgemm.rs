@@ -288,11 +288,16 @@ pub fn qgemm_reference(
 /// [`input_event_index`]) so partitioned tiles match the monolithic
 /// computation bit-for-bit.
 ///
-/// Rows are quantized through the slice fast path
-/// ([`Quantizer::quantize_slice_f32`]); a row's events are the
-/// contiguous indices `input_event_index(row, col_offset) + j`, which
-/// equal `input_event_index(row, col_offset + j)` because columns
-/// occupy the low 32 bits (bounds are debug-asserted).
+/// Under stochastic rounding, rows are quantized one by one through
+/// the slice fast path ([`Quantizer::quantize_slice_f32`]); a row's
+/// events are the contiguous indices
+/// `input_event_index(row, col_offset) + j`, which equal
+/// `input_event_index(row, col_offset + j)` because columns occupy the
+/// low 32 bits (bounds are debug-asserted). Every other rounding mode
+/// never reads the event index and every format is element-wise
+/// (block FP quantizes blocks of one here), so the whole matrix goes
+/// through as a single slice: one kernel set-up and one scalar tail
+/// instead of one per row.
 ///
 /// Exposed for the systolic-array simulator in `mpt-fpga`, which must
 /// quantize operands identically to the emulation kernel.
@@ -329,6 +334,10 @@ pub fn quantize_matrix_tier(
     );
     let mut out = t.clone();
     let data = out.data_mut();
+    if !q.rounding().is_stochastic() {
+        q.quantize_slice_f32_tier(data, 0, tier);
+        return out;
+    }
     for i in 0..r {
         let base = input_event_index(i + row_offset, col_offset);
         q.quantize_slice_f32_tier(&mut data[i * c..(i + 1) * c], base, tier);

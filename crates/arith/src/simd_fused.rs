@@ -1,10 +1,13 @@
 //! Lane-parallel MAC GEMM loop nests (the `MPT_SIMD` tiers).
 //!
 //! These are drop-in replacements for the scalar nest in
-//! [`crate::kernels`]: same `i / j-tile / k / j` traversal, same
-//! ascending-`k` reduction per output element, same
-//! [`sr_event_index`] event stream per stage — only the innermost `j`
-//! loop is restructured into 4-wide `f64` lane blocks. Like the
+//! [`crate::kernels`]: same ascending-`k` reduction per output
+//! element, same [`sr_event_index`] event stream per stage. The
+//! portable and AVX2 nests also keep its `i / j-tile / k / j`
+//! traversal and only restructure the innermost `j` loop into 4-wide
+//! `f64` lane blocks; the AVX-512 nest is `j-strip / i / k` with 8-wide
+//! blocks whose accumulators stay in registers across `k` (see
+//! [`avx512`] for the loop order and why it differs). Like the
 //! scalar nest they are generic over the two rounding
 //! [`Stage`]s and the [`MacObserver`]; with the
 //! [`Fused`](crate::stage::Fused) multiplier the multiplier stage
@@ -26,12 +29,17 @@
 //!   recomputed through the stage's scalar quantizer from the same
 //!   `f64` value;
 //! * SR event indices are computed per lane and per stage with the
-//!   *same* [`sr_event_index`] packing (no incremental shortcuts that
-//!   could diverge on field overflow).
+//!   *same* [`sr_event_index`] packing. The portable and AVX2 nests
+//!   pack every lane's index outright; the AVX-512 nest sums the
+//!   index's row, column and `k` fields after multiplying each by the
+//!   hash constant, which is the same number while no field can carry
+//!   into the next — checked once per GEMM, anything else runs the
+//!   AVX2 nest.
 //!
 //! The observers see the identical `(unrounded, rounded)` pairs the
 //! scalar nest shows them, skipping zero products, so instrumented
-//! runs stay tier-independent too.
+//! runs stay tier-independent too (in a different order on the AVX-512
+//! nest; the tallies are sums).
 
 use crate::kernels::{Gemm, J_TILE};
 use crate::mac::{mac_round, sr_event_index, MacStage};
@@ -129,12 +137,16 @@ pub(crate) mod avx2 {
     use super::*;
     use crate::stage::{FixedStage, FloatStage, Fused};
     use mpt_formats::simd_avx2::{FixedVecF64, QuantVecF64};
+    use mpt_formats::simd_avx512::{FixedVecF64x8, QuantVecF64x8};
 
-    /// The vector form of a [`Stage`]: its constants broadcast into
-    /// AVX2 registers and a 4-lane quantizer over them.
+    /// The vector forms of a [`Stage`]: its constants broadcast into
+    /// AVX2 registers with a 4-lane quantizer over them, and the same
+    /// at 8 lanes for the AVX-512 nest.
     pub(crate) trait VecStage: Stage {
         /// The broadcast constants.
         type Vec: Copy;
+        /// The broadcast constants at 8 lanes.
+        type Vec8: Copy;
 
         /// Builds [`Vec`](VecStage::Vec).
         ///
@@ -153,10 +165,26 @@ pub(crate) mod avx2 {
         ///
         /// The host must support AVX2.
         unsafe fn quantize4(v: &Self::Vec, x: __m256d, hash_input: __m256i) -> (__m256d, u32);
+
+        /// Builds [`Vec8`](VecStage::Vec8).
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ.
+        unsafe fn vec8(&self) -> Self::Vec8;
+
+        /// [`quantize4`](VecStage::quantize4) at 8 lanes.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ.
+        unsafe fn quantize8(v: &Self::Vec8, x: __m512d, hash_input: __m512i)
+            -> (__m512d, __mmask8);
     }
 
     impl VecStage for Fused {
         type Vec = ();
+        type Vec8 = ();
 
         #[inline(always)]
         unsafe fn vec(&self) {}
@@ -165,10 +193,19 @@ pub(crate) mod avx2 {
         unsafe fn quantize4(_v: &(), x: __m256d, _hash_input: __m256i) -> (__m256d, u32) {
             (x, 0xF)
         }
+
+        #[inline(always)]
+        unsafe fn vec8(&self) {}
+
+        #[inline(always)]
+        unsafe fn quantize8(_v: &(), x: __m512d, _hash_input: __m512i) -> (__m512d, __mmask8) {
+            (x, 0xFF)
+        }
     }
 
     impl<const MODE: u8> VecStage for FloatStage<MODE> {
         type Vec = QuantVecF64;
+        type Vec8 = QuantVecF64x8;
 
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -181,10 +218,23 @@ pub(crate) mod avx2 {
         unsafe fn quantize4(v: &QuantVecF64, x: __m256d, h: __m256i) -> (__m256d, u32) {
             v.quantize4::<MODE>(x, h)
         }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        unsafe fn vec8(&self) -> QuantVecF64x8 {
+            QuantVecF64x8::new(&self.plan)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        unsafe fn quantize8(v: &QuantVecF64x8, x: __m512d, h: __m512i) -> (__m512d, __mmask8) {
+            v.quantize8::<MODE>(x, h)
+        }
     }
 
     impl<const MODE: u8> VecStage for FixedStage<MODE> {
         type Vec = FixedVecF64;
+        type Vec8 = FixedVecF64x8;
 
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -196,6 +246,18 @@ pub(crate) mod avx2 {
         #[target_feature(enable = "avx2")]
         unsafe fn quantize4(v: &FixedVecF64, x: __m256d, h: __m256i) -> (__m256d, u32) {
             v.quantize4::<MODE>(x, h)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        unsafe fn vec8(&self) -> FixedVecF64x8 {
+            FixedVecF64x8::new(&self.0)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        unsafe fn quantize8(v: &FixedVecF64x8, x: __m512d, h: __m512i) -> (__m512d, __mmask8) {
+            v.quantize8::<MODE>(x, h)
         }
     }
 
@@ -368,6 +430,342 @@ pub(crate) mod avx2 {
                     }
                 }
                 j0 = j1;
+            }
+        }
+    }
+}
+
+/// The AVX-512 nest (x86_64 only): 8 `f64` lanes per block, and a
+/// different loop order from the other three — `j-strip / i / k`
+/// instead of `i / j-tile / k / j`. The accumulators of a
+/// [`STRIP`](avx512::STRIP)-column strip of one output row stay in
+/// `zmm` registers, as `f64`, across the whole `k` reduction; the
+/// `f32` output row is loaded once before it and stored once after
+/// (the other nests widen, narrow and blend it through memory on
+/// every `k` step), and the strip of `B` (`k × 128` bytes) stays
+/// cache-hot across the rows. Each output element still reduces over
+/// ascending `k` through the same stages at the same event indices,
+/// so the result is bit-identical. Nothing is allocated: no widened
+/// copy of `B`, no scratch, no table.
+///
+/// Why a new shape rather than wider lanes in the old one: on the
+/// dense fused-SR GEMMs that dominate a training step (LeNet's
+/// forward convolutions run at ~270 MMAC/s where its ReLU-sparse
+/// backward GEMMs reach 600–2000) the AVX2 block costs ~34 cycles per
+/// 4 MACs, about a hundred instructions, of which 14 emulate
+/// SplitMix64's two 64-bit multiplies, ~20 assemble four hash inputs
+/// lane by lane and ~10 move the output row through memory. `vpmullq`,
+/// incremental hash inputs and register accumulators remove those;
+/// k-mask compares and load/store masks (no scalar tail loop) shave
+/// the rest: ~37 instructions per 8 MACs, measured 2.3–2.6x on the
+/// dense shapes and 1.7–2x on the sparse ones. The price is that every
+/// strip rescans its `A` row for the zero skip, which is why the strip
+/// is as wide as the register file allows — and why this shape was
+/// *not* retrofitted to the AVX2 nest (half the registers: narrow
+/// strips taxed the sparse backward GEMMs more than the dense ones
+/// gained).
+///
+/// Register budget, as compiled: a fused multiplier with any
+/// accumulator, and two deterministic stages, keep all four
+/// accumulators in registers through the `k` loop; with two
+/// *stochastic* stages the constants outgrow the file and LLVM parks
+/// the accumulators in stack slots — still `f64`, still no narrowing.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512 {
+    #![allow(unsafe_code)]
+
+    use core::arch::x86_64::*;
+
+    use super::avx2::{gemm_avx2, VecStage};
+    use super::*;
+    use mpt_formats::sr::hash::INDEX_MUL;
+
+    /// Output columns per strip: four 8-lane accumulators.
+    pub(crate) const STRIP: usize = 32;
+
+    /// AVX-512 nest entry. Falls back to the AVX2 nest (which falls
+    /// back further) when the CPU lacks the features — defensive, the
+    /// dispatcher already checks — and when a coordinate could leave
+    /// its field of [`sr_event_index`]: the hash inputs below are
+    /// built by *adding* the row, column and `k` parts of the index,
+    /// which equals the packed index only while the fields cannot
+    /// carry into each other. The AVX2 nest packs per lane; it is the
+    /// definition.
+    pub(crate) fn gemm_avx512<M: VecStage, A: VecStage, T: MacObserver>(
+        g: Gemm<'_>,
+        mul: &M,
+        acc: &A,
+        mul_obs: &mut T,
+        acc_obs: &mut T,
+    ) {
+        let fields_disjoint =
+            g.row_offset + g.n <= 1 << 22 && g.col_offset + g.m <= 1 << 20 && g.k <= 1 << 20;
+        if !fields_disjoint || !mpt_formats::simd::avx512_supported() {
+            return gemm_avx2(g, mul, acc, mul_obs, acc_obs);
+        }
+        // The nest addresses `out` and `bd` through raw pointers.
+        assert_eq!(g.out.len(), g.n * g.m, "output is n x m");
+        assert_eq!(g.ad.len(), g.n * g.k, "A is n x k");
+        assert_eq!(g.bd.len(), g.k * g.m, "B is k x m");
+        // SAFETY: AVX-512 F + DQ + VL availability checked at runtime
+        // just above; the three slices have the lengths `inner`
+        // requires.
+        unsafe { inner(g, mul, acc, mul_obs, acc_obs) }
+    }
+
+    /// What the whole GEMM shares: both stages, their broadcast
+    /// constants and seeds.
+    struct Nest<'a, M: VecStage, A: VecStage> {
+        mul: &'a M,
+        acc: &'a A,
+        mul_v: M::Vec8,
+        acc_v: A::Vec8,
+        mul_seed: __m512i,
+        acc_seed: __m512i,
+        /// `acc.f32_exact()`: the per-step `f32` round trip is the
+        /// identity and may be skipped.
+        exact: bool,
+    }
+
+    /// One 8-lane block of a strip.
+    struct Block {
+        /// Column offset within the strip: 0, 8, 16 or 24.
+        at: usize,
+        /// Global column of lane 0.
+        gj: usize,
+        /// Lanes inside the matrix: all, a partial tail, or none.
+        /// Masked-off lanes are neither loaded nor stored, so no block
+        /// reads or writes past its row.
+        lanes: __mmask8,
+        /// The column part of the lanes' hash inputs:
+        /// `sr_event_index(0, gj + lane, 0, Multiply) · INDEX_MUL` (the
+        /// multiplier's stage tag is 0). Adding a [`Step`]'s
+        /// row-and-`k` part gives `index · INDEX_MUL` exactly (mod
+        /// 2^64, multiplication distributes over the carry-free field
+        /// sum), and XOR-ing the seed gives
+        /// [`SrRng::hash_input`](mpt_formats::SrRng::hash_input).
+        hash: __m512i,
+    }
+
+    impl Block {
+        /// Block `u` of the strip at column `j0` of a `g`-shaped GEMM.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn new(g: &Gemm<'_>, j0: usize, u: usize) -> Self {
+            let (at, gj) = (8 * u, j0 + g.col_offset + 8 * u);
+            let width = (g.m - j0).saturating_sub(at).min(8);
+            let cols = _mm512_add_epi64(
+                _mm512_set1_epi64(gj as i64),
+                _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+            );
+            Block {
+                at,
+                gj,
+                lanes: ((1u32 << width) - 1) as __mmask8,
+                hash: _mm512_mullo_epi64(
+                    _mm512_slli_epi64::<22>(cols),
+                    _mm512_set1_epi64(INDEX_MUL as i64),
+                ),
+            }
+        }
+    }
+
+    /// One reduction step of one output row, shared by the strip's
+    /// blocks.
+    struct Step {
+        gi: usize,
+        kk: usize,
+        /// The broadcast `A` element.
+        av: __m512d,
+        /// The row-and-`k` part of each stage's hash input:
+        /// `sr_event_index(gi, 0, kk, stage) · INDEX_MUL`, broadcast.
+        mul_hash: __m512i,
+        acc_hash: __m512i,
+    }
+
+    impl Step {
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn new(gi: usize, kk: usize, av: f32) -> Self {
+            let hash = |stage| {
+                _mm512_set1_epi64(sr_event_index(gi, 0, kk, stage).wrapping_mul(INDEX_MUL) as i64)
+            };
+            Step {
+                gi,
+                kk,
+                av: _mm512_set1_pd(av as f64),
+                mul_hash: hash(MacStage::Multiply),
+                acc_hash: hash(MacStage::Accumulate),
+            }
+        }
+    }
+
+    /// The spill behind a vector quantizer, taken only when it handed
+    /// lanes back or someone is watching: recomputes the lanes in
+    /// `need_scalar` through the stage's scalar quantizer — at the
+    /// packed [`sr_event_index`], not the incremental one — and shows
+    /// every live lane to the observer. Returns the settled lanes.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX-512 F.
+    #[cold]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn settle8<S: VecStage, T: MacObserver>(
+        stage: &S,
+        x: __m512d,
+        q: __m512d,
+        need_scalar: __mmask8,
+        live: __mmask8,
+        (gi, gj, kk, which): (usize, usize, usize, MacStage),
+        obs: &mut T,
+    ) -> __m512d {
+        let mut xs = [0f64; 8];
+        _mm512_storeu_pd(xs.as_mut_ptr(), x);
+        let mut qs = [0f64; 8];
+        _mm512_storeu_pd(qs.as_mut_ptr(), q);
+        for l in 0..8 {
+            if live & (1 << l) == 0 {
+                continue;
+            }
+            if need_scalar & (1 << l) != 0 {
+                qs[l] = stage.quantize(xs[l], sr_event_index(gi, gj + l, kk, which));
+            }
+            obs.record(xs[l], qs[l]);
+        }
+        _mm512_loadu_pd(qs.as_ptr())
+    }
+
+    impl<M: VecStage, A: VecStage> Nest<'_, M, A> {
+        /// One reduction step of one block: the new accumulators, given
+        /// the old ones (`sums`) and the strip's part of `B`'s row
+        /// `step.kk` (`brow`).
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ + VL, and
+        /// `brow[block.at + l]` must be readable for every lane `l`
+        /// set in `block.lanes`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn mac8<T: MacObserver>(
+            &self,
+            step: &Step,
+            block: &Block,
+            sums: __m512d,
+            brow: *const f32,
+            mul_obs: &mut T,
+            acc_obs: &mut T,
+        ) -> __m512d {
+            // Widening, multiply and add are IEEE-identical to the
+            // scalar `av * b as f64` / `o + product`. (`wrapping_add`:
+            // an empty block's pointer may lie past the buffer; it is
+            // never dereferenced.)
+            let b = _mm256_maskz_loadu_ps(block.lanes, brow.wrapping_add(block.at));
+            let prod = _mm512_mul_pd(step.av, _mm512_cvtps_pd(b));
+            // The scalar kernel skips `product == 0.0` (NaN is not
+            // zero).
+            let live = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(prod, _mm512_setzero_pd()) & block.lanes;
+            if live == 0 {
+                return sums;
+            }
+            let mut prod = prod;
+            if !M::IDENTITY {
+                let h = _mm512_add_epi64(block.hash, step.mul_hash);
+                let (q, ok) = M::quantize8(&self.mul_v, prod, _mm512_xor_si512(h, self.mul_seed));
+                let need_scalar = !ok & live;
+                prod = if T::ACTIVE || need_scalar != 0 {
+                    let at = (step.gi, block.gj, step.kk, MacStage::Multiply);
+                    settle8(self.mul, prod, q, need_scalar, live, at, mul_obs)
+                } else {
+                    q
+                };
+            }
+            let sum = _mm512_add_pd(sums, prod);
+            let h = _mm512_add_epi64(block.hash, step.acc_hash);
+            let (mut q, ok) = A::quantize8(&self.acc_v, sum, _mm512_xor_si512(h, self.acc_seed));
+            let need_scalar = !ok & live;
+            if T::ACTIVE || need_scalar != 0 {
+                let at = (step.gi, block.gj, step.kk, MacStage::Accumulate);
+                q = settle8(self.acc, sum, q, need_scalar, live, at, acc_obs);
+            }
+            if need_scalar != 0 || !self.exact {
+                // The other nests store `q as f32` and reload it every
+                // step. Where the stage's values are `f32`-exact that
+                // is the identity on everything but a handed-back lane
+                // (a NaN payload, say), so it is paid only then.
+                q = _mm512_cvtps_pd(_mm512_cvtpd_ps(q));
+            }
+            // Zero products leave the lane untouched, like the scalar
+            // skip.
+            _mm512_mask_mov_pd(sums, live, q)
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX-512 F + DQ + VL, and `g.out`, `g.ad`
+    /// and `g.bd` must hold `n·m`, `n·k` and `k·m` elements.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn inner<M: VecStage, A: VecStage, T: MacObserver>(
+        g: Gemm<'_>,
+        mul: &M,
+        acc: &A,
+        mul_obs: &mut T,
+        acc_obs: &mut T,
+    ) {
+        let nest = Nest {
+            mul,
+            acc,
+            mul_v: mul.vec8(),
+            acc_v: acc.vec8(),
+            mul_seed: _mm512_set1_epi64(mul.rng().seed() as i64),
+            acc_seed: _mm512_set1_epi64(acc.rng().seed() as i64),
+            exact: acc.f32_exact(),
+        };
+        for j0 in (0..g.m).step_by(STRIP) {
+            // Four named blocks and accumulators, not arrays: LLVM
+            // keeps an indexed accumulator array on the stack across
+            // the `k` loop.
+            let (b0, b1, b2, b3) = (
+                Block::new(&g, j0, 0),
+                Block::new(&g, j0, 1),
+                Block::new(&g, j0, 2),
+                Block::new(&g, j0, 3),
+            );
+            for i in 0..g.n {
+                let gi = i + g.row_offset;
+                let arow = &g.ad[i * g.k..(i + 1) * g.k];
+                let orow = g.out.as_mut_ptr().add(i * g.m + j0);
+                let load = |b: &Block| {
+                    _mm512_cvtps_pd(_mm256_maskz_loadu_ps(b.lanes, orow.wrapping_add(b.at)))
+                };
+                let (mut s0, mut s1, mut s2, mut s3) = (load(&b0), load(&b1), load(&b2), load(&b3));
+                for (kk, &av) in arow.iter().enumerate() {
+                    if av == 0.0 && g.b_all_finite {
+                        continue;
+                    }
+                    let step = Step::new(gi, kk, av);
+                    let brow = g.bd.as_ptr().add(kk * g.m + j0);
+                    s0 = nest.mac8(&step, &b0, s0, brow, mul_obs, acc_obs);
+                    s1 = nest.mac8(&step, &b1, s1, brow, mul_obs, acc_obs);
+                    s2 = nest.mac8(&step, &b2, s2, brow, mul_obs, acc_obs);
+                    s3 = nest.mac8(&step, &b3, s3, brow, mul_obs, acc_obs);
+                }
+                let store = |b: &Block, sums: __m512d| {
+                    _mm256_mask_storeu_ps(orow.wrapping_add(b.at), b.lanes, _mm512_cvtpd_ps(sums))
+                };
+                store(&b0, s0);
+                store(&b1, s1);
+                store(&b2, s2);
+                store(&b3, s3);
             }
         }
     }

@@ -2,8 +2,8 @@
 //! ([`Stage`]) and who watches it round ([`MacObserver`]).
 //!
 //! A MAC has two rounding stages — the multiplier output and the
-//! accumulator — and each loop nest (scalar, portable lanes, AVX2) is
-//! written once, generic over a [`Stage`] per stage:
+//! accumulator — and each loop nest (scalar, portable lanes, AVX2,
+//! AVX-512) is written once, generic over a [`Stage`] per stage:
 //!
 //! | stage type            | rounds through                                   |
 //! |-----------------------|--------------------------------------------------|
@@ -75,9 +75,9 @@ pub(crate) enum Family {
 /// One rounding stage of the MAC, as the loop nests see it.
 ///
 /// `quantize` alone serves the scalar nest; `quantize_block` serves
-/// the portable nest and the AVX2 nest adds its own
-/// `simd_fused::avx2::VecStage` on top. Dispatch sends the oracle
-/// stage, which has neither, to the scalar nest.
+/// the portable nest and the AVX2 and AVX-512 nests add their vector
+/// forms (`simd_fused::avx2::VecStage`) on top. Dispatch sends the
+/// oracle stage, which has neither, to the scalar nest.
 pub(crate) trait Stage: Copy {
     /// `true` only for [`Fused`]: the stage passes values through and
     /// is never observed.
@@ -95,6 +95,15 @@ pub(crate) trait Stage: Copy {
 
     /// The stage's stochastic bit source.
     fn rng(&self) -> SrRng;
+
+    /// Whether every finite value the stage emits survives
+    /// `as f32 as f64` unchanged. Every nest narrows the accumulator
+    /// to the `f32` output after each step; a nest that keeps it in
+    /// `f64` registers across the reduction may skip that round trip
+    /// only where this holds. `false` is always safe.
+    fn f32_exact(&self) -> bool {
+        false
+    }
 
     /// Rounds `L` values, lane `l` at event `indices[l]`;
     /// bit-identical to `L` calls of [`quantize`](Stage::quantize).
@@ -145,6 +154,13 @@ impl<const MODE: u8> Stage for FloatStage<MODE> {
         self.fast.rng()
     }
 
+    /// `f32` holds every `EeMm` value with `e ≤ 8`, `m ≤ 23`,
+    /// subnormals included (`min_exp - m ≥ -149`).
+    fn f32_exact(&self) -> bool {
+        let format = self.fast.format();
+        format.exp_bits() <= 8 && format.man_bits() <= 23
+    }
+
     #[inline(always)]
     fn quantize_block(&self, vals: &mut [f64; L], indices: &[u64; L]) {
         self.fast
@@ -167,6 +183,12 @@ impl<const MODE: u8> Stage for FixedStage<MODE> {
 
     fn rng(&self) -> SrRng {
         self.0.rng()
+    }
+
+    /// Codes of at most 24 bits fit `f32`'s significand, and their
+    /// scale `2^-f` (`f ≤ 52`) its exponent range.
+    fn f32_exact(&self) -> bool {
+        self.0.format().bit_width() <= 24
     }
 
     #[inline(always)]

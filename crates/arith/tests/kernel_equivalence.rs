@@ -12,16 +12,6 @@ use mpt_formats::{FixedFormat, FloatFormat, NumberFormat, Quantizer, Rounding, S
 use mpt_tensor::Tensor;
 use proptest::prelude::*;
 
-/// Every kernel tier testable on this host (`Avx2` falls back to the
-/// portable kernel on non-AVX2 CPUs, which must be bit-identical too).
-fn all_tiers() -> Vec<SimdTier> {
-    let mut tiers = vec![SimdTier::Off, SimdTier::Portable];
-    if cfg!(target_arch = "x86_64") {
-        tiers.push(SimdTier::Avx2);
-    }
-    tiers
-}
-
 fn modes() -> impl Strategy<Value = Rounding> {
     prop_oneof![
         Just(Rounding::Nearest),
@@ -205,7 +195,7 @@ proptest! {
         let b = Tensor::from_fn(vec![k, m], |i| bbig.data()[i % bbig.data().len()]);
         let cfg = cfg.with_seed(seed);
         let reference = qgemm_reference(&a, &b, &cfg, ro, co).unwrap();
-        for tier in all_tiers() {
+        for tier in SimdTier::ALL {
             let fast = qgemm_with_tier(&a, &b, &cfg, ro, co, tier).unwrap();
             prop_assert_eq!(
                 fast.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -240,7 +230,7 @@ proptest! {
         bd[p] = special;
         let b = Tensor::from_vec(vec![13, 7], bd).unwrap();
         let reference = qgemm_with_tier(&a, &b, &cfg, 0, 0, SimdTier::Off).unwrap();
-        for tier in [SimdTier::Portable, SimdTier::Avx2] {
+        for tier in SimdTier::ALL {
             let fast = qgemm_with_tier(&a, &b, &cfg, 0, 0, tier).unwrap();
             prop_assert_eq!(
                 fast.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -286,11 +276,14 @@ fn fixed_point_tallies_match_parent_generic_counts() {
         format!("mul:{}", cfg.mac.mul),
         format!("acc:{}", cfg.mac.acc),
     );
-    for tier in all_tiers() {
+    for tier in SimdTier::ALL {
         let before = (tally_counts(&mul_label), tally_counts(&acc_label));
+        let dispatched = mpt_telemetry::counter(&format!("kernel.tier.{tier}"));
+        let ticks = dispatched.get();
         mpt_telemetry::enable();
         qgemm_with_tier(&a, &b, &cfg, 3, 5, tier).unwrap();
         mpt_telemetry::disable();
+        assert!(dispatched.get() > ticks, "kernel.tier.{tier} did not tick");
         let delta = |after: [u64; 7], before: [u64; 7]| -> [u64; 7] {
             std::array::from_fn(|i| after[i] - before[i])
         };
@@ -306,5 +299,278 @@ fn fixed_point_tallies_match_parent_generic_counts() {
             [2404, 1213, 1143, 45, 3, 0, 0],
             "acc tally, tier {tier}"
         );
+    }
+}
+
+// ---------------------------------------------------------------
+// Edges of the AVX-512 nest's own mechanisms — strip masks, register
+// accumulators with handed-back lanes, the zero-product merge,
+// incremental SR hash inputs, the `f32` round trip. Every case runs
+// on every tier against `qgemm_reference`, so the narrower tiers are
+// pinned on the same inputs.
+// ---------------------------------------------------------------
+
+/// Asserts every tier equals `qgemm_reference` bit for bit; returns
+/// the reference.
+#[track_caller]
+fn assert_tiers_match(
+    what: &str,
+    a: &Tensor,
+    b: &Tensor,
+    cfg: &QGemmConfig,
+    ro: usize,
+    co: usize,
+) -> Tensor {
+    let reference = qgemm_reference(a, b, cfg, ro, co).unwrap();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for tier in SimdTier::ALL {
+        let fast = qgemm_with_tier(a, b, cfg, ro, co, tier).unwrap();
+        assert_eq!(
+            bits(&fast),
+            bits(&reference),
+            "{what}: {cfg}: tier {tier} != reference"
+        );
+    }
+    reference
+}
+
+/// One configuration per `(multiplier, accumulator)` stage family the
+/// lane nests are instantiated for, every one with at least one SR
+/// stage; `with_seed` gives the two stages different seeds.
+fn sr_stage_configs() -> Vec<QGemmConfig> {
+    let sr = Rounding::stochastic();
+    let float = |f, r| Quantizer::float(f, r);
+    let fixed = |f, r| Quantizer::fixed(f, r);
+    vec![
+        QGemmConfig::fp8_fp12_sr(),
+        QGemmConfig::for_mac(MacConfig::new(
+            float(FloatFormat::e5m2(), sr),
+            float(FloatFormat::e6m5(), sr),
+        )),
+        QGemmConfig::for_mac(MacConfig::new(
+            float(FloatFormat::e4m3(), Rounding::NoRound),
+            fixed(FixedFormat::fxp8_8(), sr),
+        )),
+        QGemmConfig::for_mac(MacConfig::new(
+            fixed(FixedFormat::fxp4_4(), sr),
+            fixed(FixedFormat::fxp8_8(), sr),
+        )),
+        QGemmConfig::for_mac(MacConfig::fxp4_4(sr)),
+    ]
+    .into_iter()
+    .map(|c| c.with_seed(0x5eed))
+    .collect()
+}
+
+/// Every rounding mode at both stages of both families (the
+/// deterministic modes take other paths through the vector
+/// quantizers than SR does).
+fn all_mode_configs() -> Vec<QGemmConfig> {
+    let modes = [
+        Rounding::Nearest,
+        Rounding::TowardZero,
+        Rounding::ToOdd,
+        Rounding::stochastic(),
+    ];
+    let mut cfgs = Vec::new();
+    for m in modes {
+        cfgs.push(QGemmConfig::for_mac(MacConfig::fp8_fp12(m)));
+        cfgs.push(QGemmConfig::for_mac(MacConfig::new(
+            Quantizer::float(FloatFormat::e5m2(), m),
+            Quantizer::float(FloatFormat::e6m5().with_infinities(), m),
+        )));
+        cfgs.push(QGemmConfig::for_mac(MacConfig::new(
+            Quantizer::fixed(FixedFormat::fxp4_4(), m),
+            Quantizer::fixed(FixedFormat::fxp8_8(), m),
+        )));
+    }
+    cfgs.into_iter().map(|c| c.with_seed(77)).collect()
+}
+
+fn dense(rows: usize, cols: usize, salt: usize) -> Tensor {
+    Tensor::from_fn(vec![rows, cols], |i| {
+        (((i + salt) * 37 % 101) as f32 - 50.0) * 0.043
+    })
+}
+
+/// `m` from 1 to 40: every load/store-mask remainder, strips of one
+/// to four blocks, and one column past a full strip; `n` and `k` of 1.
+#[test]
+fn every_strip_width_matches_reference() {
+    for cfg in all_mode_configs() {
+        for m in 1..=40 {
+            for (n, k) in [(1, 1), (1, 9), (3, 1), (3, 9)] {
+                let (a, b) = (dense(n, k, m), dense(k, m, 7 * m));
+                assert_tiers_match(&format!("{n}x{k}x{m}"), &a, &b, &cfg, 5, 11);
+            }
+        }
+    }
+}
+
+/// Sums the vector quantizers hand back to the scalar path — an exact
+/// zero, a target-subnormal, ±inf, NaN from `A`, NaN from `B`,
+/// `0 × inf` — at every lane position of a strip and of the partial
+/// strip after it, between ordinary steps before and after. Operands
+/// pass through unquantized so the non-finite ones reach the MAC.
+/// (A *carrier*-subnormal sum cannot arise from `f32` operands; the
+/// quantizers' own tests in `mpt-formats` cover that hand-back.)
+#[test]
+fn handed_back_sums_match_reference_at_every_lane() {
+    let raw = |mac| QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac);
+    let tiny = 2.0f32.powi(-16);
+    // (A's value at the special step, B's value there in the probed
+    // column, A's value at the next step, B's value there).
+    let cases: [(&str, [f32; 4]); 7] = [
+        ("exact zero", [1.5, 2.0, -1.5, 2.0]),
+        ("target subnormal", [tiny, tiny, 0.0, 0.0]),
+        ("+inf", [1.0, f32::INFINITY, 0.0, 0.0]),
+        ("-inf", [-1.0, f32::INFINITY, 0.0, 0.0]),
+        ("NaN in A", [f32::NAN, 1.0, 0.0, 0.0]),
+        ("NaN in B", [1.0, f32::NAN, 0.0, 0.0]),
+        ("0 x inf", [0.0, f32::INFINITY, 0.0, 0.0]),
+    ];
+    let (n, k, m) = (2, 5, 40);
+    for cfg in all_mode_configs() {
+        let cfg = raw(cfg.mac);
+        for (what, [a1, b1, a2, b2]) in cases {
+            for lane in 0..m {
+                let mut a = dense(n, k, lane);
+                let mut b = dense(k, m, 3 * lane);
+                // Row 1 carries the special at steps 1 and 2; the
+                // probed column is otherwise empty so the sum is
+                // exactly what the case says.
+                for kk in 0..k {
+                    b.set(&[kk, lane], 0.0);
+                }
+                a.set(&[1, 1], a1);
+                b.set(&[1, lane], b1);
+                a.set(&[1, 2], a2);
+                b.set(&[2, lane], b2);
+                b.set(&[4, lane], 0.75);
+                assert_tiers_match(&format!("{what} at lane {lane}"), &a, &b, &cfg, 0, 0);
+            }
+        }
+    }
+}
+
+/// Whole rows of `A` that are zero: skipped outright when `B` is
+/// finite, stepped through (`0 × inf = NaN`, `0 × NaN`) when it is
+/// not — and a zero row must leave a `-0.0`-free, untouched output.
+#[test]
+fn zero_rows_of_a_match_reference() {
+    for cfg in sr_stage_configs() {
+        let cfg = QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), cfg.mac);
+        for poison in [None, Some(f32::INFINITY), Some(f32::NAN)] {
+            let mut a = dense(4, 6, 1);
+            for kk in 0..6 {
+                a.set(&[0, kk], 0.0);
+                a.set(&[2, kk], -0.0);
+            }
+            let mut b = dense(6, 37, 2);
+            if let Some(p) = poison {
+                b.set(&[3, 0], p);
+                b.set(&[5, 36], p);
+            }
+            let out = assert_tiers_match(&format!("poison {poison:?}"), &a, &b, &cfg, 0, 0);
+            if poison.is_none() {
+                assert!(out.data()[..37].iter().all(|v| v.to_bits() == 0));
+            }
+        }
+    }
+}
+
+/// A zero product must leave the accumulator lane *untouched*, not
+/// re-rounded: with a `-0.0` accumulator the sum `-0.0 + 0.0` is
+/// `+0.0`, so only the merge keeps the reference's sign bit.
+#[test]
+fn zero_products_keep_a_negative_zero_accumulator() {
+    let mac = MacConfig::new(
+        Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound),
+        Quantizer::fixed(FixedFormat::fxp8_8(), Rounding::TowardZero),
+    );
+    let cfg = QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac);
+    // Step 0 truncates -2^-12 to -0.0 in every column; step 1's
+    // product is zero in the even columns only.
+    let a = Tensor::from_vec(vec![1, 2], vec![-1.0, 3.0]).unwrap();
+    let b = Tensor::from_fn(vec![2, 21], |i| match (i / 21, i % 21 % 2) {
+        (0, _) => 2.0f32.powi(-12),
+        (_, 0) => 0.0,
+        _ => 0.5,
+    });
+    let out = assert_tiers_match("-0.0 accumulator", &a, &b, &cfg, 0, 0);
+    for (j, v) in out.data().iter().enumerate() {
+        let want = if j % 2 == 0 { -0.0f32 } else { 1.5 };
+        assert_eq!(v.to_bits(), want.to_bits(), "column {j}");
+    }
+}
+
+/// The SR hash inputs are built incrementally from the row, column
+/// and `k` fields of `sr_event_index`; put each field on its last
+/// in-range values, for every SR stage pairing.
+#[test]
+fn sr_event_fields_at_their_last_values_match_reference() {
+    for cfg in sr_stage_configs() {
+        let (n, k, m) = (3, 7, 37);
+        let (a, b) = (dense(n, k, 3), dense(k, m, 4));
+        let (ro, co) = ((1 << 22) - n, (1 << 20) - m);
+        assert_tiers_match("last rows and columns", &a, &b, &cfg, ro, co);
+        assert_tiers_match("last rows", &a, &b, &cfg, ro, 0);
+        assert_tiers_match("last columns", &a, &b, &cfg, 0, co);
+        // 1 × 2^20 × 1: the `k` field runs to its last value.
+        let k = 1 << 20;
+        let a = Tensor::from_fn(vec![1, k], |i| ((i * 37 % 101) as f32 - 50.0) * 0.01);
+        let b = Tensor::from_fn(vec![k, 1], |i| ((i * 43 % 97) as f32 - 48.0) * 0.01);
+        assert_tiers_match("last k", &a, &b, &cfg, ro + n - 1, co + m - 1);
+    }
+}
+
+/// Accumulator formats whose values do *not* all fit `f32` — every
+/// nest narrows the running sum to the `f32` output after each step,
+/// so a nest holding it in `f64` registers must round-trip it too.
+#[test]
+fn accumulators_wider_than_f32_round_trip_every_step() {
+    let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
+    let wide_float = FloatFormat::new(8, 30).unwrap();
+    let wide_exp = FloatFormat::new(11, 10).unwrap().with_infinities();
+    let wide_fixed = FixedFormat::new(16, 16).unwrap();
+    for mode in [
+        Rounding::Nearest,
+        Rounding::TowardZero,
+        Rounding::ToOdd,
+        Rounding::stochastic(),
+    ] {
+        for (acc, scale) in [
+            (Quantizer::float(wide_float, mode), 1.0f32),
+            // Sums beyond f32's range: `as f32` saturates to inf.
+            (Quantizer::float(wide_exp, mode), 1.0e19),
+            // Codes past 2^24: integer part beyond 8 bits.
+            (Quantizer::fixed(wide_fixed, mode), 40.0),
+        ] {
+            let cfg = QGemmConfig::new(
+                Quantizer::identity(),
+                Quantizer::identity(),
+                MacConfig::new(nr, acc),
+            )
+            .with_seed(9);
+            let a = dense(3, 11, 5).map(|v| v * scale * 1.000_123);
+            let b = dense(11, 19, 6).map(|v| v * scale * 0.999_771);
+            let out = assert_tiers_match("wide accumulator", &a, &b, &cfg, 0, 0);
+            // The case is only worth its name if narrowing is
+            // observable: the same reduction held in `f64` throughout
+            // must end somewhere else for at least one element.
+            let held_wide = |i: usize, j: usize| {
+                (0..11).fold(0.0f64, |sum, kk| {
+                    let product = a.at(&[i, kk]) as f64 * b.at(&[kk, j]) as f64;
+                    let index =
+                        mpt_arith::sr_event_index(i, j, kk, mpt_arith::MacStage::Accumulate);
+                    acc.with_seed(cfg.mac.acc.rng().seed())
+                        .quantize(sum + product, index)
+                })
+            };
+            assert!(
+                (0..3).any(|i| (0..19).any(|j| held_wide(i, j) as f32 != out.at(&[i, j]))),
+                "{acc}: the per-step f32 narrowing never showed"
+            );
+        }
     }
 }

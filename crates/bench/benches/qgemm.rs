@@ -77,19 +77,29 @@ fn assert_tiers_match_oracle(a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Tenso
 /// * `fp8_fp12_sr_fast` — the scalar-dispatch fast kernel
 ///   (`MPT_SIMD=off` tier), the pre-SIMD baseline;
 /// * `fp8_fp12_sr_simd_portable` — the safe lane-array tier;
-/// * `fp8_fp12_sr_simd` — the widest tier the host supports (AVX2 on
-///   x86_64), which is what `MPT_SIMD=auto` dispatches to;
+/// * `fp8_fp12_sr_simd` — the AVX2 tier (the portable one where the
+///   host lacks AVX2);
+/// * `fp8_fp12_sr_avx512` — the AVX-512 tier, only on hosts that have
+///   it (skipped with a printed reason elsewhere);
 /// * `fp8_fp12_sr_fast_pool` / `fp8_fp12_sr_pool_t1` — the persistent
-///   pool at `default_threads()` and pinned to one thread (the
-///   caller-thread fast exit, gated to within 1% of the direct
-///   kernel by `scripts/bench_qgemm.sh`);
-/// * `fxp44_rn` / `fxp44_sr` — the paper's unfused fixed-point MAC
-///   (`FXP4.4-{RN,SR}` multiplier, `FXP8.8-RN` accumulator) on the
-///   widest tier, with `fxp44_rn_reference` as its scalar baseline.
+///   pool, on the *ambient* tier (`MPT_SIMD`, default `auto`), at
+///   `default_threads()` and pinned to one thread (the caller-thread
+///   fast exit, gated to within 1% of the direct kernel of the same
+///   tier by `scripts/bench_qgemm.sh`);
+/// * `fxp44_rn` / `fxp44_sr` (`_avx512`) — the paper's unfused
+///   fixed-point MAC (`FXP4.4-{RN,SR}` multiplier, `FXP8.8-RN`
+///   accumulator) on the same two tiers, with `fxp44_rn_reference` as
+///   its scalar baseline.
 fn bench_kernels(c: &mut Criterion) {
     let (a, b) = operands(128, 96, 96);
     let cfg = QGemmConfig::fp8_fp12_sr();
-    let simd_tier = mpt_formats::simd::widest_supported_tier();
+    // An explicit `Avx2` request runs the portable nest where the CPU
+    // lacks AVX2.
+    let simd_tier = SimdTier::Avx2;
+    let avx512 = SimdTier::available().contains(&SimdTier::Avx512);
+    if !avx512 {
+        println!("skipping the *_avx512 rows: this host lacks AVX-512 F + DQ + VL");
+    }
 
     // Bit-equality preflight: every path measured below must equal
     // the scalar oracle exactly.
@@ -121,6 +131,11 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("fp8_fp12_sr_simd", |bch| {
         bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, simd_tier).expect("conforming"))
     });
+    if avx512 {
+        group.bench_function("fp8_fp12_sr_avx512", |bch| {
+            bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, SimdTier::Avx512).expect("conforming"))
+        });
+    }
     group.bench_function("fp8_fp12_sr_fast_pool", |bch| {
         bch.iter(|| qgemm_parallel(&a, &b, &cfg, default_threads()).expect("conforming"))
     });
@@ -138,6 +153,13 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_function(name, |bch| {
             bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, simd_tier).expect("conforming"))
         });
+        if avx512 {
+            group.bench_function(format!("{name}_avx512"), |bch| {
+                bch.iter(|| {
+                    qgemm_with_tier(&a, &b, &cfg, 0, 0, SimdTier::Avx512).expect("conforming")
+                })
+            });
+        }
     }
     let cfg = fxp(Rounding::Nearest);
     group.bench_function("fxp44_rn_reference", |bch| {

@@ -180,9 +180,9 @@ pub fn check_all_paths(
     compare("qgemm (fast kernels)", &fast)?;
 
     // Every SIMD tier explicitly, independent of the ambient
-    // `MPT_SIMD` selection (on non-AVX2 hosts the avx2 entry falls
-    // back to the portable kernel, which must also match).
-    for tier in [SimdTier::Off, SimdTier::Portable, SimdTier::Avx2] {
+    // `MPT_SIMD` selection (a tier the host cannot execute falls back
+    // to the next narrower one, which must also match).
+    for tier in SimdTier::ALL {
         let tiered = qgemm_with_tier(a, b, cfg, 0, 0, tier)
             .map_err(|e| format!("{name}: qgemm tier {} failed: {e}", tier.name()))?;
         compare(&format!("qgemm (tier {})", tier.name()), &tiered)?;

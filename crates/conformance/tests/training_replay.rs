@@ -10,10 +10,11 @@
 //! training recipe.
 
 use conformance::{
-    replay_digest_path, replay_lenet, replay_resnet_fxp, resnet_fxp_digest_path,
+    replay_digest_path, replay_lenet, replay_lenet_with, replay_resnet_fxp, resnet_fxp_digest_path,
     REPLAY_THREAD_COUNTS, RESNET_FXP_ROUNDINGS,
 };
 use mpt_arith::{qgemm_with_tier, CpuBackend, GemmBackend, QGemmConfig};
+use mpt_core::TrainOptions;
 use mpt_formats::SimdTier;
 use mpt_tensor::{ShapeError, Tensor};
 use std::fs;
@@ -102,6 +103,16 @@ fn replay_matches_golden_digest() {
          libm differs), regenerate with scripts/regen_golden.sh",
         path.display()
     );
+    // And on every kernel tier, whatever `MPT_SIMD` the run above
+    // resolved to.
+    for &tier in SimdTier::available() {
+        let run = replay_lenet_with(Rc::new(TierBackend(tier)), &TrainOptions::default())
+            .expect("replay without checkpoint I/O cannot fail");
+        assert_eq!(
+            run.digest, golden,
+            "LeNet digest diverged from golden on tier {tier}"
+        );
+    }
 }
 
 /// The quick-scale ResNet-20 under the unfused `FXP4.4 × FXP8.8-RN`

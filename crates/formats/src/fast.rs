@@ -562,7 +562,9 @@ impl FloatFastF32 {
         match tier {
             SimdTier::Off => self.quantize_slice::<MODE>(values, base_index),
             SimdTier::Portable => self.quantize_slice_portable::<MODE>(&plan, values, base_index),
-            SimdTier::Avx2 => {
+            // The `Avx512` tier widens the MAC nest only; operand
+            // slices run the AVX2 kernel under it.
+            SimdTier::Avx2 | SimdTier::Avx512 => {
                 #[cfg(target_arch = "x86_64")]
                 {
                     crate::simd_avx2::quantize_slice_f32::<MODE>(self, &plan, values, base_index)
@@ -588,10 +590,11 @@ impl FloatFastF32 {
 
 impl FloatFastF64 {
     /// [`quantize_slice`](Self::quantize_slice) through the requested
-    /// kernel tier. `Avx2` routes to the portable blocks here: `f64`
-    /// *slice* traffic is cold (the hot `f64` path is the fused MAC
-    /// accumulate inside `mpt-arith`, which has its own AVX2 kernel);
-    /// bit-identity holds for every tier regardless.
+    /// kernel tier. The vector tiers route to the portable blocks
+    /// here: `f64` *slice* traffic is cold (the hot `f64` path is the
+    /// fused MAC accumulate inside `mpt-arith`, which has its own AVX2
+    /// and AVX-512 kernels); bit-identity holds for every tier
+    /// regardless.
     pub fn quantize_slice_tier<const MODE: u8>(
         &self,
         values: &mut [f64],
@@ -603,7 +606,7 @@ impl FloatFastF64 {
         };
         match tier {
             SimdTier::Off => self.quantize_slice::<MODE>(values, base_index),
-            SimdTier::Portable | SimdTier::Avx2 => {
+            SimdTier::Portable | SimdTier::Avx2 | SimdTier::Avx512 => {
                 self.quantize_slice_portable::<MODE>(&plan, values, base_index)
             }
         }

@@ -251,7 +251,7 @@ impl FixedFastF32 {
         match tier {
             SimdTier::Off => self.quantize_tail::<MODE>(values, base_index),
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => {
+            SimdTier::Avx2 | SimdTier::Avx512 => {
                 crate::simd_avx2::quantize_slice_fixed_f32::<MODE>(self, values, base_index)
             }
             _ => self.quantize_slice_portable::<MODE>(values, base_index),

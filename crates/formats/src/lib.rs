@@ -44,10 +44,11 @@
 //! assert_eq!(y, 1.25); // nearest E5M2-representable value
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 lane kernels in `simd_avx2`
-// are the one sanctioned `unsafe` island (raw intrinsics behind
-// runtime feature detection); everything else stays unsafe-free and
-// any new `unsafe` outside that module is still a hard error.
+// `deny` rather than `forbid`: the lane kernels in `simd_avx2` and
+// `simd_avx512` are the sanctioned `unsafe` islands (raw intrinsics
+// behind runtime feature detection); everything else stays
+// unsafe-free and any new `unsafe` outside those modules is still a
+// hard error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -62,6 +63,8 @@ pub mod rounding;
 pub mod simd;
 #[cfg(target_arch = "x86_64")]
 pub mod simd_avx2;
+#[cfg(target_arch = "x86_64")]
+pub mod simd_avx512;
 pub mod sr;
 
 pub use block::BlockFpFormat;

@@ -3,7 +3,7 @@
 //! The hot loops in this crate ([`crate::FloatFastF32`] /
 //! [`crate::FloatFastF64`], [`crate::FixedFastF32`] /
 //! [`crate::FixedFastF64`]) and in `mpt-arith`'s MAC GEMM loop nests
-//! exist in three implementations that produce **bit-identical**
+//! exist in four implementations that produce **bit-identical**
 //! results:
 //!
 //! | tier       | implementation                                        |
@@ -11,11 +11,13 @@
 //! | `Off`      | the original scalar bit-twiddling loops               |
 //! | `Portable` | fixed-width lane arrays (8×`f32` / 4×`f64` per block) in plain safe Rust, shaped for the autovectorizer |
 //! | `Avx2`     | explicit `core::arch::x86_64` AVX2 intrinsics, 8×`f32` / 4×`f64` per iteration |
+//! | `Avx512`   | AVX-512 (F + DQ + VL) intrinsics for the MAC nest only: 8×`f64` per block, k-mask compares, native `vpmullq` for the SR hash; the *slice* quantizers under this tier run the `Avx2` kernels |
 //!
 //! [`active_tier`] resolves the process-wide tier **once**: the
-//! `MPT_SIMD` environment knob (`auto`/`off`/`portable`/`avx2`)
-//! combined with `is_x86_feature_detected!("avx2")` runtime dispatch.
-//! `auto` (the default) picks the widest tier the host supports.
+//! `MPT_SIMD` environment knob
+//! (`auto`/`off`/`portable`/`avx2`/`avx512`) combined with
+//! `is_x86_feature_detected!` runtime dispatch. `auto` (the default)
+//! picks the widest tier the host supports.
 //! Benches and differential tests bypass the ambient tier through the
 //! explicit `*_tier` entry points
 //! ([`crate::FloatFastF32::quantize_slice_tier`],
@@ -32,7 +34,7 @@
 
 use std::sync::OnceLock;
 
-/// One of the three bit-identical kernel implementations.
+/// One of the four bit-identical kernel implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdTier {
     /// Scalar bit-twiddling loops (the pre-SIMD kernels).
@@ -41,26 +43,46 @@ pub enum SimdTier {
     Portable,
     /// Explicit AVX2 intrinsics (x86_64 with runtime detection only).
     Avx2,
+    /// AVX-512 (F + DQ + VL) MAC nest over the AVX2 slice quantizers
+    /// (x86_64 with runtime detection only).
+    Avx512,
 }
 
 impl SimdTier {
-    /// Stable lower-case name (`off`/`portable`/`avx2`) — the values
-    /// `MPT_SIMD` accepts and the telemetry dispatch counters use.
+    /// Every tier, narrowest first. Safe to iterate on any host: an
+    /// explicit-tier entry point asked for a tier the CPU cannot
+    /// execute runs the next narrower one it can (`Avx512` → `Avx2` →
+    /// `Portable`), which is bit-identical anyway — so differential
+    /// tests loop over this and cover the fall-backs where a tier is
+    /// missing. [`available`](Self::available) is the prefix the host
+    /// really executes.
+    pub const ALL: [SimdTier; 4] = [
+        SimdTier::Off,
+        SimdTier::Portable,
+        SimdTier::Avx2,
+        SimdTier::Avx512,
+    ];
+
+    /// Stable lower-case name (`off`/`portable`/`avx2`/`avx512`) — the
+    /// values `MPT_SIMD` accepts and the telemetry dispatch counters
+    /// use.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Off => "off",
             SimdTier::Portable => "portable",
             SimdTier::Avx2 => "avx2",
+            SimdTier::Avx512 => "avx512",
         }
     }
 
     /// Every tier the current host can execute, widest last.
     pub fn available() -> &'static [SimdTier] {
-        if avx2_supported() {
-            &[SimdTier::Off, SimdTier::Portable, SimdTier::Avx2]
-        } else {
-            &[SimdTier::Off, SimdTier::Portable]
-        }
+        let count = match widest_supported_tier() {
+            SimdTier::Avx512 => 4,
+            SimdTier::Avx2 => 3,
+            SimdTier::Off | SimdTier::Portable => 2,
+        };
+        &Self::ALL[..count]
     }
 }
 
@@ -83,10 +105,30 @@ pub fn avx2_supported() -> bool {
     }
 }
 
+/// `true` when the host CPU supports what the `Avx512` tier uses:
+/// AVX-512 F, DQ (`vpmullq`, sign-bit masks) and VL (256-bit masked
+/// `f32` loads/stores), on top of AVX2 for the slice quantizers
+/// (runtime detection; always `false` off x86_64).
+pub fn avx512_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_supported()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// The widest tier the host supports — what `MPT_SIMD=auto` resolves
 /// to.
 pub fn widest_supported_tier() -> SimdTier {
-    if avx2_supported() {
+    if avx512_supported() {
+        SimdTier::Avx512
+    } else if avx2_supported() {
         SimdTier::Avx2
     } else {
         SimdTier::Portable
@@ -101,17 +143,14 @@ pub fn parse_tier(value: &str) -> Result<SimdTier, String> {
         "" | "auto" => Ok(widest_supported_tier()),
         "off" | "scalar" => Ok(SimdTier::Off),
         "portable" => Ok(SimdTier::Portable),
-        "avx2" => {
-            if avx2_supported() {
-                Ok(SimdTier::Avx2)
-            } else {
-                Err("MPT_SIMD=avx2 requested but the host CPU lacks AVX2; \
-                     falling back to `portable`"
-                    .to_string())
-            }
-        }
+        "avx2" if avx2_supported() => Ok(SimdTier::Avx2),
+        "avx512" if avx512_supported() => Ok(SimdTier::Avx512),
+        tier @ ("avx2" | "avx512") => Err(format!(
+            "MPT_SIMD={tier} requested but the host CPU lacks it; falling back to `{}`",
+            widest_supported_tier()
+        )),
         other => Err(format!(
-            "unknown MPT_SIMD value `{other}` (expected auto|off|portable|avx2); \
+            "unknown MPT_SIMD value `{other}` (expected auto|off|portable|avx2|avx512); \
              falling back to `auto`"
         )),
     }
@@ -130,11 +169,7 @@ pub fn active_tier() -> SimdTier {
             Ok(tier) => tier,
             Err(msg) => {
                 eprintln!("mpt-formats: {msg}");
-                if requested.trim().eq_ignore_ascii_case("avx2") {
-                    SimdTier::Portable
-                } else {
-                    widest_supported_tier()
-                }
+                widest_supported_tier()
             }
         }
     })
@@ -152,6 +187,19 @@ mod tests {
         if avx2_supported() {
             assert_eq!(parse_tier("avx2"), Ok(SimdTier::Avx2));
             assert_eq!(parse_tier("AVX2"), Ok(SimdTier::Avx2));
+        }
+        if avx512_supported() {
+            assert_eq!(parse_tier("avx512"), Ok(SimdTier::Avx512));
+        }
+    }
+
+    #[test]
+    fn unsupported_vector_tiers_error_naming_the_fallback() {
+        for (name, supported) in [("avx2", avx2_supported()), ("avx512", avx512_supported())] {
+            if !supported {
+                let msg = parse_tier(name).unwrap_err();
+                assert!(msg.contains(widest_supported_tier().name()), "{msg}");
+            }
         }
     }
 
@@ -171,10 +219,16 @@ mod tests {
         let avail = SimdTier::available();
         assert_eq!(avail.first(), Some(&SimdTier::Off));
         assert_eq!(avail.last(), Some(&widest_supported_tier()));
+        assert_eq!(avail, &SimdTier::ALL[..avail.len()]);
+        assert_eq!(avail.contains(&SimdTier::Avx2), avx2_supported());
+        assert_eq!(avail.contains(&SimdTier::Avx512), avx512_supported());
     }
 
     #[test]
     fn active_tier_is_stable() {
+        // CI's kernel-dispatch legs run this with `--nocapture` to log
+        // which nest they exercised.
+        println!("MPT_SIMD resolved to `{}`", active_tier());
         assert_eq!(active_tier(), active_tier());
     }
 }

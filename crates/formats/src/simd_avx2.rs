@@ -198,6 +198,11 @@ unsafe fn quantize_slice_f32_avx2<const MODE: u8>(
         let special = _mm256_cmpeq_epi32(ef, exp_mask_f);
         let ge = _mm256_cmpgt_epi32(ef, lo_m1);
         let fastm = _mm256_andnot_si256(special, _mm256_and_si256(nz, ge));
+        // ±0 rounds to itself in every mode, and that is what the lane
+        // arithmetic below yields for it (`rem == 0`, see
+        // `quantize_block_indexed`), so zeros — most of a ReLU-sparse
+        // operand — are not patched.
+        let fastm = _mm256_or_si256(fastm, _mm256_cmpeq_epi32(abs, zero));
         let rem = _mm256_and_si256(abs, rem_mask);
         let q = _mm256_sub_epi32(abs, rem);
         let y = match MODE {

@@ -11,18 +11,6 @@ use mpt_formats::{
 };
 use proptest::prelude::*;
 
-/// Every tier that can run on this host. `Avx2` is included
-/// unconditionally on x86_64 — its entry points fall back to the
-/// portable kernel when the CPU lacks the feature, and the fallback
-/// must be bit-identical anyway.
-fn all_tiers() -> Vec<SimdTier> {
-    let mut tiers = vec![SimdTier::Off, SimdTier::Portable];
-    if cfg!(target_arch = "x86_64") {
-        tiers.push(SimdTier::Avx2);
-    }
-    tiers
-}
-
 /// Arbitrary `EeMm` with subnormal/saturation handling toggled — the
 /// f32-carrier space (`man <= 23` keeps quantization non-trivial, but
 /// wider mantissas exercise the identity fast path too).
@@ -264,7 +252,7 @@ proptest! {
         base in 0u64..1 << 40,
     ) {
         let q = q.with_seed(seed);
-        for tier in all_tiers() {
+        for tier in SimdTier::ALL {
             let mut out = values.clone();
             q.quantize_slice_f32_tier(&mut out, base, tier);
             for (i, (&f, &v)) in out.iter().zip(values.iter()).enumerate() {
@@ -472,7 +460,7 @@ fn tier_lane_tails_and_specials() {
                         .collect();
                     let mut reference = values.clone();
                     q.quantize_slice_f32_tier(&mut reference, 31, SimdTier::Off);
-                    for tier in [SimdTier::Portable, SimdTier::Avx2] {
+                    for tier in SimdTier::ALL {
                         let mut out = values.clone();
                         q.quantize_slice_f32_tier(&mut out, 31, tier);
                         let ob: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();

@@ -1,7 +1,7 @@
 //! Exhaustive fixed-point oracle: every implementation of fixed-point
 //! quantization — the scalar [`FixedFormat::quantize`], the
 //! monomorphized [`FixedFastF64`] (scalar body, portable lane block,
-//! AVX2 `quantize4`) and the `f32` slice path behind
+//! AVX2 `quantize4`, AVX-512 `quantize8`) and the `f32` slice path behind
 //! [`Quantizer::quantize_slice_f32_tier`] on every SIMD tier — against
 //! a slow **exact-integer** reference that shares no code with
 //! `round_scaled`.
@@ -179,37 +179,53 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
             scalar[l],
         );
     }
+    // The vector quantizer of each vector tier this host executes,
+    // the four probes repeated to fill wider registers.
     #[cfg(target_arch = "x86_64")]
-    if SimdTier::available().contains(&SimdTier::Avx2) {
+    for &tier in SimdTier::available() {
         use core::arch::x86_64::*;
         use mpt_formats::simd_avx2::FixedVecF64;
-        let h: [i64; 4] = std::array::from_fn(|l| rng.hash_input(indices[l]) as i64);
-        // SAFETY: AVX2 support checked just above.
-        let (res, lanes_ok) = unsafe {
-            let qv = FixedVecF64::new(&fast);
-            let (x, h) = (
-                _mm256_loadu_pd(xs.as_ptr()),
-                _mm256_set_epi64x(h[3], h[2], h[1], h[0]),
-            );
-            let (res, ok) = with_mode!(q.rounding(), M => qv.quantize4::<M>(x, h), unreachable!());
-            let mut out = [0f64; 4];
-            _mm256_storeu_pd(out.as_mut_ptr(), res);
-            (out, ok)
+        use mpt_formats::simd_avx512::FixedVecF64x8;
+        let xs8: [f64; 8] = std::array::from_fn(|l| xs[l % 4]);
+        let hash: [u64; 8] = std::array::from_fn(|l| rng.hash_input(indices[l % 4]));
+        let mut res = [0f64; 8];
+        // SAFETY: `available()` lists a vector tier only when the CPU
+        // has its features; loads and stores stay inside the 8-element
+        // arrays.
+        let (what, lanes, lanes_ok) = unsafe {
+            match tier {
+                SimdTier::Avx2 => {
+                    let qv = FixedVecF64::new(&fast);
+                    let (x, h) = (
+                        _mm256_loadu_pd(xs8.as_ptr()),
+                        _mm256_loadu_si256(hash.as_ptr().cast()),
+                    );
+                    let (r, ok) =
+                        with_mode!(q.rounding(), M => qv.quantize4::<M>(x, h), unreachable!());
+                    _mm256_storeu_pd(res.as_mut_ptr(), r);
+                    ("FixedVecF64::quantize4", 4, ok)
+                }
+                SimdTier::Avx512 => {
+                    let qv = FixedVecF64x8::new(&fast);
+                    let (x, h) = (
+                        _mm512_loadu_pd(xs8.as_ptr()),
+                        _mm512_loadu_si512(hash.as_ptr().cast()),
+                    );
+                    let (r, ok) =
+                        with_mode!(q.rounding(), M => qv.quantize8::<M>(x, h), unreachable!());
+                    _mm512_storeu_pd(res.as_mut_ptr(), r);
+                    ("FixedVecF64x8::quantize8", 8, ok as u32)
+                }
+                SimdTier::Off | SimdTier::Portable => continue,
+            }
         };
-        for l in 0..4 {
+        for l in 0..lanes {
             // Lanes reported invalid are the caller's to recompute
             // (non-finite inputs only).
             if lanes_ok & (1 << l) != 0 {
-                check(
-                    "FixedVecF64::quantize4",
-                    q,
-                    xs[l],
-                    res[l],
-                    want[l],
-                    scalar[l],
-                );
+                check(what, q, xs8[l], res[l], want[l % 4], scalar[l % 4]);
             } else {
-                assert!(!xs[l].is_finite(), "finite lane {:e} handed back", xs[l]);
+                assert!(!xs8[l].is_finite(), "finite lane {:e} handed back", xs8[l]);
             }
         }
     }

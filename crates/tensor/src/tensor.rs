@@ -218,10 +218,22 @@ impl Tensor {
             actual: self.rank(),
             op: "transpose",
         })?;
+        // Tile by tile: the plain `out[j][i] = in[i][j]` double loop
+        // writes one cache line per element on a wide matrix (conv
+        // backward transposes a 25 × 25088 `cols` every step). Within
+        // a tile the writes are contiguous and the `TILE` source
+        // lines being read stay in L1.
+        const TILE: usize = 32;
         let mut out = Tensor::zeros(vec![c, r]);
-        for i in 0..r {
-            for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+        for i0 in (0..r).step_by(TILE) {
+            let i1 = (i0 + TILE).min(r);
+            for j0 in (0..c).step_by(TILE) {
+                for j in j0..(j0 + TILE).min(c) {
+                    let dst = &mut out.data[j * r + i0..j * r + i1];
+                    for (d, i) in dst.iter_mut().zip(i0..i1) {
+                        *d = self.data[i * c + j];
+                    }
+                }
             }
         }
         Ok(out)
@@ -395,6 +407,26 @@ mod tests {
         assert_eq!(tt.shape(), &[3, 2]);
         assert_eq!(tt.data(), &[1., 4., 2., 5., 3., 6.]);
         assert_eq!(tt.transpose().unwrap(), t);
+    }
+
+    #[test]
+    fn tiled_transpose_matches_the_plain_double_loop() {
+        // Empty, single row/column, one element past a tile in each
+        // direction, and the conv-backward `cols` shape.
+        for (r, c) in [(0, 5), (5, 0), (1, 70), (70, 1), (33, 65), (25, 25088)] {
+            let t = Tensor::from_fn(vec![r, c], |i| (i as f32).sin());
+            let tt = t.transpose().unwrap();
+            assert_eq!(tt.shape(), &[c, r]);
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(
+                        tt.data()[j * r + i].to_bits(),
+                        t.data()[i * c + j].to_bits(),
+                        "{r}x{c} at ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
