@@ -1,13 +1,13 @@
 //! Kernel selection and the scalar cache-blocked GEMM loop nest.
 //!
-//! [`gemm_into`] inspects the MAC configuration **once** per GEMM,
+//! [`gemm_into_tier`] inspects the MAC configuration **once** per GEMM,
 //! turns each rounding stage into a monomorphized
 //! [`Stage`](crate::stage::Stage) and runs the loop nest of the
 //! requested tier over the pair:
 //!
 //! | MAC configuration (`mul × acc`)               | stages                         | nest |
 //! |-----------------------------------------------|--------------------------------|------|
-//! | fused (`NR` mul) × float — every `E*M*` row of the paper | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_portable` / `gemm_avx2` / `gemm_avx512` |
+//! | fused (`NR` mul) × float — every `E*M*` row of the paper | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_avx2` / `gemm_avx512` |
 //! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8`    | `FixedStage<M> × FixedStage<M>` | tier |
 //! | fused × fixed, unfused float × float | the matching lane stages | tier |
 //! | block FP at either stage, `NR` accumulator, unfused float × fixed or fixed × float, fixed point wider than 52 bits, floats as fine as `f64` | [`Quantizer`] (the scalar oracle) at both stages | [`gemm_scalar`] only |
@@ -16,12 +16,12 @@
 //! the observer; the last row is the scalar nest instantiated with
 //! the oracle stage, not a nest of its own.
 //!
-//! The scalar, portable and AVX2 nests are `i / j-tile / k / j`
+//! The scalar and AVX2 nests are `i / j-tile / k / j`
 //! ordered: for each output row, a `J_TILE`-wide chunk of the output
 //! and of each `B` row stays hot in L1 while the `k` reduction streams
 //! through. The AVX-512 nest is `j-strip / i / k`: a 32-column strip's
 //! accumulators live in registers for the whole reduction (see
-//! `simd_fused::avx512` for why). In all four every output element
+//! `simd_fused::avx512` for why). In all three every output element
 //! accumulates over `k` in ascending order — the order the scalar
 //! reference uses, so results are bit-identical by construction (each
 //! element sees the same sequence of [`mac_round`] operations with the
@@ -36,12 +36,11 @@
 //! numerics counters: [`NoTally`] monomorphizes to exactly the
 //! uninstrumented loop, [`mpt_telemetry::QuantTally`] classifies every multiplier
 //! and accumulator rounding into thread-local tallies flushed once
-//! per kernel call. [`gemm_into`] picks the variant with a single
+//! per kernel call. [`gemm_into_tier`] picks the variant with a single
 //! `telemetry::enabled()` check per GEMM, so the disabled path costs
 //! one relaxed atomic load.
 
 use crate::mac::{mac_round, MacConfig};
-use crate::simd_fused::gemm_portable;
 use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, NoTally, Stage};
 use mpt_formats::{
     with_mode, FixedFastF64, FloatFastF64, LanePlanF64, NumberFormat, Quantizer, SimdTier,
@@ -137,31 +136,12 @@ macro_rules! with_stage {
 
 /// Computes `out += A · B` under `mac` (with `out` starting at zero),
 /// quantized operands already in `ad`/`bd`, indexing rounding events
-/// by global coordinates `(i + row_offset, j + col_offset, k)`, under
-/// the ambient `MPT_SIMD` kernel tier.
+/// by global coordinates `(i + row_offset, j + col_offset, k)`, on the
+/// nest of kernel tier `tier`.
 ///
-/// Bit-identical to the scalar reference loop for all configurations,
-/// with telemetry enabled or not.
+/// Bit-identical to the scalar reference loop for all configurations
+/// and tiers, with telemetry enabled or not.
 #[allow(clippy::too_many_arguments)] // flat GEMM signature: dims + offsets
-pub(crate) fn gemm_into(
-    out: &mut [f32],
-    ad: &[f32],
-    bd: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    mac: &MacConfig,
-    row_offset: usize,
-    col_offset: usize,
-) {
-    let tier = mpt_formats::simd::active_tier();
-    gemm_into_tier(out, ad, bd, n, k, m, mac, row_offset, col_offset, tier)
-}
-
-/// [`gemm_into`] with an explicit kernel tier (every tier is
-/// bit-identical; benches and differential tests compare tiers within
-/// one process through [`crate::qgemm::qgemm_with_tier`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_into_tier(
     out: &mut [f32],
     ad: &[f32],
@@ -193,7 +173,7 @@ pub(crate) fn gemm_into_tier(
         let mut mul_tally = mac.mul.telemetry_tally();
         let mut acc_tally = mac.acc.telemetry_tally();
         // Dispatch counter: which nest ran this GEMM
-        // (`kernel.tier.off|portable|avx2|avx512` for the lane stages,
+        // (`kernel.tier.off|avx2|avx512` for the lane stages,
         // `kernel.tier.generic` for the scalar-oracle stages).
         let label = dispatch(gemm, mac, tier, &mut mul_tally, &mut acc_tally);
         mpt_telemetry::counter(&format!("kernel.tier.{label}")).incr();
@@ -243,9 +223,9 @@ fn dispatch<T: MacObserver>(
     tier.name()
 }
 
-/// The existing tier switch, now over any stage pair. On non-x86_64
-/// hosts the vector tiers (unreachable through `active_tier`, but
-/// expressible through the explicit-tier API) degrade to portable.
+/// The tier switch, over any stage pair. On non-x86_64 hosts the vector
+/// tiers (unreachable through `active_tier`, but expressible through
+/// the explicit-tier API) run the scalar nest.
 fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     gemm: Gemm<'_>,
     mul: &M,
@@ -261,18 +241,18 @@ fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
         unreachable!("mixed-family MACs run the oracle stages");
     }
     match tier {
-        SimdTier::Off => gemm_scalar(gemm, mul, acc, mul_obs, acc_obs),
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => crate::simd_fused::avx2::gemm_avx2(gemm, mul, acc, mul_obs, acc_obs),
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 => {
             crate::simd_fused::avx512::gemm_avx512(gemm, mul, acc, mul_obs, acc_obs)
         }
-        _ => gemm_portable(gemm, mul, acc, mul_obs, acc_obs),
+        _ => gemm_scalar(gemm, mul, acc, mul_obs, acc_obs),
     }
 }
 
-/// The scalar loop nest: one [`mac_round`] per non-zero product.
+/// The scalar loop nest: one [`mac_round`] per non-zero product. The
+/// `Off` tier, and where the vector nests land when the CPU lacks them.
 pub(crate) fn gemm_scalar<M: Stage, A: Stage, T: MacObserver>(
     g: Gemm<'_>,
     mul: &M,
@@ -312,9 +292,9 @@ mod tests {
     use super::*;
     use mpt_formats::{BlockFpFormat, FixedFormat, FloatFormat, Rounding};
 
-    /// Runs a tiny GEMM under `mac` with telemetry on and returns the
-    /// `kernel.tier.*` label it was dispatched to.
-    fn label_of(mac: MacConfig) -> &'static str {
+    /// Dispatches a tiny GEMM under `mac` on `tier` and returns the
+    /// `kernel.tier.*` label of what ran.
+    fn label_of(mac: MacConfig, tier: SimdTier) -> &'static str {
         let (ad, bd) = ([1.0f32, 0.5, -0.25, 2.0], [0.5f32, -1.0, 1.5, 0.25]);
         let mut out = [0.0f32; 4];
         let gemm = Gemm {
@@ -328,7 +308,7 @@ mod tests {
             col_offset: 0,
             b_all_finite: true,
         };
-        dispatch(gemm, &mac, SimdTier::Portable, &mut NoTally, &mut NoTally)
+        dispatch(gemm, &mac, tier, &mut NoTally, &mut NoTally)
     }
 
     #[test]
@@ -345,7 +325,9 @@ mod tests {
             MacConfig::new(fxp44(nr), fxp88(rn)),
             MacConfig::new(e5m2(rn), e6m5(Rounding::ToOdd)),
         ] {
-            assert_eq!(label_of(mac), "portable", "{mac}");
+            for &tier in SimdTier::available() {
+                assert_eq!(label_of(mac, tier), tier.name(), "{mac}");
+            }
         }
     }
 
@@ -369,7 +351,9 @@ mod tests {
             MacConfig::new(e6m5, Quantizer::fixed(FixedFormat::fxp8_8(), rn)),
             MacConfig::new(Quantizer::fixed(FixedFormat::fxp4_4(), rn), e6m5),
         ] {
-            assert_eq!(label_of(mac), "generic", "{mac}");
+            for &tier in SimdTier::available() {
+                assert_eq!(label_of(mac, tier), "generic", "{mac}");
+            }
         }
     }
 }

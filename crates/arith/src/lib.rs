@@ -53,6 +53,7 @@ pub mod mac;
 pub mod parallel;
 pub mod qgemm;
 pub mod shape;
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod simd_fused;
 pub(crate) mod stage;
 
@@ -60,8 +61,8 @@ pub use backend::{gemm_span, CpuBackend, GemmBackend};
 pub use mac::{input_event_index, mac_step, mac_step_with, sr_event_index, MacConfig, MacStage};
 pub use parallel::{default_threads, pool_execute, pool_workers, qgemm_parallel};
 pub use qgemm::{
-    qgemm, qgemm_prequantized, qgemm_reference, qgemm_with_offsets, qgemm_with_tier,
-    quantize_matrix, quantize_matrix_tier, QGemmConfig,
+    qgemm, qgemm_prequantized, qgemm_reference, qgemm_with_tier, quantize_matrix,
+    quantize_matrix_tier, QGemmConfig,
 };
 pub use shape::GemmShape;
 pub use stage::{MacObserver, NoTally};

@@ -14,9 +14,12 @@
 //! Operands are quantized once (with global coordinates) and shared
 //! read-only by all tiles, rather than re-quantized per block.
 
-use crate::kernels::gemm_into;
-use crate::qgemm::{qgemm_with_offsets, quantize_matrix, QGemmConfig};
+use crate::kernels::gemm_into_tier;
+use crate::mac::MacConfig;
+use crate::qgemm::{qgemm, quantize_matrix, QGemmConfig};
 use crate::shape::GemmShape;
+use mpt_formats::simd::active_tier;
+use mpt_formats::SimdTier;
 use mpt_tensor::{ShapeError, Tensor};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,6 +138,36 @@ fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// One output tile: rows `r0..r1` of quantized `A` against `bcol`, the
+/// packed columns `c0..c1` of quantized `B`, with rounding events at
+/// the tile's global coordinates.
+fn compute_tile(
+    aq: &Tensor,
+    bcol: &[f32],
+    k: usize,
+    (r0, r1): (usize, usize),
+    (c0, c1): (usize, usize),
+    mac: &MacConfig,
+    tier: SimdTier,
+) -> Vec<f32> {
+    let rh = r1 - r0;
+    let cw = c1 - c0;
+    let mut tile = vec![0.0f32; rh * cw];
+    gemm_into_tier(
+        &mut tile,
+        &aq.data()[r0 * k..r1 * k],
+        bcol,
+        rh,
+        k,
+        cw,
+        mac,
+        r0,
+        c0,
+        tier,
+    );
+    tile
+}
+
 /// Computes `A · B` under `cfg` using up to `threads` concurrent
 /// tiles, executed on the persistent worker pool.
 ///
@@ -160,7 +193,7 @@ pub fn qgemm_parallel(
     // channel hops, no operand re-packing. The bench suite pins this
     // path to within 1% of calling `qgemm` directly.
     if threads == 1 || n == 0 || m == 0 || cfg.is_identity() {
-        return qgemm_with_offsets(a, b, cfg, 0, 0);
+        return qgemm(a, b, cfg);
     }
 
     let (tr, tc) = tile_grid(threads, n, m);
@@ -168,7 +201,7 @@ pub fn qgemm_parallel(
         // Degenerate one-tile grid (defensive: today `threads` is
         // clamped so this implies `threads == 1`, but the grid policy
         // may evolve) — same caller-thread fast exit.
-        return qgemm_with_offsets(a, b, cfg, 0, 0);
+        return qgemm(a, b, cfg);
     }
 
     // Quantize once, with global coordinates, shared by every tile —
@@ -195,29 +228,10 @@ pub fn qgemm_parallel(
         .collect();
 
     let (sender, receiver) = mpsc::channel::<(usize, usize, Vec<f32>)>();
-    let mac = cfg.mac;
+    let (mac, tier) = (cfg.mac, active_tier());
     let tile_ids: Vec<(usize, usize)> = (0..row_ranges.len())
         .flat_map(|ri| (0..col_ranges.len()).map(move |ci| (ri, ci)))
         .collect();
-    let run_tile = |ri: usize, ci: usize, aq: &Tensor, bcol: &[f32]| {
-        let (r0, r1) = row_ranges[ri];
-        let (c0, c1) = col_ranges[ci];
-        let rh = r1 - r0;
-        let cw = c1 - c0;
-        let mut tile = vec![0.0f32; rh * cw];
-        gemm_into(
-            &mut tile,
-            &aq.data()[r0 * k..r1 * k],
-            bcol,
-            rh,
-            k,
-            cw,
-            &mac,
-            r0,
-            c0,
-        );
-        tile
-    };
     // All tiles but the last go to the pool; the caller thread
     // computes the last one itself instead of idling on the channel
     // (tiles are independent, so execution placement cannot change
@@ -227,23 +241,9 @@ pub fn qgemm_parallel(
         let aq = Arc::clone(&aq);
         let bcol = Arc::clone(&col_blocks[ci]);
         let sender = sender.clone();
-        let (r0, r1) = row_ranges[ri];
-        let (c0, c1) = col_ranges[ci];
+        let (rows, cols) = (row_ranges[ri], col_ranges[ci]);
         pool().submit(Box::new(move || {
-            let rh = r1 - r0;
-            let cw = c1 - c0;
-            let mut tile = vec![0.0f32; rh * cw];
-            gemm_into(
-                &mut tile,
-                &aq.data()[r0 * k..r1 * k],
-                &bcol,
-                rh,
-                k,
-                cw,
-                &mac,
-                r0,
-                c0,
-            );
+            let tile = compute_tile(&aq, &bcol, k, rows, cols, &mac, tier);
             let _ = sender.send((ri, ci, tile));
         }));
     }
@@ -259,7 +259,8 @@ pub fn qgemm_parallel(
         }
     };
     let (lri, lci) = *last;
-    let local = run_tile(lri, lci, &aq, &col_blocks[lci]);
+    let (rows, cols) = (row_ranges[lri], col_ranges[lci]);
+    let local = compute_tile(&aq, &col_blocks[lci], k, rows, cols, &mac, tier);
     place(lri, lci, local, &mut out);
     for _ in 0..pooled.len() {
         let (ri, ci, tile) = receiver.recv().expect("GEMM tile worker panicked");
@@ -286,7 +287,6 @@ pub fn pool_execute(job: impl FnOnce() + Send + 'static) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qgemm::qgemm;
 
     fn operands(n: usize, k: usize, m: usize) -> (Tensor, Tensor) {
         (

@@ -4,9 +4,10 @@
 //! quantize the inputs, run every MAC in the configured formats, and
 //! cast the result back to FP32.
 
-use crate::kernels::{gemm_into, gemm_into_tier};
+use crate::kernels::gemm_into_tier;
 use crate::mac::{input_event_index, mac_step, MacConfig};
 use crate::shape::GemmShape;
+use mpt_formats::simd::active_tier;
 use mpt_formats::{Quantizer, SimdTier};
 use mpt_tensor::{ShapeError, Tensor};
 use std::fmt;
@@ -115,45 +116,23 @@ impl fmt::Display for QGemmConfig {
 /// # Ok::<(), mpt_tensor::ShapeError>(())
 /// ```
 pub fn qgemm(a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Result<Tensor, ShapeError> {
-    qgemm_with_offsets(a, b, cfg, 0, 0)
+    qgemm_with_tier(a, b, cfg, 0, 0, active_tier())
 }
 
-/// [`qgemm`] with logical coordinate offsets.
+/// [`qgemm`] with logical coordinate offsets and an explicit SIMD tier
+/// instead of the ambient `MPT_SIMD` selection.
 ///
-/// The systolic-array simulator partitions `A` row-wise across cores;
-/// `row_offset`/`col_offset` let a core compute its tile while
-/// indexing stochastic-rounding events by *global* output coordinates,
-/// preserving bit-equality with the unpartitioned emulation.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`qgemm`].
-pub fn qgemm_with_offsets(
-    a: &Tensor,
-    b: &Tensor,
-    cfg: &QGemmConfig,
-    row_offset: usize,
-    col_offset: usize,
-) -> Result<Tensor, ShapeError> {
-    qgemm_with_tier(
-        a,
-        b,
-        cfg,
-        row_offset,
-        col_offset,
-        mpt_formats::simd::active_tier(),
-    )
-}
-
-/// [`qgemm_with_offsets`] with an explicit SIMD tier instead of the
-/// ambient `MPT_SIMD` selection.
+/// `row_offset`/`col_offset` let a caller compute one tile of a
+/// partitioned GEMM while indexing stochastic-rounding events by
+/// *global* output coordinates, preserving bit-equality with the
+/// unpartitioned emulation.
 ///
 /// Every tier is bit-identical (the lane kernels replay the scalar
-/// operation and SR event sequence exactly), so this exists purely for
-/// in-process tier comparison: differential tests pin
-/// `off == portable == avx2` and benches assert bit-equality alongside
+/// operation and SR event sequence exactly), so the tier parameter
+/// exists purely for in-process comparison: differential tests pin
+/// `off == avx2 == avx512` and benches assert bit-equality alongside
 /// their throughput measurements without re-spawning the process per
-/// `MPT_SIMD` value.
+/// `MPT_SIMD` value. A tier the CPU lacks runs the next narrower one.
 ///
 /// # Errors
 ///
@@ -166,29 +145,16 @@ pub fn qgemm_with_tier(
     col_offset: usize,
     tier: SimdTier,
 ) -> Result<Tensor, ShapeError> {
-    let GemmShape { n, k, m } = GemmShape::of_product(a, b, "qgemm")?;
+    // Validated and short-cut here as well as in `mac_gemm`: operand
+    // quantization panics on a non-matrix, and an identity quantizer
+    // would clone each operand for nothing.
+    GemmShape::of_product(a, b, "qgemm")?;
     if cfg.is_identity() {
-        // Fast path: plain FP32 GEMM in the same reduction order.
         return a.matmul(b);
     }
-
     let aq = quantize_matrix_tier(a, &cfg.quant_a, row_offset, 0, tier);
     let bq = quantize_matrix_tier(b, &cfg.quant_b, 0, col_offset, tier);
-
-    let mut out = vec![0.0f32; n * m];
-    gemm_into_tier(
-        &mut out,
-        aq.data(),
-        bq.data(),
-        n,
-        k,
-        m,
-        &cfg.mac,
-        row_offset,
-        col_offset,
-        tier,
-    );
-    Tensor::from_vec(vec![n, m], out)
+    mac_gemm(&aq, &bq, cfg, row_offset, col_offset, tier, "qgemm")
 }
 
 /// [`qgemm`] minus the input-quantization stage: `aq`/`bq` have
@@ -213,12 +179,39 @@ pub fn qgemm_prequantized(
     bq: &Tensor,
     cfg: &QGemmConfig,
 ) -> Result<Tensor, ShapeError> {
-    let GemmShape { n, k, m } = GemmShape::of_product(aq, bq, "qgemm_prequantized")?;
+    mac_gemm(aq, bq, cfg, 0, 0, active_tier(), "qgemm_prequantized")
+}
+
+/// The MAC pipeline over already-quantized operands: what
+/// [`qgemm_with_tier`] and [`qgemm_prequantized`] share once the
+/// inputs are in the operand format.
+fn mac_gemm(
+    aq: &Tensor,
+    bq: &Tensor,
+    cfg: &QGemmConfig,
+    row_offset: usize,
+    col_offset: usize,
+    tier: SimdTier,
+    op: &'static str,
+) -> Result<Tensor, ShapeError> {
+    let GemmShape { n, k, m } = GemmShape::of_product(aq, bq, op)?;
     if cfg.is_identity() {
+        // Fast path: plain FP32 GEMM in the same reduction order.
         return aq.matmul(bq);
     }
     let mut out = vec![0.0f32; n * m];
-    gemm_into(&mut out, aq.data(), bq.data(), n, k, m, &cfg.mac, 0, 0);
+    gemm_into_tier(
+        &mut out,
+        aq.data(),
+        bq.data(),
+        n,
+        k,
+        m,
+        &cfg.mac,
+        row_offset,
+        col_offset,
+        tier,
+    );
     Tensor::from_vec(vec![n, m], out)
 }
 
@@ -227,7 +220,7 @@ pub fn qgemm_prequantized(
 /// [`mac_step`] calls — no slice fast paths, no kernel selection, no
 /// cache blocking.
 ///
-/// This is the **oracle** the optimized [`qgemm_with_offsets`] path is
+/// This is the **oracle** the optimized [`qgemm_with_tier`] path is
 /// property-tested against bit-for-bit; it is not used by the training
 /// stack. Kept deliberately simple so its correctness is auditable by
 /// inspection against the paper's MAC pipeline.
@@ -420,8 +413,9 @@ mod tests {
         let a = Tensor::from_fn(vec![8, 10], |i| ((i * 29 % 31) as f32 - 15.0) * 0.07);
         let b = Tensor::from_fn(vec![10, 6], |i| ((i * 23 % 27) as f32 - 13.0) * 0.09);
         let full = qgemm(&a, &b, &cfg).unwrap();
-        let top = qgemm_with_offsets(&a.slice_rows(0, 4).unwrap(), &b, &cfg, 0, 0).unwrap();
-        let bot = qgemm_with_offsets(&a.slice_rows(4, 8).unwrap(), &b, &cfg, 4, 0).unwrap();
+        let tier = active_tier();
+        let top = qgemm_with_tier(&a.slice_rows(0, 4).unwrap(), &b, &cfg, 0, 0, tier).unwrap();
+        let bot = qgemm_with_tier(&a.slice_rows(4, 8).unwrap(), &b, &cfg, 4, 0, tier).unwrap();
         let stitched = Tensor::concat_rows(&[top, bot]).unwrap();
         assert_eq!(full, stitched);
     }

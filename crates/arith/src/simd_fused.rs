@@ -1,11 +1,12 @@
-//! Lane-parallel MAC GEMM loop nests (the `MPT_SIMD` tiers).
+//! Lane-parallel MAC GEMM loop nests (the vector `MPT_SIMD` tiers;
+//! x86_64 only).
 //!
 //! These are drop-in replacements for the scalar nest in
 //! [`crate::kernels`]: same ascending-`k` reduction per output
-//! element, same [`sr_event_index`] event stream per stage. The
-//! portable and AVX2 nests also keep its `i / j-tile / k / j`
-//! traversal and only restructure the innermost `j` loop into 4-wide
-//! `f64` lane blocks; the AVX-512 nest is `j-strip / i / k` with 8-wide
+//! element, same [`sr_event_index`] event stream per stage. The AVX2
+//! nest also keeps its `i / j-tile / k / j` traversal and only
+//! restructures the innermost `j` loop into 4-wide `f64` lane blocks;
+//! the AVX-512 nest is `j-strip / i / k` with 8-wide
 //! blocks whose accumulators stay in registers across `k` (see
 //! [`avx512`] for the loop order and why it differs). Like the
 //! scalar nest they are generic over the two rounding
@@ -29,8 +30,8 @@
 //!   recomputed through the stage's scalar quantizer from the same
 //!   `f64` value;
 //! * SR event indices are computed per lane and per stage with the
-//!   *same* [`sr_event_index`] packing. The portable and AVX2 nests
-//!   pack every lane's index outright; the AVX-512 nest sums the
+//!   *same* [`sr_event_index`] packing. The AVX2 nest packs every
+//!   lane's index outright; the AVX-512 nest sums the
 //!   index's row, column and `k` fields after multiplying each by the
 //!   hash constant, which is the same number while no field can carry
 //!   into the next — checked once per GEMM, anything else runs the
@@ -41,94 +42,13 @@
 //! runs stay tier-independent too (in a different order on the AVX-512
 //! nest; the tallies are sums).
 
-use crate::kernels::{Gemm, J_TILE};
+use crate::kernels::{gemm_scalar, Gemm, J_TILE};
 use crate::mac::{mac_round, sr_event_index, MacStage};
-use crate::stage::{MacObserver, Stage, L};
+use crate::stage::{MacObserver, Stage};
 
-/// The portable lane-block nest: fixed-width arrays in safe Rust,
-/// shaped for the autovectorizer.
-pub(crate) fn gemm_portable<M: Stage, A: Stage, T: MacObserver>(
-    g: Gemm<'_>,
-    mul: &M,
-    acc: &A,
-    mul_obs: &mut T,
-    acc_obs: &mut T,
-) {
-    for i in 0..g.n {
-        let gi = i + g.row_offset;
-        let arow = &g.ad[i * g.k..(i + 1) * g.k];
-        let orow = &mut g.out[i * g.m..(i + 1) * g.m];
-        let mut j0 = 0;
-        while j0 < g.m {
-            let j1 = (j0 + J_TILE).min(g.m);
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 && g.b_all_finite {
-                    continue;
-                }
-                let av = av as f64;
-                let brow = &g.bd[kk * g.m..kk * g.m + g.m];
-                let mut j = j0;
-                while j + L <= j1 {
-                    let gj = j + g.col_offset;
-                    let mut prods = [0f64; L];
-                    let mut any_nonzero = false;
-                    for l in 0..L {
-                        prods[l] = av * brow[j + l] as f64;
-                        any_nonzero |= prods[l] != 0.0;
-                    }
-                    if any_nonzero {
-                        let mut rounded = prods;
-                        if !M::IDENTITY {
-                            let idxs = lane_indices(gi, gj, kk, MacStage::Multiply);
-                            mul.quantize_block(&mut rounded, &idxs);
-                        }
-                        let mut sums = [0f64; L];
-                        for l in 0..L {
-                            sums[l] = orow[j + l] as f64 + rounded[l];
-                        }
-                        let mut q = sums;
-                        acc.quantize_block(&mut q, &lane_indices(gi, gj, kk, MacStage::Accumulate));
-                        for l in 0..L {
-                            // Zero products leave the lane untouched
-                            // (and unobserved), like the scalar skip.
-                            if prods[l] == 0.0 {
-                                continue;
-                            }
-                            if !M::IDENTITY {
-                                mul_obs.record(prods[l], rounded[l]);
-                            }
-                            acc_obs.record(sums[l], q[l]);
-                            orow[j + l] = q[l] as f32;
-                        }
-                    }
-                    j += L;
-                }
-                while j < j1 {
-                    let product = av * brow[j] as f64;
-                    if product != 0.0 {
-                        let gj = j + g.col_offset;
-                        orow[j] =
-                            mac_round(orow[j], product, mul, acc, gi, gj, kk, mul_obs, acc_obs);
-                    }
-                    j += 1;
-                }
-            }
-            j0 = j1;
-        }
-    }
-}
-
-/// The rounding-event indices of `stage` for the `L` output columns
-/// starting at global column `gj`.
-#[inline(always)]
-fn lane_indices(gi: usize, gj: usize, kk: usize, stage: MacStage) -> [u64; L] {
-    std::array::from_fn(|l| sr_event_index(gi, gj + l, kk, stage))
-}
-
-/// The AVX2 nest (x86_64 only): explicit intrinsics for the 4-lane
+/// The AVX2 nest: explicit intrinsics for the 4-lane
 /// widen → multiply → round → add → round pipeline, sharing the `f64`
 /// lane quantizers with `mpt-formats`.
-#[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     #![allow(unsafe_code)]
 
@@ -272,7 +192,7 @@ pub(crate) mod avx2 {
     }
 
     /// AVX2 nest entry: re-checks CPU support defensively (dispatch
-    /// already did) and falls back to the portable tier.
+    /// already did) and falls back to the scalar nest.
     pub(crate) fn gemm_avx2<M: VecStage, A: VecStage, T: MacObserver>(
         g: Gemm<'_>,
         mul: &M,
@@ -281,7 +201,7 @@ pub(crate) mod avx2 {
         acc_obs: &mut T,
     ) {
         if !mpt_formats::simd::avx2_supported() {
-            return gemm_portable(g, mul, acc, mul_obs, acc_obs);
+            return gemm_scalar(g, mul, acc, mul_obs, acc_obs);
         }
         // SAFETY: AVX2 availability checked at runtime just above.
         unsafe { inner(g, mul, acc, mul_obs, acc_obs) }
@@ -435,8 +355,8 @@ pub(crate) mod avx2 {
     }
 }
 
-/// The AVX-512 nest (x86_64 only): 8 `f64` lanes per block, and a
-/// different loop order from the other three — `j-strip / i / k`
+/// The AVX-512 nest: 8 `f64` lanes per block, and a
+/// different loop order from the other two — `j-strip / i / k`
 /// instead of `i / j-tile / k / j`. The accumulators of a
 /// [`STRIP`](avx512::STRIP)-column strip of one output row stay in
 /// `zmm` registers, as `f64`, across the whole `k` reduction; the
@@ -470,7 +390,6 @@ pub(crate) mod avx2 {
 /// accumulators in registers through the `k` loop; with two
 /// *stochastic* stages the constants outgrow the file and LLVM parks
 /// the accumulators in stack slots — still `f64`, still no narrowing.
-#[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     #![allow(unsafe_code)]
 

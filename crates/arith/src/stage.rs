@@ -2,8 +2,8 @@
 //! ([`Stage`]) and who watches it round ([`MacObserver`]).
 //!
 //! A MAC has two rounding stages — the multiplier output and the
-//! accumulator — and each loop nest (scalar, portable lanes, AVX2,
-//! AVX-512) is written once, generic over a [`Stage`] per stage:
+//! accumulator — and each loop nest (scalar, AVX2, AVX-512) is written
+//! once, generic over a [`Stage`] per stage:
 //!
 //! | stage type            | rounds through                                   |
 //! |-----------------------|--------------------------------------------------|
@@ -26,10 +26,6 @@
 use mpt_formats::fast::mode;
 use mpt_formats::{FixedFastF64, FloatFastF64, LanePlanF64, Quantizer, SrRng};
 use mpt_telemetry::QuantTally;
-
-/// Lane width of the portable blocks (matches the AVX2 register
-/// width: 4 × `f64`).
-pub(crate) const L: usize = 4;
 
 /// Watches one MAC stage round: `record(x, q)` for every value `x`
 /// the stage rounded to `q` (zero products, which bypass both stages,
@@ -74,10 +70,9 @@ pub(crate) enum Family {
 
 /// One rounding stage of the MAC, as the loop nests see it.
 ///
-/// `quantize` alone serves the scalar nest; `quantize_block` serves
-/// the portable nest and the AVX2 and AVX-512 nests add their vector
-/// forms (`simd_fused::avx2::VecStage`) on top. Dispatch sends the
-/// oracle stage, which has neither, to the scalar nest.
+/// `quantize` alone serves the scalar nest; the AVX2 and AVX-512 nests
+/// add their vector forms (`simd_fused::avx2::VecStage`) on top.
+/// Dispatch sends the oracle stage, which has none, to the scalar nest.
 pub(crate) trait Stage: Copy {
     /// `true` only for [`Fused`]: the stage passes values through and
     /// is never observed.
@@ -104,12 +99,6 @@ pub(crate) trait Stage: Copy {
     fn f32_exact(&self) -> bool {
         false
     }
-
-    /// Rounds `L` values, lane `l` at event `indices[l]`;
-    /// bit-identical to `L` calls of [`quantize`](Stage::quantize).
-    fn quantize_block(&self, _vals: &mut [f64; L], _indices: &[u64; L]) {
-        unreachable!("stage has no lane kernel")
-    }
 }
 
 /// The `NR` multiplier of a fused MAC: the exact product feeds the
@@ -129,15 +118,14 @@ impl Stage for Fused {
     fn rng(&self) -> SrRng {
         SrRng::new(0)
     }
-
-    #[inline(always)]
-    fn quantize_block(&self, _vals: &mut [f64; L], _indices: &[u64; L]) {}
 }
 
 /// A float-format stage under rounding mode `MODE`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FloatStage<const MODE: u8> {
     pub(crate) fast: FloatFastF64,
+    /// Read by the vector forms only.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) plan: LanePlanF64,
 }
 
@@ -159,12 +147,6 @@ impl<const MODE: u8> Stage for FloatStage<MODE> {
     fn f32_exact(&self) -> bool {
         let format = self.fast.format();
         format.exp_bits() <= 8 && format.man_bits() <= 23
-    }
-
-    #[inline(always)]
-    fn quantize_block(&self, vals: &mut [f64; L], indices: &[u64; L]) {
-        self.fast
-            .quantize_block_indexed::<MODE, L>(&self.plan, vals, indices)
     }
 }
 
@@ -189,11 +171,6 @@ impl<const MODE: u8> Stage for FixedStage<MODE> {
     /// scale `2^-f` (`f ≤ 52`) its exponent range.
     fn f32_exact(&self) -> bool {
         self.0.format().bit_width() <= 24
-    }
-
-    #[inline(always)]
-    fn quantize_block(&self, vals: &mut [f64; L], indices: &[u64; L]) {
-        self.0.quantize_block_indexed::<MODE, L>(vals, indices)
     }
 }
 

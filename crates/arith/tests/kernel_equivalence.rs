@@ -5,9 +5,8 @@
 //! seed and offset, including operands containing zeros, infinities
 //! and saturation-range values.
 
-use mpt_arith::{
-    qgemm_parallel, qgemm_reference, qgemm_with_offsets, qgemm_with_tier, MacConfig, QGemmConfig,
-};
+use mpt_arith::{qgemm_parallel, qgemm_reference, qgemm_with_tier, MacConfig, QGemmConfig};
+use mpt_formats::simd::active_tier;
 use mpt_formats::{FixedFormat, FloatFormat, NumberFormat, Quantizer, Rounding, SimdTier};
 use mpt_tensor::Tensor;
 use proptest::prelude::*;
@@ -130,7 +129,7 @@ proptest! {
         let a = Tensor::from_fn(vec![n, k], |i| abig.data()[i % abig.data().len()]);
         let b = Tensor::from_fn(vec![k, m], |i| bbig.data()[i % bbig.data().len()]);
         let cfg = cfg.with_seed(seed);
-        let fast = qgemm_with_offsets(&a, &b, &cfg, ro, co).unwrap();
+        let fast = qgemm_with_tier(&a, &b, &cfg, ro, co, active_tier()).unwrap();
         let reference = qgemm_reference(&a, &b, &cfg, ro, co).unwrap();
         assert_bitwise_eq(&fast, &reference)?;
     }
@@ -173,7 +172,7 @@ proptest! {
             *v = 0.0; // a whole zero row of A against an inf in B
         }
         let a = Tensor::from_vec(vec![5, 7], ad).unwrap();
-        let fast = qgemm_with_offsets(&a, &b, &cfg, 0, 0).unwrap();
+        let fast = qgemm_with_tier(&a, &b, &cfg, 0, 0, active_tier()).unwrap();
         let reference = qgemm_reference(&a, &b, &cfg, 0, 0).unwrap();
         assert_bitwise_eq(&fast, &reference)?;
     }

@@ -82,13 +82,15 @@ proptest! {
         seed in 0u64..1000,
         split_frac in 0.1f64..0.9,
     ) {
-        use mpt_arith::qgemm_with_offsets;
+        use mpt_arith::qgemm_with_tier;
+        let tier = mpt_formats::simd::active_tier();
         let (a, b) = tensor_pair(n, k, m, seed);
         let cfg = QGemmConfig::for_mac(mac).with_seed(seed);
         let full = qgemm(&a, &b, &cfg).unwrap();
         let split = ((n as f64 * split_frac) as usize).clamp(1, n - 1);
-        let top = qgemm_with_offsets(&a.slice_rows(0, split).unwrap(), &b, &cfg, 0, 0).unwrap();
-        let bot = qgemm_with_offsets(&a.slice_rows(split, n).unwrap(), &b, &cfg, split, 0).unwrap();
+        let top = qgemm_with_tier(&a.slice_rows(0, split).unwrap(), &b, &cfg, 0, 0, tier).unwrap();
+        let bot =
+            qgemm_with_tier(&a.slice_rows(split, n).unwrap(), &b, &cfg, split, 0, tier).unwrap();
         prop_assert_eq!(Tensor::concat_rows(&[top, bot]).unwrap(), full);
     }
 

@@ -76,9 +76,8 @@ fn assert_tiers_match_oracle(a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Tenso
 /// Row meanings:
 /// * `fp8_fp12_sr_fast` — the scalar-dispatch fast kernel
 ///   (`MPT_SIMD=off` tier), the pre-SIMD baseline;
-/// * `fp8_fp12_sr_simd_portable` — the safe lane-array tier;
-/// * `fp8_fp12_sr_simd` — the AVX2 tier (the portable one where the
-///   host lacks AVX2);
+/// * `fp8_fp12_sr_simd` — the AVX2 tier (the scalar one again where
+///   the host lacks AVX2);
 /// * `fp8_fp12_sr_avx512` — the AVX-512 tier, only on hosts that have
 ///   it (skipped with a printed reason elsewhere);
 /// * `fp8_fp12_sr_fast_pool` / `fp8_fp12_sr_pool_t1` — the persistent
@@ -93,7 +92,7 @@ fn assert_tiers_match_oracle(a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Tenso
 fn bench_kernels(c: &mut Criterion) {
     let (a, b) = operands(128, 96, 96);
     let cfg = QGemmConfig::fp8_fp12_sr();
-    // An explicit `Avx2` request runs the portable nest where the CPU
+    // An explicit `Avx2` request runs the scalar nest where the CPU
     // lacks AVX2.
     let simd_tier = SimdTier::Avx2;
     let avx512 = SimdTier::available().contains(&SimdTier::Avx512);
@@ -124,9 +123,6 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("fp8_fp12_sr_fast", |bch| {
         bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, SimdTier::Off).expect("conforming"))
-    });
-    group.bench_function("fp8_fp12_sr_simd_portable", |bch| {
-        bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, SimdTier::Portable).expect("conforming"))
     });
     group.bench_function("fp8_fp12_sr_simd", |bch| {
         bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, simd_tier).expect("conforming"))

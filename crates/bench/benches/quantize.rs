@@ -1,7 +1,9 @@
 //! Quantizer throughput across formats and rounding modes — the cost
 //! of bit-accurate emulation that motivates the FPGA path (paper
 //! Section III: "Emulating custom precision operators introduces
-//! significant latency overhead").
+//! significant latency overhead"). Times
+//! `Quantizer::quantize_slice_f32`, the slice entry `quantize_matrix`
+//! runs on every GEMM operand, on the ambient `MPT_SIMD` tier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mpt_formats::{FixedFormat, FloatFormat, Quantizer, Rounding};
@@ -52,7 +54,7 @@ fn bench_quantize(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &q, |b, q| {
             b.iter(|| {
                 let mut buf = data.clone();
-                q.quantize_slice(&mut buf, 0);
+                q.quantize_slice_f32(&mut buf, 0);
                 buf
             })
         });

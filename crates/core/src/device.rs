@@ -43,7 +43,7 @@ fn accelerator(n: usize, m: usize, c: usize, db: &SynthesisDb) -> Result<Acceler
 
 impl Device {
     /// The SIMD tier the host-side emulation kernels dispatch to —
-    /// `"off"`, `"portable"`, or `"avx2"`, selected once per process
+    /// `"off"`, `"avx2"` or `"avx512"`, selected once per process
     /// by `MPT_SIMD` (default `auto` = widest supported). Applies to
     /// both variants: the CPU device runs whole GEMMs through these
     /// kernels, and the FPGA device uses them for its bit-identical

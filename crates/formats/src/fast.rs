@@ -31,7 +31,7 @@
 use crate::float::FloatFormat;
 use crate::rounding::Rounding;
 use crate::simd::SimdTier;
-use crate::sr::{hash, SrRng};
+use crate::sr::SrRng;
 
 /// Rounding-mode discriminants for `const`-generic monomorphization.
 ///
@@ -96,13 +96,13 @@ macro_rules! define_float_fast {
         man = $car_man:expr, exp_mask = $car_exp_mask:expr,
         bias = $car_bias:expr, inf_bits = $inf_bits:expr,
         max_exp_unreachable = $max_exp_unreachable:expr,
-        plan = $plan:ident, plan_doc = $plan_doc:expr, lanes = $lanes:expr
+        plan = $plan:ident, plan_doc = $plan_doc:expr
     ) => {
         #[doc = $plan_doc]
         ///
         /// All fields are plain integers precomputed from the format,
-        /// so lane kernels (portable blocks here, AVX2 intrinsics in
-        /// `simd_avx2` and `mpt-arith`) can broadcast them into vector
+        /// so the lane kernels (`simd_avx2`, `simd_avx512` and the MAC
+        /// nests in `mpt-arith`) can broadcast them into vector
         /// registers once per slice. Produced by `lane_plan()`; `None`
         /// when the format's mantissa is at least as wide as the
         /// carrier's (`ts <= 0`), where quantization degenerates to an
@@ -360,156 +360,6 @@ macro_rules! define_float_fast {
                 })
             }
 
-            /// Quantizes `L` consecutive values branch-free across
-            /// lanes; lane `i` uses rounding event `base_index + i`.
-            /// Bit-identical to `L` calls of
-            /// [`quantize`](Self::quantize): lanes inside the fast
-            /// regime run the same integer sequence element-wise, and
-            /// lanes outside it (zero / subnormal / non-finite /
-            /// below `min_exp`) are recomputed through the scalar path
-            /// from the preserved original values.
-            ///
-            /// The lane loops are written over fixed-size arrays so the
-            /// autovectorizer can fuse them; the AVX2 tier replays the
-            /// identical operation sequence with explicit intrinsics.
-            #[inline]
-            pub fn quantize_block<const MODE: u8, const L: usize>(
-                &self,
-                plan: &$plan,
-                vals: &mut [$carrier; L],
-                base_index: u64,
-            ) {
-                let mut indices = [0u64; L];
-                for i in 0..L {
-                    indices[i] = base_index.wrapping_add(i as u64);
-                }
-                self.quantize_block_indexed::<MODE, L>(plan, vals, &indices)
-            }
-
-            /// [`quantize_block`](Self::quantize_block) with an
-            /// explicit rounding-event index per lane — the fused GEMM
-            /// kernels use this with `sr_event_index`-structured
-            /// indices, which advance by `1 << 22` per output column
-            /// rather than by 1.
-            #[inline]
-            pub fn quantize_block_indexed<const MODE: u8, const L: usize>(
-                &self,
-                plan: &$plan,
-                vals: &mut [$carrier; L],
-                indices: &[u64; L],
-            ) {
-                let sign_bit: $ubits =
-                    (1 as $ubits) << ($car_man + ($car_exp_mask as u32).count_ones());
-                let orig = *vals;
-                let mut abs = [0 as $ubits; L];
-                let mut sign = [0 as $ubits; L];
-                for i in 0..L {
-                    let bits = orig[i].to_bits();
-                    abs[i] = bits & (sign_bit - 1);
-                    sign[i] = bits & sign_bit;
-                }
-                // Fast-regime mask: normal carrier exponent at or above
-                // the format's minimum. Everything else is patched with
-                // the scalar path after the store.
-                let mut fast = [false; L];
-                for i in 0..L {
-                    let ef = abs[i] >> $car_man;
-                    fast[i] =
-                        ef != 0 && ef != plan.exp_mask_field && ef >= plan.lo_exp_field;
-                }
-                let mut rem = [0 as $ubits; L];
-                let mut q = [0 as $ubits; L];
-                for i in 0..L {
-                    rem[i] = abs[i] & plan.rem_mask;
-                    q[i] = abs[i] - rem[i];
-                }
-                // Branch-free rounding. `rem == 0` needs no special
-                // case: RZ yields `q == abs`; RN's `up` is false (`0 <
-                // half`); SR reduces to `abs` for both signs (positive:
-                // `frac == 0` never exceeds the random draw; negative:
-                // `r == 2^ts` makes `frac == 2^rb`, which always
-                // exceeds it, and the XOR with the sign cancels the
-                // increment). Only RO must mask, since `q | ts_bit`
-                // would perturb exact values.
-                let mut y = [0 as $ubits; L];
-                match MODE {
-                    mode::RZ => {
-                        y = q;
-                    }
-                    mode::RN => {
-                        for i in 0..L {
-                            let odd =
-                                plan.implicit_odd || (abs[i] >> plan.ts) & 1 == 1;
-                            let up = rem[i] > plan.half || (rem[i] == plan.half && odd);
-                            y[i] = q[i] + ((up as $ubits) << plan.ts);
-                        }
-                    }
-                    mode::RO => {
-                        let or_bit = if plan.implicit_odd { 0 } else { plan.ts_bit };
-                        for i in 0..L {
-                            y[i] = q[i] | (if rem[i] != 0 { or_bit } else { 0 });
-                        }
-                    }
-                    mode::SR => {
-                        // Per-lane event hashing: the hash input is
-                        // `seed ^ index·INDEX_MUL`, reconstructed here
-                        // exactly as `SrRng::bits` computes it.
-                        let sl = plan.rb.saturating_sub(plan.ts);
-                        let sr = plan.ts.saturating_sub(plan.rb);
-                        for i in 0..L {
-                            let rnd = hash::bits_from_input(
-                                plan.seed ^ indices[i].wrapping_mul(hash::INDEX_MUL),
-                                plan.rb,
-                            );
-                            let neg = sign[i] != 0;
-                            let r: u64 = if neg {
-                                plan.ts_bit as u64 - rem[i] as u64
-                            } else {
-                                rem[i] as u64
-                            };
-                            let frac = (r << sl) >> sr;
-                            let up = (frac > rnd) ^ neg;
-                            y[i] = q[i] + ((up as $ubits) << plan.ts);
-                        }
-                    }
-                    _ => unreachable!("invalid mode discriminant"),
-                }
-                for i in 0..L {
-                    let sat = y[i] > plan.max_abs_bits;
-                    let out = sign[i] | (if sat { plan.sat_bits } else { y[i] });
-                    vals[i] = if fast[i] {
-                        <$carrier>::from_bits(out)
-                    } else {
-                        self.quantize::<MODE>(orig[i], indices[i])
-                    };
-                }
-            }
-
-            /// [`quantize_slice`](Self::quantize_slice) through the
-            /// portable lane-block kernel: full blocks go through
-            /// [`quantize_block`](Self::quantize_block), the tail runs
-            /// the scalar kernel. Bit-identical to the scalar slice.
-            pub fn quantize_slice_portable<const MODE: u8>(
-                &self,
-                plan: &$plan,
-                values: &mut [$carrier],
-                base_index: u64,
-            ) {
-                const L: usize = $lanes;
-                let mut idx = base_index;
-                let mut chunks = values.chunks_exact_mut(L);
-                for chunk in chunks.by_ref() {
-                    let block: &mut [$carrier; L] =
-                        chunk.try_into().expect("chunks_exact yields L");
-                    self.quantize_block::<MODE, L>(plan, block, idx);
-                    idx = idx.wrapping_add(L as u64);
-                }
-                for v in chunks.into_remainder() {
-                    *v = self.quantize::<MODE>(*v, idx);
-                    idx = idx.wrapping_add(1);
-                }
-            }
-
             /// The scalar oracle, for inputs outside the fast regime.
             #[cold]
             #[inline(never)]
@@ -528,8 +378,7 @@ define_float_fast!(
     bias = 127, inf_bits = 0x7F80_0000u32,
     max_exp_unreachable = 128,
     plan = LanePlanF32,
-    plan_doc = "Lane-kernel parameters for [`FloatFastF32`] (8 `f32` lanes per block).",
-    lanes = 8
+    plan_doc = "Lane-kernel parameters for [`FloatFastF32`] (8 `f32` lanes per block)."
 );
 
 define_float_fast!(
@@ -540,8 +389,7 @@ define_float_fast!(
     bias = 1023, inf_bits = 0x7FF0_0000_0000_0000u64,
     max_exp_unreachable = 1024,
     plan = LanePlanF64,
-    plan_doc = "Lane-kernel parameters for [`FloatFastF64`] (4 `f64` lanes per block).",
-    lanes = 4
+    plan_doc = "Lane-kernel parameters for [`FloatFastF64`] (4 or 8 `f64` lanes per block)."
 );
 
 impl FloatFastF32 {
@@ -556,65 +404,20 @@ impl FloatFastF32 {
         base_index: u64,
         tier: SimdTier,
     ) {
-        let Some(plan) = self.lane_plan() else {
-            return self.quantize_slice::<MODE>(values, base_index);
-        };
-        match tier {
-            SimdTier::Off => self.quantize_slice::<MODE>(values, base_index),
-            SimdTier::Portable => self.quantize_slice_portable::<MODE>(&plan, values, base_index),
+        match (tier, self.lane_plan()) {
             // The `Avx512` tier widens the MAC nest only; operand
             // slices run the AVX2 kernel under it.
-            SimdTier::Avx2 | SimdTier::Avx512 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    crate::simd_avx2::quantize_slice_f32::<MODE>(self, &plan, values, base_index)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    self.quantize_slice_portable::<MODE>(&plan, values, base_index)
-                }
+            #[cfg(target_arch = "x86_64")]
+            (SimdTier::Avx2 | SimdTier::Avx512, Some(plan)) => {
+                crate::simd_avx2::quantize_slice_f32::<MODE>(self, &plan, values, base_index)
             }
+            _ => self.quantize_slice::<MODE>(values, base_index),
         }
     }
 
     /// [`quantize_slice_tier`](Self::quantize_slice_tier) with the
     /// rounding mode matched once, outside the loop.
     pub fn quantize_slice_tier_dyn(&self, values: &mut [f32], base_index: u64, tier: SimdTier) {
-        with_mode!(
-            self.rounding,
-            M => self.quantize_slice_tier::<M>(values, base_index, tier),
-            ()
-        )
-    }
-}
-
-impl FloatFastF64 {
-    /// [`quantize_slice`](Self::quantize_slice) through the requested
-    /// kernel tier. The vector tiers route to the portable blocks
-    /// here: `f64` *slice* traffic is cold (the hot `f64` path is the
-    /// fused MAC accumulate inside `mpt-arith`, which has its own AVX2
-    /// and AVX-512 kernels); bit-identity holds for every tier
-    /// regardless.
-    pub fn quantize_slice_tier<const MODE: u8>(
-        &self,
-        values: &mut [f64],
-        base_index: u64,
-        tier: SimdTier,
-    ) {
-        let Some(plan) = self.lane_plan() else {
-            return self.quantize_slice::<MODE>(values, base_index);
-        };
-        match tier {
-            SimdTier::Off => self.quantize_slice::<MODE>(values, base_index),
-            SimdTier::Portable | SimdTier::Avx2 | SimdTier::Avx512 => {
-                self.quantize_slice_portable::<MODE>(&plan, values, base_index)
-            }
-        }
-    }
-
-    /// [`quantize_slice_tier`](Self::quantize_slice_tier) with the
-    /// rounding mode matched once, outside the loop.
-    pub fn quantize_slice_tier_dyn(&self, values: &mut [f64], base_index: u64, tier: SimdTier) {
         with_mode!(
             self.rounding,
             M => self.quantize_slice_tier::<M>(values, base_index, tier),

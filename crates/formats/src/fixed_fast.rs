@@ -10,7 +10,7 @@
 //! ## Bit-equality contract
 //!
 //! Every path returns **bit-identical** results to the oracle,
-//! including the sign of zero. The lane body differs from the oracle
+//! including the sign of zero. The scalar body differs from the oracle
 //! in two provably neutral ways:
 //!
 //! * it clamps the scaled value to the code range *before* rounding
@@ -20,9 +20,10 @@
 //! * below `2^52` it rounds to integer without `libm`:
 //!   `(|y| + 2^52) - 2^52` is round-half-even of `|y|` under the
 //!   default IEEE rounding direction, and floor / truncation / parity
-//!   follow from one compare each. That is plain add/sub/compare
-//!   arithmetic the autovectorizer handles; the AVX2 tier
-//!   ([`crate::simd_avx2::FixedVecF64`]) uses `vroundpd` instead.
+//!   follow from one compare each. The vector tiers
+//!   ([`crate::simd_avx2::FixedVecF64`],
+//!   [`crate::simd_avx512::FixedVecF64x8`]) use `vroundpd` /
+//!   `vrndscalepd` instead.
 //!
 //! One oracle quirk is replicated on purpose: `round_ties_even(-0.5)`
 //! returns `+0.0` (its tie fix-up computes `-1.0 + 1.0`) while every
@@ -43,7 +44,7 @@ use crate::sr::SrRng;
 /// the nearest integer, ties to even.
 const MAGIC: f64 = 4_503_599_627_370_496.0;
 
-/// Widest format the lane body is exact for (`|code| <= 2^51`).
+/// Widest format the body is exact for (`|code| <= 2^51`).
 const MAX_FAST_WIDTH: u32 = 52;
 
 /// Precomputed fast quantizer for fixed-point formats on `f64`
@@ -121,18 +122,6 @@ impl FixedFastF64 {
         if !x.is_finite() {
             return self.oracle(x, index);
         }
-        self.quantize_finite::<MODE>(x, index)
-    }
-
-    /// [`quantize`](Self::quantize) with the mode resolved at runtime.
-    #[inline]
-    pub fn quantize_dyn(&self, x: f64, index: u64) -> f64 {
-        crate::with_mode!(self.rounding, M => self.quantize::<M>(x, index), x)
-    }
-
-    /// The branch-free lane body; exact for every finite `x`.
-    #[inline(always)]
-    fn quantize_finite<const MODE: u8>(&self, x: f64, index: u64) -> f64 {
         // `x * scale` is an exact power-of-two scaling (or ±inf on
         // overflow, which the clamp absorbs like any out-of-range
         // value).
@@ -177,31 +166,10 @@ impl FixedFastF64 {
         code * self.inv
     }
 
-    /// Quantizes `L` values with an explicit rounding-event index per
-    /// lane (the MAC kernels pass `sr_event_index`-structured words).
-    /// Bit-identical to `L` calls of [`quantize`](Self::quantize):
-    /// the lane body runs unconditionally over the fixed-size array
-    /// (shaped for the autovectorizer) and the rare non-finite lanes
-    /// are recomputed through the oracle from the preserved inputs.
+    /// [`quantize`](Self::quantize) with the mode resolved at runtime.
     #[inline]
-    pub fn quantize_block_indexed<const MODE: u8, const L: usize>(
-        &self,
-        vals: &mut [f64; L],
-        indices: &[u64; L],
-    ) {
-        let orig = *vals;
-        let mut all_finite = true;
-        for i in 0..L {
-            vals[i] = self.quantize_finite::<MODE>(orig[i], indices[i]);
-            all_finite &= orig[i].is_finite();
-        }
-        if !all_finite {
-            for i in 0..L {
-                if !orig[i].is_finite() {
-                    vals[i] = self.oracle(orig[i], indices[i]);
-                }
-            }
-        }
+    pub fn quantize_dyn(&self, x: f64, index: u64) -> f64 {
+        crate::with_mode!(self.rounding, M => self.quantize::<M>(x, index), x)
     }
 
     /// The scalar oracle, for non-finite inputs.
@@ -249,12 +217,11 @@ impl FixedFastF32 {
         tier: SimdTier,
     ) {
         match tier {
-            SimdTier::Off => self.quantize_tail::<MODE>(values, base_index),
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 | SimdTier::Avx512 => {
                 crate::simd_avx2::quantize_slice_fixed_f32::<MODE>(self, values, base_index)
             }
-            _ => self.quantize_slice_portable::<MODE>(values, base_index),
+            _ => self.quantize_tail::<MODE>(values, base_index),
         }
     }
 
@@ -268,35 +235,11 @@ impl FixedFastF32 {
         )
     }
 
-    /// The scalar loop: the `Off` tier, and the tail of the lane tiers.
+    /// The scalar loop: the `Off` tier, and the tail of the AVX2 kernel.
     pub(crate) fn quantize_tail<const MODE: u8>(&self, values: &mut [f32], base_index: u64) {
         for (i, v) in values.iter_mut().enumerate() {
             *v = self.quantize::<MODE>(*v, base_index.wrapping_add(i as u64));
         }
-    }
-
-    /// The portable lane-block slice kernel: full 8-lane blocks widen
-    /// into [`FixedFastF64::quantize_block_indexed`], the tail runs
-    /// the scalar loop.
-    pub(crate) fn quantize_slice_portable<const MODE: u8>(
-        &self,
-        values: &mut [f32],
-        base_index: u64,
-    ) {
-        const L: usize = 8;
-        let mut idx = base_index;
-        let mut chunks = values.chunks_exact_mut(L);
-        for chunk in chunks.by_ref() {
-            let mut wide: [f64; L] = std::array::from_fn(|i| chunk[i] as f64);
-            let indices: [u64; L] = std::array::from_fn(|i| idx.wrapping_add(i as u64));
-            self.0
-                .quantize_block_indexed::<MODE, L>(&mut wide, &indices);
-            for (dst, q) in chunk.iter_mut().zip(wide) {
-                *dst = q as f32;
-            }
-            idx = idx.wrapping_add(L as u64);
-        }
-        self.quantize_tail::<MODE>(chunks.into_remainder(), idx);
     }
 }
 

@@ -3,19 +3,18 @@
 //! The hot loops in this crate ([`crate::FloatFastF32`] /
 //! [`crate::FloatFastF64`], [`crate::FixedFastF32`] /
 //! [`crate::FixedFastF64`]) and in `mpt-arith`'s MAC GEMM loop nests
-//! exist in four implementations that produce **bit-identical**
+//! exist in three implementations that produce **bit-identical**
 //! results:
 //!
 //! | tier       | implementation                                        |
 //! |------------|-------------------------------------------------------|
-//! | `Off`      | the original scalar bit-twiddling loops               |
-//! | `Portable` | fixed-width lane arrays (8×`f32` / 4×`f64` per block) in plain safe Rust, shaped for the autovectorizer |
+//! | `Off`      | the scalar loops: one element per step, also what serves the vector tiers' tails and handed-back lanes, and the only tier off x86_64 |
 //! | `Avx2`     | explicit `core::arch::x86_64` AVX2 intrinsics, 8×`f32` / 4×`f64` per iteration |
 //! | `Avx512`   | AVX-512 (F + DQ + VL) intrinsics for the MAC nest only: 8×`f64` per block, k-mask compares, native `vpmullq` for the SR hash; the *slice* quantizers under this tier run the `Avx2` kernels |
 //!
 //! [`active_tier`] resolves the process-wide tier **once**: the
 //! `MPT_SIMD` environment knob
-//! (`auto`/`off`/`portable`/`avx2`/`avx512`) combined with
+//! (`auto`/`off`/`avx2`/`avx512`) combined with
 //! `is_x86_feature_detected!` runtime dispatch. `auto` (the default)
 //! picks the widest tier the host supports.
 //! Benches and differential tests bypass the ambient tier through the
@@ -34,13 +33,11 @@
 
 use std::sync::OnceLock;
 
-/// One of the four bit-identical kernel implementations.
+/// One of the three bit-identical kernel implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdTier {
-    /// Scalar bit-twiddling loops (the pre-SIMD kernels).
+    /// Scalar loops (the only tier off x86_64).
     Off,
-    /// Fixed-width lane-array blocks in safe Rust (autovectorizable).
-    Portable,
     /// Explicit AVX2 intrinsics (x86_64 with runtime detection only).
     Avx2,
     /// AVX-512 (F + DQ + VL) MAC nest over the AVX2 slice quantizers
@@ -52,24 +49,18 @@ impl SimdTier {
     /// Every tier, narrowest first. Safe to iterate on any host: an
     /// explicit-tier entry point asked for a tier the CPU cannot
     /// execute runs the next narrower one it can (`Avx512` → `Avx2` →
-    /// `Portable`), which is bit-identical anyway — so differential
+    /// `Off`), which is bit-identical anyway — so differential
     /// tests loop over this and cover the fall-backs where a tier is
     /// missing. [`available`](Self::available) is the prefix the host
     /// really executes.
-    pub const ALL: [SimdTier; 4] = [
-        SimdTier::Off,
-        SimdTier::Portable,
-        SimdTier::Avx2,
-        SimdTier::Avx512,
-    ];
+    pub const ALL: [SimdTier; 3] = [SimdTier::Off, SimdTier::Avx2, SimdTier::Avx512];
 
-    /// Stable lower-case name (`off`/`portable`/`avx2`/`avx512`) — the
+    /// Stable lower-case name (`off`/`avx2`/`avx512`) — the
     /// values `MPT_SIMD` accepts and the telemetry dispatch counters
     /// use.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Off => "off",
-            SimdTier::Portable => "portable",
             SimdTier::Avx2 => "avx2",
             SimdTier::Avx512 => "avx512",
         }
@@ -78,9 +69,9 @@ impl SimdTier {
     /// Every tier the current host can execute, widest last.
     pub fn available() -> &'static [SimdTier] {
         let count = match widest_supported_tier() {
-            SimdTier::Avx512 => 4,
-            SimdTier::Avx2 => 3,
-            SimdTier::Off | SimdTier::Portable => 2,
+            SimdTier::Avx512 => 3,
+            SimdTier::Avx2 => 2,
+            SimdTier::Off => 1,
         };
         &Self::ALL[..count]
     }
@@ -131,7 +122,7 @@ pub fn widest_supported_tier() -> SimdTier {
     } else if avx2_supported() {
         SimdTier::Avx2
     } else {
-        SimdTier::Portable
+        SimdTier::Off
     }
 }
 
@@ -142,7 +133,6 @@ pub fn parse_tier(value: &str) -> Result<SimdTier, String> {
     match value.trim().to_ascii_lowercase().as_str() {
         "" | "auto" => Ok(widest_supported_tier()),
         "off" | "scalar" => Ok(SimdTier::Off),
-        "portable" => Ok(SimdTier::Portable),
         "avx2" if avx2_supported() => Ok(SimdTier::Avx2),
         "avx512" if avx512_supported() => Ok(SimdTier::Avx512),
         tier @ ("avx2" | "avx512") => Err(format!(
@@ -150,7 +140,7 @@ pub fn parse_tier(value: &str) -> Result<SimdTier, String> {
             widest_supported_tier()
         )),
         other => Err(format!(
-            "unknown MPT_SIMD value `{other}` (expected auto|off|portable|avx2|avx512); \
+            "unknown MPT_SIMD value `{other}` (expected auto|off|avx2|avx512); \
              falling back to `auto`"
         )),
     }
@@ -181,15 +171,9 @@ mod tests {
 
     #[test]
     fn names_round_trip_through_parse() {
-        for tier in [SimdTier::Off, SimdTier::Portable] {
+        for &tier in SimdTier::available() {
             assert_eq!(parse_tier(tier.name()), Ok(tier));
-        }
-        if avx2_supported() {
-            assert_eq!(parse_tier("avx2"), Ok(SimdTier::Avx2));
-            assert_eq!(parse_tier("AVX2"), Ok(SimdTier::Avx2));
-        }
-        if avx512_supported() {
-            assert_eq!(parse_tier("avx512"), Ok(SimdTier::Avx512));
+            assert_eq!(parse_tier(&tier.name().to_uppercase()), Ok(tier));
         }
     }
 
@@ -211,7 +195,11 @@ mod tests {
 
     #[test]
     fn unknown_values_error() {
-        assert!(parse_tier("sse9").is_err());
+        // `portable` was a tier once; it gets no alias.
+        for value in ["sse9", "portable"] {
+            let msg = parse_tier(value).unwrap_err();
+            assert!(msg.contains("(expected auto|off|avx2|avx512)"), "{msg}");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`crate::FloatFastF32`]/[`crate::FloatFastF64`] kernels across
 //! vector lanes — same integer truncation, same branch-free rounding
 //! selects, same SplitMix64 stochastic-rounding pipeline — so results
-//! are **bit-identical** to the scalar and portable tiers (pinned by
-//! the differential tests in `tests/fast_equivalence.rs`).
+//! are **bit-identical** to the scalar tier (pinned by the
+//! differential tests in `tests/fast_equivalence.rs`).
 //!
 //! Entry points:
 //!
@@ -29,11 +29,20 @@
 //! Lanes outside the provable fast regime (zero, subnormal,
 //! non-finite, below `min_exp`) are reported in a lane mask and the
 //! caller patches them through the scalar path from the preserved
-//! original values — identical policy to the portable blocks.
+//! original values.
+//!
+//! The rounding selects are branch-free, and `rem == 0` (an exactly
+//! representable lane) needs no special case in three of the four
+//! modes: RZ yields `q == abs`; RN's `up` is false (`0 < half`); SR
+//! reduces to `abs` for both signs (positive: `frac == 0` never
+//! exceeds the random draw; negative: `r == 2^ts` makes
+//! `frac == 2^rb`, which always exceeds it, and the XOR with the sign
+//! cancels the increment). Only RO must mask, since `q | ts_bit` would
+//! perturb exact values.
 //!
 //! Everything here is gated on `is_x86_feature_detected!("avx2")` by
 //! the dispatch layer ([`crate::simd::active_tier`]); the safe
-//! wrappers re-check defensively and fall back to the portable tier.
+//! wrappers re-check defensively and fall back to the scalar loops.
 //!
 //! [`sr_event_index`]: crate::sr::SrRng::bits
 #![allow(unsafe_code)]
@@ -92,7 +101,7 @@ unsafe fn sr_up4(
     // Discarded fraction of the *signed* scaled value: `rem` for
     // positive lanes, `2^ts - rem` for negative ones (matches the
     // scalar kernel's floor semantics; `rem == 0` self-corrects, see
-    // `FloatFast*::quantize_block`).
+    // the module docs).
     let r = _mm256_blendv_epi8(rem64, _mm256_sub_epi64(ts_bit64, rem64), neg64);
     let frac = _mm256_srl_epi64(_mm256_sll_epi64(r, sl_cnt), sr_cnt);
     let rnd = _mm256_srl_epi64(mix4(hash_input), rnd_cnt);
@@ -136,9 +145,8 @@ unsafe fn slice_hash_lanes(base_index: u64) -> (__m256i, __m256i, __m256i) {
 /// AVX2 slice quantizer for `f32` carriers: 8 lanes per iteration,
 /// lane `i` of a block at offset `o` uses rounding event
 /// `base_index + o + i`. Bit-identical to
-/// [`FloatFastF32::quantize_slice`]. Falls back to the portable tier
-/// if the host lacks AVX2 (defensive — the dispatcher already
-/// checks).
+/// [`FloatFastF32::quantize_slice`], which it falls back to if the
+/// host lacks AVX2 (defensive — the dispatcher already checks).
 pub fn quantize_slice_f32<const MODE: u8>(
     fast: &FloatFastF32,
     plan: &LanePlanF32,
@@ -146,7 +154,7 @@ pub fn quantize_slice_f32<const MODE: u8>(
     base_index: u64,
 ) {
     if !crate::simd::avx2_supported() {
-        return fast.quantize_slice_portable::<MODE>(plan, values, base_index);
+        return fast.quantize_slice::<MODE>(values, base_index);
     }
     // SAFETY: AVX2 availability checked at runtime just above.
     unsafe { quantize_slice_f32_avx2::<MODE>(fast, plan, values, base_index) }
@@ -199,9 +207,9 @@ unsafe fn quantize_slice_f32_avx2<const MODE: u8>(
         let ge = _mm256_cmpgt_epi32(ef, lo_m1);
         let fastm = _mm256_andnot_si256(special, _mm256_and_si256(nz, ge));
         // ±0 rounds to itself in every mode, and that is what the lane
-        // arithmetic below yields for it (`rem == 0`, see
-        // `quantize_block_indexed`), so zeros — most of a ReLU-sparse
-        // operand — are not patched.
+        // arithmetic below yields for it (`rem == 0`, see the module
+        // docs), so zeros — most of a ReLU-sparse operand — are not
+        // patched.
         let fastm = _mm256_or_si256(fastm, _mm256_cmpeq_epi32(abs, zero));
         let rem = _mm256_and_si256(abs, rem_mask);
         let q = _mm256_sub_epi32(abs, rem);
@@ -501,15 +509,15 @@ impl FixedVecF64 {
 /// lanes per iteration, widened to two [`FixedVecF64`] halves (the
 /// oracle rounds the `f64` image of each carrier too) and narrowed
 /// back with `vcvtpd2ps` — the scalar `as f32` cast per lane.
-/// Bit-identical to the scalar slice loop. Falls back to the portable
-/// tier if the host lacks AVX2.
+/// Bit-identical to the scalar slice loop, which it falls back to if
+/// the host lacks AVX2.
 pub fn quantize_slice_fixed_f32<const MODE: u8>(
     fast: &FixedFastF32,
     values: &mut [f32],
     base_index: u64,
 ) {
     if !crate::simd::avx2_supported() {
-        return fast.quantize_slice_portable::<MODE>(values, base_index);
+        return fast.quantize_tail::<MODE>(values, base_index);
     }
     // SAFETY: AVX2 availability checked at runtime just above.
     unsafe { quantize_slice_fixed_f32_avx2::<MODE>(fast, values, base_index) }

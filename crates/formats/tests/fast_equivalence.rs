@@ -6,8 +6,8 @@
 //! NaN payloads, and values straddling the saturation boundary.
 
 use mpt_formats::{
-    with_mode, FixedFastF64, FixedFormat, FloatFastF32, FloatFastF64, FloatFormat, Quantizer,
-    Rounding, SimdTier, SrRng,
+    FixedFastF64, FixedFormat, FloatFastF32, FloatFastF64, FloatFormat, Quantizer, Rounding,
+    SimdTier, SrRng,
 };
 use proptest::prelude::*;
 
@@ -271,42 +271,11 @@ proptest! {
         }
     }
 
-    /// The f64 lane-block kernel (`quantize_block_indexed`, the fused
-    /// GEMM accumulator's building block) matches the scalar kernel
-    /// for arbitrary — non-contiguous — event indices.
+    /// The fixed-point f64 kernel — the MAC stages' scalar body —
+    /// matches the scalar oracle on products/sums of any magnitude and
+    /// arbitrary event indices.
     #[test]
-    fn f64_lane_block_matches_scalar(
-        fmt in float_formats_f64(),
-        mode in all_modes(),
-        vals in proptest::collection::vec(f64_values(), 4),
-        idxs in proptest::collection::vec(any::<u64>(), 4),
-        seed in 0u64..1 << 16,
-    ) {
-        let rng = SrRng::new(seed);
-        let Some(fast) = FloatFastF64::new(fmt, mode, rng) else {
-            return Ok(());
-        };
-        let Some(plan) = fast.lane_plan() else {
-            return Ok(());
-        };
-        let mut block = [vals[0], vals[1], vals[2], vals[3]];
-        let indices = [idxs[0], idxs[1], idxs[2], idxs[3]];
-        with_mode!(
-            mode,
-            M => fast.quantize_block_indexed::<M, 4>(&plan, &mut block, &indices),
-            return Ok(())
-        );
-        for l in 0..4 {
-            let reference = fast.quantize_dyn(vals[l], indices[l]);
-            assert_bits_f64(block[l], reference)?;
-        }
-    }
-
-    /// The fixed-point f64 kernel — scalar body and lane block, the
-    /// MAC stages' building blocks — matches the scalar oracle on
-    /// products/sums of any magnitude and arbitrary event indices.
-    #[test]
-    fn fixed_f64_lane_block_matches_scalar(
+    fn fixed_f64_matches_reference(
         fmt in fixed_formats(),
         mode in all_modes(),
         vals in proptest::collection::vec(
@@ -320,17 +289,9 @@ proptest! {
         let Some(fast) = FixedFastF64::new(fmt, mode, rng) else {
             return Ok(());
         };
-        let mut block = [vals[0], vals[1], vals[2], vals[3]];
-        let indices = [idxs[0], idxs[1], idxs[2], idxs[3]];
-        with_mode!(
-            mode,
-            M => fast.quantize_block_indexed::<M, 4>(&mut block, &indices),
-            return Ok(())
-        );
-        for l in 0..4 {
-            let reference = fmt.quantize(vals[l], mode, &rng, indices[l]);
-            assert_bits_f64(fast.quantize_dyn(vals[l], indices[l]), reference)?;
-            assert_bits_f64(block[l], reference)?;
+        for (&x, &index) in vals.iter().zip(&idxs) {
+            let reference = fmt.quantize(x, mode, &rng, index);
+            assert_bits_f64(fast.quantize_dyn(x, index), reference)?;
         }
     }
 

@@ -1,7 +1,7 @@
 //! Exhaustive fixed-point oracle: every implementation of fixed-point
 //! quantization — the scalar [`FixedFormat::quantize`], the
-//! monomorphized [`FixedFastF64`] (scalar body, portable lane block,
-//! AVX2 `quantize4`, AVX-512 `quantize8`) and the `f32` slice path behind
+//! monomorphized [`FixedFastF64`] (scalar body, AVX2 `quantize4`,
+//! AVX-512 `quantize8`) and the `f32` slice path behind
 //! [`Quantizer::quantize_slice_f32_tier`] on every SIMD tier — against
 //! a slow **exact-integer** reference that shares no code with
 //! `round_scaled`.
@@ -147,19 +147,13 @@ fn check(what: &str, q: &Quantizer, x: f64, got: f64, want: f64, scalar: f64) {
     );
 }
 
-/// The three [`FixedFastF64`] bodies on one block of four.
+/// Every [`FixedFastF64`] body on one block of four.
 fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 4]) {
     let fast = q.fixed_fast_f64().expect("<= 52-bit fixed format");
     let rng = q.rng();
     let want: [f64; 4] =
         std::array::from_fn(|l| reference(fmt, xs[l], q.rounding(), &rng, indices[l]));
     let scalar: [f64; 4] = std::array::from_fn(|l| q.quantize(xs[l], indices[l]));
-    let mut block = xs;
-    with_mode!(
-        q.rounding(),
-        M => fast.quantize_block_indexed::<M, 4>(&mut block, &indices),
-        unreachable!()
-    );
     for l in 0..4 {
         check("scalar", q, xs[l], scalar[l], want[l], scalar[l]);
         check(
@@ -167,14 +161,6 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
             q,
             xs[l],
             fast.quantize_dyn(xs[l], indices[l]),
-            want[l],
-            scalar[l],
-        );
-        check(
-            "FixedFastF64 lane block",
-            q,
-            xs[l],
-            block[l],
             want[l],
             scalar[l],
         );
@@ -216,7 +202,7 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
                     _mm512_storeu_pd(res.as_mut_ptr(), r);
                     ("FixedVecF64x8::quantize8", 8, ok as u32)
                 }
-                SimdTier::Off | SimdTier::Portable => continue,
+                SimdTier::Off => continue,
             }
         };
         for l in 0..lanes {

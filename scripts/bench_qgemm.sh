@@ -18,9 +18,6 @@
 #     the tier it runs (the ambient MPT_SIMD one),
 #   * fxp44_rn on the lane kernels >= 4x over its scalar reference.
 #
-# A "thread_scaling" section written by scripts/bench_scaling.sh is
-# carried over.
-#
 # Usage: scripts/bench_qgemm.sh [criterion-filter]
 set -euo pipefail
 
@@ -49,7 +46,6 @@ def rate(bench_id):
 
 ref = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_reference")
 fast = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_fast")
-portable = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_simd_portable")
 simd = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_simd")
 avx512 = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_avx512")
 # The pool rows run the ambient tier: AVX-512 where the host has it
@@ -69,7 +65,6 @@ out = {
     "headline_128x96x96_fp8_fp12_sr": {
         "reference_elem_per_s": ref,
         "fast_elem_per_s": fast,
-        "simd_portable_elem_per_s": portable,
         "simd_elem_per_s": simd,
         "avx512_elem_per_s": avx512,
         "fast_pool_elem_per_s": pool,
@@ -90,10 +85,6 @@ out = {
         "rn_speedup_vs_reference": (fxp_rn / fxp_ref) if fxp_rn and fxp_ref else None,
     },
 }
-try:
-    out["thread_scaling"] = json.load(open("BENCH_qgemm.json"))["thread_scaling"]
-except (OSError, ValueError, KeyError):
-    pass
 json.dump(out, sys.stdout, indent=2)
 print()
 EOF
