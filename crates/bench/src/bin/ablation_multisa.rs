@@ -13,8 +13,8 @@
 //! ```
 
 use mpt_bench::TableWriter;
-use mpt_core::matching::{estimate_iteration, select_accelerator};
-use mpt_fpga::{best_mapping, PaddedGemm, SaConfig, SynthesisDb};
+use mpt_core::matching::{iteration_latency, select_accelerator};
+use mpt_fpga::{best_mapping, SaConfig, SynthesisDb};
 use mpt_models::ModelDesc;
 
 fn main() {
@@ -35,17 +35,15 @@ fn main() {
     for model in ModelDesc::all_benchmarks() {
         let workload = model.training_gemms();
         let choice = select_accelerator(&workload, &db, 8);
-        let big_lat = estimate_iteration(&workload, big, big_f, 8);
+        let big_lat = iteration_latency(&workload, big, big_f, 8).estimated_s;
 
         // MAC utilization = logical MACs / executed (padded) MACs.
         let util = |cfg: SaConfig, f: f64| -> f64 {
             let mut logical = 0usize;
             let mut executed = 0usize;
             for &s in &workload {
-                let mapping = best_mapping(s, cfg, f, 8, 8);
                 logical += s.macs();
-                executed +=
-                    PaddedGemm::new(mapping.effective_shape(), cfg, 8).core_macs() * cfg.c();
+                executed += best_mapping(s, cfg, f, 8, 8).padded.core_macs() * cfg.c();
             }
             100.0 * logical as f64 / executed as f64
         };

@@ -37,9 +37,9 @@
 
 use mpt_arith::{GemmBackend, GemmShape, QGemmConfig};
 use mpt_bench::scale::{run_scale, RunScale};
+use mpt_core::matching::iteration_latency;
 use mpt_fpga::{
-    estimate_workload, estimate_workload_pipelined, Accelerator, CacheStats, FpgaBackend,
-    PipelinedExecutor, SaConfig, DEFAULT_CACHE_BUDGET,
+    Accelerator, CacheStats, FpgaBackend, PipelinedExecutor, SaConfig, DEFAULT_CACHE_BUDGET,
 };
 use mpt_models::ModelDesc;
 use mpt_tensor::Tensor;
@@ -188,8 +188,8 @@ fn main() {
 
     // Modeled hardware latency for one iteration: eager stage sums vs
     // the overlap-aware pipeline recurrence.
-    let modeled_eager = estimate_workload(&workload, sa, freq, 8, 8);
-    let modeled_pipelined = estimate_workload_pipelined(&workload, sa, freq, 8, 8);
+    let modeled = iteration_latency(&workload, sa, freq, 8);
+    let (modeled_eager, modeled_pipelined) = (modeled.estimated_s, modeled.pipelined_s);
 
     println!("host wall-clock ({iters} iters):");
     print_wall("frozen", "serving / evaluation", &frozen);

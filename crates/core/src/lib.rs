@@ -41,8 +41,7 @@ pub mod trainer;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use device::Device;
 pub use matching::{
-    estimate_iteration_pipelined, measure_iteration_pipelined, select_accelerator,
-    sweep_core_counts, MatchResult,
+    iteration_latency, measured_optimum, select_accelerator, sweep_core_counts, MatchResult,
 };
 pub use trainer::{
     evaluate_cnn, evaluate_cnn_with_backend, train_cnn, train_cnn_resumable,

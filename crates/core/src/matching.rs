@@ -1,15 +1,16 @@
 //! The offline matching algorithm (paper Section IV-B).
 //!
 //! Given a model's training-iteration GEMM workload, the matcher
-//! estimates the iteration latency of every pre-generated
-//! configuration — for each GEMM taking the best of the four
-//! transpose/partition mappings — and returns the `⟨N, M, C⟩` with
-//! the minimum. A parallel "measured" figure comes from the
-//! cycle-level simulator's timing model (PCIe at 80%, pipeline fill),
-//! reproducing the estimated-vs-measured comparison of Fig. 7.
+//! walks it once per pre-generated configuration
+//! ([`iteration_latency`]) — for each GEMM taking the best of the
+//! transpose/partition mappings — and returns the `⟨N, M, C⟩` with the
+//! minimum estimated latency. The same walk yields the "measured"
+//! figure of the cycle-level simulator's timing (the model plus
+//! pipeline fill, PCIe at 80% and launch overhead), reproducing the
+//! estimated-vs-measured comparison of Fig. 7.
 
 use mpt_arith::GemmShape;
-use mpt_fpga::{best_mapping, estimate_workload_pipelined, Accelerator, SaConfig, SynthesisDb};
+use mpt_fpga::{best_mapping, overlap, Accelerator, SaConfig, SynthesisDb};
 
 /// Output width over PCIe used by the performance model. The paper's
 /// `S_data` counts all three matrices uniformly in operand-width
@@ -17,11 +18,12 @@ use mpt_fpga::{best_mapping, estimate_workload_pipelined, Accelerator, SaConfig,
 /// the host casts back to FP32 after the transfer.
 const OUT_BITS: u32 = 8;
 
-/// The outcome of matching one workload against the configuration
-/// database.
+/// One workload's iteration latencies on one configuration: what
+/// [`iteration_latency`] computes for any, and [`select_accelerator`]
+/// returns for the chosen one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchResult {
-    /// The selected configuration.
+    /// The configuration.
     pub config: SaConfig,
     /// Its operating frequency (MHz) from the synthesis database.
     pub freq_mhz: f64,
@@ -35,86 +37,63 @@ pub struct MatchResult {
     /// `≤ estimated_s`; selection still ranks by the eager figure so
     /// the choice matches the paper's offline matcher.
     pub pipelined_s: f64,
+    /// `measured_s` under the same staged queue: the simulator's stage
+    /// times through the recurrence `pipelined_s` uses.
+    pub measured_pipelined_s: f64,
 }
 
-/// Estimated iteration latency of `workload` on one configuration,
-/// with per-GEMM mapping optimization.
-pub fn estimate_iteration(
+/// The one walk over a workload. Each GEMM is mapped once
+/// ([`best_mapping`] — the simulator keeps the mapping the *estimator*
+/// chose, exactly how the paper validates its model); the model's
+/// latency and the simulator's ([`Accelerator::timing_only`]) for that
+/// mapping are each summed, and each threaded as transfer-in / compute
+/// / transfer-out stages through [`overlap`], where PCIe transfers
+/// hide behind the previous launch's compute.
+pub fn iteration_latency(
     workload: &[GemmShape],
     cfg: SaConfig,
     freq_mhz: f64,
     in_bits: u32,
-) -> f64 {
-    workload
-        .iter()
-        .map(|&s| {
-            best_mapping(s, cfg, freq_mhz, in_bits, OUT_BITS)
-                .latency
-                .total_s
-        })
-        .sum()
-}
-
-/// Estimated iteration latency of `workload` when consecutive GEMM
-/// launches are staged through the pipelined executor: each launch is
-/// split into transfer-in / compute / transfer-out stages and stage
-/// `s` of launch `i` starts at
-/// `max(done[i][s−1], done[i−1][s])` — so PCIe transfers hide behind
-/// the previous launch's compute. Per-GEMM mappings are optimized the
-/// same way as [`estimate_iteration`].
-pub fn estimate_iteration_pipelined(
-    workload: &[GemmShape],
-    cfg: SaConfig,
-    freq_mhz: f64,
-    in_bits: u32,
-) -> f64 {
-    estimate_workload_pipelined(workload, cfg, freq_mhz, in_bits, OUT_BITS)
-}
-
-/// "Measured" pipelined iteration latency: the cycle-level stage
-/// timings ([`Accelerator::stage_timing`], PCIe at 80% plus launch
-/// overhead) threaded through the same three-stage overlap recurrence
-/// as [`estimate_iteration_pipelined`].
-pub fn measure_iteration_pipelined(
-    workload: &[GemmShape],
-    cfg: SaConfig,
-    freq_mhz: f64,
-    in_bits: u32,
-) -> f64 {
+) -> MatchResult {
     let acc = Accelerator::new(cfg, freq_mhz);
-    let mut stage_done = [0.0f64; 3];
+    let (mut estimated_s, mut measured_s) = (0.0, 0.0);
+    let (mut est_done, mut sim_done) = ([0.0; 3], [0.0; 3]);
     for &s in workload {
         let mapping = best_mapping(s, cfg, freq_mhz, in_bits, OUT_BITS);
-        let (in_s, core_s, out_s) = acc.stage_timing(mapping.effective_shape(), in_bits);
-        let t = [in_s, core_s, out_s];
-        let mut done = stage_done;
-        done[0] = stage_done[0] + t[0];
-        for stage in 1..3 {
-            done[stage] = done[stage - 1].max(stage_done[stage]) + t[stage];
-        }
-        stage_done = done;
+        let sim = acc.timing_only(mapping.effective_shape(), in_bits);
+        estimated_s += mapping.latency.total_s;
+        measured_s += sim.total_s;
+        overlap(&mut est_done, mapping.latency.stages());
+        overlap(&mut sim_done, sim.stages());
     }
-    stage_done[2]
+    MatchResult {
+        config: cfg,
+        freq_mhz,
+        estimated_s,
+        measured_s,
+        pipelined_s: est_done[2],
+        measured_pipelined_s: sim_done[2],
+    }
 }
 
-/// "Measured" iteration latency on one configuration: the cycle-level
-/// schedule timing (with PCIe capped at 80% and per-launch overhead)
-/// summed over the workload, each GEMM keeping the mapping the
-/// *estimator* chose — exactly how the paper validates its model.
-pub fn measure_iteration(
+/// Walks `workload` over every feasible configuration in the database
+/// and keeps the one with the lowest `key` (the first, on ties).
+fn argmin(
     workload: &[GemmShape],
-    cfg: SaConfig,
-    freq_mhz: f64,
+    db: &SynthesisDb,
     in_bits: u32,
-) -> f64 {
-    let acc = Accelerator::new(cfg, freq_mhz);
-    workload
-        .iter()
-        .map(|&s| {
-            let mapping = best_mapping(s, cfg, freq_mhz, in_bits, OUT_BITS);
-            acc.timing_only(mapping.effective_shape(), in_bits).total_s
+    key: fn(&MatchResult) -> f64,
+) -> MatchResult {
+    db.feasible_configs()
+        .into_iter()
+        .map(|cfg| {
+            let freq = db
+                .frequency(cfg.n(), cfg.m(), cfg.c())
+                .expect("feasible configs have frequencies");
+            iteration_latency(workload, cfg, freq, in_bits)
         })
-        .sum()
+        .reduce(|best, r| if key(&r) < key(&best) { r } else { best })
+        .expect("configuration database is non-empty")
 }
 
 /// Brute-forces every feasible configuration in the database and
@@ -125,49 +104,36 @@ pub fn measure_iteration(
 ///
 /// Panics if the database is empty.
 pub fn select_accelerator(workload: &[GemmShape], db: &SynthesisDb, in_bits: u32) -> MatchResult {
-    let mut best: Option<MatchResult> = None;
-    for cfg in db.feasible_configs() {
-        let freq = db
-            .frequency(cfg.n(), cfg.m(), cfg.c())
-            .expect("feasible configs have frequencies");
-        let estimated = estimate_iteration(workload, cfg, freq, in_bits);
-        if best.is_none_or(|b| estimated < b.estimated_s) {
-            let measured = measure_iteration(workload, cfg, freq, in_bits);
-            let pipelined = estimate_iteration_pipelined(workload, cfg, freq, in_bits);
-            best = Some(MatchResult {
-                config: cfg,
-                freq_mhz: freq,
-                estimated_s: estimated,
-                measured_s: measured,
-                pipelined_s: pipelined,
-            });
-        }
-    }
-    let chosen = best.expect("configuration database is non-empty");
+    let chosen = argmin(workload, db, in_bits, |r| r.estimated_s);
     if mpt_telemetry::enabled() {
         // Auditable predicted-vs-actual records for the winning
         // configuration: L_total from the performance model against
         // the cycle-level timing (Fig. 7's comparison), both for the
         // eager launch sequence and for the staged/overlapped one.
-        mpt_telemetry::record_calibration(mpt_telemetry::CalibrationRecord {
-            context: "select_accelerator".into(),
-            label: format!("{}@{:.1}MHz", chosen.config, chosen.freq_mhz),
-            predicted_s: chosen.estimated_s,
-            measured_s: chosen.measured_s,
-        });
-        mpt_telemetry::record_calibration(mpt_telemetry::CalibrationRecord {
-            context: "select_accelerator_pipelined".into(),
-            label: format!("{}@{:.1}MHz", chosen.config, chosen.freq_mhz),
-            predicted_s: chosen.pipelined_s,
-            measured_s: measure_iteration_pipelined(
-                workload,
-                chosen.config,
-                chosen.freq_mhz,
-                in_bits,
+        for (context, predicted_s, measured_s) in [
+            ("select_accelerator", chosen.estimated_s, chosen.measured_s),
+            (
+                "select_accelerator_pipelined",
+                chosen.pipelined_s,
+                chosen.measured_pipelined_s,
             ),
-        });
+        ] {
+            mpt_telemetry::record_calibration(mpt_telemetry::CalibrationRecord {
+                context: context.into(),
+                label: format!("{}@{:.1}MHz", chosen.config, chosen.freq_mhz),
+                predicted_s,
+                measured_s,
+            });
+        }
     }
     chosen
+}
+
+/// The configuration minimizing the *measured* iteration latency —
+/// [`select_accelerator`]'s choice, if the model "identifies the
+/// optimal configuration" (Fig. 7). Panics if the database is empty.
+pub fn measured_optimum(workload: &[GemmShape], db: &SynthesisDb, in_bits: u32) -> MatchResult {
+    argmin(workload, db, in_bits, |r| r.measured_s)
 }
 
 /// Estimated iteration latency for a fixed `(n, m)` array across all
@@ -187,7 +153,8 @@ pub fn sweep_core_counts(
         .map(|c| {
             let cfg = SaConfig::new(n, m, c).expect("table shapes are valid");
             let freq = db.frequency(n, m, c).expect("in range");
-            (c, freq, estimate_iteration(workload, cfg, freq, in_bits))
+            let estimated_s = iteration_latency(workload, cfg, freq, in_bits).estimated_s;
+            (c, freq, estimated_s)
         })
         .collect()
 }
@@ -204,9 +171,13 @@ mod tests {
         let f = db.frequency(8, 8, 4).unwrap();
         let one = vec![GemmShape::new(128, 128, 128)];
         let two = vec![GemmShape::new(128, 128, 128); 2];
-        let e1 = estimate_iteration(&one, cfg, f, 8);
-        let e2 = estimate_iteration(&two, cfg, f, 8);
-        assert!((e2 - 2.0 * e1).abs() < 1e-12);
+        let e1 = iteration_latency(&one, cfg, f, 8);
+        let e2 = iteration_latency(&two, cfg, f, 8);
+        assert!((e2.estimated_s - 2.0 * e1.estimated_s).abs() < 1e-12);
+        assert!((e2.measured_s - 2.0 * e1.measured_s).abs() < 1e-12);
+        // One launch has nothing to overlap with.
+        assert!((e1.pipelined_s - e1.estimated_s).abs() < 1e-15);
+        assert!((e1.measured_pipelined_s - e1.measured_s).abs() < 1e-15);
     }
 
     #[test]
@@ -217,8 +188,8 @@ mod tests {
         let workload = ModelDesc::lenet5(64).training_gemms();
         let cfg = SaConfig::new(8, 8, 7).unwrap();
         let f = db.frequency(8, 8, 7).unwrap();
-        let est = estimate_iteration(&workload, cfg, f, 8);
-        let meas = measure_iteration(&workload, cfg, f, 8);
+        let r = iteration_latency(&workload, cfg, f, 8);
+        let (est, meas) = (r.estimated_s, r.measured_s);
         assert!(meas > est, "measured {meas} <= estimated {est}");
         assert!(meas < est * 2.0, "model far off: {meas} vs {est}");
     }
@@ -228,15 +199,54 @@ mod tests {
         let db = SynthesisDb::u55();
         let workload = ModelDesc::lenet5(64).training_gemms();
         let chosen = select_accelerator(&workload, &db, 8);
+        let optimum = measured_optimum(&workload, &db, 8);
         for cfg in db.feasible_configs() {
             let f = db.frequency(cfg.n(), cfg.m(), cfg.c()).unwrap();
-            let e = estimate_iteration(&workload, cfg, f, 8);
+            let r = iteration_latency(&workload, cfg, f, 8);
             assert!(
-                chosen.estimated_s <= e + 1e-15,
-                "{cfg} beats chosen {} ({e} < {})",
+                chosen.estimated_s <= r.estimated_s,
+                "{cfg} beats chosen {} ({} < {})",
                 chosen.config,
+                r.estimated_s,
                 chosen.estimated_s
             );
+            assert!(
+                optimum.measured_s <= r.measured_s,
+                "{cfg} beats the optimum"
+            );
+        }
+    }
+
+    /// `select_accelerator` on the paper's five benchmarks, bit for
+    /// bit as of the commit before the timing model was folded into
+    /// one walk: `(name, ⟨N, M, C⟩, MHz, estimated, measured,
+    /// pipelined, measured pipelined)`, seconds as `f64` bits.
+    #[test]
+    fn selection_is_pinned_for_the_five_benchmarks() {
+        #[rustfmt::skip]
+        let pins = [
+            ("LeNet5", (8, 8, 5), 299.8, [0x3f7e18bbf2c0b3e5, 0x3f80b9cecd7a51a6, 0x3f7aba72bc40f00e, 0x3f7d3dc216d4ee7b]),
+            ("VGG16", (32, 32, 2), 197.3, [0x3fdc6c957362701a, 0x3fdd66de75ab530b, 0x3fd94371e3905580, 0x3fd9737201e4b1cb]),
+            ("ResNet20", (32, 32, 2), 197.3, [0x3fd66e7a42d7e3c2, 0x3fd77abfe05cf492, 0x3fd33542de2140eb, 0x3fd371f8edfbcf4f]),
+            ("ResNet50", (32, 32, 2), 197.3, [0x3fe8f1e0be543667, 0x3fe9fd2446121e34, 0x3fe5d412c4831bea, 0x3fe617e2cdccbd30]),
+            ("Nano-GPT", (32, 16, 4), 198.4, [0x400147ca34c8eaf9, 0x400512d4830b9949, 0x3fff5771514daf80, 0x40030fbe93e10381]),
+        ];
+        let db = SynthesisDb::u55();
+        for (model, (name, (n, m, c), freq_mhz, bits)) in
+            ModelDesc::all_benchmarks().into_iter().zip(pins)
+        {
+            assert_eq!(model.name(), name);
+            let r = select_accelerator(&model.training_gemms(), &db, 8);
+            assert_eq!(r.config, SaConfig::new(n, m, c).unwrap(), "{name}");
+            assert_eq!(r.freq_mhz, freq_mhz, "{name}");
+            let got = [
+                r.estimated_s,
+                r.measured_s,
+                r.pipelined_s,
+                r.measured_pipelined_s,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, bits, "{name}: {r:?}");
         }
     }
 
@@ -250,14 +260,15 @@ mod tests {
         let workload = ModelDesc::lenet5(64).training_gemms();
         let cfg = SaConfig::new(8, 8, 7).unwrap();
         let f = db.frequency(8, 8, 7).unwrap();
-        let eager = estimate_iteration(&workload, cfg, f, 8);
-        let pipelined = estimate_iteration_pipelined(&workload, cfg, f, 8);
+        let r = iteration_latency(&workload, cfg, f, 8);
+        let (eager, pipelined) = (r.estimated_s, r.pipelined_s);
         assert!(pipelined < eager, "no overlap won: {pipelined} vs {eager}");
         assert!(pipelined > eager * 0.3, "overlap too good: {pipelined}");
-        let meas_eager = measure_iteration(&workload, cfg, f, 8);
-        let meas_pipe = measure_iteration_pipelined(&workload, cfg, f, 8);
-        assert!(meas_pipe < meas_eager);
-        assert!(meas_pipe > pipelined, "measured sits above the estimate");
+        assert!(r.measured_pipelined_s < r.measured_s);
+        assert!(
+            r.measured_pipelined_s > pipelined,
+            "measured sits above the estimate"
+        );
     }
 
     #[test]
@@ -267,8 +278,8 @@ mod tests {
         let chosen = select_accelerator(&workload, &db, 8);
         assert!(chosen.pipelined_s > 0.0);
         assert!(chosen.pipelined_s < chosen.estimated_s);
-        let direct = estimate_iteration_pipelined(&workload, chosen.config, chosen.freq_mhz, 8);
-        assert!((chosen.pipelined_s - direct).abs() < 1e-15);
+        let direct = iteration_latency(&workload, chosen.config, chosen.freq_mhz, 8);
+        assert_eq!(chosen, direct);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! empty [`FaultPlan`]: same route, and its gates never fire.
 
 use crate::cache::{CacheStats, DEFAULT_CACHE_BUDGET};
-use crate::perf::estimate_gemm_stages;
+use crate::perf::estimate_gemm;
 use crate::pipeline::PipelinedExecutor;
 use crate::resilient::{degrade, fresh_image, pass_gates};
 use crate::sim::{Accelerator, MeasuredLatency};
@@ -225,10 +225,7 @@ impl FpgaBackend {
             Some(px) => px
                 .borrow_mut()
                 .launch_resilient(inj, retry, a, b, cfg)?
-                .map(|(out, times)| {
-                    let latency = times.as_latency(self.accelerator.freq_mhz());
-                    (out, latency, Some(times.bottleneck_s()))
-                }),
+                .map(|(out, times, latency)| (out, latency, Some(times.bottleneck_s()))),
         };
         let Some((out, latency, bottleneck_s)) = launched else {
             drop(span);
@@ -249,7 +246,7 @@ impl FpgaBackend {
         Ok((out, Some(latency)))
     }
 
-    /// Per-GEMM perf-model calibration: the analytic stage model
+    /// Per-GEMM perf-model calibration: the analytic model
     /// (Section IV-A) against what the simulator accounted, at the
     /// operand width the simulator itself uses — `L_total` for every
     /// launch, and the bottleneck stage for a staged one (cache
@@ -267,7 +264,7 @@ impl FpgaBackend {
         };
         let bits = cfg.quant_a.format().bit_width();
         let (sa, freq) = (self.accelerator.config(), self.accelerator.freq_mhz());
-        let stages = estimate_gemm_stages(GemmShape::new(n, k, m), sa, freq, bits, bits);
+        let model = estimate_gemm(GemmShape::new(n, k, m), sa, freq, bits, bits);
         let record = |context: &str, predicted_s: f64, measured_s: f64| {
             record_calibration(CalibrationRecord {
                 context: context.into(),
@@ -276,9 +273,9 @@ impl FpgaBackend {
                 measured_s,
             });
         };
-        record("fpga_gemm", stages.eager_s(), total_s);
+        record("fpga_gemm", model.total_s, total_s);
         if let Some(measured_s) = bottleneck_s {
-            record("fpga_gemm_pipelined", stages.bottleneck_s(), measured_s);
+            record("fpga_gemm_pipelined", model.bottleneck_s(), measured_s);
         }
     }
 }

@@ -64,6 +64,14 @@ fn effective_shape(shape: GemmShape, transposed: bool, partition: Partition) -> 
 /// Brute-forces the four mapping combinations for one GEMM and
 /// returns the lowest-latency one (ties keep the earliest in
 /// enumeration order: original/A first).
+///
+/// The four are two: transposing and partitioning `B` are the same
+/// `n↔m` swap of the effective shape, which is all the padding
+/// pipeline and the model see, so transposed/A duplicates original/B
+/// and transposed/B original/A. With ties kept, the result never has
+/// `transposed == true`. The paper's hardware tells the pairs apart by
+/// which dimension pads to `T_PE` and which to `T_MAC`; this model
+/// does not (ROADMAP 4b/4d).
 pub fn best_mapping(
     shape: GemmShape,
     cfg: SaConfig,
@@ -114,6 +122,33 @@ mod tests {
             GemmShape::new(30, 20, 10)
         );
         assert_eq!(effective_shape(s, true, Partition::B), s);
+    }
+
+    proptest::proptest! {
+        /// The mapping space is degenerate: the model sees only the
+        /// effective shape, so the four candidates are two and the
+        /// search never reports a transposed feed.
+        #[test]
+        fn four_candidates_are_two(
+            n in 1usize..300,
+            k in 1usize..300,
+            m in 1usize..300,
+            cores in 1usize..=10,
+            sel in 0usize..4,
+        ) {
+            let s = GemmShape::new(n, k, m);
+            proptest::prop_assert_eq!(
+                effective_shape(s, true, Partition::A),
+                effective_shape(s, false, Partition::B)
+            );
+            proptest::prop_assert_eq!(
+                effective_shape(s, true, Partition::B),
+                effective_shape(s, false, Partition::A)
+            );
+            let (pe, mac) = [(2, 2), (8, 4), (8, 8), (64, 32)][sel];
+            let best = best_mapping(s, cfg(pe, mac, cores), 250.0, 8, 8);
+            proptest::prop_assert!(!best.transposed, "{:?}", best);
+        }
     }
 
     #[test]

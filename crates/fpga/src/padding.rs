@@ -73,12 +73,28 @@ impl PaddedGemm {
         (self.core_macs() * cores) as f64 / self.shape.macs().max(1) as f64
     }
 
-    /// Total data elements crossing PCIe, per the paper's `S_data`:
-    /// partitioned input + shared input + output.
-    pub fn pcie_elements(&self, cores: usize) -> usize {
-        cores * self.n_core * self.k_mem      // first input matrix
-            + self.k_mem * self.m_mem         // second input matrix
-            + cores * self.n_core * self.m_mem // output matrix
+    /// Compute tiles each core walks: `n_comp/T_PE` row tiles ×
+    /// `m_comp/T_MAC` column tiles. Both tiles are powers of two
+    /// ([`SaConfig::new`]), so the exact quotients are shifts — this
+    /// runs per candidate mapping in the matcher's inner loop.
+    pub fn tiles(&self, cfg: SaConfig) -> u64 {
+        debug_assert!(cfg.t_mac().is_power_of_two());
+        (self.n_comp >> cfg.t_pe().trailing_zeros()) as u64
+            * (self.m_comp >> cfg.t_mac().trailing_zeros()) as u64
+    }
+
+    /// Bytes `(in, out)` one launch moves over PCIe, per the paper's
+    /// `S_data`: the partitioned input (stage-1 rows of all `cores`)
+    /// plus the shared input at `in_bits`, the result at `out_bits`.
+    /// The one place the element count is spelled out: the analytic
+    /// model divides it by the peak bandwidth, the simulator by the
+    /// achieved one.
+    pub fn pcie_bytes(&self, cores: usize, in_bits: u32, out_bits: u32) -> (f64, f64) {
+        let rows = cores * self.n_core;
+        (
+            (rows * self.k_mem + self.k_mem * self.m_mem) as f64 * in_bits as f64 / 8.0,
+            (rows * self.m_mem) as f64 * out_bits as f64 / 8.0,
+        )
     }
 }
 
@@ -147,7 +163,11 @@ mod tests {
         let shape = GemmShape::new(100, 64, 65);
         let c = 4;
         let p = PaddedGemm::new(shape, cfg(8, 8, c), 8);
-        let expect = c * p.n_core * p.k_mem + p.k_mem * p.m_mem + c * p.n_core * p.m_mem;
-        assert_eq!(p.pcie_elements(c), expect);
+        let (in_bytes, out_bytes) = p.pcie_bytes(c, 8, 32);
+        assert_eq!(
+            in_bytes,
+            (c * p.n_core * p.k_mem + p.k_mem * p.m_mem) as f64
+        );
+        assert_eq!(out_bytes, (c * p.n_core * p.m_mem) as f64 * 4.0);
     }
 }

@@ -13,19 +13,32 @@
 //!
 //! Reads from HBM overlap with compute, so only result write-back and
 //! the PCIe transfer add to the MAC time.
+//!
+//! The schedule is stated once, here. A core walks `tiles =
+//! (n_comp/T_PE)·(m_comp/T_MAC)` tiles of `k_mem·T_PE` MAC cycles and
+//! `T_PE·T_MAC/M` write-back cycles each; with `T_MAC = N·M` those sum
+//! to `L_MAC·F` and `L_write·F` exactly ([`core_cycles`]). The
+//! simulator ([`crate::sim::Accelerator::timing_only`]) is that count
+//! plus three named non-idealities, and every overlapped figure —
+//! estimated, simulated, or the executor's clock — is [`overlap`].
 
 use crate::config::{SaConfig, PCIE_GBPS};
 use crate::padding::PaddedGemm;
 use mpt_arith::GemmShape;
 
-/// Latency breakdown of one GEMM on the accelerator, in seconds.
+/// The model's latency terms for one GEMM on the accelerator, seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Latency {
-    /// MAC computation time.
+    /// MAC computation time `L_MAC`.
     pub mac_s: f64,
-    /// Result write-back time.
+    /// Result write-back time `L_write`.
     pub write_s: f64,
-    /// Host↔HBM transfer time over PCIe.
+    /// Host→HBM transfer of both inputs at peak PCIe bandwidth.
+    pub in_s: f64,
+    /// Result transfer back to the host.
+    pub out_s: f64,
+    /// `L_data`: all of `S_data` over PCIe (`in_s + out_s`, the bytes
+    /// summed before the division).
     pub data_s: f64,
     /// `L_total = (mac + write) + data`.
     pub total_s: f64,
@@ -36,6 +49,30 @@ impl Latency {
     pub fn core_s(&self) -> f64 {
         self.mac_s + self.write_s
     }
+
+    /// The launch as pipeline stages `[transfer-in, core,
+    /// transfer-out]`, for [`overlap`].
+    pub fn stages(&self) -> [f64; 3] {
+        [self.in_s, self.core_s(), self.out_s]
+    }
+
+    /// The bottleneck stage: the marginal cost of this launch in a
+    /// full pipeline.
+    pub fn bottleneck_s(&self) -> f64 {
+        self.stages().into_iter().fold(0.0, f64::max)
+    }
+}
+
+/// The schedule's core cycles `(L_MAC·F, L_write·F)` for one padded
+/// GEMM — exact integers (module docs), shared with the simulator.
+/// Per tile: `k_mem·T_PE` MAC beats, `T_PE·T_MAC/M = T_PE·N` of
+/// write-back.
+pub fn core_cycles(padded: &PaddedGemm, cfg: SaConfig) -> (u64, u64) {
+    let tiles = padded.tiles(cfg);
+    (
+        tiles * (padded.k_mem * cfg.t_pe()) as u64,
+        tiles * (cfg.t_pe() * cfg.n()) as u64,
+    )
 }
 
 /// Estimates the latency of one GEMM (with `A` partitioned across the
@@ -62,134 +99,35 @@ pub fn estimate_padded(
     out_bits: u32,
 ) -> Latency {
     let f = freq_mhz * 1.0e6;
-    let mac_s = padded.core_macs() as f64 / (cfg.macs_per_core() as f64 * f);
-    let write_s = (padded.n_comp * padded.m_comp) as f64 / (cfg.m() as f64 * f);
-    // PCIe bytes: inputs at the operand width, result at out_bits.
-    let in_bytes = (cfg.c() * padded.n_core * padded.k_mem + padded.k_mem * padded.m_mem) as f64
-        * in_bits as f64
-        / 8.0;
-    let out_bytes = (cfg.c() * padded.n_core * padded.m_mem) as f64 * out_bits as f64 / 8.0;
-    let data_s = (in_bytes + out_bytes) / (PCIE_GBPS * 1.0e9);
+    let (mac_cycles, write_cycles) = core_cycles(padded, cfg);
+    let (mac_s, write_s) = (mac_cycles as f64 / f, write_cycles as f64 / f);
+    let (in_bytes, out_bytes) = padded.pcie_bytes(cfg.c(), in_bits, out_bits);
+    let bw = PCIE_GBPS * 1.0e9;
+    let data_s = (in_bytes + out_bytes) / bw;
     Latency {
         mac_s,
         write_s,
+        in_s: in_bytes / bw,
+        out_s: out_bytes / bw,
         data_s,
         total_s: mac_s + write_s + data_s,
     }
 }
 
-/// The analytic model's per-launch stage decomposition, used by the
-/// overlap-aware (pipelined) latency accounting: input transfer,
-/// core compute, result transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageLatency {
-    /// Host→HBM input transfer (partitioned + shared operand bytes).
-    pub in_s: f64,
-    /// Core time (`L_MAC + L_write`).
-    pub core_s: f64,
-    /// Result transfer back to the host.
-    pub out_s: f64,
-}
-
-impl StageLatency {
-    /// Un-overlapped latency: the eager `L_total` (stage sum).
-    pub fn eager_s(&self) -> f64 {
-        self.in_s + self.core_s + self.out_s
+/// Admits one launch with stage times `t` to an in-order pipeline
+/// (unlimited inter-stage buffering) whose stages last completed at
+/// `done`; `done[S − 1]` is then the makespan. Stage *s* starts once
+/// the launch's stage *s − 1* and the previous launch's stage *s* are
+/// through: `done[i][s] = max(done[i][s−1], done[i−1][s]) + t[i][s]`.
+/// A stream costs between its busiest stage's total and the eager sum
+/// — `fill + Σᵢ maxₛ t[i][s]` when one stage dominates every launch.
+/// The pipelined estimate and "measurement" (`S = 3`) and
+/// [`crate::PipelineClock`] (`S = 4`) all call this.
+pub fn overlap<const S: usize>(done: &mut [f64; S], t: [f64; S]) {
+    done[0] += t[0];
+    for s in 1..S {
+        done[s] = done[s - 1].max(done[s]) + t[s];
     }
-
-    /// The bottleneck stage: the marginal cost of this launch in a
-    /// full pipeline.
-    pub fn bottleneck_s(&self) -> f64 {
-        self.in_s.max(self.core_s).max(self.out_s)
-    }
-}
-
-/// Splits [`estimate_gemm`]'s latency into pipeline stages.
-pub fn estimate_gemm_stages(
-    shape: GemmShape,
-    cfg: SaConfig,
-    freq_mhz: f64,
-    in_bits: u32,
-    out_bits: u32,
-) -> StageLatency {
-    let padded = PaddedGemm::new(shape, cfg, in_bits);
-    estimate_padded_stages(&padded, cfg, freq_mhz, in_bits, out_bits)
-}
-
-/// Splits [`estimate_padded`]'s latency into pipeline stages. The
-/// stage sum equals the eager `L_total` exactly (`in_s + out_s =
-/// L_data`, `core_s = L_MAC + L_write`).
-pub fn estimate_padded_stages(
-    padded: &PaddedGemm,
-    cfg: SaConfig,
-    freq_mhz: f64,
-    in_bits: u32,
-    out_bits: u32,
-) -> StageLatency {
-    let l = estimate_padded(padded, cfg, freq_mhz, in_bits, out_bits);
-    let in_bytes = (cfg.c() * padded.n_core * padded.k_mem + padded.k_mem * padded.m_mem) as f64
-        * in_bits as f64
-        / 8.0;
-    let out_bytes = (cfg.c() * padded.n_core * padded.m_mem) as f64 * out_bits as f64 / 8.0;
-    let bw = PCIE_GBPS * 1.0e9;
-    StageLatency {
-        in_s: in_bytes / bw,
-        core_s: l.core_s(),
-        out_s: out_bytes / bw,
-    }
-}
-
-/// Overlap-aware iteration estimate: the workload's GEMMs stream
-/// through a three-stage pipeline (input transfer → compute → result
-/// transfer), each with its best mapping, so stage *s* of launch
-/// *i+1* runs behind stage *s+1* of launch *i*.
-///
-/// The exact schedule is the recurrence
-/// `done[i][s] = max(done[i][s−1], done[i−1][s]) + t[i][s]`; its
-/// closed form when one stage dominates every launch is the paper
-/// model's intuition "pipelined `L_total` = `fill + Σᵢ maxₛ t[i][s]`"
-/// — a max over stage bottlenecks instead of the eager sum. Always
-/// ≤ [`estimate_workload`] and ≥ the bottleneck-sum lower bound.
-pub fn estimate_workload_pipelined(
-    workload: &[GemmShape],
-    cfg: SaConfig,
-    freq_mhz: f64,
-    in_bits: u32,
-    out_bits: u32,
-) -> f64 {
-    let mut stage_done = [0.0f64; 3];
-    for &s in workload {
-        let mapping = crate::mapping::best_mapping(s, cfg, freq_mhz, in_bits, out_bits);
-        let st = estimate_gemm_stages(mapping.effective_shape(), cfg, freq_mhz, in_bits, out_bits);
-        let t = [st.in_s, st.core_s, st.out_s];
-        let mut done = stage_done;
-        done[0] = stage_done[0] + t[0];
-        for stage in 1..3 {
-            done[stage] = done[stage - 1].max(stage_done[stage]) + t[stage];
-        }
-        stage_done = done;
-    }
-    stage_done[2]
-}
-
-/// Estimates the total latency of a training iteration: the sum over
-/// all of the workload's (sequential) GEMMs, each with its best
-/// transpose/partition mapping (paper Section IV-B).
-pub fn estimate_workload(
-    workload: &[GemmShape],
-    cfg: SaConfig,
-    freq_mhz: f64,
-    in_bits: u32,
-    out_bits: u32,
-) -> f64 {
-    workload
-        .iter()
-        .map(|&s| {
-            crate::mapping::best_mapping(s, cfg, freq_mhz, in_bits, out_bits)
-                .latency
-                .total_s
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -258,55 +196,62 @@ mod tests {
 
     #[test]
     fn stages_sum_to_eager_total() {
-        let shape = GemmShape::new(100, 64, 65);
-        let sa = cfg(8, 8, 4);
-        let l = estimate_gemm(shape, sa, 298.0, 8, 32);
-        let st = estimate_gemm_stages(shape, sa, 298.0, 8, 32);
-        assert!((st.eager_s() - l.total_s).abs() < 1e-15);
-        assert!((st.in_s + st.out_s - l.data_s).abs() < 1e-15);
-        assert!((st.core_s - l.core_s()).abs() < 1e-15);
+        let l = estimate_gemm(GemmShape::new(100, 64, 65), cfg(8, 8, 4), 298.0, 8, 32);
+        let [in_s, core_s, out_s] = l.stages();
+        assert!((in_s + core_s + out_s - l.total_s).abs() < 1e-15);
+        assert!((in_s + out_s - l.data_s).abs() < 1e-15);
+        assert_eq!(core_s, l.core_s());
+        assert_eq!(l.bottleneck_s(), in_s.max(core_s).max(out_s));
     }
 
     #[test]
-    fn pipelined_workload_between_bounds() {
-        let w = vec![
-            GemmShape::new(256, 784, 128),
-            GemmShape::new(256, 128, 100),
-            GemmShape::new(128, 256, 784),
-            GemmShape::new(256, 784, 128),
-        ];
-        let sa = cfg(8, 8, 4);
-        let eager = estimate_workload(&w, sa, 298.0, 8, 8);
-        let pipelined = estimate_workload_pipelined(&w, sa, 298.0, 8, 8);
-        assert!(
-            pipelined < eager,
-            "overlap must win: {pipelined} vs {eager}"
-        );
-        // Lower bound: no schedule beats the sum of bottleneck stages.
-        let bottleneck_sum: f64 = w
-            .iter()
-            .map(|&s| {
-                let m = crate::mapping::best_mapping(s, sa, 298.0, 8, 8);
-                estimate_gemm_stages(m.effective_shape(), sa, 298.0, 8, 8).bottleneck_s()
-            })
-            .sum();
-        assert!(pipelined >= bottleneck_sum);
+    fn model_cycles_are_the_model_terms() {
+        // `core_cycles` is (L_MAC, L_write)·F exactly: the closed
+        // forms of the module docs, in integers.
+        for (n, m, c) in [(2, 2, 2), (8, 4, 3), (64, 32, 1)] {
+            let sa = cfg(n, m, c);
+            let p = PaddedGemm::new(GemmShape::new(100, 37, 65), sa, 8);
+            let (mac, write) = core_cycles(&p, sa);
+            assert_eq!(mac as usize * sa.macs_per_core(), p.core_macs());
+            assert_eq!(write as usize * m, p.n_comp * p.m_comp);
+        }
     }
 
-    #[test]
-    fn single_gemm_pipeline_equals_eager() {
-        let w = [GemmShape::new(64, 64, 64)];
-        let sa = cfg(8, 8, 1);
-        let eager = estimate_workload(&w, sa, 100.0, 8, 8);
-        let pipelined = estimate_workload_pipelined(&w, sa, 100.0, 8, 8);
-        assert!((eager - pipelined).abs() < 1e-15);
+    /// The shared recurrence over `times` cut into `S`-stage launches:
+    /// a single launch costs its stage sum, and a stream's makespan
+    /// sits between its busiest stage's total and the eager sum. (The
+    /// sum of per-launch bottlenecks is *not* a lower bound: `[0, 9]`
+    /// then `[9, 0]` finishes at 9, not 18.)
+    fn check_overlap<const S: usize>(times: &[f64]) {
+        let (mut done, mut busy) = ([0.0; S], [0.0; S]);
+        for (i, launch) in times.chunks_exact(S).enumerate() {
+            let t: [f64; S] = launch.try_into().unwrap();
+            overlap(&mut done, t);
+            for (b, x) in busy.iter_mut().zip(t) {
+                *b += x;
+            }
+            if i == 0 {
+                let sum: f64 = t.iter().sum();
+                assert!((done[S - 1] - sum).abs() <= 1e-12, "one launch: no overlap");
+            }
+            assert!(done.windows(2).all(|w| w[0] <= w[1]), "stages end in order");
+        }
+        let makespan = done[S - 1];
+        let busiest = busy.into_iter().fold(0.0, f64::max);
+        let eager: f64 = busy.iter().sum();
+        assert!(busiest <= makespan + 1e-9, "{busiest} > {makespan}");
+        assert!(makespan <= eager + 1e-9, "{makespan} > {eager}");
     }
 
-    #[test]
-    fn workload_sums_gemms() {
-        let w = vec![GemmShape::new(64, 64, 64); 3];
-        let one = estimate_workload(&w[..1], cfg(8, 8, 1), 100.0, 8, 8);
-        let three = estimate_workload(&w, cfg(8, 8, 1), 100.0, 8, 8);
-        assert!((three - 3.0 * one).abs() < 1e-12);
+    proptest::proptest! {
+        /// At both widths the recurrence is used at (3: the estimate
+        /// and the simulated iteration; 4: the executor's clock).
+        #[test]
+        fn pipelined_workload_between_bounds(
+            times in proptest::collection::vec(0.0f64..10.0, 4..96),
+        ) {
+            check_overlap::<3>(&times);
+            check_overlap::<4>(&times);
+        }
     }
 }

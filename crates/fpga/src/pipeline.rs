@@ -20,10 +20,10 @@
 //!   re-packing resident operands, which is also bit-transparent
 //!   because quantization is a pure function of (bits, quantizer).
 //! * **Latency** is accounted by [`PipelineClock`]: each launch's
-//!   stage times enter the classic pipeline recurrence
-//!   `done[i][s] = max(done[i][s−1], done[i−1][s]) + t[i][s]`, so a
-//!   flushed queue reports the overlapped makespan — fill time plus
-//!   the per-launch bottleneck stage, not the eager sum.
+//!   stage times enter the pipeline recurrence
+//!   ([`crate::perf::overlap`]), so a flushed queue reports the
+//!   overlapped makespan — fill time plus the per-launch bottleneck
+//!   stage, not the eager sum.
 //! * **Host wall-clock** can genuinely overlap too:
 //!   [`PipelinedExecutor::execute_batch`] runs the emulated compute
 //!   stage on the persistent `mpt-arith` worker pool while the caller
@@ -44,8 +44,9 @@
 //! [`degrade`](crate::resilient::degrade).
 
 use crate::cache::{CacheStats, FetchedOperand, OperandCache};
+use crate::perf::overlap;
 use crate::resilient::pass_gates;
-use crate::sim::{Accelerator, MeasuredLatency, LAUNCH_OVERHEAD_S, PCIE_ACHIEVED_BPS};
+use crate::sim::{Accelerator, MeasuredLatency, PCIE_ACHIEVED_BPS};
 use mpt_arith::{pool_execute, GemmShape, QGemmConfig};
 use mpt_faults::{FaultPlan, Injector, RetryPolicy};
 use mpt_tensor::{ShapeError, Tensor};
@@ -96,36 +97,16 @@ impl StageTimes {
     pub fn bottleneck_s(&self) -> f64 {
         self.as_array().into_iter().fold(0.0, f64::max)
     }
-
-    /// The same launch as the eager path's [`MeasuredLatency`], for an
-    /// accelerator clocked at `freq_mhz`, so both modes report through
-    /// one type. `data_s` counts only bytes actually moved — cache
-    /// hits shrink it to the result stream-back.
-    pub fn as_latency(&self, freq_mhz: f64) -> MeasuredLatency {
-        let core_s = (self.compute_s - LAUNCH_OVERHEAD_S).max(0.0);
-        MeasuredLatency {
-            core_cycles: (core_s * freq_mhz * 1.0e6).round() as u64,
-            core_s,
-            data_s: self.transfer_s + self.unpack_s,
-            total_s: self.eager_s(),
-        }
-    }
 }
 
-/// Overlap-aware latency accounting over a stream of launches.
-///
-/// Feeding launch *i*'s stage times through
-/// `done[i][s] = max(done[i][s−1], done[i−1][s]) + t[i][s]`
-/// yields the exact makespan of an in-order pipeline with unlimited
-/// inter-stage buffering — the upper bound `fill + Σᵢ maxₛ t[i][s]`
-/// that the perf model's closed form uses is reached when one stage
-/// dominates every launch.
+/// Overlap-aware latency accounting over a stream of launches: the
+/// makespan of an in-order pipeline with unlimited inter-stage
+/// buffering, by [`overlap`] over the four [`StageTimes`].
 #[derive(Debug, Clone, Default)]
 pub struct PipelineClock {
-    /// Completion time of the last launch in each stage.
+    /// Completion time of the last launch in each stage; the last
+    /// stage's is the makespan.
     stage_done: [f64; STAGES],
-    /// Completion time of the last launch overall.
-    finish: f64,
     /// Launches admitted since the last drain.
     queued: u64,
     /// Launches admitted over the clock's lifetime.
@@ -138,26 +119,17 @@ impl PipelineClock {
         Self::default()
     }
 
-    /// Admits one launch; returns its *incremental* contribution to
-    /// the makespan (the eager path would contribute `t.eager_s()`).
-    pub fn admit(&mut self, t: &StageTimes) -> f64 {
-        let times = t.as_array();
-        let mut done = self.stage_done;
-        done[0] = self.stage_done[0] + times[0];
-        for s in 1..STAGES {
-            done[s] = done[s - 1].max(self.stage_done[s]) + times[s];
-        }
-        self.stage_done = done;
-        let increment = done[STAGES - 1] - self.finish;
-        self.finish = done[STAGES - 1];
+    /// Admits one launch: the makespan grows by at most
+    /// `t.eager_s()`, which is what the eager path would add.
+    pub fn admit(&mut self, t: &StageTimes) {
+        overlap(&mut self.stage_done, t.as_array());
         self.queued += 1;
         self.total += 1;
-        increment
     }
 
     /// Overlapped completion time of everything admitted so far.
     pub fn makespan_s(&self) -> f64 {
-        self.finish
+        self.stage_done[STAGES - 1]
     }
 
     /// Per-stage completion time of the most recent launch — the end
@@ -180,9 +152,8 @@ impl PipelineClock {
     /// Ends the stream (a training-step boundary): returns the
     /// overlapped makespan and resets the clock to idle.
     pub fn drain(&mut self) -> f64 {
-        let makespan = self.finish;
+        let makespan = self.makespan_s();
         self.stage_done = [0.0; STAGES];
-        self.finish = 0.0;
         self.queued = 0;
         makespan
     }
@@ -379,7 +350,8 @@ impl PipelinedExecutor {
     ) -> Result<(Tensor, StageTimes), ShapeError> {
         let (inj, retry) = fault_free();
         let launched = self.launch_resilient(&inj, &retry, a, b, cfg)?;
-        Ok(launched.expect("the empty plan never degrades"))
+        let (out, times, _) = launched.expect("the empty plan never degrades");
+        Ok((out, times))
     }
 
     /// One staged launch under `inj`'s fault plan with **per-stage**
@@ -388,8 +360,11 @@ impl PipelinedExecutor {
     /// re-sends the already-packed image, a compute fault re-runs the
     /// kernel only.
     ///
-    /// Returns `Ok(None)` when any single stage exhausts the retry
-    /// budget; the caller degrades to the bit-identical CPU path.
+    /// Returns the result, the charged stage times and the launch as
+    /// the eager path's [`MeasuredLatency`] (`data_s` counts only bytes
+    /// actually moved — cache hits shrink it to the result stream-back)
+    /// — or `Ok(None)` when any single stage exhausts the retry budget;
+    /// the caller degrades to the bit-identical CPU path.
     ///
     /// # Errors
     ///
@@ -402,7 +377,7 @@ impl PipelinedExecutor {
         a: &Tensor,
         b: &Tensor,
         cfg: &QGemmConfig,
-    ) -> Result<Option<(Tensor, StageTimes)>, ShapeError> {
+    ) -> Result<Option<(Tensor, StageTimes, MeasuredLatency)>, ShapeError> {
         // Host wall-clock spans of the single-launch path. Only pack
         // and compute do host work; transfer and unpack are modeled
         // time, kept as markers so a trace shows all four stages.
@@ -423,7 +398,7 @@ impl PipelinedExecutor {
             .execute_quantized(&staged.aq, &staged.bq, cfg)?;
         drop(compute_span);
         drop(mpt_telemetry::span("fpga:unpack"));
-        Ok(Some((out, staged.times)))
+        Ok(Some((out, staged.times, staged.latency)))
     }
 
     /// The host side of every launch, run on the submitting thread
@@ -454,7 +429,8 @@ impl PipelinedExecutor {
         let missed = |f: &FetchedOperand| if f.hit { 0 } else { f.image_bytes };
         let packed_bytes = missed(&fa) + missed(&fb);
         let bits = cfg.quant_a.format().bit_width();
-        let (_, compute_s, unpack_s) = self.accelerator.stage_timing(shape, bits);
+        let priced = self.accelerator.timing_only(shape, bits);
+        let [_, compute_s, unpack_s] = priced.stages();
         let mut times = StageTimes {
             pack_s: packed_bytes as f64 / (HOST_PACK_GBPS * 1.0e9),
             transfer_s: packed_bytes as f64 / PCIE_ACHIEVED_BPS,
@@ -470,12 +446,23 @@ impl PipelinedExecutor {
         else {
             return Ok(None);
         };
+        // A replayed pass repeats the core time *and* the launch
+        // overhead: the record scales them separately.
+        let compute_passes = 1 + replays.compute;
         times.transfer_s *= 1.0 + replays.transfer as f64;
-        times.compute_s *= 1.0 + replays.compute as f64;
+        times.compute_s *= compute_passes as f64;
         self.account_launch(&times);
         Ok(Some(Staged {
             aq: fa.quantized,
             bq: fb.quantized,
+            latency: MeasuredLatency {
+                core_cycles: priced.core_cycles * compute_passes as u64,
+                core_s: priced.core_s * compute_passes as f64,
+                data_s: times.transfer_s + times.unpack_s,
+                total_s: times.eager_s(),
+                in_s: times.transfer_s,
+                out_s: times.unpack_s,
+            },
             times,
             hits: fa.hit as u64 + fb.hit as u64,
             packed_bytes,
@@ -565,6 +552,9 @@ struct Staged {
     aq: Arc<Tensor>,
     bq: Arc<Tensor>,
     times: StageTimes,
+    /// [`Accelerator::timing_only`]'s record of the launch, with the
+    /// transfers and replays `times` was charged.
+    latency: MeasuredLatency,
     /// Operands (of two) that were already resident.
     hits: u64,
     /// Bytes the pack stage produced (zero on a full hit).
@@ -633,19 +623,6 @@ mod tests {
         assert!(clock.makespan_s() < 10.0 * t.eager_s());
         assert_eq!(clock.drain(), 8.0 + 9.0 * 4.0);
         assert_eq!(clock.makespan_s(), 0.0);
-    }
-
-    #[test]
-    fn single_launch_has_no_overlap_to_exploit() {
-        let mut clock = PipelineClock::new();
-        let t = StageTimes {
-            pack_s: 0.5,
-            transfer_s: 0.25,
-            compute_s: 2.0,
-            unpack_s: 0.25,
-        };
-        let inc = clock.admit(&t);
-        assert!((inc - t.eager_s()).abs() < 1e-12);
     }
 
     #[test]
@@ -787,12 +764,12 @@ mod tests {
         let (a, b) = operands(13, 29, 7);
         let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
         let want = qgemm(&a, &b, &cfg).unwrap();
-        let (first, t1) = px
+        let (first, t1, _) = px
             .launch_resilient(&inj, &retry, &a, &b, &cfg)
             .unwrap()
             .unwrap();
         let packs_after_first = px.cache_stats().packs;
-        let (second, t2) = px
+        let (second, t2, _) = px
             .launch_resilient(&inj, &retry, &a, &b, &cfg)
             .unwrap()
             .unwrap();
@@ -838,7 +815,7 @@ mod tests {
             let mut degraded = 0;
             for (a, b) in &pairs {
                 match px.launch_resilient(&inj, &retry, a, b, &cfg).unwrap() {
-                    Some((out, _)) => assert_eq!(out, qgemm(a, b, &cfg).unwrap()),
+                    Some((out, ..)) => assert_eq!(out, qgemm(a, b, &cfg).unwrap()),
                     None => degraded += 1,
                 }
             }
@@ -870,8 +847,12 @@ mod tests {
         for round in 0..2 {
             for (a, b) in &pairs {
                 let want = plain.launch(a, b, &cfg).unwrap();
-                let got = armed.launch_resilient(&inj, &retry, a, b, &cfg).unwrap();
-                assert_eq!(got, Some(want), "output or stage times, round {round}");
+                let (out, times, latency) = armed
+                    .launch_resilient(&inj, &retry, a, b, &cfg)
+                    .unwrap()
+                    .expect("the empty plan never degrades");
+                assert_eq!((out, times), want, "output or stage times, round {round}");
+                assert_eq!(latency.total_s, times.eager_s());
             }
             let want = plain.execute_batch(&items).unwrap();
             let got = armed.execute_batch_resilient(&inj, &retry, &items).unwrap();
@@ -889,6 +870,31 @@ mod tests {
         );
         assert_eq!(stats.images_built, 0, "no fault, no image");
         assert_eq!((inj.launch_count(), inj.injected_count()), (16, 0));
+    }
+
+    /// A replayed compute pass repeats the core time and the launch
+    /// overhead, and the launch's latency record says so term by term
+    /// (it used to be re-derived as `compute_s − overhead`, reporting
+    /// `2·core + overhead` as core time after one replay).
+    #[test]
+    fn compute_replay_scales_core_time_and_overhead_separately() {
+        let inj =
+            Injector::new(FaultPlan::new(4).with(FaultSite::LaunchTimeout, Trigger::AtLaunch(1)));
+        let retry = RetryPolicy::no_delay(3);
+        let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
+        let (a, b) = operands(13, 29, 7);
+        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
+        let (_, times, latency) = px
+            .launch_resilient(&inj, &retry, &a, &b, &cfg)
+            .unwrap()
+            .expect("one retry clears the timeout");
+        assert_eq!(inj.injected_at(FaultSite::LaunchTimeout), 1);
+        let clean = acc().timing_only(GemmShape::new(13, 29, 7), 8);
+        assert_eq!(latency.core_s, 2.0 * clean.core_s);
+        assert_eq!(latency.core_cycles, 2 * clean.core_cycles);
+        assert_eq!(times.compute_s, 2.0 * clean.stages()[1]);
+        assert_eq!(latency.total_s, times.eager_s());
+        assert_eq!(latency.data_s, times.transfer_s + times.unpack_s);
     }
 
     #[test]

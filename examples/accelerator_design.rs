@@ -68,10 +68,11 @@ fn main() {
     println!("\nmapping decisions for the first GEMMs of the iteration:");
     for shape in workload.iter().take(6) {
         let m = best_mapping(*shape, choice.config, choice.freq_mhz, 8, 8);
+        // Never "transposed": transposing and partitioning B are the
+        // same swap to this model (see `best_mapping`).
         println!(
-            "  {:<22} -> {}transposed, partition {:?}, padded ({}, {}, {}), {:.1} us",
+            "  {:<22} -> partition {:?}, padded ({}, {}, {}), {:.1} us",
             shape.to_string(),
-            if m.transposed { "" } else { "not " },
             m.partition,
             m.padded.n_comp,
             m.padded.k_mem,

@@ -3,7 +3,7 @@
 //! Fig. 7).
 
 use mpt_core::matching::{
-    estimate_iteration, measure_iteration, select_accelerator, sweep_core_counts,
+    iteration_latency, measured_optimum, select_accelerator, sweep_core_counts,
 };
 use mpt_fpga::{SaConfig, SynthesisDb};
 use mpt_models::ModelDesc;
@@ -26,7 +26,7 @@ fn table_iv_c1_magnitudes() {
         (ModelDesc::nanogpt(64), 25.17),
     ];
     for (model, expect) in paper {
-        let est = estimate_iteration(&model.training_gemms(), cfg, f, IN_BITS);
+        let est = iteration_latency(&model.training_gemms(), cfg, f, IN_BITS).estimated_s;
         assert!(
             est > expect / 2.0 && est < expect * 2.0,
             "{}: estimated {est:.4} vs paper {expect}",
@@ -52,7 +52,7 @@ fn table_iv_latency_ordering_per_row() {
         let f = db.frequency(8, 8, c).expect("in range");
         let lats: Vec<f64> = models
             .iter()
-            .map(|m| estimate_iteration(&m.training_gemms(), cfg, f, IN_BITS))
+            .map(|m| iteration_latency(&m.training_gemms(), cfg, f, IN_BITS).estimated_s)
             .collect();
         for w in lats.windows(2) {
             assert!(w[0] < w[1], "ordering violated at C={c}: {lats:?}");
@@ -92,21 +92,14 @@ fn model_identifies_measured_optimum() {
     for model in ModelDesc::all_benchmarks() {
         let workload = model.training_gemms();
         let chosen = select_accelerator(&workload, &db, IN_BITS);
-        let mut best_measured = (f64::INFINITY, chosen.config);
-        for cfg in db.feasible_configs() {
-            let f = db.frequency(cfg.n(), cfg.m(), cfg.c()).expect("feasible");
-            let m = measure_iteration(&workload, cfg, f, IN_BITS);
-            if m < best_measured.0 {
-                best_measured = (m, cfg);
-            }
-        }
+        let optimum = measured_optimum(&workload, &db, IN_BITS);
         assert_eq!(
-            chosen.config,
-            best_measured.1,
+            chosen,
+            optimum,
             "{}: estimator chose {} but measured optimum is {}",
             model.name(),
             chosen.config,
-            best_measured.1
+            optimum.config
         );
     }
 }
