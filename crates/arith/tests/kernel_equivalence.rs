@@ -243,16 +243,9 @@ proptest! {
 /// `(total, exact, rounded, saturated, flushed, sr_up, sr_down)` of
 /// one quantizer label's global counter group.
 fn tally_counts(label: &str) -> [u64; 7] {
+    use mpt_telemetry::QuantCat::*;
     let c = mpt_telemetry::quant_counters(label);
-    [
-        c.total.get(),
-        c.exact.get(),
-        c.rounded.get(),
-        c.saturated.get(),
-        c.flushed.get(),
-        c.sr_up.get(),
-        c.sr_down.get(),
-    ]
+    [Total, Exact, Rounded, Saturated, Flushed, SrUp, SrDown].map(|cat| c[cat].get())
 }
 
 /// With telemetry on, every tier of the lane kernels records exactly

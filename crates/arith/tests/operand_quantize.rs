@@ -16,7 +16,8 @@ use mpt_tensor::Tensor;
 /// global tally group.
 fn tally_of(q: &Quantizer) -> [u64; 5] {
     let c = mpt_telemetry::quant_counters(&q.telemetry_label());
-    [&c.total, &c.exact, &c.rounded, &c.saturated, &c.flushed].map(|c| c.get())
+    use mpt_telemetry::QuantCat::*;
+    [Total, Exact, Rounded, Saturated, Flushed].map(|cat| c[cat].get())
 }
 
 #[test]

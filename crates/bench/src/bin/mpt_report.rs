@@ -1,13 +1,17 @@
 //! `mpt-report` — turns a telemetry JSONL log (plus the optional
-//! Chrome trace and `BENCH_*.json` gate files) into `RESULTS.md`.
+//! Chrome trace, `BENCH_pipeline.json` and `serve_chaos` report) into
+//! `RESULTS.md`.
 //!
 //! ```text
 //! mpt-report --jsonl run.jsonl [--trace run.trace.json] \
-//!            [--bench BENCH_pipeline.json] [--serving BENCH_serving.json] \
+//!            [--bench BENCH_pipeline.json] [--serving serve_chaos.json] \
 //!            [--out RESULTS.md]
 //! mpt-report --validate-trace run.trace.json [--require-stage-tracks 4]
-//! mpt-report --check-gates BENCH_pipeline.json.committed BENCH_pipeline.json
 //! ```
+//!
+//! One event log is one run: a log whose `epoch` indices do not
+//! strictly increase (two runs appended to one file) is refused with
+//! a non-zero exit rather than rendered as a blend of both.
 //!
 //! Optional inputs degrade gracefully: a `--trace` or `--bench` /
 //! `--serving` path that does not exist (or does not parse) renders a
@@ -20,22 +24,20 @@
 //! experiment binaries' style. `--validate-trace` exits non-zero when
 //! the trace is syntactically invalid, empty, or (with
 //! `--require-stage-tracks N`) has fewer than N `fpga-pipeline/`
-//! stage tracks. `--check-gates` exits non-zero when a gate field of
-//! the freshly measured `BENCH_pipeline.json` regressed beyond the
-//! tolerance against the committed copy.
+//! stage tracks.
 
 use mpt_bench::TableWriter;
 use mpt_telemetry::json::{self, Value};
+use mpt_telemetry::QuantCat;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  mpt-report --jsonl <events.jsonl> [--trace <trace.json>] \
-         [--bench <BENCH_pipeline.json>] [--serving <BENCH_serving.json>] \
+         [--bench <BENCH_pipeline.json>] [--serving <serve_chaos.json>] \
          [--out <RESULTS.md>]\n  \
-         mpt-report --validate-trace <trace.json> [--require-stage-tracks <N>]\n  \
-         mpt-report --check-gates <committed.json> <measured.json> [--tolerance <frac>]"
+         mpt-report --validate-trace <trace.json> [--require-stage-tracks <N>]"
     );
     std::process::exit(2);
 }
@@ -51,8 +53,6 @@ fn main() -> ExitCode {
     let mut out = "RESULTS.md".to_string();
     let mut validate = None;
     let mut require_tracks = 0usize;
-    let mut gates: Option<(String, String)> = None;
-    let mut tolerance = 0.10f64;
 
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> String {
@@ -77,26 +77,12 @@ fn main() -> ExitCode {
                     std::process::exit(2);
                 })
             }
-            "--check-gates" => {
-                let committed = val("--check-gates");
-                let measured = val("--check-gates");
-                gates = Some((committed, measured));
-            }
-            "--tolerance" => {
-                tolerance = val("--tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("--tolerance takes a fraction, e.g. 0.1");
-                    std::process::exit(2);
-                })
-            }
             _ => usage(),
         }
     }
 
     if let Some(path) = validate {
         return validate_trace(&path, require_tracks);
-    }
-    if let Some((committed, measured)) = gates {
-        return check_gates(&committed, &measured, tolerance);
     }
     let Some(jsonl) = jsonl else { usage() };
     generate_report(
@@ -157,84 +143,6 @@ fn validate_trace(path: &str, require_tracks: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-// ---------------------------------------------------------------- gates
-
-/// `BENCH_*.json` fields gating CI, with the direction that counts as
-/// a regression (`true` = higher is better). One list serves both
-/// `BENCH_pipeline.json` and `BENCH_serving.json`: a field absent
-/// from the committed file is simply not a gate for that file.
-const GATE_FIELDS: [(&str, bool); 8] = [
-    ("pack_reduction", true),
-    ("bytes_reduction", true),
-    ("cache_hits", true),
-    // Serving gates: throughput must not collapse, chaos must keep
-    // exercising the breaker, and corruption must stay at zero
-    // (committed 0 with lower-is-better pins measured to 0).
-    ("serve_completed", true),
-    ("serve_corrupted", false),
-    ("breaker_trips", true),
-    ("breaker_recoveries", true),
-    ("queue_high_water", false),
-];
-
-fn check_gates(committed: &str, measured: &str, tolerance: f64) -> ExitCode {
-    let (old, new) = match (read_json(committed), read_json(measured)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("gate check failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut failed = false;
-    for (field, higher_is_better) in GATE_FIELDS {
-        let (Some(was), Some(now)) = (
-            old.get(field).and_then(Value::as_f64),
-            new.get(field).and_then(Value::as_f64),
-        ) else {
-            // A field absent from either file is not comparable; the
-            // committed file defines which gates exist.
-            continue;
-        };
-        let ok = if higher_is_better {
-            now >= was * (1.0 - tolerance)
-        } else {
-            now <= was * (1.0 + tolerance)
-        };
-        if ok {
-            println!("gate ok: {field} committed={was:.3} measured={now:.3}");
-        } else {
-            eprintln!(
-                "gate REGRESSED: {field} committed={was:.3} measured={now:.3} \
-                 (tolerance {tolerance:.0}%)",
-                tolerance = tolerance * 100.0
-            );
-            failed = true;
-        }
-    }
-    // The modeled speedup is a ratio of two fields, checked as one gate.
-    if let (Some(oe), Some(op), Some(ne), Some(np)) = (
-        old.get("modeled_eager_s").and_then(Value::as_f64),
-        old.get("modeled_pipelined_s").and_then(Value::as_f64),
-        new.get("modeled_eager_s").and_then(Value::as_f64),
-        new.get("modeled_pipelined_s").and_then(Value::as_f64),
-    ) {
-        if op > 0.0 && np > 0.0 {
-            let (was, now) = (oe / op, ne / np);
-            if now >= was * (1.0 - tolerance) {
-                println!("gate ok: modeled_speedup committed={was:.3} measured={now:.3}");
-            } else {
-                eprintln!("gate REGRESSED: modeled_speedup committed={was:.3} measured={now:.3}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 // ---------------------------------------------------------------- report
 
 /// Everything the report needs, folded out of one pass over the
@@ -244,30 +152,17 @@ struct RunData {
     simd_tier: Option<String>,
     steps: u64,
     epochs: Vec<(u64, f64)>,
-    /// Exact per-span durations (ns), keyed by span name. Extern
-    /// spans (id 0 with a `count` field) are sums, not observations,
-    /// and are excluded.
+    /// Exact per-span durations (ns), keyed by span name.
     span_ns: BTreeMap<String, Vec<u64>>,
     /// `layer_health` rows keyed by (epoch, param).
     health: Vec<(u64, String, f64, f64)>,
-    /// Cumulative `layer_quant` counters keyed by label, per epoch.
-    quant: BTreeMap<String, BTreeMap<u64, BTreeMap<String, u64>>>,
+    /// Cumulative `layer_quant` counters keyed by label, per epoch,
+    /// in `QuantCat::ALL` order.
+    quant: BTreeMap<String, BTreeMap<u64, [u64; 10]>>,
     /// Last `stage_utilization` event, if any.
     stage_util: Option<Value>,
     loss_scale_events: u64,
 }
-
-const QUANT_KEYS: [&str; 9] = [
-    "total",
-    "exact",
-    "rounded",
-    "saturated",
-    "overflow_inf",
-    "flushed",
-    "sr_up",
-    "sr_down",
-    "nan",
-];
 
 fn fold_events(text: &str) -> RunData {
     let mut data = RunData::default();
@@ -294,9 +189,6 @@ fn fold_events(text: &str) -> RunData {
                 }
             }
             Some("span") => {
-                if ev.get("count").is_some() {
-                    continue; // extern span: dur is a sum over count
-                }
                 if let (Some(name), Some(ns)) = (
                     ev.get("name").and_then(Value::as_str),
                     ev.get("dur_ns").and_then(Value::as_u64),
@@ -319,17 +211,11 @@ fn fold_events(text: &str) -> RunData {
                     ev.get("epoch").and_then(Value::as_u64),
                     ev.get("label").and_then(Value::as_str),
                 ) {
-                    let row = data
-                        .quant
+                    let count = |cat: QuantCat| ev.get(cat.name()).and_then(Value::as_u64);
+                    data.quant
                         .entry(label.to_string())
                         .or_default()
-                        .entry(e)
-                        .or_default();
-                    for key in QUANT_KEYS {
-                        if let Some(v) = ev.get(key).and_then(Value::as_u64) {
-                            row.insert(key.to_string(), v);
-                        }
-                    }
+                        .insert(e, QuantCat::ALL.map(|cat| count(cat).unwrap_or(0)));
                 }
             }
             Some("stage_utilization") => data.stage_util = Some(ev),
@@ -373,6 +259,14 @@ fn generate_report(
         }
     };
     let data = fold_events(&text);
+    if let Some(w) = data.epochs.windows(2).find(|w| w[1].0 <= w[0].0) {
+        eprintln!(
+            "{jsonl}: epoch {} follows epoch {}: the log holds more than one run \
+             (write one event log per run)",
+            w[1].0, w[0].0
+        );
+        return ExitCode::FAILURE;
+    }
     let mut md = String::new();
     md.push_str("# Run report\n\n");
     md.push_str("Generated by `mpt-report` from the telemetry event log.\n\n");
@@ -455,45 +349,33 @@ fn generate_report(
         }
         if !data.quant.is_empty() {
             md.push_str(
-                "Final-epoch quantizer rates per layer group (differenced \
-                 from the cumulative counters):\n\n",
+                "Final-epoch share of each rounding category per layer group, in % of \
+                 `quantized` (differenced from the cumulative counters; `sr_up` and \
+                 `sr_down` are the stochastic part of `rounded`, the other categories \
+                 sum to 100):\n\n",
             );
-            let mut t = TableWriter::new(vec![
-                "layer group",
-                "quantized",
-                "exact%",
-                "saturated%",
-                "underflow%",
-                "sr_up/down",
-            ]);
+            // `total` heads the list and is the `quantized` column;
+            // every other category gets a share column.
+            let shares = &QuantCat::ALL[1..];
+            let mut header = vec!["layer group", "quantized"];
+            header.extend(shares.iter().map(|cat| cat.name()));
+            let mut t = TableWriter::new(header);
             for (label, per_epoch) in &data.quant {
-                let epochs: Vec<&u64> = per_epoch.keys().collect();
-                let Some(&&last) = epochs.last() else {
-                    continue;
-                };
-                let cur = &per_epoch[&last];
-                let zero = BTreeMap::new();
-                let prev = if epochs.len() >= 2 {
-                    &per_epoch[epochs[epochs.len() - 2]]
-                } else {
-                    &zero
-                };
-                let delta = |k: &str| -> u64 {
-                    cur.get(k).copied().unwrap_or(0) - prev.get(k).copied().unwrap_or(0)
-                };
-                let total = delta("total");
+                let mut last_two = per_epoch.values().rev();
+                let Some(cur) = last_two.next() else { continue };
+                let prev = last_two.next().unwrap_or(&[0; 10]);
+                let delta = |cat: QuantCat| cur[cat as usize].saturating_sub(prev[cat as usize]);
+                let total = delta(QuantCat::Total);
                 if total == 0 {
                     continue;
                 }
-                let pct = |k: &str| format!("{:.2}", 100.0 * delta(k) as f64 / total as f64);
-                t.row(vec![
-                    label.clone(),
-                    total.to_string(),
-                    pct("exact"),
-                    pct("saturated"),
-                    pct("flushed"),
-                    format!("{}/{}", delta("sr_up"), delta("sr_down")),
-                ]);
+                let mut row = vec![label.clone(), total.to_string()];
+                row.extend(
+                    shares
+                        .iter()
+                        .map(|&cat| format!("{:.2}", 100.0 * delta(cat) as f64 / total as f64)),
+                );
+                t.row(row);
             }
             md.push_str("```text\n");
             md.push_str(&t.render());
@@ -588,9 +470,9 @@ fn generate_report(
         }
     }
 
-    // -- serving benchmark gates ----------------------------------
+    // -- serve_chaos report ---------------------------------------
     if let Some(serving_path) = serving {
-        md.push_str("## Serving benchmark gates\n\n");
+        md.push_str("## Serving fault soak (`serve_chaos`)\n\n");
         match read_json(serving_path) {
             Ok(s) => {
                 let f = |k: &str| s.get(k).and_then(Value::as_f64).unwrap_or(0.0);
@@ -688,7 +570,6 @@ mod tests {
             "{\"type\":\"run_config\",\"simd_tier\":\"avx2\"}\n",
             "{\"type\":\"step\",\"loss\":1.0}\n",
             "{\"type\":\"span\",\"name\":\"gemm\",\"id\":1,\"dur_ns\":500}\n",
-            "{\"type\":\"span\",\"name\":\"bwd:x\",\"id\":0,\"dur_ns\":9,\"count\":3}\n",
             "{\"type\":\"epoch\",\"epoch\":0,\"mean_loss\":0.5}\n",
             "{\"type\":\"layer_health\",\"epoch\":0,\"param\":\"w\",\
              \"weight_l2\":1.5,\"grad_l2\":0.25}\n",
@@ -701,11 +582,13 @@ mod tests {
         assert_eq!(data.simd_tier.as_deref(), Some("avx2"));
         assert_eq!(data.steps, 1);
         assert_eq!(data.span_ns["gemm"], vec![500]);
-        // Extern spans (sum-over-count) must not pollute percentiles.
-        assert!(!data.span_ns.contains_key("bwd:x"));
         assert_eq!(data.epochs, vec![(0, 0.5)]);
         assert_eq!(data.health.len(), 1);
-        assert_eq!(data.quant["layer:0:fc"][&0]["total"], 10);
+        assert_eq!(
+            data.quant["layer:0:fc"][&0],
+            [10, 4, 0, 1, 0, 0, 0, 2, 3, 0],
+            "counts fold in QuantCat::ALL order, absent categories as 0"
+        );
     }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -742,41 +625,76 @@ mod tests {
     }
 
     #[test]
-    fn serving_gates_pin_zero_corruption_and_breaker_activity() {
-        let dir = scratch_dir("gates");
-        let committed = dir.join("committed.json");
-        let ok = dir.join("ok.json");
-        let bad = dir.join("bad.json");
-        std::fs::write(
-            &committed,
-            "{\"serve_completed\": 100, \"serve_corrupted\": 0, \
-             \"breaker_trips\": 1, \"breaker_recoveries\": 1}",
-        )
-        .unwrap();
-        // Throughput within tolerance, still zero corruption: passes.
-        std::fs::write(
-            &ok,
-            "{\"serve_completed\": 95, \"serve_corrupted\": 0, \
-             \"breaker_trips\": 2, \"breaker_recoveries\": 1}",
-        )
-        .unwrap();
-        assert!(exit_ok(check_gates(
-            committed.to_str().unwrap(),
-            ok.to_str().unwrap(),
-            0.10,
-        )));
-        // One corrupted response: committed 0 pins measured to 0.
-        std::fs::write(
-            &bad,
-            "{\"serve_completed\": 100, \"serve_corrupted\": 1, \
-             \"breaker_trips\": 1, \"breaker_recoveries\": 1}",
-        )
-        .unwrap();
-        assert!(!exit_ok(check_gates(
-            committed.to_str().unwrap(),
-            bad.to_str().unwrap(),
-            0.10,
-        )));
+    fn a_log_holding_two_runs_is_refused() {
+        let dir = scratch_dir("two_runs");
+        let out = dir.join("RESULTS.md");
+        let epoch = |e: u64| format!("{{\"type\":\"epoch\",\"epoch\":{e},\"mean_loss\":0.5}}\n");
+        let report = |name: &str, epochs: &[u64]| {
+            let jsonl = dir.join(name);
+            std::fs::write(&jsonl, epochs.iter().map(|&e| epoch(e)).collect::<String>()).unwrap();
+            generate_report(
+                jsonl.to_str().unwrap(),
+                None,
+                None,
+                None,
+                out.to_str().unwrap(),
+            )
+        };
+        assert!(exit_ok(report("one.jsonl", &[0, 1, 2])));
+        // What `train_lenet_fp8` used to write: baseline + FP8 run.
+        assert!(!exit_ok(report("two.jsonl", &[0, 1, 2, 0, 1, 2])));
+        assert!(!exit_ok(report("repeat.jsonl", &[0, 1, 1])));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every value a quantizer sees lands in exactly one category, so
+    /// a layer's `layer_quant` categories (less the two SR direction
+    /// counts, which split `rounded`) must sum to its `total` — all
+    /// the way from the tally through the trainer's event into this
+    /// report's fold. A `with_infinities` format is the case the
+    /// hand-copied key lists dropped: ±inf pass through and an
+    /// out-of-range finite value overflows to inf.
+    #[test]
+    fn layer_quant_categories_sum_to_total_through_the_fold() {
+        use mpt_core::trainer::{train_cnn, TrainConfig};
+        use mpt_formats::{FloatFormat, Quantizer, Rounding};
+
+        mpt_telemetry::enable();
+        mpt_telemetry::set_layer_scope(Some("99:inf-test"));
+        let q = Quantizer::float(FloatFormat::e5m2().with_infinities(), Rounding::Nearest);
+        let mut xs = [f32::INFINITY, f32::NEG_INFINITY, 1.0e30, 1.1, 1.0, f32::NAN];
+        q.quantize_slice_f32(&mut xs, 0);
+        mpt_telemetry::set_layer_scope(None);
+        // One tiny epoch: the trainer emits every `layer:` group at
+        // the epoch boundary.
+        let data = mpt_data::synthetic_mnist(8, 1);
+        let model = mpt_models::lenet5(mpt_nn::GemmPrecision::fp32(), 5);
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 8,
+            loss_scale: 1.0,
+            seed: 0,
+        };
+        train_cnn(
+            &model,
+            &mut mpt_nn::Sgd::new(0.01, 0.0, 0.0),
+            &data,
+            &data,
+            cfg,
+        );
+        mpt_telemetry::disable();
+
+        let folded = fold_events(&mpt_telemetry::sink::buffered_events().join("\n"));
+        let counts = folded.quant["layer:99:inf-test"][&0];
+        let of = |cat: QuantCat| counts[cat as usize];
+        assert_eq!(of(QuantCat::Total), 6);
+        assert_eq!(of(QuantCat::InfPassthrough), 2);
+        assert_eq!(of(QuantCat::OverflowInf), 1);
+        let parts: u64 = QuantCat::ALL
+            .into_iter()
+            .filter(|c| !matches!(c, QuantCat::Total | QuantCat::SrUp | QuantCat::SrDown))
+            .map(of)
+            .sum();
+        assert_eq!(parts, of(QuantCat::Total), "categories {counts:?}");
     }
 }

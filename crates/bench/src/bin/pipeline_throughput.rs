@@ -28,8 +28,8 @@
 //!
 //! All three produce bit-identical results (asserted). A JSON report
 //! goes to `$MPT_BENCH_JSON` (default `BENCH_pipeline.json`); its
-//! count fields (`cold_packs` … `cache_hits`, the `mpt-report
-//! --check-gates` gates) describe the frozen replay.
+//! count fields (`cold_packs` … `cache_hits`) describe the frozen
+//! replay.
 //!
 //! ```text
 //! cargo run --release -p mpt-bench --bin pipeline_throughput

@@ -7,9 +7,12 @@
 //! fallback and recovers, and that at least one request was shed by
 //! admission control and one cancelled at its deadline (the chaos
 //! must actually exercise the machinery it claims to). A JSON report
-//! with p50/p99 latency per class, queue depth, and
-//! rejected/degraded/completed counts goes to `$MPT_BENCH_JSON`
-//! (default `BENCH_serving.json`).
+//! with queue depth, rejected/degraded/completed counts and the
+//! p50/p99 of the service's own `serve:latency:<class>` histograms
+//! goes to `$MPT_BENCH_JSON` (default `target/serve_chaos.json`). This
+//! is the *fault* soak: its latencies are those of a storm on a
+//! handful of shapes; the `serve_closed` workload of `benchmark/` is
+//! where serving latency is measured.
 //!
 //! ```text
 //! MPT_FAULT_SEED=42 cargo run --release -p mpt-bench --bin serve_chaos
@@ -24,7 +27,7 @@ use mpt_serving::{
 };
 use mpt_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The chaos schedule: every site armed. The two sticky sites force
@@ -52,14 +55,6 @@ fn operands(n: usize, k: usize, m: usize, tag: u64) -> (Tensor, Tensor) {
         })
     };
     (gen(n, k, tag * 2 + 1), gen(k, m, tag * 2 + 2))
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
 }
 
 fn main() {
@@ -92,15 +87,11 @@ fn main() {
     );
 
     let corrupted = Arc::new(AtomicU64::new(0));
-    let train_lat: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let infer_lat: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let t0 = Instant::now();
     let mut workers = Vec::new();
     for client in 0..clients as u64 {
         let h = service.handle();
         let corrupted = Arc::clone(&corrupted);
-        let train_lat = Arc::clone(&train_lat);
-        let infer_lat = Arc::clone(&infer_lat);
         workers.push(std::thread::spawn(move || {
             // Client 0 is the "trainer": no deadlines, must always be
             // served. The rest are inference clients with deadlines.
@@ -110,7 +101,6 @@ fn main() {
                 RequestClass::Inference
             };
             let cfg = QGemmConfig::fp8_fp12_sr().with_seed(17);
-            let mut lat = Vec::new();
             for round in 0..requests_per_client as u64 {
                 // A handful of shapes so coalescing has material.
                 let shape_tag = (client + round) % 4;
@@ -125,7 +115,6 @@ fn main() {
                     RequestClass::Training => None,
                     RequestClass::Inference => Some(Instant::now() + Duration::from_secs(30)),
                 };
-                let t = Instant::now();
                 match h
                     .call(&a, &b, &cfg, class, deadline, client)
                     .expect("conforming operands")
@@ -134,7 +123,6 @@ fn main() {
                         if out != want {
                             corrupted.fetch_add(1, Ordering::Relaxed);
                         }
-                        lat.push(t.elapsed().as_nanos() as u64);
                     }
                     ServeResult::DeadlineExceeded => {
                         assert!(
@@ -144,10 +132,6 @@ fn main() {
                     }
                     other => panic!("unexpected terminal result: {other:?}"),
                 }
-            }
-            match class {
-                RequestClass::Training => train_lat.lock().unwrap().extend(lat),
-                RequestClass::Inference => infer_lat.lock().unwrap().extend(lat),
             }
         }));
     }
@@ -183,12 +167,18 @@ fn main() {
         "the DeadlineExceeded site must fire"
     );
 
-    let mut t_lat = train_lat.lock().unwrap().clone();
-    let mut i_lat = infer_lat.lock().unwrap().clone();
-    t_lat.sort_unstable();
-    i_lat.sort_unstable();
-    let (t_p50, t_p99) = (percentile_us(&t_lat, 0.50), percentile_us(&t_lat, 0.99));
-    let (i_p50, i_p99) = (percentile_us(&i_lat, 0.50), percentile_us(&i_lat, 0.99));
+    // Enqueue → response, as the dispatcher recorded it per class.
+    let latency_us = |class: RequestClass, q: f64| {
+        mpt_telemetry::histogram(&format!("serve:latency:{}", class.name())).quantile(q) / 1e3
+    };
+    let (t_p50, t_p99) = (
+        latency_us(RequestClass::Training, 0.50),
+        latency_us(RequestClass::Training, 0.99),
+    );
+    let (i_p50, i_p99) = (
+        latency_us(RequestClass::Inference, 0.50),
+        latency_us(RequestClass::Inference, 0.99),
+    );
 
     println!("completed {completed}, rejected {rejected}, degraded {degraded}, ");
     println!("deadline_exceeded {deadline_exceeded}, coalesced {coalesced}, corrupted 0");
@@ -197,7 +187,8 @@ fn main() {
     println!("latency us: training p50 {t_p50:.1} p99 {t_p99:.1}, inference p50 {i_p50:.1} p99 {i_p99:.1}");
     println!("wall {wall_s:.3} s, {:.0} req/s", completed as f64 / wall_s);
 
-    let path = std::env::var("MPT_BENCH_JSON").unwrap_or_else(|_| "BENCH_serving.json".to_string());
+    let path =
+        std::env::var("MPT_BENCH_JSON").unwrap_or_else(|_| "target/serve_chaos.json".to_string());
     let json = format!(
         "{{\n  \"clients\": {clients},\n  \
          \"requests_per_client\": {requests_per_client},\n  \

@@ -358,20 +358,17 @@ fn emit_layer_health(epoch: u64, params: &[mpt_nn::Parameter]) {
         if !q.label.starts_with("layer:") {
             continue;
         }
-        mpt_telemetry::event(&[
+        let mut fields = vec![
             mpt_telemetry::json::Field::Str("type", "layer_quant"),
             mpt_telemetry::json::Field::U64("epoch", epoch),
             mpt_telemetry::json::Field::Str("label", &q.label),
-            mpt_telemetry::json::Field::U64("total", q.total),
-            mpt_telemetry::json::Field::U64("exact", q.exact),
-            mpt_telemetry::json::Field::U64("rounded", q.rounded),
-            mpt_telemetry::json::Field::U64("saturated", q.saturated),
-            mpt_telemetry::json::Field::U64("overflow_inf", q.overflow_inf),
-            mpt_telemetry::json::Field::U64("flushed", q.flushed),
-            mpt_telemetry::json::Field::U64("sr_up", q.sr_up),
-            mpt_telemetry::json::Field::U64("sr_down", q.sr_down),
-            mpt_telemetry::json::Field::U64("nan", q.nan),
-        ]);
+        ];
+        fields.extend(
+            mpt_telemetry::QuantCat::ALL
+                .iter()
+                .map(|&cat| mpt_telemetry::json::Field::U64(cat.name(), q[cat])),
+        );
+        mpt_telemetry::event(&fields);
     }
 }
 

@@ -392,6 +392,7 @@ impl fmt::Display for Quantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpt_telemetry::QuantCat;
 
     #[test]
     fn display_matches_paper_cells() {
@@ -587,12 +588,12 @@ mod tests {
         let sat_c = mpt_telemetry::quant_counters(&sat_q.telemetry_label());
         let inf_c = mpt_telemetry::quant_counters(&inf_q.telemetry_label());
         let base = (
-            sat_c.saturated.get(),
-            sat_c.inf_passthrough.get(),
-            sat_c.overflow_inf.get(),
-            inf_c.saturated.get(),
-            inf_c.inf_passthrough.get(),
-            inf_c.overflow_inf.get(),
+            sat_c[QuantCat::Saturated].get(),
+            sat_c[QuantCat::InfPassthrough].get(),
+            sat_c[QuantCat::OverflowInf].get(),
+            inf_c[QuantCat::Saturated].get(),
+            inf_c[QuantCat::InfPassthrough].get(),
+            inf_c[QuantCat::OverflowInf].get(),
         );
 
         mpt_telemetry::enable();
@@ -604,14 +605,14 @@ mod tests {
 
         // Saturating format: two inf clamps + one finite clamp, no
         // inf events.
-        assert_eq!(sat_c.saturated.get() - base.0, 3);
-        assert_eq!(sat_c.inf_passthrough.get() - base.1, 0);
-        assert_eq!(sat_c.overflow_inf.get() - base.2, 0);
+        assert_eq!(sat_c[QuantCat::Saturated].get() - base.0, 3);
+        assert_eq!(sat_c[QuantCat::InfPassthrough].get() - base.1, 0);
+        assert_eq!(sat_c[QuantCat::OverflowInf].get() - base.2, 0);
         // Infinity format: no saturation; two passthroughs + one
         // finite overflow to inf.
-        assert_eq!(inf_c.saturated.get() - base.3, 0);
-        assert_eq!(inf_c.inf_passthrough.get() - base.4, 2);
-        assert_eq!(inf_c.overflow_inf.get() - base.5, 1);
+        assert_eq!(inf_c[QuantCat::Saturated].get() - base.3, 0);
+        assert_eq!(inf_c[QuantCat::InfPassthrough].get() - base.4, 2);
+        assert_eq!(inf_c[QuantCat::OverflowInf].get() - base.5, 1);
     }
 
     #[test]
@@ -644,17 +645,20 @@ mod tests {
         outside.flush("fxp44-walk:outside");
         let c = mpt_telemetry::quant_counters("fxp44-walk:inside");
         assert_eq!(
-            c.saturated.get(),
+            c[QuantCat::Saturated].get(),
             0,
             "an in-range rounding was tallied saturated"
         );
-        assert_eq!(c.exact.get(), 256);
+        assert_eq!(c[QuantCat::Exact].get(), 256);
         assert_eq!(
-            c.exact.get() + c.rounded.get() + c.flushed.get(),
-            c.total.get()
+            c[QuantCat::Exact].get() + c[QuantCat::Rounded].get() + c[QuantCat::Flushed].get(),
+            c[QuantCat::Total].get()
         );
         let c = mpt_telemetry::quant_counters("fxp44-walk:outside");
-        assert_eq!((c.saturated.get(), c.total.get()), (n_outside, n_outside));
+        assert_eq!(
+            (c[QuantCat::Saturated].get(), c[QuantCat::Total].get()),
+            (n_outside, n_outside)
+        );
     }
 
     #[test]
@@ -662,7 +666,10 @@ mod tests {
         let q = Quantizer::float(FloatFormat::e5m2(), Rounding::stochastic()).with_seed(3);
         let label = q.telemetry_label();
         let c = mpt_telemetry::quant_counters(&label);
-        let base = (c.total.get(), c.sr_up.get() + c.sr_down.get());
+        let base = (
+            c[QuantCat::Total].get(),
+            c[QuantCat::SrUp].get() + c[QuantCat::SrDown].get(),
+        );
 
         mpt_telemetry::enable();
         // 1.1 is not representable in E5M2; SR must round it one way
@@ -671,8 +678,11 @@ mod tests {
         q.quantize_slice_f32(&mut vals, 0);
         mpt_telemetry::disable();
 
-        assert_eq!(c.total.get() - base.0, 64);
-        assert_eq!(c.sr_up.get() + c.sr_down.get() - base.1, 64);
+        assert_eq!(c[QuantCat::Total].get() - base.0, 64);
+        assert_eq!(
+            c[QuantCat::SrUp].get() + c[QuantCat::SrDown].get() - base.1,
+            64
+        );
     }
 
     #[test]

@@ -182,12 +182,10 @@ impl Graph {
         grads[loss.0] = Some(Tensor::full(self.values[loss.0].shape().to_vec(), seed));
 
         // Per-layer backward attribution: when telemetry is on, time
-        // each backward closure and fold it into its node's scope.
-        // One enabled() check per backward pass; the disabled loop
-        // body is unchanged.
+        // each backward closure into its node scope's `bwd:<scope>`
+        // histogram. One enabled() check per backward pass; the
+        // disabled loop body is unchanged.
         let timing = mpt_telemetry::enabled();
-        let mut per_scope: std::collections::HashMap<Rc<str>, (u64, u64)> =
-            std::collections::HashMap::new();
 
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
@@ -215,9 +213,8 @@ impl Graph {
                 }
                 let parent_grads = backward(&args);
                 if let (Some(t0), Some(scope)) = (started, &node.scope) {
-                    let entry = per_scope.entry(Rc::clone(scope)).or_insert((0, 0));
-                    entry.0 += 1;
-                    entry.1 += t0.elapsed().as_nanos() as u64;
+                    mpt_telemetry::histogram(&format!("bwd:{scope}"))
+                        .record(t0.elapsed().as_nanos() as u64);
                 }
                 debug_assert_eq!(parent_grads.len(), node.parents.len());
                 for (pid, pg) in node.parents.clone().into_iter().zip(parent_grads) {
@@ -235,9 +232,6 @@ impl Graph {
         }
         if timing {
             mpt_telemetry::set_layer_scope(None);
-        }
-        for (scope, (count, ns)) in per_scope {
-            mpt_telemetry::record_extern(&format!("bwd:{scope}"), ns, count);
         }
         self.grads = grads;
     }

@@ -36,8 +36,8 @@
 //! inject concurrent chaos traffic.
 //!
 //! Knobs are the fields of [`ServeConfig`]; the `serve_chaos` bench
-//! bin drives N clients against an armed fault plan and emits
-//! `BENCH_serving.json`.
+//! bin drives N clients against an armed fault plan and hard-asserts
+//! zero corrupted responses.
 //!
 //! [ebr]: mpt_fpga::PipelinedExecutor::execute_batch_resilient
 //!

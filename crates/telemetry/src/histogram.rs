@@ -13,7 +13,8 @@
 //! clamped to the exact observed maximum.
 //!
 //! Histograms are fed by span closes (one record per GEMM / layer /
-//! pipeline-stage span), trainer steps, and the pipelined executor's
+//! pipeline-stage span), the tape's per-closure backward times,
+//! trainer steps, served requests, and the pipelined executor's
 //! modeled stage times — never per element.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,16 +121,6 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Mean recorded value in nanoseconds (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
     /// Per-bucket totals summed across shards.
     pub fn bucket_counts(&self) -> Vec<u64> {
         let mut out = vec![0u64; BUCKETS];
@@ -185,16 +176,20 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of one named histogram's summary statistics.
+/// Point-in-time copy of one latency name's record: the histogram's
+/// summary statistics plus the bytes its spans moved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// The name the histogram was registered under (span name,
     /// `trainer:step`, `fpga:stage:<stage>`, ...).
     pub name: String,
-    /// Exact observation count.
+    /// Exact observation count (closed spans, for a span name).
     pub count: u64,
     /// Exact nanosecond sum.
     pub sum_ns: u64,
+    /// Bytes reported through `SpanGuard::add_bytes` (0 for names
+    /// that are not spans).
+    pub bytes: u64,
     /// Exact maximum in nanoseconds.
     pub max_ns: u64,
     /// Estimated median in nanoseconds.
@@ -207,11 +202,12 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Captures a histogram's current statistics under `name`.
-    pub fn capture(name: &str, h: &Histogram) -> Self {
+    pub(crate) fn capture(name: &str, h: &Histogram, bytes: u64) -> Self {
         HistogramSnapshot {
             name: name.to_string(),
             count: h.count(),
             sum_ns: h.sum(),
+            bytes,
             max_ns: h.max(),
             p50_ns: h.quantile(0.5),
             p90_ns: h.quantile(0.9),

@@ -1,26 +1,25 @@
 //! Zero-dependency numerics and performance telemetry for the
 //! MPTorch-FPGA reproduction.
 //!
-//! Three instrumentation layers feed one registry:
+//! Every observation has exactly one in-process record and one
+//! writer; the out-of-process copies exist because a different
+//! reader needs them:
 //!
-//! 1. **Numerics counters** — per-quantizer saturation / overflow /
-//!    subnormal-flush / exact-vs-rounded / SR direction counts,
-//!    accumulated locally in a [`QuantTally`] and flushed once per
-//!    slice or GEMM into sharded lock-free [`Counter`]s.
-//! 2. **Compute spans** — [`span`] guards around GEMMs, layer
-//!    forwards, and training steps; nesting is reconstructed from
-//!    per-thread parent ids.
-//! 3. **Perf-model calibration** — predicted vs measured latency
-//!    records ([`CalibrationRecord`]) from the FPGA backend and the
-//!    accelerator matching pass.
+//! | observation | in-process record (→ [`Snapshot`]) | out-of-process record |
+//! |---|---|---|
+//! | a quantized value's fate ([`QuantCat`]) | local [`QuantTally`], flushed once per slice / GEMM into the label's [`QuantCounters`] | cumulative `layer_quant` event per epoch (`mpt-report`: per-layer health) |
+//! | a closed [`span`] | one observation in the [`Histogram`] of its name, plus its bytes | one `span` JSONL line (`mpt-report`: exact percentiles, nesting via `id`/`parent`); one Chrome-trace event when [`trace`] is armed (Perfetto) |
+//! | any other latency (backward closure, trainer step, served request, modeled pipeline stage) | one observation in [`histogram`]`(name)` | — |
+//! | an event tally / a level | [`counter`]`(name)` / [`gauge`]`(name)` | — |
+//! | predicted vs measured latency | a [`CalibrationRecord`] | one `calibration` JSONL line |
+//! | anything else a caller wants logged | — | [`event`] JSONL line (`step`, `epoch`, `loss_scale`, ...) |
 //!
-//! Everything funnels into an in-memory event buffer plus an
-//! optional JSONL file (`MPT_TELEMETRY_JSONL`), and is summarized by
-//! [`Snapshot`] / [`Snapshot::render_table`]. Two profiling layers
-//! sit on top: every span name doubles as a log-scale latency
-//! [`Histogram`] (p50/p90/p99/max), and span/stage records can be
-//! exported as a Chrome-trace timeline (`MPT_TELEMETRY_TRACE`, see
-//! [`trace`]).
+//! JSONL lines go to a capped in-memory buffer and, when
+//! `MPT_TELEMETRY_JSONL` names a file, to disk ([`sink`]).
+//! [`Snapshot::render_table`] prints the in-process records: one
+//! numerics row per quantizer label, one latency row per name
+//! (count, total, mean, p50/p90/p99/max, MB), the counters, the
+//! gauges and the calibration audit.
 //!
 //! # Cost model
 //!
@@ -45,7 +44,8 @@
 //! tally.record(1.0, 1.0);
 //! tally.flush("E4M3");
 //! let snap = mpt_telemetry::Snapshot::capture();
-//! assert_eq!(snap.quant_for("E4M3").unwrap().exact, 1);
+//! assert_eq!(snap.quant[0].label, "E4M3");
+//! assert_eq!(snap.quant[0][mpt_telemetry::QuantCat::Exact], 1);
 //! println!("{}", snap.render_table());
 //! mpt_telemetry::disable();
 //! mpt_telemetry::reset();
@@ -69,11 +69,11 @@ pub use counter::{Counter, SHARDS};
 pub use gauge::{Gauge, GaugeSnapshot};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{
-    calibration_records, counter, counter_snapshots, gauge, gauge_snapshots, histogram,
-    histogram_snapshots, layer_scope, quant_counters, quant_snapshots, record_calibration,
-    set_layer_scope, CalibrationRecord, QuantCounters, QuantSnapshot, QuantTally,
+    calibration_records, counter, gauge, histogram, quant_counters, quant_snapshots,
+    record_calibration, set_layer_scope, CalibrationRecord, QuantCat, QuantCounters, QuantSnapshot,
+    QuantTally,
 };
-pub use span::{record_extern, span, span_snapshots, SpanField, SpanGuard, SpanSnapshot};
+pub use span::{span, SpanField, SpanGuard};
 pub use summary::Snapshot;
 
 /// The global on/off switch. Off by default.
@@ -141,12 +141,11 @@ pub fn event(fields: &[json::Field<'_>]) {
     sink::emit_line(json::object(fields));
 }
 
-/// Zeroes every counter, histogram, span aggregate, calibration
-/// record, the event buffer, and the captured trace, and detaches
+/// Zeroes every counter, gauge and histogram, drops the calibration
+/// records, the event buffer, and the captured trace, and detaches
 /// the JSONL file and trace path. The enabled flag is left as-is.
 pub fn reset() {
     registry::reset();
-    span::reset();
     sink::reset();
     trace::reset();
 }

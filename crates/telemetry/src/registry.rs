@@ -1,62 +1,108 @@
-//! The global metrics registry.
+//! The global metrics registry: the in-process record of every
+//! observation kind (the crate docs list them with their readers).
 //!
-//! Handles are leaked (`&'static`) so the hot path never holds a
-//! lock: the `RwLock`ed maps are consulted once per label lookup
-//! (typically once per slice/GEMM flush), after which all increments
-//! go straight to the sharded [`Counter`]s.
+//! The four named kinds — quantizer counter groups, counters, gauges,
+//! latency entries — share one [`Table`]: handles are leaked
+//! (`&'static`) so the hot path never holds a lock. The table is
+//! consulted once per label lookup (typically once per slice / GEMM
+//! flush or span close), after which every update is a sharded
+//! relaxed atomic.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::collections::BTreeMap;
+use std::ops::Index;
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::counter::Counter;
 use crate::gauge::{Gauge, GaugeSnapshot};
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::json::{self, Field};
 
-/// The counter group every quantizer label owns.
+const POISONED: &str = "a thread panicked while holding a registry lock";
+
+/// What can happen to a value pushed through a quantizer.
+///
+/// **This is the one list of rounding categories**: the tally, the
+/// counter group, the snapshot, the summary table, the `layer_quant`
+/// event and `mpt-report` all index or iterate it, so a category
+/// cannot be counted in one place and dropped in another. Every value
+/// lands in exactly one category other than `Total`, `SrUp` and
+/// `SrDown` (those two split `Rounded` by direction under stochastic
+/// rounding), so the rest always sum to `Total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuantCat {
+    /// Values pushed through the quantizer.
+    Total,
+    /// Output bit-identical to input (value already representable).
+    Exact,
+    /// Rounded to a different representable value (not saturated,
+    /// flushed, or special).
+    Rounded,
+    /// Clamped to the format's finite max: either an out-of-range
+    /// finite input under `saturate=true`, or an infinite input
+    /// clamped to a finite value.
+    Saturated,
+    /// Finite input overflowed to ±inf (`with_infinities` formats).
+    OverflowInf,
+    /// Infinite input preserved as ±inf.
+    InfPassthrough,
+    /// Nonzero input flushed to zero (subnormal flush / underflow).
+    Flushed,
+    /// Stochastic rounding moved the value up (y > x).
+    SrUp,
+    /// Stochastic rounding moved the value down (y < x).
+    SrDown,
+    /// NaN inputs (propagated).
+    Nan,
+}
+
+use QuantCat::*;
+
+impl QuantCat {
+    /// Every category, in event-field and table-column order.
+    pub const ALL: [QuantCat; 10] = [
+        Total,
+        Exact,
+        Rounded,
+        Saturated,
+        OverflowInf,
+        InfPassthrough,
+        Flushed,
+        SrUp,
+        SrDown,
+        Nan,
+    ];
+
+    /// The category's JSONL field / table column name.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Total => "total",
+            Exact => "exact",
+            Rounded => "rounded",
+            Saturated => "saturated",
+            OverflowInf => "overflow_inf",
+            InfPassthrough => "inf_passthrough",
+            Flushed => "flushed",
+            SrUp => "sr_up",
+            SrDown => "sr_down",
+            Nan => "nan",
+        }
+    }
+}
+
+/// The counter group every quantizer label owns, indexed by
+/// [`QuantCat`].
 ///
 /// One group exists per distinct quantizer `Display` label (e.g.
 /// `E5M2-SR` or `acc:E6M5-SR`); all slice/GEMM paths that quantize
 /// under that config flush into the same group.
 #[derive(Debug, Default)]
-pub struct QuantCounters {
-    /// Values pushed through the quantizer.
-    pub total: Counter,
-    /// Output bit-identical to input (value already representable).
-    pub exact: Counter,
-    /// Rounded to a different representable value (not saturated,
-    /// flushed, or special).
-    pub rounded: Counter,
-    /// Clamped to the format's finite max: either an out-of-range
-    /// finite input under `saturate=true`, or an infinite input
-    /// clamped to a finite value.
-    pub saturated: Counter,
-    /// Finite input overflowed to ±inf (`with_infinities` formats).
-    pub overflow_inf: Counter,
-    /// Infinite input preserved as ±inf.
-    pub inf_passthrough: Counter,
-    /// Nonzero input flushed to zero (subnormal flush / underflow).
-    pub flushed: Counter,
-    /// Stochastic rounding moved the value up (y > x).
-    pub sr_up: Counter,
-    /// Stochastic rounding moved the value down (y < x).
-    pub sr_down: Counter,
-    /// NaN inputs (propagated).
-    pub nan: Counter,
-}
+pub struct QuantCounters([Counter; 10]);
 
-impl QuantCounters {
-    fn reset(&self) {
-        self.total.reset();
-        self.exact.reset();
-        self.rounded.reset();
-        self.saturated.reset();
-        self.overflow_inf.reset();
-        self.inf_passthrough.reset();
-        self.flushed.reset();
-        self.sr_up.reset();
-        self.sr_down.reset();
-        self.nan.reset();
+impl Index<QuantCat> for QuantCounters {
+    type Output = Counter;
+
+    fn index(&self, cat: QuantCat) -> &Counter {
+        &self.0[cat as usize]
     }
 }
 
@@ -73,21 +119,12 @@ pub struct QuantTally {
     /// largest finite values — symmetric for floats, asymmetric for
     /// two's-complement fixed point, `(-inf, +inf)` for formats
     /// without a meaningful clamp (BFP blocks), which then never
-    /// report `saturated`.
+    /// report `Saturated`.
     range: (f64, f64),
     /// Whether the rounding mode is stochastic (enables up/down
     /// direction counts).
     sr: bool,
-    total: u64,
-    exact: u64,
-    rounded: u64,
-    saturated: u64,
-    overflow_inf: u64,
-    inf_passthrough: u64,
-    flushed: u64,
-    sr_up: u64,
-    sr_down: u64,
-    nan: u64,
+    counts: [u64; 10],
 }
 
 impl QuantTally {
@@ -104,16 +141,7 @@ impl QuantTally {
         QuantTally {
             range: (min, max),
             sr,
-            total: 0,
-            exact: 0,
-            rounded: 0,
-            saturated: 0,
-            overflow_inf: 0,
-            inf_passthrough: 0,
-            flushed: 0,
-            sr_up: 0,
-            sr_down: 0,
-            nan: 0,
+            counts: [0; 10],
         }
     }
 
@@ -126,35 +154,32 @@ impl QuantTally {
     /// (with SR direction).
     #[inline]
     pub fn record(&mut self, x: f64, y: f64) {
-        self.total += 1;
-        if x.is_nan() {
-            self.nan += 1;
+        let cat = if x.is_nan() {
+            Nan
         } else if x.is_infinite() {
             if y.is_infinite() {
-                self.inf_passthrough += 1;
+                InfPassthrough
             } else {
                 // ±inf clamped to the finite max (saturate=true).
-                self.saturated += 1;
+                Saturated
             }
         } else if y == x {
-            self.exact += 1;
+            Exact
         } else if y.is_infinite() {
-            self.overflow_inf += 1;
+            OverflowInf
         } else if (x > self.range.1 && y >= self.range.1) || (x < self.range.0 && y <= self.range.0)
         {
-            self.saturated += 1;
+            Saturated
         } else if y == 0.0 && x != 0.0 {
-            self.flushed += 1;
+            Flushed
         } else {
-            self.rounded += 1;
             if self.sr {
-                if y > x {
-                    self.sr_up += 1;
-                } else {
-                    self.sr_down += 1;
-                }
+                self.counts[if y > x { SrUp } else { SrDown } as usize] += 1;
             }
-        }
+            Rounded
+        };
+        self.counts[Total as usize] += 1;
+        self.counts[cat as usize] += 1;
     }
 
     /// `record` for f32 pairs (slice quantizers).
@@ -165,21 +190,7 @@ impl QuantTally {
 
     /// Whether anything was recorded.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Folds another tally into this one (same quantizer label).
-    pub fn merge(&mut self, other: &QuantTally) {
-        self.total += other.total;
-        self.exact += other.exact;
-        self.rounded += other.rounded;
-        self.saturated += other.saturated;
-        self.overflow_inf += other.overflow_inf;
-        self.inf_passthrough += other.inf_passthrough;
-        self.flushed += other.flushed;
-        self.sr_up += other.sr_up;
-        self.sr_down += other.sr_down;
-        self.nan += other.nan;
+        self.counts[Total as usize] == 0
     }
 
     /// Adds the tally to the global counters registered under
@@ -191,62 +202,83 @@ impl QuantTally {
     /// underflow / SR-direction rates are attributable per layer
     /// without changing any numeric result.
     pub fn flush(&mut self, label: &str) {
-        if self.total == 0 {
+        if self.is_empty() {
             return;
         }
         self.add_into(quant_counters(label));
-        if let Some(scope) = layer_scope() {
+        let scope = REGISTRY.layer_scope.read().expect(POISONED).clone();
+        if let Some(scope) = scope {
             self.add_into(quant_counters(&format!("layer:{scope}")));
         }
-        *self = QuantTally::with_range(self.range.0, self.range.1, self.sr);
+        self.counts = [0; 10];
     }
 
-    fn add_into(&self, c: &QuantCounters) {
-        c.total.add(self.total);
-        c.exact.add(self.exact);
-        c.rounded.add(self.rounded);
-        c.saturated.add(self.saturated);
-        c.overflow_inf.add(self.overflow_inf);
-        c.inf_passthrough.add(self.inf_passthrough);
-        c.flushed.add(self.flushed);
-        c.sr_up.add(self.sr_up);
-        c.sr_down.add(self.sr_down);
-        c.nan.add(self.nan);
+    fn add_into(&self, group: &QuantCounters) {
+        for (counter, &n) in group.0.iter().zip(&self.counts) {
+            counter.add(n);
+        }
     }
 }
 
-/// Point-in-time copy of one quantizer's counter group.
+/// Point-in-time copy of one quantizer's counter group, indexed by
+/// [`QuantCat`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantSnapshot {
     /// The quantizer label the counters were registered under.
     pub label: String,
-    /// See the same-named [`QuantCounters`] fields.
-    pub total: u64,
-    /// Bit-exact passthroughs.
-    pub exact: u64,
-    /// Ordinary roundings.
-    pub rounded: u64,
-    /// Clamps to the finite max.
-    pub saturated: u64,
-    /// Finite → ±inf overflows.
-    pub overflow_inf: u64,
-    /// ±inf preserved.
-    pub inf_passthrough: u64,
-    /// Flushes to zero.
-    pub flushed: u64,
-    /// SR rounds up.
-    pub sr_up: u64,
-    /// SR rounds down.
-    pub sr_down: u64,
-    /// NaN inputs.
-    pub nan: u64,
+    counts: [u64; 10],
+}
+
+impl Index<QuantCat> for QuantSnapshot {
+    type Output = u64;
+
+    fn index(&self, cat: QuantCat) -> &u64 {
+        &self.counts[cat as usize]
+    }
+}
+
+/// Name → leaked handle, created zeroed on first use. The one
+/// get-or-create body and the one walk every metric kind shares.
+struct Table<T: 'static>(RwLock<BTreeMap<String, &'static T>>);
+
+impl<T: Default> Table<T> {
+    const fn new() -> Self {
+        Table(RwLock::new(BTreeMap::new()))
+    }
+
+    /// The handle registered under `name`. `'static`, so updates
+    /// after the lookup are lock-free.
+    fn get(&self, name: &str) -> &'static T {
+        if let Some(v) = self.0.read().expect(POISONED).get(name) {
+            return v;
+        }
+        let mut map = self.0.write().expect(POISONED);
+        map.entry(name.to_string())
+            .or_insert_with(|| Box::leak(Box::default()))
+    }
+
+    /// Visits every entry in name order.
+    fn for_each(&self, mut f: impl FnMut(&str, &'static T)) {
+        for (name, v) in self.0.read().expect(POISONED).iter() {
+            f(name, v);
+        }
+    }
+}
+
+/// What one span / latency name accumulates: the duration histogram
+/// (whose exact `count` and `sum` are the span count and total time)
+/// and the bytes its spans reported moving.
+#[derive(Default)]
+struct Latency {
+    hist: Histogram,
+    bytes: Counter,
 }
 
 struct Registry {
-    quant: RwLock<HashMap<String, &'static QuantCounters>>,
-    counters: RwLock<HashMap<String, &'static Counter>>,
-    gauges: RwLock<HashMap<String, &'static Gauge>>,
-    histograms: RwLock<HashMap<String, &'static Histogram>>,
+    quant: Table<QuantCounters>,
+    counters: Table<Counter>,
+    gauges: Table<Gauge>,
+    latency: Table<Latency>,
     calibration: Mutex<Vec<CalibrationRecord>>,
     /// The currently attributed layer (`<idx>:<kind>`). Process-wide
     /// rather than thread-local on purpose: GEMM pool workers flush
@@ -255,17 +287,14 @@ struct Registry {
     layer_scope: RwLock<Option<Arc<str>>>,
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        quant: RwLock::new(HashMap::new()),
-        counters: RwLock::new(HashMap::new()),
-        gauges: RwLock::new(HashMap::new()),
-        histograms: RwLock::new(HashMap::new()),
-        calibration: Mutex::new(Vec::new()),
-        layer_scope: RwLock::new(None),
-    })
-}
+static REGISTRY: Registry = Registry {
+    quant: Table::new(),
+    counters: Table::new(),
+    gauges: Table::new(),
+    latency: Table::new(),
+    calibration: Mutex::new(Vec::new()),
+    layer_scope: RwLock::new(None),
+};
 
 /// Sets (or clears, with `None`) the layer attribution scope:
 /// while a scope `<idx>:<kind>` is active, every [`QuantTally`]
@@ -273,91 +302,36 @@ fn registry() -> &'static Registry {
 /// Set by the layer driver around each forward / backward region;
 /// callers must clear it when the region ends.
 pub fn set_layer_scope(scope: Option<&str>) {
-    *registry().layer_scope.write().unwrap() = scope.map(Arc::from);
-}
-
-/// The active layer attribution scope, if any.
-pub fn layer_scope() -> Option<Arc<str>> {
-    registry().layer_scope.read().unwrap().clone()
+    *REGISTRY.layer_scope.write().expect(POISONED) = scope.map(Arc::from);
 }
 
 /// The counter group for quantizer `label`, created on first use.
-/// The handle is `'static`: increments after lookup are lock-free.
 pub fn quant_counters(label: &str) -> &'static QuantCounters {
-    let reg = registry();
-    if let Some(c) = reg.quant.read().unwrap().get(label) {
-        return c;
-    }
-    let mut map = reg.quant.write().unwrap();
-    map.entry(label.to_string())
-        .or_insert_with(|| Box::leak(Box::new(QuantCounters::default())))
+    REGISTRY.quant.get(label)
 }
 
 /// A named free-standing counter, created on first use.
 pub fn counter(name: &str) -> &'static Counter {
-    let reg = registry();
-    if let Some(c) = reg.counters.read().unwrap().get(name) {
-        return c;
-    }
-    let mut map = reg.counters.write().unwrap();
-    map.entry(name.to_string())
-        .or_insert_with(|| Box::leak(Box::new(Counter::new())))
+    REGISTRY.counters.get(name)
 }
 
-/// A named level gauge, created on first use. Like counters, the
-/// handle is `'static` so updates after lookup are lock-free.
+/// A named level gauge, created on first use.
 pub fn gauge(name: &str) -> &'static Gauge {
-    let reg = registry();
-    if let Some(g) = reg.gauges.read().unwrap().get(name) {
-        return g;
-    }
-    let mut map = reg.gauges.write().unwrap();
-    map.entry(name.to_string())
-        .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
+    REGISTRY.gauges.get(name)
 }
 
-/// Snapshots every gauge that has ever moved (nonzero value or
-/// high-water mark), sorted by name.
-pub fn gauge_snapshots() -> Vec<GaugeSnapshot> {
-    let reg = registry();
-    let map = reg.gauges.read().unwrap();
-    let mut out: Vec<GaugeSnapshot> = map
-        .iter()
-        .map(|(name, g)| GaugeSnapshot {
-            name: name.clone(),
-            value: g.get(),
-            high_water: g.high_water(),
-        })
-        .filter(|s| s.value != 0 || s.high_water != 0)
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
-/// A named latency histogram, created on first use. Like counters,
-/// the handle is `'static` so recording after lookup is lock-free.
+/// A named latency histogram, created on first use. A span's close
+/// records into the histogram of the span's name.
 pub fn histogram(name: &str) -> &'static Histogram {
-    let reg = registry();
-    if let Some(h) = reg.histograms.read().unwrap().get(name) {
-        return h;
-    }
-    let mut map = reg.histograms.write().unwrap();
-    map.entry(name.to_string())
-        .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+    &REGISTRY.latency.get(name).hist
 }
 
-/// Snapshots every histogram with at least one observation, sorted
-/// by name.
-pub fn histogram_snapshots() -> Vec<HistogramSnapshot> {
-    let reg = registry();
-    let map = reg.histograms.read().unwrap();
-    let mut out: Vec<HistogramSnapshot> = map
-        .iter()
-        .map(|(name, h)| HistogramSnapshot::capture(name, h))
-        .filter(|s| s.count > 0)
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
+/// A closed span's in-process record: one observation in the
+/// histogram of its name, plus the bytes it moved.
+pub(crate) fn record_span(name: &str, dur_ns: u64, bytes: u64) {
+    let entry = REGISTRY.latency.get(name);
+    entry.hist.record(dur_ns);
+    entry.bytes.add(bytes);
 }
 
 /// One predicted-vs-measured latency observation from the perf
@@ -399,73 +373,91 @@ pub fn record_calibration(rec: CalibrationRecord) {
         Field::F64("rel_err", rec.rel_err()),
     ]);
     crate::sink::emit_line(line);
-    registry().calibration.lock().unwrap().push(rec);
+    REGISTRY.calibration.lock().expect(POISONED).push(rec);
 }
 
 /// All calibration records so far, in insertion order.
 pub fn calibration_records() -> Vec<CalibrationRecord> {
-    registry().calibration.lock().unwrap().clone()
+    REGISTRY.calibration.lock().expect(POISONED).clone()
 }
 
 /// Snapshots every quantizer counter group with nonzero traffic,
 /// sorted by label.
 pub fn quant_snapshots() -> Vec<QuantSnapshot> {
-    let reg = registry();
-    let map = reg.quant.read().unwrap();
-    let mut out: Vec<QuantSnapshot> = map
-        .iter()
-        .map(|(label, c)| QuantSnapshot {
-            label: label.clone(),
-            total: c.total.get(),
-            exact: c.exact.get(),
-            rounded: c.rounded.get(),
-            saturated: c.saturated.get(),
-            overflow_inf: c.overflow_inf.get(),
-            inf_passthrough: c.inf_passthrough.get(),
-            flushed: c.flushed.get(),
-            sr_up: c.sr_up.get(),
-            sr_down: c.sr_down.get(),
-            nan: c.nan.get(),
-        })
-        .filter(|s| s.total > 0)
-        .collect();
-    out.sort_by(|a, b| a.label.cmp(&b.label));
+    let mut out = Vec::new();
+    REGISTRY.quant.for_each(|label, group| {
+        let counts = group.0.each_ref().map(Counter::get);
+        if counts[Total as usize] > 0 {
+            out.push(QuantSnapshot {
+                label: label.to_string(),
+                counts,
+            });
+        }
+    });
     out
 }
 
 /// Snapshots every named free-standing counter with a nonzero value,
 /// sorted by name.
-pub fn counter_snapshots() -> Vec<(String, u64)> {
-    let reg = registry();
-    let map = reg.counters.read().unwrap();
-    let mut out: Vec<(String, u64)> = map
-        .iter()
-        .map(|(k, c)| (k.clone(), c.get()))
-        .filter(|(_, v)| *v > 0)
-        .collect();
-    out.sort();
+pub(crate) fn counter_snapshots() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    REGISTRY.counters.for_each(|name, c| {
+        let value = c.get();
+        if value > 0 {
+            out.push((name.to_string(), value));
+        }
+    });
     out
 }
 
-/// Zeroes all counters and histograms, drops calibration records,
-/// and clears the layer scope. Leaked handles stay valid; only their
-/// values reset.
-pub fn reset() {
-    let reg = registry();
-    for c in reg.quant.read().unwrap().values() {
-        c.reset();
-    }
-    for c in reg.counters.read().unwrap().values() {
-        c.reset();
-    }
-    for g in reg.gauges.read().unwrap().values() {
-        g.reset();
-    }
-    for h in reg.histograms.read().unwrap().values() {
-        h.reset();
-    }
-    reg.calibration.lock().unwrap().clear();
-    *reg.layer_scope.write().unwrap() = None;
+/// Snapshots every gauge that has ever moved (nonzero value or
+/// high-water mark), sorted by name.
+pub(crate) fn gauge_snapshots() -> Vec<GaugeSnapshot> {
+    let mut out = Vec::new();
+    REGISTRY.gauges.for_each(|name, g| {
+        let (value, high_water) = (g.get(), g.high_water());
+        if value != 0 || high_water != 0 {
+            out.push(GaugeSnapshot {
+                name: name.to_string(),
+                value,
+                high_water,
+            });
+        }
+    });
+    out
+}
+
+/// Snapshots every latency name with at least one observation,
+/// sorted by name.
+pub(crate) fn histogram_snapshots() -> Vec<HistogramSnapshot> {
+    let mut out = Vec::new();
+    REGISTRY.latency.for_each(|name, entry| {
+        if entry.hist.count() > 0 {
+            out.push(HistogramSnapshot::capture(
+                name,
+                &entry.hist,
+                entry.bytes.get(),
+            ));
+        }
+    });
+    out
+}
+
+/// Zeroes every counter, gauge and histogram, drops calibration
+/// records, and clears the layer scope. Leaked handles stay valid;
+/// only their values reset.
+pub(crate) fn reset() {
+    REGISTRY
+        .quant
+        .for_each(|_, group| group.0.iter().for_each(Counter::reset));
+    REGISTRY.counters.for_each(|_, c| c.reset());
+    REGISTRY.gauges.for_each(|_, g| g.reset());
+    REGISTRY.latency.for_each(|_, entry| {
+        entry.hist.reset();
+        entry.bytes.reset();
+    });
+    REGISTRY.calibration.lock().expect(POISONED).clear();
+    set_layer_scope(None);
 }
 
 #[cfg(test)]
@@ -485,16 +477,15 @@ mod tests {
         t.record(1e6, f64::INFINITY); // overflow to inf
         t.record(1e-12, 0.0); // flushed
         t.record(f64::NAN, f64::NAN); // nan
-        assert_eq!(t.total, 9);
-        assert_eq!(t.exact, 1);
-        assert_eq!(t.rounded, 2);
-        assert_eq!(t.sr_up, 1);
-        assert_eq!(t.sr_down, 1);
-        assert_eq!(t.saturated, 2);
-        assert_eq!(t.inf_passthrough, 1);
-        assert_eq!(t.overflow_inf, 1);
-        assert_eq!(t.flushed, 1);
-        assert_eq!(t.nan, 1);
+                                      // In `QuantCat::ALL` order.
+        assert_eq!(t.counts, [9, 1, 2, 2, 1, 1, 1, 1, 1, 1]);
+        // Every value landed in exactly one non-direction category.
+        let parts: u64 = QuantCat::ALL
+            .iter()
+            .filter(|c| !matches!(c, Total | SrUp | SrDown))
+            .map(|&c| t.counts[c as usize])
+            .sum();
+        assert_eq!(parts, t.counts[Total as usize]);
     }
 
     #[test]
@@ -506,13 +497,13 @@ mod tests {
         t.flush(label);
         assert!(t.is_empty());
         let c = quant_counters(label);
-        assert_eq!(c.total.get(), 2);
-        assert_eq!(c.exact.get(), 1);
-        assert_eq!(c.rounded.get(), 1);
+        assert_eq!(c[Total].get(), 2);
+        assert_eq!(c[Exact].get(), 1);
+        assert_eq!(c[Rounded].get(), 1);
         // Second flush adds on top.
         t.record(3.0, 3.0);
         t.flush(label);
-        assert_eq!(c.total.get(), 3);
+        assert_eq!(c[Total].get(), 3);
     }
 
     #[test]
@@ -524,14 +515,14 @@ mod tests {
         t.record(2.0, 2.5);
         t.flush(label);
         set_layer_scope(None);
-        assert!(layer_scope().is_none());
+        assert!(REGISTRY.layer_scope.read().unwrap().is_none());
         let direct = quant_counters(label);
         let layered = quant_counters("layer:9:conv2d-test");
-        assert_eq!(direct.total.get(), 2);
+        assert_eq!(direct[Total].get(), 2);
         // `>=`: sibling tests flushing concurrently while our scope
         // was set may legitimately mirror into the same layer group.
-        assert!(layered.total.get() >= 2);
-        assert!(layered.rounded.get() >= 1);
+        assert!(layered[Total].get() >= 2);
+        assert!(layered[Rounded].get() >= 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Lightweight span tracing.
 //!
 //! A [`SpanGuard`] times a region and, on drop, emits one JSONL
-//! event and folds the duration into a per-name aggregate. Nesting
+//! event and records the duration (and bytes moved) in the registry
+//! entry of its name. Nesting
 //! is tracked per thread: each open span records its parent's id and
 //! its depth, so the event stream reconstructs the call tree without
 //! any cross-thread coordination.
@@ -10,9 +11,7 @@
 //! no clock read, no allocation beyond moving the name.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::{self, Field};
@@ -91,8 +90,8 @@ impl SpanGuard {
         self
     }
 
-    /// Records bytes moved by the region (summed into the aggregate
-    /// and emitted on the event).
+    /// Records bytes moved by the region (summed per name in the
+    /// registry and emitted on the event).
     pub fn add_bytes(&mut self, bytes: u64) -> &mut Self {
         if let Some(s) = &mut self.state {
             s.bytes += bytes;
@@ -137,92 +136,11 @@ impl Drop for SpanGuard {
                 SpanField::Str(k, v) => Field::Str(k, v),
             });
         }
+        // The three records of a closed span, one writer each: the
+        // JSONL line (`mpt-report` reads it), the registry entry of
+        // its name (the summary table), the armed-only trace event.
         crate::sink::emit_line(json::object(&fields));
-        aggregate(&s.name, dur_ns, s.bytes);
-        // Every span name doubles as a latency histogram, so
-        // percentile estimates come for free for GEMMs, layer
-        // forwards, and pipeline stages.
-        crate::registry::histogram(&s.name).record(dur_ns);
+        crate::registry::record_span(&s.name, dur_ns, s.bytes);
         crate::trace::record_span(&s.name, s.start, dur_ns);
     }
-}
-
-/// Accumulated totals for every span name.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SpanAgg {
-    /// Number of closed spans with this name.
-    pub count: u64,
-    /// Summed duration in nanoseconds.
-    pub total_ns: u64,
-    /// Summed bytes moved.
-    pub bytes: u64,
-}
-
-fn aggregates() -> &'static Mutex<HashMap<String, SpanAgg>> {
-    static AGG: OnceLock<Mutex<HashMap<String, SpanAgg>>> = OnceLock::new();
-    AGG.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn aggregate(name: &str, dur_ns: u64, bytes: u64) {
-    let mut map = aggregates().lock().unwrap();
-    let agg = map.entry(name.to_string()).or_default();
-    agg.count += 1;
-    agg.total_ns += dur_ns;
-    agg.bytes += bytes;
-}
-
-/// Folds an externally measured duration into the aggregates (used
-/// for per-scope backward timing, where closures are timed manually
-/// rather than via guards). Also emits a span event with id 0. No
-/// histogram is recorded: `dur_ns` is a *sum* over `count` closures,
-/// and recording it as one observation would distort percentiles.
-pub fn record_extern(name: &str, dur_ns: u64, count: u64) {
-    let line = json::object(&[
-        Field::Str("type", "span"),
-        Field::Str("name", name),
-        Field::U64("id", 0),
-        Field::U64("parent", 0),
-        Field::U64("depth", 0),
-        Field::U64("dur_ns", dur_ns),
-        Field::U64("count", count),
-    ]);
-    crate::sink::emit_line(line);
-    let mut map = aggregates().lock().unwrap();
-    let agg = map.entry(name.to_string()).or_default();
-    agg.count += count;
-    agg.total_ns += dur_ns;
-}
-
-/// Point-in-time copy of one span aggregate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanSnapshot {
-    /// Span name.
-    pub name: String,
-    /// Closed-span count.
-    pub count: u64,
-    /// Summed duration in nanoseconds.
-    pub total_ns: u64,
-    /// Summed bytes.
-    pub bytes: u64,
-}
-
-/// Snapshots all span aggregates, sorted by name.
-pub fn span_snapshots() -> Vec<SpanSnapshot> {
-    let map = aggregates().lock().unwrap();
-    let mut out: Vec<SpanSnapshot> = map
-        .iter()
-        .map(|(name, a)| SpanSnapshot {
-            name: name.clone(),
-            count: a.count,
-            total_ns: a.total_ns,
-            bytes: a.bytes,
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
-/// Clears all span aggregates (run boundaries and tests).
-pub fn reset() {
-    aggregates().lock().unwrap().clear();
 }

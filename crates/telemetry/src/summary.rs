@@ -6,9 +6,8 @@ use crate::gauge::GaugeSnapshot;
 use crate::histogram::HistogramSnapshot;
 use crate::registry::{
     calibration_records, counter_snapshots, gauge_snapshots, histogram_snapshots, quant_snapshots,
-    CalibrationRecord, QuantSnapshot,
+    CalibrationRecord, QuantCat, QuantSnapshot,
 };
-use crate::span::{span_snapshots, SpanSnapshot};
 
 /// A point-in-time copy of everything the registry has accumulated.
 /// Cheap to clone and safe to hold after [`crate::reset`].
@@ -16,13 +15,12 @@ use crate::span::{span_snapshots, SpanSnapshot};
 pub struct Snapshot {
     /// Per-quantizer numerics counters (nonzero groups only).
     pub quant: Vec<QuantSnapshot>,
-    /// Per-name span aggregates.
-    pub spans: Vec<SpanSnapshot>,
     /// Free-standing named counters (nonzero only).
     pub counters: Vec<(String, u64)>,
     /// Level gauges that ever moved (value + high-water mark).
     pub gauges: Vec<GaugeSnapshot>,
-    /// Latency histogram percentiles (nonempty histograms only).
+    /// One row per span / latency name (nonempty only): count,
+    /// total time, percentiles and bytes moved.
     pub hist: Vec<HistogramSnapshot>,
     /// Perf-model predicted-vs-measured records.
     pub calibration: Vec<CalibrationRecord>,
@@ -42,23 +40,12 @@ impl Snapshot {
     pub fn capture() -> Self {
         Snapshot {
             quant: quant_snapshots(),
-            spans: span_snapshots(),
             counters: counter_snapshots(),
             gauges: gauge_snapshots(),
             hist: histogram_snapshots(),
             calibration: calibration_records(),
             dropped_events: crate::sink::dropped_events(),
         }
-    }
-
-    /// The quantizer group whose label equals `label`, if present.
-    pub fn quant_for(&self, label: &str) -> Option<&QuantSnapshot> {
-        self.quant.iter().find(|q| q.label == label)
-    }
-
-    /// The histogram snapshot whose name equals `name`, if present.
-    pub fn hist_for(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.hist.iter().find(|h| h.name == name)
     }
 
     /// Mean absolute relative error of the perf-model calibration
@@ -81,80 +68,49 @@ impl Snapshot {
         if !self.quant.is_empty() {
             let w = label_width("quantizer", self.quant.iter().map(|q| q.label.as_str()));
             let _ = writeln!(out, "\n-- quantizer numerics --");
-            let _ = writeln!(
-                out,
-                "{:<w$} {:>12} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9} {:>9}",
-                "quantizer", "total", "exact%", "round%", "sat", "inf", "flush", "sr_up", "sr_down"
-            );
-            for q in &self.quant {
-                let pct = |n: u64| {
-                    if q.total == 0 {
-                        0.0
-                    } else {
-                        100.0 * n as f64 / q.total as f64
-                    }
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<w$} {:>12} {:>8.2}% {:>8.2}% {:>7} {:>7} {:>7} {:>9} {:>9}",
-                    q.label,
-                    q.total,
-                    pct(q.exact),
-                    pct(q.rounded),
-                    q.saturated,
-                    q.overflow_inf + q.inf_passthrough,
-                    q.flushed,
-                    q.sr_up,
-                    q.sr_down,
-                );
+            let _ = write!(out, "{:<w$}", "quantizer");
+            for cat in QuantCat::ALL {
+                let _ = write!(out, " {:>15}", cat.name());
             }
-        }
-
-        if !self.spans.is_empty() {
-            let w = label_width("span", self.spans.iter().map(|s| s.name.as_str()));
-            let _ = writeln!(out, "\n-- spans --");
-            let _ = writeln!(
-                out,
-                "{:<w$} {:>8} {:>12} {:>12} {:>12}",
-                "span", "count", "total_ms", "mean_us", "MB"
-            );
-            for s in &self.spans {
-                let total_ms = s.total_ns as f64 / 1e6;
-                let mean_us = if s.count == 0 {
-                    0.0
-                } else {
-                    s.total_ns as f64 / s.count as f64 / 1e3
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<w$} {:>8} {:>12.3} {:>12.2} {:>12.3}",
-                    s.name,
-                    s.count,
-                    total_ms,
-                    mean_us,
-                    s.bytes as f64 / 1e6,
-                );
+            let _ = writeln!(out);
+            for q in &self.quant {
+                let _ = write!(out, "{:<w$}", q.label);
+                for cat in QuantCat::ALL {
+                    let _ = write!(out, " {:>15}", q[cat]);
+                }
+                let _ = writeln!(out);
             }
         }
 
         if !self.hist.is_empty() {
-            let w = label_width("histogram", self.hist.iter().map(|h| h.name.as_str()));
-            let _ = writeln!(out, "\n-- latency histograms --");
+            let w = label_width("span", self.hist.iter().map(|h| h.name.as_str()));
+            let _ = writeln!(out, "\n-- latency --");
             let _ = writeln!(
                 out,
-                "{:<w$} {:>8} {:>12} {:>12} {:>12} {:>12}",
-                "histogram", "count", "p50_us", "p90_us", "p99_us", "max_us"
+                "{:<w$} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+                "span",
+                "count",
+                "total_ms",
+                "mean_us",
+                "p50_us",
+                "p90_us",
+                "p99_us",
+                "max_us",
+                "MB"
             );
             for h in &self.hist {
                 let _ = writeln!(
                     out,
-                    "{:<w$} {:>8} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
+                    "{:<w$} {:>8} {:>12.3} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>12.3}",
                     h.name,
                     h.count,
+                    h.sum_ns as f64 / 1e6,
+                    h.sum_ns as f64 / h.count.max(1) as f64 / 1e3,
                     h.p50_ns / 1e3,
                     h.p90_ns / 1e3,
                     h.p99_ns / 1e3,
                     h.max_ns as f64 / 1e3,
+                    h.bytes as f64 / 1e6,
                 );
             }
         }
@@ -255,6 +211,7 @@ mod tests {
                 name: "gemm:cpu".into(),
                 count: 10,
                 sum_ns: 1_000_000,
+                bytes: 2_500_000,
                 max_ns: 200_000,
                 p50_ns: 90_000.0,
                 p90_ns: 150_000.0,
@@ -263,9 +220,22 @@ mod tests {
             ..Snapshot::default()
         };
         let table = snap.render_table();
-        assert!(table.contains("-- latency histograms --"));
-        assert!(table.contains("gemm:cpu"));
-        assert!(table.contains("p50_us"));
-        assert!(table.contains("p99_us"));
+        assert!(table.contains("-- latency --"));
+        assert_eq!(table.matches("gemm:cpu").count(), 1);
+        let header = table.lines().find(|l| l.starts_with("span")).unwrap();
+        let columns: Vec<&str> = header.split_whitespace().collect();
+        assert_eq!(
+            columns,
+            [
+                "span", "count", "total_ms", "mean_us", "p50_us", "p90_us", "p99_us", "max_us",
+                "MB"
+            ]
+        );
+        let row = table.lines().find(|l| l.starts_with("gemm:cpu")).unwrap();
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(
+            cells,
+            ["gemm:cpu", "10", "1.000", "100.00", "90.00", "150.00", "190.00", "200.00", "2.500"]
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! increments; the one property that must survive is that no update
 //! is ever lost — the shard sum is exact, not approximate.
 
-use mpt_telemetry::Counter;
+use mpt_telemetry::{Counter, QuantCat};
 use std::sync::Arc;
 use std::thread;
 
@@ -69,7 +69,7 @@ fn quant_tally_flush_is_exact_under_contention() {
     // counters must end up with the exact union.
     const THREADS: u64 = 6;
     const PER_THREAD: u64 = 10_000;
-    let before = mpt_telemetry::quant_counters("test.tally").total.get();
+    let before = mpt_telemetry::quant_counters("test.tally")[QuantCat::Total].get();
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
             thread::spawn(|| {
@@ -90,5 +90,5 @@ fn quant_tally_flush_is_exact_under_contention() {
         h.join().unwrap();
     }
     let c = mpt_telemetry::quant_counters("test.tally");
-    assert_eq!(c.total.get() - before, THREADS * PER_THREAD);
+    assert_eq!(c[QuantCat::Total].get() - before, THREADS * PER_THREAD);
 }

@@ -1,4 +1,5 @@
-//! Histogram exactness and quantile sanity.
+//! Histogram exactness and quantile sanity, and the registry's
+//! first-lookup race.
 //!
 //! The histogram's `count`/`sum`/`max` are exact (sharded counters,
 //! single-atomic max) no matter how many threads record
@@ -47,6 +48,33 @@ fn eight_thread_contention_is_exact() {
     // Uniform 0..400k: the median estimate must land in the right
     // octave (log buckets at that scale are ≤25% wide).
     assert!(p50 > 140_000.0 && p50 < 260_000.0, "p50={p50}");
+}
+
+/// Two threads racing the first lookup of one name must get the same
+/// leaked handle, for each kind of metric the registry's one table
+/// holds — otherwise one thread's updates are never read.
+#[test]
+fn racing_first_lookups_get_one_handle() {
+    fn race<T: Sync>(lookup: fn(&str) -> &'static T, name: &str) {
+        let barrier = Barrier::new(2);
+        let addr = || {
+            barrier.wait();
+            lookup(name) as *const T as usize
+        };
+        let (a, b) = thread::scope(|s| {
+            let other = s.spawn(addr);
+            (addr(), other.join().unwrap())
+        });
+        assert_eq!(a, b, "{name}: two handles for one name");
+        assert_eq!(a, lookup(name) as *const T as usize);
+    }
+    for round in 0..32 {
+        let name = format!("test.race.{round}");
+        race(mpt_telemetry::quant_counters, &name);
+        race(mpt_telemetry::counter, &name);
+        race(mpt_telemetry::gauge, &name);
+        race(mpt_telemetry::histogram, &name);
+    }
 }
 
 proptest! {

@@ -1,4 +1,5 @@
-//! Span nesting reconstruction from the emitted event stream.
+//! Span nesting reconstruction from the emitted event stream, the
+//! one in-process row a closed span leaves, and `reset`.
 //!
 //! One test function: the enabled flag and the event buffer are
 //! process-global, so this binary serializes everything through a
@@ -29,7 +30,16 @@ fn nesting_order_and_aggregates() {
         }
         let _sibling = mpt_telemetry::span("sibling");
     }
-    mpt_telemetry::record_extern("bwd:0:conv2d", 1_500, 3);
+    // Latencies that are not spans (the tape's backward closures)
+    // record straight into the histogram of their name: no event.
+    for ns in [400, 500, 600] {
+        mpt_telemetry::histogram("bwd:0:conv2d").record(ns);
+    }
+    mpt_telemetry::counter("test.nesting.counter").add(3);
+    mpt_telemetry::gauge("test.nesting.gauge").add(2);
+    let mut tally = mpt_telemetry::QuantTally::new(448.0, false);
+    tally.record(1.0, 1.0);
+    tally.flush("test.nesting.quant");
 
     let events = span_events(&mpt_telemetry::sink::buffered_events());
     mpt_telemetry::disable();
@@ -46,7 +56,7 @@ fn nesting_order_and_aggregates() {
         .iter()
         .filter_map(|e| e.get("name").and_then(Value::as_str))
         .collect();
-    assert_eq!(names, ["inner", "mid", "sibling", "outer", "bwd:0:conv2d"]);
+    assert_eq!(names, ["inner", "mid", "sibling", "outer"]);
 
     // Parent links and depths reconstruct the tree.
     let outer = by_name("outer");
@@ -70,13 +80,25 @@ fn nesting_order_and_aggregates() {
     // Bytes ride on the close event.
     assert_eq!(outer.get("bytes").and_then(Value::as_u64), Some(64));
 
-    // Aggregates: one entry per name; record_extern counts as given.
-    let snaps = mpt_telemetry::span_snapshots();
-    let agg = |name: &str| snaps.iter().find(|s| s.name == name).unwrap();
-    assert_eq!(agg("outer").count, 1);
-    assert_eq!(agg("outer").bytes, 64);
-    assert_eq!(agg("bwd:0:conv2d").count, 3);
-    assert_eq!(agg("bwd:0:conv2d").total_ns, 1_500);
+    // In process a closed span is exactly one row: the count, the
+    // total the event reported, the bytes and the percentiles.
+    let snap = mpt_telemetry::Snapshot::capture();
+    let rows = |name: &str| -> Vec<_> { snap.hist.iter().filter(|h| h.name == name).collect() };
+    let [row] = rows("outer")[..] else {
+        panic!("one row per span name, got {:?}", rows("outer"))
+    };
+    let dur_ns = outer.get("dur_ns").and_then(Value::as_u64).unwrap();
+    assert_eq!((row.count, row.sum_ns, row.bytes), (1, dur_ns, 64));
+    assert_eq!(row.max_ns, dur_ns);
+    assert!(row.p50_ns > 0.0 && row.p50_ns <= row.p90_ns && row.p90_ns <= row.p99_ns);
+    assert!(row.p99_ns <= row.max_ns as f64);
+    let [bwd] = rows("bwd:0:conv2d")[..] else {
+        panic!("one row per latency name")
+    };
+    assert_eq!((bwd.count, bwd.sum_ns, bwd.bytes), (3, 1_500, 0));
+    let table = snap.render_table();
+    assert_eq!(table.matches("\nouter ").count(), 1, "{table}");
+    assert!(!table.contains("-- spans --") && !table.contains("histograms"));
 
     // Disabled spans are inert: no new events, guard reports inactive.
     let n = mpt_telemetry::sink::buffered_events().len();
@@ -85,4 +107,16 @@ fn nesting_order_and_aggregates() {
         assert!(!g.is_active());
     }
     assert_eq!(mpt_telemetry::sink::buffered_events().len(), n);
+
+    // `reset` zeroes every kind of record; handles stay valid.
+    assert!(!snap.quant.is_empty() && !snap.counters.is_empty() && !snap.gauges.is_empty());
+    mpt_telemetry::reset();
+    let cleared = mpt_telemetry::Snapshot::capture();
+    assert!(cleared.quant.is_empty(), "{:?}", cleared.quant);
+    assert!(cleared.hist.is_empty(), "{:?}", cleared.hist);
+    assert!(cleared.counters.is_empty(), "{:?}", cleared.counters);
+    assert!(cleared.gauges.is_empty(), "{:?}", cleared.gauges);
+    assert!(mpt_telemetry::sink::buffered_events().is_empty());
+    mpt_telemetry::histogram("bwd:0:conv2d").record(7);
+    assert_eq!(mpt_telemetry::histogram("bwd:0:conv2d").sum(), 7);
 }

@@ -19,10 +19,12 @@
 //!   telemetry differ).
 //!
 //! Set `MPT_TELEMETRY=1` (or point `MPT_TELEMETRY_JSONL` at a file)
-//! to watch the run: per-quantizer saturation/rounding counters,
-//! per-layer forward/backward time, per-GEMM spans, loss-scale
-//! events, and a perf-model calibration record for the accelerator
-//! the offline matcher would pick for this workload. Point
+//! to watch the FP8 run (the FP32 baseline trains unobserved, so the
+//! event log and the summary describe one program): per-quantizer
+//! saturation/rounding counters, per-layer forward/backward time,
+//! per-GEMM spans, loss-scale events, and a perf-model calibration
+//! record for the accelerator the offline matcher would pick for this
+//! workload. Point
 //! `MPT_TELEMETRY_TRACE` at a path to additionally capture a
 //! Chrome-trace timeline (with per-stage FPGA pipeline tracks under
 //! `--backend fpga-pipelined`).
@@ -114,6 +116,13 @@ fn main() {
             GemmPrecision::fp8_fp12_sr().with_seed(3),
         ),
     ] {
+        // One event log describes one run: telemetry watches the
+        // paper-config run only, the baseline trains unobserved.
+        if telemetry && tag == "fp8" {
+            mpt_telemetry::enable();
+        } else {
+            mpt_telemetry::disable();
+        }
         let model = lenet5(prec, 5);
         println!("== {label} ==");
         println!(

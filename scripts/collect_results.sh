@@ -4,10 +4,10 @@
 # experiments (table2/fig6) are read from files if present
 # ($TABLE2_LOG / $FIG6_LOG), otherwise rerun at quick scale.
 #
-# Afterwards: checks the freshly measured BENCH_pipeline.json gate
-# fields against the committed copy (fails on regression), runs an
-# instrumented pipelined LeNet training pass, and renders RESULTS.md
-# from its event log via mpt-report.
+# Afterwards: runs an instrumented pipelined LeNet training pass and
+# renders RESULTS.md from its event log via mpt-report. (The loop
+# reruns pipeline_throughput, which rewrites BENCH_pipeline.json and
+# asserts its own cache invariants.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,32 +47,6 @@ open(path, 'w').write(head + marker + '\n\n' + payload)
 EOF
 echo "EXPERIMENTS.md updated"
 
-# Gate check: the loop above reran pipeline_throughput, which rewrote
-# BENCH_pipeline.json. Fail if any gate field regressed against the
-# committed copy.
-committed=$(mktemp)
-if git show HEAD:BENCH_pipeline.json > "$committed" 2>/dev/null; then
-  ./target/release/mpt-report --check-gates "$committed" BENCH_pipeline.json
-else
-  echo "no committed BENCH_pipeline.json; skipping gate check"
-fi
-rm -f "$committed"
-
-# Serving gate check: rerun the chaos load test (which hard-asserts
-# zero corrupted responses) and compare its gate fields against the
-# committed BENCH_serving.json at the committed fault seed.
-committed=$(mktemp)
-if git show HEAD:BENCH_serving.json > "$committed" 2>/dev/null; then
-  seed=$(python3 -c "import json,sys; print(json.load(open(sys.argv[1]))['fault_seed'])" "$committed")
-  MPT_FAULT_SEED="$seed" MPT_BENCH_JSON=/tmp/BENCH_serving_measured.json \
-    ./target/release/serve_chaos > /dev/null
-  ./target/release/mpt-report --check-gates "$committed" \
-    /tmp/BENCH_serving_measured.json --tolerance 0.25
-else
-  echo "no committed BENCH_serving.json; skipping serving gate check"
-fi
-rm -f "$committed"
-
 # Profiling report: instrumented pipelined LeNet run -> RESULTS.md.
 # Missing optional inputs only skip their section, so this also works
 # on serving-only runs.
@@ -83,5 +57,5 @@ MPT_TELEMETRY_TRACE=/tmp/mpt_report_run.trace.json \
   --require-stage-tracks 4
 ./target/release/mpt-report --jsonl /tmp/mpt_report_run.jsonl \
   --trace /tmp/mpt_report_run.trace.json \
-  --bench BENCH_pipeline.json --serving BENCH_serving.json --out RESULTS.md
+  --bench BENCH_pipeline.json --out RESULTS.md
 echo "RESULTS.md updated"
