@@ -177,7 +177,7 @@ pub(crate) fn gemm_into_tier(
         // `kernel.tier.generic` for the scalar-oracle stages).
         let label = dispatch(gemm, mac, tier, &mut mul_tally, &mut acc_tally);
         mpt_telemetry::counter(&format!("kernel.tier.{label}")).incr();
-        // Flush once per kernel call (per worker tile); empty tallies
+        // Flush once per kernel call (per row band); empty tallies
         // (fused multipliers, identity stages) are free.
         mul_tally.flush(&format!("mul:{}", mac.mul));
         acc_tally.flush(&format!("acc:{}", mac.acc));

@@ -134,7 +134,7 @@ proptest! {
         assert_bitwise_eq(&fast, &reference)?;
     }
 
-    /// The parallel pool path equals the reference too (composition of
+    /// The row-banded parallel path equals the reference too (composition of
     /// both tentpole pieces).
     #[test]
     fn qgemm_parallel_matches_reference(

@@ -80,11 +80,11 @@ fn assert_tiers_match_oracle(a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Tenso
 ///   the host lacks AVX2);
 /// * `fp8_fp12_sr_avx512` — the AVX-512 tier, only on hosts that have
 ///   it (skipped with a printed reason elsewhere);
-/// * `fp8_fp12_sr_fast_pool` / `fp8_fp12_sr_pool_t1` — the persistent
-///   pool, on the *ambient* tier (`MPT_SIMD`, default `auto`), at
-///   `default_threads()` and pinned to one thread (the caller-thread
-///   fast exit, gated to within 1% of the direct kernel of the same
-///   tier by `scripts/bench_qgemm.sh`);
+/// * `fp8_fp12_sr_parallel` / `fp8_fp12_sr_parallel_t1` —
+///   `qgemm_parallel` on the *ambient* tier (`MPT_SIMD`, default
+///   `auto`), at `default_threads()` row bands and at one thread (the
+///   caller-thread fast exit, gated to within 1% of the direct kernel
+///   of the same tier by `scripts/bench_qgemm.sh`);
 /// * `fxp44_rn` / `fxp44_sr` (`_avx512`) — the paper's unfused
 ///   fixed-point MAC (`FXP4.4-{RN,SR}` multiplier, `FXP8.8-RN`
 ///   accumulator) on the same two tiers, with `fxp44_rn_reference` as
@@ -112,7 +112,7 @@ fn bench_kernels(c: &mut Criterion) {
                 .iter()
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>(),
-            "pool path (x{threads}) diverges from qgemm_reference; refusing to bench it"
+            "qgemm_parallel (x{threads}) diverges from qgemm_reference; refusing to bench it"
         );
     }
 
@@ -132,10 +132,10 @@ fn bench_kernels(c: &mut Criterion) {
             bch.iter(|| qgemm_with_tier(&a, &b, &cfg, 0, 0, SimdTier::Avx512).expect("conforming"))
         });
     }
-    group.bench_function("fp8_fp12_sr_fast_pool", |bch| {
+    group.bench_function("fp8_fp12_sr_parallel", |bch| {
         bch.iter(|| qgemm_parallel(&a, &b, &cfg, default_threads()).expect("conforming"))
     });
-    group.bench_function("fp8_fp12_sr_pool_t1", |bch| {
+    group.bench_function("fp8_fp12_sr_parallel_t1", |bch| {
         bch.iter(|| qgemm_parallel(&a, &b, &cfg, 1).expect("conforming"))
     });
     // Operands scaled to span the FXP4.4 range, saturation included.

@@ -15,18 +15,15 @@
 //!   transpose of a step is new), which is what the `lenet_fpga`
 //!   workload of `BENCHMARK.json` measures.
 //!
-//! Each replay goes through three executors, interleaved iteration by
-//! iteration so all three see the same host:
+//! Each replay goes through two executors, interleaved iteration by
+//! iteration so both see the same host:
 //!
 //! * **eager** — [`FpgaBackend`], every launch re-quantizes both
 //!   operands;
 //! * **pipelined** — [`FpgaBackend::pipelined`], launches are staged
-//!   and operands served from the packed-operand cache;
-//! * **overlapped** — [`PipelinedExecutor::execute_batch`], which
-//!   additionally runs fabric compute on the worker pool while the
-//!   caller stages the next launch.
+//!   and operands served from the packed-operand cache.
 //!
-//! All three produce bit-identical results (asserted). A JSON report
+//! Both produce bit-identical results (asserted). A JSON report
 //! goes to `$MPT_BENCH_JSON` (default `BENCH_pipeline.json`); its
 //! count fields (`cold_packs` … `cache_hits`) describe the frozen
 //! replay.
@@ -38,9 +35,7 @@
 use mpt_arith::{GemmBackend, GemmShape, QGemmConfig};
 use mpt_bench::scale::{run_scale, RunScale};
 use mpt_core::matching::iteration_latency;
-use mpt_fpga::{
-    Accelerator, CacheStats, FpgaBackend, PipelinedExecutor, SaConfig, DEFAULT_CACHE_BUDGET,
-};
+use mpt_fpga::{Accelerator, CacheStats, FpgaBackend, SaConfig};
 use mpt_models::ModelDesc;
 use mpt_tensor::Tensor;
 use std::time::Instant;
@@ -64,17 +59,16 @@ fn operands(shape: GemmShape, seed: u64) -> (Tensor, Tensor) {
 struct Replay {
     eager_wall: f64,
     pipelined_wall: f64,
-    overlapped_wall: f64,
     /// Pipelined backend's cache counters after the first iteration
     /// and after the last.
     cold: CacheStats,
     total: CacheStats,
-    /// The overlapped executor's modeled clock, per iteration.
+    /// The pipelined backend's modeled clock, per iteration.
     accounted_eager: f64,
     accounted_pipelined: f64,
 }
 
-/// Replays `workload` for `iters` iterations through the three
+/// Replays `workload` for `iters` iterations through the two
 /// executors. `fresh` regenerates every operand each iteration
 /// (outside the timed regions); otherwise iteration 0's are reused.
 fn replay(
@@ -86,8 +80,7 @@ fn replay(
 ) -> Replay {
     let eager = FpgaBackend::new(acc.clone());
     let pipelined = FpgaBackend::new(acc.clone()).pipelined();
-    let mut px = PipelinedExecutor::new(acc.clone(), DEFAULT_CACHE_BUDGET);
-    let (mut eager_wall, mut pipelined_wall, mut overlapped_wall) = (0.0, 0.0, 0.0);
+    let (mut eager_wall, mut pipelined_wall) = (0.0, 0.0);
     let mut cold = None;
     let mut ops: Vec<(Tensor, Tensor)> = Vec::new();
     for it in 0..iters {
@@ -118,23 +111,14 @@ fn replay(
         if it == 0 {
             cold = pipelined.cache_stats();
         }
-
-        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-            ops.iter().map(|(a, b)| (a, b, *cfg)).collect();
-        let t0 = Instant::now();
-        let overlapped = px.execute_batch(&items).expect("conforming");
-        px.flush();
-        overlapped_wall += t0.elapsed().as_secs_f64();
-        assert_eq!(overlapped, golden, "overlapped diverged from eager");
     }
     Replay {
         eager_wall,
         pipelined_wall,
-        overlapped_wall,
         cold: cold.expect("pipelined mode, at least one iteration"),
         total: pipelined.cache_stats().expect("pipelined mode"),
-        accounted_eager: px.eager_elapsed_s() / iters as f64,
-        accounted_pipelined: px.pipelined_elapsed_s() / iters as f64,
+        accounted_eager: pipelined.elapsed_s() / iters as f64,
+        accounted_pipelined: pipelined.pipelined_elapsed_s() / iters as f64,
     }
 }
 
@@ -143,13 +127,12 @@ fn print_wall(label: &str, traffic: &str, r: &Replay) {
         "{label} replay — {traffic} ({} hits / {} misses):",
         r.total.hits, r.total.misses
     );
-    println!("  eager      {:>8.3} s", r.eager_wall);
-    for (name, wall) in [
-        ("pipelined ", r.pipelined_wall),
-        ("overlapped", r.overlapped_wall),
-    ] {
-        println!("  {name} {wall:>8.3} s   ({:.2}x)", r.eager_wall / wall);
-    }
+    println!("  eager     {:>8.3} s", r.eager_wall);
+    println!(
+        "  pipelined {:>8.3} s   ({:.2}x)",
+        r.pipelined_wall,
+        r.eager_wall / r.pipelined_wall
+    );
 }
 
 fn main() {
@@ -224,9 +207,8 @@ fn main() {
         std::env::var("MPT_BENCH_JSON").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
     let walls = |tag: &str, r: &Replay| {
         format!(
-            "  \"{tag}_eager_wall_s\": {:.6},\n  \"{tag}_pipelined_wall_s\": {:.6},\n  \
-             \"{tag}_overlapped_wall_s\": {:.6},\n",
-            r.eager_wall, r.pipelined_wall, r.overlapped_wall,
+            "  \"{tag}_eager_wall_s\": {:.6},\n  \"{tag}_pipelined_wall_s\": {:.6},\n",
+            r.eager_wall, r.pipelined_wall,
         )
     };
     let json = format!(

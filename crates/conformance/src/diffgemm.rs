@@ -7,8 +7,8 @@
 //! oracle [`mpt_arith::qgemm_reference`]:
 //!
 //! * the dispatched fast kernels ([`mpt_arith::qgemm()`]),
-//! * the persistent-pool tiles ([`mpt_arith::qgemm_parallel`]) at
-//!   1/2/4/8 threads,
+//! * the row bands of [`mpt_arith::qgemm_parallel`] at 1/2/4/8
+//!   threads,
 //! * the systolic-array simulator
 //!   ([`mpt_fpga::Accelerator::execute`], functional result from the
 //!   tiered kernel, latency from the closed form) **and** its

@@ -4,7 +4,7 @@
 //! custom-precision GEMM across forward, backward and weight update.
 //! The workspace has four execution paths that must agree bit-for-bit
 //! — the scalar oracle (`qgemm_reference`), the monomorphized fast
-//! kernels (`qgemm`), the persistent-pool parallel tiles
+//! kernels (`qgemm`), the row-banded parallel kernel
 //! (`qgemm_parallel`) and the systolic-array simulator
 //! (`Accelerator::execute`, itself pinned to its per-PE structural
 //! oracle `Accelerator::execute_structural`) — plus a tape autograd

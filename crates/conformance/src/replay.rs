@@ -19,7 +19,7 @@ use mpt_nn::{GemmPrecision, Layer, Sgd};
 use std::path::PathBuf;
 use std::rc::Rc;
 
-/// Thread counts the replay suite pins the GEMM pool to.
+/// Thread counts the replay suite runs `qgemm_parallel` at.
 pub const REPLAY_THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Result of one replay run.
@@ -32,12 +32,12 @@ pub struct ReplayOutcome {
 }
 
 /// Trains LeNet-5 for a fixed tiny schedule with the GEMM backend
-/// pinned to `threads` workers, and digests the resulting weights.
+/// pinned to `threads` row bands, and digests the resulting weights.
 ///
 /// Dataset, model init, shuffling, dropout and stochastic-rounding
 /// seeds are all fixed constants, so two invocations differ **only**
-/// in how GEMM tiles are scheduled across threads — which must not
-/// change a single bit.
+/// in how GEMM rows are split across threads — which must not change
+/// a single bit.
 pub fn replay_lenet(threads: usize) -> ReplayOutcome {
     replay_lenet_with(
         Rc::new(CpuBackend::with_threads(threads)),

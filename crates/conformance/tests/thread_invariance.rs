@@ -3,8 +3,8 @@
 //!
 //! The parallel path quantizes operands once and indexes every
 //! rounding event by logical matrix coordinates, so the result must
-//! be bit-identical no matter how the tile grid is scheduled — at 1,
-//! 2 and 8 threads, including under stochastic rounding where any
+//! be bit-identical no matter how the rows are split into bands — at
+//! 1, 2 and 8 threads, including under stochastic rounding where any
 //! scheduling dependence would show up immediately.
 
 use conformance::Corpus;
@@ -38,8 +38,8 @@ fn configs() -> Vec<(String, QGemmConfig)> {
     ]
 }
 
-/// Non-tile-aligned shapes stress partial edge tiles, where a
-/// scheduling-dependent event index would first diverge.
+/// Row counts that do not divide evenly stress the short last band,
+/// where a scheduling-dependent event index would first diverge.
 const SHAPES: [(usize, usize, usize); 4] = [(13, 29, 7), (8, 8, 8), (1, 64, 1), (33, 5, 17)];
 
 #[test]

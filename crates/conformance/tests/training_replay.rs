@@ -55,12 +55,12 @@ fn replay_is_bit_identical_across_thread_counts_and_runs() {
         );
     }
 
-    // Same thread count, fresh run: the persistent worker pool must
-    // not leak state between trainings.
+    // Same thread count, fresh run: no process-global state (SIMD
+    // dispatch, telemetry registry) may leak between trainings.
     let repeat = replay_lenet(REPLAY_THREAD_COUNTS[1]);
     assert_eq!(
         repeat.digest, baseline.digest,
-        "repeat run diverged — worker pool or global state leaked"
+        "repeat run diverged — global state leaked"
     );
 
     // CI matrix legs pin an extra thread count via the environment.

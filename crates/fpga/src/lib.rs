@@ -30,7 +30,8 @@
 //! through the [`PipelinedExecutor`] — behind the fault gates of
 //! [`resilient`], leaving the FPGA path only through [`degrade`].
 //! `mpt_core::Device` is a handle on that backend; the serving
-//! dispatcher drives the executor's batched form under the same gates.
+//! dispatcher calls the executor's `launch_resilient` under the same
+//! gates.
 //!
 //! The synthesis results of Table III/IV are embedded as the static
 //! configuration database ([`synthesis::SynthesisDb`]) exactly as the

@@ -24,16 +24,15 @@
 //!   ([`crate::perf::overlap`]), so a flushed queue reports the
 //!   overlapped makespan — fill time plus the per-launch bottleneck
 //!   stage, not the eager sum.
-//! * **Host wall-clock** can genuinely overlap too:
-//!   [`PipelinedExecutor::execute_batch`] runs the emulated compute
-//!   stage on the persistent `mpt-arith` worker pool while the caller
-//!   thread packs the next launch (double buffering, depth 1).
+//! * **Host wall-clock** does not overlap: every launch computes on
+//!   the calling thread, in order. A batch of independent GEMMs (the
+//!   serving dispatcher's coalesced group) is consecutive launches.
 //!
-//! Every launch is staged by one host-side body — pack, then the
-//! fault gates of [`crate::resilient`], then accounting — under the
-//! caller's [`Injector`]; [`PipelinedExecutor::launch`] and
-//! [`PipelinedExecutor::execute_batch`] are that body under an empty
-//! plan. Faults replay the *failed stage*, not the whole queue: a
+//! Every launch is one body — pack, then the fault gates of
+//! [`crate::resilient`], then accounting, then compute — under the
+//! caller's [`Injector`]: [`PipelinedExecutor::launch_resilient`];
+//! [`PipelinedExecutor::launch`] is that body under an empty plan.
+//! Faults replay the *failed stage*, not the whole queue: a
 //! corrupted HBM transfer re-sends the resident operand (the pack
 //! stage's work is cached), a launch timeout re-runs compute only.
 //! That re-send is the one place a launch materialises an HBM image —
@@ -47,10 +46,9 @@ use crate::cache::{CacheStats, FetchedOperand, OperandCache};
 use crate::perf::overlap;
 use crate::resilient::pass_gates;
 use crate::sim::{Accelerator, MeasuredLatency, PCIE_ACHIEVED_BPS};
-use mpt_arith::{pool_execute, GemmShape, QGemmConfig};
+use mpt_arith::{GemmShape, QGemmConfig};
 use mpt_faults::{FaultPlan, Injector, RetryPolicy};
 use mpt_tensor::{ShapeError, Tensor};
-use std::sync::{mpsc, Arc};
 
 /// Modeled host-side packing throughput (quantized carriers into
 /// 512-bit HBM words), bytes per second. Memory-bound `memcpy`-class
@@ -162,12 +160,10 @@ impl PipelineClock {
 /// The staged launch engine: operand cache + pipeline clock around an
 /// [`Accelerator`].
 ///
-/// Single launches ([`launch`](Self::launch)) stay synchronous — the
+/// Launches ([`launch`](Self::launch),
+/// [`launch_resilient`](Self::launch_resilient)) are synchronous — the
 /// training tape consumes each GEMM's output immediately — while the
 /// clock accounts what the overlapped hardware schedule would cost.
-/// Independent launches ([`execute_batch`](Self::execute_batch))
-/// additionally overlap host wall-clock for real, running compute on
-/// the persistent worker pool while the caller packs the next launch.
 #[derive(Debug)]
 pub struct PipelinedExecutor {
     accelerator: Accelerator,
@@ -348,8 +344,10 @@ impl PipelinedExecutor {
         b: &Tensor,
         cfg: &QGemmConfig,
     ) -> Result<(Tensor, StageTimes), ShapeError> {
-        let (inj, retry) = fault_free();
-        let launched = self.launch_resilient(&inj, &retry, a, b, cfg)?;
+        // Fault-free is the empty plan, whose gates never fire, so the
+        // retry policy is moot.
+        let inj = Injector::new(FaultPlan::new(0));
+        let launched = self.launch_resilient(&inj, &RetryPolicy::no_delay(1), a, b, cfg)?;
         let (out, times, _) = launched.expect("the empty plan never degrades");
         Ok((out, times))
     }
@@ -360,16 +358,22 @@ impl PipelinedExecutor {
     /// re-sends the already-packed image, a compute fault re-runs the
     /// kernel only.
     ///
+    /// The pack stage (both operands through the cache — host memory,
+    /// no fault site) runs first, so a launch that degrades has still
+    /// left its operands resident; then the modeled stage times, the
+    /// fault gates, the accounting, and compute on the calling thread.
+    ///
     /// Returns the result, the charged stage times and the launch as
     /// the eager path's [`MeasuredLatency`] (`data_s` counts only bytes
     /// actually moved — cache hits shrink it to the result stream-back)
     /// — or `Ok(None)` when any single stage exhausts the retry budget;
-    /// the caller degrades to the bit-identical CPU path.
+    /// the launch is then unaccounted and the caller degrades to the
+    /// bit-identical CPU path.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] for non-conforming operands (never
-    /// retried).
+    /// retried), before anything is packed or a launch id claimed.
     pub fn launch_resilient(
         &mut self,
         inj: &Injector,
@@ -378,48 +382,11 @@ impl PipelinedExecutor {
         b: &Tensor,
         cfg: &QGemmConfig,
     ) -> Result<Option<(Tensor, StageTimes, MeasuredLatency)>, ShapeError> {
-        // Host wall-clock spans of the single-launch path. Only pack
-        // and compute do host work; transfer and unpack are modeled
-        // time, kept as markers so a trace shows all four stages.
+        // Host wall-clock spans. Only pack and compute do host work;
+        // transfer and unpack are modeled time, kept as markers so a
+        // trace shows all four stages.
         let mut pack_span = mpt_telemetry::span("fpga:pack");
-        let Some(staged) = self.stage(inj, retry, "fpga-pipelined", a, b, cfg)? else {
-            return Ok(None);
-        };
-        if pack_span.is_active() {
-            pack_span
-                .field(mpt_telemetry::SpanField::U64("hits", staged.hits))
-                .add_bytes(staged.packed_bytes as u64);
-        }
-        drop(pack_span);
-        drop(mpt_telemetry::span("fpga:transfer"));
-        let compute_span = mpt_telemetry::span("fpga:compute");
-        let (out, _) = self
-            .accelerator
-            .execute_quantized(&staged.aq, &staged.bq, cfg)?;
-        drop(compute_span);
-        drop(mpt_telemetry::span("fpga:unpack"));
-        Ok(Some((out, staged.times, staged.latency)))
-    }
-
-    /// The host side of every launch, run on the submitting thread
-    /// before its compute is issued: the pack stage (both operands
-    /// through the cache — host memory, no fault site), the modeled
-    /// stage times, the fault gates with each replayed stage charged
-    /// its extra passes, and the accounting. `None` when a gate
-    /// exhausted its retry budget: the launch degrades, unaccounted,
-    /// with its operands left resident. `layer` labels the fault
-    /// events (`"fpga-pipelined"` / `"fpga-batch"`). Shape errors
-    /// surface before anything is packed or claimed.
-    fn stage(
-        &mut self,
-        inj: &Injector,
-        retry: &RetryPolicy,
-        layer: &'static str,
-        a: &Tensor,
-        b: &Tensor,
-        cfg: &QGemmConfig,
-    ) -> Result<Option<Staged>, ShapeError> {
-        let shape = shape_of(a, b)?;
+        let shape = GemmShape::of_product(a, b, "PipelinedExecutor::launch")?;
         let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
         let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
         // What the pack stage actually produced: zero on full cache
@@ -442,8 +409,9 @@ impl PipelinedExecutor {
         // closure is the one place outside tests where the packed
         // words + CRC are built, and the pack stage never runs again.
         let cache = &mut self.cache;
-        let Some(replays) = pass_gates(inj, retry, layer, || cache.image_of(a, &cfg.quant_a))
-        else {
+        let Some(replays) = pass_gates(inj, retry, "fpga-pipelined", || {
+            cache.image_of(a, &cfg.quant_a)
+        }) else {
             return Ok(None);
         };
         // A replayed pass repeats the core time *and* the launch
@@ -452,123 +420,30 @@ impl PipelinedExecutor {
         times.transfer_s *= 1.0 + replays.transfer as f64;
         times.compute_s *= compute_passes as f64;
         self.account_launch(&times);
-        Ok(Some(Staged {
-            aq: fa.quantized,
-            bq: fb.quantized,
-            latency: MeasuredLatency {
-                core_cycles: priced.core_cycles * compute_passes as u64,
-                core_s: priced.core_s * compute_passes as f64,
-                data_s: times.transfer_s + times.unpack_s,
-                total_s: times.eager_s(),
-                in_s: times.transfer_s,
-                out_s: times.unpack_s,
-            },
-            times,
-            hits: fa.hit as u64 + fb.hit as u64,
-            packed_bytes,
-        }))
-    }
-
-    /// Executes a batch of *independent* GEMMs under the empty fault
-    /// plan with real host-side overlap (see
-    /// [`execute_batch_resilient`](Self::execute_batch_resilient)).
-    /// Results come back in order and are bit-identical to eager
-    /// execution.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ShapeError`] among the batch items.
-    pub fn execute_batch(
-        &mut self,
-        items: &[(&Tensor, &Tensor, QGemmConfig)],
-    ) -> Result<Vec<Tensor>, ShapeError> {
-        let (inj, retry) = fault_free();
-        let results = self.execute_batch_resilient(&inj, &retry, items)?;
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("the empty plan never degrades"))
-            .collect())
-    }
-
-    /// Executes a batch of *independent* GEMMs under `inj`'s fault
-    /// plan — the entry point the serving front-end's coalescer
-    /// drives. Each item is staged on this thread exactly as
-    /// [`launch_resilient`](Self::launch_resilient) stages it, then
-    /// its compute goes to the persistent worker pool while this
-    /// thread stages the next item (double buffering, depth 1 — the
-    /// staged queue of the hardware design). An item whose retry
-    /// budget is exhausted comes back as `None` — the caller degrades
-    /// that item (and only that item) to the bit-identical CPU path —
-    /// while the rest of the batch proceeds.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ShapeError`] among the batch items (never
-    /// retried).
-    pub fn execute_batch_resilient(
-        &mut self,
-        inj: &Injector,
-        retry: &RetryPolicy,
-        items: &[(&Tensor, &Tensor, QGemmConfig)],
-    ) -> Result<Vec<Option<Tensor>>, ShapeError> {
-        for (a, b, _) in items {
-            shape_of(a, b)?;
+        if pack_span.is_active() {
+            let hits = fa.hit as u64 + fb.hit as u64;
+            pack_span
+                .field(mpt_telemetry::SpanField::U64("hits", hits))
+                .add_bytes(packed_bytes as u64);
         }
-        let mut results: Vec<Option<Tensor>> = (0..items.len()).map(|_| None).collect();
-        let (tx, rx) = mpsc::channel::<(usize, Tensor)>();
-        let mut in_flight = 0usize;
-        for (i, (a, b, cfg)) in items.iter().enumerate() {
-            let Some(staged) = self.stage(inj, retry, "fpga-batch", a, b, cfg)? else {
-                continue;
-            };
-            if in_flight > 0 {
-                let (j, out) = rx.recv().expect("pipelined compute worker panicked");
-                results[j] = Some(out);
-                in_flight -= 1;
-            }
-            let (acc, cfg, tx) = (self.accelerator.clone(), *cfg, tx.clone());
-            pool_execute(move || {
-                let out = acc
-                    .execute_quantized(&staged.aq, &staged.bq, &cfg)
-                    .expect("shapes checked before submit")
-                    .0;
-                let _ = tx.send((i, out));
-            });
-            in_flight += 1;
-        }
-        drop(tx);
-        while in_flight > 0 {
-            let (j, out) = rx.recv().expect("pipelined compute worker panicked");
-            results[j] = Some(out);
-            in_flight -= 1;
-        }
-        Ok(results)
+        drop(pack_span);
+        drop(mpt_telemetry::span("fpga:transfer"));
+        let compute_span = mpt_telemetry::span("fpga:compute");
+        let (out, _) = self
+            .accelerator
+            .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
+        drop(compute_span);
+        drop(mpt_telemetry::span("fpga:unpack"));
+        let latency = MeasuredLatency {
+            core_cycles: priced.core_cycles * compute_passes as u64,
+            core_s: priced.core_s * compute_passes as f64,
+            data_s: times.transfer_s + times.unpack_s,
+            total_s: times.eager_s(),
+            in_s: times.transfer_s,
+            out_s: times.unpack_s,
+        };
+        Ok(Some((out, times, latency)))
     }
-}
-
-/// What staging one launch on the host yields: the quantized operands
-/// to compute, the accounted stage times, and what the pack stage did.
-struct Staged {
-    aq: Arc<Tensor>,
-    bq: Arc<Tensor>,
-    times: StageTimes,
-    /// [`Accelerator::timing_only`]'s record of the launch, with the
-    /// transfers and replays `times` was charged.
-    latency: MeasuredLatency,
-    /// Operands (of two) that were already resident.
-    hits: u64,
-    /// Bytes the pack stage produced (zero on a full hit).
-    packed_bytes: usize,
-}
-
-/// The injector and policy of the fault-free launch forms: fault-free
-/// is the empty plan, whose gates never fire, so the policy is moot.
-fn fault_free() -> (Injector, RetryPolicy) {
-    (Injector::new(FaultPlan::new(0)), RetryPolicy::no_delay(1))
-}
-
-fn shape_of(a: &Tensor, b: &Tensor) -> Result<GemmShape, ShapeError> {
-    GemmShape::of_product(a, b, "PipelinedExecutor::launch")
 }
 
 #[cfg(test)]
@@ -700,62 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_matches_eager_bitwise() {
-        let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(5);
-        let pairs: Vec<(Tensor, Tensor)> = (0..5).map(|i| operands(8 + i, 16 + i, 6 + i)).collect();
-        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-            pairs.iter().map(|(a, b)| (a, b, cfg)).collect();
-        let got = px.execute_batch(&items).unwrap();
-        for ((a, b), out) in pairs.iter().zip(&got) {
-            assert_eq!(*out, qgemm(a, b, &cfg).unwrap());
-        }
-        assert_eq!(px.clock().total_launches(), 5);
-    }
-
-    #[test]
-    fn execute_batch_resilient_matches_eager_and_degrades_per_item() {
-        // Launch 3 of 5 is sticky-faulted: only that item degrades.
-        let inj = Injector::new(
-            FaultPlan::new(2).with(FaultSite::LaunchTransient, Trigger::StickyAtLaunch(3)),
-        );
-        let retry = RetryPolicy::no_delay(3);
-        let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(5);
-        let pairs: Vec<(Tensor, Tensor)> = (0..5).map(|i| operands(8 + i, 16 + i, 6 + i)).collect();
-        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-            pairs.iter().map(|(a, b)| (a, b, cfg)).collect();
-        let got = px.execute_batch_resilient(&inj, &retry, &items).unwrap();
-        assert_eq!(got.len(), 5);
-        for (i, ((a, b), out)) in pairs.iter().zip(&got).enumerate() {
-            match out {
-                Some(t) => assert_eq!(*t, qgemm(a, b, &cfg).unwrap(), "item {i}"),
-                None => assert_eq!(i, 2, "only the sticky launch degrades"),
-            }
-        }
-        assert_eq!(got.iter().filter(|o| o.is_none()).count(), 1);
-        assert_eq!(inj.injected_at(FaultSite::LaunchTransient), 3);
-    }
-
-    #[test]
-    fn execute_batch_resilient_fault_free_is_bit_identical() {
-        let inj = Injector::new(FaultPlan::new(0));
-        let retry = RetryPolicy::no_delay(3);
-        let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
-        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(9);
-        let pairs: Vec<(Tensor, Tensor)> = (0..4).map(|_| operands(10, 20, 8)).collect();
-        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-            pairs.iter().map(|(a, b)| (a, b, cfg)).collect();
-        let got = px.execute_batch_resilient(&inj, &retry, &items).unwrap();
-        let want = qgemm(&pairs[0].0, &pairs[0].1, &cfg).unwrap();
-        for out in &got {
-            assert_eq!(*out.as_ref().unwrap(), want);
-        }
-        // Identical operands: the cache packs once, hits after.
-        assert!(px.cache_stats().hits >= 6);
-    }
-
-    #[test]
     fn stage_fault_replays_stage_not_pack() {
         let inj =
             Injector::new(FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(2)));
@@ -793,35 +612,29 @@ mod tests {
         let retry = RetryPolicy::no_delay(3);
         let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
         let pairs: Vec<(Tensor, Tensor)> = (0..4).map(|i| operands(8 + i, 16, 6)).collect();
-        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-            pairs.iter().map(|(a, b)| (a, b, cfg)).collect();
         let armed_idle = FaultPlan::new(9)
             .with(FaultSite::LaunchTimeout, Trigger::AtLaunch(1_000))
             .with(FaultSite::HbmCorruption, Trigger::AtLaunch(1_000));
-        let one_single = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(2));
-        let one_batched = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(7));
+        let one_cold = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(2));
+        let one_warm = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(7));
         // A sticky corruption re-sends (and rebuilds) once per attempt.
         let sticky = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::StickyAtLaunch(3));
-        // Each plan runs 4 single then 4 batched launches (ids 1–8).
+        // Each plan launches the 4 pairs twice (ids 1–8; 5–8 warm).
         for (plan, want_images, want_degraded) in [
             (FaultPlan::new(9), 0, 0),
             (armed_idle, 0, 0),
-            (one_single, 1, 0),
-            (one_batched, 1, 0),
+            (one_cold, 1, 0),
+            (one_warm, 1, 0),
             (sticky, 3, 1),
         ] {
             let inj = Injector::new(plan);
             let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
             let mut degraded = 0;
-            for (a, b) in &pairs {
+            for (a, b) in pairs.iter().chain(&pairs) {
                 match px.launch_resilient(&inj, &retry, a, b, &cfg).unwrap() {
                     Some((out, ..)) => assert_eq!(out, qgemm(a, b, &cfg).unwrap()),
                     None => degraded += 1,
                 }
-            }
-            let batched = px.execute_batch_resilient(&inj, &retry, &items).unwrap();
-            for ((a, b), out) in pairs.iter().zip(&batched) {
-                assert_eq!(*out.as_ref().unwrap(), qgemm(a, b, &cfg).unwrap());
             }
             let stats = px.cache_stats();
             assert_eq!(stats.images_built, want_images, "{:?}", inj.plan());
@@ -831,20 +644,18 @@ mod tests {
         }
     }
 
-    /// Fault-free is the empty plan: `launch` / `execute_batch` and
-    /// the armed forms under an empty `FaultPlan` agree on everything
-    /// observable, on cold operands (round 0) and warm ones.
+    /// Fault-free is the empty plan: `launch` and `launch_resilient`
+    /// under an empty `FaultPlan` agree on everything observable, on
+    /// cold operands (round 0) and warm ones.
     #[test]
     fn empty_plan_is_what_launch_does() {
         let retry = RetryPolicy::no_delay(3);
         let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
         let pairs: Vec<(Tensor, Tensor)> = (0..4).map(|i| operands(8 + i, 16, 6)).collect();
-        let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-            pairs.iter().map(|(a, b)| (a, b, cfg)).collect();
         let inj = Injector::new(FaultPlan::new(7));
         let mut plain = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
         let mut armed = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
-        for round in 0..2 {
+        for round in 0..4 {
             for (a, b) in &pairs {
                 let want = plain.launch(a, b, &cfg).unwrap();
                 let (out, times, latency) = armed
@@ -854,9 +665,6 @@ mod tests {
                 assert_eq!((out, times), want, "output or stage times, round {round}");
                 assert_eq!(latency.total_s, times.eager_s());
             }
-            let want = plain.execute_batch(&items).unwrap();
-            let got = armed.execute_batch_resilient(&inj, &retry, &items).unwrap();
-            assert_eq!(got, want.into_iter().map(Some).collect::<Vec<_>>());
             assert_eq!(armed.cache_stats(), plain.cache_stats(), "round {round}");
             assert_eq!(armed.pipelined_elapsed_s(), plain.pipelined_elapsed_s());
             assert_eq!(armed.eager_elapsed_s(), plain.eager_elapsed_s());

@@ -1,7 +1,7 @@
 //! The fault-recovery policy: per-site retry gates, then graceful
 //! degradation. This module is the only place that knows it.
 //!
-//! Every launch — eager or pipelined, single or batched, armed or not
+//! Every launch — eager or pipelined, trained or served, armed or not
 //! — claims its id from its wrapper's [`Injector`] and walks one gate
 //! sequence (`pass_gates`) in launch order: bitstream load → HBM
 //! transfer → launch timeout → transient launch error. Each site has

@@ -1,4 +1,4 @@
-//! Serving-style cache interleaving: coalesced batched launches share
+//! Serving-style cache interleaving: coalesced launches share
 //! packed operands while optimizer-style weight updates and eviction
 //! churn the [`OperandCache`](mpt_fpga::OperandCache) underneath.
 //!
@@ -37,7 +37,7 @@ fn coalesced_batches_race_weight_updates_across_budgets() {
         for epoch in 0..6u64 {
             // A coalesced serving round: four activation batches (one
             // repeated from the previous round — the cache's hit path)
-            // against the current weights, as one batched launch.
+            // against the current weights, as consecutive launches.
             let acts: Vec<Tensor> = (0..3)
                 .map(|i| matrix(4, 6, 1 + epoch * 8 + i))
                 .chain(std::iter::once(matrix(
@@ -46,15 +46,13 @@ fn coalesced_batches_race_weight_updates_across_budgets() {
                     1 + epoch.saturating_sub(1) * 8,
                 )))
                 .collect();
-            let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-                acts.iter().map(|a| (a, &weights, cfg)).collect();
-            let outs = px.execute_batch(&items).expect("valid shapes");
-            launches += items.len() as u64;
-            for (a, got) in acts.iter().zip(&outs) {
+            for a in &acts {
+                let (got, _) = px.launch(a, &weights, &cfg).expect("valid shapes");
+                launches += 1;
                 let want = qgemm_parallel(a, &weights, &cfg, 2).expect("valid shapes");
                 assert_eq!(
-                    got, &want,
-                    "budget {budget}, epoch {epoch}: batched launch diverged from eager"
+                    got, want,
+                    "budget {budget}, epoch {epoch}: coalesced launch diverged from eager"
                 );
             }
             // The optimizer step between rounds: same shape, new bits.

@@ -408,7 +408,7 @@ impl Layer for Sequential {
             // nodes it records, so backward time can be attributed to
             // the same `<idx>:<kind>` label by Graph::backward. The
             // telemetry layer scope mirrors it so quantizer tallies
-            // flushed by this layer's GEMMs (on any pool thread) land
+            // flushed by this layer's GEMMs (on any band thread) land
             // under `layer:<idx>:<kind>` too.
             let out = self.layers.iter().enumerate().fold(input, |x, (i, l)| {
                 let scope = format!("{i}:{}", l.kind());

@@ -207,7 +207,7 @@ impl Graph {
                 };
                 if timing {
                     // Attribute quantizer flushes inside this closure
-                    // (GEMM pool threads included) to the layer that
+                    // (GEMM band threads included) to the layer that
                     // recorded the node.
                     mpt_telemetry::set_layer_scope(node.scope.as_deref());
                 }

@@ -1,7 +1,7 @@
 //! Circuit breaker over the FPGA path.
 //!
-//! The serving dispatcher consults the breaker before every batched
-//! launch. While **closed**, traffic flows to the accelerator and
+//! The serving dispatcher consults the breaker before every coalesced
+//! group of launches. While **closed**, traffic flows to the accelerator and
 //! per-launch retry exhaustions count against a consecutive-failure
 //! threshold. Tripping **opens** the breaker: requests route straight
 //! to the bit-identical CPU fallback (no retry storms against a sick

@@ -18,7 +18,7 @@ pub struct ServeConfig {
     /// Requests served on the CPU bypass while open before the
     /// half-open probe.
     pub breaker_cooldown: u32,
-    /// Per-site retry policy of the batched launches.
+    /// Per-site retry policy of the FPGA launches.
     pub retry: RetryPolicy,
 }
 

@@ -22,8 +22,8 @@
 //!   half-open probe tests recovery. Every transition is logged and
 //!   emitted as a `breaker_state` telemetry event.
 //! * **Dynamic coalescing** — same-shape / same-quantizer requests
-//!   drained in one round run as a single batched launch through
-//!   [`PipelinedExecutor::execute_batch_resilient`][ebr] — always,
+//!   drained in one round run back to back as consecutive
+//!   [`PipelinedExecutor::launch_resilient`][lr] calls — always,
 //!   under the service's injector: a service started without one
 //!   holds the empty fault plan. The group key is exactly what the
 //!   operand cache fingerprints.
@@ -39,7 +39,7 @@
 //! bin drives N clients against an armed fault plan and hard-asserts
 //! zero corrupted responses.
 //!
-//! [ebr]: mpt_fpga::PipelinedExecutor::execute_batch_resilient
+//! [lr]: mpt_fpga::PipelinedExecutor::launch_resilient
 //!
 //! # Example
 //!

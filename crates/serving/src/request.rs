@@ -50,10 +50,10 @@ pub struct GemmRequest {
 
 impl GemmRequest {
     /// The coalescing key: requests sharing it quantize identically
-    /// and can run as one batched launch. Shapes plus the config's
-    /// `Debug` form (which includes both quantizers, rounding seeds,
-    /// and the accumulator setting) — exactly the inputs the operand
-    /// cache fingerprints.
+    /// and run back to back as one coalesced group. Shapes plus the
+    /// config's `Debug` form (which includes both quantizers, rounding
+    /// seeds, and the accumulator setting) — exactly the inputs the
+    /// operand cache fingerprints.
     pub fn coalesce_key(&self) -> String {
         format!("{:?}|{:?}|{:?}", self.a.shape(), self.b.shape(), self.cfg)
     }

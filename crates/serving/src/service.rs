@@ -5,12 +5,12 @@
 //! chaos-armed), and the [`CircuitBreaker`]; clients only touch the
 //! bounded queue. Each round the dispatcher drains up to `batch_max`
 //! requests, expires the ones whose deadline passed, coalesces the
-//! rest by (shape, quantizer-config) key, and runs each group as one
-//! batched launch — through the FPGA path while the breaker allows
-//! it, straight to [`degrade`] (the bit-identical CPU fallback) while
-//! it is open. Every response is bit-identical to eager execution
-//! regardless of the route taken; chaos only moves latency and the
-//! `degraded` flag.
+//! rest by (shape, quantizer-config) key, and runs each group as
+//! consecutive launches computed on this thread — through the FPGA
+//! path while the breaker allows it, straight to [`degrade`] (the
+//! bit-identical CPU fallback) while it is open. Every response is
+//! bit-identical to eager execution regardless of the route taken;
+//! chaos only moves latency and the `degraded` flag.
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::config::ServeConfig;
@@ -60,9 +60,9 @@ pub struct ServeStats {
     pub degraded: AtomicU64,
     /// Requests cancelled at their deadline.
     pub deadline_exceeded: AtomicU64,
-    /// Batched launches issued to the FPGA path.
+    /// Coalesced groups sent down the FPGA path.
     pub batches: AtomicU64,
-    /// GEMMs that rode a coalesced batch of size > 1.
+    /// GEMMs that rode a coalesced group of size > 1.
     pub coalesced: AtomicU64,
 }
 
@@ -130,7 +130,8 @@ impl ServeHandle {
     /// Submits one GEMM. Admission control answers immediately with
     /// [`ServeResult::Rejected`] when the queue is at capacity;
     /// otherwise the result arrives on the returned receiver once the
-    /// dispatcher serves the request.
+    /// dispatcher serves the request. A submit to a shut-down service
+    /// gets no answer: the receiver reports its sender dropped.
     pub fn submit(
         &self,
         a: Tensor,
@@ -151,9 +152,7 @@ impl ServeHandle {
         };
         let mut q = self.shared.queue.lock().unwrap();
         if q.shutdown {
-            let _ = req.resp.send(ServeResult::Rejected {
-                retry_after: RETRY_AFTER_MIN,
-            });
+            // Dropping `req` drops the reply sender.
             return rx;
         }
         let depth = q.jobs.len();
@@ -188,7 +187,7 @@ impl ServeHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the service shuts down while the request is queued.
+    /// Panics if the service has been shut down.
     pub fn call(
         &self,
         a: &Tensor,
@@ -201,7 +200,7 @@ impl ServeHandle {
         let mut attempt = 0u32;
         loop {
             let rx = self.submit(a.clone(), b.clone(), *cfg, class, deadline);
-            match rx.recv().expect("service alive while clients hold handles") {
+            match rx.recv().expect("GemmService was shut down") {
                 ServeResult::Rejected { retry_after } => {
                     // Honor the hint, with the retry policy's jitter
                     // decorrelating concurrent clients.
@@ -433,8 +432,8 @@ impl Dispatcher {
             }
         }
 
-        // Coalesce same-shape / same-quantizer requests into one
-        // batched launch each.
+        // Coalesce same-shape / same-quantizer requests into groups
+        // served back to back.
         let mut groups: Vec<(String, Vec<GemmRequest>)> = Vec::new();
         for req in live {
             let key = req.coalesce_key();
@@ -448,7 +447,8 @@ impl Dispatcher {
         }
     }
 
-    /// Runs one coalesced group as a batched launch and responds.
+    /// Runs one coalesced group as consecutive launches, in request
+    /// order, and responds to each as its launch returns.
     fn serve_group(&mut self, group: Vec<GemmRequest>) {
         let stats = &self.shared.stats;
         if group.len() > 1 {
@@ -460,55 +460,43 @@ impl Dispatcher {
             }
         }
 
-        // Per request the FPGA result, or `None` where it degrades:
-        // its launch exhausted a retry budget, or — breaker open — the
-        // whole group bypasses the device.
         let (injector, breaker) = (&self.injector, &mut self.breaker);
         let retry = &self.shared.cfg.retry;
+        // Consulted once per group: while open, the whole group
+        // bypasses the device.
         let launched = breaker.allows_fpga();
-        // Batch items claim consecutive launch ids, in order.
-        let first_launch = injector.launch_count() + 1;
-        let outputs = if launched {
+        if launched {
             stats.batches.fetch_add(1, Ordering::Relaxed);
-            let items: Vec<(&Tensor, &Tensor, QGemmConfig)> =
-                group.iter().map(|r| (&r.a, &r.b, r.cfg)).collect();
-            let outs = self
-                .executor
-                .execute_batch_resilient(injector, retry, &items);
-            match outs {
-                Ok(outs) => outs,
-                Err(e) => {
-                    // Shape errors fail the whole group (the key made
-                    // shapes uniform, so one bad request is all of them).
-                    for req in group {
-                        let _ = req.resp.send(ServeResult::Failed(e.clone()));
-                    }
-                    return;
-                }
-            }
-        } else {
-            group.iter().map(|_| None).collect()
-        };
-
-        for ((req, out), launch) in group.into_iter().zip(outputs).zip(first_launch..) {
-            let degraded = out.is_none();
+        }
+        for req in group {
             let (a, b, cfg) = (&req.a, &req.b, &req.cfg);
+            // The FPGA result, or `None` where the request degrades.
+            // Malformed operands fail before claiming a launch id.
+            let launch = if launched {
+                self.executor.launch_resilient(injector, retry, a, b, cfg)
+            } else {
+                Ok(None)
+            };
+            let degraded = !matches!(launch, Ok(Some(_)));
             // Exhausted or bypassed: the bit-identical CPU path.
-            let out = match out {
-                Some(t) => {
+            let out = launch.and_then(|launch| match launch {
+                Some((t, ..)) => {
                     breaker.on_success();
                     Ok(t)
                 }
-                None if launched => {
-                    breaker.on_failure();
-                    degrade("serve", launch, retry.max_attempts, a, b, cfg)
-                }
-                // Never reached the device: no launch, no attempts.
+                // The id is the launch that just gave up — or, never
+                // having reached the device, the last one: no attempts.
                 None => {
-                    breaker.on_bypass();
-                    degrade("serve", injector.launch_count(), 0, a, b, cfg)
+                    let attempts = if launched {
+                        breaker.on_failure();
+                        retry.max_attempts
+                    } else {
+                        breaker.on_bypass();
+                        0
+                    };
+                    degrade("serve", injector.launch_count(), attempts, a, b, cfg)
                 }
-            };
+            });
             let out = match out {
                 Ok(t) => t,
                 Err(e) => {

@@ -218,6 +218,83 @@ fn same_shape_requests_coalesce_into_batched_launches() {
     service.shutdown();
 }
 
+/// A sticky launch inside a coalesced group degrades that request
+/// alone; the rest of the group stays on the device.
+#[test]
+fn sticky_launch_in_a_coalesced_group_degrades_only_its_request() {
+    let qcfg = QGemmConfig::fp8_fp12_sr().with_seed(9);
+    let (a, b) = operands(8, 12, 6);
+    let want = qgemm(&a, &b, &qcfg).unwrap();
+    // Launch 1 is the heavyweight GEMM occupying the dispatcher; the 8
+    // small requests queued behind it are launches 2–9 in submission
+    // order however they are grouped, so small request 2 is launch 4.
+    // Retry until all 8 rode coalesced groups — scheduling can race.
+    for _ in 0..10 {
+        let plan = FaultPlan::new(2).with(FaultSite::LaunchTransient, Trigger::StickyAtLaunch(4));
+        let service = GemmService::start(
+            ServeConfig::default(),
+            executor(),
+            Some(Injector::new(plan)),
+        );
+        let h = service.handle();
+        let (big_a, big_b) = operands(96, 96, 96);
+        let big_rx = h.submit(big_a, big_b, qcfg, RequestClass::Inference, None);
+        let rxs: Vec<_> = (0..8)
+            .map(|_| h.submit(a.clone(), b.clone(), qcfg, RequestClass::Inference, None))
+            .collect();
+        assert!(matches!(
+            big_rx.recv().unwrap(),
+            ServeResult::Done {
+                degraded: false,
+                ..
+            }
+        ));
+        for (i, rx) in rxs.into_iter().enumerate() {
+            match rx.recv().unwrap() {
+                ServeResult::Done { out, degraded } => {
+                    assert_eq!(out, want, "request {i}");
+                    assert_eq!(degraded, i == 2, "request {i}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let stats = h.stats();
+        assert_eq!(stats.snapshot().2, 1, "exactly one degraded reply");
+        let coalesced = stats.coalesced.load(std::sync::atomic::Ordering::Relaxed);
+        service.shutdown();
+        if coalesced == 8 {
+            return;
+        }
+    }
+    panic!("the 8 identical queued requests never all coalesced");
+}
+
+/// A client still holding a handle after shutdown gets a panic naming
+/// the shutdown, not a rejection it would retry forever.
+#[test]
+fn call_after_shutdown_panics_instead_of_retrying() {
+    let service = GemmService::start(ServeConfig::default(), executor(), None);
+    let h = service.handle();
+    service.shutdown();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let (a, b) = operands(4, 6, 3);
+        let cfg = QGemmConfig::fp8_fp12_sr();
+        let _ = h.call(&a, &b, &cfg, RequestClass::Training, None, 0);
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(5)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+        Ok(()) => panic!("call after shutdown returned"),
+        Err(e) => panic!("call after shutdown still running after 5 s: {e}"),
+    }
+    let payload = client.join().expect_err("the client thread panicked");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("an expect() message");
+    assert!(msg.contains("shut down"), "panic message: {msg}");
+}
+
 #[test]
 fn chaos_storm_never_corrupts_any_response() {
     // Every site armed, probability triggers — the full storm. Each

@@ -1,19 +1,19 @@
 //! Sharded lock-free counters.
 //!
 //! Counter increments are the one telemetry operation that sits on
-//! hot paths (once per quantized slice / GEMM tile flush), and they
-//! may be issued concurrently by every worker of the GEMM pool. A
-//! single `AtomicU64` would make all workers bounce one cache line;
-//! instead each counter owns [`SHARDS`] cache-line-padded atomics and
-//! a thread adds to the shard assigned to it (round-robin at first
-//! use), so concurrent increments from different threads touch
-//! different lines. Reads sum the shards — exact, because every
+//! hot paths (once per quantized slice / GEMM row-band flush), and
+//! they may be issued concurrently by every band thread of a parallel
+//! GEMM. A single `AtomicU64` would make all threads bounce one cache
+//! line; instead each counter owns [`SHARDS`] cache-line-padded
+//! atomics and a thread adds to the shard assigned to it (round-robin
+//! at first use), so concurrent increments from different threads
+//! touch different lines. Reads sum the shards — exact, because every
 //! increment lands in exactly one shard.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Number of shards per counter. Eight covers the worker-pool sizes
-/// the GEMM layer uses without making idle counters large.
+/// Number of shards per counter. Eight covers the thread counts the
+/// GEMM layer uses without making idle counters large.
 pub const SHARDS: usize = 8;
 
 /// One cache line worth of atomic counter, so neighbouring shards

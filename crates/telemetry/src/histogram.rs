@@ -6,7 +6,7 @@
 //! sub-buckets (≤ 25% relative bucket width), covering the full `u64`
 //! range. Bucket increments are sharded exactly like [`Counter`]
 //! (each thread adds to its own cache-line-padded row), so concurrent
-//! recording from the GEMM pool never bounces a shared line; `count`
+//! recording from GEMM band threads never bounces a shared line; `count`
 //! and `sum` are tracked in sharded counters too, which makes both
 //! **exact** regardless of contention. Quantiles (p50/p90/p99) are
 //! estimated by linear interpolation inside the covering bucket and

@@ -281,7 +281,7 @@ struct Registry {
     latency: Table<Latency>,
     calibration: Mutex<Vec<CalibrationRecord>>,
     /// The currently attributed layer (`<idx>:<kind>`). Process-wide
-    /// rather than thread-local on purpose: GEMM pool workers flush
+    /// rather than thread-local on purpose: GEMM band threads flush
     /// tallies on threads the layer driver never touches, and only
     /// one layer's GEMMs are in flight at a time.
     layer_scope: RwLock<Option<Arc<str>>>,

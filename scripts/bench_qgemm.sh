@@ -3,10 +3,10 @@
 # per-benchmark JSON lines into BENCH_qgemm.json, including the
 # before/after throughput comparison for the headline configuration
 # (128x96x96 fp8_fp12_sr: scalar reference kernel vs scalar-dispatch
-# fast kernel vs the AVX2 and AVX-512 lane kernels vs the persistent
-# worker pool), plus the unfused fixed-point MAC (fxp44_rn / fxp44_sr)
-# on the same two tiers against its scalar reference. The *_avx512
-# rows exist only where the host has AVX-512.
+# fast kernel vs the AVX2 and AVX-512 lane kernels vs qgemm_parallel at
+# default_threads() and at one thread), plus the unfused fixed-point
+# MAC (fxp44_rn / fxp44_sr) on the same two tiers against its scalar
+# reference. The *_avx512 rows exist only where the host has AVX-512.
 #
 # The bench binary itself asserts bit-equality of every measured path
 # against qgemm_reference before timing; this script then gates the
@@ -14,7 +14,7 @@
 #   * simd (AVX2) >= 1.5x over the scalar-dispatch fast kernel,
 #   * simd (AVX2) >= 4.5x over the scalar reference kernel,
 #   * avx512 >= 1.8x over simd (AVX2), when the row is present,
-#   * the single-thread pool path within 1% of the direct kernel of
+#   * qgemm_parallel at one thread within 1% of the direct kernel of
 #     the tier it runs (the ambient MPT_SIMD one),
 #   * fxp44_rn on the lane kernels >= 4x over its scalar reference.
 #
@@ -48,12 +48,12 @@ ref = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_reference")
 fast = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_fast")
 simd = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_simd")
 avx512 = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_avx512")
-# The pool rows run the ambient tier: AVX-512 where the host has it
+# The qgemm_parallel rows run the ambient tier: AVX-512 where the host has it
 # (the row exists) unless MPT_SIMD pins something narrower.
 ambient = os.environ.get("MPT_SIMD", "auto").strip().lower()
 direct = avx512 if avx512 and ambient in ("", "auto", "avx512") else simd
-pool = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_fast_pool")
-pool_t1 = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_pool_t1")
+par = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_parallel")
+par_t1 = rate("qgemm_kernels_128x96x96/fp8_fp12_sr_parallel_t1")
 fxp_rn = rate("qgemm_kernels_128x96x96/fxp44_rn")
 fxp_sr = rate("qgemm_kernels_128x96x96/fxp44_sr")
 fxp_ref = rate("qgemm_kernels_128x96x96/fxp44_rn_reference")
@@ -67,14 +67,14 @@ out = {
         "fast_elem_per_s": fast,
         "simd_elem_per_s": simd,
         "avx512_elem_per_s": avx512,
-        "fast_pool_elem_per_s": pool,
-        "pool_t1_elem_per_s": pool_t1,
+        "parallel_elem_per_s": par,
+        "parallel_t1_elem_per_s": par_t1,
         "fast_speedup_vs_reference": (fast / ref) if ref and fast else None,
         "simd_speedup_vs_reference": (simd / ref) if ref and simd else None,
         "simd_speedup_vs_fast": (simd / fast) if fast and simd else None,
         "avx512_speedup_vs_simd": (avx512 / simd) if simd and avx512 else None,
-        "pool_speedup_vs_reference": (pool / ref) if ref and pool else None,
-        "pool_t1_vs_direct": (pool_t1 / direct) if direct and pool_t1 else None,
+        "parallel_speedup_vs_reference": (par / ref) if ref and par else None,
+        "parallel_t1_vs_direct": (par_t1 / direct) if direct and par_t1 else None,
     },
     "fixed_point_128x96x96_fxp44": {
         "rn_elem_per_s": fxp_rn,
@@ -101,7 +101,7 @@ fxp = bench["fixed_point_128x96x96_fxp44"]
 if h["simd_speedup_vs_fast"]:
     print(f"headline fp8_fp12_sr: simd {h['simd_speedup_vs_reference']:.2f}x vs reference,"
           f" {h['simd_speedup_vs_fast']:.2f}x vs scalar-dispatch fast,"
-          f" pool(t=1) at {100 * h['pool_t1_vs_direct']:.1f}% of direct")
+          f" qgemm_parallel(t=1) at {100 * h['parallel_t1_vs_direct']:.1f}% of direct")
 if h["avx512_speedup_vs_simd"]:
     print(f"avx512: fp8_fp12_sr {h['avx512_elem_per_s'] / 1e6:.0f} MMAC/s,"
           f" {h['avx512_speedup_vs_simd']:.2f}x vs simd (AVX2)")
@@ -125,10 +125,10 @@ def gate(name, value, minimum):
 gate("simd_speedup_vs_fast", h["simd_speedup_vs_fast"], 1.5)
 gate("simd_speedup_vs_reference", h["simd_speedup_vs_reference"], 4.5)
 gate("avx512_speedup_vs_simd", h["avx512_speedup_vs_simd"], 1.8)
-# The threads==1 pool call takes the caller-thread fast exit, so it
+# The threads==1 qgemm_parallel call takes the caller-thread fast exit, so it
 # runs the very same direct kernel: anything beyond measurement noise
 # (1%) is a regression in the exit path.
-gate("pool_t1_vs_direct", h["pool_t1_vs_direct"], 0.99)
+gate("parallel_t1_vs_direct", h["parallel_t1_vs_direct"], 0.99)
 gate("fxp44_rn_speedup_vs_reference", fxp["rn_speedup_vs_reference"], 4.0)
 
 if failures:
