@@ -1,11 +1,9 @@
 //! `mpt-report` — turns a telemetry JSONL log (plus the optional
-//! Chrome trace, `BENCH_pipeline.json` and `serve_chaos` report) into
-//! `RESULTS.md`.
+//! Chrome trace and `serve_chaos` report) into `RESULTS.md`.
 //!
 //! ```text
 //! mpt-report --jsonl run.jsonl [--trace run.trace.json] \
-//!            [--bench BENCH_pipeline.json] [--serving serve_chaos.json] \
-//!            [--out RESULTS.md]
+//!            [--serving serve_chaos.json] [--out RESULTS.md]
 //! mpt-report --validate-trace run.trace.json [--require-stage-tracks 4]
 //! ```
 //!
@@ -13,10 +11,11 @@
 //! strictly increase (two runs appended to one file) is refused with
 //! a non-zero exit rather than rendered as a blend of both.
 //!
-//! Optional inputs degrade gracefully: a `--trace` or `--bench` /
-//! `--serving` path that does not exist (or does not parse) renders a
-//! "section skipped" note instead of failing the run, so serving-only
-//! runs still produce a RESULTS.md.
+//! Optional inputs degrade gracefully: a `--trace` or `--serving`
+//! path that does not exist (or does not parse) renders a "section
+//! skipped" note instead of failing the run, and a log line that does
+//! not parse (a run cut off mid-write) is skipped, so a partial log
+//! still produces a RESULTS.md.
 //!
 //! The report generator is pure post-processing: it parses the event
 //! stream with the telemetry crate's own zero-dependency JSON parser
@@ -35,8 +34,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  mpt-report --jsonl <events.jsonl> [--trace <trace.json>] \
-         [--bench <BENCH_pipeline.json>] [--serving <serve_chaos.json>] \
-         [--out <RESULTS.md>]\n  \
+         [--serving <serve_chaos.json>] [--out <RESULTS.md>]\n  \
          mpt-report --validate-trace <trace.json> [--require-stage-tracks <N>]"
     );
     std::process::exit(2);
@@ -48,7 +46,6 @@ fn main() -> ExitCode {
 
     let mut jsonl = None;
     let mut trace = None;
-    let mut bench = None;
     let mut serving = None;
     let mut out = "RESULTS.md".to_string();
     let mut validate = None;
@@ -67,7 +64,6 @@ fn main() -> ExitCode {
         match flag {
             "--jsonl" => jsonl = Some(val("--jsonl")),
             "--trace" => trace = Some(val("--trace")),
-            "--bench" => bench = Some(val("--bench")),
             "--serving" => serving = Some(val("--serving")),
             "--out" => out = val("--out"),
             "--validate-trace" => validate = Some(val("--validate-trace")),
@@ -85,13 +81,7 @@ fn main() -> ExitCode {
         return validate_trace(&path, require_tracks);
     }
     let Some(jsonl) = jsonl else { usage() };
-    generate_report(
-        &jsonl,
-        trace.as_deref(),
-        bench.as_deref(),
-        serving.as_deref(),
-        &out,
-    )
+    generate_report(&jsonl, trace.as_deref(), serving.as_deref(), &out)
 }
 
 fn read_json(path: &str) -> Result<Value, String> {
@@ -244,13 +234,7 @@ fn us(ns: f64) -> String {
     format!("{:.1}", ns / 1e3)
 }
 
-fn generate_report(
-    jsonl: &str,
-    trace: Option<&str>,
-    bench: Option<&str>,
-    serving: Option<&str>,
-    out: &str,
-) -> ExitCode {
+fn generate_report(jsonl: &str, trace: Option<&str>, serving: Option<&str>, out: &str) -> ExitCode {
     let text = match std::fs::read_to_string(jsonl) {
         Ok(t) => t,
         Err(e) => {
@@ -423,53 +407,6 @@ fn generate_report(
         md.push_str("No stage_utilization events (run used the CPU backend?).\n\n");
     }
 
-    // -- cache rates from the bench gate file ---------------------
-    if let Some(bench_path) = bench {
-        md.push_str("## Pipeline benchmark gates\n\n");
-        match read_json(bench_path) {
-            Ok(b) => {
-                let f = |k: &str| b.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-                let hits = f("cache_hits");
-                let misses = f("cache_misses");
-                let denom = hits + misses;
-                let mut t = TableWriter::new(vec!["metric", "value"]);
-                t.row(vec!["config".into(), {
-                    b.get("config")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string()
-                }]);
-                t.row(vec![
-                    "cache hit rate".into(),
-                    if denom > 0.0 {
-                        format!("{:.1}%", 100.0 * hits / denom)
-                    } else {
-                        "n/a".into()
-                    },
-                ]);
-                t.row(vec![
-                    "pack reduction".into(),
-                    format!("{:.2}x", f("pack_reduction")),
-                ]);
-                t.row(vec![
-                    "bytes reduction".into(),
-                    format!("{:.2}x", f("bytes_reduction")),
-                ]);
-                let (me, mp) = (f("modeled_eager_s"), f("modeled_pipelined_s"));
-                if mp > 0.0 {
-                    t.row(vec!["modeled speedup".into(), format!("{:.2}x", me / mp)]);
-                }
-                md.push_str("```text\n");
-                md.push_str(&t.render());
-                md.push_str("```\n\n");
-            }
-            Err(e) => md.push_str(&format!(
-                "Section skipped: could not read `{bench_path}` ({e}). \
-                 Serving-only runs produce no pipeline gate file.\n\n"
-            )),
-        }
-    }
-
     // -- serve_chaos report ---------------------------------------
     if let Some(serving_path) = serving {
         md.push_str("## Serving fault soak (`serve_chaos`)\n\n");
@@ -602,25 +539,23 @@ mod tests {
     }
 
     #[test]
-    fn report_skips_missing_trace_bench_and_serving_sections() {
+    fn report_skips_missing_trace_and_serving_sections() {
         let dir = scratch_dir("skip");
         let jsonl = dir.join("events.jsonl");
         std::fs::write(&jsonl, "{\"type\":\"step\",\"loss\":1.0}\n").unwrap();
         let out = dir.join("RESULTS.md");
         let trace = dir.join("missing.trace.json");
-        let bench = dir.join("missing_pipeline.json");
         let serving = dir.join("missing_serving.json");
         let code = generate_report(
             jsonl.to_str().unwrap(),
             Some(trace.to_str().unwrap()),
-            Some(bench.to_str().unwrap()),
             Some(serving.to_str().unwrap()),
             out.to_str().unwrap(),
         );
         assert!(exit_ok(code), "missing optional inputs must not fail");
         let md = std::fs::read_to_string(&out).unwrap();
         assert!(md.contains("Chrome trace: section skipped"));
-        assert_eq!(md.matches("Section skipped: could not read").count(), 2);
+        assert_eq!(md.matches("Section skipped: could not read").count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -632,13 +567,7 @@ mod tests {
         let report = |name: &str, epochs: &[u64]| {
             let jsonl = dir.join(name);
             std::fs::write(&jsonl, epochs.iter().map(|&e| epoch(e)).collect::<String>()).unwrap();
-            generate_report(
-                jsonl.to_str().unwrap(),
-                None,
-                None,
-                None,
-                out.to_str().unwrap(),
-            )
+            generate_report(jsonl.to_str().unwrap(), None, None, out.to_str().unwrap())
         };
         assert!(exit_ok(report("one.jsonl", &[0, 1, 2])));
         // What `train_lenet_fp8` used to write: baseline + FP8 run.

@@ -59,8 +59,8 @@ pub const HOST_PACK_GBPS: f64 = 8.0;
 pub const STAGES: usize = 4;
 
 /// Stage names in pipeline order — used for trace tracks
-/// (`fpga-pipeline/<stage>`), busy counters
-/// (`fpga.pipeline.busy_us:<stage>`), and report tables.
+/// (`fpga-pipeline/<stage>`), stage-latency histograms
+/// (`fpga:stage:<stage>`), and report tables.
 pub const STAGE_NAMES: [&str; STAGES] = ["pack", "transfer", "compute", "unpack"];
 
 /// Modeled seconds one launch spends in each pipeline stage,
@@ -242,7 +242,7 @@ impl PipelinedExecutor {
 
     /// Folds one admitted launch into the accounting: eager sum,
     /// per-stage busy totals, pipeline clock, and — when armed — the
-    /// stage-utilization counters and the Chrome-trace stage tracks
+    /// stage-latency histograms and the Chrome-trace stage tracks
     /// (each stage's window on the modeled timeline, so Perfetto
     /// shows the pack/transfer/compute/unpack overlap).
     fn account_launch(&mut self, times: &StageTimes) {
@@ -254,8 +254,6 @@ impl PipelinedExecutor {
         self.clock.admit(times);
         if mpt_telemetry::enabled() {
             for (name, t) in STAGE_NAMES.iter().zip(stage_t) {
-                mpt_telemetry::counter(&format!("fpga.pipeline.busy_us:{name}"))
-                    .add((t * 1e6) as u64);
                 if t > 0.0 {
                     // Modeled stage latency distribution (ns).
                     mpt_telemetry::histogram(&format!("fpga:stage:{name}"))
@@ -290,15 +288,8 @@ impl PipelinedExecutor {
         let makespan = self.clock.drain();
         self.drained_s += makespan;
         if queued > 0 && mpt_telemetry::enabled() {
-            mpt_telemetry::counter("fpga.pipeline.flush").incr();
-            mpt_telemetry::event(&[
-                mpt_telemetry::json::Field::Str("type", "pipeline_flush"),
-                mpt_telemetry::json::Field::U64("launches", queued),
-                mpt_telemetry::json::Field::F64("makespan_s", makespan),
-            ]);
             // Derived occupancy so far: lifetime busy per stage over
-            // the overlapped wall time (report fodder; the raw busy
-            // totals also live in `fpga.pipeline.busy_us:*`).
+            // the overlapped wall time (read by `mpt-report`).
             let busy = self.stage_busy_s;
             let util = self.stage_utilization();
             let mut fields = vec![

@@ -166,6 +166,7 @@ impl Value {
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -179,6 +180,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -326,11 +328,20 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("empty string tail")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or escape. Both are ASCII, so the run ends
+                    // on a char boundary of the (valid UTF-8) input;
+                    // `get` refuses a start inside a character.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let chars = self
+                        .text
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| format!("split character at byte {}", self.pos))?;
+                    out.push_str(chars);
+                    self.pos += run;
                 }
             }
         }
@@ -395,6 +406,28 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse(r#"{"a":}"#).is_err());
         assert!(parse("[1,2] tail").is_err());
+    }
+
+    #[test]
+    fn multibyte_characters_round_trip_next_to_escapes() {
+        // 2-, 3- and 4-byte UTF-8 scalars before, between and after
+        // escapes, and as the last character of the string.
+        for s in [
+            "é",
+            "µs\"→\\😀",
+            "\n€",
+            "a\té\u{1}→😀",
+            "stage\u{7f}ü",
+            "😀😀\"",
+            "",
+        ] {
+            let doc = object(&[Field::Str("k", s), Field::Str(s, "v")]);
+            let v = parse(&doc).unwrap();
+            assert_eq!(v.get("k").and_then(Value::as_str), Some(s), "{doc}");
+            assert_eq!(v.get(s).and_then(Value::as_str), Some("v"), "{doc}");
+        }
+        assert_eq!(parse(r#""\u00e9\u2192x""#).unwrap().as_str(), Some("é→x"));
+        assert!(parse("\"é").is_err(), "unterminated after a multibyte char");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct Snapshot {
 }
 
 /// The label column width: the longest key, never truncated (keys
-/// like `layer:5:conv2d` or `fpga.pipeline.busy_us:transfer` must
+/// like `layer:5:conv2d` or `fault.injected.launch_transient` must
 /// stay readable), floored at the header width.
 fn label_width<'a>(header: &str, labels: impl Iterator<Item = &'a str>) -> usize {
     labels.map(str::len).fold(header.len(), usize::max)

@@ -5,9 +5,9 @@
 # ($TABLE2_LOG / $FIG6_LOG), otherwise rerun at quick scale.
 #
 # Afterwards: runs an instrumented pipelined LeNet training pass and
-# renders RESULTS.md from its event log via mpt-report. (The loop
-# reruns pipeline_throughput, which rewrites BENCH_pipeline.json and
-# asserts its own cache invariants.)
+# renders RESULTS.md from its event log via mpt-report. Wall-clock
+# evidence is not collected here: it comes from the step/request
+# benchmark (BENCHMARK.json, `benchmark/run_all.sh`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,7 +15,7 @@ out=$(mktemp)
 {
   for bin in table1_features table3_configs table4_latency \
              fig7_est_vs_measured sr_random_bits ablation_multisa \
-             ablation_mapping ablation_fma pipeline_throughput; do
+             ablation_mapping ablation_fma; do
     echo "### \`$bin\`"
     echo '```text'
     ./target/release/$bin
@@ -56,6 +56,5 @@ MPT_TELEMETRY_TRACE=/tmp/mpt_report_run.trace.json \
 ./target/release/mpt-report --validate-trace /tmp/mpt_report_run.trace.json \
   --require-stage-tracks 4
 ./target/release/mpt-report --jsonl /tmp/mpt_report_run.jsonl \
-  --trace /tmp/mpt_report_run.trace.json \
-  --bench BENCH_pipeline.json --out RESULTS.md
+  --trace /tmp/mpt_report_run.trace.json --out RESULTS.md
 echo "RESULTS.md updated"
