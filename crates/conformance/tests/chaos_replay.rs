@@ -2,8 +2,8 @@
 //! reproduce the fault-free golden weight digest.
 //!
 //! The replay recipe of `training_replay.rs` is run through the FPGA
-//! backend — eager and pipelined, which share one fault-gate
-//! sequence — with a deterministic [`FaultPlan`] armed: launch
+//! backend — at the zero-byte and the default operand-cache budget,
+//! one launch route either way — with a deterministic [`FaultPlan`] armed: launch
 //! timeouts, transient failures, CRC-caught HBM corruption and a
 //! sticky fault that exhausts the retry budget and forces a CPU
 //! fallback. Because retry re-executes the identical launch and the
@@ -37,15 +37,20 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         .with(FaultSite::BitstreamLoad, Trigger::StickyAtLaunch(11))
 }
 
-/// A fresh `<8,8,4>` backend, eager or pipelined, under `plan`.
+/// A fresh `<8,8,4>` backend, with the default operand cache or none,
+/// under `plan`.
 fn fpga_backend(pipelined: bool, plan: FaultPlan) -> Rc<FpgaBackend> {
-    let eager = FpgaBackend::new(Accelerator::new(
+    let uncached = FpgaBackend::new(Accelerator::new(
         SaConfig::new(8, 8, 4).expect("valid"),
         298.0,
     ))
     .with_fault_plan(plan)
     .with_retry_policy(RetryPolicy::no_delay(3));
-    Rc::new(if pipelined { eager.pipelined() } else { eager })
+    Rc::new(if pipelined {
+        uncached.pipelined()
+    } else {
+        uncached
+    })
 }
 
 #[test]
@@ -58,11 +63,11 @@ fn faulted_fpga_training_reproduces_fault_free_digest() {
     let clean = replay_lenet(1);
     let golden = std::fs::read_to_string(replay_digest_path()).ok();
 
-    // One gate sequence serves both launch modes, so both face the
-    // same schedule and must land on the same bits.
+    // One gate sequence serves both budgets, so both face the same
+    // schedule and must land on the same bits.
     for pipelined in [false, true] {
         let backend = fpga_backend(pipelined, chaos_plan(seed));
-        let mode = backend.label();
+        let mode = format!("{} cached={pipelined}", backend.label());
         let chaos = replay_lenet_with(backend.clone(), &TrainOptions::default())
             .expect("no checkpoint I/O configured");
 
@@ -94,27 +99,25 @@ fn faulted_fpga_training_reproduces_fault_free_digest() {
             );
         }
 
-        if pipelined {
-            // Stage replays never re-pack, and a degraded launch has
-            // still packed: the pack stage's work is the fault-free
-            // run's, whatever the schedule did downstream of it.
-            let fault_free = fpga_backend(true, FaultPlan::new(seed));
-            replay_lenet_with(fault_free.clone(), &TrainOptions::default())
-                .expect("no checkpoint I/O configured");
-            let (faulted, free) = (
-                backend.cache_stats().expect("pipelined"),
-                fault_free.cache_stats().expect("pipelined"),
-            );
-            assert!(
-                faulted.images_built > 0,
-                "no corrupted transfer was CRC-checked"
-            );
-            assert_eq!(
-                (faulted.packs, faulted.bytes_packed),
-                (free.packs, free.bytes_packed),
-                "fault recovery changed the pack stage's work (seed {seed})"
-            );
-        }
+        // Stage replays never re-pack, and a degraded launch has
+        // still packed: the pack stage's work is the fault-free run's,
+        // whatever the schedule did downstream of it.
+        let fault_free = fpga_backend(pipelined, FaultPlan::new(seed));
+        replay_lenet_with(fault_free.clone(), &TrainOptions::default())
+            .expect("no checkpoint I/O configured");
+        let (faulted, free) = (
+            backend.cache_stats().expect("every backend has a cache"),
+            fault_free.cache_stats().expect("every backend has a cache"),
+        );
+        assert!(
+            faulted.images_built > 0,
+            "{mode}: no corrupted transfer was CRC-checked"
+        );
+        assert_eq!(
+            (faulted.packs, faulted.bytes_packed),
+            (free.packs, free.bytes_packed),
+            "{mode}: fault recovery changed the pack stage's work (seed {seed})"
+        );
     }
     if telemetry {
         mpt_telemetry::sink::flush();

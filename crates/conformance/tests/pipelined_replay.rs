@@ -5,7 +5,7 @@
 //!
 //! * the full LeNet training replay runs through a pipelined
 //!   [`FpgaBackend`] — built by hand, and as the trainer-facing
-//!   `Device::fpga_pipelined(..).backend()` — and must land on the
+//!   `Device::Fpga(..).backend()` — and must land on the
 //!   same golden weight digest as the eager CPU path
 //!   (`tests/golden/lenet_fp8_replay.digest`);
 //! * a property test interleaves arbitrary weight updates with
@@ -21,7 +21,7 @@ use conformance::{replay_digest_path, replay_lenet, replay_lenet_with};
 use mpt_arith::{qgemm_parallel, GemmBackend, QGemmConfig};
 use mpt_core::{Device, TrainOptions};
 use mpt_faults::{FaultPlan, FaultSite, RetryPolicy, Trigger};
-use mpt_fpga::{Accelerator, FpgaBackend, PipelinedExecutor, SaConfig, SynthesisDb};
+use mpt_fpga::{Accelerator, FpgaBackend, PipelinedExecutor, SaConfig};
 use mpt_tensor::Tensor;
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -40,9 +40,15 @@ fn pipelined_fpga_training_reproduces_golden_digest() {
         ))
         .pipelined(),
     );
-    let device = Device::fpga_pipelined(8, 8, 4, &SynthesisDb::u55()).expect("synthesized");
+    let device = Device::Fpga(Rc::new(
+        FpgaBackend::new(Accelerator::new(
+            SaConfig::new(8, 8, 4).expect("valid"),
+            298.0,
+        ))
+        .pipelined(),
+    ));
     let Device::Fpga(of_device) = &device else {
-        unreachable!("fpga_pipelined builds an FPGA device")
+        unreachable!("built as an FPGA device")
     };
     for (backend, stats_of) in [
         (by_hand.clone() as Rc<dyn GemmBackend>, &by_hand),

@@ -203,7 +203,7 @@ fn telemetry_on_is_bit_identical_and_emits_required_events() {
     assert!(
         snap.hist
             .iter()
-            .any(|s| s.name == "gemm:fpga-pipelined" && s.count > 0),
+            .any(|s| s.name == "gemm:fpga" && s.count > 0),
         "the replay did not run on the pipelined FPGA backend"
     );
     let two_way = |prefix: &str| {

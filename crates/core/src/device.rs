@@ -54,7 +54,8 @@ impl Device {
     }
 
     /// Convenience constructor: an FPGA device with configuration
-    /// `⟨n, m, c⟩` at the synthesis database's achieved frequency.
+    /// `⟨n, m, c⟩` at the synthesis database's achieved frequency and
+    /// a zero-byte operand cache ([`FpgaBackend::new`]).
     ///
     /// # Errors
     ///
@@ -62,25 +63,6 @@ impl Device {
     /// absent from the database.
     pub fn fpga(n: usize, m: usize, c: usize, db: &SynthesisDb) -> Result<Self, ConfigError> {
         let backend = FpgaBackend::new(accelerator(n, m, c, db)?);
-        Ok(Device::Fpga(Rc::new(backend)))
-    }
-
-    /// [`Device::fpga`] routed through the staged launch queue with
-    /// packed-operand caching — repeat launches on unchanged operands
-    /// (frozen weights, replayed activations) skip the pack and
-    /// transfer stages entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration is invalid or
-    /// absent from the database.
-    pub fn fpga_pipelined(
-        n: usize,
-        m: usize,
-        c: usize,
-        db: &SynthesisDb,
-    ) -> Result<Self, ConfigError> {
-        let backend = FpgaBackend::new(accelerator(n, m, c, db)?).pipelined();
         Ok(Device::Fpga(Rc::new(backend)))
     }
 
@@ -122,8 +104,8 @@ impl Device {
         }
     }
 
-    /// Marks a training-step boundary: a pipelined FPGA device drains
-    /// its launch queue here; otherwise a no-op.
+    /// Marks a training-step boundary: an FPGA device drains its
+    /// launch queue here; otherwise a no-op.
     pub fn step_boundary(&self) {
         if let Device::Fpga(backend) = self {
             backend.step_boundary();
@@ -205,7 +187,8 @@ mod tests {
     #[test]
     fn pipelined_device_is_bit_identical_and_caches_repeats() {
         let db = SynthesisDb::u55();
-        let dev = Device::fpga_pipelined(4, 4, 2, &db).unwrap();
+        let backend = FpgaBackend::new(accelerator(4, 4, 2, &db).unwrap()).pipelined();
+        let dev = Device::Fpga(Rc::new(backend));
         let (a, b, cfg) = operands();
         let (want, _) = Device::Cpu.execute_gemm(&a, &b, &cfg).unwrap();
         // The handle and the trainer-facing backend are one object:
@@ -220,7 +203,6 @@ mod tests {
         let Device::Fpga(backend) = &dev else {
             unreachable!()
         };
-        assert!(backend.is_pipelined());
         assert_eq!(backend.gemm_count(), 3);
         let stats = backend.cache_stats().unwrap();
         assert_eq!(stats.misses, 2, "one cold pack per operand");
@@ -242,6 +224,5 @@ mod tests {
         assert!(Device::fpga(8, 8, 10, &db).is_ok());
         assert!(Device::fpga(16, 16, 8, &db).is_err()); // beyond c_max
         assert!(Device::fpga(3, 3, 1, &db).is_err()); // invalid shape
-        assert!(Device::fpga_pipelined(3, 3, 1, &db).is_err());
     }
 }

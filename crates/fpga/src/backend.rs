@@ -7,18 +7,20 @@
 //! results stay bit-identical to the CPU path.
 //!
 //! There is one launch route, [`FpgaBackend::gemm_timed`]: every
-//! launch walks the fault gates of [`crate::resilient`] under the
-//! backend's [`Injector`], runs on the hardware (eagerly, or staged
-//! through the [`PipelinedExecutor`] — a constructor choice), and — if
-//! a gate exhausted its retry budget — degrades to the bit-identical
-//! CPU emulation kernel, so training completes with the same weights
-//! as a fault-free run. A backend that was never armed follows the
-//! empty [`FaultPlan`]: same route, and its gates never fire.
+//! launch is staged through the backend's one [`PipelinedExecutor`]
+//! — whose operand cache holds nothing under [`FpgaBackend::new`] and
+//! [`DEFAULT_CACHE_BUDGET`] after [`FpgaBackend::pipelined`] — walks
+//! the fault gates of [`crate::resilient`] under the backend's
+//! [`Injector`], and — if a gate exhausted its retry budget — degrades
+//! to the bit-identical CPU emulation kernel, so training completes
+//! with the same weights as a fault-free run. A backend that was never
+//! armed follows the empty [`FaultPlan`]: same route, and its gates
+//! never fire.
 
 use crate::cache::{CacheStats, DEFAULT_CACHE_BUDGET};
 use crate::perf::estimate_gemm;
 use crate::pipeline::PipelinedExecutor;
-use crate::resilient::{degrade, fresh_image, pass_gates};
+use crate::resilient::degrade;
 use crate::sim::{Accelerator, MeasuredLatency};
 use mpt_arith::{gemm_span, GemmBackend, GemmShape, QGemmConfig};
 use mpt_faults::{FaultPlan, Injector, RetryPolicy};
@@ -47,36 +49,33 @@ use std::cell::{Cell, RefCell};
 #[derive(Debug)]
 pub struct FpgaBackend {
     accelerator: Accelerator,
-    elapsed_s: RefCell<f64>,
-    gemms: Cell<usize>,
+    /// Stages, accounts and computes every hardware launch.
+    executor: RefCell<PipelinedExecutor>,
     /// The empty plan until [`with_fault_plan`](Self::with_fault_plan).
     injector: Injector,
     retry: RetryPolicy,
+    /// Degraded launches, which never reach the executor's accounting.
     fallbacks: Cell<u64>,
-    /// Staged execution engine; `None` means eager launches.
-    pipeline: Option<RefCell<PipelinedExecutor>>,
 }
 
 impl FpgaBackend {
     /// Wraps an accelerator under the empty fault plan and the default
-    /// [`RetryPolicy`].
+    /// [`RetryPolicy`], with a zero-byte operand cache: nothing stays
+    /// resident, so every launch packs and transfers its operands.
     pub fn new(accelerator: Accelerator) -> Self {
         FpgaBackend {
+            executor: RefCell::new(PipelinedExecutor::new(accelerator.clone(), 0)),
             accelerator,
-            elapsed_s: RefCell::new(0.0),
-            gemms: Cell::new(0),
             injector: Injector::new(FaultPlan::new(0)),
             retry: RetryPolicy::default(),
             fallbacks: Cell::new(0),
-            pipeline: None,
         }
     }
 
-    /// Switches to staged, double-buffered execution with the default
-    /// operand-cache budget. Functionally bit-identical to the eager
-    /// mode (asserted by the conformance suite); latency is accounted
-    /// by the overlap-aware pipeline clock, and reused operands are
-    /// quantized + packed once.
+    /// Gives the operand cache the [`DEFAULT_CACHE_BUDGET`]: reused
+    /// operands are quantized + packed once. Functionally
+    /// bit-identical to the zero-byte cache (asserted by the
+    /// conformance suite).
     ///
     /// # Example
     ///
@@ -97,18 +96,11 @@ impl FpgaBackend {
     /// assert!(backend.pipelined_elapsed_s() > 0.0);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn pipelined(self) -> Self {
-        self.pipelined_with_budget(DEFAULT_CACHE_BUDGET)
-    }
-
-    /// Staged execution with an explicit operand-cache byte budget
-    /// (`0` disables caching: every launch packs — the eager-
-    /// equivalent baseline the bench harness measures against).
-    pub fn pipelined_with_budget(mut self, budget_bytes: usize) -> Self {
-        self.pipeline = Some(RefCell::new(PipelinedExecutor::new(
+    pub fn pipelined(mut self) -> Self {
+        self.executor = RefCell::new(PipelinedExecutor::new(
             self.accelerator.clone(),
-            budget_bytes,
-        )));
+            DEFAULT_CACHE_BUDGET,
+        ));
         self
     }
 
@@ -137,37 +129,28 @@ impl FpgaBackend {
         Some(&self.injector)
     }
 
-    /// Total measured hardware time accumulated so far, seconds.
-    /// Always the *eager-equivalent* account (Σ per-launch stage
-    /// sums), comparable across execution modes; the overlapped
-    /// figure of the staged mode is
+    /// Total measured hardware time accumulated so far, seconds: the
+    /// *eager-equivalent* account (Σ per-launch stage sums, the
+    /// returned `total_s`); the overlapped figure is
     /// [`pipelined_elapsed_s`](Self::pipelined_elapsed_s).
     pub fn elapsed_s(&self) -> f64 {
-        *self.elapsed_s.borrow()
+        self.executor.borrow().eager_elapsed_s()
     }
 
-    /// `true` when staged (pipelined) execution is enabled.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline.is_some()
-    }
-
-    /// Operand-cache counters of the staged mode (`None` when eager).
+    /// Operand-cache counters. Always `Some`, like
+    /// [`injector`](Self::injector).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.pipeline.as_ref().map(|p| p.borrow().cache_stats())
+        Some(self.executor.borrow().cache_stats())
     }
 
-    /// Overlap-aware hardware time of the staged mode: drained queues
-    /// plus the live one. `0.0` in eager mode (nothing overlaps).
+    /// Overlap-aware hardware time: drained queues plus the live one.
     pub fn pipelined_elapsed_s(&self) -> f64 {
-        self.pipeline
-            .as_ref()
-            .map(|p| p.borrow().pipelined_elapsed_s())
-            .unwrap_or(0.0)
+        self.executor.borrow().pipelined_elapsed_s()
     }
 
-    /// Number of GEMM launches so far.
+    /// Number of GEMM launches the hardware ran so far.
     pub fn gemm_count(&self) -> usize {
-        self.gemms.get()
+        self.executor.borrow().launch_count()
     }
 
     /// Number of launches that degraded to the CPU path after
@@ -179,25 +162,17 @@ impl FpgaBackend {
     /// Resets the accumulated counters (not the injector's schedule;
     /// cached operands stay resident).
     pub fn reset(&self) {
-        *self.elapsed_s.borrow_mut() = 0.0;
-        self.gemms.set(0);
         self.fallbacks.set(0);
-        if let Some(p) = &self.pipeline {
-            p.borrow_mut().reset_accounting();
-        }
+        self.executor.borrow_mut().reset_accounting();
     }
 
     /// One GEMM with its measured hardware latency — the launch route
     /// behind both [`GemmBackend::gemm`] (which drops the latency) and
-    /// `mpt_core::Device::execute_gemm`: fault gates, then the
-    /// hardware, with telemetry. The eager mode keeps nothing
-    /// resident, so a faulted transfer's in-flight image is quantized
-    /// and packed on the spot — and only then — and replays are not
-    /// charged (the account is the clean pass's latency); the staged
-    /// mode runs its gates inside the executor, which charges them.
-    /// A launch whose gates exhausted a retry budget degrades to the
-    /// CPU fallback and reports `None`: no hardware time was spent,
-    /// and none is accounted.
+    /// `mpt_core::Device::execute_gemm`: the executor's pack stage,
+    /// fault gates (replays charged), accounting and compute, with
+    /// telemetry. A launch whose gates exhausted a retry budget
+    /// degrades to the CPU fallback and reports `None`: no hardware
+    /// time was spent, and none is accounted.
     ///
     /// # Errors
     ///
@@ -211,36 +186,23 @@ impl FpgaBackend {
         cfg: &QGemmConfig,
     ) -> Result<(Tensor, Option<MeasuredLatency>), ShapeError> {
         let (inj, retry) = (&self.injector, &self.retry);
-        let (layer, name) = match self.pipeline {
-            None => ("fpga", "gemm:fpga"),
-            Some(_) => ("fpga-pipelined", "gemm:fpga-pipelined"),
-        };
-        let mut span = gemm_span(name, a, b, cfg, self.accelerator.config().c() as u64);
-        // (result, latency, bottleneck stage when staged), or `None`.
-        let launched = match &self.pipeline {
-            None => pass_gates(inj, retry, layer, || fresh_image(a, &cfg.quant_a))
-                .map(|_| self.accelerator.execute(a, b, cfg))
-                .transpose()?
-                .map(|(out, latency)| (out, latency, None)),
-            Some(px) => px
-                .borrow_mut()
-                .launch_resilient(inj, retry, a, b, cfg)?
-                .map(|(out, times, latency)| (out, latency, Some(times.bottleneck_s()))),
-        };
-        let Some((out, latency, bottleneck_s)) = launched else {
+        let c = self.accelerator.config().c() as u64;
+        let mut span = gemm_span("gemm:fpga", a, b, cfg, c);
+        let launched = self
+            .executor
+            .borrow_mut()
+            .launch_resilient(inj, retry, a, b, cfg)?;
+        let Some((out, times, latency)) = launched else {
             drop(span);
             self.fallbacks.set(self.fallbacks.get() + 1);
-            let out = degrade(layer, inj.launch_count(), retry.max_attempts, a, b, cfg)?;
+            let out = degrade("fpga", inj.launch_count(), retry.max_attempts, a, b, cfg)?;
             return Ok((out, None));
         };
-        *self.elapsed_s.borrow_mut() += latency.total_s;
-        self.gemms.set(self.gemms.get() + 1);
         if span.is_active() {
+            let bottleneck_s = times.bottleneck_s();
             span.field(SpanField::F64("hw_total_s", latency.total_s))
-                .field(SpanField::U64("hw_cycles", latency.core_cycles));
-            if let Some(s) = bottleneck_s {
-                span.field(SpanField::F64("hw_bottleneck_s", s));
-            }
+                .field(SpanField::U64("hw_cycles", latency.core_cycles))
+                .field(SpanField::F64("hw_bottleneck_s", bottleneck_s));
             self.calibrate(a, b, cfg, latency.total_s, bottleneck_s);
         }
         Ok((out, Some(latency)))
@@ -248,16 +210,16 @@ impl FpgaBackend {
 
     /// Per-GEMM perf-model calibration: the analytic model
     /// (Section IV-A) against what the simulator accounted, at the
-    /// operand width the simulator itself uses — `L_total` for every
-    /// launch, and the bottleneck stage for a staged one (cache
-    /// effects and the PCIe efficiency gap included in "measured").
+    /// operand width the simulator itself uses — `L_total` and the
+    /// bottleneck stage (cache effects and the PCIe efficiency gap
+    /// included in "measured").
     fn calibrate(
         &self,
         a: &Tensor,
         b: &Tensor,
         cfg: &QGemmConfig,
         total_s: f64,
-        bottleneck_s: Option<f64>,
+        bottleneck_s: f64,
     ) {
         let (&[n, k], &[_, m]) = (a.shape(), b.shape()) else {
             return;
@@ -274,9 +236,7 @@ impl FpgaBackend {
             });
         };
         record("fpga_gemm", model.total_s, total_s);
-        if let Some(measured_s) = bottleneck_s {
-            record("fpga_gemm_pipelined", model.bottleneck_s(), measured_s);
-        }
+        record("fpga_gemm_pipelined", model.bottleneck_s(), bottleneck_s);
     }
 }
 
@@ -286,27 +246,16 @@ impl GemmBackend for FpgaBackend {
     }
 
     fn label(&self) -> String {
-        format!(
-            "fpga{}{}@{:.1}MHz",
-            if self.is_pipelined() {
-                "-pipelined"
-            } else {
-                ""
-            },
-            self.accelerator.config(),
-            self.accelerator.freq_mhz()
-        )
+        let acc = &self.accelerator;
+        format!("fpga{}@{:.1}MHz", acc.config(), acc.freq_mhz())
     }
 
     /// A training-step boundary drains the staged launch queue: the
     /// overlapped makespan moves into the accumulated total and the
-    /// clock returns to idle. The operand cache keeps its residents —
-    /// updated weights re-key themselves by content. No-op in eager
-    /// mode.
+    /// stages return to idle. The operand cache keeps its residents —
+    /// updated weights re-key themselves by content.
     fn step_boundary(&self) {
-        if let Some(px) = &self.pipeline {
-            px.borrow_mut().flush();
-        }
+        self.executor.borrow_mut().flush();
     }
 }
 
@@ -349,6 +298,32 @@ mod tests {
         assert_eq!(backend.elapsed_s(), 0.0);
     }
 
+    /// One account: the backend's elapsed time is the sum of the
+    /// latencies its launches returned, bit for bit, and `reset`
+    /// zeroes every figure — at the zero-byte and the default budget.
+    #[test]
+    fn elapsed_is_the_sum_of_launch_latencies() {
+        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(5);
+        let acc = || Accelerator::new(SaConfig::new(4, 4, 2).unwrap(), 300.0);
+        for backend in [FpgaBackend::new(acc()), FpgaBackend::new(acc()).pipelined()] {
+            let mut sum = 0.0;
+            for i in 0..5 {
+                let a = Tensor::from_fn(vec![6 + i % 2, 9], |j| (j % 7) as f32 * 0.1);
+                let b = Tensor::ones(vec![9, 4]);
+                let (_, latency) = backend.gemm_timed(&a, &b, &cfg).unwrap();
+                sum += latency.expect("fault-free launches run").total_s;
+            }
+            assert_eq!(backend.elapsed_s().to_bits(), sum.to_bits());
+            assert_eq!(backend.gemm_count(), 5);
+            backend.step_boundary();
+            assert!(backend.pipelined_elapsed_s() > 0.0);
+            backend.reset();
+            assert_eq!(backend.gemm_count(), 0);
+            assert_eq!(backend.elapsed_s(), 0.0);
+            assert_eq!(backend.pipelined_elapsed_s(), 0.0);
+        }
+    }
+
     #[test]
     fn label_names_configuration() {
         let backend = FpgaBackend::new(Accelerator::new(SaConfig::new(8, 8, 4).unwrap(), 298.0));
@@ -372,7 +347,13 @@ mod tests {
         let stats = staged.cache_stats().unwrap();
         assert_eq!(stats.misses, 2, "one pack per distinct operand");
         assert_eq!(stats.hits, 4, "launches 2..3 are fully resident");
-        assert_eq!(staged.label(), "fpga-pipelined<8,4,3>@197.7MHz");
+        let stats = eager.cache_stats().unwrap();
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (6, 0),
+            "zero bytes: every launch packs"
+        );
+        assert_eq!(staged.label(), eager.label(), "one launch mode, one label");
     }
 
     #[test]
@@ -451,10 +432,10 @@ mod tests {
         assert_eq!(backend.fallback_count(), 0, "single faults retry clean");
     }
 
-    /// Eager and pipelined agree on which faults exist: an operand
-    /// with no dense HBM image (block FP here) still has its transfer
-    /// fault injected, tallied and retried in both modes — there is
-    /// just no image to corrupt.
+    /// The zero-byte and the default cache agree on which faults
+    /// exist: an operand with no dense HBM image (block FP here) still
+    /// has its transfer fault injected, tallied and retried at both
+    /// budgets — there is just no image to corrupt.
     #[test]
     fn hbm_fault_on_imageless_operand_fires_in_both_modes() {
         use mpt_arith::MacConfig;
@@ -489,7 +470,7 @@ mod tests {
                 backend.label()
             );
             assert_eq!(backend.fallback_count(), 0);
-            assert_eq!(backend.cache_stats().map_or(0, |s| s.images_built), 0);
+            assert_eq!(backend.cache_stats().unwrap().images_built, 0);
         }
     }
 

@@ -26,8 +26,9 @@
 //!   through [`mpt_arith::mac_step`] with cycles counted: the oracle
 //!   tests pin the two layers above to, called by no backend.
 //!
-//! Launches go one way: [`FpgaBackend::gemm_timed`] — eager, or staged
-//! through the [`PipelinedExecutor`] — behind the fault gates of
+//! Launches go one way: [`FpgaBackend::gemm_timed`], staged through
+//! the backend's one [`PipelinedExecutor`] (a zero-byte operand cache
+//! unless [`FpgaBackend::pipelined`]) behind the fault gates of
 //! [`resilient`], leaving the FPGA path only through [`degrade`].
 //! `mpt_core::Device` is a handle on that backend; the serving
 //! dispatcher calls the executor's `launch_resilient` under the same
@@ -71,7 +72,7 @@ pub use hbm::{HbmError, HbmImage};
 pub use mapping::{best_mapping, GemmMapping, Partition};
 pub use padding::PaddedGemm;
 pub use perf::{estimate_gemm, overlap, Latency};
-pub use pipeline::{PipelineClock, PipelinedExecutor, StageTimes};
+pub use pipeline::{PipelinedExecutor, StageTimes};
 pub use resilient::degrade;
 pub use sim::{Accelerator, MeasuredLatency};
 pub use synthesis::{SynthPoint, SynthesisDb};

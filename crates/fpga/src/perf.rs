@@ -121,8 +121,8 @@ pub fn estimate_padded(
 /// through: `done[i][s] = max(done[i][s−1], done[i−1][s]) + t[i][s]`.
 /// A stream costs between its busiest stage's total and the eager sum
 /// — `fill + Σᵢ maxₛ t[i][s]` when one stage dominates every launch.
-/// The pipelined estimate and "measurement" (`S = 3`) and
-/// [`crate::PipelineClock`] (`S = 4`) all call this.
+/// The pipelined estimate and "measurement" (`S = 3`) and the
+/// [`crate::PipelinedExecutor`]'s accounting (`S = 4`) all call this.
 pub fn overlap<const S: usize>(done: &mut [f64; S], t: [f64; S]) {
     done[0] += t[0];
     for s in 1..S {

@@ -1,11 +1,11 @@
-//! Staged, double-buffered launch execution.
+//! Staged, double-buffered launch execution — every FPGA launch.
 //!
-//! The eager path charges every launch the full
-//! `pack → HBM-transfer → compute → unpack` sequence. Real deployments
+//! Each launch costs the `pack → HBM-transfer → compute → unpack`
+//! sequence; their sum is the eager account. Real deployments
 //! overlap those stages across consecutive GEMMs of a training step:
 //! while launch *i* computes on the fabric, the host packs and
 //! transfers launch *i+1*'s operands, and launch *i−1*'s result
-//! streams back. [`PipelinedExecutor`] models exactly that:
+//! streams back. [`PipelinedExecutor`] accounts both figures:
 //!
 //! ```text
 //!            t ─────────────────────────────────▶
@@ -15,13 +15,14 @@
 //! ```
 //!
 //! * **Functionally** nothing changes: results stay bit-identical to
-//!   the eager simulator and CPU emulation (the conformance oracles
-//!   run this path). The operand cache skips re-quantizing and
+//!   [`Accelerator::execute`] and CPU emulation (the conformance
+//!   oracles run this path). The operand cache skips re-quantizing and
 //!   re-packing resident operands, which is also bit-transparent
-//!   because quantization is a pure function of (bits, quantizer).
-//! * **Latency** is accounted by [`PipelineClock`]: each launch's
-//!   stage times enter the pipeline recurrence
-//!   ([`crate::perf::overlap`]), so a flushed queue reports the
+//!   because quantization is a pure function of (bits, quantizer). A
+//!   zero-byte cache keeps nothing resident: every launch packs.
+//! * **Latency**: each launch's stage times enter the pipeline
+//!   recurrence ([`crate::perf::overlap`]) over the executor's
+//!   per-stage completion times, so a flushed queue reports the
 //!   overlapped makespan — fill time plus the per-launch bottleneck
 //!   stage, not the eager sum.
 //! * **Host wall-clock** does not overlap: every launch computes on
@@ -33,8 +34,8 @@
 //! caller's [`Injector`]: [`PipelinedExecutor::launch_resilient`];
 //! [`PipelinedExecutor::launch`] is that body under an empty plan.
 //! Faults replay the *failed stage*, not the whole queue: a
-//! corrupted HBM transfer re-sends the resident operand (the pack
-//! stage's work is cached), a launch timeout re-runs compute only.
+//! corrupted HBM transfer re-sends the operand the launch packed (the
+//! pack stage never re-runs), a launch timeout re-runs compute only.
 //! That re-send is the one place a launch materialises an HBM image —
 //! pack and transfer *time* come from the image's closed-form size, so
 //! a launch whose transfer does not fault never builds the words +
@@ -97,81 +98,26 @@ impl StageTimes {
     }
 }
 
-/// Overlap-aware latency accounting over a stream of launches: the
-/// makespan of an in-order pipeline with unlimited inter-stage
-/// buffering, by [`overlap`] over the four [`StageTimes`].
-#[derive(Debug, Clone, Default)]
-pub struct PipelineClock {
-    /// Completion time of the last launch in each stage; the last
-    /// stage's is the makespan.
-    stage_done: [f64; STAGES],
-    /// Launches admitted since the last drain.
-    queued: u64,
-    /// Launches admitted over the clock's lifetime.
-    total: u64,
-}
-
-impl PipelineClock {
-    /// An idle clock at `t = 0`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Admits one launch: the makespan grows by at most
-    /// `t.eager_s()`, which is what the eager path would add.
-    pub fn admit(&mut self, t: &StageTimes) {
-        overlap(&mut self.stage_done, t.as_array());
-        self.queued += 1;
-        self.total += 1;
-    }
-
-    /// Overlapped completion time of everything admitted so far.
-    pub fn makespan_s(&self) -> f64 {
-        self.stage_done[STAGES - 1]
-    }
-
-    /// Per-stage completion time of the most recent launch — the end
-    /// of each stage's window on the modeled timeline (stage start =
-    /// `stage_done[s] − t[s]` right after [`admit`](Self::admit)).
-    pub fn stage_done(&self) -> [f64; STAGES] {
-        self.stage_done
-    }
-
-    /// Launches admitted since the last [`drain`](Self::drain).
-    pub fn queued(&self) -> u64 {
-        self.queued
-    }
-
-    /// Launches admitted over the clock's lifetime.
-    pub fn total_launches(&self) -> u64 {
-        self.total
-    }
-
-    /// Ends the stream (a training-step boundary): returns the
-    /// overlapped makespan and resets the clock to idle.
-    pub fn drain(&mut self) -> f64 {
-        let makespan = self.makespan_s();
-        self.stage_done = [0.0; STAGES];
-        self.queued = 0;
-        makespan
-    }
-}
-
-/// The staged launch engine: operand cache + pipeline clock around an
-/// [`Accelerator`].
+/// The staged launch engine: operand cache + overlap accounting
+/// around an [`Accelerator`].
 ///
 /// Launches ([`launch`](Self::launch),
 /// [`launch_resilient`](Self::launch_resilient)) are synchronous — the
 /// training tape consumes each GEMM's output immediately — while the
-/// clock accounts what the overlapped hardware schedule would cost.
+/// accounting tracks what the overlapped hardware schedule would cost.
 #[derive(Debug)]
 pub struct PipelinedExecutor {
     accelerator: Accelerator,
     cache: OperandCache,
-    clock: PipelineClock,
-    /// Overlapped seconds accumulated by past drains.
+    /// Completion time of the last launch in each stage since the last
+    /// flush; the last stage's is the live queue's makespan.
+    stage_done: [f64; STAGES],
+    /// Launches admitted since construction or the last reset.
+    launches: usize,
+    /// Overlapped seconds accumulated by past flushes.
     drained_s: f64,
-    /// Eager-equivalent seconds (Σ stage sums) since construction.
+    /// Eager-equivalent seconds (Σ stage sums) since construction or
+    /// the last reset.
     eager_s: f64,
     /// Modeled busy seconds per stage over the executor's lifetime
     /// (Σ launch stage times, including fault replays).
@@ -179,12 +125,14 @@ pub struct PipelinedExecutor {
 }
 
 impl PipelinedExecutor {
-    /// Wraps an accelerator with an operand cache of `budget_bytes`.
+    /// Wraps an accelerator with an operand cache of `budget_bytes`
+    /// (`0` keeps nothing resident: every launch packs).
     pub fn new(accelerator: Accelerator, budget_bytes: usize) -> Self {
         PipelinedExecutor {
             accelerator,
             cache: OperandCache::new(budget_bytes),
-            clock: PipelineClock::new(),
+            stage_done: [0.0; STAGES],
+            launches: 0,
             drained_s: 0.0,
             eager_s: 0.0,
             stage_busy_s: [0.0; STAGES],
@@ -201,14 +149,15 @@ impl PipelinedExecutor {
         self.cache.stats()
     }
 
-    /// The pipeline clock (latency accounting).
-    pub fn clock(&self) -> &PipelineClock {
-        &self.clock
+    /// Launches accounted since construction or the last
+    /// [`reset_accounting`](Self::reset_accounting).
+    pub(crate) fn launch_count(&self) -> usize {
+        self.launches
     }
 
     /// Overlapped hardware seconds: past drains plus the live queue.
     pub fn pipelined_elapsed_s(&self) -> f64 {
-        self.drained_s + self.clock.makespan_s()
+        self.drained_s + self.stage_done[STAGES - 1]
     }
 
     /// Eager-equivalent hardware seconds (what the un-pipelined
@@ -241,8 +190,8 @@ impl PipelinedExecutor {
     }
 
     /// Folds one admitted launch into the accounting: eager sum,
-    /// per-stage busy totals, pipeline clock, and — when armed — the
-    /// stage-latency histograms and the Chrome-trace stage tracks
+    /// per-stage busy totals, the overlap recurrence, and — when armed
+    /// — the stage-latency histograms and the Chrome-trace stage tracks
     /// (each stage's window on the modeled timeline, so Perfetto
     /// shows the pack/transfer/compute/unpack overlap).
     fn account_launch(&mut self, times: &StageTimes) {
@@ -251,7 +200,8 @@ impl PipelinedExecutor {
         for (busy, t) in self.stage_busy_s.iter_mut().zip(stage_t) {
             *busy += t;
         }
-        self.clock.admit(times);
+        overlap(&mut self.stage_done, stage_t);
+        self.launches += 1;
         if mpt_telemetry::enabled() {
             for (name, t) in STAGE_NAMES.iter().zip(stage_t) {
                 if t > 0.0 {
@@ -262,9 +212,8 @@ impl PipelinedExecutor {
             }
         }
         if mpt_telemetry::trace::tracing_enabled() {
-            let launch = self.clock.total_launches();
-            let done = self.clock.stage_done();
-            for ((name, t), end) in STAGE_NAMES.iter().zip(stage_t).zip(done) {
+            let launch = self.launches;
+            for ((name, t), end) in STAGE_NAMES.iter().zip(stage_t).zip(self.stage_done) {
                 if t <= 0.0 {
                     continue;
                 }
@@ -279,15 +228,17 @@ impl PipelinedExecutor {
         }
     }
 
-    /// Flushes the launch queue at a step boundary: the clock drains
-    /// into the accumulated total (the cache keeps its residents —
-    /// weights survive across steps; updated ones re-key themselves).
-    /// Returns the drained makespan.
+    /// Flushes the launch queue at a step boundary: its makespan moves
+    /// into the accumulated total and the stages return to idle (the
+    /// cache keeps its residents — weights survive across steps;
+    /// updated ones re-key themselves). Returns the drained makespan.
     pub fn flush(&mut self) -> f64 {
-        let queued = self.clock.queued();
-        let makespan = self.clock.drain();
+        let makespan = self.stage_done[STAGES - 1];
         self.drained_s += makespan;
-        if queued > 0 && mpt_telemetry::enabled() {
+        self.stage_done = [0.0; STAGES];
+        // Every launch computes for a positive time, so an empty queue
+        // is exactly a zero makespan.
+        if makespan > 0.0 && mpt_telemetry::enabled() {
             // Derived occupancy so far: lifetime busy per stage over
             // the overlapped wall time (read by `mpt-report`).
             let busy = self.stage_busy_s;
@@ -313,10 +264,11 @@ impl PipelinedExecutor {
         makespan
     }
 
-    /// Resets the latency accounting (cache residents and cumulative
-    /// cache counters stay).
+    /// Resets the latency accounting and the launch count (cache
+    /// residents and cumulative cache counters stay).
     pub fn reset_accounting(&mut self) {
-        self.clock.drain();
+        self.stage_done = [0.0; STAGES];
+        self.launches = 0;
         self.drained_s = 0.0;
         self.eager_s = 0.0;
         self.stage_busy_s = [0.0; STAGES];
@@ -354,8 +306,8 @@ impl PipelinedExecutor {
     /// left its operands resident; then the modeled stage times, the
     /// fault gates, the accounting, and compute on the calling thread.
     ///
-    /// Returns the result, the charged stage times and the launch as
-    /// the eager path's [`MeasuredLatency`] (`data_s` counts only bytes
+    /// Returns the result, the charged stage times and the launch as a
+    /// [`MeasuredLatency`] (`data_s` counts only bytes
     /// actually moved — cache hits shrink it to the result stream-back)
     /// — or `Ok(None)` when any single stage exhausts the retry budget;
     /// the launch is then unaccounted and the caller degrades to the
@@ -383,7 +335,7 @@ impl PipelinedExecutor {
         // What the pack stage actually produced: zero on full cache
         // hits — resident images are already device-side, so the
         // transfer stage moves nothing either. Compute and the result
-        // stream-back are the eager simulator's closed-form stages.
+        // stream-back are `timing_only`'s closed-form stages.
         let missed = |f: &FetchedOperand| if f.hit { 0 } else { f.image_bytes };
         let packed_bytes = missed(&fa) + missed(&fb);
         let bits = cfg.quant_a.format().bit_width();
@@ -396,13 +348,12 @@ impl PipelinedExecutor {
             unpack_s,
         };
 
-        // A faulted transfer re-sends the resident operand: this
-        // closure is the one place outside tests where the packed
+        // A faulted transfer re-sends the operand this launch fetched:
+        // this closure is the one place outside tests where the packed
         // words + CRC are built, and the pack stage never runs again.
         let cache = &mut self.cache;
-        let Some(replays) = pass_gates(inj, retry, "fpga-pipelined", || {
-            cache.image_of(a, &cfg.quant_a)
-        }) else {
+        let Some(replays) = pass_gates(inj, retry, "fpga", || cache.image_of(&fa, &cfg.quant_a))
+        else {
             return Ok(None);
         };
         // A replayed pass repeats the core time *and* the launch
@@ -474,7 +425,7 @@ mod tests {
 
     #[test]
     fn clock_overlap_beats_eager_sum() {
-        let mut clock = PipelineClock::new();
+        let mut px = PipelinedExecutor::new(acc(), 0);
         let t = StageTimes {
             pack_s: 1.0,
             transfer_s: 2.0,
@@ -482,13 +433,17 @@ mod tests {
             unpack_s: 1.0,
         };
         for _ in 0..10 {
-            clock.admit(&t);
+            px.account_launch(&t);
         }
         // Exact recurrence: fill (1+2+4+1) + 9 × bottleneck (4).
-        assert!((clock.makespan_s() - (8.0 + 9.0 * 4.0)).abs() < 1e-12);
-        assert!(clock.makespan_s() < 10.0 * t.eager_s());
-        assert_eq!(clock.drain(), 8.0 + 9.0 * 4.0);
-        assert_eq!(clock.makespan_s(), 0.0);
+        assert!((px.pipelined_elapsed_s() - (8.0 + 9.0 * 4.0)).abs() < 1e-12);
+        assert_eq!(px.eager_elapsed_s(), 10.0 * t.eager_s());
+        assert_eq!(px.flush(), 8.0 + 9.0 * 4.0);
+        assert_eq!(px.stage_done, [0.0; STAGES], "the queue is idle");
+        assert_eq!(px.launch_count(), 10);
+        px.reset_accounting();
+        assert_eq!(px.launch_count(), 0);
+        assert_eq!((px.pipelined_elapsed_s(), px.eager_elapsed_s()), (0.0, 0.0));
     }
 
     #[test]
@@ -508,7 +463,7 @@ mod tests {
         );
         let drained = px.flush();
         assert!((drained - pipelined).abs() < 1e-15);
-        assert_eq!(px.clock().makespan_s(), 0.0);
+        assert_eq!(px.stage_done[STAGES - 1], 0.0);
         assert!(
             (px.pipelined_elapsed_s() - pipelined).abs() < 1e-15,
             "drained time is retained"
@@ -632,6 +587,28 @@ mod tests {
             assert_eq!(degraded, want_degraded, "{:?}", inj.plan());
             assert_eq!(inj.injected_at(FaultSite::HbmCorruption), want_images);
             assert_eq!(stats.packs, 5, "4 activations + 1 shared weight");
+        }
+    }
+
+    /// A corrupted transfer is CRC-checked whether or not its operand
+    /// stayed resident: at a zero budget, at one smaller than either
+    /// operand, and at the default.
+    #[test]
+    fn faulted_transfer_builds_an_image_at_any_budget() {
+        let (a, b) = operands(13, 29, 7);
+        let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
+        for (budget, resident) in [(0, 0), (700, 0), (DEFAULT_CACHE_BUDGET, 2)] {
+            let plan = FaultPlan::new(9).with(FaultSite::HbmCorruption, Trigger::AtLaunch(1));
+            let inj = Injector::new(plan);
+            let mut px = PipelinedExecutor::new(acc(), budget);
+            let (out, ..) = px
+                .launch_resilient(&inj, &RetryPolicy::no_delay(3), &a, &b, &cfg)
+                .unwrap()
+                .expect("one re-send clears the corruption");
+            assert_eq!(out, qgemm(&a, &b, &cfg).unwrap());
+            let stats = px.cache_stats();
+            assert_eq!(stats.entries, resident, "budget {budget}");
+            assert_eq!(stats.images_built, 1, "budget {budget}");
         }
     }
 

@@ -1,8 +1,8 @@
 //! The fault-recovery policy: per-site retry gates, then graceful
 //! degradation. This module is the only place that knows it.
 //!
-//! Every launch — eager or pipelined, trained or served, armed or not
-//! — claims its id from its wrapper's [`Injector`] and walks one gate
+//! Every launch — trained or served, cached or not, armed or not —
+//! claims its id from its wrapper's [`Injector`] and walks one gate
 //! sequence (`pass_gates`) in launch order: bitstream load → HBM
 //! transfer → launch timeout → transient launch error. Each site has
 //! its own [`RetryPolicy`] budget, so a fault at one never masks or
@@ -11,13 +11,13 @@
 //! four [`Trigger::Never`](mpt_faults::Trigger::Never) reads.
 //!
 //! The HBM site is modeled concretely, but only when it fires: the
-//! caller's closure yields the image that was in flight (the eager
-//! path quantizes and packs `A` on the spot, the pipelined path takes
-//! it from the operand cache), the injector flips one byte, and the
-//! CRC-32 check on arrival must catch it before the operand is
-//! re-sent. An operand with no dense image (block FP, `NoRound`, f32
-//! supersets) still faults, is tallied and is re-sent — there is just
-//! nothing to corrupt.
+//! caller's closure yields the image that was in flight (packed from
+//! the quantized `A` the launch already fetched through its operand
+//! cache), the injector flips one byte, and the CRC-32 check on
+//! arrival must catch it before the operand is re-sent. An operand
+//! with no dense image (block FP, `NoRound`, f32 supersets) still
+//! faults, is tallied and is re-sent — there is just nothing to
+//! corrupt.
 //!
 //! A site that burns its whole budget sends the launch to [`degrade`],
 //! the bit-identical CPU emulation kernel. Every path produces the
@@ -25,11 +25,9 @@
 //! reproduce the fault-free golden weight digest (enforced by the
 //! conformance chaos suite).
 
-use crate::cache::packable;
 use crate::hbm::HbmImage;
-use mpt_arith::{default_threads, gemm_span, qgemm_parallel, quantize_matrix, QGemmConfig};
+use mpt_arith::{default_threads, gemm_span, qgemm_parallel, QGemmConfig};
 use mpt_faults::{Fault, FaultSite, Injector, RetryPolicy};
-use mpt_formats::Quantizer;
 use mpt_telemetry::json::Field;
 use mpt_tensor::{ShapeError, Tensor};
 
@@ -42,7 +40,7 @@ const GATES: [FaultSite; 4] = [
 ];
 
 /// Extra passes a launch's replayable stages took to clear their
-/// gates; the pipelined accounting charges each one its stage time.
+/// gates; the executor's accounting charges each one its stage time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Replays {
     /// HBM transfers re-sent after a CRC-caught corruption.
@@ -105,17 +103,6 @@ fn assert_crc_catches(inj: &Injector, launch: u64, mut image: HbmImage) {
     );
 }
 
-/// The image an eager launch has in flight for `t`: quantized and
-/// packed from scratch, since the eager path keeps nothing resident.
-/// `None` where no dense image exists (see [`packable`]) or `t` is not
-/// a matrix — the launch itself reports that.
-pub(crate) fn fresh_image(t: &Tensor, q: &Quantizer) -> Option<HbmImage> {
-    if !packable(q) || t.as_matrix().is_err() {
-        return None;
-    }
-    HbmImage::pack(&quantize_matrix(t, q, 0, 0), q.format()).ok()
-}
-
 /// Graceful degradation, the one way a GEMM leaves the FPGA path: the
 /// `fallback` event and counter, a `gemm:fallback` span, and the
 /// bit-identical CPU emulation kernel. `launch` is the id that gave
@@ -167,6 +154,7 @@ fn emit_fault_event(fault: &Fault, layer: &'static str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpt_arith::quantize_matrix;
     use mpt_faults::{FaultPlan, Trigger};
     use std::cell::Cell;
 
@@ -174,15 +162,15 @@ mod tests {
         Tensor::from_fn(vec![5, 7], |i| ((i * 13 % 17) as f32 - 8.0) * 0.1)
     }
 
-    /// Runs one launch's gates under `inj` with the eager in-flight
-    /// closure; returns the outcome and how many images were built.
+    /// Runs one launch's gates under `inj` with an FP8 operand in
+    /// flight; returns the outcome and how many images were built.
     fn gate(inj: &Injector, attempts: u32) -> (Option<Replays>, u32) {
         let a = operand();
         let q = QGemmConfig::fp8_fp12_sr().quant_a;
         let built = Cell::new(0);
         let out = pass_gates(inj, &RetryPolicy::no_delay(attempts), "test", || {
             built.set(built.get() + 1);
-            fresh_image(&a, &q)
+            HbmImage::pack(&quantize_matrix(&a, &q, 0, 0), q.format()).ok()
         });
         (out, built.get())
     }
@@ -256,12 +244,5 @@ mod tests {
         let a = Tensor::zeros(vec![3, 4]);
         let b = Tensor::zeros(vec![5, 2]);
         assert!(degrade("test", 1, 3, &a, &b, &QGemmConfig::fp32()).is_err());
-        // And an operand without a dense image faults without one.
-        assert!(fresh_image(&a, &QGemmConfig::fp32().quant_a).is_none());
-        assert!(fresh_image(
-            &Tensor::zeros(vec![2, 3, 4]),
-            &QGemmConfig::fp8_fp12_sr().quant_a
-        )
-        .is_none());
     }
 }

@@ -14,9 +14,9 @@
 //! * `--checkpoint <path>` — override the checkpoint base path;
 //! * `--resume` — resume each config's run from its checkpoint
 //!   (bit-identical to never having stopped);
-//! * `--backend cpu|fpga|fpga-pipelined` — where quantized GEMMs
-//!   execute (bit-identical everywhere; only timing accounting and
-//!   telemetry differ).
+//! * `--backend cpu|fpga` — where quantized GEMMs execute
+//!   (bit-identical everywhere; only timing accounting and telemetry
+//!   differ).
 //!
 //! Set `MPT_TELEMETRY=1` (or point `MPT_TELEMETRY_JSONL` at a file)
 //! to watch the FP8 run (the FP32 baseline trains unobserved, so the
@@ -27,7 +27,7 @@
 //! workload. Point
 //! `MPT_TELEMETRY_TRACE` at a path to additionally capture a
 //! Chrome-trace timeline (with per-stage FPGA pipeline tracks under
-//! `--backend fpga-pipelined`).
+//! `--backend fpga`).
 
 use mpt_arith::{CpuBackend, GemmBackend, GemmShape};
 use mpt_core::select_accelerator;
@@ -67,14 +67,14 @@ fn parse_args() -> Args {
             }
             "--resume" => args.resume = true,
             "--backend" => {
-                args.backend = it.next().expect("--backend takes cpu|fpga|fpga-pipelined");
+                args.backend = it.next().expect("--backend takes cpu|fpga");
             }
             other => {
                 eprintln!(
                     "unknown flag {other}\n\
                      usage: train_lenet_fp8 [--checkpoint-every <N>] \
                      [--checkpoint <path>] [--resume] \
-                     [--backend cpu|fpga|fpga-pipelined]"
+                     [--backend cpu|fpga]"
                 );
                 std::process::exit(2);
             }
@@ -83,20 +83,19 @@ fn parse_args() -> Args {
     args
 }
 
-/// Builds the GEMM backend named on the command line. The FPGA
-/// variants simulate the `<8,8,4>` systolic array at 298 MHz — the
-/// config the pipeline benchmark gates on.
+/// Builds the GEMM backend named on the command line. `fpga`
+/// simulates the `<8,8,4>` systolic array at 298 MHz — the config the
+/// `lenet_fpga` benchmark workload trains on — with the default
+/// operand cache.
 fn make_backend(name: &str) -> Rc<dyn GemmBackend> {
-    let fpga = || {
-        let cfg = SaConfig::new(8, 8, 4).expect("<8,8,4> is synthesizable");
-        FpgaBackend::new(Accelerator::new(cfg, 298.0))
-    };
     match name {
         "cpu" => Rc::new(CpuBackend::new()),
-        "fpga" => Rc::new(fpga()),
-        "fpga-pipelined" => Rc::new(fpga().pipelined()),
+        "fpga" => {
+            let cfg = SaConfig::new(8, 8, 4).expect("<8,8,4> is synthesizable");
+            Rc::new(FpgaBackend::new(Accelerator::new(cfg, 298.0)).pipelined())
+        }
         other => {
-            eprintln!("unknown backend {other}: use cpu, fpga, or fpga-pipelined");
+            eprintln!("unknown backend {other}: use cpu or fpga");
             std::process::exit(2);
         }
     }

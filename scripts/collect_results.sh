@@ -4,7 +4,7 @@
 # experiments (table2/fig6) are read from files if present
 # ($TABLE2_LOG / $FIG6_LOG), otherwise rerun at quick scale.
 #
-# Afterwards: runs an instrumented pipelined LeNet training pass and
+# Afterwards: runs an instrumented FPGA LeNet training pass and
 # renders RESULTS.md from its event log via mpt-report. Wall-clock
 # evidence is not collected here: it comes from the step/request
 # benchmark (BENCHMARK.json, `benchmark/run_all.sh`).
@@ -47,12 +47,12 @@ open(path, 'w').write(head + marker + '\n\n' + payload)
 EOF
 echo "EXPERIMENTS.md updated"
 
-# Profiling report: instrumented pipelined LeNet run -> RESULTS.md.
+# Profiling report: instrumented FPGA LeNet run -> RESULTS.md.
 # Missing optional inputs only skip their section, so this also works
 # on serving-only runs.
 MPT_TELEMETRY_JSONL=/tmp/mpt_report_run.jsonl \
 MPT_TELEMETRY_TRACE=/tmp/mpt_report_run.trace.json \
-  ./target/release/examples/train_lenet_fp8 --backend fpga-pipelined > /dev/null
+  ./target/release/examples/train_lenet_fp8 --backend fpga > /dev/null
 ./target/release/mpt-report --validate-trace /tmp/mpt_report_run.trace.json \
   --require-stage-tracks 4
 ./target/release/mpt-report --jsonl /tmp/mpt_report_run.jsonl \
