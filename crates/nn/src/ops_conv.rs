@@ -132,19 +132,20 @@ impl Graph {
                 let base = (img * c + ch) * h * w;
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
+                        // First maximum in window order; the first NaN
+                        // wins, as in PyTorch's `max_pool2d`.
+                        let mut best_idx = base + oy * 2 * w + ox * 2;
                         for dy in 0..2 {
                             for dx in 0..2 {
                                 let idx = base + (oy * 2 + dy) * w + (ox * 2 + dx);
-                                if data[idx] > best {
-                                    best = data[idx];
+                                let (v, best) = (data[idx], data[best_idx]);
+                                if !best.is_nan() && (v > best || v.is_nan()) {
                                     best_idx = idx;
                                 }
                             }
                         }
                         let o = (img * c + ch) * oh * ow + oy * ow + ox;
-                        out[o] = best;
+                        out[o] = data[best_idx];
                         argmax[o] = best_idx;
                     }
                 }
@@ -318,6 +319,38 @@ mod tests {
         assert_eq!(g.value(y).data(), &[5.0]);
         g.backward(y, 1.0);
         assert_eq!(g.grad(x).unwrap().data(), &[0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_keeps_nonfinite_windows_in_place() {
+        // Image 1 is all −inf: its gradient stays in its own window.
+        let mut g = Graph::new(true);
+        let mut v = vec![1.0, 5.0, 3.0, 2.0];
+        v.extend([f32::NEG_INFINITY; 4]);
+        let x = g.input(Tensor::from_vec(vec![2, 1, 2, 2], v).unwrap());
+        let y = g.maxpool2d(x);
+        assert_eq!(g.value(y).data(), &[5.0, f32::NEG_INFINITY]);
+        let loss = g.mean_all(y);
+        g.backward(loss, 2.0);
+        let dx = g.grad(x).unwrap().data().to_vec();
+        assert_eq!(dx, [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
+
+        // The first NaN in window order wins, over larger values too.
+        let mut g = Graph::new(true);
+        let x = g.input(
+            Tensor::from_vec(vec![1, 2, 2, 2], {
+                let mut v = vec![1.0, f32::NAN, 7.0, f32::NAN];
+                v.extend([f32::NAN; 4]);
+                v
+            })
+            .unwrap(),
+        );
+        let y = g.maxpool2d(x);
+        assert!(g.value(y).data().iter().all(|v| v.is_nan()));
+        let loss = g.mean_all(y);
+        g.backward(loss, 2.0);
+        let dx = g.grad(x).unwrap().data().to_vec();
+        assert_eq!(dx, [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   output pixel, so `weights(oc, c·kh·kw) × cols` is the forward
 //!   convolution GEMM.
 
+use std::ops::Range;
+
 use crate::error::ShapeError;
 use crate::tensor::Tensor;
 
@@ -93,6 +95,20 @@ impl Conv2dGeometry {
     }
 }
 
+/// The output positions `o` along one axis (`out` of them) whose input
+/// coordinate `o·stride + tap − padding` lies inside `0..size`: the run
+/// over which kernel tap `tap` reads the image rather than the zero
+/// padding. Empty when the tap misses the image entirely.
+fn tap_range(out: usize, size: usize, tap: usize, geom: &Conv2dGeometry) -> Range<usize> {
+    let s = geom.stride;
+    let lo = geom.padding.saturating_sub(tap).div_ceil(s);
+    let hi = (size + geom.padding)
+        .saturating_sub(tap)
+        .div_ceil(s)
+        .min(out);
+    lo..hi
+}
+
 /// Unfolds an NCHW batch into the GEMM operand matrix
 /// `[channels·kh·kw, batch·oh·ow]`.
 ///
@@ -124,25 +140,28 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, ShapeErro
     let cols = n * geom.out_pixels();
     let mut out = vec![0.0f32; rows * cols];
     let data = input.data();
-    let pad = geom.padding as isize;
-    for img in 0..n {
-        for ch in 0..c {
-            for kh in 0..geom.kernel_h {
-                for kw in 0..geom.kernel_w {
-                    let row = (ch * geom.kernel_h + kh) * geom.kernel_w + kw;
-                    for oy in 0..geom.out_h {
-                        let iy = (oy * geom.stride) as isize + kh as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..geom.out_w {
-                            let ix = (ox * geom.stride) as isize + kw as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+    let s = geom.stride;
+    for ch in 0..c {
+        for kh in 0..geom.kernel_h {
+            let ys = tap_range(geom.out_h, h, kh, geom);
+            for kw in 0..geom.kernel_w {
+                let xs = tap_range(geom.out_w, w, kw, geom);
+                if xs.is_empty() {
+                    continue;
+                }
+                let row = (ch * geom.kernel_h + kh) * geom.kernel_w + kw;
+                for img in 0..n {
+                    for oy in ys.clone() {
+                        let iy = oy * s + kh - geom.padding;
+                        let src = ((img * c + ch) * h + iy) * w + xs.start * s + kw - geom.padding;
+                        let dst = row * cols + img * geom.out_pixels() + oy * geom.out_w;
+                        let run = &mut out[dst + xs.start..dst + xs.end];
+                        if s == 1 {
+                            run.copy_from_slice(&data[src..src + run.len()]);
+                        } else {
+                            for (o, &v) in run.iter_mut().zip(data[src..].iter().step_by(s)) {
+                                *o = v;
                             }
-                            let col = img * geom.out_pixels() + oy * geom.out_w + ox;
-                            out[row * cols + col] =
-                                data[((img * c + ch) * h + iy as usize) * w + ix as usize];
                         }
                     }
                 }
@@ -179,25 +198,34 @@ pub fn col2im(
     let (h, w) = (geom.in_h, geom.in_w);
     let mut out = vec![0.0f32; batch * channels * h * w];
     let data = cols.data();
-    let pad = geom.padding as isize;
-    for img in 0..batch {
-        for ch in 0..channels {
-            for kh in 0..geom.kernel_h {
-                for kw in 0..geom.kernel_w {
-                    let row = (ch * geom.kernel_h + kh) * geom.kernel_w + kw;
-                    for oy in 0..geom.out_h {
-                        let iy = (oy * geom.stride) as isize + kh as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..geom.out_w {
-                            let ix = (ox * geom.stride) as isize + kw as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+    let s = geom.stride;
+    // Walking taps outermost keeps every sum bit-exact: an image element
+    // receives at most one term per (kh, kw), in ascending order.
+    for ch in 0..channels {
+        for kh in 0..geom.kernel_h {
+            let ys = tap_range(geom.out_h, h, kh, geom);
+            for kw in 0..geom.kernel_w {
+                let xs = tap_range(geom.out_w, w, kw, geom);
+                if xs.is_empty() {
+                    continue;
+                }
+                let row = (ch * geom.kernel_h + kh) * geom.kernel_w + kw;
+                for img in 0..batch {
+                    for oy in ys.clone() {
+                        let iy = oy * s + kh - geom.padding;
+                        let dst =
+                            ((img * channels + ch) * h + iy) * w + xs.start * s + kw - geom.padding;
+                        let src = row * ncols + img * geom.out_pixels() + oy * geom.out_w;
+                        let run = &data[src + xs.start..src + xs.end];
+                        // A plain zip vectorizes; `step_by(1)` does not.
+                        if s == 1 {
+                            for (o, &v) in out[dst..dst + run.len()].iter_mut().zip(run) {
+                                *o += v;
                             }
-                            let col = img * geom.out_pixels() + oy * geom.out_w + ox;
-                            out[((img * channels + ch) * h + iy as usize) * w + ix as usize] +=
-                                data[row * ncols + col];
+                        } else {
+                            for (o, &v) in out[dst..].iter_mut().step_by(s).zip(run) {
+                                *o += v;
+                            }
                         }
                     }
                 }

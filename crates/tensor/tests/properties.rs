@@ -127,3 +127,184 @@ proptest! {
         }
     }
 }
+
+/// The element-wise `im2col` nest the row-run version replaced, kept as
+/// the bit-exact oracle: every element pays its own bounds test.
+fn im2col_reference(input: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
+    let (n, c, h, w) = (
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    );
+    let rows = c * geom.kernel_h * geom.kernel_w;
+    let cols = n * geom.out_pixels();
+    let mut out = vec![0.0f32; rows * cols];
+    let data = input.data();
+    let pad = geom.padding as isize;
+    for img in 0..n {
+        for ch in 0..c {
+            for kh in 0..geom.kernel_h {
+                for kw in 0..geom.kernel_w {
+                    let row = (ch * geom.kernel_h + kh) * geom.kernel_w + kw;
+                    for oy in 0..geom.out_h {
+                        let iy = (oy * geom.stride) as isize + kh as isize - pad;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for ox in 0..geom.out_w {
+                            let ix = (ox * geom.stride) as isize + kw as isize - pad;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let col = img * geom.out_pixels() + oy * geom.out_w + ox;
+                            out[row * cols + col] =
+                                data[((img * c + ch) * h + iy as usize) * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The element-wise `col2im` nest the row-run version replaced, kept as
+/// the bit-exact oracle: each image element sums its terms in ascending
+/// `(kh, kw)` order.
+fn col2im_reference(
+    cols: &Tensor,
+    batch: usize,
+    channels: usize,
+    geom: &Conv2dGeometry,
+) -> Vec<f32> {
+    let ncols = cols.shape()[1];
+    let (h, w) = (geom.in_h, geom.in_w);
+    let mut out = vec![0.0f32; batch * channels * h * w];
+    let data = cols.data();
+    let pad = geom.padding as isize;
+    for img in 0..batch {
+        for ch in 0..channels {
+            for kh in 0..geom.kernel_h {
+                for kw in 0..geom.kernel_w {
+                    let row = (ch * geom.kernel_h + kh) * geom.kernel_w + kw;
+                    for oy in 0..geom.out_h {
+                        let iy = (oy * geom.stride) as isize + kh as isize - pad;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for ox in 0..geom.out_w {
+                            let ix = (ox * geom.stride) as isize + kw as isize - pad;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let col = img * geom.out_pixels() + oy * geom.out_w + ox;
+                            out[((img * channels + ch) * h + iy as usize) * w + ix as usize] +=
+                                data[row * ncols + col];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// SplitMix64: the `i`-th pseudo-random word of stream `seed`.
+fn mix(seed: u64, i: usize) -> u64 {
+    let mut z = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE5_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Image values a copy must carry bit for bit: −0.0, NaNs with payloads
+/// and either sign, ±inf and subnormals, among arbitrary bit patterns.
+fn awkward_f32(seed: u64, i: usize) -> f32 {
+    let r = mix(seed, i);
+    let sign = ((r >> 63) as u32) << 31;
+    let payload = (r >> 8) as u32 & 0x007F_FFFF;
+    f32::from_bits(match r % 6 {
+        0 => 0x8000_0000,
+        1 => sign | 0x7F80_0000 | payload.max(1),
+        2 => sign | 0x7F80_0000,
+        3 => sign | payload.max(1),
+        _ => (r >> 32) as u32,
+    })
+}
+
+/// Column values whose sums change bits when reordered: either sign,
+/// magnitudes from 1e-8 to 1e8.
+fn wide_f32(seed: u64, i: usize) -> f32 {
+    let r = mix(seed, i);
+    let mantissa = 1.0 + (r >> 40) as f32 / (1u64 << 24) as f32;
+    let exponent = (r % 17) as i32 - 8;
+    let sign = if r >> 63 == 1 { -1.0 } else { 1.0 };
+    sign * mantissa * 10f32.powi(exponent)
+}
+
+fn to_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Checks both lowerings against their oracles, bit for bit, on one
+/// geometry and batch.
+fn lowering_matches_reference(
+    n: usize,
+    c: usize,
+    geom: &Conv2dGeometry,
+    seed: u64,
+) -> TestCaseResult {
+    let x = Tensor::from_fn(vec![n, c, geom.in_h, geom.in_w], |i| awkward_f32(seed, i));
+    let cols = im2col(&x, geom).unwrap();
+    prop_assert_eq!(
+        to_bits(cols.data()),
+        to_bits(&im2col_reference(&x, geom)),
+        "im2col differs from the reference on {:?}",
+        geom
+    );
+    let y = Tensor::from_fn(cols.shape().to_vec(), |i| wide_f32(seed, i));
+    let folded = col2im(&y, n, c, geom).unwrap();
+    prop_assert_eq!(
+        to_bits(folded.data()),
+        to_bits(&col2im_reference(&y, n, c, geom)),
+        "col2im differs from the reference on {:?}",
+        geom
+    );
+    Ok(())
+}
+
+/// Kernel sizes with a padding of up to one past the larger of them, so
+/// some taps miss the image entirely.
+fn kernel_and_padding() -> impl Strategy<Value = (usize, usize, usize)> {
+    (1usize..=5, 1usize..=5).prop_flat_map(|(kh, kw)| (Just(kh), Just(kw), 0..=kh.max(kw) + 1))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The row-run lowering is bit-identical to the element-wise nests.
+    #[test]
+    fn lowering_matches_reference_bits(
+        n in 1usize..=3,
+        c in 1usize..=3,
+        in_h in 1usize..=12,
+        in_w in 1usize..=12,
+        (kernel_h, kernel_w, padding) in kernel_and_padding(),
+        stride in 1usize..=3,
+        seed in any::<u64>(),
+    ) {
+        if let Ok(geom) = Conv2dGeometry::new(in_h, in_w, kernel_h, kernel_w, stride, padding) {
+            lowering_matches_reference(n, c, &geom, seed)?;
+        }
+    }
+}
+
+#[test]
+fn lowering_matches_reference_on_model_convs() {
+    // LeNet conv1 and conv2, ResNet's strided 3x3 and 1x1 shortcut.
+    for (hw, k, stride, padding) in [(28, 5, 1, 2), (14, 5, 1, 0), (16, 3, 2, 1), (16, 1, 2, 0)] {
+        let geom = Conv2dGeometry::new(hw, hw, k, k, stride, padding).unwrap();
+        lowering_matches_reference(2, 3, &geom, hw as u64 * 31 + k as u64).unwrap();
+    }
+}
