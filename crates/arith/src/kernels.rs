@@ -7,21 +7,27 @@
 //!
 //! | MAC configuration (`mul × acc`)               | stages                         | nest |
 //! |-----------------------------------------------|--------------------------------|------|
-//! | fused (`NR` mul) × float — every `E*M*` row of the paper | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_avx2` / `gemm_avx512` |
+//! | fused (`NR` mul) × float whose values fit `f32` (`e ≤ 8`, `m ≤ 22`), SR with at most 31 random bits — every `E*M*` row of the paper | `Fused × FloatStage<M>` | `avx512` tier: `gemm_avx512_f32` (16 `f32` lanes); other tiers: as the next row |
+//! | any other fused × float                      | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_avx2` / `gemm_avx512` |
 //! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8`    | `FixedStage<M> × FixedStage<M>` | tier |
 //! | fused × fixed, unfused float × float | the matching lane stages | tier |
 //! | block FP at either stage, `NR` accumulator, unfused float × fixed or fixed × float, fixed point wider than 52 bits, floats as fine as `f64` | [`Quantizer`] (the scalar oracle) at both stages | [`gemm_scalar`] only |
 //!
 //! There is one loop nest per tier, generic over the two stages and
-//! the observer; the last row is the scalar nest instantiated with
-//! the oracle stage, not a nest of its own.
+//! the observer, plus one specialist for the first row on the
+//! `avx512` tier, decided from the [`MacConfig`] alone, once per GEMM;
+//! the last row is the scalar nest instantiated with the oracle stage,
+//! not a nest of its own.
 //!
 //! The scalar and AVX2 nests are `i / j-tile / k / j`
 //! ordered: for each output row, a `J_TILE`-wide chunk of the output
 //! and of each `B` row stays hot in L1 while the `k` reduction streams
-//! through. The AVX-512 nest is `j-strip / i / k`: a 32-column strip's
-//! accumulators live in registers for the whole reduction (see
-//! `simd_fused::avx512` for why). In all three every output element
+//! through. The two AVX-512 nests are `j-strip / i / k`: a 32-column
+//! strip's accumulators live in registers for the whole reduction (see
+//! `simd_fused::avx512` for why), as 8-lane `f64` blocks or, in the
+//! specialist, 16-lane `f32` blocks whose every step is proved exact
+//! or settled through the scalar body (see `simd_fused::avx512_f32`).
+//! In all of them every output element
 //! accumulates over `k` in ascending order — the order the scalar
 //! reference uses, so results are bit-identical by construction (each
 //! element sees the same sequence of [`mac_round`] operations with the
@@ -42,6 +48,8 @@
 
 use crate::mac::{mac_round, MacConfig};
 use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, NoTally, Stage};
+#[cfg(target_arch = "x86_64")]
+use mpt_formats::{simd_avx512::QuantVecF32x16, FloatFastF32, LanePlanF32};
 use mpt_formats::{
     with_mode, FixedFastF64, FloatFastF64, LanePlanF64, NumberFormat, Quantizer, SimdTier,
 };
@@ -106,6 +114,24 @@ impl LaneKernel {
     fn same_family(&self, other: &Self) -> bool {
         std::mem::discriminant(self) == std::mem::discriminant(other)
     }
+}
+
+/// The `f32` lane plan of a fused MAC's accumulator `acc` when the
+/// `f32`-lane AVX-512 nest can run it: a float format whose values all
+/// fit `f32` (at most 8 exponent bits) and that `f32` rounds (at most
+/// 22 mantissa bits), under a deterministic mode or SR with at most
+/// [`QuantVecF32x16::MAX_RANDOM_BITS`] random bits. Decided from the
+/// configuration alone, once per GEMM.
+#[cfg(target_arch = "x86_64")]
+fn f32_lane_plan(acc: &Quantizer) -> Option<LanePlanF32> {
+    let NumberFormat::Float(format) = acc.format() else {
+        return None;
+    };
+    if format.exp_bits() > 8 {
+        return None;
+    }
+    let plan = FloatFastF32::new(format, acc.rounding(), acc.rng())?.lane_plan()?;
+    (plan.rb <= QuantVecF32x16::MAX_RANDOM_BITS).then_some(plan)
 }
 
 /// Evaluates `$body` with `$stage` bound to the monomorphized stage of
@@ -174,6 +200,7 @@ pub(crate) fn gemm_into_tier(
         let mut acc_tally = mac.acc.telemetry_tally();
         // Dispatch counter: which nest ran this GEMM
         // (`kernel.tier.off|avx2|avx512` for the lane stages,
+        // `kernel.tier.avx512f32` for the `f32`-lane specialist,
         // `kernel.tier.generic` for the scalar-oracle stages).
         let label = dispatch(gemm, mac, tier, &mut mul_tally, &mut acc_tally);
         mpt_telemetry::counter(&format!("kernel.tier.{label}")).incr();
@@ -195,6 +222,25 @@ fn dispatch<T: MacObserver>(
     mul_obs: &mut T,
     acc_obs: &mut T,
 ) -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx512 && mac.is_fused() {
+        if let (Some(LaneKernel::Float(fast, plan)), Some(plan32)) =
+            (LaneKernel::of(&mac.acc), f32_lane_plan(&mac.acc))
+        {
+            with_mode!(
+                fast.rounding(),
+                M => crate::simd_fused::avx512_f32::gemm_avx512_f32(
+                    gemm,
+                    &FloatStage::<M> { fast, plan },
+                    &plan32,
+                    mul_obs,
+                    acc_obs,
+                ),
+                unreachable!("NR has no fast kernel")
+            );
+            return "avx512f32";
+        }
+    }
     match (
         mac.is_fused(),
         LaneKernel::of(&mac.mul),
@@ -311,6 +357,15 @@ mod tests {
         dispatch(gemm, &mac, tier, &mut NoTally, &mut NoTally)
     }
 
+    /// The label of `tier`'s nest for a fused float MAC the `f32`
+    /// lanes can carry.
+    fn fused_float_label(tier: SimdTier) -> &'static str {
+        match tier {
+            SimdTier::Avx512 => "avx512f32",
+            _ => tier.name(),
+        }
+    }
+
     #[test]
     fn float_and_fixed_stages_run_the_tier_nests() {
         let rn = Rounding::Nearest;
@@ -319,13 +374,43 @@ mod tests {
         let e6m5 = |r| Quantizer::float(FloatFormat::e6m5(), r);
         let fxp44 = |r| Quantizer::fixed(FixedFormat::fxp4_4(), r);
         let fxp88 = |r| Quantizer::fixed(FixedFormat::fxp8_8(), r);
-        for mac in [
-            MacConfig::fp8_fp12_sr(),
-            MacConfig::fxp4_4(Rounding::stochastic()),
-            MacConfig::new(fxp44(nr), fxp88(rn)),
-            MacConfig::new(e5m2(rn), e6m5(Rounding::ToOdd)),
-        ] {
-            for &tier in SimdTier::available() {
+        for &tier in SimdTier::available() {
+            for mac in [
+                MacConfig::fp8_fp12_sr(),
+                MacConfig::fp8_fp16_rn(),
+                MacConfig::new(
+                    e5m2(nr),
+                    Quantizer::float(FloatFormat::new(8, 7).unwrap(), rn),
+                ),
+                MacConfig::fp8_fp12(Rounding::Stochastic { random_bits: 31 }),
+            ] {
+                assert_eq!(label_of(mac, tier), fused_float_label(tier), "{mac}");
+            }
+            for mac in [
+                MacConfig::fxp4_4(Rounding::stochastic()),
+                MacConfig::new(fxp44(nr), fxp88(rn)),
+                MacConfig::new(e5m2(rn), e6m5(Rounding::ToOdd)),
+            ] {
+                assert_eq!(label_of(mac, tier), tier.name(), "{mac}");
+            }
+        }
+    }
+
+    /// Fused float MACs the `f32` lanes cannot carry keep the `f64`
+    /// nest of their tier: more SR bits than the 32-bit draw compare
+    /// holds, an accumulator as fine as `f32` (no `f32` lane plan), or
+    /// one whose exponent range exceeds `f32`'s.
+    #[test]
+    fn fused_float_macs_beyond_f32_lanes_keep_the_f64_nest() {
+        let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
+        let rn = Rounding::Nearest;
+        for &tier in SimdTier::available() {
+            for mac in [
+                MacConfig::fp8_fp12(Rounding::Stochastic { random_bits: 32 }),
+                MacConfig::fp8_fp12(Rounding::Stochastic { random_bits: 53 }),
+                MacConfig::new(nr, Quantizer::float(FloatFormat::e8m23(), rn)),
+                MacConfig::new(nr, Quantizer::float(FloatFormat::new(9, 10).unwrap(), rn)),
+            ] {
                 assert_eq!(label_of(mac, tier), tier.name(), "{mac}");
             }
         }

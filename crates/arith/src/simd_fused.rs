@@ -8,7 +8,9 @@
 //! restructures the innermost `j` loop into 4-wide `f64` lane blocks;
 //! the AVX-512 nest is `j-strip / i / k` with 8-wide
 //! blocks whose accumulators stay in registers across `k` (see
-//! [`avx512`] for the loop order and why it differs). Like the
+//! [`avx512`] for the loop order and why it differs), and
+//! [`avx512_f32`] is that shape on 16 `f32` lanes for the fused float
+//! MACs whose accumulator fits `f32`. Like the
 //! scalar nest they are generic over the two rounding
 //! [`Stage`]s and the [`MacObserver`]; with the
 //! [`Fused`](crate::stage::Fused) multiplier the multiplier stage
@@ -21,7 +23,9 @@
 //!
 //! * products and running sums are computed per lane with no
 //!   reassociation — lane `j` sees exactly the scalar sequence
-//!   `out[j] + round_mul(a[kk]·b[kk][j])` at each step;
+//!   `out[j] + round_mul(a[kk]·b[kk][j])` at each step (the `f32`-lane
+//!   nest computes it in `f32` and settles every lane where that is
+//!   not provably the `f64` value);
 //! * zero products (`product == 0.0`, tested *before* the multiplier
 //!   rounds) leave the output lane untouched, exactly like the scalar
 //!   `continue`;
@@ -369,16 +373,18 @@ pub(crate) mod avx2 {
 /// copy of `B`, no scratch, no table.
 ///
 /// Why a new shape rather than wider lanes in the old one: on the
-/// dense fused-SR GEMMs that dominate a training step (LeNet's
-/// forward convolutions run at ~270 MMAC/s where its ReLU-sparse
-/// backward GEMMs reach 600–2000) the AVX2 block costs ~34 cycles per
-/// 4 MACs, about a hundred instructions, of which 14 emulate
+/// dense fused-SR GEMMs that dominate a training step the AVX2 block
+/// is about a hundred instructions per 4 MACs, of which 14 emulate
 /// SplitMix64's two 64-bit multiplies, ~20 assemble four hash inputs
 /// lane by lane and ~10 move the output row through memory. `vpmullq`,
 /// incremental hash inputs and register accumulators remove those;
 /// k-mask compares and load/store masks (no scalar tail loop) shave
-/// the rest: ~37 instructions per 8 MACs, measured 2.3–2.6x on the
-/// dense shapes and 1.7–2x on the sparse ones. The price is that every
+/// the rest: ~37 instructions per 8 MACs. LeNet's batch-32 forward
+/// convolutions under FP8 × FP12-SR (operands already quantized, one
+/// thread of a 2.1 GHz AVX-512 Xeon) run at 285 (6×25×25088) and 290
+/// (16×150×3200) MMAC/s on the AVX2 nest and at 639 and 721 on this
+/// one; the `f32`-lane nest ([`avx512_f32`]), which now takes those
+/// GEMMs, runs them at 906 and 1049. The price is that every
 /// strip rescans its `A` row for the zero skip, which is why the strip
 /// is as wide as the register file allows — and why this shape was
 /// *not* retrofitted to the AVX2 nest (half the registers: narrow
@@ -685,6 +691,408 @@ pub(crate) mod avx512 {
                 store(&b1, s1);
                 store(&b2, s2);
                 store(&b3, s3);
+            }
+        }
+    }
+}
+
+/// The fused-float AVX-512 nest on 16 `f32` lanes: the `j-strip / i /
+/// k` shape of [`avx512`], for a [`Fused`](crate::stage::Fused)
+/// multiplier with a float accumulator whose values all fit `f32`. It
+/// carries products and running sums as `f32`, so one block holds
+/// twice the lanes of an `f64` block, and two 16-lane accumulators
+/// cover a [`STRIP`](avx512_f32::STRIP)-column strip.
+///
+/// Why `f32` lanes give the reference's bits: the reference widens
+/// both operands to `f64`, where their product is exact, adds it to
+/// the widened accumulator and rounds the `f64` sum. Per lane and
+/// step this nest computes `prod = a·b` and `sum = acc + prod` in
+/// `f32` and proves both exact:
+///
+/// * the product is exact when the FMA residual `fmsub(a, b, prod)`
+///   is zero and `|prod| ≥ 2^-101` (below that the residual can
+///   itself round to zero; a product that underflows `f32` is never
+///   taken for an exact zero either: only `a = 0` or `b = 0` skips);
+/// * the sum is exact when `sum − acc == prod` and `sum − prod ==
+///   acc` (the subtraction against the larger operand is exact, so
+///   it sees any rounding error of the sum; overflow and NaN fail it).
+///
+/// An exact `f32` sum *is* the reference's `f64` sum, and in the fast
+/// regime the 16-lane quantizer
+/// ([`QuantVecF32x16`](mpt_formats::simd_avx512::QuantVecF32x16))
+/// rounds it exactly as the `f64` kernel does. Every other live lane
+/// — inexact, tiny, non-finite or outside the fast regime — settles
+/// through the scalar [`mac_round`] from the same `f32` accumulator
+/// at the same event index, so the output is bit-identical. A sum
+/// that cancels to zero is exact and needs no settling (zero rounds to
+/// itself). Over the GEMMs of one LeNet FP8 × FP12-SR training step
+/// (batch 32, after 20 steps) `f32` is exact for 99.992% of MAC
+/// events, 0.14% of sums cancel to zero, and 0.07% of 16-lane blocks
+/// settle a lane; at batch 4, 99.997% and 0.02%.
+///
+/// What it buys, against the `f64` nest on the same host as there:
+/// 1.42–1.45x on LeNet's dense batch-32 forward convolutions and 1.37x
+/// over all the GEMMs of a batch-32 step (1.35x at batch 4); GEMMs
+/// whose `B` rows are ReLU-sparse gain least, because a 16-lane block
+/// is skipped only when all 16 products are zero.
+///
+/// Nothing is allocated. Dispatch takes this nest on the `Avx512`
+/// tier for fused MACs whose accumulator has an `f32` lane plan,
+/// at most 8 exponent bits and at most
+/// [`MAX_RANDOM_BITS`](mpt_formats::simd_avx512::QuantVecF32x16::MAX_RANDOM_BITS)
+/// SR bits; everything else keeps the `f64` nests.
+pub(crate) mod avx512_f32 {
+    #![allow(unsafe_code)]
+
+    use core::arch::x86_64::*;
+
+    use super::avx512::gemm_avx512;
+    use super::*;
+    use crate::stage::{FloatStage, Fused};
+    use mpt_formats::simd_avx512::QuantVecF32x16;
+    use mpt_formats::sr::hash::INDEX_MUL;
+    use mpt_formats::LanePlanF32;
+
+    /// Output columns per strip: two 16-lane accumulators.
+    pub(crate) const STRIP: usize = 32;
+
+    /// `2^-101`: the smallest `|prod|` whose FMA residual is exact. A
+    /// product `a·b` of `f32`s has at most 48 significant bits, so at
+    /// `|a·b| ≥ 2^-102` its residual is a multiple of `2^-149`, an
+    /// `f32`; rounding to `prod ≥ 2^-101` keeps `|a·b|` above that.
+    const EXACT_PRODUCT_MIN: f32 = 1.0 / (1u128 << 101) as f32;
+
+    /// `f32`-lane nest entry. Falls back to the `f64` AVX-512 nest
+    /// (which falls back further) where that nest would: when the CPU
+    /// lacks the features, or a coordinate could leave its field of
+    /// [`sr_event_index`] (the hash inputs are built incrementally, as
+    /// there).
+    pub(crate) fn gemm_avx512_f32<const MODE: u8, T: MacObserver>(
+        g: Gemm<'_>,
+        acc: &FloatStage<MODE>,
+        plan: &LanePlanF32,
+        mul_obs: &mut T,
+        acc_obs: &mut T,
+    ) {
+        let fields_disjoint =
+            g.row_offset + g.n <= 1 << 22 && g.col_offset + g.m <= 1 << 20 && g.k <= 1 << 20;
+        if !fields_disjoint || !mpt_formats::simd::avx512_supported() {
+            return gemm_avx512(g, &Fused, acc, mul_obs, acc_obs);
+        }
+        // The nest addresses `out` and `bd` through raw pointers.
+        assert_eq!(g.out.len(), g.n * g.m, "output is n x m");
+        assert_eq!(g.ad.len(), g.n * g.k, "A is n x k");
+        assert_eq!(g.bd.len(), g.k * g.m, "B is k x m");
+        // SAFETY: AVX-512 F + DQ + VL availability checked at runtime
+        // just above; the three slices have the lengths `inner`
+        // requires.
+        unsafe { inner(g, acc, plan, mul_obs, acc_obs) }
+    }
+
+    /// What the whole GEMM shares: the accumulator stage, its 16-lane
+    /// quantizer and seed.
+    struct Nest<'a, const MODE: u8> {
+        acc: &'a FloatStage<MODE>,
+        quant: QuantVecF32x16,
+        seed: __m512i,
+    }
+
+    /// One 16-lane block of a strip.
+    struct Block {
+        /// Column offset within the strip: 0 or 16.
+        at: usize,
+        /// Global column of lane 0.
+        gj: usize,
+        /// Lanes inside the matrix; masked-off lanes are neither
+        /// loaded nor stored.
+        lanes: __mmask16,
+        /// The column part of the hash inputs of lanes 0–7 and 8–15,
+        /// as in the `f64` nest's blocks.
+        hash_lo: __m512i,
+        hash_hi: __m512i,
+    }
+
+    impl Block {
+        /// Block `u` of the strip at column `j0` of a `g`-shaped GEMM.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn new(g: &Gemm<'_>, j0: usize, u: usize) -> Self {
+            let (at, gj) = (16 * u, j0 + g.col_offset + 16 * u);
+            let width = (g.m - j0).saturating_sub(at).min(16);
+            let hash = |first: usize| {
+                let cols = _mm512_add_epi64(
+                    _mm512_set1_epi64(first as i64),
+                    _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                );
+                _mm512_mullo_epi64(
+                    _mm512_slli_epi64::<22>(cols),
+                    _mm512_set1_epi64(INDEX_MUL as i64),
+                )
+            };
+            Block {
+                at,
+                gj,
+                lanes: ((1u32 << width) - 1) as __mmask16,
+                hash_lo: hash(gj),
+                hash_hi: hash(gj + 8),
+            }
+        }
+    }
+
+    /// One reduction step of one output row, shared by the strip's
+    /// blocks: `A`'s element, which the vector lanes take only finite
+    /// and non-zero.
+    struct Step {
+        /// The broadcast `A` element.
+        av: __m512,
+        /// `sr_event_index(gi, 0, kk, Accumulate) · INDEX_MUL`,
+        /// broadcast.
+        hash: __m512i,
+    }
+
+    impl Step {
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn new(gi: usize, kk: usize, a: f32) -> Self {
+            let index = sr_event_index(gi, 0, kk, MacStage::Accumulate);
+            Step {
+                av: _mm512_set1_ps(a),
+                hash: _mm512_set1_epi64(index.wrapping_mul(INDEX_MUL) as i64),
+            }
+        }
+    }
+
+    /// `a != 0 && a.is_finite()`, as one compare on the magnitude
+    /// bits.
+    #[inline]
+    fn finite_non_zero(a: f32) -> bool {
+        (a.to_bits() & 0x7FFF_FFFF).wrapping_sub(1) < f32::MAX.to_bits()
+    }
+
+    /// A block's part of `B`'s row (`brow`, the strip's part) and its
+    /// live lanes: those inside the matrix whose product with a
+    /// finite, non-zero `A` element is not an exact zero — which the
+    /// reference skips — that is, where `b` is not zero. An
+    /// underflowed product stays live.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX-512 F, and `brow[block.at + l]` must
+    /// be readable for every lane `l` set in `block.lanes`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn load_b(block: &Block, brow: *const f32) -> (__m512, __mmask16) {
+        // (`wrapping_add`: an empty block's pointer may lie past the
+        // buffer; it is never dereferenced.)
+        let b = _mm512_maskz_loadu_ps(block.lanes, brow.wrapping_add(block.at));
+        let live = _mm512_mask_cmp_ps_mask::<_CMP_NEQ_UQ>(block.lanes, b, _mm512_setzero_ps());
+        (b, live)
+    }
+
+    /// One block's reduction step on the vector lanes.
+    struct Lanes {
+        /// Lanes inside the matrix whose product is not an exact zero.
+        live: __mmask16,
+        /// Live lanes the vector result does not cover: inexact in
+        /// `f32`, or outside the quantizer's fast regime.
+        settle: __mmask16,
+        /// The `f32` sums and their quantized values.
+        sum: __m512,
+        q: __m512,
+    }
+
+    impl<const MODE: u8> Nest<'_, MODE> {
+        /// One reduction step of one block: which of its live lanes
+        /// must settle, and the quantized sums of the others, given the
+        /// old accumulators (`sums`) and the block's [`load_b`]. `A`'s
+        /// element must be finite and non-zero.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ + VL.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn lanes16(
+            &self,
+            step: &Step,
+            block: &Block,
+            sums: __m512,
+            (b, live): (__m512, __mmask16),
+        ) -> Lanes {
+            let zero = _mm512_setzero_ps();
+            if live == 0 {
+                return Lanes {
+                    live,
+                    settle: 0,
+                    sum: sums,
+                    q: sums,
+                };
+            }
+            let prod = _mm512_mul_ps(step.av, b);
+            let residual = _mm512_fmsub_ps(step.av, b, prod);
+            let sum = _mm512_add_ps(sums, prod);
+            let tiny = _mm512_set1_ps(EXACT_PRODUCT_MIN);
+            let exact = _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(live, residual, zero);
+            let exact = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(exact, _mm512_abs_ps(prod), tiny);
+            let exact =
+                _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(exact, _mm512_sub_ps(sum, sums), prod);
+            let exact =
+                _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(exact, _mm512_sub_ps(sum, prod), sums);
+            let h = |part: __m512i| _mm512_xor_si512(_mm512_add_epi64(part, step.hash), self.seed);
+            let (q, fast) = self
+                .quant
+                .quantize16::<MODE>(sum, h(block.hash_lo), h(block.hash_hi));
+            Lanes {
+                live,
+                settle: _kandn_mask16(_kand_mask16(exact, fast), live),
+                sum,
+                q,
+            }
+        }
+
+        /// The spill behind the `f32` lanes, taken only when a lane
+        /// of the step must settle, `A`'s element is zero or not
+        /// finite, or someone is watching: redoes step `(gi, kk)` of
+        /// both blocks from their old accumulators (each block's
+        /// `&mut`), runs the lanes the vector result does not cover
+        /// through the scalar [`mac_round`] — from the `f32`
+        /// accumulator, with the exact `f64` product, at the packed
+        /// [`sr_event_index`], skipping exact zero products — shows the
+        /// other live lanes' exact sums to the observer, and leaves the
+        /// new accumulators in their place. The accumulators pass
+        /// through memory, so no vector register is live across the
+        /// call and the hot loop keeps them in registers.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ + VL, and
+        /// `brow[block.at + l]` must be readable for every block and
+        /// lane `l` set in its `lanes`.
+        #[cold]
+        #[inline(never)]
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn settle<T: MacObserver>(
+            &self,
+            (gi, kk, a): (usize, usize, f32),
+            blocks: [(&Block, &mut __m512); 2],
+            brow: *const f32,
+            mul_obs: &mut T,
+            acc_obs: &mut T,
+        ) {
+            let step = Step::new(gi, kk, a);
+            let vector = finite_non_zero(a);
+            for (block, acc) in blocks {
+                let done = if vector {
+                    self.lanes16(&step, block, *acc, load_b(block, brow))
+                } else {
+                    Lanes {
+                        live: block.lanes,
+                        settle: block.lanes,
+                        sum: *acc,
+                        q: *acc,
+                    }
+                };
+                let store = |v: __m512| {
+                    let mut out = [0f32; 16];
+                    _mm512_storeu_ps(out.as_mut_ptr(), v);
+                    out
+                };
+                let (old, sum, q) = (store(*acc), store(done.sum), store(done.q));
+                let mut out = old;
+                for l in 0..16 {
+                    if done.live & (1 << l) == 0 {
+                        continue;
+                    }
+                    if done.settle & (1 << l) != 0 {
+                        let product = a as f64 * *brow.add(block.at + l) as f64;
+                        if product != 0.0 {
+                            out[l] = mac_round(
+                                old[l],
+                                product,
+                                &Fused,
+                                self.acc,
+                                gi,
+                                block.gj + l,
+                                kk,
+                                mul_obs,
+                                acc_obs,
+                            );
+                        }
+                    } else {
+                        acc_obs.record(sum[l] as f64, q[l] as f64);
+                        out[l] = q[l];
+                    }
+                }
+                *acc = _mm512_loadu_ps(out.as_ptr());
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX-512 F + DQ + VL, and `g.out`, `g.ad`
+    /// and `g.bd` must hold `n·m`, `n·k` and `k·m` elements.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn inner<const MODE: u8, T: MacObserver>(
+        g: Gemm<'_>,
+        acc: &FloatStage<MODE>,
+        plan: &LanePlanF32,
+        mul_obs: &mut T,
+        acc_obs: &mut T,
+    ) {
+        let nest = Nest {
+            acc,
+            quant: QuantVecF32x16::new(plan),
+            seed: _mm512_set1_epi64(plan.seed as i64),
+        };
+        for j0 in (0..g.m).step_by(STRIP) {
+            let (b0, b1) = (Block::new(&g, j0, 0), Block::new(&g, j0, 1));
+            for i in 0..g.n {
+                let gi = i + g.row_offset;
+                let arow = &g.ad[i * g.k..(i + 1) * g.k];
+                let orow = g.out.as_mut_ptr().add(i * g.m + j0);
+                let load = |b: &Block| _mm512_maskz_loadu_ps(b.lanes, orow.wrapping_add(b.at));
+                let (mut s0, mut s1) = (load(&b0), load(&b1));
+                for (kk, &a) in arow.iter().enumerate() {
+                    if a == 0.0 && g.b_all_finite {
+                        continue;
+                    }
+                    let brow = g.bd.as_ptr().add(kk * g.m + j0);
+                    if finite_non_zero(a) {
+                        let (v0, v1) = (load_b(&b0, brow), load_b(&b1, brow));
+                        if v0.1 | v1.1 == 0 {
+                            // Every product of the step is an exact
+                            // zero.
+                            continue;
+                        }
+                        if !T::ACTIVE {
+                            let step = Step::new(gi, kk, a);
+                            let l0 = nest.lanes16(&step, &b0, s0, v0);
+                            let l1 = nest.lanes16(&step, &b1, s1, v1);
+                            if _kortestz_mask16_u8(l0.settle, l1.settle) != 0 {
+                                // Skipped lanes keep their accumulator,
+                                // like the scalar `continue`.
+                                s0 = _mm512_mask_mov_ps(s0, l0.live, l0.q);
+                                s1 = _mm512_mask_mov_ps(s1, l1.live, l1.q);
+                                continue;
+                            }
+                        }
+                    }
+                    let (mut t0, mut t1) = (s0, s1);
+                    let blocks = [(&b0, &mut t0), (&b1, &mut t1)];
+                    nest.settle((gi, kk, a), blocks, brow, mul_obs, acc_obs);
+                    (s0, s1) = (t0, t1);
+                }
+                _mm512_mask_storeu_ps(orow.wrapping_add(b0.at), b0.lanes, s0);
+                _mm512_mask_storeu_ps(orow.wrapping_add(b1.at), b1.lanes, s1);
             }
         }
     }

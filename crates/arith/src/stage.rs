@@ -3,7 +3,9 @@
 //!
 //! A MAC has two rounding stages — the multiplier output and the
 //! accumulator — and each loop nest (scalar, AVX2, AVX-512) is written
-//! once, generic over a [`Stage`] per stage:
+//! once, generic over a [`Stage`] per stage (the `f32`-lane AVX-512
+//! nest runs [`Fused`] × [`FloatStage`] only, and settles lanes
+//! through that pair's scalar body):
 //!
 //! | stage type            | rounds through                                   |
 //! |-----------------------|--------------------------------------------------|

@@ -17,7 +17,10 @@ fn modes() -> impl Strategy<Value = Rounding> {
         Just(Rounding::TowardZero),
         Just(Rounding::ToOdd),
         Just(Rounding::NoRound),
-        (1u32..=16).prop_map(|b| Rounding::Stochastic { random_bits: b }),
+        // Both sides of the `f32` lanes' 31-bit limit, and (for E6M5
+        // on `f32` lanes, 18 discarded bits) more draw bits than
+        // discarded bits.
+        (0u32..=53).prop_map(|b| Rounding::Stochastic { random_bits: b }),
     ]
 }
 
@@ -348,6 +351,10 @@ fn sr_stage_configs() -> Vec<QGemmConfig> {
             fixed(FixedFormat::fxp8_8(), sr),
         )),
         QGemmConfig::for_mac(MacConfig::fxp4_4(sr)),
+        QGemmConfig::for_mac(MacConfig::new(
+            float(FloatFormat::e5m2(), Rounding::NoRound),
+            float(bf16(), Rounding::Stochastic { random_bits: 31 }),
+        )),
     ]
     .into_iter()
     .map(|c| c.with_seed(0x5eed))
@@ -385,12 +392,13 @@ fn dense(rows: usize, cols: usize, salt: usize) -> Tensor {
     })
 }
 
-/// `m` from 1 to 40: every load/store-mask remainder, strips of one
-/// to four blocks, and one column past a full strip; `n` and `k` of 1.
+/// `m` from 1 to 65: every load/store-mask remainder of both vector
+/// widths, strips of every block count, and one column past two full
+/// strips; `n` and `k` of 1.
 #[test]
 fn every_strip_width_matches_reference() {
     for cfg in all_mode_configs() {
-        for m in 1..=40 {
+        for m in 1..=65 {
             for (n, k) in [(1, 1), (1, 9), (3, 1), (3, 9)] {
                 let (a, b) = (dense(n, k, m), dense(k, m, 7 * m));
                 assert_tiers_match(&format!("{n}x{k}x{m}"), &a, &b, &cfg, 5, 11);
@@ -564,5 +572,194 @@ fn accumulators_wider_than_f32_round_trip_every_step() {
                 "{acc}: the per-step f32 narrowing never showed"
             );
         }
+    }
+}
+
+/// `E8M7`: bfloat16's exponent range, so sums reach `f32`'s subnormals
+/// while still inside the format's normal range.
+fn bf16() -> FloatFormat {
+    FloatFormat::new(8, 7).unwrap()
+}
+
+/// Fused MACs whose accumulator the `f32`-lane nest carries, under
+/// every mode and SR widths from 0 to its 31-bit limit.
+fn fused_f32_lane_configs() -> Vec<QGemmConfig> {
+    let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
+    let mut cfgs = Vec::new();
+    for acc in [
+        FloatFormat::e6m5(),
+        FloatFormat::e6m5().without_subnormals(),
+        FloatFormat::e5m10().with_infinities(),
+        bf16(),
+    ] {
+        for mode in [
+            Rounding::Nearest,
+            Rounding::TowardZero,
+            Rounding::ToOdd,
+            Rounding::Stochastic { random_bits: 0 },
+            Rounding::stochastic(),
+            Rounding::Stochastic { random_bits: 19 },
+            Rounding::Stochastic { random_bits: 31 },
+        ] {
+            cfgs.push(
+                QGemmConfig::new(
+                    Quantizer::identity(),
+                    Quantizer::identity(),
+                    MacConfig::new(nr, Quantizer::float(acc, mode)),
+                )
+                .with_seed(0xf32),
+            );
+        }
+    }
+    cfgs
+}
+
+/// The `f32` lanes' exactness tests at every lane of two 16-lane
+/// blocks and a partial third: sums `f32` cannot hold, products that
+/// underflow `f32` (whose FMA residual rounds to zero too), products
+/// that flush to zero without being zero, zero `B` elements under a
+/// non-finite `A` element, and the hand-back classes (target-subnormal
+/// and saturating sums, NaN and inf in either operand). Each case is
+/// three steps of one output element, followed by an ordinary step;
+/// operands pass through unquantized.
+#[test]
+fn f32_lane_exactness_edges_match_reference_at_every_lane() {
+    let p = |e: i32| 2.0f32.powi(e);
+    let bf = 1.0 + p(-7);
+    let cases: [(&str, [(f32, f32); 3]); 15] = [
+        // 2^22 + 2.1875 needs 27 significant bits.
+        (
+            "inexact f32 sum",
+            [(p(11), p(11)), (1.25, 1.75), (1.0, 0.5)],
+        ),
+        (
+            "inexact f32 sum, negative",
+            [(-p(11), p(11)), (1.25, -1.75), (0.0, 0.0)],
+        ),
+        // A normal `bf16` accumulator plus a product that rounds in
+        // `f32`'s subnormal range with a zero residual.
+        (
+            "underflowing product",
+            [(p(-63), p(-63)), (bf * p(-70), bf * p(-70)), (0.0, 0.0)],
+        ),
+        (
+            "underflowing product alone",
+            [(bf * p(-70), bf * p(-70)), (0.0, 0.0), (1.0, 0.5)],
+        ),
+        // Rounds to exactly one `bf16` ulp above the accumulator,
+        // while the exact sum lies just below it.
+        (
+            "underflowing product onto the grid",
+            [
+                (p(-63), p(-63)),
+                ((1.0 - p(-9)) * p(-60), (1.0 + p(-9)) * p(-73)),
+                (0.0, 0.0),
+            ],
+        ),
+        // A non-zero product that is zero in `f32`.
+        (
+            "product flushing to zero",
+            [(p(-63), p(-63)), (bf * p(-80), bf * p(-80)), (0.0, 0.0)],
+        ),
+        (
+            "target-subnormal sum",
+            [(p(-16), p(-17)), (p(-65), p(-65)), (0.0, 0.0)],
+        ),
+        (
+            "saturating sum",
+            [(p(15), p(16)), (p(15), p(16)), (p(64), p(64))],
+        ),
+        ("NaN in A", [(1.0, 1.0), (f32::NAN, 1.0), (0.0, 0.0)]),
+        ("NaN in B", [(1.0, 1.0), (1.0, f32::NAN), (0.0, 0.0)]),
+        (
+            "inf in A",
+            [(1.0, 1.0), (f32::NEG_INFINITY, 0.5), (0.0, 0.0)],
+        ),
+        (
+            "inf in B",
+            [(1.0, 1.0), (1.0, f32::INFINITY), (1.0, f32::NEG_INFINITY)],
+        ),
+        ("0 x inf", [(1.0, 1.0), (0.0, f32::INFINITY), (0.0, 0.0)]),
+        // A zero `b` under a non-finite `a` is no zero product.
+        ("inf x 0", [(1.0, 1.0), (f32::INFINITY, 0.0), (0.0, 0.0)]),
+        ("NaN x 0", [(1.0, 1.0), (f32::NAN, -0.0), (0.0, 0.0)]),
+    ];
+    let (n, k, m) = (2, 5, 35);
+    for cfg in fused_f32_lane_configs() {
+        for (what, steps) in cases {
+            for lane in 0..m {
+                let mut a = dense(n, k, lane);
+                let mut b = dense(k, m, 3 * lane);
+                for kk in 0..k {
+                    b.set(&[kk, lane], 0.0);
+                }
+                for (kk, (av, bv)) in steps.into_iter().enumerate() {
+                    a.set(&[1, kk + 1], av);
+                    b.set(&[kk + 1, lane], bv);
+                }
+                b.set(&[4, lane], 0.75);
+                assert_tiers_match(&format!("{what} at lane {lane}"), &a, &b, &cfg, 0, 0);
+            }
+        }
+    }
+}
+
+/// `inf × 0` and `NaN × 0` are NaN, not zero products: a non-finite
+/// `A` element over a `B` row of zeros must poison every output of its
+/// row, on every lane of every block, though no lane of the step has
+/// anything to settle.
+#[test]
+fn non_finite_a_over_a_zero_b_row_matches_reference() {
+    for cfg in fused_f32_lane_configs() {
+        for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut a = dense(3, 4, 1);
+            a.set(&[1, 2], poison);
+            let mut b = dense(4, 37, 2);
+            for j in 0..37 {
+                b.set(&[2, j], if j % 2 == 0 { 0.0 } else { -0.0 });
+            }
+            let out = assert_tiers_match(&format!("{poison} x 0"), &a, &b, &cfg, 0, 0);
+            assert!(
+                (0..37).all(|j| out.at(&[1, j]).is_nan()),
+                "{cfg}: {poison} x 0"
+            );
+        }
+    }
+}
+
+/// With telemetry on, the `f32`-lane nest shows the accumulator
+/// observer the same `(sum, rounded)` pairs as the `f64` nests, on a
+/// GEMM where some lanes settle through the scalar path. The format
+/// is one no other test in this binary uses, so its counter group is
+/// this test's alone.
+#[test]
+fn f32_lane_nest_tallies_equal_the_f64_nests() {
+    let acc = Quantizer::float(FloatFormat::new(7, 4).unwrap(), Rounding::stochastic());
+    let mac = MacConfig::new(
+        Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound),
+        acc,
+    );
+    let cfg = QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac).with_seed(5);
+    let mut a = dense(9, 21, 3).map(|v| v * 300.0);
+    a.set(&[2, 4], f32::NAN);
+    a.set(&[3, 5], 2.0f32.powi(-70));
+    let b = dense(21, 37, 8);
+    let label = format!("acc:{}", cfg.mac.acc);
+    let mut tallies = Vec::new();
+    for tier in SimdTier::ALL {
+        let before = tally_counts(&label);
+        mpt_telemetry::enable();
+        qgemm_with_tier(&a, &b, &cfg, 0, 0, tier).unwrap();
+        mpt_telemetry::disable();
+        let after = tally_counts(&label);
+        tallies.push((
+            tier,
+            std::array::from_fn::<u64, 7, _>(|i| after[i] - before[i]),
+        ));
+    }
+    let (first, want) = tallies[0];
+    assert!(want[0] > 0, "the accumulator tally recorded nothing");
+    for (tier, got) in tallies {
+        assert_eq!(got, want, "acc tally, tier {tier} != tier {first}");
     }
 }

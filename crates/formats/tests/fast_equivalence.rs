@@ -438,3 +438,95 @@ fn tier_lane_tails_and_specials() {
         }
     }
 }
+
+/// The 16-lane `f32` quantizer of the fused-float `f32` MAC nest
+/// equals the `f64` kernel (`FloatFastF64::quantize` of the widened
+/// lane) and the scalar oracle lane for lane on `f32` inputs, under
+/// every mode and SR widths on both sides of the discarded-bit count,
+/// up to its 31-bit limit. Every hand-back class — `f32` subnormal,
+/// target subnormal, ±inf, NaN — walks through every lane position,
+/// and must come back with its valid bit clear; every other lane,
+/// ±0 included, must come back valid and equal. This pins the
+/// carrier-width equivalence the `f32`-lane nest relies on.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn quantize16_f32_matches_the_f64_kernel_lane_for_lane() {
+    use mpt_formats::simd_avx512::quantize16_f32;
+    if !mpt_formats::simd::avx512_supported() {
+        return;
+    }
+    let formats = [
+        FloatFormat::e6m5(),
+        FloatFormat::e5m2().with_infinities(),
+        FloatFormat::e6m5().without_subnormals(),
+        FloatFormat::new(8, 7).unwrap(),
+        FloatFormat::new(5, 0).unwrap(),
+        FloatFormat::new(8, 22).unwrap().with_infinities(),
+    ];
+    let mut modes = vec![Rounding::Nearest, Rounding::TowardZero, Rounding::ToOdd];
+    modes.extend([0, 1, 10, 18, 19, 31].map(|random_bits| Rounding::Stochastic { random_bits }));
+    for fmt in formats {
+        let min_normal = fmt.min_normal() as f32;
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(0x0000_0003),                 // f32 subnormal
+            -f32::from_bits(0x007f_ffff),                // f32 subnormal
+            (fmt.min_normal() * 0.75) as f32,            // target subnormal
+            -(fmt.min_normal() * 0.5).max(1e-45) as f32, // target subnormal or f32's
+            f32::from_bits(min_normal.to_bits() - 1),    // just below the fast regime
+            -min_normal,                                 // its first value
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0xffc0_1234), // negative NaN, payload
+        ];
+        let ordinary = |block: usize, lane: usize| {
+            // Magnitudes from the format's min normal to past its
+            // max, on and off the grid, both signs.
+            let t = ((block * 16 + lane) * 2654435761 % 4096) as f64 / 4096.0;
+            let lo = fmt.min_normal().log2();
+            let hi = (fmt.max_value() * 1.5).log2().min(127.9);
+            let x = (lo + t * (hi - lo)).exp2() as f32;
+            let x = f32::from_bits(x.to_bits() & !(block as u32 % 3 * 0x3ff));
+            if (block + lane).is_multiple_of(2) {
+                x
+            } else {
+                -x
+            }
+        };
+        for rounding in modes.iter().copied() {
+            let rng = SrRng::new(0xf32_5eed);
+            let fast32 = FloatFastF32::new(fmt, rounding, rng).unwrap();
+            let fast64 = FloatFastF64::new(fmt, rounding, rng).unwrap();
+            let plan = fast32.lane_plan().unwrap();
+            for block in 0..400 {
+                let xs: [f32; 16] = std::array::from_fn(|l| {
+                    if (block + l).is_multiple_of(4) {
+                        specials[(block / 4 + l) % specials.len()]
+                    } else {
+                        ordinary(block, l)
+                    }
+                });
+                // Structured like `sr_event_index`.
+                let idxs: [u64; 16] =
+                    std::array::from_fn(|l| ((block as u64) << 42) | ((l as u64) << 22) | 1);
+                let hash = idxs.map(|i| rng.hash_input(i));
+                let (out, ok) = quantize16_f32(&plan, rounding, &xs, &hash).unwrap();
+                for l in 0..16 {
+                    let x = xs[l];
+                    let slow = x != 0.0 && (!x.is_normal() || (x.abs() as f64) < fmt.min_normal());
+                    let what = format!("{fmt}-{rounding} block {block} lane {l} x {x:e}");
+                    assert_eq!(ok & (1 << l) == 0, slow, "valid bit: {what}");
+                    if slow {
+                        continue;
+                    }
+                    let want = fast64.quantize_dyn(x as f64, idxs[l]) as f32;
+                    let oracle = fmt.quantize(x as f64, rounding, &rng, idxs[l]) as f32;
+                    assert_eq!(want.to_bits(), oracle.to_bits(), "f64 kernel: {what}");
+                    assert_eq!(out[l].to_bits(), want.to_bits(), "16 lanes: {what}");
+                }
+            }
+        }
+    }
+}
