@@ -23,7 +23,8 @@ use mpt_bench::scale::{run_scale, RunScale};
 use mpt_faults::{FaultPlan, FaultSite, Injector, RetryPolicy, Trigger};
 use mpt_fpga::{Accelerator, PipelinedExecutor, SaConfig, DEFAULT_CACHE_BUDGET};
 use mpt_serving::{
-    BreakerState, GemmService, RequestClass, ServeConfig, ServeResult, QUEUE_DEPTH_GAUGE,
+    BreakerState, GemmService, RequestClass, ServeConfig, ServeResult, BATCH_MAX, QUEUE_CAP,
+    QUEUE_DEPTH_GAUGE,
 };
 use mpt_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,12 +72,10 @@ fn main() {
     };
     let serve_cfg = ServeConfig {
         retry: RetryPolicy::no_delay(3).with_jitter(seed),
-        ..ServeConfig::default()
     };
     println!(
         "serve_chaos: {clients} clients x {requests_per_client} requests, \
-         seed {seed}, queue cap {}, batch max {}\n",
-        serve_cfg.queue_cap, serve_cfg.batch_max
+         seed {seed}, queue cap {QUEUE_CAP}, batch max {BATCH_MAX}\n"
     );
 
     let acc = Accelerator::new(SaConfig::new(8, 8, 4).expect("valid"), 298.0);
@@ -102,7 +101,7 @@ fn main() {
             };
             let cfg = QGemmConfig::fp8_fp12_sr().with_seed(17);
             for round in 0..requests_per_client as u64 {
-                // A handful of shapes so coalescing has material.
+                // A handful of shapes so rounds mix shapes.
                 let shape_tag = (client + round) % 4;
                 let (a, b) = operands(
                     8 + shape_tag as usize * 4,

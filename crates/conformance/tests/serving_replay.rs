@@ -1,8 +1,9 @@
 //! Serving-front-end conformance: the golden LeNet training replay
 //! runs *through the queue* — the trainer is one more client behind
-//! admission control, coalescing and the circuit breaker, with
-//! concurrent inference clients hammering the same service — and must
-//! land on the same weight digest as the direct pipelined backend.
+//! admission control, arrival-order rounds and the circuit breaker,
+//! with concurrent inference clients hammering the same service — and
+//! must land on the same weight digest as the direct pipelined
+//! backend.
 //!
 //! Degradation is a latency statement, never a correctness one: the
 //! chaos variant arms every fault site and still pins the digest.

@@ -26,8 +26,8 @@
 //!   overlapped makespan — fill time plus the per-launch bottleneck
 //!   stage, not the eager sum.
 //! * **Host wall-clock** does not overlap: every launch computes on
-//!   the calling thread, in order. A batch of independent GEMMs (the
-//!   serving dispatcher's coalesced group) is consecutive launches.
+//!   the calling thread, in order. A batch of independent GEMMs (a
+//!   serving dispatcher round) is consecutive launches.
 //!
 //! Every launch is one body — pack, then the fault gates of
 //! [`crate::resilient`], then accounting, then compute — under the

@@ -1,13 +1,13 @@
-//! Serving-style cache interleaving: coalesced launches share
+//! Serving-style cache interleaving: consecutive launches share
 //! packed operands while optimizer-style weight updates and eviction
 //! churn the [`OperandCache`](mpt_fpga::OperandCache) underneath.
 //!
-//! This is the access pattern the serving dispatcher produces — many
-//! same-weight activations per round, weights re-keyed between rounds
-//! — replayed across cache budgets from "disabled" to "everything
-//! resident". Every output must be bit-identical to the eager kernel
-//! on the *current* weights, and the hit/miss counters must account
-//! for every operand lookup.
+//! This is the access pattern a serving dispatcher round produces —
+//! many same-weight activations launched one after another, weights
+//! re-keyed between rounds — replayed across cache budgets from
+//! "disabled" to "everything resident". Every output must be
+//! bit-identical to the eager kernel on the *current* weights, and the
+//! hit/miss counters must account for every operand lookup.
 
 use mpt_arith::{qgemm_parallel, QGemmConfig};
 use mpt_fpga::{Accelerator, PipelinedExecutor, SaConfig};
@@ -35,7 +35,7 @@ fn coalesced_batches_race_weight_updates_across_budgets() {
         let mut weights = matrix(6, 5, 0);
         let mut launches = 0u64;
         for epoch in 0..6u64 {
-            // A coalesced serving round: four activation batches (one
+            // A serving round: four activation batches (one
             // repeated from the previous round — the cache's hit path)
             // against the current weights, as consecutive launches.
             let acts: Vec<Tensor> = (0..3)
@@ -52,7 +52,7 @@ fn coalesced_batches_race_weight_updates_across_budgets() {
                 let want = qgemm_parallel(a, &weights, &cfg, 2).expect("valid shapes");
                 assert_eq!(
                     got, want,
-                    "budget {budget}, epoch {epoch}: coalesced launch diverged from eager"
+                    "budget {budget}, epoch {epoch}: served launch diverged from eager"
                 );
             }
             // The optimizer step between rounds: same shape, new bits.
@@ -71,7 +71,7 @@ fn coalesced_batches_race_weight_updates_across_budgets() {
             0 => assert_eq!(stats.hits, 0, "zero budget must never hit"),
             b if b >= 1 << 20 => assert!(
                 stats.hits > 0,
-                "ample budget: weights shared across a coalesced batch must hit"
+                "ample budget: weights shared across a round must hit"
             ),
             _ => {}
         }

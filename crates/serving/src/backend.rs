@@ -3,11 +3,12 @@
 //! Wrapping a [`ServeHandle`](crate::ServeHandle) in a
 //! [`ServingBackend`] and handing the trainer an
 //! `Rc<ServingBackend>` (`train_cnn_with_backend`) routes every
-//! trainer GEMM through the serving queue — admission control,
-//! coalescing against concurrent inference traffic, breaker and all —
-//! while the training result stays bit-identical to the direct
-//! pipelined backend (the conformance suite pins the golden digest
-//! through this path).
+//! trainer GEMM through the serving queue — admission control, rounds
+//! shared with concurrent inference traffic, breaker and all — while
+//! the training result stays bit-identical to the direct pipelined
+//! backend (the conformance suite pins the golden digest through this
+//! path). Step boundaries are the default no-op: nothing reads the
+//! dispatcher executor's overlap clock, so there is nothing to drain.
 
 use crate::request::{RequestClass, ServeResult};
 use crate::service::ServeHandle;
@@ -28,11 +29,6 @@ impl ServingBackend {
     /// Wraps a service handle as client `stream` (any stable id).
     pub fn new(handle: ServeHandle, stream: u64) -> Self {
         ServingBackend { handle, stream }
-    }
-
-    /// The wrapped handle.
-    pub fn handle(&self) -> &ServeHandle {
-        &self.handle
     }
 }
 
@@ -55,9 +51,5 @@ impl GemmBackend for ServingBackend {
 
     fn label(&self) -> String {
         "serving".into()
-    }
-
-    fn step_boundary(&self) {
-        self.handle.flush();
     }
 }

@@ -1,7 +1,7 @@
 //! Circuit breaker over the FPGA path.
 //!
-//! The serving dispatcher consults the breaker before every coalesced
-//! group of launches. While **closed**, traffic flows to the accelerator and
+//! The serving dispatcher consults the breaker before every request
+//! it launches. While **closed**, traffic flows to the accelerator and
 //! per-launch retry exhaustions count against a consecutive-failure
 //! threshold. Tripping **opens** the breaker: requests route straight
 //! to the bit-identical CPU fallback (no retry storms against a sick
@@ -58,10 +58,10 @@ impl fmt::Display for BreakerTransition {
     }
 }
 
-/// The state machine. Single-threaded by design: it lives on the
-/// dispatcher thread, which is the only place launch outcomes exist.
+/// The state machine. Only the dispatcher thread moves it — that is
+/// the only place launch outcomes exist; clients read it.
 #[derive(Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: BreakerState,
     /// Consecutive retry-budget exhaustions while closed.
     consecutive_failures: u32,

@@ -6,7 +6,7 @@
 //! throughput degrades *gracefully* — never correctness — when
 //! faults, overload, and slow clients hit at once:
 //!
-//! * **Bounded admission queue** — a submit past `queue_cap` is
+//! * **Bounded admission queue** — a submit past [`QUEUE_CAP`] is
 //!   answered immediately with [`ServeResult::Rejected`] and a
 //!   retry-after hint (queue depth × service-time EWMA) instead of
 //!   buffering without bound.
@@ -14,19 +14,21 @@
 //!   cooperatively before launching anything whose deadline passed
 //!   ([`ServeResult::DeadlineExceeded`]); training traffic carries no
 //!   deadline and always completes.
-//! * **Circuit breaker** — consecutive FPGA retry-budget exhaustions
-//!   trip it ([`BreakerState::Open`]) and traffic routes to
-//!   [`mpt_fpga::degrade`], the bit-identical CPU fallback every
-//!   exhausted launch in the stack takes; after a cooldown
-//!   (counted in bypassed requests, so chaos replays exactly) a
-//!   half-open probe tests recovery. Every transition is logged and
+//! * **Circuit breaker** — [`BREAKER_THRESHOLD`] consecutive FPGA
+//!   retry-budget exhaustions trip it ([`BreakerState::Open`]) and
+//!   traffic routes to [`mpt_fpga::degrade`], the bit-identical CPU
+//!   fallback every exhausted launch in the stack takes; after a
+//!   cooldown of [`BREAKER_COOLDOWN`] bypassed requests (counted in
+//!   requests, so chaos replays exactly) a half-open probe tests
+//!   recovery. Every transition is logged and
 //!   emitted as a `breaker_state` telemetry event.
-//! * **Dynamic coalescing** — same-shape / same-quantizer requests
-//!   drained in one round run back to back as consecutive
-//!   [`PipelinedExecutor::launch_resilient`][lr] calls — always,
-//!   under the service's injector: a service started without one
-//!   holds the empty fault plan. The group key is exactly what the
-//!   operand cache fingerprints.
+//! * **Rounds in arrival order** — the dispatcher drains up to
+//!   [`BATCH_MAX`] requests at a time and serves them in the order
+//!   they arrived, one [`PipelinedExecutor::launch_resilient`][lr]
+//!   call each, checking the breaker before every one — always under
+//!   the service's injector: a service started without one holds the
+//!   empty fault plan. The operand cache is content-addressed, so a
+//!   weight shared by requests is packed once whatever their order.
 //!
 //! Degradation is a latency statement, never a correctness one:
 //! every path (FPGA, retried FPGA, CPU fallback) produces the same
@@ -35,9 +37,9 @@
 //! service* against the single-device digest while inference clients
 //! inject concurrent chaos traffic.
 //!
-//! Knobs are the fields of [`ServeConfig`]; the `serve_chaos` bench
-//! bin drives N clients against an armed fault plan and hard-asserts
-//! zero corrupted responses.
+//! The one knob is [`ServeConfig::retry`]; queue and breaker sizes are
+//! constants. The `serve_chaos` bench bin drives N clients against an
+//! armed fault plan and hard-asserts zero corrupted responses.
 //!
 //! [lr]: mpt_fpga::PipelinedExecutor::launch_resilient
 //!
@@ -80,7 +82,7 @@ mod request;
 mod service;
 
 pub use backend::ServingBackend;
-pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-pub use config::ServeConfig;
-pub use request::{GemmRequest, RequestClass, ServeResult};
+pub use breaker::{BreakerState, BreakerTransition};
+pub use config::{ServeConfig, BATCH_MAX, BREAKER_COOLDOWN, BREAKER_THRESHOLD, QUEUE_CAP};
+pub use request::{RequestClass, ServeResult};
 pub use service::{GemmService, ServeHandle, ServeStats, QUEUE_DEPTH_GAUGE};

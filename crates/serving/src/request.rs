@@ -28,35 +28,19 @@ impl RequestClass {
 
 /// One GEMM job travelling from a client to the dispatcher.
 #[derive(Debug)]
-pub struct GemmRequest {
-    /// Left operand.
-    pub a: Tensor,
-    /// Right operand.
-    pub b: Tensor,
-    /// Quantized-GEMM configuration (also the coalescing key, jointly
-    /// with the operand shapes).
-    pub cfg: QGemmConfig,
-    /// Traffic class.
-    pub class: RequestClass,
+pub(crate) struct GemmRequest {
+    pub(crate) a: Tensor,
+    pub(crate) b: Tensor,
+    pub(crate) cfg: QGemmConfig,
+    pub(crate) class: RequestClass,
     /// Cooperative cancellation point: the dispatcher drops the
     /// request (responding [`ServeResult::DeadlineExceeded`]) if this
     /// instant passes before it launches.
-    pub deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
     /// When the request entered the queue (latency accounting).
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
     /// Where the dispatcher sends the outcome.
-    pub resp: mpsc::Sender<ServeResult>,
-}
-
-impl GemmRequest {
-    /// The coalescing key: requests sharing it quantize identically
-    /// and run back to back as one coalesced group. Shapes plus the
-    /// config's `Debug` form (which includes both quantizers, rounding
-    /// seeds, and the accumulator setting) — exactly the inputs the
-    /// operand cache fingerprints.
-    pub fn coalesce_key(&self) -> String {
-        format!("{:?}|{:?}|{:?}", self.a.shape(), self.b.shape(), self.cfg)
-    }
+    pub(crate) resp: mpsc::Sender<ServeResult>,
 }
 
 /// The dispatcher's answer to one request.
@@ -81,26 +65,4 @@ pub enum ServeResult {
     DeadlineExceeded,
     /// Malformed operands (never retried).
     Failed(ShapeError),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn coalesce_key_separates_shape_and_config() {
-        let (tx, _rx) = mpsc::channel();
-        let mk = |n: usize, seed: u64| GemmRequest {
-            a: Tensor::zeros(vec![n, 4]),
-            b: Tensor::zeros(vec![4, 3]),
-            cfg: QGemmConfig::fp8_fp12_sr().with_seed(seed),
-            class: RequestClass::Inference,
-            deadline: None,
-            enqueued: Instant::now(),
-            resp: tx.clone(),
-        };
-        assert_eq!(mk(2, 7).coalesce_key(), mk(2, 7).coalesce_key());
-        assert_ne!(mk(2, 7).coalesce_key(), mk(3, 7).coalesce_key(), "shape");
-        assert_ne!(mk(2, 7).coalesce_key(), mk(2, 8).coalesce_key(), "seed");
-    }
 }

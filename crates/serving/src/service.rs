@@ -1,19 +1,19 @@
-//! The queue + dispatcher: admission control, coalescing, breaker.
+//! The queue + dispatcher: admission control, deadlines, breaker.
 //!
-//! One dispatcher thread owns the [`PipelinedExecutor`], the
+//! One dispatcher thread owns the [`PipelinedExecutor`] and the
 //! [`Injector`] (the empty plan unless the service was started
-//! chaos-armed), and the [`CircuitBreaker`]; clients only touch the
-//! bounded queue. Each round the dispatcher drains up to `batch_max`
-//! requests, expires the ones whose deadline passed, coalesces the
-//! rest by (shape, quantizer-config) key, and runs each group as
-//! consecutive launches computed on this thread — through the FPGA
-//! path while the breaker allows it, straight to [`degrade`] (the
-//! bit-identical CPU fallback) while it is open. Every response is
-//! bit-identical to eager execution regardless of the route taken;
-//! chaos only moves latency and the `degraded` flag.
+//! chaos-armed); clients only touch the bounded queue and read the
+//! [`CircuitBreaker`], which only the dispatcher moves. Each round the
+//! dispatcher drains up to [`BATCH_MAX`] requests, expires the ones
+//! whose deadline passed, and serves the rest in arrival order, one
+//! launch each, computed on this thread — through the FPGA path while
+//! the breaker allows it, straight to [`degrade`] (the bit-identical
+//! CPU fallback) while it is open. Every response is bit-identical to
+//! eager execution regardless of the route taken; chaos only moves
+//! latency and the `degraded` flag.
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, BATCH_MAX, BREAKER_COOLDOWN, BREAKER_THRESHOLD, QUEUE_CAP};
 use crate::request::{GemmRequest, RequestClass, ServeResult};
 use mpt_arith::QGemmConfig;
 use mpt_faults::{FaultPlan, FaultSite, Injector};
@@ -32,19 +32,9 @@ pub const QUEUE_DEPTH_GAUGE: &str = "serve.queue_depth";
 const RETRY_AFTER_MIN: Duration = Duration::from_micros(10);
 const RETRY_AFTER_MAX: Duration = Duration::from_millis(50);
 
-/// Jobs crossing the queue: GEMMs, plus control messages from the
-/// trainer client (step boundaries flush the executor's launch queue
-/// so latency accounting never straddles an optimizer update).
-#[derive(Debug)]
-enum Job {
-    // Boxed: a request carries tensors + channel and dwarfs `Flush`.
-    Gemm(Box<GemmRequest>),
-    Flush(mpsc::Sender<()>),
-}
-
 #[derive(Debug, Default)]
 struct QueueState {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<GemmRequest>,
     shutdown: bool,
 }
 
@@ -60,9 +50,7 @@ pub struct ServeStats {
     pub degraded: AtomicU64,
     /// Requests cancelled at their deadline.
     pub deadline_exceeded: AtomicU64,
-    /// Coalesced groups sent down the FPGA path.
-    pub batches: AtomicU64,
-    /// GEMMs that rode a coalesced group of size > 1.
+    /// GEMMs served in a round with more than one live request.
     pub coalesced: AtomicU64,
 }
 
@@ -91,10 +79,9 @@ struct Shared {
     /// backpressure hint's unit of work).
     ewma_ns: AtomicU64,
     stats: ServeStats,
-    /// Breaker transition log, mirrored out of the dispatcher so
-    /// tests can pin the trip/recovery sequence.
-    breaker_log: Mutex<Vec<BreakerTransition>>,
-    breaker_state: Mutex<BreakerState>,
+    /// Moved by the dispatcher before each reply, so a client that
+    /// got its reply reads the state that reply left.
+    breaker: Mutex<CircuitBreaker>,
 }
 
 impl Shared {
@@ -120,9 +107,7 @@ pub struct ServeHandle {
 
 impl std::fmt::Debug for ServeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeHandle")
-            .field("queue_cap", &self.shared.cfg.queue_cap)
-            .finish()
+        f.debug_struct("ServeHandle").finish_non_exhaustive()
     }
 }
 
@@ -156,18 +141,15 @@ impl ServeHandle {
             return rx;
         }
         let depth = q.jobs.len();
-        if depth >= self.shared.cfg.queue_cap {
+        if depth >= QUEUE_CAP {
             drop(q);
             self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if mpt_telemetry::enabled() {
-                mpt_telemetry::counter("serve.rejected").incr();
-            }
             let _ = req.resp.send(ServeResult::Rejected {
                 retry_after: self.shared.retry_after(depth),
             });
             return rx;
         }
-        q.jobs.push_back(Job::Gemm(Box::new(req)));
+        q.jobs.push_back(req);
         if mpt_telemetry::enabled() {
             mpt_telemetry::gauge(QUEUE_DEPTH_GAUGE).add(1);
         }
@@ -214,34 +196,19 @@ impl ServeHandle {
         }
     }
 
-    /// Flushes the executor's staged launch queue (a training-step
-    /// boundary) and waits for the drain.
-    pub fn flush(&self) {
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            if q.shutdown {
-                return;
-            }
-            q.jobs.push_back(Job::Flush(tx));
-        }
-        self.shared.notify.notify_one();
-        let _ = rx.recv();
-    }
-
     /// Service counters.
     pub fn stats(&self) -> &ServeStats {
         &self.shared.stats
     }
 
-    /// The breaker's position as of the last dispatcher round.
+    /// The breaker's position as of the last reply sent.
     pub fn breaker_state(&self) -> BreakerState {
-        *self.shared.breaker_state.lock().unwrap()
+        self.shared.breaker.lock().unwrap().state()
     }
 
     /// Breaker transitions so far, in order.
     pub fn breaker_transitions(&self) -> Vec<BreakerTransition> {
-        self.shared.breaker_log.lock().unwrap().clone()
+        self.shared.breaker.lock().unwrap().transitions().to_vec()
     }
 
     /// Live queue depth (approximate under concurrency).
@@ -278,14 +245,12 @@ impl GemmService {
             cfg,
             ewma_ns: AtomicU64::new(0),
             stats: ServeStats::default(),
-            breaker_log: Mutex::new(Vec::new()),
-            breaker_state: Mutex::new(BreakerState::Closed),
+            breaker: Mutex::new(CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN)),
         });
         let dispatcher = Dispatcher {
             shared: Arc::clone(&shared),
             executor,
             injector: injector.unwrap_or_else(|| Injector::new(FaultPlan::new(0))),
-            breaker: CircuitBreaker::new(shared.cfg.breaker_threshold, shared.cfg.breaker_cooldown),
             drains: 0,
             deadline_checks: 0,
         };
@@ -335,7 +300,6 @@ struct Dispatcher {
     shared: Arc<Shared>,
     executor: PipelinedExecutor,
     injector: Injector,
-    breaker: CircuitBreaker,
     // Service-level injection sites draw on their own monotonic
     // counters so executor launch ids stay 1, 2, 3, … for launches.
     drains: u64,
@@ -343,11 +307,11 @@ struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// The dispatch loop: drain → expire → coalesce → launch →
-    /// respond, until shutdown finds the queue empty.
+    /// The dispatch loop: drain → expire → launch → respond, until
+    /// shutdown finds the queue empty.
     fn run(mut self) {
         loop {
-            let batch = {
+            let round = {
                 let mut q = self.shared.queue.lock().unwrap();
                 while q.jobs.is_empty() && !q.shutdown {
                     q = self.shared.notify.wait(q).unwrap();
@@ -355,37 +319,20 @@ impl Dispatcher {
                 if q.jobs.is_empty() && q.shutdown {
                     return;
                 }
-                let n = q.jobs.len().min(self.shared.cfg.batch_max);
+                let n = q.jobs.len().min(BATCH_MAX);
                 q.jobs.drain(..n).collect::<Vec<_>>()
             };
-            let mut requests = Vec::new();
-            for job in batch {
-                match job {
-                    Job::Gemm(r) => requests.push(*r),
-                    Job::Flush(done) => {
-                        // Serve everything drained ahead of the
-                        // boundary first, then drain the clock.
-                        self.serve_round(std::mem::take(&mut requests));
-                        self.executor.flush();
-                        let _ = done.send(());
-                    }
-                }
-            }
-            self.serve_round(requests);
-            *self.shared.breaker_state.lock().unwrap() = self.breaker.state();
-            *self.shared.breaker_log.lock().unwrap() = self.breaker.transitions().to_vec();
+            self.serve_round(round);
         }
     }
 
-    /// Serves one drained batch of GEMM requests.
+    /// Serves one drained round, in arrival order.
     fn serve_round(&mut self, requests: Vec<GemmRequest>) {
-        if requests.is_empty() {
-            return;
-        }
         if mpt_telemetry::enabled() {
             mpt_telemetry::gauge(QUEUE_DEPTH_GAUGE).add(-(requests.len() as i64));
         }
         self.drains += 1;
+        let stats = &self.shared.stats;
 
         // Injected load spike: the whole drained round is shed with a
         // retry-after, exactly as if admission control had caught it.
@@ -395,10 +342,7 @@ impl Dispatcher {
         if overload.is_some() {
             let depth = requests.len();
             for req in requests {
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if mpt_telemetry::enabled() {
-                    mpt_telemetry::counter("serve.rejected").incr();
-                }
+                stats.rejected.fetch_add(1, Ordering::Relaxed);
                 let _ = req.resp.send(ServeResult::Rejected {
                     retry_after: self.shared.retry_after(depth),
                 });
@@ -421,104 +365,79 @@ impl Dispatcher {
                     .is_some();
             }
             if expired {
-                let stats = &self.shared.stats;
                 stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                if mpt_telemetry::enabled() {
-                    mpt_telemetry::counter("serve.deadline_exceeded").incr();
-                }
                 let _ = req.resp.send(ServeResult::DeadlineExceeded);
             } else {
                 live.push(req);
             }
         }
 
-        // Coalesce same-shape / same-quantizer requests into groups
-        // served back to back.
-        let mut groups: Vec<(String, Vec<GemmRequest>)> = Vec::new();
-        for req in live {
-            let key = req.coalesce_key();
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, g)) => g.push(req),
-                None => groups.push((key, vec![req])),
-            }
+        // Counted before any reply, so a client holding every reply
+        // of the round reads the final count.
+        if live.len() > 1 {
+            stats
+                .coalesced
+                .fetch_add(live.len() as u64, Ordering::Relaxed);
         }
-        for (_, group) in groups {
-            self.serve_group(group);
+        for req in live {
+            self.serve(req);
         }
     }
 
-    /// Runs one coalesced group as consecutive launches, in request
-    /// order, and responds to each as its launch returns.
-    fn serve_group(&mut self, group: Vec<GemmRequest>) {
-        let stats = &self.shared.stats;
-        if group.len() > 1 {
-            stats
-                .coalesced
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
-            if mpt_telemetry::enabled() {
-                mpt_telemetry::counter("serve.coalesced").add(group.len() as u64);
-            }
-        }
-
-        let (injector, breaker) = (&self.injector, &mut self.breaker);
-        let retry = &self.shared.cfg.retry;
-        // Consulted once per group: while open, the whole group
-        // bypasses the device.
+    /// Launches one request — through the FPGA path while the breaker
+    /// allows it, on the CPU bypass while it is open — and replies.
+    fn serve(&mut self, req: GemmRequest) {
+        let shared = &*self.shared;
+        let (injector, retry) = (&self.injector, &shared.cfg.retry);
+        let (a, b, cfg) = (&req.a, &req.b, &req.cfg);
+        // Held until the outcome is recorded, before the reply.
+        let mut breaker = shared.breaker.lock().unwrap();
         let launched = breaker.allows_fpga();
-        if launched {
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-        }
-        for req in group {
-            let (a, b, cfg) = (&req.a, &req.b, &req.cfg);
-            // The FPGA result, or `None` where the request degrades.
-            // Malformed operands fail before claiming a launch id.
-            let launch = if launched {
-                self.executor.launch_resilient(injector, retry, a, b, cfg)
-            } else {
-                Ok(None)
-            };
-            let degraded = !matches!(launch, Ok(Some(_)));
-            // Exhausted or bypassed: the bit-identical CPU path.
-            let out = launch.and_then(|launch| match launch {
-                Some((t, ..)) => {
-                    breaker.on_success();
-                    Ok(t)
-                }
-                // The id is the launch that just gave up — or, never
-                // having reached the device, the last one: no attempts.
-                None => {
-                    let attempts = if launched {
-                        breaker.on_failure();
-                        retry.max_attempts
-                    } else {
-                        breaker.on_bypass();
-                        0
-                    };
-                    degrade("serve", injector.launch_count(), attempts, a, b, cfg)
-                }
-            });
-            let out = match out {
-                Ok(t) => t,
-                Err(e) => {
-                    let _ = req.resp.send(ServeResult::Failed(e));
-                    continue;
-                }
-            };
-            let service_ns = req.enqueued.elapsed().as_nanos() as u64;
-            self.shared.observe_service_ns(service_ns);
-            stats.completed.fetch_add(1, Ordering::Relaxed);
-            if degraded {
-                stats.degraded.fetch_add(1, Ordering::Relaxed);
+        // The FPGA result, or `None` where the request degrades.
+        // Malformed operands fail before claiming a launch id.
+        let launch = if launched {
+            self.executor.launch_resilient(injector, retry, a, b, cfg)
+        } else {
+            Ok(None)
+        };
+        let degraded = !matches!(launch, Ok(Some(_)));
+        // Exhausted or bypassed: the bit-identical CPU path.
+        let out = launch.and_then(|launch| match launch {
+            Some((t, ..)) => {
+                breaker.on_success();
+                Ok(t)
             }
-            if mpt_telemetry::enabled() {
-                mpt_telemetry::counter("serve.completed").incr();
-                if degraded {
-                    mpt_telemetry::counter("serve.degraded").incr();
-                }
-                mpt_telemetry::histogram(&format!("serve:latency:{}", req.class.name()))
-                    .record(service_ns);
+            // The id is the launch that just gave up — or, never
+            // having reached the device, the last one: no attempts.
+            None => {
+                let attempts = if launched {
+                    breaker.on_failure();
+                    retry.max_attempts
+                } else {
+                    breaker.on_bypass();
+                    0
+                };
+                degrade("serve", injector.launch_count(), attempts, a, b, cfg)
             }
-            let _ = req.resp.send(ServeResult::Done { out, degraded });
+        });
+        drop(breaker);
+        let out = match out {
+            Ok(t) => t,
+            Err(e) => {
+                let _ = req.resp.send(ServeResult::Failed(e));
+                return;
+            }
+        };
+        let service_ns = req.enqueued.elapsed().as_nanos() as u64;
+        shared.observe_service_ns(service_ns);
+        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+        if degraded {
+            shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
         }
+        if mpt_telemetry::enabled() {
+            mpt_telemetry::histogram(&format!("serve:latency:{}", req.class.name()))
+                .record(service_ns);
+        }
+        let _ = req.resp.send(ServeResult::Done { out, degraded });
     }
 }
