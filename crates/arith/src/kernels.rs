@@ -7,31 +7,35 @@
 //!
 //! | MAC configuration (`mul × acc`)               | stages                         | nest |
 //! |-----------------------------------------------|--------------------------------|------|
-//! | fused (`NR` mul) × float whose values fit `f32` (`e ≤ 8`, `m ≤ 22`), SR with at most 31 random bits — every `E*M*` row of the paper | `Fused × FloatStage<M>` | `avx512` tier: `gemm_avx512_f32` (16 `f32` lanes); other tiers: as the next row |
-//! | any other fused × float                      | `Fused × FloatStage<M>`  | tier: [`gemm_scalar`] / `gemm_avx2` / `gemm_avx512` |
-//! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8`    | `FixedStage<M> × FixedStage<M>` | tier |
-//! | fused × fixed, unfused float × float | the matching lane stages | tier |
+//! | fused (`NR` mul) × float or fixed             | `Fused × FloatStage<M>`, `Fused × FixedStage<M>` | tier |
+//! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8` | `FixedStage<M> × FixedStage<M>` | tier |
+//! | unfused float × float                         | `FloatStage<M> × FloatStage<M>` | tier |
 //! | block FP at either stage, `NR` accumulator, unfused float × fixed or fixed × float, fixed point wider than 52 bits, floats as fine as `f64` | [`Quantizer`] (the scalar oracle) at both stages | [`gemm_scalar`] only |
 //!
+//! "Tier" is [`gemm_scalar`] on `off`, `gemm_avx2` on `avx2`, and on
+//! `avx512` the 16-lane `f32` nest `gemm_avx512_f32` when `f32` lanes
+//! carry both stages — floats with at most 8 exponent and 22 mantissa
+//! bits, fixed point of at most 24 bits, SR with at most 31 random
+//! bits: every row of the paper's Table II — and `gemm_avx2` for the
+//! rest (SR with 32 or more random bits, `E8M23` or wider-exponent
+//! accumulators, fixed point wider than 24 bits).
+//!
 //! There is one loop nest per tier, generic over the two stages and
-//! the observer, plus one specialist for the first row on the
-//! `avx512` tier, decided from the [`MacConfig`] alone, once per GEMM;
-//! the last row is the scalar nest instantiated with the oracle stage,
-//! not a nest of its own.
+//! the observer, decided from the [`MacConfig`] alone, once per GEMM;
+//! the last row of the table is the scalar nest instantiated with the
+//! oracle stage, not a nest of its own.
 //!
 //! The scalar and AVX2 nests are `i / j-tile / k / j`
 //! ordered: for each output row, a `J_TILE`-wide chunk of the output
 //! and of each `B` row stays hot in L1 while the `k` reduction streams
-//! through. The two AVX-512 nests are `j-strip / i / k`: a 32-column
-//! strip's accumulators live in registers for the whole reduction (see
-//! `simd_fused::avx512` for why), as 8-lane `f64` blocks or, in the
-//! specialist, 16-lane `f32` blocks whose every step is proved exact
-//! or settled through the scalar body (see `simd_fused::avx512_f32`).
-//! In all of them every output element
-//! accumulates over `k` in ascending order — the order the scalar
-//! reference uses, so results are bit-identical by construction (each
-//! element sees the same sequence of [`mac_round`] operations with the
-//! same event indices).
+//! through. The AVX-512 nest is `j-strip / i / k`: a 32-column strip's
+//! accumulators live in registers for the whole reduction, as 16-lane
+//! `f32` blocks whose every step is proved exact or settled through the
+//! scalar body (see `simd_fused::avx512_f32`). In all of them every
+//! output element accumulates over `k` in ascending order — the order
+//! the scalar reference uses, so results are bit-identical by
+//! construction (each element sees the same sequence of [`mac_round`]
+//! operations with the same event indices).
 //!
 //! Zero skipping matches [`mac_step`](crate::mac_step)'s
 //! `product == 0` short-circuit exactly: a whole `A`-zero row of work
@@ -48,8 +52,6 @@
 
 use crate::mac::{mac_round, MacConfig};
 use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, NoTally, Stage};
-#[cfg(target_arch = "x86_64")]
-use mpt_formats::{simd_avx512::QuantVecF32x16, FloatFastF32, LanePlanF32};
 use mpt_formats::{
     with_mode, FixedFastF64, FloatFastF64, LanePlanF64, NumberFormat, Quantizer, SimdTier,
 };
@@ -114,24 +116,6 @@ impl LaneKernel {
     fn same_family(&self, other: &Self) -> bool {
         std::mem::discriminant(self) == std::mem::discriminant(other)
     }
-}
-
-/// The `f32` lane plan of a fused MAC's accumulator `acc` when the
-/// `f32`-lane AVX-512 nest can run it: a float format whose values all
-/// fit `f32` (at most 8 exponent bits) and that `f32` rounds (at most
-/// 22 mantissa bits), under a deterministic mode or SR with at most
-/// [`QuantVecF32x16::MAX_RANDOM_BITS`] random bits. Decided from the
-/// configuration alone, once per GEMM.
-#[cfg(target_arch = "x86_64")]
-fn f32_lane_plan(acc: &Quantizer) -> Option<LanePlanF32> {
-    let NumberFormat::Float(format) = acc.format() else {
-        return None;
-    };
-    if format.exp_bits() > 8 {
-        return None;
-    }
-    let plan = FloatFastF32::new(format, acc.rounding(), acc.rng())?.lane_plan()?;
-    (plan.rb <= QuantVecF32x16::MAX_RANDOM_BITS).then_some(plan)
 }
 
 /// Evaluates `$body` with `$stage` bound to the monomorphized stage of
@@ -200,7 +184,6 @@ pub(crate) fn gemm_into_tier(
         let mut acc_tally = mac.acc.telemetry_tally();
         // Dispatch counter: which nest ran this GEMM
         // (`kernel.tier.off|avx2|avx512` for the lane stages,
-        // `kernel.tier.avx512f32` for the `f32`-lane specialist,
         // `kernel.tier.generic` for the scalar-oracle stages).
         let label = dispatch(gemm, mac, tier, &mut mul_tally, &mut acc_tally);
         mpt_telemetry::counter(&format!("kernel.tier.{label}")).incr();
@@ -222,26 +205,7 @@ fn dispatch<T: MacObserver>(
     mul_obs: &mut T,
     acc_obs: &mut T,
 ) -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx512 && mac.is_fused() {
-        if let (Some(LaneKernel::Float(fast, plan)), Some(plan32)) =
-            (LaneKernel::of(&mac.acc), f32_lane_plan(&mac.acc))
-        {
-            with_mode!(
-                fast.rounding(),
-                M => crate::simd_fused::avx512_f32::gemm_avx512_f32(
-                    gemm,
-                    &FloatStage::<M> { fast, plan },
-                    &plan32,
-                    mul_obs,
-                    acc_obs,
-                ),
-                unreachable!("NR has no fast kernel")
-            );
-            return "avx512f32";
-        }
-    }
-    match (
+    let ran = match (
         mac.is_fused(),
         LaneKernel::of(&mac.mul),
         LaneKernel::of(&mac.acc),
@@ -265,13 +229,15 @@ fn dispatch<T: MacObserver>(
             }
             return "generic";
         }
-    }
-    tier.name()
+    };
+    ran.name()
 }
 
-/// The tier switch, over any stage pair. On non-x86_64 hosts the vector
-/// tiers (unreachable through `active_tier`, but expressible through
-/// the explicit-tier API) run the scalar nest.
+/// The tier switch, over any stage pair; returns the tier whose nest
+/// ran. The `avx512` tier runs the AVX2 nest for stages `f32` lanes do
+/// not carry. On non-x86_64 hosts the vector tiers (unreachable through
+/// `active_tier`, but expressible through the explicit-tier API) run
+/// the scalar nest.
 fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     gemm: Gemm<'_>,
     mul: &M,
@@ -279,7 +245,7 @@ fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     tier: SimdTier,
     mul_obs: &mut T,
     acc_obs: &mut T,
-) {
+) -> SimdTier {
     // A compile-time condition: `dispatch` never pairs lane stages of
     // different families, and this keeps the nests from being
     // instantiated for the pairings its macro spells out anyway.
@@ -288,13 +254,17 @@ fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     }
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => crate::simd_fused::avx2::gemm_avx2(gemm, mul, acc, mul_obs, acc_obs),
+        SimdTier::Avx512 if mul.f32_lanes() && acc.f32_lanes() => {
+            crate::simd_fused::avx512_f32::gemm_avx512_f32(gemm, mul, acc, mul_obs, acc_obs)
+        }
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => {
-            crate::simd_fused::avx512::gemm_avx512(gemm, mul, acc, mul_obs, acc_obs)
+        SimdTier::Avx2 | SimdTier::Avx512 => {
+            crate::simd_fused::avx2::gemm_avx2(gemm, mul, acc, mul_obs, acc_obs);
+            return SimdTier::Avx2;
         }
         _ => gemm_scalar(gemm, mul, acc, mul_obs, acc_obs),
     }
+    tier
 }
 
 /// The scalar loop nest: one [`mac_round`] per non-zero product. The
@@ -357,21 +327,17 @@ mod tests {
         dispatch(gemm, &mac, tier, &mut NoTally, &mut NoTally)
     }
 
-    /// The label of `tier`'s nest for a fused float MAC the `f32`
-    /// lanes can carry.
-    fn fused_float_label(tier: SimdTier) -> &'static str {
-        match tier {
-            SimdTier::Avx512 => "avx512f32",
-            _ => tier.name(),
-        }
-    }
-
     #[test]
     fn float_and_fixed_stages_run_the_tier_nests() {
-        let rn = Rounding::Nearest;
-        let nr = Rounding::NoRound;
+        let (rn, rz, ro, nr) = (
+            Rounding::Nearest,
+            Rounding::TowardZero,
+            Rounding::ToOdd,
+            Rounding::NoRound,
+        );
         let e5m2 = |r| Quantizer::float(FloatFormat::e5m2(), r);
         let e6m5 = |r| Quantizer::float(FloatFormat::e6m5(), r);
+        let e5m10 = |r| Quantizer::float(FloatFormat::e5m10(), r);
         let fxp44 = |r| Quantizer::fixed(FixedFormat::fxp4_4(), r);
         let fxp88 = |r| Quantizer::fixed(FixedFormat::fxp8_8(), r);
         for &tier in SimdTier::available() {
@@ -383,35 +349,44 @@ mod tests {
                     Quantizer::float(FloatFormat::new(8, 7).unwrap(), rn),
                 ),
                 MacConfig::fp8_fp12(Rounding::Stochastic { random_bits: 31 }),
-            ] {
-                assert_eq!(label_of(mac, tier), fused_float_label(tier), "{mac}");
-            }
-            for mac in [
+                MacConfig::fxp4_4(rn),
+                MacConfig::fxp4_4(rz),
+                MacConfig::fxp4_4(ro),
                 MacConfig::fxp4_4(Rounding::stochastic()),
                 MacConfig::new(fxp44(nr), fxp88(rn)),
-                MacConfig::new(e5m2(rn), e6m5(Rounding::ToOdd)),
+                MacConfig::new(e5m2(nr), fxp88(Rounding::stochastic())),
+                MacConfig::new(e5m2(rn), e6m5(ro)),
+                MacConfig::new(e5m2(Rounding::stochastic()), e5m10(rz)),
             ] {
                 assert_eq!(label_of(mac, tier), tier.name(), "{mac}");
             }
         }
     }
 
-    /// Fused float MACs the `f32` lanes cannot carry keep the `f64`
-    /// nest of their tier: more SR bits than the 32-bit draw compare
-    /// holds, an accumulator as fine as `f32` (no `f32` lane plan), or
-    /// one whose exponent range exceeds `f32`'s.
+    /// Lane-stage MACs the `f32` lanes cannot carry run the AVX2 nest
+    /// on the `avx512` tier, and say so: more SR bits than the 32-bit
+    /// draw compare holds, an accumulator as fine as `f32` (no `f32`
+    /// lane plan), one whose exponent range exceeds `f32`'s, fixed
+    /// point wider than 24 bits, and ablation_fma's fused-into-E8M23
+    /// row.
     #[test]
-    fn fused_float_macs_beyond_f32_lanes_keep_the_f64_nest() {
+    fn macs_beyond_f32_lanes_run_the_avx2_nest() {
         let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
         let rn = Rounding::Nearest;
         for &tier in SimdTier::available() {
             for mac in [
                 MacConfig::fp8_fp12(Rounding::Stochastic { random_bits: 32 }),
                 MacConfig::fp8_fp12(Rounding::Stochastic { random_bits: 53 }),
+                MacConfig::fxp4_4(Rounding::Stochastic { random_bits: 32 }),
                 MacConfig::new(nr, Quantizer::float(FloatFormat::e8m23(), rn)),
                 MacConfig::new(nr, Quantizer::float(FloatFormat::new(9, 10).unwrap(), rn)),
+                MacConfig::new(nr, Quantizer::fixed(FixedFormat::new(16, 16).unwrap(), rn)),
             ] {
-                assert_eq!(label_of(mac, tier), tier.name(), "{mac}");
+                let want = match tier {
+                    SimdTier::Avx512 => "avx2",
+                    _ => tier.name(),
+                };
+                assert_eq!(label_of(mac, tier), want, "{mac}");
             }
         }
     }

@@ -41,7 +41,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the AVX2 and AVX-512 MAC nests in
-// `simd_fused::{avx2, avx512, avx512_f32}` are the sanctioned `unsafe` islands
+// `simd_fused::{avx2, avx512_f32}` are the sanctioned `unsafe` islands
 // (raw intrinsics behind runtime feature detection); any new `unsafe`
 // elsewhere is still a hard error.
 #![deny(unsafe_code)]

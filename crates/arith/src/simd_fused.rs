@@ -4,26 +4,23 @@
 //! These are drop-in replacements for the scalar nest in
 //! [`crate::kernels`]: same ascending-`k` reduction per output
 //! element, same [`sr_event_index`] event stream per stage. The AVX2
-//! nest also keeps its `i / j-tile / k / j` traversal and only
+//! nest keeps the scalar nest's `i / j-tile / k / j` traversal and only
 //! restructures the innermost `j` loop into 4-wide `f64` lane blocks;
-//! the AVX-512 nest is `j-strip / i / k` with 8-wide
-//! blocks whose accumulators stay in registers across `k` (see
-//! [`avx512`] for the loop order and why it differs), and
-//! [`avx512_f32`] is that shape on 16 `f32` lanes for the fused float
-//! MACs whose accumulator fits `f32`. Like the
-//! scalar nest they are generic over the two rounding
-//! [`Stage`]s and the [`MacObserver`]; with the
-//! [`Fused`](crate::stage::Fused) multiplier the multiplier stage
-//! compiles out and what remains is the fused-MAC kernel. Because
-//! IEEE-754 multiplies/adds are fully specified and the lane
-//! quantizers in `mpt-formats` replay the scalar kernels' exact
-//! operation sequence per lane, results are **bit-identical** to the
-//! scalar nest (and therefore to `qgemm_reference`) for every input,
-//! including NaN/inf payloads, zero products, and saturating sums:
+//! the AVX-512 nest ([`avx512_f32`]) is `j-strip / i / k` with 16-wide
+//! `f32` blocks whose accumulators stay in registers across `k`. Like
+//! the scalar nest they are generic over the two rounding [`Stage`]s
+//! and the [`MacObserver`]; with the [`Fused`](crate::stage::Fused)
+//! multiplier the multiplier stage compiles out and what remains is
+//! the fused-MAC kernel. Because IEEE-754 multiplies/adds are fully
+//! specified and the lane quantizers in `mpt-formats` replay the
+//! scalar kernels' exact operation sequence per lane, results are
+//! **bit-identical** to the scalar nest (and therefore to
+//! `qgemm_reference`) for every input, including NaN/inf payloads,
+//! zero products, and saturating sums:
 //!
 //! * products and running sums are computed per lane with no
 //!   reassociation — lane `j` sees exactly the scalar sequence
-//!   `out[j] + round_mul(a[kk]·b[kk][j])` at each step (the `f32`-lane
+//!   `out[j] + round_mul(a[kk]·b[kk][j])` at each step (the AVX-512
 //!   nest computes it in `f32` and settles every lane where that is
 //!   not provably the `f64` value);
 //! * zero products (`product == 0.0`, tested *before* the multiplier
@@ -32,7 +29,7 @@
 //! * lanes a stage's vector kernel hands back (floats: non-finite,
 //!   target-subnormal, carrier-subnormal; fixed point: non-finite) are
 //!   recomputed through the stage's scalar quantizer from the same
-//!   `f64` value;
+//!   value;
 //! * SR event indices are computed per lane and per stage with the
 //!   *same* [`sr_event_index`] packing. The AVX2 nest packs every
 //!   lane's index outright; the AVX-512 nest sums the
@@ -61,16 +58,18 @@ pub(crate) mod avx2 {
     use super::*;
     use crate::stage::{FixedStage, FloatStage, Fused};
     use mpt_formats::simd_avx2::{FixedVecF64, QuantVecF64};
-    use mpt_formats::simd_avx512::{FixedVecF64x8, QuantVecF64x8};
+    use mpt_formats::simd_avx512::{FixedVecF32x16, QuantVecF32x16, MAX_RANDOM_BITS};
+    use mpt_formats::{FloatFastF32, LanePlanF32};
 
     /// The vector forms of a [`Stage`]: its constants broadcast into
-    /// AVX2 registers with a 4-lane quantizer over them, and the same
-    /// at 8 lanes for the AVX-512 nest.
+    /// AVX2 registers with a 4-lane `f64` quantizer over them, and,
+    /// where `f32` carries the stage, into AVX-512 registers with a
+    /// 16-lane `f32` quantizer.
     pub(crate) trait VecStage: Stage {
         /// The broadcast constants.
         type Vec: Copy;
-        /// The broadcast constants at 8 lanes.
-        type Vec8: Copy;
+        /// The broadcast constants at 16 `f32` lanes.
+        type Vec16: Copy;
 
         /// Builds [`Vec`](VecStage::Vec).
         ///
@@ -90,25 +89,44 @@ pub(crate) mod avx2 {
         /// The host must support AVX2.
         unsafe fn quantize4(v: &Self::Vec, x: __m256d, hash_input: __m256i) -> (__m256d, u32);
 
-        /// Builds [`Vec8`](VecStage::Vec8).
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ.
-        unsafe fn vec8(&self) -> Self::Vec8;
+        /// Whether the 16 `f32` lanes carry the stage: every value it
+        /// emits is an `f32`, and its 16-lane quantizer equals the
+        /// scalar one on `f32` inputs — floats with at most 8 exponent
+        /// and 22 mantissa bits, fixed point of at most 24 bits, either
+        /// under a deterministic mode or SR with at most
+        /// [`MAX_RANDOM_BITS`] random bits. Decided from the
+        /// configuration alone.
+        fn f32_lanes(&self) -> bool;
 
-        /// [`quantize4`](VecStage::quantize4) at 8 lanes.
+        /// Builds [`Vec16`](VecStage::Vec16).
+        ///
+        /// # Panics
+        ///
+        /// Panics unless [`f32_lanes`](VecStage::f32_lanes) holds.
         ///
         /// # Safety
         ///
         /// The host must support AVX-512 F + DQ.
-        unsafe fn quantize8(v: &Self::Vec8, x: __m512d, hash_input: __m512i)
-            -> (__m512d, __mmask8);
+        unsafe fn vec16(&self) -> Self::Vec16;
+
+        /// [`quantize4`](VecStage::quantize4) on 16 `f32` lanes, with
+        /// the hash inputs of lanes 0–7 in `hash_lo` and of lanes 8–15
+        /// in `hash_hi`.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F + DQ.
+        unsafe fn quantize16(
+            v: &Self::Vec16,
+            x: __m512,
+            hash_lo: __m512i,
+            hash_hi: __m512i,
+        ) -> (__m512, __mmask16);
     }
 
     impl VecStage for Fused {
         type Vec = ();
-        type Vec8 = ();
+        type Vec16 = ();
 
         #[inline(always)]
         unsafe fn vec(&self) {}
@@ -118,18 +136,40 @@ pub(crate) mod avx2 {
             (x, 0xF)
         }
 
-        #[inline(always)]
-        unsafe fn vec8(&self) {}
+        fn f32_lanes(&self) -> bool {
+            true
+        }
 
         #[inline(always)]
-        unsafe fn quantize8(_v: &(), x: __m512d, _hash_input: __m512i) -> (__m512d, __mmask8) {
-            (x, 0xFF)
+        unsafe fn vec16(&self) {}
+
+        #[inline(always)]
+        unsafe fn quantize16(
+            _v: &(),
+            x: __m512,
+            _lo: __m512i,
+            _hi: __m512i,
+        ) -> (__m512, __mmask16) {
+            (x, 0xFFFF)
+        }
+    }
+
+    impl<const MODE: u8> FloatStage<MODE> {
+        /// The stage's `f32` lane plan, where
+        /// [`f32_lanes`](VecStage::f32_lanes) holds.
+        fn plan16(&self) -> Option<LanePlanF32> {
+            let format = self.fast.format();
+            if format.exp_bits() > 8 {
+                return None;
+            }
+            let fast = FloatFastF32::new(format, self.fast.rounding(), self.fast.rng())?;
+            fast.lane_plan().filter(|plan| plan.rb <= MAX_RANDOM_BITS)
         }
     }
 
     impl<const MODE: u8> VecStage for FloatStage<MODE> {
         type Vec = QuantVecF64;
-        type Vec8 = QuantVecF64x8;
+        type Vec16 = QuantVecF32x16;
 
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -143,22 +183,31 @@ pub(crate) mod avx2 {
             v.quantize4::<MODE>(x, h)
         }
 
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn vec8(&self) -> QuantVecF64x8 {
-            QuantVecF64x8::new(&self.plan)
+        fn f32_lanes(&self) -> bool {
+            self.plan16().is_some()
         }
 
         #[inline]
         #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn quantize8(v: &QuantVecF64x8, x: __m512d, h: __m512i) -> (__m512d, __mmask8) {
-            v.quantize8::<MODE>(x, h)
+        unsafe fn vec16(&self) -> QuantVecF32x16 {
+            QuantVecF32x16::new(&self.plan16().expect("the f32 lanes carry the stage"))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        unsafe fn quantize16(
+            v: &QuantVecF32x16,
+            x: __m512,
+            lo: __m512i,
+            hi: __m512i,
+        ) -> (__m512, __mmask16) {
+            v.quantize16::<MODE>(x, lo, hi)
         }
     }
 
     impl<const MODE: u8> VecStage for FixedStage<MODE> {
         type Vec = FixedVecF64;
-        type Vec8 = FixedVecF64x8;
+        type Vec16 = FixedVecF32x16;
 
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -172,16 +221,25 @@ pub(crate) mod avx2 {
             v.quantize4::<MODE>(x, h)
         }
 
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn vec8(&self) -> FixedVecF64x8 {
-            FixedVecF64x8::new(&self.0)
+        fn f32_lanes(&self) -> bool {
+            FixedVecF32x16::carries(&self.0)
         }
 
         #[inline]
         #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn quantize8(v: &FixedVecF64x8, x: __m512d, h: __m512i) -> (__m512d, __mmask8) {
-            v.quantize8::<MODE>(x, h)
+        unsafe fn vec16(&self) -> FixedVecF32x16 {
+            FixedVecF32x16::new(&self.0)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        unsafe fn quantize16(
+            v: &FixedVecF32x16,
+            x: __m512,
+            lo: __m512i,
+            hi: __m512i,
+        ) -> (__m512, __mmask16) {
+            v.quantize16::<MODE>(x, lo, hi)
         }
     }
 
@@ -359,44 +417,68 @@ pub(crate) mod avx2 {
     }
 }
 
-/// The AVX-512 nest: 8 `f64` lanes per block, and a
-/// different loop order from the other two — `j-strip / i / k`
-/// instead of `i / j-tile / k / j`. The accumulators of a
-/// [`STRIP`](avx512::STRIP)-column strip of one output row stay in
-/// `zmm` registers, as `f64`, across the whole `k` reduction; the
-/// `f32` output row is loaded once before it and stored once after
-/// (the other nests widen, narrow and blend it through memory on
-/// every `k` step), and the strip of `B` (`k × 128` bytes) stays
-/// cache-hot across the rows. Each output element still reduces over
-/// ascending `k` through the same stages at the same event indices,
-/// so the result is bit-identical. Nothing is allocated: no widened
-/// copy of `B`, no scratch, no table.
+/// The AVX-512 nest: 16 `f32` lanes per block, and a different loop
+/// order from the other two — `j-strip / i / k` instead of
+/// `i / j-tile / k / j`. The two 16-lane accumulators of a
+/// [`STRIP`](avx512_f32::STRIP)-column strip of one output row stay in
+/// `zmm` registers across the whole `k` reduction; the `f32` output
+/// row is loaded once before it and stored once after, and the strip of
+/// `B` stays cache-hot across the rows. Each output element still
+/// reduces over ascending `k` through the same stages at the same event
+/// indices, so the result is bit-identical. Nothing is allocated.
 ///
-/// Why a new shape rather than wider lanes in the old one: on the
-/// dense fused-SR GEMMs that dominate a training step the AVX2 block
-/// is about a hundred instructions per 4 MACs, of which 14 emulate
-/// SplitMix64's two 64-bit multiplies, ~20 assemble four hash inputs
-/// lane by lane and ~10 move the output row through memory. `vpmullq`,
-/// incremental hash inputs and register accumulators remove those;
-/// k-mask compares and load/store masks (no scalar tail loop) shave
-/// the rest: ~37 instructions per 8 MACs. LeNet's batch-32 forward
-/// convolutions under FP8 × FP12-SR (operands already quantized, one
-/// thread of a 2.1 GHz AVX-512 Xeon) run at 285 (6×25×25088) and 290
-/// (16×150×3200) MMAC/s on the AVX2 nest and at 639 and 721 on this
-/// one; the `f32`-lane nest ([`avx512_f32`]), which now takes those
-/// GEMMs, runs them at 906 and 1049. The price is that every
-/// strip rescans its `A` row for the zero skip, which is why the strip
-/// is as wide as the register file allows — and why this shape was
-/// *not* retrofitted to the AVX2 nest (half the registers: narrow
-/// strips taxed the sparse backward GEMMs more than the dense ones
-/// gained).
+/// Why `f32` lanes give the reference's bits: the reference widens
+/// both operands to `f64`, where their product is exact, rounds it
+/// through the multiplier stage (unless fused), adds it to the widened
+/// accumulator and rounds the `f64` sum. Per lane and step this nest
+/// computes `prod = a·b` and `sum = acc + round_mul(prod)` in `f32`
+/// and proves each step exact:
 ///
-/// Register budget, as compiled: a fused multiplier with any
-/// accumulator, and two deterministic stages, keep all four
-/// accumulators in registers through the `k` loop; with two
-/// *stochastic* stages the constants outgrow the file and LLVM parks
-/// the accumulators in stack slots — still `f64`, still no narrowing.
-pub(crate) mod avx512 {
+/// * the raw product is exact when the FMA residual `fmsub(a, b,
+///   prod)` is zero and `|prod| ≥ 2^-101` (below that the residual can
+///   itself round to zero; a product that underflows `f32` is never
+///   taken for an exact zero either: only `a = 0` or `b = 0` skips);
+/// * the sum is exact when `sum − acc == round_mul(prod)` and
+///   `sum − round_mul(prod) == acc` (the subtraction against the larger
+///   operand is exact, so it sees any rounding error of the sum;
+///   overflow and NaN fail it).
+///
+/// An exact `f32` value *is* the reference's `f64` value, and the
+/// stages' 16-lane quantizers
+/// ([`QuantVecF32x16`](mpt_formats::simd_avx512::QuantVecF32x16),
+/// [`FixedVecF32x16`](mpt_formats::simd_avx512::FixedVecF32x16)) round
+/// it exactly as the `f64` kernels do wherever
+/// [`VecStage::f32_lanes`] holds for both stages, which is when
+/// dispatch takes this nest. Every other live lane — inexact, tiny,
+/// non-finite or handed back by either quantizer — settles through the
+/// scalar [`mac_round`] from the same `f32` accumulator at the same
+/// event indices, so the output is bit-identical. A sum that cancels
+/// to zero is exact and needs no settling (zero rounds to itself).
+/// Over the GEMMs of one LeNet FP8 × FP12-SR training step (batch 32,
+/// after 20 steps) `f32` is exact for 99.992% of MAC events, 0.14% of
+/// sums cancel to zero, and 0.07% of 16-lane blocks settle a lane. The
+/// paper's unfused `FXP4.4 × FXP8.8` MAC settles even less: every
+/// in-range FXP4.4 product of two FXP4.4 operands has at most 16
+/// significant bits and every FXP8.8 sum at most 17, so only NaN, ±inf
+/// and out-of-range operands settle.
+///
+/// What the shape buys: on the dense fused-SR GEMMs that dominate a
+/// training step the AVX2 block is about a hundred instructions per 4
+/// MACs, of which 14 emulate SplitMix64's two 64-bit multiplies, ~20
+/// assemble four hash inputs lane by lane and ~10 move the output row
+/// through memory. `vpmullq`, incremental hash inputs, register
+/// accumulators and 16 lanes remove most of that. LeNet's batch-32
+/// forward convolutions under FP8 × FP12-SR (operands already
+/// quantized, one thread of a 2.1 GHz AVX-512 Xeon) run at 285
+/// (6×25×25088) and 290 (16×150×3200) MMAC/s on the AVX2 nest and at
+/// 906 and 1049 on this one. The price is that every strip rescans its
+/// `A` row for the zero skip, which is why the strip is as wide as the
+/// register file allows — and why this shape was *not* retrofitted to
+/// the AVX2 nest (half the registers: narrow strips taxed the sparse
+/// backward GEMMs more than the dense ones gained). GEMMs whose `B`
+/// rows are ReLU-sparse gain least, because a 16-lane block is skipped
+/// only when all 16 products are zero.
+pub(crate) mod avx512_f32 {
     #![allow(unsafe_code)]
 
     use core::arch::x86_64::*;
@@ -405,18 +487,25 @@ pub(crate) mod avx512 {
     use super::*;
     use mpt_formats::sr::hash::INDEX_MUL;
 
-    /// Output columns per strip: four 8-lane accumulators.
+    /// Output columns per strip: two 16-lane accumulators.
     pub(crate) const STRIP: usize = 32;
 
-    /// AVX-512 nest entry. Falls back to the AVX2 nest (which falls
-    /// back further) when the CPU lacks the features — defensive, the
-    /// dispatcher already checks — and when a coordinate could leave
-    /// its field of [`sr_event_index`]: the hash inputs below are
-    /// built by *adding* the row, column and `k` parts of the index,
-    /// which equals the packed index only while the fields cannot
-    /// carry into each other. The AVX2 nest packs per lane; it is the
-    /// definition.
-    pub(crate) fn gemm_avx512<M: VecStage, A: VecStage, T: MacObserver>(
+    /// `2^-101`: the smallest `|prod|` whose FMA residual is exact. A
+    /// product `a·b` of `f32`s has at most 48 significant bits, so at
+    /// `|a·b| ≥ 2^-102` its residual is a multiple of `2^-149`, an
+    /// `f32`; rounding to `prod ≥ 2^-101` keeps `|a·b|` above that.
+    const EXACT_PRODUCT_MIN: f32 = 1.0 / (1u128 << 101) as f32;
+
+    /// AVX-512 nest entry; both stages must have
+    /// [`f32_lanes`](VecStage::f32_lanes). Falls back to the AVX2 nest
+    /// (which falls back further) when the CPU lacks the features —
+    /// defensive, the dispatcher already checks — and when a coordinate
+    /// could leave its field of [`sr_event_index`]: the hash inputs
+    /// below are built by *adding* the row, column and `k` parts of the
+    /// index, which equals the packed index only while the fields
+    /// cannot carry into each other. The AVX2 nest packs per lane; it
+    /// is the definition.
+    pub(crate) fn gemm_avx512_f32<M: VecStage, A: VecStage, T: MacObserver>(
         g: Gemm<'_>,
         mul: &M,
         acc: &A,
@@ -438,363 +527,15 @@ pub(crate) mod avx512 {
         unsafe { inner(g, mul, acc, mul_obs, acc_obs) }
     }
 
-    /// What the whole GEMM shares: both stages, their broadcast
-    /// constants and seeds.
+    /// What the whole GEMM shares: both stages, their 16-lane
+    /// quantizers and seeds.
     struct Nest<'a, M: VecStage, A: VecStage> {
         mul: &'a M,
         acc: &'a A,
-        mul_v: M::Vec8,
-        acc_v: A::Vec8,
+        mul_v: M::Vec16,
+        acc_v: A::Vec16,
         mul_seed: __m512i,
         acc_seed: __m512i,
-        /// `acc.f32_exact()`: the per-step `f32` round trip is the
-        /// identity and may be skipped.
-        exact: bool,
-    }
-
-    /// One 8-lane block of a strip.
-    struct Block {
-        /// Column offset within the strip: 0, 8, 16 or 24.
-        at: usize,
-        /// Global column of lane 0.
-        gj: usize,
-        /// Lanes inside the matrix: all, a partial tail, or none.
-        /// Masked-off lanes are neither loaded nor stored, so no block
-        /// reads or writes past its row.
-        lanes: __mmask8,
-        /// The column part of the lanes' hash inputs:
-        /// `sr_event_index(0, gj + lane, 0, Multiply) · INDEX_MUL` (the
-        /// multiplier's stage tag is 0). Adding a [`Step`]'s
-        /// row-and-`k` part gives `index · INDEX_MUL` exactly (mod
-        /// 2^64, multiplication distributes over the carry-free field
-        /// sum), and XOR-ing the seed gives
-        /// [`SrRng::hash_input`](mpt_formats::SrRng::hash_input).
-        hash: __m512i,
-    }
-
-    impl Block {
-        /// Block `u` of the strip at column `j0` of a `g`-shaped GEMM.
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn new(g: &Gemm<'_>, j0: usize, u: usize) -> Self {
-            let (at, gj) = (8 * u, j0 + g.col_offset + 8 * u);
-            let width = (g.m - j0).saturating_sub(at).min(8);
-            let cols = _mm512_add_epi64(
-                _mm512_set1_epi64(gj as i64),
-                _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
-            );
-            Block {
-                at,
-                gj,
-                lanes: ((1u32 << width) - 1) as __mmask8,
-                hash: _mm512_mullo_epi64(
-                    _mm512_slli_epi64::<22>(cols),
-                    _mm512_set1_epi64(INDEX_MUL as i64),
-                ),
-            }
-        }
-    }
-
-    /// One reduction step of one output row, shared by the strip's
-    /// blocks.
-    struct Step {
-        gi: usize,
-        kk: usize,
-        /// The broadcast `A` element.
-        av: __m512d,
-        /// The row-and-`k` part of each stage's hash input:
-        /// `sr_event_index(gi, 0, kk, stage) · INDEX_MUL`, broadcast.
-        mul_hash: __m512i,
-        acc_hash: __m512i,
-    }
-
-    impl Step {
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn new(gi: usize, kk: usize, av: f32) -> Self {
-            let hash = |stage| {
-                _mm512_set1_epi64(sr_event_index(gi, 0, kk, stage).wrapping_mul(INDEX_MUL) as i64)
-            };
-            Step {
-                gi,
-                kk,
-                av: _mm512_set1_pd(av as f64),
-                mul_hash: hash(MacStage::Multiply),
-                acc_hash: hash(MacStage::Accumulate),
-            }
-        }
-    }
-
-    /// The spill behind a vector quantizer, taken only when it handed
-    /// lanes back or someone is watching: recomputes the lanes in
-    /// `need_scalar` through the stage's scalar quantizer — at the
-    /// packed [`sr_event_index`], not the incremental one — and shows
-    /// every live lane to the observer. Returns the settled lanes.
-    ///
-    /// # Safety
-    ///
-    /// The host must support AVX-512 F.
-    #[cold]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn settle8<S: VecStage, T: MacObserver>(
-        stage: &S,
-        x: __m512d,
-        q: __m512d,
-        need_scalar: __mmask8,
-        live: __mmask8,
-        (gi, gj, kk, which): (usize, usize, usize, MacStage),
-        obs: &mut T,
-    ) -> __m512d {
-        let mut xs = [0f64; 8];
-        _mm512_storeu_pd(xs.as_mut_ptr(), x);
-        let mut qs = [0f64; 8];
-        _mm512_storeu_pd(qs.as_mut_ptr(), q);
-        for l in 0..8 {
-            if live & (1 << l) == 0 {
-                continue;
-            }
-            if need_scalar & (1 << l) != 0 {
-                qs[l] = stage.quantize(xs[l], sr_event_index(gi, gj + l, kk, which));
-            }
-            obs.record(xs[l], qs[l]);
-        }
-        _mm512_loadu_pd(qs.as_ptr())
-    }
-
-    impl<M: VecStage, A: VecStage> Nest<'_, M, A> {
-        /// One reduction step of one block: the new accumulators, given
-        /// the old ones (`sums`) and the strip's part of `B`'s row
-        /// `step.kk` (`brow`).
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ + VL, and
-        /// `brow[block.at + l]` must be readable for every lane `l`
-        /// set in `block.lanes`.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn mac8<T: MacObserver>(
-            &self,
-            step: &Step,
-            block: &Block,
-            sums: __m512d,
-            brow: *const f32,
-            mul_obs: &mut T,
-            acc_obs: &mut T,
-        ) -> __m512d {
-            // Widening, multiply and add are IEEE-identical to the
-            // scalar `av * b as f64` / `o + product`. (`wrapping_add`:
-            // an empty block's pointer may lie past the buffer; it is
-            // never dereferenced.)
-            let b = _mm256_maskz_loadu_ps(block.lanes, brow.wrapping_add(block.at));
-            let prod = _mm512_mul_pd(step.av, _mm512_cvtps_pd(b));
-            // The scalar kernel skips `product == 0.0` (NaN is not
-            // zero).
-            let live = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(prod, _mm512_setzero_pd()) & block.lanes;
-            if live == 0 {
-                return sums;
-            }
-            let mut prod = prod;
-            if !M::IDENTITY {
-                let h = _mm512_add_epi64(block.hash, step.mul_hash);
-                let (q, ok) = M::quantize8(&self.mul_v, prod, _mm512_xor_si512(h, self.mul_seed));
-                let need_scalar = !ok & live;
-                prod = if T::ACTIVE || need_scalar != 0 {
-                    let at = (step.gi, block.gj, step.kk, MacStage::Multiply);
-                    settle8(self.mul, prod, q, need_scalar, live, at, mul_obs)
-                } else {
-                    q
-                };
-            }
-            let sum = _mm512_add_pd(sums, prod);
-            let h = _mm512_add_epi64(block.hash, step.acc_hash);
-            let (mut q, ok) = A::quantize8(&self.acc_v, sum, _mm512_xor_si512(h, self.acc_seed));
-            let need_scalar = !ok & live;
-            if T::ACTIVE || need_scalar != 0 {
-                let at = (step.gi, block.gj, step.kk, MacStage::Accumulate);
-                q = settle8(self.acc, sum, q, need_scalar, live, at, acc_obs);
-            }
-            if need_scalar != 0 || !self.exact {
-                // The other nests store `q as f32` and reload it every
-                // step. Where the stage's values are `f32`-exact that
-                // is the identity on everything but a handed-back lane
-                // (a NaN payload, say), so it is paid only then.
-                q = _mm512_cvtps_pd(_mm512_cvtpd_ps(q));
-            }
-            // Zero products leave the lane untouched, like the scalar
-            // skip.
-            _mm512_mask_mov_pd(sums, live, q)
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The host must support AVX-512 F + DQ + VL, and `g.out`, `g.ad`
-    /// and `g.bd` must hold `n·m`, `n·k` and `k·m` elements.
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn inner<M: VecStage, A: VecStage, T: MacObserver>(
-        g: Gemm<'_>,
-        mul: &M,
-        acc: &A,
-        mul_obs: &mut T,
-        acc_obs: &mut T,
-    ) {
-        let nest = Nest {
-            mul,
-            acc,
-            mul_v: mul.vec8(),
-            acc_v: acc.vec8(),
-            mul_seed: _mm512_set1_epi64(mul.rng().seed() as i64),
-            acc_seed: _mm512_set1_epi64(acc.rng().seed() as i64),
-            exact: acc.f32_exact(),
-        };
-        for j0 in (0..g.m).step_by(STRIP) {
-            // Four named blocks and accumulators, not arrays: LLVM
-            // keeps an indexed accumulator array on the stack across
-            // the `k` loop.
-            let (b0, b1, b2, b3) = (
-                Block::new(&g, j0, 0),
-                Block::new(&g, j0, 1),
-                Block::new(&g, j0, 2),
-                Block::new(&g, j0, 3),
-            );
-            for i in 0..g.n {
-                let gi = i + g.row_offset;
-                let arow = &g.ad[i * g.k..(i + 1) * g.k];
-                let orow = g.out.as_mut_ptr().add(i * g.m + j0);
-                let load = |b: &Block| {
-                    _mm512_cvtps_pd(_mm256_maskz_loadu_ps(b.lanes, orow.wrapping_add(b.at)))
-                };
-                let (mut s0, mut s1, mut s2, mut s3) = (load(&b0), load(&b1), load(&b2), load(&b3));
-                for (kk, &av) in arow.iter().enumerate() {
-                    if av == 0.0 && g.b_all_finite {
-                        continue;
-                    }
-                    let step = Step::new(gi, kk, av);
-                    let brow = g.bd.as_ptr().add(kk * g.m + j0);
-                    s0 = nest.mac8(&step, &b0, s0, brow, mul_obs, acc_obs);
-                    s1 = nest.mac8(&step, &b1, s1, brow, mul_obs, acc_obs);
-                    s2 = nest.mac8(&step, &b2, s2, brow, mul_obs, acc_obs);
-                    s3 = nest.mac8(&step, &b3, s3, brow, mul_obs, acc_obs);
-                }
-                let store = |b: &Block, sums: __m512d| {
-                    _mm256_mask_storeu_ps(orow.wrapping_add(b.at), b.lanes, _mm512_cvtpd_ps(sums))
-                };
-                store(&b0, s0);
-                store(&b1, s1);
-                store(&b2, s2);
-                store(&b3, s3);
-            }
-        }
-    }
-}
-
-/// The fused-float AVX-512 nest on 16 `f32` lanes: the `j-strip / i /
-/// k` shape of [`avx512`], for a [`Fused`](crate::stage::Fused)
-/// multiplier with a float accumulator whose values all fit `f32`. It
-/// carries products and running sums as `f32`, so one block holds
-/// twice the lanes of an `f64` block, and two 16-lane accumulators
-/// cover a [`STRIP`](avx512_f32::STRIP)-column strip.
-///
-/// Why `f32` lanes give the reference's bits: the reference widens
-/// both operands to `f64`, where their product is exact, adds it to
-/// the widened accumulator and rounds the `f64` sum. Per lane and
-/// step this nest computes `prod = a·b` and `sum = acc + prod` in
-/// `f32` and proves both exact:
-///
-/// * the product is exact when the FMA residual `fmsub(a, b, prod)`
-///   is zero and `|prod| ≥ 2^-101` (below that the residual can
-///   itself round to zero; a product that underflows `f32` is never
-///   taken for an exact zero either: only `a = 0` or `b = 0` skips);
-/// * the sum is exact when `sum − acc == prod` and `sum − prod ==
-///   acc` (the subtraction against the larger operand is exact, so
-///   it sees any rounding error of the sum; overflow and NaN fail it).
-///
-/// An exact `f32` sum *is* the reference's `f64` sum, and in the fast
-/// regime the 16-lane quantizer
-/// ([`QuantVecF32x16`](mpt_formats::simd_avx512::QuantVecF32x16))
-/// rounds it exactly as the `f64` kernel does. Every other live lane
-/// — inexact, tiny, non-finite or outside the fast regime — settles
-/// through the scalar [`mac_round`] from the same `f32` accumulator
-/// at the same event index, so the output is bit-identical. A sum
-/// that cancels to zero is exact and needs no settling (zero rounds to
-/// itself). Over the GEMMs of one LeNet FP8 × FP12-SR training step
-/// (batch 32, after 20 steps) `f32` is exact for 99.992% of MAC
-/// events, 0.14% of sums cancel to zero, and 0.07% of 16-lane blocks
-/// settle a lane; at batch 4, 99.997% and 0.02%.
-///
-/// What it buys, against the `f64` nest on the same host as there:
-/// 1.42–1.45x on LeNet's dense batch-32 forward convolutions and 1.37x
-/// over all the GEMMs of a batch-32 step (1.35x at batch 4); GEMMs
-/// whose `B` rows are ReLU-sparse gain least, because a 16-lane block
-/// is skipped only when all 16 products are zero.
-///
-/// Nothing is allocated. Dispatch takes this nest on the `Avx512`
-/// tier for fused MACs whose accumulator has an `f32` lane plan,
-/// at most 8 exponent bits and at most
-/// [`MAX_RANDOM_BITS`](mpt_formats::simd_avx512::QuantVecF32x16::MAX_RANDOM_BITS)
-/// SR bits; everything else keeps the `f64` nests.
-pub(crate) mod avx512_f32 {
-    #![allow(unsafe_code)]
-
-    use core::arch::x86_64::*;
-
-    use super::avx512::gemm_avx512;
-    use super::*;
-    use crate::stage::{FloatStage, Fused};
-    use mpt_formats::simd_avx512::QuantVecF32x16;
-    use mpt_formats::sr::hash::INDEX_MUL;
-    use mpt_formats::LanePlanF32;
-
-    /// Output columns per strip: two 16-lane accumulators.
-    pub(crate) const STRIP: usize = 32;
-
-    /// `2^-101`: the smallest `|prod|` whose FMA residual is exact. A
-    /// product `a·b` of `f32`s has at most 48 significant bits, so at
-    /// `|a·b| ≥ 2^-102` its residual is a multiple of `2^-149`, an
-    /// `f32`; rounding to `prod ≥ 2^-101` keeps `|a·b|` above that.
-    const EXACT_PRODUCT_MIN: f32 = 1.0 / (1u128 << 101) as f32;
-
-    /// `f32`-lane nest entry. Falls back to the `f64` AVX-512 nest
-    /// (which falls back further) where that nest would: when the CPU
-    /// lacks the features, or a coordinate could leave its field of
-    /// [`sr_event_index`] (the hash inputs are built incrementally, as
-    /// there).
-    pub(crate) fn gemm_avx512_f32<const MODE: u8, T: MacObserver>(
-        g: Gemm<'_>,
-        acc: &FloatStage<MODE>,
-        plan: &LanePlanF32,
-        mul_obs: &mut T,
-        acc_obs: &mut T,
-    ) {
-        let fields_disjoint =
-            g.row_offset + g.n <= 1 << 22 && g.col_offset + g.m <= 1 << 20 && g.k <= 1 << 20;
-        if !fields_disjoint || !mpt_formats::simd::avx512_supported() {
-            return gemm_avx512(g, &Fused, acc, mul_obs, acc_obs);
-        }
-        // The nest addresses `out` and `bd` through raw pointers.
-        assert_eq!(g.out.len(), g.n * g.m, "output is n x m");
-        assert_eq!(g.ad.len(), g.n * g.k, "A is n x k");
-        assert_eq!(g.bd.len(), g.k * g.m, "B is k x m");
-        // SAFETY: AVX-512 F + DQ + VL availability checked at runtime
-        // just above; the three slices have the lengths `inner`
-        // requires.
-        unsafe { inner(g, acc, plan, mul_obs, acc_obs) }
-    }
-
-    /// What the whole GEMM shares: the accumulator stage, its 16-lane
-    /// quantizer and seed.
-    struct Nest<'a, const MODE: u8> {
-        acc: &'a FloatStage<MODE>,
-        quant: QuantVecF32x16,
-        seed: __m512i,
     }
 
     /// One 16-lane block of a strip.
@@ -803,11 +544,17 @@ pub(crate) mod avx512_f32 {
         at: usize,
         /// Global column of lane 0.
         gj: usize,
-        /// Lanes inside the matrix; masked-off lanes are neither
-        /// loaded nor stored.
+        /// Lanes inside the matrix: all, a partial tail, or none.
+        /// Masked-off lanes are neither loaded nor stored, so no block
+        /// reads or writes past its row.
         lanes: __mmask16,
-        /// The column part of the hash inputs of lanes 0–7 and 8–15,
-        /// as in the `f64` nest's blocks.
+        /// The column part of the hash inputs of lanes 0–7 and 8–15:
+        /// `sr_event_index(0, gj + lane, 0, Multiply) · INDEX_MUL` (the
+        /// multiplier's stage tag is 0). Adding a [`Step`]'s
+        /// row-and-`k` part gives `index · INDEX_MUL` exactly (mod
+        /// 2^64, multiplication distributes over the carry-free field
+        /// sum), and XOR-ing the seed gives
+        /// [`SrRng::hash_input`](mpt_formats::SrRng::hash_input).
         hash_lo: __m512i,
         hash_hi: __m512i,
     }
@@ -849,9 +596,10 @@ pub(crate) mod avx512_f32 {
     struct Step {
         /// The broadcast `A` element.
         av: __m512,
-        /// `sr_event_index(gi, 0, kk, Accumulate) · INDEX_MUL`,
-        /// broadcast.
-        hash: __m512i,
+        /// The row-and-`k` part of each stage's hash inputs:
+        /// `sr_event_index(gi, 0, kk, stage) · INDEX_MUL`, broadcast.
+        mul_hash: __m512i,
+        acc_hash: __m512i,
     }
 
     impl Step {
@@ -861,10 +609,13 @@ pub(crate) mod avx512_f32 {
         #[inline]
         #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
         unsafe fn new(gi: usize, kk: usize, a: f32) -> Self {
-            let index = sr_event_index(gi, 0, kk, MacStage::Accumulate);
+            let hash = |stage| {
+                _mm512_set1_epi64(sr_event_index(gi, 0, kk, stage).wrapping_mul(INDEX_MUL) as i64)
+            };
             Step {
                 av: _mm512_set1_ps(a),
-                hash: _mm512_set1_epi64(index.wrapping_mul(INDEX_MUL) as i64),
+                mul_hash: hash(MacStage::Multiply),
+                acc_hash: hash(MacStage::Accumulate),
             }
         }
     }
@@ -901,16 +652,18 @@ pub(crate) mod avx512_f32 {
         /// Lanes inside the matrix whose product is not an exact zero.
         live: __mmask16,
         /// Live lanes the vector result does not cover: inexact in
-        /// `f32`, or outside the quantizer's fast regime.
+        /// `f32`, or handed back by a stage's quantizer.
         settle: __mmask16,
-        /// The `f32` sums and their quantized values.
+        /// The rounded products, the `f32` sums and their rounded
+        /// values.
+        prod: __m512,
         sum: __m512,
         q: __m512,
     }
 
-    impl<const MODE: u8> Nest<'_, MODE> {
+    impl<M: VecStage, A: VecStage> Nest<'_, M, A> {
         /// One reduction step of one block: which of its live lanes
-        /// must settle, and the quantized sums of the others, given the
+        /// must settle, and the rounded sums of the others, given the
         /// old accumulators (`sums`) and the block's [`load_b`]. `A`'s
         /// element must be finite and non-zero.
         ///
@@ -931,27 +684,42 @@ pub(crate) mod avx512_f32 {
                 return Lanes {
                     live,
                     settle: 0,
+                    prod: sums,
                     sum: sums,
                     q: sums,
                 };
             }
+            let hash = |part: __m512i, stage: __m512i, seed: __m512i| {
+                _mm512_xor_si512(_mm512_add_epi64(part, stage), seed)
+            };
             let prod = _mm512_mul_ps(step.av, b);
             let residual = _mm512_fmsub_ps(step.av, b, prod);
-            let sum = _mm512_add_ps(sums, prod);
             let tiny = _mm512_set1_ps(EXACT_PRODUCT_MIN);
             let exact = _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(live, residual, zero);
-            let exact = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(exact, _mm512_abs_ps(prod), tiny);
+            let mut exact = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(exact, _mm512_abs_ps(prod), tiny);
+            let mut prod = prod;
+            if !M::IDENTITY {
+                let (lo, hi) = (
+                    hash(block.hash_lo, step.mul_hash, self.mul_seed),
+                    hash(block.hash_hi, step.mul_hash, self.mul_seed),
+                );
+                let (q, fast) = M::quantize16(&self.mul_v, prod, lo, hi);
+                (prod, exact) = (q, _kand_mask16(exact, fast));
+            }
+            let sum = _mm512_add_ps(sums, prod);
             let exact =
                 _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(exact, _mm512_sub_ps(sum, sums), prod);
             let exact =
                 _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(exact, _mm512_sub_ps(sum, prod), sums);
-            let h = |part: __m512i| _mm512_xor_si512(_mm512_add_epi64(part, step.hash), self.seed);
-            let (q, fast) = self
-                .quant
-                .quantize16::<MODE>(sum, h(block.hash_lo), h(block.hash_hi));
+            let (lo, hi) = (
+                hash(block.hash_lo, step.acc_hash, self.acc_seed),
+                hash(block.hash_hi, step.acc_hash, self.acc_seed),
+            );
+            let (q, fast) = A::quantize16(&self.acc_v, sum, lo, hi);
             Lanes {
                 live,
                 settle: _kandn_mask16(_kand_mask16(exact, fast), live),
+                prod,
                 sum,
                 q,
             }
@@ -965,10 +733,11 @@ pub(crate) mod avx512_f32 {
         /// through the scalar [`mac_round`] — from the `f32`
         /// accumulator, with the exact `f64` product, at the packed
         /// [`sr_event_index`], skipping exact zero products — shows the
-        /// other live lanes' exact sums to the observer, and leaves the
-        /// new accumulators in their place. The accumulators pass
-        /// through memory, so no vector register is live across the
-        /// call and the hot loop keeps them in registers.
+        /// other live lanes' exact products and sums to the observers,
+        /// and leaves the new accumulators in their place. The
+        /// accumulators pass through memory, so no vector register is
+        /// live across the call and the hot loop keeps them in
+        /// registers.
         ///
         /// # Safety
         ///
@@ -996,6 +765,7 @@ pub(crate) mod avx512_f32 {
                     Lanes {
                         live: block.lanes,
                         settle: block.lanes,
+                        prod: *acc,
                         sum: *acc,
                         q: *acc,
                     }
@@ -1005,19 +775,24 @@ pub(crate) mod avx512_f32 {
                     _mm512_storeu_ps(out.as_mut_ptr(), v);
                     out
                 };
-                let (old, sum, q) = (store(*acc), store(done.sum), store(done.q));
+                let (old, prod, sum, q) = (
+                    store(*acc),
+                    store(done.prod),
+                    store(done.sum),
+                    store(done.q),
+                );
                 let mut out = old;
                 for l in 0..16 {
                     if done.live & (1 << l) == 0 {
                         continue;
                     }
+                    let product = a as f64 * *brow.add(block.at + l) as f64;
                     if done.settle & (1 << l) != 0 {
-                        let product = a as f64 * *brow.add(block.at + l) as f64;
                         if product != 0.0 {
                             out[l] = mac_round(
                                 old[l],
                                 product,
-                                &Fused,
+                                self.mul,
                                 self.acc,
                                 gi,
                                 block.gj + l,
@@ -1027,6 +802,9 @@ pub(crate) mod avx512_f32 {
                             );
                         }
                     } else {
+                        if !M::IDENTITY {
+                            mul_obs.record(product, prod[l] as f64);
+                        }
                         acc_obs.record(sum[l] as f64, q[l] as f64);
                         out[l] = q[l];
                     }
@@ -1038,20 +816,24 @@ pub(crate) mod avx512_f32 {
 
     /// # Safety
     ///
-    /// The host must support AVX-512 F + DQ + VL, and `g.out`, `g.ad`
-    /// and `g.bd` must hold `n·m`, `n·k` and `k·m` elements.
+    /// The host must support AVX-512 F + DQ + VL, both stages must
+    /// have [`f32_lanes`](VecStage::f32_lanes), and `g.out`, `g.ad` and
+    /// `g.bd` must hold `n·m`, `n·k` and `k·m` elements.
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn inner<const MODE: u8, T: MacObserver>(
+    unsafe fn inner<M: VecStage, A: VecStage, T: MacObserver>(
         g: Gemm<'_>,
-        acc: &FloatStage<MODE>,
-        plan: &LanePlanF32,
+        mul: &M,
+        acc: &A,
         mul_obs: &mut T,
         acc_obs: &mut T,
     ) {
         let nest = Nest {
+            mul,
             acc,
-            quant: QuantVecF32x16::new(plan),
-            seed: _mm512_set1_epi64(plan.seed as i64),
+            mul_v: mul.vec16(),
+            acc_v: acc.vec16(),
+            mul_seed: _mm512_set1_epi64(mul.rng().seed() as i64),
+            acc_seed: _mm512_set1_epi64(acc.rng().seed() as i64),
         };
         for j0 in (0..g.m).step_by(STRIP) {
             let (b0, b1) = (Block::new(&g, j0, 0), Block::new(&g, j0, 1));

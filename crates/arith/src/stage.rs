@@ -3,9 +3,7 @@
 //!
 //! A MAC has two rounding stages — the multiplier output and the
 //! accumulator — and each loop nest (scalar, AVX2, AVX-512) is written
-//! once, generic over a [`Stage`] per stage (the `f32`-lane AVX-512
-//! nest runs [`Fused`] × [`FloatStage`] only, and settles lanes
-//! through that pair's scalar body):
+//! once, generic over a [`Stage`] per stage:
 //!
 //! | stage type            | rounds through                                   |
 //! |-----------------------|--------------------------------------------------|
@@ -92,15 +90,6 @@ pub(crate) trait Stage: Copy {
 
     /// The stage's stochastic bit source.
     fn rng(&self) -> SrRng;
-
-    /// Whether every finite value the stage emits survives
-    /// `as f32 as f64` unchanged. Every nest narrows the accumulator
-    /// to the `f32` output after each step; a nest that keeps it in
-    /// `f64` registers across the reduction may skip that round trip
-    /// only where this holds. `false` is always safe.
-    fn f32_exact(&self) -> bool {
-        false
-    }
 }
 
 /// The `NR` multiplier of a fused MAC: the exact product feeds the
@@ -143,13 +132,6 @@ impl<const MODE: u8> Stage for FloatStage<MODE> {
     fn rng(&self) -> SrRng {
         self.fast.rng()
     }
-
-    /// `f32` holds every `EeMm` value with `e ≤ 8`, `m ≤ 23`,
-    /// subnormals included (`min_exp - m ≥ -149`).
-    fn f32_exact(&self) -> bool {
-        let format = self.fast.format();
-        format.exp_bits() <= 8 && format.man_bits() <= 23
-    }
 }
 
 /// A fixed-point stage under rounding mode `MODE`.
@@ -167,12 +149,6 @@ impl<const MODE: u8> Stage for FixedStage<MODE> {
 
     fn rng(&self) -> SrRng {
         self.0.rng()
-    }
-
-    /// Codes of at most 24 bits fit `f32`'s significand, and their
-    /// scale `2^-f` (`f ≤ 52`) its exponent range.
-    fn f32_exact(&self) -> bool {
-        self.0.format().bit_width() <= 24
     }
 }
 

@@ -299,10 +299,11 @@ fn fixed_point_tallies_match_parent_generic_counts() {
 
 // ---------------------------------------------------------------
 // Edges of the AVX-512 nest's own mechanisms — strip masks, register
-// accumulators with handed-back lanes, the zero-product merge,
-// incremental SR hash inputs, the `f32` round trip. Every case runs
-// on every tier against `qgemm_reference`, so the narrower tiers are
-// pinned on the same inputs.
+// accumulators with settled lanes, the zero-product merge,
+// incremental SR hash inputs, the `f32` exactness tests — and of the
+// configurations it declines. Every case runs on every tier against
+// `qgemm_reference`, so the narrower tiers are pinned on the same
+// inputs.
 // ---------------------------------------------------------------
 
 /// Asserts every tier equals `qgemm_reference` bit for bit; returns
@@ -525,8 +526,8 @@ fn sr_event_fields_at_their_last_values_match_reference() {
 }
 
 /// Accumulator formats whose values do *not* all fit `f32` — every
-/// nest narrows the running sum to the `f32` output after each step,
-/// so a nest holding it in `f64` registers must round-trip it too.
+/// nest narrows the running sum to the `f32` output after each step;
+/// the AVX-512 tier runs them on the AVX2 nest, which must as well.
 #[test]
 fn accumulators_wider_than_f32_round_trip_every_step() {
     let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
@@ -581,52 +582,67 @@ fn bf16() -> FloatFormat {
     FloatFormat::new(8, 7).unwrap()
 }
 
-/// Fused MACs whose accumulator the `f32`-lane nest carries, under
-/// every mode and SR widths from 0 to its 31-bit limit.
-fn fused_f32_lane_configs() -> Vec<QGemmConfig> {
+/// MACs whose stages the `f32`-lane nest carries, under every mode
+/// and SR widths from 0 to its 31-bit limit: fused into float and
+/// fixed-point accumulators, and the unfused fixed × fixed and
+/// float × float pairings with both stages rounding.
+fn f32_lane_configs() -> Vec<QGemmConfig> {
     let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
+    let float = |f, r| Quantizer::float(f, r);
+    let fixed = |f, r| Quantizer::fixed(f, r);
     let mut cfgs = Vec::new();
-    for acc in [
-        FloatFormat::e6m5(),
-        FloatFormat::e6m5().without_subnormals(),
-        FloatFormat::e5m10().with_infinities(),
-        bf16(),
+    for mode in [
+        Rounding::Nearest,
+        Rounding::TowardZero,
+        Rounding::ToOdd,
+        Rounding::Stochastic { random_bits: 0 },
+        Rounding::Stochastic { random_bits: 1 },
+        Rounding::stochastic(),
+        Rounding::Stochastic { random_bits: 19 },
+        Rounding::Stochastic { random_bits: 31 },
     ] {
-        for mode in [
-            Rounding::Nearest,
-            Rounding::TowardZero,
-            Rounding::ToOdd,
-            Rounding::Stochastic { random_bits: 0 },
-            Rounding::stochastic(),
-            Rounding::Stochastic { random_bits: 19 },
-            Rounding::Stochastic { random_bits: 31 },
-        ] {
-            cfgs.push(
-                QGemmConfig::new(
-                    Quantizer::identity(),
-                    Quantizer::identity(),
-                    MacConfig::new(nr, Quantizer::float(acc, mode)),
-                )
-                .with_seed(0xf32),
-            );
-        }
+        let mut macs: Vec<MacConfig> = [
+            FloatFormat::e6m5(),
+            FloatFormat::e6m5().without_subnormals(),
+            FloatFormat::e5m10().with_infinities(),
+            bf16(),
+        ]
+        .into_iter()
+        .map(|acc| MacConfig::new(nr, float(acc, mode)))
+        .collect();
+        macs.extend([
+            MacConfig::new(nr, fixed(FixedFormat::fxp8_8(), mode)),
+            MacConfig::new(
+                fixed(FixedFormat::fxp4_4(), mode),
+                fixed(FixedFormat::fxp8_8(), mode),
+            ),
+            MacConfig::new(
+                float(FloatFormat::e5m2(), mode),
+                float(FloatFormat::e6m5(), mode),
+            ),
+        ]);
+        cfgs.extend(macs.into_iter().map(|mac| {
+            QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac).with_seed(0xf32)
+        }));
     }
     cfgs
 }
 
 /// The `f32` lanes' exactness tests at every lane of two 16-lane
-/// blocks and a partial third: sums `f32` cannot hold, products that
-/// underflow `f32` (whose FMA residual rounds to zero too), products
-/// that flush to zero without being zero, zero `B` elements under a
-/// non-finite `A` element, and the hand-back classes (target-subnormal
-/// and saturating sums, NaN and inf in either operand). Each case is
-/// three steps of one output element, followed by an ordinary step;
-/// operands pass through unquantized.
+/// blocks and a partial third: products and sums `f32` cannot hold,
+/// products that underflow `f32` (whose FMA residual rounds to zero
+/// too), products that flush to zero without being zero, zero `B`
+/// elements under a non-finite `A` element, the hand-back classes
+/// (target-subnormal sums, NaN and inf in either operand), sums and
+/// products that saturate either way, and the fixed-point RN tie at
+/// code `-0.5` (which rounds to `+0.0`, unlike its neighbours) at
+/// either stage. Each case is three steps of one output element,
+/// followed by an ordinary step; operands pass through unquantized.
 #[test]
 fn f32_lane_exactness_edges_match_reference_at_every_lane() {
     let p = |e: i32| 2.0f32.powi(e);
     let bf = 1.0 + p(-7);
-    let cases: [(&str, [(f32, f32); 3]); 15] = [
+    let cases: [(&str, [(f32, f32); 3]); 20] = [
         // 2^22 + 2.1875 needs 27 significant bits.
         (
             "inexact f32 sum",
@@ -635,6 +651,11 @@ fn f32_lane_exactness_edges_match_reference_at_every_lane() {
         (
             "inexact f32 sum, negative",
             [(-p(11), p(11)), (1.25, -1.75), (0.0, 0.0)],
+        ),
+        // 26 significant bits.
+        (
+            "inexact f32 product",
+            [(1.0 + p(-12), 1.0 + p(-13)), (0.0, 0.0), (1.0, 0.5)],
         ),
         // A normal `bf16` accumulator plus a product that rounds in
         // `f32`'s subnormal range with a zero residual.
@@ -669,6 +690,20 @@ fn f32_lane_exactness_edges_match_reference_at_every_lane() {
             "saturating sum",
             [(p(15), p(16)), (p(15), p(16)), (p(64), p(64))],
         ),
+        (
+            "saturating negative sum",
+            [(-p(5), p(2)), (-p(5), p(2)), (-1.0, 3.0)],
+        ),
+        // FXP8.8 and FXP4.4 codes `-0.5` and `-0.25`.
+        (
+            "RN tie at code -0.5",
+            [(-p(-5), p(-4)), (0.0, 0.0), (0.0, 0.0)],
+        ),
+        ("code -0.25", [(-p(-5), p(-5)), (0.0, 0.0), (0.0, 0.0)]),
+        (
+            "RN tie at product code -0.5",
+            [(-p(-3), p(-2)), (0.0, 0.0), (0.0, 0.0)],
+        ),
         ("NaN in A", [(1.0, 1.0), (f32::NAN, 1.0), (0.0, 0.0)]),
         ("NaN in B", [(1.0, 1.0), (1.0, f32::NAN), (0.0, 0.0)]),
         (
@@ -685,7 +720,7 @@ fn f32_lane_exactness_edges_match_reference_at_every_lane() {
         ("NaN x 0", [(1.0, 1.0), (f32::NAN, -0.0), (0.0, 0.0)]),
     ];
     let (n, k, m) = (2, 5, 35);
-    for cfg in fused_f32_lane_configs() {
+    for cfg in f32_lane_configs() {
         for (what, steps) in cases {
             for lane in 0..m {
                 let mut a = dense(n, k, lane);
@@ -710,7 +745,7 @@ fn f32_lane_exactness_edges_match_reference_at_every_lane() {
 /// anything to settle.
 #[test]
 fn non_finite_a_over_a_zero_b_row_matches_reference() {
-    for cfg in fused_f32_lane_configs() {
+    for cfg in f32_lane_configs() {
         for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
             let mut a = dense(3, 4, 1);
             a.set(&[1, 2], poison);
@@ -727,39 +762,106 @@ fn non_finite_a_over_a_zero_b_row_matches_reference() {
     }
 }
 
-/// With telemetry on, the `f32`-lane nest shows the accumulator
-/// observer the same `(sum, rounded)` pairs as the `f64` nests, on a
-/// GEMM where some lanes settle through the scalar path. The format
-/// is one no other test in this binary uses, so its counter group is
-/// this test's alone.
+/// With telemetry on, the `f32`-lane nest shows both observers the
+/// same `(unrounded, rounded)` pairs as the scalar and AVX2 nests, on
+/// GEMMs where some lanes settle through the scalar path, fused and
+/// unfused. The formats are ones no other test in this binary uses,
+/// so their counter groups are this test's alone.
 #[test]
-fn f32_lane_nest_tallies_equal_the_f64_nests() {
-    let acc = Quantizer::float(FloatFormat::new(7, 4).unwrap(), Rounding::stochastic());
-    let mac = MacConfig::new(
-        Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound),
-        acc,
-    );
-    let cfg = QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac).with_seed(5);
-    let mut a = dense(9, 21, 3).map(|v| v * 300.0);
-    a.set(&[2, 4], f32::NAN);
-    a.set(&[3, 5], 2.0f32.powi(-70));
-    let b = dense(21, 37, 8);
-    let label = format!("acc:{}", cfg.mac.acc);
-    let mut tallies = Vec::new();
-    for tier in SimdTier::ALL {
-        let before = tally_counts(&label);
-        mpt_telemetry::enable();
-        qgemm_with_tier(&a, &b, &cfg, 0, 0, tier).unwrap();
-        mpt_telemetry::disable();
-        let after = tally_counts(&label);
-        tallies.push((
-            tier,
-            std::array::from_fn::<u64, 7, _>(|i| after[i] - before[i]),
-        ));
+fn f32_lane_nest_tallies_equal_the_scalar_and_avx2_nests() {
+    let sr = Rounding::stochastic();
+    for mac in [
+        MacConfig::new(
+            Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound),
+            Quantizer::float(FloatFormat::new(7, 4).unwrap(), sr),
+        ),
+        MacConfig::new(
+            Quantizer::fixed(FixedFormat::new(6, 3).unwrap(), sr),
+            Quantizer::fixed(FixedFormat::new(10, 5).unwrap(), Rounding::Nearest),
+        ),
+    ] {
+        let cfg = QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac).with_seed(5);
+        let mut a = dense(9, 21, 3).map(|v| v * 300.0);
+        a.set(&[2, 4], f32::NAN);
+        a.set(&[3, 5], 2.0f32.powi(-70));
+        a.set(&[4, 6], 1.0 + 2.0f32.powi(-20));
+        let b = dense(21, 37, 8);
+        let labels = [
+            format!("mul:{}", cfg.mac.mul),
+            format!("acc:{}", cfg.mac.acc),
+        ];
+        let mut tallies = Vec::new();
+        for tier in SimdTier::ALL {
+            let before = labels.each_ref().map(|l| tally_counts(l));
+            mpt_telemetry::enable();
+            qgemm_with_tier(&a, &b, &cfg, 0, 0, tier).unwrap();
+            mpt_telemetry::disable();
+            let got: [[u64; 7]; 2] = std::array::from_fn(|s| {
+                let after = tally_counts(&labels[s]);
+                std::array::from_fn(|i| after[i] - before[s][i])
+            });
+            tallies.push((tier, got));
+        }
+        let (first, want) = tallies[0];
+        assert!(
+            want[1][0] > 0,
+            "{mac}: the accumulator tally recorded nothing"
+        );
+        if !cfg.mac.is_fused() {
+            assert!(
+                want[0][0] > 0,
+                "{mac}: the multiplier tally recorded nothing"
+            );
+        }
+        for (tier, got) in tallies {
+            assert_eq!(got, want, "{mac}: tallies, tier {tier} != tier {first}");
+        }
     }
-    let (first, want) = tallies[0];
-    assert!(want[0] > 0, "the accumulator tally recorded nothing");
-    for (tier, got) in tallies {
-        assert_eq!(got, want, "acc tally, tier {tier} != tier {first}");
+}
+
+/// The paper's unfused `FXP4.4 × FXP8.8` MAC over a reduction long
+/// enough to pin the accumulator at both ends of FXP8.8: every product
+/// saturates FXP4.4 at `±7.9375`, 20 steps up reach `127.99609375`
+/// and 36 steps down `-128`. Every lane of two 16-lane blocks and a
+/// partial third, zero products among them, under every mode.
+#[test]
+fn fixed_point_sums_saturate_both_ways_at_every_lane() {
+    let (n, k, m) = (3, 56, 35);
+    let a = Tensor::from_fn(vec![n, k], |i| [3.0f32, -3.0, 0.25][i / k]);
+    let b = Tensor::from_fn(vec![k, m], |i| {
+        let (kk, j) = (i / m, i % m);
+        let up = if kk < 20 { 3.0 } else { -3.0 };
+        match j % 7 {
+            3 => 0.0,
+            _ if j % 2 == 0 => up,
+            _ => -up,
+        }
+    });
+    for mode in [
+        Rounding::Nearest,
+        Rounding::TowardZero,
+        Rounding::ToOdd,
+        Rounding::Stochastic { random_bits: 0 },
+        Rounding::Stochastic { random_bits: 1 },
+        Rounding::stochastic(),
+        Rounding::Stochastic { random_bits: 31 },
+    ] {
+        let cfg = QGemmConfig::for_mac(MacConfig::new(
+            Quantizer::fixed(FixedFormat::fxp4_4(), mode),
+            Quantizer::fixed(FixedFormat::fxp8_8(), mode),
+        ))
+        .with_seed(0xf8);
+        let out = assert_tiers_match("saturating FXP8.8", &a, &b, &cfg, 0, 0);
+        // FXP8.8's largest code, and its smallest.
+        let (top, bottom) = (32767.0 / 256.0, -128.0);
+        for j in (0..m).filter(|j| j % 7 != 3) {
+            let (row0, row1) = if j % 2 == 0 {
+                (bottom, top)
+            } else {
+                (top, bottom)
+            };
+            assert_eq!(out.at(&[0, j]), row0, "{cfg}: row 0 column {j}");
+            assert_eq!(out.at(&[1, j]), row1, "{cfg}: row 1 column {j}");
+        }
     }
 }

@@ -44,11 +44,14 @@ fn accelerator(n: usize, m: usize, c: usize, db: &SynthesisDb) -> Result<Acceler
 impl Device {
     /// The SIMD tier the host-side emulation kernels dispatch to —
     /// `"off"`, `"avx2"` or `"avx512"`, selected once per process
-    /// by `MPT_SIMD` (default `auto` = widest supported). Applies to
-    /// both variants: the CPU device runs whole GEMMs through these
-    /// kernels, and the FPGA device uses them for its bit-identical
-    /// fallback path. Purely informational — every tier produces the
-    /// same bits.
+    /// by `MPT_SIMD` (default `auto` = widest supported). Under
+    /// `"avx512"` the MAC runs the one 16-lane `f32` nest when `f32`
+    /// lanes carry both of its stages (every Table II configuration)
+    /// and the AVX2 nest otherwise, and operand slices run the AVX2
+    /// kernels. Applies to both variants: the CPU device runs whole
+    /// GEMMs through these kernels, and the FPGA device computes its
+    /// simulated results and its bit-identical fallback through them.
+    /// Purely informational — every tier produces the same bits.
     pub fn kernel_tier(&self) -> &'static str {
         mpt_formats::simd::active_tier().name()
     }

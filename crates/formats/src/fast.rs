@@ -378,7 +378,7 @@ define_float_fast!(
     bias = 127, inf_bits = 0x7F80_0000u32,
     max_exp_unreachable = 128,
     plan = LanePlanF32,
-    plan_doc = "Lane-kernel parameters for [`FloatFastF32`] (8 `f32` lanes per block)."
+    plan_doc = "Lane-kernel parameters for [`FloatFastF32`] (8 or 16 `f32` lanes per block)."
 );
 
 define_float_fast!(
@@ -389,7 +389,7 @@ define_float_fast!(
     bias = 1023, inf_bits = 0x7FF0_0000_0000_0000u64,
     max_exp_unreachable = 1024,
     plan = LanePlanF64,
-    plan_doc = "Lane-kernel parameters for [`FloatFastF64`] (4 or 8 `f64` lanes per block)."
+    plan_doc = "Lane-kernel parameters for [`FloatFastF64`] (4 `f64` lanes per block)."
 );
 
 impl FloatFastF32 {

@@ -22,8 +22,8 @@
 //!   default IEEE rounding direction, and floor / truncation / parity
 //!   follow from one compare each. The vector tiers
 //!   ([`crate::simd_avx2::FixedVecF64`],
-//!   [`crate::simd_avx512::FixedVecF64x8`]) use `vroundpd` /
-//!   `vrndscalepd` instead.
+//!   [`crate::simd_avx512::FixedVecF32x16`]) use `vroundpd` /
+//!   `vrndscaleps` instead.
 //!
 //! One oracle quirk is replicated on purpose: `round_ties_even(-0.5)`
 //! returns `+0.0` (its tie fix-up computes `-1.0 + 1.0`) while every

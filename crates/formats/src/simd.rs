@@ -10,7 +10,7 @@
 //! |------------|-------------------------------------------------------|
 //! | `Off`      | the scalar loops: one element per step, also what serves the vector tiers' tails and handed-back lanes, and the only tier off x86_64 |
 //! | `Avx2`     | explicit `core::arch::x86_64` AVX2 intrinsics, 8×`f32` / 4×`f64` per iteration |
-//! | `Avx512`   | AVX-512 (F + DQ + VL) intrinsics for the MAC nest only: 8×`f64` per block, k-mask compares, native `vpmullq` for the SR hash; the *slice* quantizers under this tier run the `Avx2` kernels |
+//! | `Avx512`   | AVX-512 (F + DQ + VL) intrinsics for the MAC nest only: one nest on 16×`f32` per block, k-mask compares, native `vpmullq` for the SR hash, for every MAC whose stages `f32` lanes carry (the others run the `Avx2` nest); the *slice* quantizers under this tier run the `Avx2` kernels |
 //!
 //! [`active_tier`] resolves the process-wide tier **once**: the
 //! `MPT_SIMD` environment knob
@@ -40,8 +40,9 @@ pub enum SimdTier {
     Off,
     /// Explicit AVX2 intrinsics (x86_64 with runtime detection only).
     Avx2,
-    /// AVX-512 (F + DQ + VL) MAC nest over the AVX2 slice quantizers
-    /// (x86_64 with runtime detection only).
+    /// The AVX-512 (F + DQ + VL) MAC nest on 16 `f32` lanes over the
+    /// AVX2 slice quantizers; MACs the `f32` lanes cannot carry run
+    /// the AVX2 nest (x86_64 with runtime detection only).
     Avx512,
 }
 
@@ -97,9 +98,10 @@ pub fn avx2_supported() -> bool {
 }
 
 /// `true` when the host CPU supports what the `Avx512` tier uses:
-/// AVX-512 F, DQ (`vpmullq`, sign-bit masks) and VL (256-bit masked
-/// `f32` loads/stores), on top of AVX2 for the slice quantizers
-/// (runtime detection; always `false` off x86_64).
+/// AVX-512 F, DQ (`vpmullq`, sign-bit masks, 256-bit lane halves) and
+/// VL (mask intrinsics on 16-bit masks), on top of AVX2 for the slice
+/// quantizers and the MACs its 16 `f32` lanes do not carry (runtime
+/// detection; always `false` off x86_64).
 pub fn avx512_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

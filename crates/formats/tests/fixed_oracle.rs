@@ -1,7 +1,7 @@
 //! Exhaustive fixed-point oracle: every implementation of fixed-point
 //! quantization — the scalar [`FixedFormat::quantize`], the
-//! monomorphized [`FixedFastF64`] (scalar body, AVX2 `quantize4`,
-//! AVX-512 `quantize8`) and the `f32` slice path behind
+//! monomorphized [`FixedFastF64`] (scalar body, AVX2 `quantize4`),
+//! the AVX-512 16-lane `f32` `quantize16` and the `f32` slice path behind
 //! [`Quantizer::quantize_slice_f32_tier`] on every SIMD tier — against
 //! a slow **exact-integer** reference that shares no code with
 //! `round_scaled`.
@@ -10,7 +10,8 @@
 //! space: every adjacent code pair × {on-grid, midpoint, just below /
 //! just above the midpoint at `f32` and at `f64` resolution}, both
 //! saturation edges, ±0, ±inf, NaN, × {RN, RZ, RO, SR with three
-//! seeds}. `FXP8.4` and `FXP16.8` are sampled on a prime code stride.
+//! seeds, SR with 0, 1, 31, 32 and 52 random bits}. `FXP8.4` and
+//! `FXP16.8` are sampled on a prime code stride.
 //!
 //! The reference decides *values*. The sign of a zero result is a
 //! convention of the scalar implementation (e.g. RN returns `-0.0` on
@@ -147,71 +148,97 @@ fn check(what: &str, q: &Quantizer, x: f64, got: f64, want: f64, scalar: f64) {
     );
 }
 
-/// Every [`FixedFastF64`] body on one block of four.
+/// The reference values and the scalar implementation's bits of four
+/// probes.
+fn expected(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 4]) -> [(f64, f64); 4] {
+    let rng = q.rng();
+    std::array::from_fn(|l| {
+        let want = reference(fmt, xs[l], q.rounding(), &rng, indices[l]);
+        (want, q.quantize(xs[l], indices[l]))
+    })
+}
+
+/// Every [`FixedFastF64`] body on one block of four, and the 16-lane
+/// `f32` quantizer on the block narrowed to `f32`.
 fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 4]) {
     let fast = q.fixed_fast_f64().expect("<= 52-bit fixed format");
     let rng = q.rng();
-    let want: [f64; 4] =
-        std::array::from_fn(|l| reference(fmt, xs[l], q.rounding(), &rng, indices[l]));
-    let scalar: [f64; 4] = std::array::from_fn(|l| q.quantize(xs[l], indices[l]));
+    let wide = expected(q, fmt, xs, indices);
     for l in 0..4 {
-        check("scalar", q, xs[l], scalar[l], want[l], scalar[l]);
-        check(
-            "FixedFastF64",
-            q,
-            xs[l],
-            fast.quantize_dyn(xs[l], indices[l]),
-            want[l],
-            scalar[l],
-        );
+        let (want, scalar) = wide[l];
+        check("scalar", q, xs[l], scalar, want, scalar);
+        let got = fast.quantize_dyn(xs[l], indices[l]);
+        check("FixedFastF64", q, xs[l], got, want, scalar);
     }
     // The vector quantizer of each vector tier this host executes,
-    // the four probes repeated to fill wider registers.
+    // the four probes repeated to fill its lanes.
     #[cfg(target_arch = "x86_64")]
     for &tier in SimdTier::available() {
         use core::arch::x86_64::*;
         use mpt_formats::simd_avx2::FixedVecF64;
-        use mpt_formats::simd_avx512::FixedVecF64x8;
-        let xs8: [f64; 8] = std::array::from_fn(|l| xs[l % 4]);
-        let hash: [u64; 8] = std::array::from_fn(|l| rng.hash_input(indices[l % 4]));
-        let mut res = [0f64; 8];
+        use mpt_formats::simd_avx512::FixedVecF32x16;
+        let hash: [u64; 16] = std::array::from_fn(|l| rng.hash_input(indices[l % 4]));
         // SAFETY: `available()` lists a vector tier only when the CPU
-        // has its features; loads and stores stay inside the 8-element
-        // arrays.
-        let (what, lanes, lanes_ok) = unsafe {
+        // has its features; loads and stores stay inside the arrays.
+        let (what, inputs, results, lanes_ok): (_, [f64; 4], Vec<f64>, u32) = unsafe {
             match tier {
                 SimdTier::Avx2 => {
                     let qv = FixedVecF64::new(&fast);
                     let (x, h) = (
-                        _mm256_loadu_pd(xs8.as_ptr()),
+                        _mm256_loadu_pd(xs.as_ptr()),
                         _mm256_loadu_si256(hash.as_ptr().cast()),
                     );
                     let (r, ok) =
                         with_mode!(q.rounding(), M => qv.quantize4::<M>(x, h), unreachable!());
+                    let mut res = [0f64; 4];
                     _mm256_storeu_pd(res.as_mut_ptr(), r);
-                    ("FixedVecF64::quantize4", 4, ok)
+                    ("FixedVecF64::quantize4", xs, res.to_vec(), ok)
                 }
+                // More SR bits than the 32-bit draw compare holds: the
+                // MAC nest does not take the 16 lanes.
+                SimdTier::Avx512 if !FixedVecF32x16::carries(&fast) => continue,
                 SimdTier::Avx512 => {
-                    let qv = FixedVecF64x8::new(&fast);
-                    let (x, h) = (
-                        _mm512_loadu_pd(xs8.as_ptr()),
+                    // `f32` lanes take `f32` inputs: the probes that
+                    // are not `f32`s are checked at their narrowing.
+                    let narrow = xs.map(|x| x as f32);
+                    let x16: [f32; 16] = std::array::from_fn(|l| narrow[l % 4]);
+                    let qv = FixedVecF32x16::new(&fast);
+                    let (x, lo, hi) = (
+                        _mm512_loadu_ps(x16.as_ptr()),
                         _mm512_loadu_si512(hash.as_ptr().cast()),
+                        _mm512_loadu_si512(hash[8..].as_ptr().cast()),
                     );
-                    let (r, ok) =
-                        with_mode!(q.rounding(), M => qv.quantize8::<M>(x, h), unreachable!());
-                    _mm512_storeu_pd(res.as_mut_ptr(), r);
-                    ("FixedVecF64x8::quantize8", 8, ok as u32)
+                    let (r, ok) = with_mode!(
+                        q.rounding(),
+                        M => qv.quantize16::<M>(x, lo, hi),
+                        unreachable!()
+                    );
+                    let mut res = [0f32; 16];
+                    _mm512_storeu_ps(res.as_mut_ptr(), r);
+                    let res = res.iter().map(|&v| v as f64).collect();
+                    (
+                        "FixedVecF32x16::quantize16",
+                        narrow.map(f64::from),
+                        res,
+                        ok as u32,
+                    )
                 }
                 SimdTier::Off => continue,
             }
         };
-        for l in 0..lanes {
+        let want = if inputs == xs {
+            wide
+        } else {
+            expected(q, fmt, inputs, indices)
+        };
+        for (l, &got) in results.iter().enumerate() {
+            let x = inputs[l % 4];
             // Lanes reported invalid are the caller's to recompute
             // (non-finite inputs only).
             if lanes_ok & (1 << l) != 0 {
-                check(what, q, xs8[l], res[l], want[l % 4], scalar[l % 4]);
+                check(what, q, x, got, want[l % 4].0, want[l % 4].1);
             } else {
-                assert!(!xs8[l].is_finite(), "finite lane {:e} handed back", xs8[l]);
+                assert!(!x.is_finite(), "{what}: finite lane {x:e} handed back");
             }
         }
     }
@@ -222,6 +249,10 @@ fn oracle_sweep(fmt: FixedFormat, stride: i64) {
     let mut roundings = vec![Rounding::Nearest, Rounding::TowardZero, Rounding::ToOdd];
     let sr_seeds = [1u64, 0x5eed, u64::MAX];
     roundings.extend([Rounding::stochastic(); 3]);
+    // Both ends of the draw widths the 16-lane quantizer compares on
+    // 32-bit lanes, and past its 31-bit limit up to the widest the
+    // AVX2 quantizer compares as an exact `f64` (52 bits).
+    roundings.extend([0, 1, 31, 32, 52].map(|random_bits| Rounding::Stochastic { random_bits }));
     for (ri, rounding) in roundings.into_iter().enumerate() {
         let q = Quantizer::fixed(fmt, rounding).with_seed(sr_seeds[ri % 3]);
         let base = 0x1234_5678_9abc + ri as u64;

@@ -16,7 +16,9 @@
 #   * avx512 >= 1.8x over simd (AVX2), when the row is present,
 #   * qgemm_parallel at one thread within 1% of the direct kernel of
 #     the tier it runs (the ambient MPT_SIMD one),
-#   * fxp44_rn on the lane kernels >= 4x over its scalar reference.
+#   * fxp44_rn on the lane kernels >= 4x over its scalar reference,
+#   * fxp44_rn avx512 >= 1.8x over its simd (AVX2) row, when the row
+#     is present.
 #
 # Usage: scripts/bench_qgemm.sh [criterion-filter]
 set -euo pipefail
@@ -83,6 +85,7 @@ out = {
         "sr_avx512_elem_per_s": fxp_sr_avx512,
         "rn_reference_elem_per_s": fxp_ref,
         "rn_speedup_vs_reference": (fxp_rn / fxp_ref) if fxp_rn and fxp_ref else None,
+        "rn_avx512_speedup_vs_simd": (fxp_rn_avx512 / fxp_rn) if fxp_rn and fxp_rn_avx512 else None,
     },
 }
 json.dump(out, sys.stdout, indent=2)
@@ -113,7 +116,8 @@ if fxp["rn_speedup_vs_reference"]:
           f" rn {fxp['rn_speedup_vs_reference']:.2f}x vs reference")
 if fxp["rn_avx512_elem_per_s"]:
     print(f"fixed point fxp44 on avx512: rn {fxp['rn_avx512_elem_per_s'] / 1e6:.0f}"
-          f" / sr {fxp['sr_avx512_elem_per_s'] / 1e6:.0f} MMAC/s")
+          f" / sr {fxp['sr_avx512_elem_per_s'] / 1e6:.0f} MMAC/s,"
+          f" rn {fxp['rn_avx512_speedup_vs_simd']:.2f}x vs simd (AVX2)")
 
 failures = []
 def gate(name, value, minimum):
@@ -130,6 +134,7 @@ gate("avx512_speedup_vs_simd", h["avx512_speedup_vs_simd"], 1.8)
 # (1%) is a regression in the exit path.
 gate("parallel_t1_vs_direct", h["parallel_t1_vs_direct"], 0.99)
 gate("fxp44_rn_speedup_vs_reference", fxp["rn_speedup_vs_reference"], 4.0)
+gate("fxp44_rn_avx512_speedup_vs_simd", fxp["rn_avx512_speedup_vs_simd"], 1.8)
 
 if failures:
     sys.exit("performance gate FAILED:\n  " + "\n  ".join(failures))
