@@ -25,7 +25,7 @@
 //! `--require-stage-tracks N`) has fewer than N `fpga-pipeline/`
 //! stage tracks.
 
-use mpt_bench::TableWriter;
+use mpt_bench::{quantile_ns, TableWriter};
 use mpt_telemetry::json::{self, Value};
 use mpt_telemetry::QuantCat;
 use std::collections::BTreeMap;
@@ -151,7 +151,9 @@ struct RunData {
     quant: BTreeMap<String, BTreeMap<u64, [u64; 10]>>,
     /// Last `stage_utilization` event, if any.
     stage_util: Option<Value>,
-    loss_scale_events: u64,
+    /// `loss_scale` events that moved the scale (`ok` ones do not).
+    loss_scale_growths: u64,
+    loss_scale_overflows: u64,
 }
 
 fn fold_events(text: &str) -> RunData {
@@ -209,25 +211,15 @@ fn fold_events(text: &str) -> RunData {
                 }
             }
             Some("stage_utilization") => data.stage_util = Some(ev),
-            Some("loss_scale") => data.loss_scale_events += 1,
+            Some("loss_scale") => match ev.get("status").and_then(Value::as_str) {
+                Some("growth") => data.loss_scale_growths += 1,
+                Some("overflow") => data.loss_scale_overflows += 1,
+                _ => {}
+            },
             _ => {}
         }
     }
     data
-}
-
-/// Exact quantile of a sorted sample (nearest-rank with linear
-/// interpolation) — the report has the full duration list, so unlike
-/// the in-process histogram no bucketing error applies.
-fn quantile_ns(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac
 }
 
 fn us(ns: f64) -> String {
@@ -263,8 +255,10 @@ fn generate_report(jsonl: &str, trace: Option<&str>, serving: Option<&str>, out:
     }
     md.push_str(&format!("- training steps observed: {}\n", data.steps));
     md.push_str(&format!(
-        "- loss-scale adjustments: {}\n",
-        data.loss_scale_events
+        "- loss-scale adjustments: {} ({} growths, {} overflows)\n",
+        data.loss_scale_growths + data.loss_scale_overflows,
+        data.loss_scale_growths,
+        data.loss_scale_overflows
     ));
     if let Some(t) = trace {
         if std::path::Path::new(t).exists() {
@@ -528,6 +522,16 @@ mod tests {
         );
     }
 
+    #[test]
+    fn only_growths_and_overflows_are_loss_scale_adjustments() {
+        let log = ["ok", "ok", "growth", "overflow"]
+            .map(|status| format!("{{\"type\":\"loss_scale\",\"status\":\"{status}\"}}\n"))
+            .concat();
+        let data = fold_events(&log);
+        assert_eq!(data.loss_scale_growths + data.loss_scale_overflows, 2);
+        assert_eq!((data.loss_scale_growths, data.loss_scale_overflows), (1, 1));
+    }
+
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("mpt_report_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -573,6 +577,63 @@ mod tests {
         // What `train_lenet_fp8` used to write: baseline + FP8 run.
         assert!(!exit_ok(report("two.jsonl", &[0, 1, 2, 0, 1, 2])));
         assert!(!exit_ok(report("repeat.jsonl", &[0, 1, 1])));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_traces_are_invalid() {
+        let dir = scratch_dir("hostile_trace");
+        let validate = |name: &str, text: &str, tracks: usize| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            exit_ok(validate_trace(path.to_str().unwrap(), tracks))
+        };
+        let complete = r#"{"ph":"X","name":"gemm","ts":0,"dur":1,"pid":1,"tid":1}"#;
+        let track = |stage: &str| {
+            format!(
+                r#"{{"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{{"name":"fpga-pipeline/{stage}"}}}}"#
+            )
+        };
+        let three = format!(
+            r#"{{"traceEvents":[{complete},{},{},{}]}}"#,
+            track("pack"),
+            track("transfer"),
+            track("compute")
+        );
+        assert!(
+            validate("three.json", &three, 3),
+            "the fixture itself is valid"
+        );
+        assert!(!validate("three_of_four.json", &three, 4));
+        assert!(!validate("cut.json", &three[..three.len() / 2], 0));
+        assert!(!validate("empty.json", r#"{"traceEvents":[]}"#, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_log_whose_last_line_is_cut_still_renders() {
+        let dir = scratch_dir("cut_log");
+        let jsonl = dir.join("events.jsonl");
+        let out = dir.join("RESULTS.md");
+        std::fs::write(
+            &jsonl,
+            concat!(
+                "{\"type\":\"step\",\"loss\":1.0}\n",
+                "{\"type\":\"span\",\"name\":\"gemm\",\"id\":1,\"dur_ns\":500}\n",
+                "{\"type\":\"step\",\"loss\":0.9}\n",
+                "{\"type\":\"span\",\"name\":\"gemm\",\"id\":2,\"dur_",
+            ),
+        )
+        .unwrap();
+        let code = generate_report(jsonl.to_str().unwrap(), None, None, out.to_str().unwrap());
+        assert!(exit_ok(code));
+        let md = std::fs::read_to_string(&out).unwrap();
+        assert!(md.contains("training steps observed: 2"), "{md}");
+        let row = md
+            .lines()
+            .find(|l| l.starts_with("gemm"))
+            .expect("gemm row");
+        assert_eq!(row.split_whitespace().nth(1), Some("1"), "{row}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,9 +7,10 @@
 //! fallback and recovers, and that at least one request was shed by
 //! admission control and one cancelled at its deadline (the chaos
 //! must actually exercise the machinery it claims to). A JSON report
-//! with queue depth, rejected/degraded/completed counts and the
-//! p50/p99 of the service's own `serve:latency:<class>` histograms
-//! goes to `$MPT_BENCH_JSON` (default `target/serve_chaos.json`). This
+//! with the queue high-water mark, rejected/degraded/completed counts
+//! and the p50/p99 of each class's `serve:latency:<class>` span lines —
+//! the records `mpt-report` reads from the same log — goes to
+//! `$MPT_BENCH_JSON` (default `target/serve_chaos.json`). This
 //! is the *fault* soak: its latencies are those of a storm on a
 //! handful of shapes; the `serve_closed` workload of `benchmark/` is
 //! where serving latency is measured.
@@ -19,13 +20,14 @@
 //! ```
 
 use mpt_arith::{qgemm, QGemmConfig};
+use mpt_bench::quantile_ns;
 use mpt_bench::scale::{run_scale, RunScale};
 use mpt_faults::{FaultPlan, FaultSite, Injector, RetryPolicy, Trigger};
 use mpt_fpga::{Accelerator, PipelinedExecutor, SaConfig, DEFAULT_CACHE_BUDGET};
 use mpt_serving::{
     BreakerState, GemmService, RequestClass, ServeConfig, ServeResult, BATCH_MAX, QUEUE_CAP,
-    QUEUE_DEPTH_GAUGE,
 };
+use mpt_telemetry::json::{self, Value};
 use mpt_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -152,7 +154,7 @@ fn main() {
         .filter(|t| t.to == BreakerState::Closed)
         .count();
     let corrupted = corrupted.load(Ordering::Relaxed);
-    let queue_high_water = mpt_telemetry::gauge(QUEUE_DEPTH_GAUGE).high_water();
+    let queue_high_water = h.stats().queue_high_water.load(Ordering::Relaxed);
     service.shutdown();
 
     // The run's hard assertions: chaos may shed or delay work, never
@@ -166,18 +168,37 @@ fn main() {
         "the DeadlineExceeded site must fire"
     );
 
-    // Enqueue → response, as the dispatcher recorded it per class.
-    let latency_us = |class: RequestClass, q: f64| {
-        mpt_telemetry::histogram(&format!("serve:latency:{}", class.name())).quantile(q) / 1e3
+    // Enqueue → response, from the dispatcher's span lines per class;
+    // a full buffer would silently shorten the sample.
+    assert_eq!(
+        mpt_telemetry::sink::dropped_events(),
+        0,
+        "the event buffer overflowed"
+    );
+    let events: Vec<Value> = mpt_telemetry::sink::buffered_events()
+        .iter()
+        .filter_map(|l| json::parse(l).ok())
+        .collect();
+    let p50_p99_us = |class: RequestClass| {
+        let name = format!("serve:latency:{}", class.name());
+        let mut durs: Vec<u64> = events
+            .iter()
+            .filter(|e| {
+                e.get("type").and_then(Value::as_str) == Some("span")
+                    && e.get("name").and_then(Value::as_str) == Some(name.as_str())
+            })
+            .filter_map(|e| e.get("dur_ns").and_then(Value::as_u64))
+            .collect();
+        assert!(!durs.is_empty(), "no {name} span lines");
+        durs.sort_unstable();
+        (
+            quantile_ns(&durs, 0.50) / 1e3,
+            quantile_ns(&durs, 0.99) / 1e3,
+        )
     };
-    let (t_p50, t_p99) = (
-        latency_us(RequestClass::Training, 0.50),
-        latency_us(RequestClass::Training, 0.99),
-    );
-    let (i_p50, i_p99) = (
-        latency_us(RequestClass::Inference, 0.50),
-        latency_us(RequestClass::Inference, 0.99),
-    );
+    let (t_p50, t_p99) = p50_p99_us(RequestClass::Training);
+    let (i_p50, i_p99) = p50_p99_us(RequestClass::Inference);
+    assert!(queue_high_water >= 1, "every request passed the queue");
 
     println!("completed {completed}, rejected {rejected}, degraded {degraded}, ");
     println!("deadline_exceeded {deadline_exceeded}, coalesced {coalesced}, corrupted 0");

@@ -29,6 +29,21 @@ pub mod scale;
 pub use report::TableWriter;
 pub use scale::{run_scale, RunScale};
 
+/// Exact quantile of a sorted sample of nanosecond durations
+/// (nearest-rank with linear interpolation; 0 for an empty sample).
+/// The one percentile of the repository: `mpt-report` and
+/// `serve_chaos` take it over the `dur_ns` of `span` log lines.
+pub fn quantile_ns(sorted: &[u64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac
+}
+
 /// The MAC configurations of Table II, in row order, with the
 /// paper's cell labels.
 pub fn table2_configs() -> Vec<(&'static str, &'static str, mpt_arith::MacConfig)> {

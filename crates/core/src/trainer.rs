@@ -225,7 +225,7 @@ pub fn train_cnn_resumable(
             for p in &params {
                 p.zero_grad();
             }
-            let step_start = std::time::Instant::now();
+            let step_span = mpt_telemetry::span("trainer:step");
             let batch_samples = labels.len();
             let mut g = Graph::with_backend(true, Rc::clone(&backend));
             let x = g.input(images);
@@ -249,7 +249,6 @@ pub fn train_cnn_resumable(
             batch_in_epoch += 1;
             processed += 1;
             if telemetry {
-                let dur_ns = step_start.elapsed().as_nanos() as u64;
                 mpt_telemetry::event(&[
                     mpt_telemetry::json::Field::Str("type", "step"),
                     mpt_telemetry::json::Field::U64("epoch", epoch as u64),
@@ -257,14 +256,9 @@ pub fn train_cnn_resumable(
                     mpt_telemetry::json::Field::F64("loss", loss_val as f64),
                     mpt_telemetry::json::Field::F64("scale", scaler.scale() as f64),
                     mpt_telemetry::json::Field::Bool("skipped", !stepped),
-                    mpt_telemetry::json::Field::U64("dur_ns", dur_ns),
                 ]);
-                mpt_telemetry::histogram("trainer:step").record(dur_ns);
-                mpt_telemetry::counter("train.steps").incr();
-                if !stepped {
-                    mpt_telemetry::counter("train.skipped_steps").incr();
-                }
             }
+            drop(step_span);
             if let (Some(every), Some(path)) = (opts.checkpoint_every, &opts.checkpoint_path) {
                 if every > 0 && processed.is_multiple_of(every) {
                     let ck = Checkpoint {
@@ -286,7 +280,6 @@ pub fn train_cnn_resumable(
                             mpt_telemetry::json::Field::U64("epoch", epoch as u64),
                             mpt_telemetry::json::Field::U64("batch_in_epoch", batch_in_epoch),
                         ]);
-                        mpt_telemetry::counter("train.checkpoints").incr();
                     }
                 }
             }

@@ -38,9 +38,8 @@
 //! or transpose); the cache pays where operands stay put — serving's
 //! resident weights, evaluation.
 //!
-//! Telemetry counters (`fpga.cache.hit` / `.miss` / `.evict` /
-//! `.bytes_packed`) mirror the [`CacheStats`] the cache itself keeps,
-//! so JSONL traces and the bench harness see the same numbers.
+//! [`CacheStats`] is the one record of hits, misses, evictions and
+//! packs: the benchmark reads it through [`OperandCache::stats`].
 
 use crate::hbm::HbmImage;
 use mpt_arith::quantize_matrix;
@@ -227,7 +226,6 @@ impl OperandCache {
                 self.lru.insert(self.tick, key);
                 entry.last_use = self.tick;
                 self.stats.hits += 1;
-                bump("fpga.cache.hit");
                 return Ok(FetchedOperand {
                     quantized: Arc::clone(&entry.quantized),
                     image_bytes: entry.image_bytes,
@@ -240,15 +238,11 @@ impl OperandCache {
             }
         }
         self.stats.misses += 1;
-        bump("fpga.cache.miss");
 
         let quantized = Arc::new(quantized);
         let image_bytes = image_bytes(key.rows, key.cols, q);
         self.stats.packs += 1;
         self.stats.bytes_packed += image_bytes as u64;
-        if mpt_telemetry::enabled() {
-            mpt_telemetry::counter("fpga.cache.bytes_packed").add(image_bytes as u64);
-        }
 
         let resident_bytes = charge(t.data().len(), image_bytes);
         let fetched = FetchedOperand {
@@ -296,7 +290,6 @@ impl OperandCache {
             let e = self.entries.remove(&victim).expect("LRU keys are resident");
             self.resident_bytes -= e.resident_bytes;
             self.stats.evictions += 1;
-            bump("fpga.cache.evict");
         }
     }
 }
@@ -369,13 +362,6 @@ fn fingerprint(data: &[f32]) -> u64 {
 /// Exact carrier equality at the bit level (NaN-safe, `-0.0 ≠ 0.0`).
 fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Increments a telemetry counter when telemetry is armed.
-fn bump(name: &str) {
-    if mpt_telemetry::enabled() {
-        mpt_telemetry::counter(name).incr();
-    }
 }
 
 #[cfg(test)]

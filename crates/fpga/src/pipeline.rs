@@ -60,8 +60,8 @@ pub const HOST_PACK_GBPS: f64 = 8.0;
 pub const STAGES: usize = 4;
 
 /// Stage names in pipeline order — used for trace tracks
-/// (`fpga-pipeline/<stage>`), stage-latency histograms
-/// (`fpga:stage:<stage>`), and report tables.
+/// (`fpga-pipeline/<stage>`), the `stage_utilization` event's
+/// `busy_<stage>_s` / `util_<stage>` fields, and report tables.
 pub const STAGE_NAMES: [&str; STAGES] = ["pack", "transfer", "compute", "unpack"];
 
 /// Modeled seconds one launch spends in each pipeline stage,
@@ -190,10 +190,10 @@ impl PipelinedExecutor {
     }
 
     /// Folds one admitted launch into the accounting: eager sum,
-    /// per-stage busy totals, the overlap recurrence, and — when armed
-    /// — the stage-latency histograms and the Chrome-trace stage tracks
-    /// (each stage's window on the modeled timeline, so Perfetto
-    /// shows the pack/transfer/compute/unpack overlap).
+    /// per-stage busy totals, the overlap recurrence, and — when
+    /// tracing is armed — the Chrome-trace stage tracks (each stage's
+    /// window on the modeled timeline, so Perfetto shows the
+    /// pack/transfer/compute/unpack overlap).
     fn account_launch(&mut self, times: &StageTimes) {
         self.eager_s += times.eager_s();
         let stage_t = times.as_array();
@@ -202,15 +202,6 @@ impl PipelinedExecutor {
         }
         overlap(&mut self.stage_done, stage_t);
         self.launches += 1;
-        if mpt_telemetry::enabled() {
-            for (name, t) in STAGE_NAMES.iter().zip(stage_t) {
-                if t > 0.0 {
-                    // Modeled stage latency distribution (ns).
-                    mpt_telemetry::histogram(&format!("fpga:stage:{name}"))
-                        .record((t * 1e9) as u64);
-                }
-            }
-        }
         if mpt_telemetry::trace::tracing_enabled() {
             let launch = self.launches;
             for ((name, t), end) in STAGE_NAMES.iter().zip(stage_t).zip(self.stage_done) {

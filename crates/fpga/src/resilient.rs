@@ -128,15 +128,14 @@ pub fn degrade(
             Field::U64("launch", launch),
             Field::U64("attempts", attempts as u64),
         ]);
-        mpt_telemetry::counter("fault.fallback").incr();
     }
     let threads = default_threads();
     let _span = gemm_span("gemm:fallback", a, b, cfg, threads as u64);
     qgemm_parallel(a, b, cfg, threads)
 }
 
-/// Emits the `fault` telemetry event and counter for one injected
-/// fault. No-op when telemetry is disabled.
+/// Emits the `fault` telemetry event for one injected fault. No-op
+/// when telemetry is disabled.
 fn emit_fault_event(fault: &Fault, layer: &'static str) {
     if !mpt_telemetry::enabled() {
         return;
@@ -148,7 +147,6 @@ fn emit_fault_event(fault: &Fault, layer: &'static str) {
         Field::U64("launch", fault.launch),
         Field::U64("attempt", fault.attempt as u64),
     ]);
-    mpt_telemetry::counter(&format!("fault.injected.{}", fault.site.name())).incr();
 }
 
 #[cfg(test)]

@@ -128,8 +128,8 @@ impl AdaptiveLossScaler {
         }
     }
 
-    /// Emits a `loss_scale` telemetry event and bumps the matching
-    /// named counter. No-op when telemetry is disabled.
+    /// Emits a `loss_scale` telemetry event. No-op when telemetry is
+    /// disabled.
     fn emit_event(&self, status: &'static str) {
         if !mpt_telemetry::enabled() {
             return;
@@ -140,7 +140,6 @@ impl AdaptiveLossScaler {
             mpt_telemetry::json::Field::F64("scale", self.scale as f64),
             mpt_telemetry::json::Field::U64("overflows", self.overflows),
         ]);
-        mpt_telemetry::counter(&format!("loss_scale.{status}")).incr();
     }
 }
 

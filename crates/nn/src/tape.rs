@@ -181,10 +181,10 @@ impl Graph {
         grads.resize_with(n, || None);
         grads[loss.0] = Some(Tensor::full(self.values[loss.0].shape().to_vec(), seed));
 
-        // Per-layer backward attribution: when telemetry is on, time
-        // each backward closure into its node scope's `bwd:<scope>`
-        // histogram. One enabled() check per backward pass; the
-        // disabled loop body is unchanged.
+        // Per-layer backward attribution: when telemetry is on, each
+        // scoped backward closure runs in a `bwd:<scope>` span, so the
+        // GEMM spans inside it nest under it. One enabled() check per
+        // backward pass; the disabled loop body is unchanged.
         let timing = mpt_telemetry::enabled();
 
         for i in (0..=loss.0).rev() {
@@ -200,10 +200,9 @@ impl Graph {
                     inputs,
                     output: &self.values[i],
                 };
-                let started = if timing && node.scope.is_some() {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
+                let span = match &node.scope {
+                    Some(scope) if timing => Some(mpt_telemetry::span(format!("bwd:{scope}"))),
+                    _ => None,
                 };
                 if timing {
                     // Attribute quantizer flushes inside this closure
@@ -212,10 +211,7 @@ impl Graph {
                     mpt_telemetry::set_layer_scope(node.scope.as_deref());
                 }
                 let parent_grads = backward(&args);
-                if let (Some(t0), Some(scope)) = (started, &node.scope) {
-                    mpt_telemetry::histogram(&format!("bwd:{scope}"))
-                        .record(t0.elapsed().as_nanos() as u64);
-                }
+                drop(span);
                 debug_assert_eq!(parent_grads.len(), node.parents.len());
                 for (pid, pg) in node.parents.clone().into_iter().zip(parent_grads) {
                     if let Some(pg) = pg {

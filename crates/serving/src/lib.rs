@@ -85,4 +85,4 @@ pub use backend::ServingBackend;
 pub use breaker::{BreakerState, BreakerTransition};
 pub use config::{ServeConfig, BATCH_MAX, BREAKER_COOLDOWN, BREAKER_THRESHOLD, QUEUE_CAP};
 pub use request::{RequestClass, ServeResult};
-pub use service::{GemmService, ServeHandle, ServeStats, QUEUE_DEPTH_GAUGE};
+pub use service::{GemmService, ServeHandle, ServeStats};

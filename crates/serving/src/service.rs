@@ -25,9 +25,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Telemetry gauge tracking the live admission-queue depth.
-pub const QUEUE_DEPTH_GAUGE: &str = "serve.queue_depth";
-
 /// Floor/ceiling for the backpressure hint.
 const RETRY_AFTER_MIN: Duration = Duration::from_micros(10);
 const RETRY_AFTER_MAX: Duration = Duration::from_millis(50);
@@ -52,6 +49,8 @@ pub struct ServeStats {
     pub deadline_exceeded: AtomicU64,
     /// GEMMs served in a round with more than one live request.
     pub coalesced: AtomicU64,
+    /// The deepest the admission queue has been.
+    pub queue_high_water: AtomicU64,
 }
 
 impl ServeStats {
@@ -150,9 +149,10 @@ impl ServeHandle {
             return rx;
         }
         q.jobs.push_back(req);
-        if mpt_telemetry::enabled() {
-            mpt_telemetry::gauge(QUEUE_DEPTH_GAUGE).add(1);
-        }
+        self.shared
+            .stats
+            .queue_high_water
+            .fetch_max(depth as u64 + 1, Ordering::Relaxed);
         drop(q);
         self.shared.notify.notify_one();
         rx
@@ -328,9 +328,6 @@ impl Dispatcher {
 
     /// Serves one drained round, in arrival order.
     fn serve_round(&mut self, requests: Vec<GemmRequest>) {
-        if mpt_telemetry::enabled() {
-            mpt_telemetry::gauge(QUEUE_DEPTH_GAUGE).add(-(requests.len() as i64));
-        }
         self.drains += 1;
         let stats = &self.shared.stats;
 
@@ -387,6 +384,11 @@ impl Dispatcher {
     /// Launches one request — through the FPGA path while the breaker
     /// allows it, on the CPU bypass while it is open — and replies.
     fn serve(&mut self, req: GemmRequest) {
+        // Enqueue → reply, back-dated to the enqueue: the launch's
+        // spans nest under it. The name is formatted only when on.
+        let latency = mpt_telemetry::enabled().then(|| {
+            mpt_telemetry::span_from(format!("serve:latency:{}", req.class.name()), req.enqueued)
+        });
         let shared = &*self.shared;
         let (injector, retry) = (&self.injector, &shared.cfg.retry);
         let (a, b, cfg) = (&req.a, &req.b, &req.cfg);
@@ -434,10 +436,7 @@ impl Dispatcher {
         if degraded {
             shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
         }
-        if mpt_telemetry::enabled() {
-            mpt_telemetry::histogram(&format!("serve:latency:{}", req.class.name()))
-                .record(service_ns);
-        }
+        drop(latency);
         let _ = req.resp.send(ServeResult::Done { out, degraded });
     }
 }

@@ -127,6 +127,12 @@ fn full_queue_rejects_with_retry_after_and_clients_recover() {
             let (completed, _, degraded, expired) = h.stats().snapshot();
             assert_eq!(completed, round * (n as u64 + 1), "every request completes");
             assert_eq!((degraded, expired), (0, 0));
+            // A shed request found the queue full, and it never grows
+            // past full.
+            assert_eq!(
+                h.stats().queue_high_water.load(Ordering::Relaxed),
+                QUEUE_CAP as u64
+            );
             service.shutdown();
             return;
         }

@@ -1,10 +1,12 @@
 //! A served FPGA launch is observed like a trained one: its `fpga:*`
-//! stage spans land next to the request's `serve:latency:<class>`
-//! observation. A file of its own because telemetry is process-global.
+//! stage spans nest under the request's `serve:latency:<class>` span,
+//! which is in the log and in the registry alike. A file of its own
+//! because telemetry is process-global.
 
 use mpt_arith::{qgemm, QGemmConfig};
 use mpt_fpga::{Accelerator, PipelinedExecutor, SaConfig, DEFAULT_CACHE_BUDGET};
 use mpt_serving::{GemmService, RequestClass, ServeConfig, ServeResult};
+use mpt_telemetry::json::{self, Value};
 use mpt_tensor::Tensor;
 
 #[test]
@@ -34,7 +36,29 @@ fn served_launches_emit_fpga_spans_next_to_request_latency() {
     }
     service.shutdown();
     mpt_telemetry::disable();
+    let snap = mpt_telemetry::Snapshot::capture();
     for name in ["fpga:pack", "fpga:compute", "serve:latency:inference"] {
-        assert_eq!(mpt_telemetry::histogram(name).count(), 8, "{name}");
+        let row = snap.latency.iter().find(|r| r.name == name);
+        assert_eq!(row.map(|r| r.count), Some(8), "{name}");
     }
+
+    let spans: Vec<Value> = mpt_telemetry::sink::buffered_events()
+        .iter()
+        .map(|l| json::parse(l).expect("sink lines are valid JSON"))
+        .filter(|v| v.get("type").and_then(Value::as_str) == Some("span"))
+        .collect();
+    let named = |name: &'static str| {
+        spans
+            .iter()
+            .filter(move |v| v.get("name").and_then(Value::as_str) == Some(name))
+    };
+    let requests: Vec<u64> = named("serve:latency:inference")
+        .filter_map(|v| v.get("id").and_then(Value::as_u64))
+        .collect();
+    assert_eq!(requests.len(), 8);
+    assert!(
+        named("fpga:compute")
+            .all(|v| requests.contains(&v.get("parent").and_then(Value::as_u64).unwrap())),
+        "every launch nests under its request"
+    );
 }

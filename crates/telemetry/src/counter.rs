@@ -23,9 +23,8 @@ pub const SHARDS: usize = 8;
 struct PaddedU64(AtomicU64);
 
 /// The per-thread shard assignment, handed out round-robin the first
-/// time a thread touches any counter (shared with [`crate::Histogram`]
-/// rows, which shard the same way).
-pub(crate) fn shard_index() -> usize {
+/// time a thread touches any counter.
+fn shard_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;

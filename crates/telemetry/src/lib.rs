@@ -8,18 +8,18 @@
 //! | observation | in-process record (→ [`Snapshot`]) | out-of-process record |
 //! |---|---|---|
 //! | a quantized value's fate ([`QuantCat`]) | local [`QuantTally`], flushed once per slice / GEMM into the label's [`QuantCounters`] | cumulative `layer_quant` event per epoch (`mpt-report`: per-layer health) |
-//! | a closed [`span`] | one observation in the [`Histogram`] of its name, plus its bytes | one `span` JSONL line (`mpt-report`: exact percentiles, nesting via `id`/`parent`); one Chrome-trace event when [`trace`] is armed (Perfetto) |
-//! | any other latency (backward closure, trainer step, served request, modeled pipeline stage) | one observation in [`histogram`]`(name)` | — |
-//! | an event tally / a level | [`counter`]`(name)` / [`gauge`]`(name)` | — |
+//! | a latency: a closed [`span`] / [`span_from`] (GEMM, forward and backward layer, trainer step, served request, pipeline stage) | the exact row of its name: count, total, max, bytes | one `span` JSONL line (`mpt-report`: percentiles, nesting via `id`/`parent`); one Chrome-trace event when [`trace`] is armed (Perfetto) |
+//! | which SIMD nest ran a GEMM | [`counter`]`("kernel.tier.<tier>")` | — |
 //! | predicted vs measured latency | a [`CalibrationRecord`] | one `calibration` JSONL line |
 //! | anything else a caller wants logged | — | [`event`] JSONL line (`step`, `epoch`, `loss_scale`, ...) |
 //!
 //! JSONL lines go to a capped in-memory buffer and, when
 //! `MPT_TELEMETRY_JSONL` names a file, to disk ([`sink`]).
 //! [`Snapshot::render_table`] prints the in-process records: one
-//! numerics row per quantizer label, one latency row per name
-//! (count, total, mean, p50/p90/p99/max, MB), the counters, the
-//! gauges and the calibration audit.
+//! numerics row per quantizer label, one latency row per span name
+//! (count, total, mean, max, MB), the counters and the calibration
+//! audit. Percentiles are computed from the `span` lines, which hold
+//! every duration.
 //!
 //! # Cost model
 //!
@@ -54,8 +54,6 @@
 #![warn(missing_docs)]
 
 mod counter;
-mod gauge;
-mod histogram;
 pub mod json;
 mod registry;
 pub mod sink;
@@ -66,14 +64,12 @@ pub mod trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use counter::{Counter, SHARDS};
-pub use gauge::{Gauge, GaugeSnapshot};
-pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{
-    calibration_records, counter, gauge, histogram, quant_counters, quant_snapshots,
-    record_calibration, set_layer_scope, CalibrationRecord, QuantCat, QuantCounters, QuantSnapshot,
+    calibration_records, counter, quant_counters, quant_snapshots, record_calibration,
+    set_layer_scope, CalibrationRecord, LatencySnapshot, QuantCat, QuantCounters, QuantSnapshot,
     QuantTally,
 };
-pub use span::{span, SpanField, SpanGuard};
+pub use span::{span, span_from, SpanField, SpanGuard};
 pub use summary::Snapshot;
 
 /// The global on/off switch. Off by default.
@@ -141,7 +137,7 @@ pub fn event(fields: &[json::Field<'_>]) {
     sink::emit_line(json::object(fields));
 }
 
-/// Zeroes every counter, gauge and histogram, drops the calibration
+/// Zeroes every counter and latency row, drops the calibration
 /// records, the event buffer, and the captured trace, and detaches
 /// the JSONL file and trace path. The enabled flag is left as-is.
 pub fn reset() {

@@ -1,20 +1,20 @@
 //! The global metrics registry: the in-process record of every
 //! observation kind (the crate docs list them with their readers).
 //!
-//! The four named kinds — quantizer counter groups, counters, gauges,
-//! latency entries — share one [`Table`]: handles are leaked
-//! (`&'static`) so the hot path never holds a lock. The table is
-//! consulted once per label lookup (typically once per slice / GEMM
-//! flush or span close), after which every update is a sharded
-//! relaxed atomic.
+//! The three named kinds — quantizer counter groups, counters, latency
+//! rows — share one [`Table`]: handles are leaked (`&'static`) so the
+//! hot path never holds a lock. The table is consulted once per label
+//! lookup (typically once per slice / GEMM flush or span close), after
+//! which every update is a relaxed atomic. A latency row is exact: a
+//! closed span adds its count, duration and bytes and raises the
+//! maximum; percentiles come from the `span` lines of the log.
 
 use std::collections::BTreeMap;
 use std::ops::Index;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::counter::Counter;
-use crate::gauge::{Gauge, GaugeSnapshot};
-use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::json::{self, Field};
 
 const POISONED: &str = "a thread panicked while holding a registry lock";
@@ -265,19 +265,35 @@ impl<T: Default> Table<T> {
     }
 }
 
-/// What one span / latency name accumulates: the duration histogram
-/// (whose exact `count` and `sum` are the span count and total time)
-/// and the bytes its spans reported moving.
+/// What the closed spans of one name accumulate, exactly: how many,
+/// their total and longest duration, and the bytes they reported
+/// moving.
 #[derive(Default)]
 struct Latency {
-    hist: Histogram,
+    count: Counter,
+    sum_ns: Counter,
     bytes: Counter,
+    max_ns: AtomicU64,
+}
+
+/// Point-in-time copy of one span name's latency row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LatencySnapshot {
+    /// The span name.
+    pub name: String,
+    /// Closed spans.
+    pub count: u64,
+    /// Their total duration (ns).
+    pub sum_ns: u64,
+    /// The longest one (ns).
+    pub max_ns: u64,
+    /// Bytes they reported moving.
+    pub bytes: u64,
 }
 
 struct Registry {
     quant: Table<QuantCounters>,
     counters: Table<Counter>,
-    gauges: Table<Gauge>,
     latency: Table<Latency>,
     calibration: Mutex<Vec<CalibrationRecord>>,
     /// The currently attributed layer (`<idx>:<kind>`). Process-wide
@@ -290,7 +306,6 @@ struct Registry {
 static REGISTRY: Registry = Registry {
     quant: Table::new(),
     counters: Table::new(),
-    gauges: Table::new(),
     latency: Table::new(),
     calibration: Mutex::new(Vec::new()),
     layer_scope: RwLock::new(None),
@@ -315,23 +330,14 @@ pub fn counter(name: &str) -> &'static Counter {
     REGISTRY.counters.get(name)
 }
 
-/// A named level gauge, created on first use.
-pub fn gauge(name: &str) -> &'static Gauge {
-    REGISTRY.gauges.get(name)
-}
-
-/// A named latency histogram, created on first use. A span's close
-/// records into the histogram of the span's name.
-pub fn histogram(name: &str) -> &'static Histogram {
-    &REGISTRY.latency.get(name).hist
-}
-
-/// A closed span's in-process record: one observation in the
-/// histogram of its name, plus the bytes it moved.
+/// A closed span's in-process record: its duration and bytes added
+/// to the latency row of its name.
 pub(crate) fn record_span(name: &str, dur_ns: u64, bytes: u64) {
-    let entry = REGISTRY.latency.get(name);
-    entry.hist.record(dur_ns);
-    entry.bytes.add(bytes);
+    let row = REGISTRY.latency.get(name);
+    row.count.incr();
+    row.sum_ns.add(dur_ns);
+    row.bytes.add(bytes);
+    row.max_ns.fetch_max(dur_ns, Ordering::Relaxed);
 }
 
 /// One predicted-vs-measured latency observation from the perf
@@ -410,51 +416,38 @@ pub(crate) fn counter_snapshots() -> Vec<(String, u64)> {
     out
 }
 
-/// Snapshots every gauge that has ever moved (nonzero value or
-/// high-water mark), sorted by name.
-pub(crate) fn gauge_snapshots() -> Vec<GaugeSnapshot> {
+/// Snapshots every span name with at least one closed span, sorted
+/// by name.
+pub(crate) fn latency_snapshots() -> Vec<LatencySnapshot> {
     let mut out = Vec::new();
-    REGISTRY.gauges.for_each(|name, g| {
-        let (value, high_water) = (g.get(), g.high_water());
-        if value != 0 || high_water != 0 {
-            out.push(GaugeSnapshot {
+    REGISTRY.latency.for_each(|name, row| {
+        let count = row.count.get();
+        if count > 0 {
+            out.push(LatencySnapshot {
                 name: name.to_string(),
-                value,
-                high_water,
+                count,
+                sum_ns: row.sum_ns.get(),
+                max_ns: row.max_ns.load(Ordering::Relaxed),
+                bytes: row.bytes.get(),
             });
         }
     });
     out
 }
 
-/// Snapshots every latency name with at least one observation,
-/// sorted by name.
-pub(crate) fn histogram_snapshots() -> Vec<HistogramSnapshot> {
-    let mut out = Vec::new();
-    REGISTRY.latency.for_each(|name, entry| {
-        if entry.hist.count() > 0 {
-            out.push(HistogramSnapshot::capture(
-                name,
-                &entry.hist,
-                entry.bytes.get(),
-            ));
-        }
-    });
-    out
-}
-
-/// Zeroes every counter, gauge and histogram, drops calibration
-/// records, and clears the layer scope. Leaked handles stay valid;
+/// Zeroes every counter and latency row, drops calibration records,
+/// and clears the layer scope. Leaked handles stay valid;
 /// only their values reset.
 pub(crate) fn reset() {
     REGISTRY
         .quant
         .for_each(|_, group| group.0.iter().for_each(Counter::reset));
     REGISTRY.counters.for_each(|_, c| c.reset());
-    REGISTRY.gauges.for_each(|_, g| g.reset());
-    REGISTRY.latency.for_each(|_, entry| {
-        entry.hist.reset();
-        entry.bytes.reset();
+    REGISTRY.latency.for_each(|_, row| {
+        row.count.reset();
+        row.sum_ns.reset();
+        row.bytes.reset();
+        row.max_ns.store(0, Ordering::Relaxed);
     });
     REGISTRY.calibration.lock().expect(POISONED).clear();
     set_layer_scope(None);
@@ -525,34 +518,34 @@ mod tests {
         assert!(layered[Rounded].get() >= 1);
     }
 
+    /// Eight threads closing spans of one name at once: the row's
+    /// count, total and maximum are exact, not estimates.
     #[test]
-    fn histogram_registry_roundtrip() {
-        let h = histogram("test-registry-histogram");
-        h.record(1_000);
-        h.record(3_000);
-        let snaps = histogram_snapshots();
-        let s = snaps
-            .iter()
-            .find(|s| s.name == "test-registry-histogram")
-            .expect("registered histogram must snapshot");
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum_ns, 4_000);
-        assert_eq!(s.max_ns, 3_000);
-        assert!(s.p50_ns <= s.p90_ns && s.p90_ns <= s.p99_ns);
-    }
-
-    #[test]
-    fn gauge_registry_roundtrip() {
-        let g = gauge("test-registry-gauge");
-        g.add(4);
-        g.add(-1);
-        let snaps = gauge_snapshots();
-        let s = snaps
-            .iter()
-            .find(|s| s.name == "test-registry-gauge")
-            .expect("registered gauge must snapshot");
-        assert_eq!(s.value, 3);
-        assert_eq!(s.high_water, 4);
+    fn latency_row_is_exact_under_contention() {
+        const NAME: &str = "test-registry-latency";
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 50_000;
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..PER_THREAD {
+                        record_span(NAME, t * PER_THREAD + i, 2);
+                    }
+                });
+            }
+        });
+        let n = THREADS * PER_THREAD;
+        let row = latency_snapshots()
+            .into_iter()
+            .find(|r| r.name == NAME)
+            .expect("a closed span leaves a row");
+        assert_eq!(
+            (row.count, row.sum_ns, row.max_ns, row.bytes),
+            (n, n * (n - 1) / 2, n - 1, 2 * n)
+        );
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Lightweight span tracing.
+//! Spans: the one record of every latency this repository measures.
 //!
-//! A [`SpanGuard`] times a region and, on drop, emits one JSONL
-//! event and records the duration (and bytes moved) in the registry
-//! entry of its name. Nesting
-//! is tracked per thread: each open span records its parent's id and
-//! its depth, so the event stream reconstructs the call tree without
-//! any cross-thread coordination.
+//! A [`SpanGuard`] times a region and, on drop, writes its three
+//! records: one `span` JSONL line, the exact latency row of its name
+//! in the registry (count, total, max, bytes), and one trace event
+//! when tracing is armed. Nesting is tracked per thread: each open
+//! span records its parent's id and its depth, so the event stream
+//! reconstructs the call tree without any cross-thread coordination.
+//! [`span_from`] opens a span on a clock that started earlier (a
+//! request's enqueue instant).
 //!
-//! When telemetry is disabled, [`span`] hands back an inert guard —
-//! no clock read, no allocation beyond moving the name.
+//! When telemetry is disabled, [`span`] and [`span_from`] hand back an
+//! inert guard — no clock read, no allocation beyond moving the name.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,6 +62,20 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { state: None };
     }
+    open(name.into(), Instant::now())
+}
+
+/// [`span`] on a clock that started at `start`: the recorded duration
+/// runs from `start` to the guard's drop. Disabled telemetry yields
+/// an inert guard.
+pub fn span_from(name: impl Into<String>, start: Instant) -> SpanGuard {
+    if !crate::enabled() {
+        return SpanGuard { state: None };
+    }
+    open(name.into(), start)
+}
+
+fn open(name: String, start: Instant) -> SpanGuard {
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     let (parent, depth) = OPEN.with(|open| {
         let mut open = open.borrow_mut();
@@ -73,8 +89,8 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
             id,
             parent,
             depth,
-            name: name.into(),
-            start: Instant::now(),
+            name,
+            start,
             bytes: 0,
             fields: Vec::new(),
         }),

@@ -2,11 +2,9 @@
 
 use std::fmt::Write as _;
 
-use crate::gauge::GaugeSnapshot;
-use crate::histogram::HistogramSnapshot;
 use crate::registry::{
-    calibration_records, counter_snapshots, gauge_snapshots, histogram_snapshots, quant_snapshots,
-    CalibrationRecord, QuantCat, QuantSnapshot,
+    calibration_records, counter_snapshots, latency_snapshots, quant_snapshots, CalibrationRecord,
+    LatencySnapshot, QuantCat, QuantSnapshot,
 };
 
 /// A point-in-time copy of everything the registry has accumulated.
@@ -17,11 +15,9 @@ pub struct Snapshot {
     pub quant: Vec<QuantSnapshot>,
     /// Free-standing named counters (nonzero only).
     pub counters: Vec<(String, u64)>,
-    /// Level gauges that ever moved (value + high-water mark).
-    pub gauges: Vec<GaugeSnapshot>,
-    /// One row per span / latency name (nonempty only): count,
-    /// total time, percentiles and bytes moved.
-    pub hist: Vec<HistogramSnapshot>,
+    /// One exact row per span name (nonempty only): count, total
+    /// and longest duration, bytes moved.
+    pub latency: Vec<LatencySnapshot>,
     /// Perf-model predicted-vs-measured records.
     pub calibration: Vec<CalibrationRecord>,
     /// Events dropped past the in-memory buffer cap.
@@ -29,7 +25,7 @@ pub struct Snapshot {
 }
 
 /// The label column width: the longest key, never truncated (keys
-/// like `layer:5:conv2d` or `fault.injected.launch_transient` must
+/// like `layer:5:conv2d` or `serve:latency:inference` must
 /// stay readable), floored at the header width.
 fn label_width<'a>(header: &str, labels: impl Iterator<Item = &'a str>) -> usize {
     labels.map(str::len).fold(header.len(), usize::max)
@@ -41,8 +37,7 @@ impl Snapshot {
         Snapshot {
             quant: quant_snapshots(),
             counters: counter_snapshots(),
-            gauges: gauge_snapshots(),
-            hist: histogram_snapshots(),
+            latency: latency_snapshots(),
             calibration: calibration_records(),
             dropped_events: crate::sink::dropped_events(),
         }
@@ -82,35 +77,24 @@ impl Snapshot {
             }
         }
 
-        if !self.hist.is_empty() {
-            let w = label_width("span", self.hist.iter().map(|h| h.name.as_str()));
+        if !self.latency.is_empty() {
+            let w = label_width("span", self.latency.iter().map(|r| r.name.as_str()));
             let _ = writeln!(out, "\n-- latency --");
             let _ = writeln!(
                 out,
-                "{:<w$} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                "span",
-                "count",
-                "total_ms",
-                "mean_us",
-                "p50_us",
-                "p90_us",
-                "p99_us",
-                "max_us",
-                "MB"
+                "{:<w$} {:>8} {:>12} {:>12} {:>12} {:>12}",
+                "span", "count", "total_ms", "mean_us", "max_us", "MB"
             );
-            for h in &self.hist {
+            for r in &self.latency {
                 let _ = writeln!(
                     out,
-                    "{:<w$} {:>8} {:>12.3} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>12.3}",
-                    h.name,
-                    h.count,
-                    h.sum_ns as f64 / 1e6,
-                    h.sum_ns as f64 / h.count.max(1) as f64 / 1e3,
-                    h.p50_ns / 1e3,
-                    h.p90_ns / 1e3,
-                    h.p99_ns / 1e3,
-                    h.max_ns as f64 / 1e3,
-                    h.bytes as f64 / 1e6,
+                    "{:<w$} {:>8} {:>12.3} {:>12.2} {:>12.2} {:>12.3}",
+                    r.name,
+                    r.count,
+                    r.sum_ns as f64 / 1e6,
+                    r.sum_ns as f64 / r.count.max(1) as f64 / 1e3,
+                    r.max_ns as f64 / 1e3,
+                    r.bytes as f64 / 1e6,
                 );
             }
         }
@@ -120,15 +104,6 @@ impl Snapshot {
             let _ = writeln!(out, "\n-- counters --");
             for (name, v) in &self.counters {
                 let _ = writeln!(out, "{name:<w$} {v:>12}");
-            }
-        }
-
-        if !self.gauges.is_empty() {
-            let w = label_width("gauge", self.gauges.iter().map(|g| g.name.as_str()));
-            let _ = writeln!(out, "\n-- gauges --");
-            let _ = writeln!(out, "{:<w$} {:>12} {:>12}", "gauge", "value", "high_water");
-            for g in &self.gauges {
-                let _ = writeln!(out, "{:<w$} {:>12} {:>12}", g.name, g.value, g.high_water);
             }
         }
 
@@ -205,17 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_section_renders_percentiles() {
+    fn latency_section_renders_exact_rows() {
         let snap = Snapshot {
-            hist: vec![HistogramSnapshot {
+            latency: vec![LatencySnapshot {
                 name: "gemm:cpu".into(),
                 count: 10,
                 sum_ns: 1_000_000,
-                bytes: 2_500_000,
                 max_ns: 200_000,
-                p50_ns: 90_000.0,
-                p90_ns: 150_000.0,
-                p99_ns: 190_000.0,
+                bytes: 2_500_000,
             }],
             ..Snapshot::default()
         };
@@ -226,16 +198,13 @@ mod tests {
         let columns: Vec<&str> = header.split_whitespace().collect();
         assert_eq!(
             columns,
-            [
-                "span", "count", "total_ms", "mean_us", "p50_us", "p90_us", "p99_us", "max_us",
-                "MB"
-            ]
+            ["span", "count", "total_ms", "mean_us", "max_us", "MB"]
         );
         let row = table.lines().find(|l| l.starts_with("gemm:cpu")).unwrap();
         let cells: Vec<&str> = row.split_whitespace().collect();
         assert_eq!(
             cells,
-            ["gemm:cpu", "10", "1.000", "100.00", "90.00", "150.00", "190.00", "200.00", "2.500"]
+            ["gemm:cpu", "10", "1.000", "100.00", "200.00", "2.500"]
         );
     }
 }

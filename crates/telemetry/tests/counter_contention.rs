@@ -1,11 +1,12 @@
-//! Sharded-counter exactness under real thread contention.
+//! Sharded-counter exactness under real thread contention, and the
+//! registry's first-lookup race.
 //!
 //! The counters trade a little memory (8 padded shards) for lock-free
 //! increments; the one property that must survive is that no update
 //! is ever lost — the shard sum is exact, not approximate.
 
 use mpt_telemetry::{Counter, QuantCat};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 #[test]
@@ -41,7 +42,7 @@ fn registry_counters_are_shared_across_threads() {
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 50_000;
     let before = mpt_telemetry::counter("test.contention").get();
-    let barrier = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let barrier = Arc::new(Barrier::new(THREADS as usize));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
             let barrier = Arc::clone(&barrier);
@@ -91,4 +92,29 @@ fn quant_tally_flush_is_exact_under_contention() {
     }
     let c = mpt_telemetry::quant_counters("test.tally");
     assert_eq!(c[QuantCat::Total].get() - before, THREADS * PER_THREAD);
+}
+
+/// Two threads racing the first lookup of one name must get the same
+/// leaked handle, for each kind of metric handed out by name —
+/// otherwise one thread's updates are never read.
+#[test]
+fn racing_first_lookups_get_one_handle() {
+    fn race<T: Sync>(lookup: fn(&str) -> &'static T, name: &str) {
+        let barrier = Barrier::new(2);
+        let addr = || {
+            barrier.wait();
+            lookup(name) as *const T as usize
+        };
+        let (a, b) = thread::scope(|s| {
+            let other = s.spawn(addr);
+            (addr(), other.join().unwrap())
+        });
+        assert_eq!(a, b, "{name}: two handles for one name");
+        assert_eq!(a, lookup(name) as *const T as usize);
+    }
+    for round in 0..32 {
+        let name = format!("test.race.{round}");
+        race(mpt_telemetry::quant_counters, &name);
+        race(mpt_telemetry::counter, &name);
+    }
 }
