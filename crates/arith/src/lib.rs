@@ -41,13 +41,14 @@
 //! ```
 
 // `deny` rather than `forbid`: the AVX2 and AVX-512 MAC nests in
-// `simd_fused::{avx2, avx512_f32}` are the sanctioned `unsafe` islands
-// (raw intrinsics behind runtime feature detection); any new `unsafe`
-// elsewhere is still a hard error.
+// `simd_fused::{avx2, avx512_f32}` (raw intrinsics behind runtime
+// feature detection) and glibc's `mallopt` in `heap` are the sanctioned
+// `unsafe` islands; any new `unsafe` elsewhere is still a hard error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod heap;
 pub(crate) mod kernels;
 pub mod mac;
 pub mod parallel;
@@ -58,6 +59,7 @@ pub(crate) mod simd_fused;
 pub(crate) mod stage;
 
 pub use backend::{gemm_span, CpuBackend, GemmBackend};
+pub use heap::keep_heap_mapped;
 pub use mac::{input_event_index, mac_step, mac_step_with, sr_event_index, MacConfig, MacStage};
 pub use parallel::{default_threads, qgemm_parallel};
 pub use qgemm::{

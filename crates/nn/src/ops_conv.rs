@@ -4,11 +4,13 @@
 //! the paper does on the CPU host (Section III, footnote 1): the
 //! forward product `W · cols` runs in the layer's forward arithmetic,
 //! and both backward products (`dW = dY · colsᵀ`,
-//! `dcols = Wᵀ · dY`) run in the backward arithmetic.
+//! `dcols = Wᵀ · dY`) run in the backward arithmetic. The backward
+//! pass unfolds `colsᵀ` directly with `im2col_t` rather than
+//! transposing a fresh `im2col`.
 
 use crate::precision::GemmPrecision;
 use crate::tape::{Graph, NodeId};
-use mpt_tensor::{col2im, im2col, Conv2dGeometry, Tensor};
+use mpt_tensor::{col2im, im2col, im2col_t, Conv2dGeometry, Tensor};
 
 impl Graph {
     /// 2-D convolution over an NCHW node.
@@ -81,10 +83,9 @@ impl Graph {
 
                 let w_val = args.inputs[1];
                 let x_val = args.inputs[0];
-                let cols = im2col(x_val, &geom).expect("geometry");
 
                 // dW = dY · colsᵀ (backward arithmetic).
-                let colst = cols.transpose().expect("matrix");
+                let colst = im2col_t(x_val, &geom).expect("geometry");
                 let dw = backend.gemm(&dy, &colst, &bwd).expect("dW GEMM conforms");
                 // dcols = Wᵀ · dY, folded back with col2im.
                 let wt = w_val.transpose().expect("matrix");

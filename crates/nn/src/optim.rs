@@ -125,8 +125,7 @@ impl Optimizer for Sgd {
         self.step_count += 1;
         for (pi, p) in params.iter().enumerate() {
             let key = Sgd::key(p);
-            let grad = p.grad().clone();
-            let mut value = p.value_mut();
+            let (mut value, grad) = p.value_and_grad_mut();
             let v = self
                 .velocity
                 .entry(key)
@@ -252,8 +251,7 @@ impl Optimizer for Adam {
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (pi, p) in params.iter().enumerate() {
             let key = p.id();
-            let grad = p.grad().clone();
-            let mut value = p.value_mut();
+            let (mut value, grad) = p.value_and_grad_mut();
             let (m, v) = self.moments.entry(key).or_insert_with(|| {
                 (
                     Tensor::zeros(value.shape().to_vec()),

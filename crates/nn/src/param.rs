@@ -88,6 +88,17 @@ impl Parameter {
         RefMut::map(self.data.borrow_mut(), |d| &mut d.grad)
     }
 
+    /// Mutable borrows of the FP32 master value and the gradient at
+    /// once (the optimizer's update reads one while writing the
+    /// other).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value or the gradient is already borrowed.
+    pub fn value_and_grad_mut(&self) -> (RefMut<'_, Tensor>, RefMut<'_, Tensor>) {
+        RefMut::map_split(self.data.borrow_mut(), |d| (&mut d.value, &mut d.grad))
+    }
+
     /// Adds `delta` into the accumulated gradient.
     ///
     /// # Panics
@@ -146,6 +157,18 @@ mod tests {
         q.value_mut().data_mut()[1] = 5.0;
         assert_eq!(p.value().data()[1], 5.0);
         assert!(p.ptr_eq(&q));
+    }
+
+    #[test]
+    fn value_and_grad_borrow_together() {
+        let p = Parameter::new("w", Tensor::zeros(vec![2]));
+        p.accumulate_grad(&Tensor::from_vec(vec![2], vec![1.0, 2.0]).unwrap());
+        {
+            let (mut v, g) = p.value_and_grad_mut();
+            v.data_mut()[1] = g.data()[1] * 3.0;
+        }
+        assert_eq!(p.value().data(), &[0.0, 6.0]);
+        assert_eq!(p.grad().data(), &[1.0, 2.0]);
     }
 
     #[test]

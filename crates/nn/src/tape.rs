@@ -11,7 +11,7 @@
 //! holds the engine plus the two leaf constructors.
 
 use crate::param::Parameter;
-use mpt_arith::{CpuBackend, GemmBackend};
+use mpt_arith::{keep_heap_mapped, CpuBackend, GemmBackend};
 use mpt_tensor::Tensor;
 use std::rc::Rc;
 
@@ -80,7 +80,12 @@ impl Graph {
     /// (e.g. the FPGA accelerator simulator) — the paper's
     /// `device='fpga'` layer parameter. Results are bit-identical
     /// across backends.
+    ///
+    /// The first tape of a process also applies [`keep_heap_mapped`]:
+    /// a tape allocates a step's whole working set and frees it on
+    /// drop, and without the policy the next step faults it in again.
     pub fn with_backend(training: bool, backend: Rc<dyn GemmBackend>) -> Self {
+        keep_heap_mapped();
         Graph {
             values: Vec::new(),
             nodes: Vec::new(),

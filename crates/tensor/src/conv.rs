@@ -11,6 +11,9 @@
 //! * `im2col` output: `[channels·kh·kw, batch·oh·ow]` — one column per
 //!   output pixel, so `weights(oc, c·kh·kw) × cols` is the forward
 //!   convolution GEMM.
+//! * `im2col_t` output: `[batch·oh·ow, channels·kh·kw]`, the transpose
+//!   of `im2col`'s, built directly — the right operand of the weight
+//!   gradient `dY × colsᵀ`.
 
 use std::ops::Range;
 
@@ -109,33 +112,36 @@ fn tap_range(out: usize, size: usize, tap: usize, geom: &Conv2dGeometry) -> Rang
     lo..hi
 }
 
-/// Unfolds an NCHW batch into the GEMM operand matrix
-/// `[channels·kh·kw, batch·oh·ow]`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `input` is not rank 4 or its spatial size
-/// disagrees with `geom`.
-pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, ShapeError> {
+/// `(batch, channels, height, width)` of an NCHW input that matches
+/// `geom`.
+fn nchw(input: &Tensor, geom: &Conv2dGeometry, op: &'static str) -> Result<[usize; 4], ShapeError> {
     if input.rank() != 4 {
         return Err(ShapeError::Rank {
             expected: 4,
             actual: input.rank(),
-            op: "im2col",
+            op,
         });
     }
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
+    let [n, c, h, w] = [0, 1, 2, 3].map(|d| input.shape()[d]);
     if h != geom.in_h || w != geom.in_w {
         return Err(ShapeError::Geometry(format!(
             "input {h}x{w} does not match geometry {}x{}",
             geom.in_h, geom.in_w
         )));
     }
+    Ok([n, c, h, w])
+}
+
+/// Unfolds an NCHW batch into the GEMM operand matrix
+/// `[channels·kh·kw, batch·oh·ow]`. [`im2col_t`] builds its transpose
+/// in one pass.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `input` is not rank 4 or its spatial size
+/// disagrees with `geom`.
+pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, ShapeError> {
+    let [n, c, h, w] = nchw(input, geom, "im2col")?;
     let rows = c * geom.kernel_h * geom.kernel_w;
     let cols = n * geom.out_pixels();
     let mut out = vec![0.0f32; rows * cols];
@@ -169,6 +175,82 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, ShapeErro
         }
     }
     Tensor::from_vec(vec![rows, cols], out)
+}
+
+/// Unfolds an NCHW batch into `[batch·oh·ow, channels·kh·kw]`, equal
+/// bit for bit to `im2col(input, geom)?.transpose()` without building
+/// the untransposed matrix: the weight-gradient operand `colsᵀ` of a
+/// convolution's backward pass.
+///
+/// Each output row is one output pixel; for every `(channel, kh)` its
+/// in-bounds `kw` taps are one contiguous run of the input row.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `input` is not rank 4 or its spatial size
+/// disagrees with `geom`.
+pub fn im2col_t(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, ShapeError> {
+    let [n, c, _, _] = nchw(input, geom, "im2col_t")?;
+    let (rows, k) = (n * geom.out_pixels(), c * geom.kernel_h * geom.kernel_w);
+    let mut out = vec![0.0f32; rows * k];
+    // A kernel row is a handful of elements: at the common widths a
+    // fixed-length copy, not a `memcpy` call, moves each run.
+    match geom.kernel_w {
+        1 => unfold_t::<1>(input, geom, &mut out),
+        3 => unfold_t::<3>(input, geom, &mut out),
+        5 => unfold_t::<5>(input, geom, &mut out),
+        _ => unfold_t::<0>(input, geom, &mut out),
+    }
+    Ok(Tensor::from_vec(vec![rows, k], out).expect("rows·k elements"))
+}
+
+/// The loop nest of [`im2col_t`] over a validated `input`, writing the
+/// in-bounds runs into the zero-filled `out`. A run that covers the
+/// whole kernel row is copied as `[f32; KW]` (`KW == 0`: every run at
+/// run-time length).
+fn unfold_t<const KW: usize>(input: &Tensor, geom: &Conv2dGeometry, out: &mut [f32]) {
+    let [n, c, h, w] = [0, 1, 2, 3].map(|d| input.shape()[d]);
+    let (kh_n, kw_n, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
+    let k = c * kh_n * kw_n;
+    let data = input.data();
+    // Per output coordinate, the taps that read the image: the `tap`s
+    // whose `tap_range` holds it, which are contiguous.
+    let taps = |out_len: usize, size: usize, kernel: usize| {
+        let mut t = vec![kernel..0; out_len];
+        for tap in 0..kernel {
+            for o in tap_range(out_len, size, tap, geom) {
+                t[o] = t[o].start.min(tap)..tap + 1;
+            }
+        }
+        t
+    };
+    let (ky_taps, kx_taps) = (taps(geom.out_h, h, kh_n), taps(geom.out_w, w, kw_n));
+    for img in 0..n {
+        for (oy, kys) in ky_taps.iter().enumerate() {
+            for (ox, kxs) in kx_taps.iter().enumerate() {
+                if kxs.is_empty() {
+                    continue;
+                }
+                let row = (img * geom.out_h + oy) * geom.out_w + ox;
+                let dst_row = &mut out[row * k..(row + 1) * k];
+                let run = kxs.len();
+                for ch in 0..c {
+                    for ky in kys.clone() {
+                        let iy = oy * s + ky - p;
+                        let src = ((img * c + ch) * h + iy) * w + ox * s + kxs.start - p;
+                        let dst = (ch * kh_n + ky) * kw_n + kxs.start;
+                        let (dst, src) = (&mut dst_row[dst..dst + run], &data[src..src + run]);
+                        if KW > 0 && run == KW {
+                            let dst: &mut [f32; KW] = dst.try_into().expect("run is KW long");
+                            *dst = src.try_into().expect("run is KW long");
+                        } else {
+                            dst.copy_from_slice(src);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Folds a `[channels·kh·kw, batch·oh·ow]` matrix back into an NCHW
@@ -378,5 +460,45 @@ mod tests {
     fn im2col_requires_rank_4() {
         let g = Conv2dGeometry::new(4, 4, 3, 3, 1, 1).unwrap();
         assert!(im2col(&Tensor::zeros(vec![4, 4]), &g).is_err());
+        assert!(im2col_t(&Tensor::zeros(vec![4, 4]), &g).is_err());
+        assert!(im2col_t(&Tensor::zeros(vec![1, 1, 5, 4]), &g).is_err());
+    }
+
+    #[test]
+    fn im2col_t_is_transposed_im2col_bit_for_bit() {
+        // (channels, h, w, kernel, stride, padding)
+        let cases = [
+            (1, 28, 28, 5, 1, 2), // LeNet conv1
+            (6, 14, 14, 5, 1, 0), // LeNet conv2
+            (3, 8, 8, 3, 1, 1),
+            (3, 8, 8, 3, 2, 1),
+            (2, 7, 9, 3, 2, 1), // odd, non-square: last column's taps clip
+            (4, 5, 6, 1, 1, 0),
+            (2, 3, 3, 5, 1, 2), // every output pixel loses some taps
+            (2, 3, 3, 1, 1, 2), // the border pixels read only padding
+        ];
+        for (c, h, w, k, s, p) in cases {
+            let g = Conv2dGeometry::new(h, w, k, k, s, p).unwrap();
+            for batch in [1, 3] {
+                // Signed zeros and a NaN payload: a copy keeps all bits.
+                let x = Tensor::from_fn(vec![batch, c, h, w], |i| match i % 17 {
+                    5 => -0.0,
+                    11 => f32::from_bits(0x7fc0_1234),
+                    _ => ((i * 37) % 23) as f32 - 11.5,
+                });
+                let want = im2col(&x, &g).unwrap().transpose().unwrap();
+                let got = im2col_t(&x, &g).unwrap();
+                assert_eq!(
+                    got.shape(),
+                    want.shape(),
+                    "{c}x{h}x{w} k{k} s{s} p{p} n{batch}"
+                );
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(&got) == bits(&want),
+                    "{c}x{h}x{w} k{k} s{s} p{p} n{batch}"
+                );
+            }
+        }
     }
 }

@@ -36,6 +36,6 @@ pub mod matmul;
 pub mod ops;
 pub mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{col2im, im2col, im2col_t, Conv2dGeometry};
 pub use error::ShapeError;
 pub use tensor::Tensor;

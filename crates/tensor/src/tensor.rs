@@ -219,10 +219,10 @@ impl Tensor {
             op: "transpose",
         })?;
         // Tile by tile: the plain `out[j][i] = in[i][j]` double loop
-        // writes one cache line per element on a wide matrix (conv
-        // backward transposes a 25 × 25088 `cols` every step). Within
-        // a tile the writes are contiguous and the `TILE` source
-        // lines being read stay in L1.
+        // writes one cache line per element on a wide matrix (a LeNet
+        // step's linear backward transposes a 32 × 400 activation).
+        // Within a tile the writes are contiguous and the `TILE`
+        // source lines being read stay in L1.
         const TILE: usize = 32;
         let mut out = Tensor::zeros(vec![c, r]);
         for i0 in (0..r).step_by(TILE) {

@@ -1,6 +1,6 @@
 //! Property-based tests for tensor algebra invariants.
 
-use mpt_tensor::{col2im, im2col, Conv2dGeometry, Tensor};
+use mpt_tensor::{col2im, im2col, im2col_t, Conv2dGeometry, Tensor};
 use proptest::prelude::*;
 
 fn small_matrix(max: usize) -> impl Strategy<Value = Tensor> {
@@ -247,8 +247,9 @@ fn to_bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Checks both lowerings against their oracles, bit for bit, on one
-/// geometry and batch.
+/// Checks both lowerings against their oracles, and `im2col_t`
+/// against `im2col`'s transpose, bit for bit, on one geometry and
+/// batch.
 fn lowering_matches_reference(
     n: usize,
     c: usize,
@@ -261,6 +262,12 @@ fn lowering_matches_reference(
         to_bits(cols.data()),
         to_bits(&im2col_reference(&x, geom)),
         "im2col differs from the reference on {:?}",
+        geom
+    );
+    prop_assert_eq!(
+        to_bits(im2col_t(&x, geom).unwrap().data()),
+        to_bits(cols.transpose().unwrap().data()),
+        "im2col_t differs from im2col's transpose on {:?}",
         geom
     );
     let y = Tensor::from_fn(cols.shape().to_vec(), |i| wide_f32(seed, i));
@@ -283,7 +290,8 @@ fn kernel_and_padding() -> impl Strategy<Value = (usize, usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The row-run lowering is bit-identical to the element-wise nests.
+    /// The row-run lowering is bit-identical to the element-wise nests
+    /// (and `im2col_t` to the transposed `im2col`).
     #[test]
     fn lowering_matches_reference_bits(
         n in 1usize..=3,
