@@ -12,30 +12,31 @@
 //! | unfused float × float                         | `FloatStage<M> × FloatStage<M>` | tier |
 //! | block FP at either stage, `NR` accumulator, unfused float × fixed or fixed × float, fixed point wider than 52 bits, floats as fine as `f64` | [`Quantizer`] (the scalar oracle) at both stages | [`gemm_scalar`] only |
 //!
-//! "Tier" is [`gemm_scalar`] on `off`, `gemm_avx2` on `avx2`, and on
-//! `avx512` the 16-lane `f32` nest `gemm_avx512_f32` when `f32` lanes
-//! carry both stages — floats with at most 8 exponent and 22 mantissa
-//! bits, fixed point of at most 24 bits, SR with at most 31 random
-//! bits: every row of the paper's Table II — and `gemm_avx2` for the
-//! rest (SR with 32 or more random bits, `E8M23` or wider-exponent
-//! accumulators, fixed point wider than 24 bits).
+//! "Tier" is [`gemm_scalar`] on `off`. On `avx2` and `avx512` it is
+//! the one lane nest (`simd_fused::gemm_lanes`) at 8 and 16 `f32` lanes
+//! when `f32` lanes carry both stages — floats with at most 8 exponent
+//! and 22 mantissa bits, fixed point of at most 24 bits, SR with at
+//! most 31 random bits: every row of the paper's Table II — and
+//! [`gemm_scalar`] for the rest (SR with 32 or more random bits,
+//! `E8M23` or wider-exponent accumulators, fixed point wider than 24
+//! bits, and GEMMs whose coordinates leave the fields of
+//! [`sr_event_index`](crate::sr_event_index)).
 //!
-//! There is one loop nest per tier, generic over the two stages and
+//! There is one loop nest per design, generic over the two stages and
 //! the observer, decided from the [`MacConfig`] alone, once per GEMM;
 //! the last row of the table is the scalar nest instantiated with the
 //! oracle stage, not a nest of its own.
 //!
-//! The scalar and AVX2 nests are `i / j-tile / k / j`
-//! ordered: for each output row, a `J_TILE`-wide chunk of the output
-//! and of each `B` row stays hot in L1 while the `k` reduction streams
-//! through. The AVX-512 nest is `j-strip / i / k`: a 32-column strip's
-//! accumulators live in registers for the whole reduction, as 16-lane
-//! `f32` blocks whose every step is proved exact or settled through the
-//! scalar body (see `simd_fused::avx512_f32`). In all of them every
-//! output element accumulates over `k` in ascending order — the order
-//! the scalar reference uses, so results are bit-identical by
-//! construction (each element sees the same sequence of [`mac_round`]
-//! operations with the same event indices).
+//! The scalar nest is `i / j-tile / k / j` ordered: for each output
+//! row, a `J_TILE`-wide chunk of the output and of each `B` row stays
+//! hot in L1 while the `k` reduction streams through. The lane nest is
+//! `j-strip / i / k`: a 32-column strip's accumulators live in
+//! registers for the whole reduction, as `f32` blocks whose every step
+//! is proved exact or settled through the scalar body (see
+//! `simd_fused`). In both every output element accumulates over `k` in
+//! ascending order — the order the scalar reference uses, so results
+//! are bit-identical by construction (each element sees the same
+//! sequence of [`mac_round`] operations with the same event indices).
 //!
 //! Zero skipping matches [`mac_step`](crate::mac_step)'s
 //! `product == 0` short-circuit exactly: a whole `A`-zero row of work
@@ -52,13 +53,11 @@
 
 use crate::mac::{mac_round, MacConfig};
 use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, NoTally, Stage};
-use mpt_formats::{
-    with_mode, FixedFastF64, FloatFastF64, LanePlanF64, NumberFormat, Quantizer, SimdTier,
-};
+use mpt_formats::{with_mode, FixedFastF64, FloatFastF64, NumberFormat, Quantizer, SimdTier};
 
 /// Output/B-row chunk width: 256 f32 = 1 KiB per row chunk, so the
 /// output chunk plus the streaming B chunk sit comfortably in L1.
-pub(crate) const J_TILE: usize = 256;
+const J_TILE: usize = 256;
 
 /// One GEMM tile as the loop nests see it: `out += A · B` with `out`
 /// starting at zero, quantized operands in `ad`/`bd`, rounding events
@@ -78,12 +77,10 @@ pub(crate) struct Gemm<'a> {
     pub(crate) b_all_finite: bool,
 }
 
-/// A stage every tier's nest can run (the AVX2 and AVX-512 nests need
-/// its vector forms on top of [`Stage`]).
+/// A stage every tier's nest can run (the lane nest needs its vector
+/// forms on top of [`Stage`]).
 #[cfg(target_arch = "x86_64")]
-pub(crate) trait LaneStage: crate::simd_fused::avx2::VecStage {}
-#[cfg(target_arch = "x86_64")]
-impl<S: crate::simd_fused::avx2::VecStage> LaneStage for S {}
+use crate::simd_fused::VecStage as LaneStage;
 /// A stage every tier's nest can run.
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) trait LaneStage: Stage {}
@@ -93,7 +90,7 @@ impl<S: Stage> LaneStage for S {}
 /// A quantizer's precomputed lane kernel, its rounding mode still a
 /// runtime value.
 enum LaneKernel {
-    Float(FloatFastF64, LanePlanF64),
+    Float(FloatFastF64),
     Fixed(FixedFastF64),
 }
 
@@ -103,10 +100,8 @@ impl LaneKernel {
     /// `f64`).
     fn of(q: &Quantizer) -> Option<Self> {
         match q.format() {
-            NumberFormat::Float(_) => {
-                let fast = q.fast_f64()?;
-                Some(LaneKernel::Float(fast, fast.lane_plan()?))
-            }
+            NumberFormat::Float(f) if f.man_bits() < 52 => q.fast_f64().map(LaneKernel::Float),
+            NumberFormat::Float(_) => None,
             NumberFormat::Fixed(_) => q.fixed_fast_f64().map(LaneKernel::Fixed),
             NumberFormat::BlockFp(_) => None,
         }
@@ -124,10 +119,10 @@ impl LaneKernel {
 macro_rules! with_stage {
     ($kernel:expr, $stage:ident => $body:expr) => {
         match $kernel {
-            LaneKernel::Float(fast, plan) => with_mode!(
+            LaneKernel::Float(fast) => with_mode!(
                 fast.rounding(),
                 M => {
-                    let $stage = FloatStage::<M> { fast, plan };
+                    let $stage = FloatStage::<M>(fast);
                     $body
                 },
                 unreachable!("NR has no fast kernel")
@@ -234,10 +229,10 @@ fn dispatch<T: MacObserver>(
 }
 
 /// The tier switch, over any stage pair; returns the tier whose nest
-/// ran. The `avx512` tier runs the AVX2 nest for stages `f32` lanes do
-/// not carry. On non-x86_64 hosts the vector tiers (unreachable through
-/// `active_tier`, but expressible through the explicit-tier API) run
-/// the scalar nest.
+/// ran. The vector tiers run the lane nest where it carries the MAC and
+/// the scalar nest elsewhere; off x86_64 (unreachable through
+/// `active_tier`, but expressible through the explicit-tier API) they
+/// run the scalar nest.
 fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     gemm: Gemm<'_>,
     mul: &M,
@@ -254,21 +249,19 @@ fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     }
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if mul.f32_lanes() && acc.f32_lanes() => {
-            crate::simd_fused::avx512_f32::gemm_avx512_f32(gemm, mul, acc, mul_obs, acc_obs)
-        }
-        #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => {
-            crate::simd_fused::avx2::gemm_avx2(gemm, mul, acc, mul_obs, acc_obs);
-            return SimdTier::Avx2;
+            crate::simd_fused::gemm_lanes(gemm, mul, acc, tier, mul_obs, acc_obs)
         }
-        _ => gemm_scalar(gemm, mul, acc, mul_obs, acc_obs),
+        _ => {
+            gemm_scalar(gemm, mul, acc, mul_obs, acc_obs);
+            SimdTier::Off
+        }
     }
-    tier
 }
 
 /// The scalar loop nest: one [`mac_round`] per non-zero product. The
-/// `Off` tier, and where the vector nests land when the CPU lacks them.
+/// `Off` tier, and where the vector tiers send what `f32` lanes do not
+/// carry or the CPU lacks.
 pub(crate) fn gemm_scalar<M: Stage, A: Stage, T: MacObserver>(
     g: Gemm<'_>,
     mul: &M,
@@ -363,14 +356,13 @@ mod tests {
         }
     }
 
-    /// Lane-stage MACs the `f32` lanes cannot carry run the AVX2 nest
-    /// on the `avx512` tier, and say so: more SR bits than the 32-bit
-    /// draw compare holds, an accumulator as fine as `f32` (no `f32`
-    /// lane plan), one whose exponent range exceeds `f32`'s, fixed
-    /// point wider than 24 bits, and ablation_fma's fused-into-E8M23
-    /// row.
+    /// Lane-stage MACs the `f32` lanes cannot carry run the scalar nest
+    /// on every tier, and say so: more SR bits than the 32-bit draw
+    /// compare holds, an accumulator as fine as `f32` (no `f32` lane
+    /// plan), one whose exponent range exceeds `f32`'s, fixed point
+    /// wider than 24 bits, and ablation_fma's fused-into-E8M23 row.
     #[test]
-    fn macs_beyond_f32_lanes_run_the_avx2_nest() {
+    fn macs_beyond_f32_lanes_run_the_scalar_nest() {
         let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
         let rn = Rounding::Nearest;
         for &tier in SimdTier::available() {
@@ -382,11 +374,7 @@ mod tests {
                 MacConfig::new(nr, Quantizer::float(FloatFormat::new(9, 10).unwrap(), rn)),
                 MacConfig::new(nr, Quantizer::fixed(FixedFormat::new(16, 16).unwrap(), rn)),
             ] {
-                let want = match tier {
-                    SimdTier::Avx512 => "avx2",
-                    _ => tier.name(),
-                };
-                assert_eq!(label_of(mac, tier), want, "{mac}");
+                assert_eq!(label_of(mac, tier), "off", "{mac}");
             }
         }
     }

@@ -40,8 +40,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 and AVX-512 MAC nests in
-// `simd_fused::{avx2, avx512_f32}` (raw intrinsics behind runtime
+// `deny` rather than `forbid`: the lane MAC nest in `simd_fused`, at
+// its AVX2 and AVX-512 widths (raw intrinsics behind runtime
 // feature detection) and glibc's `mallopt` in `heap` are the sanctioned
 // `unsafe` islands; any new `unsafe` elsewhere is still a hard error.
 #![deny(unsafe_code)]

@@ -1,880 +1,827 @@
-//! Lane-parallel MAC GEMM loop nests (the vector `MPT_SIMD` tiers;
-//! x86_64 only).
+//! The lane-parallel MAC GEMM loop nest of the vector `MPT_SIMD` tiers
+//! (x86_64 only): one design, written once against the [`Width`]
+//! trait and run at two widths — 16 `f32` lanes on the `avx512` tier
+//! ([`Avx512`], k-masks) and 8 on the `avx2` tier ([`Avx2`], blend
+//! vectors).
 //!
-//! These are drop-in replacements for the scalar nest in
-//! [`crate::kernels`]: same ascending-`k` reduction per output
-//! element, same [`sr_event_index`] event stream per stage. The AVX2
-//! nest keeps the scalar nest's `i / j-tile / k / j` traversal and only
-//! restructures the innermost `j` loop into 4-wide `f64` lane blocks;
-//! the AVX-512 nest ([`avx512_f32`]) is `j-strip / i / k` with 16-wide
-//! `f32` blocks whose accumulators stay in registers across `k`. Like
-//! the scalar nest they are generic over the two rounding [`Stage`]s
-//! and the [`MacObserver`]; with the [`Fused`](crate::stage::Fused)
-//! multiplier the multiplier stage compiles out and what remains is
-//! the fused-MAC kernel. Because IEEE-754 multiplies/adds are fully
-//! specified and the lane quantizers in `mpt-formats` replay the
-//! scalar kernels' exact operation sequence per lane, results are
-//! **bit-identical** to the scalar nest (and therefore to
-//! `qgemm_reference`) for every input, including NaN/inf payloads,
-//! zero products, and saturating sums:
+//! It is a drop-in replacement for the scalar nest in
+//! [`crate::kernels`]: same ascending-`k` reduction per output element,
+//! same [`sr_event_index`] event stream per stage. Like the scalar nest
+//! it is generic over the two rounding [`Stage`]s and the
+//! [`MacObserver`]; with the [`Fused`] multiplier the multiplier stage
+//! compiles out and what remains is the fused-MAC kernel.
 //!
-//! * products and running sums are computed per lane with no
-//!   reassociation — lane `j` sees exactly the scalar sequence
-//!   `out[j] + round_mul(a[kk]·b[kk][j])` at each step (the AVX-512
-//!   nest computes it in `f32` and settles every lane where that is
-//!   not provably the `f64` value);
-//! * zero products (`product == 0.0`, tested *before* the multiplier
-//!   rounds) leave the output lane untouched, exactly like the scalar
-//!   `continue`;
-//! * lanes a stage's vector kernel hands back (floats: non-finite,
-//!   target-subnormal, carrier-subnormal; fixed point: non-finite) are
-//!   recomputed through the stage's scalar quantizer from the same
-//!   value;
-//! * SR event indices are computed per lane and per stage with the
-//!   *same* [`sr_event_index`] packing. The AVX2 nest packs every
-//!   lane's index outright; the AVX-512 nest sums the
-//!   index's row, column and `k` fields after multiplying each by the
-//!   hash constant, which is the same number while no field can carry
-//!   into the next — checked once per GEMM, anything else runs the
-//!   AVX2 nest.
+//! **Loop order.** `j-strip / i / k`, where the scalar nest is
+//! `i / j-tile / k / j`. A strip is [`STRIP`] output columns: two
+//! 16-lane blocks or four 8-lane blocks. The strip's accumulators of
+//! one output row stay in registers across the whole `k` reduction; the
+//! `f32` output row is loaded once before it and stored once after, and
+//! the strip of `B` stays cache-hot across the rows. Each output
+//! element still reduces over ascending `k` through the same stages at
+//! the same event indices, so the result is bit-identical. Nothing is
+//! allocated. Every strip rescans its `A` row for the zero skip, so the
+//! strip is 32 columns on both widths: that keeps the rescan's cost the
+//! same on both tiers (an earlier 4-lane `f64` attempt at this shape
+//! lost on the sparse backward GEMMs with narrower strips).
+//!
+//! **Why `f32` lanes give the reference's bits.** The reference widens
+//! both operands to `f64`, where their product is exact, rounds it
+//! through the multiplier stage (unless fused), adds it to the widened
+//! accumulator and rounds the `f64` sum. Per lane and step this nest
+//! computes `prod = a·b` and `sum = acc + round_mul(prod)` in `f32` and
+//! proves each step exact:
+//!
+//! * the raw product is exact when the FMA residual `fmsub(a, b,
+//!   prod)` is zero and `|prod| ≥ 2^-101` (below that the residual can
+//!   itself round to zero; a product that underflows `f32` is never
+//!   taken for an exact zero either: only `a = 0` or `b = 0` skips);
+//! * the sum is exact when `sum − acc == round_mul(prod)` and
+//!   `sum − round_mul(prod) == acc` (the subtraction against the larger
+//!   operand is exact, so it sees any rounding error of the sum;
+//!   overflow and NaN fail it).
+//!
+//! An exact `f32` value *is* the reference's `f64` value, and the
+//! stages' `f32` lane quantizers (`QuantVecF32x16` / `QuantVecF32x8`,
+//! `FixedVecF32x16` / `FixedVecF32x8`) round it exactly as the `f64`
+//! kernels do wherever [`VecStage::f32_lanes`] holds for both stages,
+//! which is when dispatch takes this nest. The argument does not depend
+//! on the width. Every other live lane — inexact, tiny, non-finite or
+//! handed back by either quantizer — settles through the scalar
+//! [`mac_round`] from the same `f32` accumulator at the same event
+//! indices, so the output is bit-identical. A sum that cancels to zero
+//! is exact and needs no settling (zero rounds to itself). Over the
+//! GEMMs of one LeNet FP8 × FP12-SR training step (batch 32, after 20
+//! steps) `f32` is exact for 99.992% of MAC events, 0.14% of sums
+//! cancel to zero, and 0.07% of 16-lane blocks settle a lane. The
+//! paper's unfused `FXP4.4 × FXP8.8` MAC settles even less: every
+//! in-range FXP4.4 product of two FXP4.4 operands has at most 16
+//! significant bits and every FXP8.8 sum at most 17, so only NaN, ±inf
+//! and out-of-range operands settle.
+//!
+//! **SR event indices.** Each lane's hash input is the sum of the
+//! index's row-and-`k` part (per step) and its column part (per block),
+//! each multiplied by the hash constant. That is the packed index times
+//! the constant while no field can carry into the next — checked once
+//! per GEMM; anything else runs the scalar nest.
 //!
 //! The observers see the identical `(unrounded, rounded)` pairs the
-//! scalar nest shows them, skipping zero products, so instrumented
-//! runs stay tier-independent too (in a different order on the AVX-512
-//! nest; the tallies are sums).
+//! scalar nest shows them, skipping zero products (in a different
+//! order; the tallies are sums). GEMMs whose `B` rows are ReLU-sparse
+//! gain least, because a block is skipped only when all of its products
+//! are zero.
 
-use crate::kernels::{gemm_scalar, Gemm, J_TILE};
+#![allow(unsafe_code)]
+
+use core::arch::x86_64::*;
+
+use crate::kernels::{gemm_scalar, Gemm};
 use crate::mac::{mac_round, sr_event_index, MacStage};
-use crate::stage::{MacObserver, Stage};
+use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, Stage};
+use mpt_formats::simd_avx2::{FixedVecF32x8, QuantVecF32x8};
+use mpt_formats::simd_avx512::{FixedVecF32x16, QuantVecF32x16};
+use mpt_formats::sr::hash::INDEX_MUL;
+use mpt_formats::{FixedFastF64, LanePlanF32, SimdTier};
 
-/// The AVX2 nest: explicit intrinsics for the 4-lane
-/// widen → multiply → round → add → round pipeline, sharing the `f64`
-/// lane quantizers with `mpt-formats`.
-pub(crate) mod avx2 {
-    #![allow(unsafe_code)]
+/// Output columns per strip.
+pub(crate) const STRIP: usize = 32;
 
-    use core::arch::x86_64::*;
+/// `2^-101`: the smallest `|prod|` whose FMA residual is exact. A
+/// product `a·b` of `f32`s has at most 48 significant bits, so at
+/// `|a·b| ≥ 2^-102` its residual is a multiple of `2^-149`, an `f32`;
+/// rounding to `prod ≥ 2^-101` keeps `|a·b|` above that.
+const EXACT_PRODUCT_MIN: f32 = 1.0 / (1u128 << 101) as f32;
 
-    use super::*;
-    use crate::stage::{FixedStage, FloatStage, Fused};
-    use mpt_formats::simd_avx2::{FixedVecF64, QuantVecF64};
-    use mpt_formats::simd_avx512::{FixedVecF32x16, QuantVecF32x16, MAX_RANDOM_BITS};
-    use mpt_formats::{FloatFastF32, LanePlanF32};
+/// One vector width of the nest: its vector, mask and hash types, the
+/// operations the nest performs on them, and the `f32` lane quantizers
+/// of both families at that width.
+///
+/// # Safety
+///
+/// Every `unsafe` method requires the host to support the width
+/// ([`supported`](Width::supported)). The two entry points,
+/// [`strips`](Width::strips) and [`settle`](Width::settle), enable the
+/// width's target features; the nest and every other method are
+/// `#[inline(always)]` and compile into them.
+pub(crate) trait Width: Copy {
+    /// Lanes per vector.
+    const N: usize;
+    /// `N` `f32` lanes.
+    type V: Copy;
+    /// A lane mask.
+    type K: Copy;
+    /// The 64-bit SR hash inputs of `N / 2` lanes.
+    type H: Copy;
+    /// The float-family quantizer.
+    type Float: Copy;
+    /// The fixed-point quantizer.
+    type Fixed: Copy;
 
-    /// The vector forms of a [`Stage`]: its constants broadcast into
-    /// AVX2 registers with a 4-lane `f64` quantizer over them, and,
-    /// where `f32` carries the stage, into AVX-512 registers with a
-    /// 16-lane `f32` quantizer.
-    pub(crate) trait VecStage: Stage {
-        /// The broadcast constants.
-        type Vec: Copy;
-        /// The broadcast constants at 16 `f32` lanes.
-        type Vec16: Copy;
-
-        /// Builds [`Vec`](VecStage::Vec).
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX2.
-        unsafe fn vec(&self) -> Self::Vec;
-
-        /// Rounds 4 lanes; `hash_input` carries
-        /// `rng().hash_input(index)` per lane (read only when
-        /// [`Stage::SR`]). Returns the results and the mask of valid
-        /// lanes — the caller recomputes the others through
-        /// [`Stage::quantize`].
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX2.
-        unsafe fn quantize4(v: &Self::Vec, x: __m256d, hash_input: __m256i) -> (__m256d, u32);
-
-        /// Whether the 16 `f32` lanes carry the stage: every value it
-        /// emits is an `f32`, and its 16-lane quantizer equals the
-        /// scalar one on `f32` inputs — floats with at most 8 exponent
-        /// and 22 mantissa bits, fixed point of at most 24 bits, either
-        /// under a deterministic mode or SR with at most
-        /// [`MAX_RANDOM_BITS`] random bits. Decided from the
-        /// configuration alone.
-        fn f32_lanes(&self) -> bool;
-
-        /// Builds [`Vec16`](VecStage::Vec16).
-        ///
-        /// # Panics
-        ///
-        /// Panics unless [`f32_lanes`](VecStage::f32_lanes) holds.
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ.
-        unsafe fn vec16(&self) -> Self::Vec16;
-
-        /// [`quantize4`](VecStage::quantize4) on 16 `f32` lanes, with
-        /// the hash inputs of lanes 0–7 in `hash_lo` and of lanes 8–15
-        /// in `hash_hi`.
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ.
-        unsafe fn quantize16(
-            v: &Self::Vec16,
-            x: __m512,
-            hash_lo: __m512i,
-            hash_hi: __m512i,
-        ) -> (__m512, __mmask16);
-    }
-
-    impl VecStage for Fused {
-        type Vec = ();
-        type Vec16 = ();
-
-        #[inline(always)]
-        unsafe fn vec(&self) {}
-
-        #[inline(always)]
-        unsafe fn quantize4(_v: &(), x: __m256d, _hash_input: __m256i) -> (__m256d, u32) {
-            (x, 0xF)
-        }
-
-        fn f32_lanes(&self) -> bool {
-            true
-        }
-
-        #[inline(always)]
-        unsafe fn vec16(&self) {}
-
-        #[inline(always)]
-        unsafe fn quantize16(
-            _v: &(),
-            x: __m512,
-            _lo: __m512i,
-            _hi: __m512i,
-        ) -> (__m512, __mmask16) {
-            (x, 0xFFFF)
-        }
-    }
-
-    impl<const MODE: u8> FloatStage<MODE> {
-        /// The stage's `f32` lane plan, where
-        /// [`f32_lanes`](VecStage::f32_lanes) holds.
-        fn plan16(&self) -> Option<LanePlanF32> {
-            let format = self.fast.format();
-            if format.exp_bits() > 8 {
-                return None;
-            }
-            let fast = FloatFastF32::new(format, self.fast.rounding(), self.fast.rng())?;
-            fast.lane_plan().filter(|plan| plan.rb <= MAX_RANDOM_BITS)
-        }
-    }
-
-    impl<const MODE: u8> VecStage for FloatStage<MODE> {
-        type Vec = QuantVecF64;
-        type Vec16 = QuantVecF32x16;
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn vec(&self) -> QuantVecF64 {
-            QuantVecF64::new(&self.plan)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn quantize4(v: &QuantVecF64, x: __m256d, h: __m256i) -> (__m256d, u32) {
-            v.quantize4::<MODE>(x, h)
-        }
-
-        fn f32_lanes(&self) -> bool {
-            self.plan16().is_some()
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn vec16(&self) -> QuantVecF32x16 {
-            QuantVecF32x16::new(&self.plan16().expect("the f32 lanes carry the stage"))
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn quantize16(
-            v: &QuantVecF32x16,
-            x: __m512,
-            lo: __m512i,
-            hi: __m512i,
-        ) -> (__m512, __mmask16) {
-            v.quantize16::<MODE>(x, lo, hi)
-        }
-    }
-
-    impl<const MODE: u8> VecStage for FixedStage<MODE> {
-        type Vec = FixedVecF64;
-        type Vec16 = FixedVecF32x16;
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn vec(&self) -> FixedVecF64 {
-            FixedVecF64::new(&self.0)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn quantize4(v: &FixedVecF64, x: __m256d, h: __m256i) -> (__m256d, u32) {
-            v.quantize4::<MODE>(x, h)
-        }
-
-        fn f32_lanes(&self) -> bool {
-            FixedVecF32x16::carries(&self.0)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn vec16(&self) -> FixedVecF32x16 {
-            FixedVecF32x16::new(&self.0)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn quantize16(
-            v: &FixedVecF32x16,
-            x: __m512,
-            lo: __m512i,
-            hi: __m512i,
-        ) -> (__m512, __mmask16) {
-            v.quantize16::<MODE>(x, lo, hi)
-        }
-    }
-
-    /// Collapses a 4×`f64` compare mask to a 4×`f32` mask (low dword
-    /// of each 64-bit lane, which is all-ones/all-zero).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn narrow_mask_pd(m: __m256d) -> __m128 {
-        let mi = _mm256_castpd_si256(m);
-        let t = _mm256_permute4x64_epi64::<0x08>(_mm256_shuffle_epi32::<0x88>(mi));
-        _mm_castsi128_ps(_mm256_castsi256_si128(t))
-    }
-
-    /// AVX2 nest entry: re-checks CPU support defensively (dispatch
-    /// already did) and falls back to the scalar nest.
-    pub(crate) fn gemm_avx2<M: VecStage, A: VecStage, T: MacObserver>(
+    /// Whether the host supports the width.
+    fn supported() -> bool;
+    /// The nest's loops ([`strips`]) at this width, `B` blocks to a
+    /// strip.
+    unsafe fn strips<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
         g: Gemm<'_>,
         mul: &M,
         acc: &A,
         mul_obs: &mut T,
         acc_obs: &mut T,
-    ) {
-        if !mpt_formats::simd::avx2_supported() {
-            return gemm_scalar(g, mul, acc, mul_obs, acc_obs);
-        }
-        // SAFETY: AVX2 availability checked at runtime just above.
-        unsafe { inner(g, mul, acc, mul_obs, acc_obs) }
-    }
-
-    /// Where a 4-lane block rounds: output row, first global column,
-    /// reduction step, stage.
-    type At = (usize, usize, usize, MacStage);
-
-    /// A stage's vector quantizer on 4 lanes, with the SR hash inputs
-    /// assembled per lane from the exact `sr_event_index` packing (no
-    /// incremental shortcut — safe against field overflow).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn quantize4<S: VecStage>(
-        stage: &S,
-        v: &S::Vec,
-        x: __m256d,
-        (gi, gj, kk, which): At,
-    ) -> (__m256d, u32) {
-        let h = if S::SR {
-            let rng = stage.rng();
-            let hi = |l: usize| rng.hash_input(sr_event_index(gi, gj + l, kk, which)) as i64;
-            _mm256_set_epi64x(hi(3), hi(2), hi(1), hi(0))
-        } else {
-            _mm256_setzero_si256()
-        };
-        S::quantize4(v, x, h)
-    }
-
-    /// The spill behind a vector quantizer, taken only when it handed
-    /// lanes back or someone is watching: recomputes the lanes in
-    /// `need_scalar` through the stage's scalar quantizer and shows
-    /// every live lane (zero-product lanes are not) to the observer.
-    /// Returns the settled lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn settle4<S: VecStage, T: MacObserver>(
-        stage: &S,
-        x: __m256d,
-        q: __m256d,
-        need_scalar: u32,
-        live: u32,
-        (gi, gj, kk, which): At,
-        obs: &mut T,
-    ) -> [f64; 4] {
-        let mut xs = [0f64; 4];
-        _mm256_storeu_pd(xs.as_mut_ptr(), x);
-        let mut qs = [0f64; 4];
-        _mm256_storeu_pd(qs.as_mut_ptr(), q);
-        for l in 0..4 {
-            if live & (1 << l) == 0 {
-                continue;
-            }
-            if need_scalar & (1 << l) != 0 {
-                qs[l] = stage.quantize(xs[l], sr_event_index(gi, gj + l, kk, which));
-            }
-            obs.record(xs[l], qs[l]);
-        }
-        qs
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn inner<M: VecStage, A: VecStage, T: MacObserver>(
-        g: Gemm<'_>,
-        mul: &M,
-        acc: &A,
+    );
+    /// [`Nest::settle`], out of line and cold.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn settle<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+        nest: &Nest<'_, Self, M, A>,
+        at: (usize, usize, f32),
+        blocks: &[Block<Self>; B],
+        accs: &mut [Self::V; B],
+        brow: *const f32,
         mul_obs: &mut T,
         acc_obs: &mut T,
-    ) {
-        let (mul_v, acc_v) = (mul.vec(), acc.vec());
-        let zero_pd = _mm256_setzero_pd();
-        for i in 0..g.n {
-            let gi = i + g.row_offset;
-            let arow = &g.ad[i * g.k..(i + 1) * g.k];
-            let orow = &mut g.out[i * g.m..(i + 1) * g.m];
-            let mut j0 = 0;
-            while j0 < g.m {
-                let j1 = (j0 + J_TILE).min(g.m);
-                for (kk, &av) in arow.iter().enumerate() {
-                    if av == 0.0 && g.b_all_finite {
-                        continue;
-                    }
-                    let av = av as f64;
-                    let av_v = _mm256_set1_pd(av);
-                    let brow = &g.bd[kk * g.m..kk * g.m + g.m];
-                    let mut j = j0;
-                    while j + 4 <= j1 {
-                        // Widen 4 B lanes and the 4 output lanes; the
-                        // vector multiply/add are IEEE-identical to
-                        // the scalar `av * b as f64` / `o + product`.
-                        let b4 = _mm256_cvtps_pd(_mm_loadu_ps(brow.as_ptr().add(j)));
-                        let prod = _mm256_mul_pd(av_v, b4);
-                        let pz = _mm256_cmp_pd::<_CMP_EQ_OQ>(prod, zero_pd);
-                        let pz_bits = _mm256_movemask_pd(pz) as u32;
-                        if pz_bits == 0xF {
-                            // All four products are exactly zero: the
-                            // scalar kernel skips all four lanes.
-                            j += 4;
-                            continue;
-                        }
-                        let live = !pz_bits & 0xF;
-                        let gj = j + g.col_offset;
-                        let mut prod = prod;
-                        if !M::IDENTITY {
-                            let at = (gi, gj, kk, MacStage::Multiply);
-                            let (q, lanes_ok) = quantize4(mul, &mul_v, prod, at);
-                            let need_scalar = !lanes_ok & live;
-                            prod = if T::ACTIVE || need_scalar != 0 {
-                                let qs = settle4(mul, prod, q, need_scalar, live, at, mul_obs);
-                                _mm256_loadu_pd(qs.as_ptr())
-                            } else {
-                                q
-                            };
-                        }
-                        let o4_32 = _mm_loadu_ps(orow.as_ptr().add(j));
-                        let sum = _mm256_add_pd(_mm256_cvtps_pd(o4_32), prod);
-                        let at = (gi, gj, kk, MacStage::Accumulate);
-                        let (res, lanes_ok) = quantize4(acc, &acc_v, sum, at);
-                        let need_scalar = !lanes_ok & live;
-                        // Narrow to f32 (vcvtpd2ps == the scalar `as
-                        // f32` cast per lane) and keep old values on
-                        // zero-product lanes; handed-back lanes are
-                        // overwritten just below.
-                        let q32 = _mm256_cvtpd_ps(res);
-                        let merged = _mm_blendv_ps(q32, o4_32, narrow_mask_pd(pz));
-                        _mm_storeu_ps(orow.as_mut_ptr().add(j), merged);
-                        if T::ACTIVE || need_scalar != 0 {
-                            let qs = settle4(acc, sum, res, need_scalar, live, at, acc_obs);
-                            for l in 0..4 {
-                                if need_scalar & (1 << l) != 0 {
-                                    orow[j + l] = qs[l] as f32;
-                                }
-                            }
-                        }
-                        j += 4;
-                    }
-                    while j < j1 {
-                        let product = av * brow[j] as f64;
-                        if product != 0.0 {
-                            let gj = j + g.col_offset;
-                            orow[j] =
-                                mac_round(orow[j], product, mul, acc, gi, gj, kk, mul_obs, acc_obs);
-                        }
-                        j += 1;
-                    }
-                }
-                j0 = j1;
-            }
-        }
-    }
+    );
+
+    /// The float quantizer of `plan` (at most
+    /// [`MAX_RANDOM_BITS`](mpt_formats::simd::MAX_RANDOM_BITS) SR bits).
+    unsafe fn float(plan: &LanePlanF32) -> Self::Float;
+    /// The fixed-point quantizer of `fast`, which `f32` lanes carry.
+    unsafe fn fixed(fast: &FixedFastF64) -> Self::Fixed;
+    /// Rounds the lanes of `x` under mode `MODE`, with the hash inputs
+    /// of the low and high lanes in `lo` and `hi`; returns the results
+    /// and the mask of valid lanes.
+    unsafe fn round_float<const MODE: u8>(
+        q: &Self::Float,
+        x: Self::V,
+        lo: Self::H,
+        hi: Self::H,
+    ) -> (Self::V, Self::K);
+    /// [`round_float`](Width::round_float) for fixed point.
+    unsafe fn round_fixed<const MODE: u8>(
+        q: &Self::Fixed,
+        x: Self::V,
+        lo: Self::H,
+        hi: Self::H,
+    ) -> (Self::V, Self::K);
+
+    /// The mask of lanes `0..n`, `n ≤ N`.
+    unsafe fn prefix(n: usize) -> Self::K;
+    /// Whether `k` has no lane set.
+    unsafe fn none(k: Self::K) -> bool;
+    /// `k`, one bit per lane.
+    unsafe fn bits(k: Self::K) -> u32;
+    /// `a & b`.
+    unsafe fn and(a: Self::K, b: Self::K) -> Self::K;
+    /// `!a & b`.
+    unsafe fn andn(a: Self::K, b: Self::K) -> Self::K;
+    /// `a | b`.
+    unsafe fn or(a: Self::K, b: Self::K) -> Self::K;
+
+    /// `x` in every lane.
+    unsafe fn splat(x: f32) -> Self::V;
+    /// Loads the lanes of `k` from `p` and zeroes the others, which are
+    /// not read.
+    unsafe fn load(k: Self::K, p: *const f32) -> Self::V;
+    /// Stores the lanes of `k` to `p`; the others are not written.
+    unsafe fn store(k: Self::K, p: *mut f32, v: Self::V);
+    /// `a · b`.
+    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    /// `a + b`.
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    /// `a − b`.
+    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
+    /// `a · b − c`, rounded once.
+    unsafe fn fmsub(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `|a|`.
+    unsafe fn abs(a: Self::V) -> Self::V;
+    /// The lanes of `k` where compare predicate `P` holds for `a`, `b`.
+    unsafe fn cmp<const P: i32>(k: Self::K, a: Self::V, b: Self::V) -> Self::K;
+    /// `b` in the lanes of `k`, `a` in the others.
+    unsafe fn select(a: Self::V, k: Self::K, b: Self::V) -> Self::V;
+
+    /// Loads `N / 2` 64-bit values.
+    unsafe fn load64(p: *const u64) -> Self::H;
+    /// `x` in every 64-bit lane.
+    unsafe fn splat64(x: u64) -> Self::H;
+    /// `(part + step) ^ seed` per 64-bit lane (wrapping): a hash input.
+    unsafe fn hash(part: Self::H, step: Self::H, seed: Self::H) -> Self::H;
 }
 
-/// The AVX-512 nest: 16 `f32` lanes per block, and a different loop
-/// order from the other two — `j-strip / i / k` instead of
-/// `i / j-tile / k / j`. The two 16-lane accumulators of a
-/// [`STRIP`](avx512_f32::STRIP)-column strip of one output row stay in
-/// `zmm` registers across the whole `k` reduction; the `f32` output
-/// row is loaded once before it and stored once after, and the strip of
-/// `B` stays cache-hot across the rows. Each output element still
-/// reduces over ascending `k` through the same stages at the same event
-/// indices, so the result is bit-identical. Nothing is allocated.
-///
-/// Why `f32` lanes give the reference's bits: the reference widens
-/// both operands to `f64`, where their product is exact, rounds it
-/// through the multiplier stage (unless fused), adds it to the widened
-/// accumulator and rounds the `f64` sum. Per lane and step this nest
-/// computes `prod = a·b` and `sum = acc + round_mul(prod)` in `f32`
-/// and proves each step exact:
-///
-/// * the raw product is exact when the FMA residual `fmsub(a, b,
-///   prod)` is zero and `|prod| ≥ 2^-101` (below that the residual can
-///   itself round to zero; a product that underflows `f32` is never
-///   taken for an exact zero either: only `a = 0` or `b = 0` skips);
-/// * the sum is exact when `sum − acc == round_mul(prod)` and
-///   `sum − round_mul(prod) == acc` (the subtraction against the larger
-///   operand is exact, so it sees any rounding error of the sum;
-///   overflow and NaN fail it).
-///
-/// An exact `f32` value *is* the reference's `f64` value, and the
-/// stages' 16-lane quantizers
-/// ([`QuantVecF32x16`](mpt_formats::simd_avx512::QuantVecF32x16),
-/// [`FixedVecF32x16`](mpt_formats::simd_avx512::FixedVecF32x16)) round
-/// it exactly as the `f64` kernels do wherever
-/// [`VecStage::f32_lanes`] holds for both stages, which is when
-/// dispatch takes this nest. Every other live lane — inexact, tiny,
-/// non-finite or handed back by either quantizer — settles through the
-/// scalar [`mac_round`] from the same `f32` accumulator at the same
-/// event indices, so the output is bit-identical. A sum that cancels
-/// to zero is exact and needs no settling (zero rounds to itself).
-/// Over the GEMMs of one LeNet FP8 × FP12-SR training step (batch 32,
-/// after 20 steps) `f32` is exact for 99.992% of MAC events, 0.14% of
-/// sums cancel to zero, and 0.07% of 16-lane blocks settle a lane. The
-/// paper's unfused `FXP4.4 × FXP8.8` MAC settles even less: every
-/// in-range FXP4.4 product of two FXP4.4 operands has at most 16
-/// significant bits and every FXP8.8 sum at most 17, so only NaN, ±inf
-/// and out-of-range operands settle.
-///
-/// What the shape buys: on the dense fused-SR GEMMs that dominate a
-/// training step the AVX2 block is about a hundred instructions per 4
-/// MACs, of which 14 emulate SplitMix64's two 64-bit multiplies, ~20
-/// assemble four hash inputs lane by lane and ~10 move the output row
-/// through memory. `vpmullq`, incremental hash inputs, register
-/// accumulators and 16 lanes remove most of that. LeNet's batch-32
-/// forward convolutions under FP8 × FP12-SR (operands already
-/// quantized, one thread of a 2.1 GHz AVX-512 Xeon) run at 285
-/// (6×25×25088) and 290 (16×150×3200) MMAC/s on the AVX2 nest and at
-/// 906 and 1049 on this one. The price is that every strip rescans its
-/// `A` row for the zero skip, which is why the strip is as wide as the
-/// register file allows — and why this shape was *not* retrofitted to
-/// the AVX2 nest (half the registers: narrow strips taxed the sparse
-/// backward GEMMs more than the dense ones gained). GEMMs whose `B`
-/// rows are ReLU-sparse gain least, because a 16-lane block is skipped
-/// only when all 16 products are zero.
-pub(crate) mod avx512_f32 {
-    #![allow(unsafe_code)]
-
-    use core::arch::x86_64::*;
-
-    use super::avx2::{gemm_avx2, VecStage};
-    use super::*;
-    use mpt_formats::sr::hash::INDEX_MUL;
-
-    /// Output columns per strip: two 16-lane accumulators.
-    pub(crate) const STRIP: usize = 32;
-
-    /// `2^-101`: the smallest `|prod|` whose FMA residual is exact. A
-    /// product `a·b` of `f32`s has at most 48 significant bits, so at
-    /// `|a·b| ≥ 2^-102` its residual is a multiple of `2^-149`, an
-    /// `f32`; rounding to `prod ≥ 2^-101` keeps `|a·b|` above that.
-    const EXACT_PRODUCT_MIN: f32 = 1.0 / (1u128 << 101) as f32;
-
-    /// AVX-512 nest entry; both stages must have
-    /// [`f32_lanes`](VecStage::f32_lanes). Falls back to the AVX2 nest
-    /// (which falls back further) when the CPU lacks the features —
-    /// defensive, the dispatcher already checks — and when a coordinate
-    /// could leave its field of [`sr_event_index`]: the hash inputs
-    /// below are built by *adding* the row, column and `k` parts of the
-    /// index, which equals the packed index only while the fields
-    /// cannot carry into each other. The AVX2 nest packs per lane; it
-    /// is the definition.
-    pub(crate) fn gemm_avx512_f32<M: VecStage, A: VecStage, T: MacObserver>(
-        g: Gemm<'_>,
-        mul: &M,
-        acc: &A,
-        mul_obs: &mut T,
-        acc_obs: &mut T,
-    ) {
-        let fields_disjoint =
-            g.row_offset + g.n <= 1 << 22 && g.col_offset + g.m <= 1 << 20 && g.k <= 1 << 20;
-        if !fields_disjoint || !mpt_formats::simd::avx512_supported() {
-            return gemm_avx2(g, mul, acc, mul_obs, acc_obs);
-        }
-        // The nest addresses `out` and `bd` through raw pointers.
-        assert_eq!(g.out.len(), g.n * g.m, "output is n x m");
-        assert_eq!(g.ad.len(), g.n * g.k, "A is n x k");
-        assert_eq!(g.bd.len(), g.k * g.m, "B is k x m");
-        // SAFETY: AVX-512 F + DQ + VL availability checked at runtime
-        // just above; the three slices have the lengths `inner`
-        // requires.
-        unsafe { inner(g, mul, acc, mul_obs, acc_obs) }
-    }
-
-    /// What the whole GEMM shares: both stages, their 16-lane
-    /// quantizers and seeds.
-    struct Nest<'a, M: VecStage, A: VecStage> {
-        mul: &'a M,
-        acc: &'a A,
-        mul_v: M::Vec16,
-        acc_v: A::Vec16,
-        mul_seed: __m512i,
-        acc_seed: __m512i,
-    }
-
-    /// One 16-lane block of a strip.
-    struct Block {
-        /// Column offset within the strip: 0 or 16.
-        at: usize,
-        /// Global column of lane 0.
-        gj: usize,
-        /// Lanes inside the matrix: all, a partial tail, or none.
-        /// Masked-off lanes are neither loaded nor stored, so no block
-        /// reads or writes past its row.
-        lanes: __mmask16,
-        /// The column part of the hash inputs of lanes 0–7 and 8–15:
-        /// `sr_event_index(0, gj + lane, 0, Multiply) · INDEX_MUL` (the
-        /// multiplier's stage tag is 0). Adding a [`Step`]'s
-        /// row-and-`k` part gives `index · INDEX_MUL` exactly (mod
-        /// 2^64, multiplication distributes over the carry-free field
-        /// sum), and XOR-ing the seed gives
-        /// [`SrRng::hash_input`](mpt_formats::SrRng::hash_input).
-        hash_lo: __m512i,
-        hash_hi: __m512i,
-    }
-
-    impl Block {
-        /// Block `u` of the strip at column `j0` of a `g`-shaped GEMM.
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn new(g: &Gemm<'_>, j0: usize, u: usize) -> Self {
-            let (at, gj) = (16 * u, j0 + g.col_offset + 16 * u);
-            let width = (g.m - j0).saturating_sub(at).min(16);
-            let hash = |first: usize| {
-                let cols = _mm512_add_epi64(
-                    _mm512_set1_epi64(first as i64),
-                    _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
-                );
-                _mm512_mullo_epi64(
-                    _mm512_slli_epi64::<22>(cols),
-                    _mm512_set1_epi64(INDEX_MUL as i64),
-                )
-            };
-            Block {
-                at,
-                gj,
-                lanes: ((1u32 << width) - 1) as __mmask16,
-                hash_lo: hash(gj),
-                hash_hi: hash(gj + 8),
-            }
-        }
-    }
-
-    /// One reduction step of one output row, shared by the strip's
-    /// blocks: `A`'s element, which the vector lanes take only finite
-    /// and non-zero.
-    struct Step {
-        /// The broadcast `A` element.
-        av: __m512,
-        /// The row-and-`k` part of each stage's hash inputs:
-        /// `sr_event_index(gi, 0, kk, stage) · INDEX_MUL`, broadcast.
-        mul_hash: __m512i,
-        acc_hash: __m512i,
-    }
-
-    impl Step {
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn new(gi: usize, kk: usize, a: f32) -> Self {
-            let hash = |stage| {
-                _mm512_set1_epi64(sr_event_index(gi, 0, kk, stage).wrapping_mul(INDEX_MUL) as i64)
-            };
-            Step {
-                av: _mm512_set1_ps(a),
-                mul_hash: hash(MacStage::Multiply),
-                acc_hash: hash(MacStage::Accumulate),
-            }
-        }
-    }
-
-    /// `a != 0 && a.is_finite()`, as one compare on the magnitude
-    /// bits.
-    #[inline]
-    fn finite_non_zero(a: f32) -> bool {
-        (a.to_bits() & 0x7FFF_FFFF).wrapping_sub(1) < f32::MAX.to_bits()
-    }
-
-    /// A block's part of `B`'s row (`brow`, the strip's part) and its
-    /// live lanes: those inside the matrix whose product with a
-    /// finite, non-zero `A` element is not an exact zero — which the
-    /// reference skips — that is, where `b` is not zero. An
-    /// underflowed product stays live.
-    ///
-    /// # Safety
-    ///
-    /// The host must support AVX-512 F, and `brow[block.at + l]` must
-    /// be readable for every lane `l` set in `block.lanes`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn load_b(block: &Block, brow: *const f32) -> (__m512, __mmask16) {
-        // (`wrapping_add`: an empty block's pointer may lie past the
-        // buffer; it is never dereferenced.)
-        let b = _mm512_maskz_loadu_ps(block.lanes, brow.wrapping_add(block.at));
-        let live = _mm512_mask_cmp_ps_mask::<_CMP_NEQ_UQ>(block.lanes, b, _mm512_setzero_ps());
-        (b, live)
-    }
-
-    /// One block's reduction step on the vector lanes.
-    struct Lanes {
-        /// Lanes inside the matrix whose product is not an exact zero.
-        live: __mmask16,
-        /// Live lanes the vector result does not cover: inexact in
-        /// `f32`, or handed back by a stage's quantizer.
-        settle: __mmask16,
-        /// The rounded products, the `f32` sums and their rounded
-        /// values.
-        prod: __m512,
-        sum: __m512,
-        q: __m512,
-    }
-
-    impl<M: VecStage, A: VecStage> Nest<'_, M, A> {
-        /// One reduction step of one block: which of its live lanes
-        /// must settle, and the rounded sums of the others, given the
-        /// old accumulators (`sums`) and the block's [`load_b`]. `A`'s
-        /// element must be finite and non-zero.
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ + VL.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn lanes16(
-            &self,
-            step: &Step,
-            block: &Block,
-            sums: __m512,
-            (b, live): (__m512, __mmask16),
-        ) -> Lanes {
-            let zero = _mm512_setzero_ps();
-            if live == 0 {
-                return Lanes {
-                    live,
-                    settle: 0,
-                    prod: sums,
-                    sum: sums,
-                    q: sums,
-                };
-            }
-            let hash = |part: __m512i, stage: __m512i, seed: __m512i| {
-                _mm512_xor_si512(_mm512_add_epi64(part, stage), seed)
-            };
-            let prod = _mm512_mul_ps(step.av, b);
-            let residual = _mm512_fmsub_ps(step.av, b, prod);
-            let tiny = _mm512_set1_ps(EXACT_PRODUCT_MIN);
-            let exact = _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(live, residual, zero);
-            let mut exact = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(exact, _mm512_abs_ps(prod), tiny);
-            let mut prod = prod;
-            if !M::IDENTITY {
-                let (lo, hi) = (
-                    hash(block.hash_lo, step.mul_hash, self.mul_seed),
-                    hash(block.hash_hi, step.mul_hash, self.mul_seed),
-                );
-                let (q, fast) = M::quantize16(&self.mul_v, prod, lo, hi);
-                (prod, exact) = (q, _kand_mask16(exact, fast));
-            }
-            let sum = _mm512_add_ps(sums, prod);
-            let exact =
-                _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(exact, _mm512_sub_ps(sum, sums), prod);
-            let exact =
-                _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(exact, _mm512_sub_ps(sum, prod), sums);
-            let (lo, hi) = (
-                hash(block.hash_lo, step.acc_hash, self.acc_seed),
-                hash(block.hash_hi, step.acc_hash, self.acc_seed),
-            );
-            let (q, fast) = A::quantize16(&self.acc_v, sum, lo, hi);
-            Lanes {
-                live,
-                settle: _kandn_mask16(_kand_mask16(exact, fast), live),
-                prod,
-                sum,
-                q,
-            }
+/// The body of a [`Width`] impl: the two entry points under target
+/// features `$features`, then the methods that wrap one expression,
+/// each written `fn name(args) -> ret = expr;` and always inlined.
+macro_rules! width_impl {
+    (
+        features = $features:literal;
+        $(fn $name:ident $(<const $c:ident: $ct:ty>)? ($($arg:ident: $ty:ty),*) -> $ret:ty
+            = $body:expr;)*
+    ) => {
+        #[target_feature(enable = $features)]
+        unsafe fn strips<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+            g: Gemm<'_>,
+            mul: &M,
+            acc: &A,
+            mul_obs: &mut T,
+            acc_obs: &mut T,
+        ) {
+            strips::<Self, B, M, A, T>(g, mul, acc, mul_obs, acc_obs)
         }
 
-        /// The spill behind the `f32` lanes, taken only when a lane
-        /// of the step must settle, `A`'s element is zero or not
-        /// finite, or someone is watching: redoes step `(gi, kk)` of
-        /// both blocks from their old accumulators (each block's
-        /// `&mut`), runs the lanes the vector result does not cover
-        /// through the scalar [`mac_round`] — from the `f32`
-        /// accumulator, with the exact `f64` product, at the packed
-        /// [`sr_event_index`], skipping exact zero products — shows the
-        /// other live lanes' exact products and sums to the observers,
-        /// and leaves the new accumulators in their place. The
-        /// accumulators pass through memory, so no vector register is
-        /// live across the call and the hot loop keeps them in
-        /// registers.
-        ///
-        /// # Safety
-        ///
-        /// The host must support AVX-512 F + DQ + VL, and
-        /// `brow[block.at + l]` must be readable for every block and
-        /// lane `l` set in its `lanes`.
         #[cold]
         #[inline(never)]
-        #[allow(clippy::too_many_arguments)]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn settle<T: MacObserver>(
-            &self,
-            (gi, kk, a): (usize, usize, f32),
-            blocks: [(&Block, &mut __m512); 2],
+        #[target_feature(enable = $features)]
+        unsafe fn settle<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+            nest: &Nest<'_, Self, M, A>,
+            at: (usize, usize, f32),
+            blocks: &[Block<Self>; B],
+            accs: &mut [Self::V; B],
             brow: *const f32,
             mul_obs: &mut T,
             acc_obs: &mut T,
         ) {
-            let step = Step::new(gi, kk, a);
-            let vector = finite_non_zero(a);
-            for (block, acc) in blocks {
-                let done = if vector {
-                    self.lanes16(&step, block, *acc, load_b(block, brow))
-                } else {
-                    Lanes {
-                        live: block.lanes,
-                        settle: block.lanes,
-                        prod: *acc,
-                        sum: *acc,
-                        q: *acc,
-                    }
-                };
-                let store = |v: __m512| {
-                    let mut out = [0f32; 16];
-                    _mm512_storeu_ps(out.as_mut_ptr(), v);
-                    out
-                };
-                let (old, prod, sum, q) = (
-                    store(*acc),
-                    store(done.prod),
-                    store(done.sum),
-                    store(done.q),
-                );
-                let mut out = old;
-                for l in 0..16 {
-                    if done.live & (1 << l) == 0 {
-                        continue;
-                    }
-                    let product = a as f64 * *brow.add(block.at + l) as f64;
-                    if done.settle & (1 << l) != 0 {
-                        if product != 0.0 {
-                            out[l] = mac_round(
-                                old[l],
-                                product,
-                                self.mul,
-                                self.acc,
-                                gi,
-                                block.gj + l,
-                                kk,
-                                mul_obs,
-                                acc_obs,
-                            );
-                        }
-                    } else {
-                        if !M::IDENTITY {
-                            mul_obs.record(product, prod[l] as f64);
-                        }
-                        acc_obs.record(sum[l] as f64, q[l] as f64);
-                        out[l] = q[l];
-                    }
-                }
-                *acc = _mm512_loadu_ps(out.as_ptr());
+            nest.settle(at, blocks, accs, brow, mul_obs, acc_obs)
+        }
+
+        $(
+            #[inline(always)]
+            unsafe fn $name $(<const $c: $ct>)? ($($arg: $ty),*) -> $ret {
+                $body
             }
+        )*
+    };
+}
+
+/// The `avx512` tier's width: 16 lanes, k-masks (AVX-512 F + DQ + VL).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx512;
+
+impl Width for Avx512 {
+    const N: usize = 16;
+    type V = __m512;
+    type K = __mmask16;
+    type H = __m512i;
+    type Float = QuantVecF32x16;
+    type Fixed = FixedVecF32x16;
+
+    fn supported() -> bool {
+        mpt_formats::simd::avx512_supported()
+    }
+
+    width_impl! {
+        features = "avx512f,avx512dq,avx512vl";
+        fn float(plan: &LanePlanF32) -> QuantVecF32x16 = QuantVecF32x16::new(plan);
+        fn fixed(fast: &FixedFastF64) -> FixedVecF32x16 = FixedVecF32x16::new(fast);
+        fn round_float<const MODE: u8>(q: &QuantVecF32x16, x: __m512, lo: __m512i, hi: __m512i)
+            -> (__m512, __mmask16) = q.quantize16::<MODE>(x, lo, hi);
+        fn round_fixed<const MODE: u8>(q: &FixedVecF32x16, x: __m512, lo: __m512i, hi: __m512i)
+            -> (__m512, __mmask16) = q.quantize16::<MODE>(x, lo, hi);
+
+        fn prefix(n: usize) -> __mmask16 = ((1u32 << n) - 1) as __mmask16;
+        fn none(k: __mmask16) -> bool = k == 0;
+        fn bits(k: __mmask16) -> u32 = k as u32;
+        fn and(a: __mmask16, b: __mmask16) -> __mmask16 = a & b;
+        fn andn(a: __mmask16, b: __mmask16) -> __mmask16 = !a & b;
+        fn or(a: __mmask16, b: __mmask16) -> __mmask16 = a | b;
+
+        fn splat(x: f32) -> __m512 = _mm512_set1_ps(x);
+        fn load(k: __mmask16, p: *const f32) -> __m512 = _mm512_maskz_loadu_ps(k, p);
+        fn store(k: __mmask16, p: *mut f32, v: __m512) -> () = _mm512_mask_storeu_ps(p, k, v);
+        fn mul(a: __m512, b: __m512) -> __m512 = _mm512_mul_ps(a, b);
+        fn add(a: __m512, b: __m512) -> __m512 = _mm512_add_ps(a, b);
+        fn sub(a: __m512, b: __m512) -> __m512 = _mm512_sub_ps(a, b);
+        fn fmsub(a: __m512, b: __m512, c: __m512) -> __m512 = _mm512_fmsub_ps(a, b, c);
+        fn abs(a: __m512) -> __m512 = _mm512_abs_ps(a);
+        fn cmp<const P: i32>(k: __mmask16, a: __m512, b: __m512) -> __mmask16
+            = _mm512_mask_cmp_ps_mask::<P>(k, a, b);
+        fn select(a: __m512, k: __mmask16, b: __m512) -> __m512 = _mm512_mask_mov_ps(a, k, b);
+
+        fn load64(p: *const u64) -> __m512i = _mm512_loadu_si512(p.cast());
+        fn splat64(x: u64) -> __m512i = _mm512_set1_epi64(x as i64);
+        fn hash(part: __m512i, step: __m512i, seed: __m512i) -> __m512i
+            = _mm512_xor_si512(_mm512_add_epi64(part, step), seed);
+    }
+}
+
+/// The `avx2` tier's width: 8 lanes, blend-vector masks (AVX2 + FMA).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx2;
+
+impl Width for Avx2 {
+    const N: usize = 8;
+    type V = __m256;
+    type K = __m256;
+    type H = __m256i;
+    type Float = QuantVecF32x8;
+    type Fixed = FixedVecF32x8;
+
+    fn supported() -> bool {
+        mpt_formats::simd::avx2_supported()
+    }
+
+    width_impl! {
+        features = "avx2,fma";
+        fn float(plan: &LanePlanF32) -> QuantVecF32x8 = QuantVecF32x8::new(plan);
+        fn fixed(fast: &FixedFastF64) -> FixedVecF32x8 = FixedVecF32x8::new(fast);
+        fn round_float<const MODE: u8>(q: &QuantVecF32x8, x: __m256, lo: __m256i, hi: __m256i)
+            -> (__m256, __m256) = q.quantize8::<MODE>(x, lo, hi);
+        fn round_fixed<const MODE: u8>(q: &FixedVecF32x8, x: __m256, lo: __m256i, hi: __m256i)
+            -> (__m256, __m256) = q.quantize8::<MODE>(x, lo, hi);
+
+        fn prefix(n: usize) -> __m256 = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        ));
+        fn none(k: __m256) -> bool = _mm256_testz_ps(k, k) != 0;
+        fn bits(k: __m256) -> u32 = _mm256_movemask_ps(k) as u32;
+        fn and(a: __m256, b: __m256) -> __m256 = _mm256_and_ps(a, b);
+        fn andn(a: __m256, b: __m256) -> __m256 = _mm256_andnot_ps(a, b);
+        fn or(a: __m256, b: __m256) -> __m256 = _mm256_or_ps(a, b);
+
+        fn splat(x: f32) -> __m256 = _mm256_set1_ps(x);
+        fn load(k: __m256, p: *const f32) -> __m256 = _mm256_maskload_ps(p, _mm256_castps_si256(k));
+        fn store(k: __m256, p: *mut f32, v: __m256) -> ()
+            = _mm256_maskstore_ps(p, _mm256_castps_si256(k), v);
+        fn mul(a: __m256, b: __m256) -> __m256 = _mm256_mul_ps(a, b);
+        fn add(a: __m256, b: __m256) -> __m256 = _mm256_add_ps(a, b);
+        fn sub(a: __m256, b: __m256) -> __m256 = _mm256_sub_ps(a, b);
+        fn fmsub(a: __m256, b: __m256, c: __m256) -> __m256 = _mm256_fmsub_ps(a, b, c);
+        fn abs(a: __m256) -> __m256 = _mm256_andnot_ps(_mm256_set1_ps(-0.0), a);
+        fn cmp<const P: i32>(k: __m256, a: __m256, b: __m256) -> __m256
+            = _mm256_and_ps(k, _mm256_cmp_ps::<P>(a, b));
+        fn select(a: __m256, k: __m256, b: __m256) -> __m256 = _mm256_blendv_ps(a, b, k);
+
+        fn load64(p: *const u64) -> __m256i = _mm256_loadu_si256(p.cast());
+        fn splat64(x: u64) -> __m256i = _mm256_set1_epi64x(x as i64);
+        fn hash(part: __m256i, step: __m256i, seed: __m256i) -> __m256i
+            = _mm256_xor_si256(_mm256_add_epi64(part, step), seed);
+    }
+}
+
+/// The vector forms of a [`Stage`]: whether `f32` lanes carry it, and
+/// its `f32` lane quantizer at each [`Width`].
+pub(crate) trait VecStage: Stage {
+    /// The stage's quantizer at width `W`, its constants broadcast.
+    type Q<W: Width>: Copy;
+
+    /// Whether `f32` lanes carry the stage: every value it emits is an
+    /// `f32`, and its lane quantizers equal the scalar one on `f32`
+    /// inputs — floats with at most 8 exponent and 22 mantissa bits,
+    /// fixed point of at most 24 bits, either under a deterministic
+    /// mode or SR with at most
+    /// [`MAX_RANDOM_BITS`](mpt_formats::simd::MAX_RANDOM_BITS) random
+    /// bits. Decided from the configuration alone.
+    fn f32_lanes(&self) -> bool;
+
+    /// Builds [`Q`](VecStage::Q).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`f32_lanes`](VecStage::f32_lanes) holds.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `W`.
+    unsafe fn vec<W: Width>(&self) -> Self::Q<W>;
+
+    /// Rounds the lanes of `x`, with the hash inputs
+    /// (`rng().hash_input(index)`, read only under SR) of the
+    /// low and high lanes in `lo` and `hi`. Returns the results and the
+    /// mask of valid lanes — the caller recomputes the others through
+    /// [`Stage::quantize`].
+    ///
+    /// # Safety
+    ///
+    /// The host must support `W`.
+    unsafe fn round<W: Width>(q: &Self::Q<W>, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K);
+}
+
+impl VecStage for Fused {
+    type Q<W: Width> = ();
+
+    fn f32_lanes(&self) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    unsafe fn vec<W: Width>(&self) {}
+
+    #[inline(always)]
+    unsafe fn round<W: Width>(_q: &(), x: W::V, _lo: W::H, _hi: W::H) -> (W::V, W::K) {
+        (x, W::prefix(W::N))
+    }
+}
+
+impl<const MODE: u8> VecStage for FloatStage<MODE> {
+    type Q<W: Width> = W::Float;
+
+    fn f32_lanes(&self) -> bool {
+        self.0.f32_plan().is_some()
+    }
+
+    #[inline(always)]
+    unsafe fn vec<W: Width>(&self) -> W::Float {
+        W::float(&self.0.f32_plan().expect("the f32 lanes carry the stage"))
+    }
+
+    #[inline(always)]
+    unsafe fn round<W: Width>(q: &W::Float, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
+        W::round_float::<MODE>(q, x, lo, hi)
+    }
+}
+
+impl<const MODE: u8> VecStage for FixedStage<MODE> {
+    type Q<W: Width> = W::Fixed;
+
+    fn f32_lanes(&self) -> bool {
+        self.0.f32_lanes()
+    }
+
+    #[inline(always)]
+    unsafe fn vec<W: Width>(&self) -> W::Fixed {
+        W::fixed(&self.0)
+    }
+
+    #[inline(always)]
+    unsafe fn round<W: Width>(q: &W::Fixed, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
+        W::round_fixed::<MODE>(q, x, lo, hi)
+    }
+}
+
+/// The vector tiers' nest entry: runs the nest at the widest width
+/// `tier` allows and the host supports, or the scalar nest where `f32`
+/// lanes do not carry both stages or a coordinate could leave its field
+/// of [`sr_event_index`] (see the module docs). Returns the tier whose
+/// nest ran.
+pub(crate) fn gemm_lanes<M: VecStage, A: VecStage, T: MacObserver>(
+    g: Gemm<'_>,
+    mul: &M,
+    acc: &A,
+    tier: SimdTier,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
+) -> SimdTier {
+    let fields_disjoint =
+        g.row_offset + g.n <= 1 << 22 && g.col_offset + g.m <= 1 << 20 && g.k <= 1 << 20;
+    if fields_disjoint && mul.f32_lanes() && acc.f32_lanes() {
+        if tier == SimdTier::Avx512 && Avx512::supported() {
+            // SAFETY: the width is supported, both stages have f32
+            // lanes and the fields are disjoint, all checked above.
+            unsafe { nest::<Avx512, 2, M, A, T>(g, mul, acc, mul_obs, acc_obs) };
+            return SimdTier::Avx512;
+        }
+        if Avx2::supported() {
+            // SAFETY: as above.
+            unsafe { nest::<Avx2, 4, M, A, T>(g, mul, acc, mul_obs, acc_obs) };
+            return SimdTier::Avx2;
+        }
+    }
+    gemm_scalar(g, mul, acc, mul_obs, acc_obs);
+    SimdTier::Off
+}
+
+/// The nest at width `W`, `B` blocks to a strip.
+///
+/// # Safety
+///
+/// The host must support `W`, both stages must have
+/// [`f32_lanes`](VecStage::f32_lanes), and every coordinate must stay
+/// inside its field of [`sr_event_index`].
+unsafe fn nest<W: Width, const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+    g: Gemm<'_>,
+    mul: &M,
+    acc: &A,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
+) {
+    const { assert!(B * W::N == STRIP, "a strip is STRIP columns") };
+    // The nest addresses `out` and `bd` through raw pointers.
+    assert_eq!(g.out.len(), g.n * g.m, "output is n x m");
+    assert_eq!(g.ad.len(), g.n * g.k, "A is n x k");
+    assert_eq!(g.bd.len(), g.k * g.m, "B is k x m");
+    W::strips::<B, M, A, T>(g, mul, acc, mul_obs, acc_obs)
+}
+
+/// What the whole GEMM shares: both stages, their quantizers and seeds.
+pub(crate) struct Nest<'a, W: Width, M: VecStage, A: VecStage> {
+    mul: &'a M,
+    acc: &'a A,
+    mul_q: M::Q<W>,
+    acc_q: A::Q<W>,
+    mul_seed: W::H,
+    acc_seed: W::H,
+}
+
+/// One block of a strip.
+#[derive(Clone, Copy)]
+pub(crate) struct Block<W: Width> {
+    /// Column offset within the strip.
+    at: usize,
+    /// Global column of lane 0.
+    gj: usize,
+    /// Lanes inside the matrix: all, a partial tail, or none. Masked-off
+    /// lanes are neither loaded nor stored, so no block reads or writes
+    /// past its row.
+    lanes: W::K,
+    /// The column part of the hash inputs of the low and high lanes:
+    /// `sr_event_index(0, gj + lane, 0, Multiply) · INDEX_MUL` (the
+    /// multiplier's stage tag is 0). Adding a [`Step`]'s row-and-`k`
+    /// part gives `index · INDEX_MUL` exactly (mod 2^64, multiplication
+    /// distributes over the carry-free field sum), and XOR-ing the seed
+    /// gives [`SrRng::hash_input`](mpt_formats::SrRng::hash_input).
+    hash_lo: W::H,
+    hash_hi: W::H,
+}
+
+impl<W: Width> Block<W> {
+    /// Block `u` of the strip at column `j0` of a `g`-shaped GEMM.
+    #[inline(always)]
+    unsafe fn new(g: &Gemm<'_>, j0: usize, u: usize) -> Self {
+        let (at, gj) = (W::N * u, j0 + g.col_offset + W::N * u);
+        let width = (g.m - j0).saturating_sub(at).min(W::N);
+        // The column field, packed by hand: lanes past the matrix may
+        // lie past the field, and their hash inputs are never read.
+        let cols: [u64; 16] =
+            core::array::from_fn(|l| (((gj + l) as u64) << 22).wrapping_mul(INDEX_MUL));
+        Block {
+            at,
+            gj,
+            lanes: W::prefix(width),
+            hash_lo: W::load64(cols.as_ptr()),
+            hash_hi: W::load64(cols[W::N / 2..].as_ptr()),
+        }
+    }
+}
+
+/// One reduction step of one output row, shared by the strip's blocks:
+/// `A`'s element, which the vector lanes take only finite and non-zero.
+struct Step<W: Width> {
+    /// The broadcast `A` element.
+    av: W::V,
+    /// The row-and-`k` part of each stage's hash inputs:
+    /// `sr_event_index(gi, 0, kk, stage) · INDEX_MUL`, broadcast.
+    mul_hash: W::H,
+    acc_hash: W::H,
+}
+
+impl<W: Width> Step<W> {
+    #[inline(always)]
+    unsafe fn new(gi: usize, kk: usize, a: f32) -> Self {
+        let hash = |stage| sr_event_index(gi, 0, kk, stage).wrapping_mul(INDEX_MUL);
+        Step {
+            av: W::splat(a),
+            mul_hash: W::splat64(hash(MacStage::Multiply)),
+            acc_hash: W::splat64(hash(MacStage::Accumulate)),
+        }
+    }
+}
+
+/// `a != 0 && a.is_finite()`, as one compare on the magnitude bits.
+#[inline]
+fn finite_non_zero(a: f32) -> bool {
+    (a.to_bits() & 0x7FFF_FFFF).wrapping_sub(1) < f32::MAX.to_bits()
+}
+
+/// A block's part of `B`'s row (`brow`, the strip's part) and its live
+/// lanes: those inside the matrix whose product with a finite, non-zero
+/// `A` element is not an exact zero — which the reference skips — that
+/// is, where `b` is not zero. An underflowed product stays live.
+///
+/// # Safety
+///
+/// `brow[block.at + l]` must be readable for every lane `l` set in
+/// `block.lanes`.
+#[inline(always)]
+unsafe fn load_b<W: Width>(block: &Block<W>, brow: *const f32) -> (W::V, W::K) {
+    // (`wrapping_add`: an empty block's pointer may lie past the
+    // buffer; it is never dereferenced.)
+    let b = W::load(block.lanes, brow.wrapping_add(block.at));
+    (b, W::cmp::<_CMP_NEQ_UQ>(block.lanes, b, W::splat(0.0)))
+}
+
+/// One block's reduction step on the vector lanes.
+struct Round<W: Width> {
+    /// Lanes inside the matrix whose product is not an exact zero.
+    live: W::K,
+    /// Live lanes the vector result does not cover: inexact in `f32`,
+    /// or handed back by a stage's quantizer.
+    settle: W::K,
+    /// The rounded products, the `f32` sums and their rounded values.
+    prod: W::V,
+    sum: W::V,
+    q: W::V,
+}
+
+impl<W: Width, M: VecStage, A: VecStage> Nest<'_, W, M, A> {
+    /// One reduction step of one block: which of its live lanes must
+    /// settle, and the rounded sums of the others, given the old
+    /// accumulators (`sums`) and the block's [`load_b`]. `A`'s element
+    /// must be finite and non-zero.
+    #[inline(always)]
+    unsafe fn round(
+        &self,
+        step: &Step<W>,
+        block: &Block<W>,
+        sums: W::V,
+        (b, live): (W::V, W::K),
+    ) -> Round<W> {
+        if W::none(live) {
+            return Round {
+                live,
+                settle: live,
+                prod: sums,
+                sum: sums,
+                q: sums,
+            };
+        }
+        let zero = W::splat(0.0);
+        let prod = W::mul(step.av, b);
+        let residual = W::fmsub(step.av, b, prod);
+        let exact = W::cmp::<_CMP_EQ_OQ>(live, residual, zero);
+        let tiny = W::splat(EXACT_PRODUCT_MIN);
+        let mut exact = W::cmp::<_CMP_GE_OQ>(exact, W::abs(prod), tiny);
+        let mut prod = prod;
+        if !M::IDENTITY {
+            let (lo, hi) = (
+                W::hash(block.hash_lo, step.mul_hash, self.mul_seed),
+                W::hash(block.hash_hi, step.mul_hash, self.mul_seed),
+            );
+            let (q, fast) = M::round::<W>(&self.mul_q, prod, lo, hi);
+            (prod, exact) = (q, W::and(exact, fast));
+        }
+        let sum = W::add(sums, prod);
+        let exact = W::cmp::<_CMP_EQ_OQ>(exact, W::sub(sum, sums), prod);
+        let exact = W::cmp::<_CMP_EQ_OQ>(exact, W::sub(sum, prod), sums);
+        let (lo, hi) = (
+            W::hash(block.hash_lo, step.acc_hash, self.acc_seed),
+            W::hash(block.hash_hi, step.acc_hash, self.acc_seed),
+        );
+        let (q, fast) = A::round::<W>(&self.acc_q, sum, lo, hi);
+        Round {
+            live,
+            settle: W::andn(W::and(exact, fast), live),
+            prod,
+            sum,
+            q,
         }
     }
 
+    /// The spill behind the `f32` lanes, taken only when a lane of the
+    /// step must settle, `A`'s element is zero or not finite, or someone
+    /// is watching: redoes step `(gi, kk)` of every block from its old
+    /// accumulators, runs the lanes the vector result does not cover
+    /// through the scalar [`mac_round`] — from the `f32` accumulator,
+    /// with the exact `f64` product, at the packed [`sr_event_index`],
+    /// skipping exact zero products — shows the other live lanes' exact
+    /// products and sums to the observers, and leaves the new
+    /// accumulators in `accs`. The caller runs it in [`Width::settle`] on
+    /// a copy of its accumulators, so no vector register is live across
+    /// the call and the hot loop keeps them in registers.
+    ///
     /// # Safety
     ///
-    /// The host must support AVX-512 F + DQ + VL, both stages must
-    /// have [`f32_lanes`](VecStage::f32_lanes), and `g.out`, `g.ad` and
-    /// `g.bd` must hold `n·m`, `n·k` and `k·m` elements.
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn inner<M: VecStage, A: VecStage, T: MacObserver>(
-        g: Gemm<'_>,
-        mul: &M,
-        acc: &A,
+    /// `brow[block.at + l]` must be readable for every block and lane
+    /// `l` set in its `lanes`.
+    #[inline(always)]
+    unsafe fn settle<const B: usize, T: MacObserver>(
+        &self,
+        (gi, kk, a): (usize, usize, f32),
+        blocks: &[Block<W>; B],
+        accs: &mut [W::V; B],
+        brow: *const f32,
         mul_obs: &mut T,
         acc_obs: &mut T,
     ) {
-        let nest = Nest {
-            mul,
-            acc,
-            mul_v: mul.vec16(),
-            acc_v: acc.vec16(),
-            mul_seed: _mm512_set1_epi64(mul.rng().seed() as i64),
-            acc_seed: _mm512_set1_epi64(acc.rng().seed() as i64),
+        let step = Step::new(gi, kk, a);
+        let vector = finite_non_zero(a);
+        let all = W::prefix(W::N);
+        let spill = |v: W::V| {
+            let mut out = [0f32; 16];
+            W::store(all, out.as_mut_ptr(), v);
+            out
         };
-        for j0 in (0..g.m).step_by(STRIP) {
-            let (b0, b1) = (Block::new(&g, j0, 0), Block::new(&g, j0, 1));
-            for i in 0..g.n {
-                let gi = i + g.row_offset;
-                let arow = &g.ad[i * g.k..(i + 1) * g.k];
-                let orow = g.out.as_mut_ptr().add(i * g.m + j0);
-                let load = |b: &Block| _mm512_maskz_loadu_ps(b.lanes, orow.wrapping_add(b.at));
-                let (mut s0, mut s1) = (load(&b0), load(&b1));
-                for (kk, &a) in arow.iter().enumerate() {
-                    if a == 0.0 && g.b_all_finite {
+        for (block, acc) in blocks.iter().zip(accs) {
+            let done = if vector {
+                self.round(&step, block, *acc, load_b(block, brow))
+            } else {
+                Round {
+                    live: block.lanes,
+                    settle: block.lanes,
+                    prod: *acc,
+                    sum: *acc,
+                    q: *acc,
+                }
+            };
+            let (old, prod, sum, q) = (
+                spill(*acc),
+                spill(done.prod),
+                spill(done.sum),
+                spill(done.q),
+            );
+            let (live, settle) = (W::bits(done.live), W::bits(done.settle));
+            let mut out = old;
+            for l in 0..W::N {
+                if live & (1 << l) == 0 {
+                    continue;
+                }
+                let product = a as f64 * *brow.add(block.at + l) as f64;
+                if settle & (1 << l) != 0 {
+                    if product != 0.0 {
+                        out[l] = mac_round(
+                            old[l],
+                            product,
+                            self.mul,
+                            self.acc,
+                            gi,
+                            block.gj + l,
+                            kk,
+                            mul_obs,
+                            acc_obs,
+                        );
+                    }
+                } else {
+                    if !M::IDENTITY {
+                        mul_obs.record(product, prod[l] as f64);
+                    }
+                    acc_obs.record(sum[l] as f64, q[l] as f64);
+                    out[l] = q[l];
+                }
+            }
+            *acc = W::load(all, out.as_ptr());
+        }
+    }
+}
+
+/// The nest's loops, inlined into [`Width::strips`].
+///
+/// # Safety
+///
+/// As [`nest`], whose length checks must have passed.
+#[inline(always)]
+unsafe fn strips<W: Width, const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+    g: Gemm<'_>,
+    mul: &M,
+    acc: &A,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
+) {
+    let nest = Nest::<W, M, A> {
+        mul,
+        acc,
+        mul_q: mul.vec::<W>(),
+        acc_q: acc.vec::<W>(),
+        mul_seed: W::splat64(mul.rng().seed()),
+        acc_seed: W::splat64(acc.rng().seed()),
+    };
+    // Plain loops over the blocks, not `array::from_fn`: a closure run
+    // by a `core` function would not inline into the featured entry.
+    let (zero, none) = (W::splat(0.0), W::prefix(0));
+    for j0 in (0..g.m).step_by(STRIP) {
+        let mut blocks = [Block::new(&g, j0, 0); B];
+        for (u, block) in blocks.iter_mut().enumerate() {
+            *block = Block::new(&g, j0, u);
+        }
+        for i in 0..g.n {
+            let gi = i + g.row_offset;
+            let arow = &g.ad[i * g.k..(i + 1) * g.k];
+            let orow = g.out.as_mut_ptr().add(i * g.m + j0);
+            let mut s = [zero; B];
+            for u in 0..B {
+                s[u] = W::load(blocks[u].lanes, orow.wrapping_add(blocks[u].at));
+            }
+            for (kk, &a) in arow.iter().enumerate() {
+                if a == 0.0 && g.b_all_finite {
+                    continue;
+                }
+                let brow = g.bd.as_ptr().add(kk * g.m + j0);
+                if finite_non_zero(a) {
+                    let (mut v, mut live) = ([(zero, none); B], none);
+                    for u in 0..B {
+                        v[u] = load_b(&blocks[u], brow);
+                        live = W::or(live, v[u].1);
+                    }
+                    if W::none(live) {
+                        // Every product of the step is an exact zero.
                         continue;
                     }
-                    let brow = g.bd.as_ptr().add(kk * g.m + j0);
-                    if finite_non_zero(a) {
-                        let (v0, v1) = (load_b(&b0, brow), load_b(&b1, brow));
-                        if v0.1 | v1.1 == 0 {
-                            // Every product of the step is an exact
-                            // zero.
+                    if !T::ACTIVE {
+                        let step = Step::new(gi, kk, a);
+                        let (mut next, mut settle) = (s, none);
+                        for u in 0..B {
+                            let r = nest.round(&step, &blocks[u], s[u], v[u]);
+                            // Skipped lanes keep their accumulator, like
+                            // the scalar `continue`.
+                            next[u] = W::select(s[u], r.live, r.q);
+                            settle = W::or(settle, r.settle);
+                        }
+                        if W::none(settle) {
+                            s = next;
                             continue;
                         }
-                        if !T::ACTIVE {
-                            let step = Step::new(gi, kk, a);
-                            let l0 = nest.lanes16(&step, &b0, s0, v0);
-                            let l1 = nest.lanes16(&step, &b1, s1, v1);
-                            if _kortestz_mask16_u8(l0.settle, l1.settle) != 0 {
-                                // Skipped lanes keep their accumulator,
-                                // like the scalar `continue`.
-                                s0 = _mm512_mask_mov_ps(s0, l0.live, l0.q);
-                                s1 = _mm512_mask_mov_ps(s1, l1.live, l1.q);
-                                continue;
-                            }
-                        }
                     }
-                    let (mut t0, mut t1) = (s0, s1);
-                    let blocks = [(&b0, &mut t0), (&b1, &mut t1)];
-                    nest.settle((gi, kk, a), blocks, brow, mul_obs, acc_obs);
-                    (s0, s1) = (t0, t1);
                 }
-                _mm512_mask_storeu_ps(orow.wrapping_add(b0.at), b0.lanes, s0);
-                _mm512_mask_storeu_ps(orow.wrapping_add(b1.at), b1.lanes, s1);
+                let mut t = s;
+                W::settle(&nest, (gi, kk, a), &blocks, &mut t, brow, mul_obs, acc_obs);
+                s = t;
+            }
+            for u in 0..B {
+                W::store(blocks[u].lanes, orow.wrapping_add(blocks[u].at), s[u]);
             }
         }
     }

@@ -2,8 +2,9 @@
 //! ([`Stage`]) and who watches it round ([`MacObserver`]).
 //!
 //! A MAC has two rounding stages — the multiplier output and the
-//! accumulator — and each loop nest (scalar, AVX2, AVX-512) is written
-//! once, generic over a [`Stage`] per stage:
+//! accumulator — and each loop nest (the scalar one, and the lane nest
+//! at 8 and 16 lanes) is written once, generic over a [`Stage`] per
+//! stage:
 //!
 //! | stage type            | rounds through                                   |
 //! |-----------------------|--------------------------------------------------|
@@ -23,8 +24,7 @@
 //! stage. The telemetry tally is one; [`NoTally`] is the zero-sized
 //! other, whose calls compile to nothing.
 
-use mpt_formats::fast::mode;
-use mpt_formats::{FixedFastF64, FloatFastF64, LanePlanF64, Quantizer, SrRng};
+use mpt_formats::{FixedFastF64, FloatFastF64, Quantizer, SrRng};
 use mpt_telemetry::QuantTally;
 
 /// Watches one MAC stage round: `record(x, q)` for every value `x`
@@ -70,16 +70,13 @@ pub(crate) enum Family {
 
 /// One rounding stage of the MAC, as the loop nests see it.
 ///
-/// `quantize` alone serves the scalar nest; the AVX2 and AVX-512 nests
-/// add their vector forms (`simd_fused::avx2::VecStage`) on top.
+/// `quantize` alone serves the scalar nest; the lane nest adds the
+/// stage's vector forms (`simd_fused::VecStage`) on top.
 /// Dispatch sends the oracle stage, which has none, to the scalar nest.
 pub(crate) trait Stage: Copy {
     /// `true` only for [`Fused`]: the stage passes values through and
     /// is never observed.
     const IDENTITY: bool = false;
-    /// Whether the stage rounds stochastically (its lane kernels then
-    /// need a hash input per lane).
-    const SR: bool = false;
     /// The stage's format family. Lane nests are only instantiated
     /// for a multiplier and accumulator of one family (or a fused
     /// multiplier); see `kernels::dispatch`.
@@ -113,24 +110,18 @@ impl Stage for Fused {
 
 /// A float-format stage under rounding mode `MODE`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FloatStage<const MODE: u8> {
-    pub(crate) fast: FloatFastF64,
-    /// Read by the vector forms only.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pub(crate) plan: LanePlanF64,
-}
+pub(crate) struct FloatStage<const MODE: u8>(pub(crate) FloatFastF64);
 
 impl<const MODE: u8> Stage for FloatStage<MODE> {
-    const SR: bool = MODE == mode::SR;
     const FAMILY: Family = Family::Float;
 
     #[inline(always)]
     fn quantize(&self, x: f64, index: u64) -> f64 {
-        self.fast.quantize::<MODE>(x, index)
+        self.0.quantize::<MODE>(x, index)
     }
 
     fn rng(&self) -> SrRng {
-        self.fast.rng()
+        self.0.rng()
     }
 }
 
@@ -139,7 +130,6 @@ impl<const MODE: u8> Stage for FloatStage<MODE> {
 pub(crate) struct FixedStage<const MODE: u8>(pub(crate) FixedFastF64);
 
 impl<const MODE: u8> Stage for FixedStage<MODE> {
-    const SR: bool = MODE == mode::SR;
     const FAMILY: Family = Family::Fixed;
 
     #[inline(always)]

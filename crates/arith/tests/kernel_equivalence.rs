@@ -181,9 +181,9 @@ proptest! {
     }
 
     /// Every SIMD tier of the dispatched kernel equals the scalar
-    /// reference — random shapes (exercising 4-lane MAC tails when
-    /// `m % 4 != 0`), every config family and rounding mode, random
-    /// SR seeds and offsets.
+    /// reference — random shapes (exercising the lane nest's partial
+    /// blocks when `m % 8 != 0`), every config family and rounding
+    /// mode, random SR seeds and offsets.
     #[test]
     fn qgemm_tiers_match_reference(
         (n, k, m) in (1usize..10, 1usize..12, 1usize..14),
@@ -298,12 +298,12 @@ fn fixed_point_tallies_match_parent_generic_counts() {
 }
 
 // ---------------------------------------------------------------
-// Edges of the AVX-512 nest's own mechanisms — strip masks, register
+// Edges of the lane nest's own mechanisms — strip masks, register
 // accumulators with settled lanes, the zero-product merge,
 // incremental SR hash inputs, the `f32` exactness tests — and of the
 // configurations it declines. Every case runs on every tier against
-// `qgemm_reference`, so the narrower tiers are pinned on the same
-// inputs.
+// `qgemm_reference`, so both widths and the scalar nest are pinned
+// on the same inputs.
 // ---------------------------------------------------------------
 
 /// Asserts every tier equals `qgemm_reference` bit for bit; returns
@@ -527,7 +527,7 @@ fn sr_event_fields_at_their_last_values_match_reference() {
 
 /// Accumulator formats whose values do *not* all fit `f32` — every
 /// nest narrows the running sum to the `f32` output after each step;
-/// the AVX-512 tier runs them on the AVX2 nest, which must as well.
+/// the vector tiers run them on the scalar nest, which must as well.
 #[test]
 fn accumulators_wider_than_f32_round_trip_every_step() {
     let nr = Quantizer::float(FloatFormat::e5m2(), Rounding::NoRound);
@@ -763,9 +763,9 @@ fn non_finite_a_over_a_zero_b_row_matches_reference() {
 }
 
 /// With telemetry on, the `f32`-lane nest shows both observers the
-/// same `(unrounded, rounded)` pairs as the scalar and AVX2 nests, on
-/// GEMMs where some lanes settle through the scalar path, fused and
-/// unfused. The formats are ones no other test in this binary uses,
+/// same `(unrounded, rounded)` pairs as the scalar nest, at both of
+/// its widths, on GEMMs where some lanes settle through the scalar
+/// path, fused and unfused. The formats are ones no other test in this binary uses,
 /// so their counter groups are this test's alone.
 #[test]
 fn f32_lane_nest_tallies_equal_the_scalar_and_avx2_nests() {
@@ -863,5 +863,72 @@ fn fixed_point_sums_saturate_both_ways_at_every_lane() {
             assert_eq!(out.at(&[0, j]), row0, "{cfg}: row 0 column {j}");
             assert_eq!(out.at(&[1, j]), row1, "{cfg}: row 1 column {j}");
         }
+    }
+}
+
+/// Strip edges under every Table II MAC: `m` on each side of every
+/// block and strip boundary of both widths, over a ReLU-sparse `B`,
+/// with NaN or ±inf in `A` and in `B`, and a row whose accumulators
+/// round to `-0.0` and then see only zero products. Operands pass
+/// through unquantized so the non-finite ones reach the MAC.
+#[test]
+fn strip_edges_match_reference_under_every_table_ii_mac() {
+    let mut macs = vec![MacConfig::fp8_fp16_rn()];
+    for r in [
+        Rounding::TowardZero,
+        Rounding::ToOdd,
+        Rounding::Nearest,
+        Rounding::stochastic(),
+    ] {
+        macs.extend([MacConfig::fp8_fp12(r), MacConfig::fxp4_4(r)]);
+    }
+    let (n, k) = (4, 6);
+    let mut negative_zeros = 0;
+    for mac in macs {
+        let cfg = QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac).with_seed(3);
+        for m in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
+            for poison in [
+                None,
+                Some(f32::NAN),
+                Some(f32::INFINITY),
+                Some(f32::NEG_INFINITY),
+            ] {
+                let mut a = dense(n, k, m);
+                // Row 1: one tiny negative step, then zeros.
+                for kk in 0..k {
+                    a.set(&[1, kk], if kk == 0 { -(2.0f32.powi(-60)) } else { 0.0 });
+                }
+                // ReLU-sparse: about half of `B` is zero.
+                let mut b = dense(k, m, 3 * m).map(|v| v.max(0.0));
+                if let Some(p) = poison {
+                    a.set(&[2, 3], p);
+                    b.set(&[4, m / 2], p);
+                    // The other infinity; NaN keeps its sign, since the
+                    // sign of a sum of two NaNs is not specified.
+                    b.set(&[1, m - 1], if p.is_nan() { p } else { -p });
+                }
+                let what = format!("1 x {k} x {m}, poison {poison:?}");
+                let out = assert_tiers_match(&what, &a, &b, &cfg, 0, 0);
+                negative_zeros += (0..m)
+                    .filter(|&j| out.at(&[1, j]).to_bits() == (-0.0f32).to_bits())
+                    .count();
+            }
+        }
+    }
+    assert!(negative_zeros > 0, "no accumulator ever held -0.0");
+}
+
+/// One row past the row field's last value (`row_offset = 2^22 − n +
+/// 1`) the summed hash inputs would carry out of the field: both
+/// vector tiers must run the scalar nest there and match the
+/// reference. `sr_event_index` debug-asserts its fields, so this runs
+/// in release builds only.
+#[cfg(not(debug_assertions))]
+#[test]
+fn one_row_past_the_row_field_matches_reference() {
+    for cfg in sr_stage_configs() {
+        let (n, k, m) = (3, 7, 37);
+        let (a, b) = (dense(n, k, 3), dense(k, m, 4));
+        assert_tiers_match("one row past", &a, &b, &cfg, (1 << 22) - n + 1, 0);
     }
 }

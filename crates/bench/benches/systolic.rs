@@ -8,6 +8,11 @@
 //! MAC count, so each row's rate reads as simulated MMAC/s of host
 //! time (host ns per simulated MAC = 1000 / rate; `mean_ns / elements`
 //! in the `MPT_BENCH_JSON` lines).
+//!
+//! It stays for one reason: it is the one timer of
+//! `Accelerator::execute_structural`, the conformance oracle, which no
+//! workload runs. No `BENCH_*.json` records it; run it by hand with
+//! `cargo bench -p mpt-bench --bench systolic`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mpt_arith::{qgemm, GemmShape, QGemmConfig};

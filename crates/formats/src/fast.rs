@@ -95,51 +95,8 @@ macro_rules! define_float_fast {
         $name:ident, $carrier:ty, $ubits:ty,
         man = $car_man:expr, exp_mask = $car_exp_mask:expr,
         bias = $car_bias:expr, inf_bits = $inf_bits:expr,
-        max_exp_unreachable = $max_exp_unreachable:expr,
-        plan = $plan:ident, plan_doc = $plan_doc:expr
+        max_exp_unreachable = $max_exp_unreachable:expr
     ) => {
-        #[doc = $plan_doc]
-        ///
-        /// All fields are plain integers precomputed from the format,
-        /// so the lane kernels (`simd_avx2`, `simd_avx512` and the MAC
-        /// nests in `mpt-arith`) can broadcast them into vector
-        /// registers once per slice. Produced by `lane_plan()`; `None`
-        /// when the format's mantissa is at least as wide as the
-        /// carrier's (`ts <= 0`), where quantization degenerates to an
-        /// overflow check and the scalar loop is already minimal.
-        #[derive(Debug, Clone, Copy)]
-        pub struct $plan {
-            /// Carrier mantissa bits dropped by the format (`> 0`).
-            pub ts: u32,
-            /// `(1 << ts) - 1`: mask of the discarded mantissa bits.
-            pub rem_mask: $ubits,
-            /// `1 << (ts - 1)`: the round-to-nearest tie point.
-            pub half: $ubits,
-            /// `1 << ts`: one ULP of the target format, as a carrier
-            /// bit-pattern increment.
-            pub ts_bit: $ubits,
-            /// Smallest biased carrier exponent field inside the fast
-            /// regime (`min_exp + bias`, clamped to `>= 1`). Lanes with
-            /// a smaller field fall back to the scalar path.
-            pub lo_exp_field: $ubits,
-            /// The carrier's all-ones exponent field (infinity/NaN).
-            pub exp_mask_field: $ubits,
-            /// Largest magnitude bit pattern that does NOT overflow.
-            pub max_abs_bits: $ubits,
-            /// Magnitude bit pattern returned on overflow, before the
-            /// sign bit is OR'd back in.
-            pub sat_bits: $ubits,
-            /// `man_bits == 0`: the kept significand is the implicit
-            /// leading 1 alone (always odd; see `FloatFast*`).
-            pub implicit_odd: bool,
-            /// Stochastic random bits per rounding event (0 for
-            /// deterministic modes).
-            pub rb: u32,
-            /// The SR seed, for per-lane `seed ^ index·INDEX_MUL`
-            /// hash-input reconstruction.
-            pub seed: u64,
-        }
-
         $(#[$doc])*
         #[derive(Debug, Clone, Copy)]
         pub struct $name {
@@ -337,29 +294,6 @@ macro_rules! define_float_fast {
                 with_mode!(self.rounding, M => self.quantize_slice::<M>(values, base_index), ())
             }
 
-            /// The precomputed lane-kernel parameters, or `None` when
-            /// `ts <= 0` (format at least as fine as the carrier:
-            /// overflow-check only, no lane kernel is generated).
-            pub fn lane_plan(&self) -> Option<$plan> {
-                if self.ts <= 0 {
-                    return None;
-                }
-                let ts = self.ts as u32;
-                Some($plan {
-                    ts,
-                    rem_mask: ((1 as $ubits) << ts) - 1,
-                    half: (1 as $ubits) << (ts - 1),
-                    ts_bit: (1 as $ubits) << ts,
-                    lo_exp_field: (self.min_exp + $car_bias).max(1) as $ubits,
-                    exp_mask_field: $car_exp_mask as $ubits,
-                    max_abs_bits: self.max_abs_bits,
-                    sat_bits: self.sat_bits,
-                    implicit_odd: self.implicit_odd,
-                    rb: self.rb,
-                    seed: self.rng.seed(),
-                })
-            }
-
             /// The scalar oracle, for inputs outside the fast regime.
             #[cold]
             #[inline(never)]
@@ -376,9 +310,7 @@ define_float_fast!(
     FloatFastF32, f32, u32,
     man = 23, exp_mask = 0xFF,
     bias = 127, inf_bits = 0x7F80_0000u32,
-    max_exp_unreachable = 128,
-    plan = LanePlanF32,
-    plan_doc = "Lane-kernel parameters for [`FloatFastF32`] (8 or 16 `f32` lanes per block)."
+    max_exp_unreachable = 128
 );
 
 define_float_fast!(
@@ -387,12 +319,70 @@ define_float_fast!(
     FloatFastF64, f64, u64,
     man = 52, exp_mask = 0x7FF,
     bias = 1023, inf_bits = 0x7FF0_0000_0000_0000u64,
-    max_exp_unreachable = 1024,
-    plan = LanePlanF64,
-    plan_doc = "Lane-kernel parameters for [`FloatFastF64`] (4 `f64` lanes per block)."
+    max_exp_unreachable = 1024
 );
 
+/// Lane-kernel parameters for [`FloatFastF32`]: the `f32` lane
+/// quantizers (`simd_avx2::QuantVecF32x8`, `simd_avx512::QuantVecF32x16`)
+/// broadcast them into vector registers once per slice or GEMM.
+/// Produced by [`FloatFastF32::lane_plan`].
+#[derive(Debug, Clone, Copy)]
+pub struct LanePlanF32 {
+    /// Carrier mantissa bits dropped by the format (`> 0`).
+    pub ts: u32,
+    /// `(1 << ts) - 1`: mask of the discarded mantissa bits.
+    pub rem_mask: u32,
+    /// `1 << (ts - 1)`: the round-to-nearest tie point.
+    pub half: u32,
+    /// `1 << ts`: one ULP of the target format, as a carrier
+    /// bit-pattern increment.
+    pub ts_bit: u32,
+    /// Smallest biased carrier exponent field inside the fast regime
+    /// (`min_exp + bias`, clamped to `>= 1`). Lanes with a smaller
+    /// field fall back to the scalar path.
+    pub lo_exp_field: u32,
+    /// The carrier's all-ones exponent field (infinity/NaN).
+    pub exp_mask_field: u32,
+    /// Largest magnitude bit pattern that does NOT overflow.
+    pub max_abs_bits: u32,
+    /// Magnitude bit pattern returned on overflow, before the sign bit
+    /// is OR'd back in.
+    pub sat_bits: u32,
+    /// `man_bits == 0`: the kept significand is the implicit leading 1
+    /// alone (always odd; see `FloatFast*`).
+    pub implicit_odd: bool,
+    /// Stochastic random bits per rounding event (0 for deterministic
+    /// modes).
+    pub rb: u32,
+    /// The SR seed, for per-lane `seed ^ index·INDEX_MUL` hash-input
+    /// reconstruction.
+    pub seed: u64,
+}
+
 impl FloatFastF32 {
+    /// The precomputed lane-kernel parameters, or `None` when the
+    /// format is at least as fine as `f32` (`ts <= 0`: quantization is
+    /// an overflow check only, and the scalar loop is already minimal).
+    pub fn lane_plan(&self) -> Option<LanePlanF32> {
+        if self.ts <= 0 {
+            return None;
+        }
+        let ts = self.ts as u32;
+        Some(LanePlanF32 {
+            ts,
+            rem_mask: (1 << ts) - 1,
+            half: 1 << (ts - 1),
+            ts_bit: 1 << ts,
+            lo_exp_field: (self.min_exp + 127).max(1) as u32,
+            exp_mask_field: 0xFF,
+            max_abs_bits: self.max_abs_bits,
+            sat_bits: self.sat_bits,
+            implicit_odd: self.implicit_odd,
+            rb: self.rb,
+            seed: self.rng.seed(),
+        })
+    }
+
     /// [`quantize_slice`](Self::quantize_slice) through the requested
     /// kernel tier. All tiers are bit-identical; pass
     /// [`crate::simd::active_tier`] for the ambient `MPT_SIMD`
@@ -423,6 +413,23 @@ impl FloatFastF32 {
             M => self.quantize_slice_tier::<M>(values, base_index, tier),
             ()
         )
+    }
+}
+
+impl FloatFastF64 {
+    /// The `f32` lane plan of this kernel where `f32` lanes carry it —
+    /// an exponent of at most 8 bits, a mantissa narrower than `f32`'s,
+    /// and at most [`MAX_RANDOM_BITS`](crate::simd::MAX_RANDOM_BITS)
+    /// SR bits. There the `f32` lane quantizers round every `f32`
+    /// value exactly as [`quantize`](Self::quantize) rounds its `f64`
+    /// image.
+    pub fn f32_plan(&self) -> Option<LanePlanF32> {
+        if self.format.exp_bits() > 8 {
+            return None;
+        }
+        let fast = FloatFastF32::new(self.format, self.rounding, self.rng)?;
+        fast.lane_plan()
+            .filter(|plan| plan.rb <= crate::simd::MAX_RANDOM_BITS)
     }
 }
 

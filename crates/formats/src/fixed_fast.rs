@@ -20,10 +20,10 @@
 //! * below `2^52` it rounds to integer without `libm`:
 //!   `(|y| + 2^52) - 2^52` is round-half-even of `|y|` under the
 //!   default IEEE rounding direction, and floor / truncation / parity
-//!   follow from one compare each. The vector tiers
-//!   ([`crate::simd_avx2::FixedVecF64`],
-//!   [`crate::simd_avx512::FixedVecF32x16`]) use `vroundpd` /
-//!   `vrndscaleps` instead.
+//!   follow from one compare each. The vector tiers' `f32` lanes
+//!   (`simd_avx2::FixedVecF32x8`, `simd_avx512::FixedVecF32x16`), where
+//!   [`FixedFastF64::f32_lanes`] holds, use `vroundps` / `vrndscaleps`
+//!   instead.
 //!
 //! One oracle quirk is replicated on purpose: `round_ties_even(-0.5)`
 //! returns `+0.0` (its tie fix-up computes `-1.0 + 1.0`) while every
@@ -112,6 +112,15 @@ impl FixedFastF64 {
     /// [`hash_input`](SrRng::hash_input) per lane).
     pub fn rng(&self) -> SrRng {
         self.rng
+    }
+
+    /// Whether `f32` lanes carry this kernel: codes of at most 24 bits
+    /// (so every code and clamp bound is an `f32`) and at most
+    /// [`MAX_RANDOM_BITS`](crate::simd::MAX_RANDOM_BITS) SR bits. There
+    /// the `f32` lane quantizers round every `f32` value exactly as
+    /// [`quantize`](Self::quantize) rounds its `f64` image.
+    pub fn f32_lanes(&self) -> bool {
+        self.format.bit_width() <= 24 && self.rb <= crate::simd::MAX_RANDOM_BITS
     }
 
     /// Quantizes one value at rounding event `index`, bit-identical to
@@ -235,7 +244,8 @@ impl FixedFastF32 {
         )
     }
 
-    /// The scalar loop: the `Off` tier, and the tail of the AVX2 kernel.
+    /// The scalar loop: the `Off` tier, the tail of the AVX2 kernel, and
+    /// every slice whose format `f32` lanes do not carry.
     pub(crate) fn quantize_tail<const MODE: u8>(&self, values: &mut [f32], base_index: u64) {
         for (i, v) in values.iter_mut().enumerate() {
             *v = self.quantize::<MODE>(*v, base_index.wrapping_add(i as u64));

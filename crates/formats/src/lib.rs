@@ -69,7 +69,7 @@ pub mod sr;
 
 pub use block::BlockFpFormat;
 pub use error::FormatError;
-pub use fast::{FloatFastF32, FloatFastF64, LanePlanF32, LanePlanF64};
+pub use fast::{FloatFastF32, FloatFastF64, LanePlanF32};
 pub use fixed::FixedFormat;
 pub use fixed_fast::{FixedFastF32, FixedFastF64};
 pub use float::FloatFormat;

@@ -8,9 +8,13 @@
 //!
 //! | tier       | implementation                                        |
 //! |------------|-------------------------------------------------------|
-//! | `Off`      | the scalar loops: one element per step, also what serves the vector tiers' tails and handed-back lanes, and the only tier off x86_64 |
-//! | `Avx2`     | explicit `core::arch::x86_64` AVX2 intrinsics, 8×`f32` / 4×`f64` per iteration |
-//! | `Avx512`   | AVX-512 (F + DQ + VL) intrinsics for the MAC nest only: one nest on 16×`f32` per block, k-mask compares, native `vpmullq` for the SR hash, for every MAC whose stages `f32` lanes carry (the others run the `Avx2` nest); the *slice* quantizers under this tier run the `Avx2` kernels |
+//! | `Off`      | the scalar loops: one element per step, also what serves the vector tiers' tails, their handed-back lanes and every MAC `f32` lanes cannot carry, and the only tier off x86_64 |
+//! | `Avx2`     | AVX2 + FMA intrinsics on 8 `f32` lanes: the MAC nest and the operand-slice quantizers, blend-vector masks, SplitMix64 from `vpmuludq` |
+//! | `Avx512`   | AVX-512 (F + DQ + VL) intrinsics for the MAC nest: the same nest on 16 `f32` lanes, k-mask compares, native `vpmullq` for the SR hash; the *slice* quantizers under this tier run the `Avx2` kernels |
+//!
+//! The MAC nest is one design at two widths: both vector tiers run it
+//! for every MAC whose two stages `f32` lanes carry (every row of the
+//! paper's Table II), and every other MAC runs the scalar nest.
 //!
 //! [`active_tier`] resolves the process-wide tier **once**: the
 //! `MPT_SIMD` environment knob
@@ -38,11 +42,11 @@ use std::sync::OnceLock;
 pub enum SimdTier {
     /// Scalar loops (the only tier off x86_64).
     Off,
-    /// Explicit AVX2 intrinsics (x86_64 with runtime detection only).
+    /// AVX2 + FMA intrinsics: the MAC nest on 8 `f32` lanes and the
+    /// slice quantizers (x86_64 with runtime detection only).
     Avx2,
     /// The AVX-512 (F + DQ + VL) MAC nest on 16 `f32` lanes over the
-    /// AVX2 slice quantizers; MACs the `f32` lanes cannot carry run
-    /// the AVX2 nest (x86_64 with runtime detection only).
+    /// AVX2 slice quantizers (x86_64 with runtime detection only).
     Avx512,
 }
 
@@ -84,12 +88,17 @@ impl std::fmt::Display for SimdTier {
     }
 }
 
-/// `true` when the host CPU supports AVX2 (runtime detection;
+/// The most SR random bits the `f32` lane quantizers take: their
+/// draws are compared on 32-bit lanes.
+pub const MAX_RANDOM_BITS: u32 = 31;
+
+/// `true` when the host CPU supports what the `Avx2` tier uses: AVX2,
+/// and FMA for the MAC nest's exact-product test (runtime detection;
 /// always `false` off x86_64).
 pub fn avx2_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -99,9 +108,9 @@ pub fn avx2_supported() -> bool {
 
 /// `true` when the host CPU supports what the `Avx512` tier uses:
 /// AVX-512 F, DQ (`vpmullq`, sign-bit masks, 256-bit lane halves) and
-/// VL (mask intrinsics on 16-bit masks), on top of AVX2 for the slice
-/// quantizers and the MACs its 16 `f32` lanes do not carry (runtime
-/// detection; always `false` off x86_64).
+/// VL (mask intrinsics on 16-bit masks), on top of the `Avx2` tier's
+/// features for the slice quantizers (runtime detection; always
+/// `false` off x86_64).
 pub fn avx512_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -214,11 +223,21 @@ mod tests {
         assert_eq!(avail.contains(&SimdTier::Avx512), avx512_supported());
     }
 
+    /// The tier resolves once, and a leg that pins `MPT_SIMD` to a tier
+    /// the host executes runs that tier, not a narrower one it
+    /// degraded to (say, `avx2` on a runner without FMA).
     #[test]
     fn active_tier_is_stable() {
         // CI's kernel-dispatch legs run this with `--nocapture` to log
         // which nest they exercised.
         println!("MPT_SIMD resolved to `{}`", active_tier());
         assert_eq!(active_tier(), active_tier());
+        let requested = std::env::var("MPT_SIMD").unwrap_or_default();
+        let pinned = SimdTier::available()
+            .iter()
+            .find(|tier| tier.name() == requested.trim().to_ascii_lowercase());
+        if let Some(&tier) = pinned {
+            assert_eq!(active_tier(), tier, "MPT_SIMD={requested}");
+        }
     }
 }

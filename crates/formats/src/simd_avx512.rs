@@ -1,8 +1,10 @@
 //! AVX-512 lane quantizers (the `SimdTier::Avx512` tier): 16 `f32`
 //! lanes per vector, one quantizer per format family —
 //! [`QuantVecF32x16`] for floats and [`FixedVecF32x16`] for fixed
-//! point — used by `mpt-arith`'s AVX-512 MAC nest. (Operand *slices*
-//! under this tier run the AVX2 kernels of [`crate::simd_avx2`].)
+//! point — used by `mpt-arith`'s MAC nest at its 16-lane width. They
+//! are the 16-lane twins of [`crate::simd_avx2`]'s `QuantVecF32x8` and
+//! `FixedVecF32x8`, which the same nest runs at 8 lanes. (Operand
+//! *slices* under this tier run the AVX2 kernels.)
 //!
 //! Each replays the scalar kernel's operation sequence per lane, so
 //! results are **bit-identical** to every other tier on `f32` inputs.
@@ -15,14 +17,15 @@
 //!   assembles them from three `vpmuludq`), and the draws are compared
 //!   on 32-bit lanes, packed from two 8×`u64` hash vectors with one
 //!   `vpermt2d` — which is why stochastic rounding is limited to
-//!   [`MAX_RANDOM_BITS`];
+//!   [`MAX_RANDOM_BITS`] (on both widths);
 //! * the sign merge is one `vpternlogd`;
 //! * the float fast-regime test is one unsigned range compare on the
 //!   magnitude bits.
 //!
-//! The hand-back contract is the AVX2 one: `quantize16` returns a mask
-//! of lanes whose result is valid, and the caller recomputes the
-//! others through the scalar `quantize` of the same kernel.
+//! The hand-back contract is the one of both widths: `quantize16`
+//! returns a mask of lanes whose result is valid, and the caller
+//! recomputes the others through the scalar `quantize` of the same
+//! kernel.
 //!
 //! Everything here requires AVX-512 F + DQ
 //! ([`crate::simd::avx512_supported`], which also asks for VL on the
@@ -34,10 +37,8 @@ use core::arch::x86_64::*;
 use crate::fast::{mode, LanePlanF32};
 use crate::fixed_fast::FixedFastF64;
 use crate::rounding::Rounding;
+use crate::simd::MAX_RANDOM_BITS;
 use crate::sr::hash;
-
-/// The most SR random bits the 32-bit draw compare can hold.
-pub const MAX_RANDOM_BITS: u32 = 31;
 
 /// Bits 63..32 of each lane's SplitMix64 word, before its final
 /// `z ^ (z >> 31)` — lanes 0–7 from the hash inputs `lo`, 8–15 from
@@ -242,7 +243,7 @@ pub fn quantize16_f32(
 /// by `2^f`, clamp, round to integer (`vrndscaleps`), scale back.
 ///
 /// On `f32` inputs it equals [`FixedFastF64::quantize`] lane for lane
-/// wherever [`carries`](Self::carries) holds: scaling by `2^f` is
+/// wherever [`FixedFastF64::f32_lanes`] holds: scaling by `2^f` is
 /// exact (or overflows to ±inf, which the clamp takes to the same
 /// code as the finite `f64` value), and the clamp bounds, every code
 /// of at most 24 bits and every integer step between codes are `f32`
@@ -265,18 +266,11 @@ pub struct FixedVecF32x16 {
 }
 
 impl FixedVecF32x16 {
-    /// Whether the 16 lanes carry `fast`: codes of at most 24 bits
-    /// (so every code and clamp bound is an `f32`) and at most
-    /// [`MAX_RANDOM_BITS`] SR bits.
-    pub fn carries(fast: &FixedFastF64) -> bool {
-        fast.format().bit_width() <= 24 && fast.rb <= MAX_RANDOM_BITS
-    }
-
     /// Broadcasts the quantizer constants into vector registers.
     ///
     /// # Panics
     ///
-    /// Panics unless [`carries`](Self::carries) holds for `fast`.
+    /// Panics unless [`FixedFastF64::f32_lanes`] holds for `fast`.
     ///
     /// # Safety
     ///
@@ -284,7 +278,7 @@ impl FixedVecF32x16 {
     #[target_feature(enable = "avx512f,avx512dq")]
     pub unsafe fn new(fast: &FixedFastF64) -> Self {
         assert!(
-            Self::carries(fast),
+            fast.f32_lanes(),
             "{} with {} random bits does not fit the f32 lanes",
             fast.format(),
             fast.rb

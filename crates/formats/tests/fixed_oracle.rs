@@ -1,7 +1,8 @@
 //! Exhaustive fixed-point oracle: every implementation of fixed-point
 //! quantization — the scalar [`FixedFormat::quantize`], the
-//! monomorphized [`FixedFastF64`] (scalar body, AVX2 `quantize4`),
-//! the AVX-512 16-lane `f32` `quantize16` and the `f32` slice path behind
+//! monomorphized [`FixedFastF64`] (scalar body), the 8- and 16-lane
+//! `f32` quantizers (AVX2 `quantize8`, AVX-512 `quantize16`) and the
+//! `f32` slice path behind
 //! [`Quantizer::quantize_slice_f32_tier`] on every SIMD tier — against
 //! a slow **exact-integer** reference that shares no code with
 //! `round_scaled`.
@@ -158,8 +159,8 @@ fn expected(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 4]) ->
     })
 }
 
-/// Every [`FixedFastF64`] body on one block of four, and the 16-lane
-/// `f32` quantizer on the block narrowed to `f32`.
+/// Every [`FixedFastF64`] body on one block of four, and the 8- and
+/// 16-lane `f32` quantizers on the block narrowed to `f32`.
 fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 4]) {
     let fast = q.fixed_fast_f64().expect("<= 52-bit fixed format");
     let rng = q.rng();
@@ -170,38 +171,43 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
         let got = fast.quantize_dyn(xs[l], indices[l]);
         check("FixedFastF64", q, xs[l], got, want, scalar);
     }
-    // The vector quantizer of each vector tier this host executes,
-    // the four probes repeated to fill its lanes.
+    // The vector quantizer of each vector tier this host executes, on
+    // the probes narrowed to `f32` (`f32` lanes take `f32` inputs: the
+    // probes that are not `f32`s are checked at their narrowing),
+    // repeated to fill its lanes. A format or SR width the `f32` lanes
+    // do not carry runs the scalar nest on every tier.
     #[cfg(target_arch = "x86_64")]
     for &tier in SimdTier::available() {
         use core::arch::x86_64::*;
-        use mpt_formats::simd_avx2::FixedVecF64;
+        use mpt_formats::simd_avx2::FixedVecF32x8;
         use mpt_formats::simd_avx512::FixedVecF32x16;
+        if !fast.f32_lanes() {
+            break;
+        }
         let hash: [u64; 16] = std::array::from_fn(|l| rng.hash_input(indices[l % 4]));
+        let narrow = xs.map(|x| x as f32);
+        let x16: [f32; 16] = std::array::from_fn(|l| narrow[l % 4]);
+        let mut res = [0f32; 16];
         // SAFETY: `available()` lists a vector tier only when the CPU
         // has its features; loads and stores stay inside the arrays.
-        let (what, inputs, results, lanes_ok): (_, [f64; 4], Vec<f64>, u32) = unsafe {
+        let (what, lanes, lanes_ok): (_, usize, u32) = unsafe {
             match tier {
                 SimdTier::Avx2 => {
-                    let qv = FixedVecF64::new(&fast);
-                    let (x, h) = (
-                        _mm256_loadu_pd(xs.as_ptr()),
+                    let qv = FixedVecF32x8::new(&fast);
+                    let (x, lo, hi) = (
+                        _mm256_loadu_ps(x16.as_ptr()),
                         _mm256_loadu_si256(hash.as_ptr().cast()),
+                        _mm256_loadu_si256(hash[4..].as_ptr().cast()),
                     );
-                    let (r, ok) =
-                        with_mode!(q.rounding(), M => qv.quantize4::<M>(x, h), unreachable!());
-                    let mut res = [0f64; 4];
-                    _mm256_storeu_pd(res.as_mut_ptr(), r);
-                    ("FixedVecF64::quantize4", xs, res.to_vec(), ok)
+                    let (r, ok) = with_mode!(
+                        q.rounding(),
+                        M => qv.quantize8::<M>(x, lo, hi),
+                        unreachable!()
+                    );
+                    _mm256_storeu_ps(res.as_mut_ptr(), r);
+                    ("FixedVecF32x8::quantize8", 8, _mm256_movemask_ps(ok) as u32)
                 }
-                // More SR bits than the 32-bit draw compare holds: the
-                // MAC nest does not take the 16 lanes.
-                SimdTier::Avx512 if !FixedVecF32x16::carries(&fast) => continue,
                 SimdTier::Avx512 => {
-                    // `f32` lanes take `f32` inputs: the probes that
-                    // are not `f32`s are checked at their narrowing.
-                    let narrow = xs.map(|x| x as f32);
-                    let x16: [f32; 16] = std::array::from_fn(|l| narrow[l % 4]);
                     let qv = FixedVecF32x16::new(&fast);
                     let (x, lo, hi) = (
                         _mm512_loadu_ps(x16.as_ptr()),
@@ -213,19 +219,14 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
                         M => qv.quantize16::<M>(x, lo, hi),
                         unreachable!()
                     );
-                    let mut res = [0f32; 16];
                     _mm512_storeu_ps(res.as_mut_ptr(), r);
-                    let res = res.iter().map(|&v| v as f64).collect();
-                    (
-                        "FixedVecF32x16::quantize16",
-                        narrow.map(f64::from),
-                        res,
-                        ok as u32,
-                    )
+                    ("FixedVecF32x16::quantize16", 16, ok as u32)
                 }
                 SimdTier::Off => continue,
             }
         };
+        let inputs = narrow.map(f64::from);
+        let results: Vec<f64> = res[..lanes].iter().map(|&v| v as f64).collect();
         let want = if inputs == xs {
             wide
         } else {
