@@ -252,7 +252,14 @@ pub(crate) fn mac_round<M: Stage, A: Stage, T: MacObserver>(
     let sum = acc as f64 + product;
     let rounded = acc_stage.quantize(sum, sr_event_index(i, j, k, MacStage::Accumulate));
     acc_obs.record(sum, rounded);
-    rounded as f32
+    // When two NaNs meet in `acc + product`, which one the sum keeps
+    // follows the operand order the compiler emits, so every caller's
+    // NaN is made the one canonical NaN.
+    if rounded.is_nan() {
+        f32::NAN
+    } else {
+        rounded as f32
+    }
 }
 
 #[cfg(test)]

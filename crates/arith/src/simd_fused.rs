@@ -1,8 +1,9 @@
 //! The lane-parallel MAC GEMM loop nest of the vector `MPT_SIMD` tiers
-//! (x86_64 only): one design, written once against the [`Width`]
-//! trait and run at two widths — 16 `f32` lanes on the `avx512` tier
-//! ([`Avx512`], k-masks) and 8 on the `avx2` tier ([`Avx2`], blend
-//! vectors).
+//! (x86_64 only): one design, written once against `mpt-formats`'
+//! [`Width`] trait and run at two widths — 16 `f32` lanes on the
+//! `avx512` tier ([`Avx512`], k-masks) and 8 on the `avx2` tier
+//! ([`Avx2`], blend vectors). [`NestWidth`] adds the nest's two entry
+//! points under each width's target features.
 //!
 //! It is a drop-in replacement for the scalar nest in
 //! [`crate::kernels`]: same ascending-`k` reduction per output element,
@@ -41,9 +42,9 @@
 //!   overflow and NaN fail it).
 //!
 //! An exact `f32` value *is* the reference's `f64` value, and the
-//! stages' `f32` lane quantizers (`QuantVecF32x16` / `QuantVecF32x8`,
-//! `FixedVecF32x16` / `FixedVecF32x8`) round it exactly as the `f64`
-//! kernels do wherever [`VecStage::f32_lanes`] holds for both stages,
+//! stages' `f32` lane quantizers ([`QuantVec`], [`FixedVec`]) round it
+//! exactly as the `f64` kernels do wherever [`VecStage::f32_lanes`]
+//! holds for both stages,
 //! which is when dispatch takes this nest. The argument does not depend
 //! on the width. Every other live lane — inexact, tiny, non-finite or
 //! handed back by either quantizer — settles through the scalar
@@ -77,10 +78,12 @@ use core::arch::x86_64::*;
 use crate::kernels::{gemm_scalar, Gemm};
 use crate::mac::{mac_round, sr_event_index, MacStage};
 use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, Stage};
-use mpt_formats::simd_avx2::{FixedVecF32x8, QuantVecF32x8};
-use mpt_formats::simd_avx512::{FixedVecF32x16, QuantVecF32x16};
+use mpt_formats::lanes::{FixedVec, QuantVec};
+use mpt_formats::simd::Width;
+use mpt_formats::simd_avx2::Avx2;
+use mpt_formats::simd_avx512::Avx512;
 use mpt_formats::sr::hash::INDEX_MUL;
-use mpt_formats::{FixedFastF64, LanePlanF32, SimdTier};
+use mpt_formats::SimdTier;
 
 /// Output columns per strip.
 pub(crate) const STRIP: usize = 32;
@@ -91,33 +94,15 @@ pub(crate) const STRIP: usize = 32;
 /// rounding to `prod ≥ 2^-101` keeps `|a·b|` above that.
 const EXACT_PRODUCT_MIN: f32 = 1.0 / (1u128 << 101) as f32;
 
-/// One vector width of the nest: its vector, mask and hash types, the
-/// operations the nest performs on them, and the `f32` lane quantizers
-/// of both families at that width.
+/// A [`Width`] the nest runs at: its two entry points, [`strips`] and
+/// [`settle`](Nest::settle), under the width's target features. Every
+/// operation on their path is one of [`Width`]'s `#[inline(always)]`
+/// ones and compiles into them.
 ///
 /// # Safety
 ///
-/// Every `unsafe` method requires the host to support the width
-/// ([`supported`](Width::supported)). The two entry points,
-/// [`strips`](Width::strips) and [`settle`](Width::settle), enable the
-/// width's target features; the nest and every other method are
-/// `#[inline(always)]` and compile into them.
-pub(crate) trait Width: Copy {
-    /// Lanes per vector.
-    const N: usize;
-    /// `N` `f32` lanes.
-    type V: Copy;
-    /// A lane mask.
-    type K: Copy;
-    /// The 64-bit SR hash inputs of `N / 2` lanes.
-    type H: Copy;
-    /// The float-family quantizer.
-    type Float: Copy;
-    /// The fixed-point quantizer.
-    type Fixed: Copy;
-
-    /// Whether the host supports the width.
-    fn supported() -> bool;
+/// Both entry points require the host to support the width.
+pub(crate) trait NestWidth: Width {
     /// The nest's loops ([`strips`]) at this width, `B` blocks to a
     /// strip.
     unsafe fn strips<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
@@ -138,221 +123,44 @@ pub(crate) trait Width: Copy {
         mul_obs: &mut T,
         acc_obs: &mut T,
     );
-
-    /// The float quantizer of `plan` (at most
-    /// [`MAX_RANDOM_BITS`](mpt_formats::simd::MAX_RANDOM_BITS) SR bits).
-    unsafe fn float(plan: &LanePlanF32) -> Self::Float;
-    /// The fixed-point quantizer of `fast`, which `f32` lanes carry.
-    unsafe fn fixed(fast: &FixedFastF64) -> Self::Fixed;
-    /// Rounds the lanes of `x` under mode `MODE`, with the hash inputs
-    /// of the low and high lanes in `lo` and `hi`; returns the results
-    /// and the mask of valid lanes.
-    unsafe fn round_float<const MODE: u8>(
-        q: &Self::Float,
-        x: Self::V,
-        lo: Self::H,
-        hi: Self::H,
-    ) -> (Self::V, Self::K);
-    /// [`round_float`](Width::round_float) for fixed point.
-    unsafe fn round_fixed<const MODE: u8>(
-        q: &Self::Fixed,
-        x: Self::V,
-        lo: Self::H,
-        hi: Self::H,
-    ) -> (Self::V, Self::K);
-
-    /// The mask of lanes `0..n`, `n ≤ N`.
-    unsafe fn prefix(n: usize) -> Self::K;
-    /// Whether `k` has no lane set.
-    unsafe fn none(k: Self::K) -> bool;
-    /// `k`, one bit per lane.
-    unsafe fn bits(k: Self::K) -> u32;
-    /// `a & b`.
-    unsafe fn and(a: Self::K, b: Self::K) -> Self::K;
-    /// `!a & b`.
-    unsafe fn andn(a: Self::K, b: Self::K) -> Self::K;
-    /// `a | b`.
-    unsafe fn or(a: Self::K, b: Self::K) -> Self::K;
-
-    /// `x` in every lane.
-    unsafe fn splat(x: f32) -> Self::V;
-    /// Loads the lanes of `k` from `p` and zeroes the others, which are
-    /// not read.
-    unsafe fn load(k: Self::K, p: *const f32) -> Self::V;
-    /// Stores the lanes of `k` to `p`; the others are not written.
-    unsafe fn store(k: Self::K, p: *mut f32, v: Self::V);
-    /// `a · b`.
-    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
-    /// `a + b`.
-    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
-    /// `a − b`.
-    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
-    /// `a · b − c`, rounded once.
-    unsafe fn fmsub(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
-    /// `|a|`.
-    unsafe fn abs(a: Self::V) -> Self::V;
-    /// The lanes of `k` where compare predicate `P` holds for `a`, `b`.
-    unsafe fn cmp<const P: i32>(k: Self::K, a: Self::V, b: Self::V) -> Self::K;
-    /// `b` in the lanes of `k`, `a` in the others.
-    unsafe fn select(a: Self::V, k: Self::K, b: Self::V) -> Self::V;
-
-    /// Loads `N / 2` 64-bit values.
-    unsafe fn load64(p: *const u64) -> Self::H;
-    /// `x` in every 64-bit lane.
-    unsafe fn splat64(x: u64) -> Self::H;
-    /// `(part + step) ^ seed` per 64-bit lane (wrapping): a hash input.
-    unsafe fn hash(part: Self::H, step: Self::H, seed: Self::H) -> Self::H;
 }
 
-/// The body of a [`Width`] impl: the two entry points under target
-/// features `$features`, then the methods that wrap one expression,
-/// each written `fn name(args) -> ret = expr;` and always inlined.
-macro_rules! width_impl {
-    (
-        features = $features:literal;
-        $(fn $name:ident $(<const $c:ident: $ct:ty>)? ($($arg:ident: $ty:ty),*) -> $ret:ty
-            = $body:expr;)*
-    ) => {
-        #[target_feature(enable = $features)]
-        unsafe fn strips<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
-            g: Gemm<'_>,
-            mul: &M,
-            acc: &A,
-            mul_obs: &mut T,
-            acc_obs: &mut T,
-        ) {
-            strips::<Self, B, M, A, T>(g, mul, acc, mul_obs, acc_obs)
-        }
-
-        #[cold]
-        #[inline(never)]
-        #[target_feature(enable = $features)]
-        unsafe fn settle<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
-            nest: &Nest<'_, Self, M, A>,
-            at: (usize, usize, f32),
-            blocks: &[Block<Self>; B],
-            accs: &mut [Self::V; B],
-            brow: *const f32,
-            mul_obs: &mut T,
-            acc_obs: &mut T,
-        ) {
-            nest.settle(at, blocks, accs, brow, mul_obs, acc_obs)
-        }
-
-        $(
-            #[inline(always)]
-            unsafe fn $name $(<const $c: $ct>)? ($($arg: $ty),*) -> $ret {
-                $body
+/// The [`NestWidth`] impl of `$width` under target features
+/// `$features`.
+macro_rules! nest_width {
+    ($width:ty, $features:literal) => {
+        impl NestWidth for $width {
+            #[target_feature(enable = $features)]
+            unsafe fn strips<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+                g: Gemm<'_>,
+                mul: &M,
+                acc: &A,
+                mul_obs: &mut T,
+                acc_obs: &mut T,
+            ) {
+                strips::<Self, B, M, A, T>(g, mul, acc, mul_obs, acc_obs)
             }
-        )*
+
+            #[cold]
+            #[inline(never)]
+            #[target_feature(enable = $features)]
+            unsafe fn settle<const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+                nest: &Nest<'_, Self, M, A>,
+                at: (usize, usize, f32),
+                blocks: &[Block<Self>; B],
+                accs: &mut [Self::V; B],
+                brow: *const f32,
+                mul_obs: &mut T,
+                acc_obs: &mut T,
+            ) {
+                nest.settle(at, blocks, accs, brow, mul_obs, acc_obs)
+            }
+        }
     };
 }
 
-/// The `avx512` tier's width: 16 lanes, k-masks (AVX-512 F + DQ + VL).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Avx512;
-
-impl Width for Avx512 {
-    const N: usize = 16;
-    type V = __m512;
-    type K = __mmask16;
-    type H = __m512i;
-    type Float = QuantVecF32x16;
-    type Fixed = FixedVecF32x16;
-
-    fn supported() -> bool {
-        mpt_formats::simd::avx512_supported()
-    }
-
-    width_impl! {
-        features = "avx512f,avx512dq,avx512vl";
-        fn float(plan: &LanePlanF32) -> QuantVecF32x16 = QuantVecF32x16::new(plan);
-        fn fixed(fast: &FixedFastF64) -> FixedVecF32x16 = FixedVecF32x16::new(fast);
-        fn round_float<const MODE: u8>(q: &QuantVecF32x16, x: __m512, lo: __m512i, hi: __m512i)
-            -> (__m512, __mmask16) = q.quantize16::<MODE>(x, lo, hi);
-        fn round_fixed<const MODE: u8>(q: &FixedVecF32x16, x: __m512, lo: __m512i, hi: __m512i)
-            -> (__m512, __mmask16) = q.quantize16::<MODE>(x, lo, hi);
-
-        fn prefix(n: usize) -> __mmask16 = ((1u32 << n) - 1) as __mmask16;
-        fn none(k: __mmask16) -> bool = k == 0;
-        fn bits(k: __mmask16) -> u32 = k as u32;
-        fn and(a: __mmask16, b: __mmask16) -> __mmask16 = a & b;
-        fn andn(a: __mmask16, b: __mmask16) -> __mmask16 = !a & b;
-        fn or(a: __mmask16, b: __mmask16) -> __mmask16 = a | b;
-
-        fn splat(x: f32) -> __m512 = _mm512_set1_ps(x);
-        fn load(k: __mmask16, p: *const f32) -> __m512 = _mm512_maskz_loadu_ps(k, p);
-        fn store(k: __mmask16, p: *mut f32, v: __m512) -> () = _mm512_mask_storeu_ps(p, k, v);
-        fn mul(a: __m512, b: __m512) -> __m512 = _mm512_mul_ps(a, b);
-        fn add(a: __m512, b: __m512) -> __m512 = _mm512_add_ps(a, b);
-        fn sub(a: __m512, b: __m512) -> __m512 = _mm512_sub_ps(a, b);
-        fn fmsub(a: __m512, b: __m512, c: __m512) -> __m512 = _mm512_fmsub_ps(a, b, c);
-        fn abs(a: __m512) -> __m512 = _mm512_abs_ps(a);
-        fn cmp<const P: i32>(k: __mmask16, a: __m512, b: __m512) -> __mmask16
-            = _mm512_mask_cmp_ps_mask::<P>(k, a, b);
-        fn select(a: __m512, k: __mmask16, b: __m512) -> __m512 = _mm512_mask_mov_ps(a, k, b);
-
-        fn load64(p: *const u64) -> __m512i = _mm512_loadu_si512(p.cast());
-        fn splat64(x: u64) -> __m512i = _mm512_set1_epi64(x as i64);
-        fn hash(part: __m512i, step: __m512i, seed: __m512i) -> __m512i
-            = _mm512_xor_si512(_mm512_add_epi64(part, step), seed);
-    }
-}
-
-/// The `avx2` tier's width: 8 lanes, blend-vector masks (AVX2 + FMA).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Avx2;
-
-impl Width for Avx2 {
-    const N: usize = 8;
-    type V = __m256;
-    type K = __m256;
-    type H = __m256i;
-    type Float = QuantVecF32x8;
-    type Fixed = FixedVecF32x8;
-
-    fn supported() -> bool {
-        mpt_formats::simd::avx2_supported()
-    }
-
-    width_impl! {
-        features = "avx2,fma";
-        fn float(plan: &LanePlanF32) -> QuantVecF32x8 = QuantVecF32x8::new(plan);
-        fn fixed(fast: &FixedFastF64) -> FixedVecF32x8 = FixedVecF32x8::new(fast);
-        fn round_float<const MODE: u8>(q: &QuantVecF32x8, x: __m256, lo: __m256i, hi: __m256i)
-            -> (__m256, __m256) = q.quantize8::<MODE>(x, lo, hi);
-        fn round_fixed<const MODE: u8>(q: &FixedVecF32x8, x: __m256, lo: __m256i, hi: __m256i)
-            -> (__m256, __m256) = q.quantize8::<MODE>(x, lo, hi);
-
-        fn prefix(n: usize) -> __m256 = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
-            _mm256_set1_epi32(n as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        ));
-        fn none(k: __m256) -> bool = _mm256_testz_ps(k, k) != 0;
-        fn bits(k: __m256) -> u32 = _mm256_movemask_ps(k) as u32;
-        fn and(a: __m256, b: __m256) -> __m256 = _mm256_and_ps(a, b);
-        fn andn(a: __m256, b: __m256) -> __m256 = _mm256_andnot_ps(a, b);
-        fn or(a: __m256, b: __m256) -> __m256 = _mm256_or_ps(a, b);
-
-        fn splat(x: f32) -> __m256 = _mm256_set1_ps(x);
-        fn load(k: __m256, p: *const f32) -> __m256 = _mm256_maskload_ps(p, _mm256_castps_si256(k));
-        fn store(k: __m256, p: *mut f32, v: __m256) -> ()
-            = _mm256_maskstore_ps(p, _mm256_castps_si256(k), v);
-        fn mul(a: __m256, b: __m256) -> __m256 = _mm256_mul_ps(a, b);
-        fn add(a: __m256, b: __m256) -> __m256 = _mm256_add_ps(a, b);
-        fn sub(a: __m256, b: __m256) -> __m256 = _mm256_sub_ps(a, b);
-        fn fmsub(a: __m256, b: __m256, c: __m256) -> __m256 = _mm256_fmsub_ps(a, b, c);
-        fn abs(a: __m256) -> __m256 = _mm256_andnot_ps(_mm256_set1_ps(-0.0), a);
-        fn cmp<const P: i32>(k: __m256, a: __m256, b: __m256) -> __m256
-            = _mm256_and_ps(k, _mm256_cmp_ps::<P>(a, b));
-        fn select(a: __m256, k: __m256, b: __m256) -> __m256 = _mm256_blendv_ps(a, b, k);
-
-        fn load64(p: *const u64) -> __m256i = _mm256_loadu_si256(p.cast());
-        fn splat64(x: u64) -> __m256i = _mm256_set1_epi64x(x as i64);
-        fn hash(part: __m256i, step: __m256i, seed: __m256i) -> __m256i
-            = _mm256_xor_si256(_mm256_add_epi64(part, step), seed);
-    }
-}
+nest_width!(Avx512, "avx512f,avx512dq,avx512vl");
+nest_width!(Avx2, "avx2,fma");
 
 /// The vector forms of a [`Stage`]: whether `f32` lanes carry it, and
 /// its `f32` lane quantizer at each [`Width`].
@@ -409,38 +217,38 @@ impl VecStage for Fused {
 }
 
 impl<const MODE: u8> VecStage for FloatStage<MODE> {
-    type Q<W: Width> = W::Float;
-
-    fn f32_lanes(&self) -> bool {
-        self.0.f32_plan().is_some()
-    }
-
-    #[inline(always)]
-    unsafe fn vec<W: Width>(&self) -> W::Float {
-        W::float(&self.0.f32_plan().expect("the f32 lanes carry the stage"))
-    }
-
-    #[inline(always)]
-    unsafe fn round<W: Width>(q: &W::Float, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
-        W::round_float::<MODE>(q, x, lo, hi)
-    }
-}
-
-impl<const MODE: u8> VecStage for FixedStage<MODE> {
-    type Q<W: Width> = W::Fixed;
+    type Q<W: Width> = QuantVec<W>;
 
     fn f32_lanes(&self) -> bool {
         self.0.f32_lanes()
     }
 
     #[inline(always)]
-    unsafe fn vec<W: Width>(&self) -> W::Fixed {
-        W::fixed(&self.0)
+    unsafe fn vec<W: Width>(&self) -> QuantVec<W> {
+        QuantVec::new(&self.0)
     }
 
     #[inline(always)]
-    unsafe fn round<W: Width>(q: &W::Fixed, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
-        W::round_fixed::<MODE>(q, x, lo, hi)
+    unsafe fn round<W: Width>(q: &QuantVec<W>, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
+        q.quantize::<MODE>(x, lo, hi)
+    }
+}
+
+impl<const MODE: u8> VecStage for FixedStage<MODE> {
+    type Q<W: Width> = FixedVec<W>;
+
+    fn f32_lanes(&self) -> bool {
+        self.0.f32_lanes()
+    }
+
+    #[inline(always)]
+    unsafe fn vec<W: Width>(&self) -> FixedVec<W> {
+        FixedVec::new(&self.0)
+    }
+
+    #[inline(always)]
+    unsafe fn round<W: Width>(q: &FixedVec<W>, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
+        q.quantize::<MODE>(x, lo, hi)
     }
 }
 
@@ -483,7 +291,7 @@ pub(crate) fn gemm_lanes<M: VecStage, A: VecStage, T: MacObserver>(
 /// The host must support `W`, both stages must have
 /// [`f32_lanes`](VecStage::f32_lanes), and every coordinate must stay
 /// inside its field of [`sr_event_index`].
-unsafe fn nest<W: Width, const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+unsafe fn nest<W: NestWidth, const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
     g: Gemm<'_>,
     mul: &M,
     acc: &A,
@@ -499,7 +307,7 @@ unsafe fn nest<W: Width, const B: usize, M: VecStage, A: VecStage, T: MacObserve
 }
 
 /// What the whole GEMM shares: both stages, their quantizers and seeds.
-pub(crate) struct Nest<'a, W: Width, M: VecStage, A: VecStage> {
+pub(crate) struct Nest<'a, W: NestWidth, M: VecStage, A: VecStage> {
     mul: &'a M,
     acc: &'a A,
     mul_q: M::Q<W>,
@@ -608,7 +416,7 @@ struct Round<W: Width> {
     q: W::V,
 }
 
-impl<W: Width, M: VecStage, A: VecStage> Nest<'_, W, M, A> {
+impl<W: NestWidth, M: VecStage, A: VecStage> Nest<'_, W, M, A> {
     /// One reduction step of one block: which of its live lanes must
     /// settle, and the rounded sums of the others, given the old
     /// accumulators (`sums`) and the block's [`load_b`]. `A`'s element
@@ -670,7 +478,7 @@ impl<W: Width, M: VecStage, A: VecStage> Nest<'_, W, M, A> {
     /// with the exact `f64` product, at the packed [`sr_event_index`],
     /// skipping exact zero products — shows the other live lanes' exact
     /// products and sums to the observers, and leaves the new
-    /// accumulators in `accs`. The caller runs it in [`Width::settle`] on
+    /// accumulators in `accs`. The caller runs it in [`NestWidth::settle`] on
     /// a copy of its accumulators, so no vector register is live across
     /// the call and the hot loop keeps them in registers.
     ///
@@ -748,13 +556,13 @@ impl<W: Width, M: VecStage, A: VecStage> Nest<'_, W, M, A> {
     }
 }
 
-/// The nest's loops, inlined into [`Width::strips`].
+/// The nest's loops, inlined into [`NestWidth::strips`].
 ///
 /// # Safety
 ///
 /// As [`nest`], whose length checks must have passed.
 #[inline(always)]
-unsafe fn strips<W: Width, const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
+unsafe fn strips<W: NestWidth, const B: usize, M: VecStage, A: VecStage, T: MacObserver>(
     g: Gemm<'_>,
     mul: &M,
     acc: &A,

@@ -903,9 +903,8 @@ fn strip_edges_match_reference_under_every_table_ii_mac() {
                 if let Some(p) = poison {
                     a.set(&[2, 3], p);
                     b.set(&[4, m / 2], p);
-                    // The other infinity; NaN keeps its sign, since the
-                    // sign of a sum of two NaNs is not specified.
-                    b.set(&[1, m - 1], if p.is_nan() { p } else { -p });
+                    // The other infinity, or the NaN of the other sign.
+                    b.set(&[1, m - 1], -p);
                 }
                 let what = format!("1 x {k} x {m}, poison {poison:?}");
                 let out = assert_tiers_match(&what, &a, &b, &cfg, 0, 0);
@@ -916,6 +915,32 @@ fn strip_edges_match_reference_under_every_table_ii_mac() {
         }
     }
     assert!(negative_zeros > 0, "no accumulator ever held -0.0");
+}
+
+/// Two NaNs of opposite sign meeting in one sum, in both orders and at
+/// every lane of a strip and of the partial strip after it, under the
+/// paper's unfused `FXP4.4-RZ × FXP8.8-RN` MAC: every tier and the
+/// reference return the one canonical NaN, whichever operand order the
+/// compiler gives the sum.
+#[test]
+fn opposite_nans_in_one_sum_give_the_canonical_nan() {
+    let mac = MacConfig::new(
+        Quantizer::fixed(FixedFormat::fxp4_4(), Rounding::TowardZero),
+        Quantizer::fixed(FixedFormat::fxp8_8(), Rounding::Nearest),
+    );
+    let cfg = QGemmConfig::new(Quantizer::identity(), Quantizer::identity(), mac);
+    let (k, m) = (2, 40);
+    let a = Tensor::from_vec(vec![1, k], vec![1.0; k]).unwrap();
+    for (first, second) in [(f32::NAN, -f32::NAN), (-f32::NAN, f32::NAN)] {
+        for lane in 0..m {
+            let mut b = dense(k, m, lane);
+            b.set(&[0, lane], first);
+            b.set(&[1, lane], second);
+            let what = format!("{first} then {second} at lane {lane}");
+            let out = assert_tiers_match(&what, &a, &b, &cfg, 0, 0);
+            assert_eq!(out.at(&[0, lane]).to_bits(), f32::NAN.to_bits(), "{what}");
+        }
+    }
 }
 
 /// One row past the row field's last value (`row_offset = 2^22 − n +

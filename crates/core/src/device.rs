@@ -45,10 +45,10 @@ impl Device {
     /// The SIMD tier the host-side emulation kernels dispatch to —
     /// `"off"`, `"avx2"` or `"avx512"`, selected once per process
     /// by `MPT_SIMD` (default `auto` = widest supported). Under
-    /// `"avx2"` and `"avx512"` the MAC runs the one lane nest at 8 or
-    /// 16 `f32` lanes when `f32` lanes carry both of its stages (every
-    /// Table II configuration) and the scalar nest otherwise, and
-    /// operand slices run the AVX2 kernels. Applies to both variants: the CPU device runs whole
+    /// `"avx2"` and `"avx512"` the MAC nest and the operand-slice
+    /// quantizers run at 8 or 16 `f32` lanes where `f32` lanes carry
+    /// their formats (every Table II configuration) and the scalar loops
+    /// otherwise. Applies to both variants: the CPU device runs whole
     /// GEMMs through these kernels, and the FPGA device computes its
     /// simulated results and its bit-identical fallback through them.
     /// Purely informational — every tier produces the same bits.

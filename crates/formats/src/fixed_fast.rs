@@ -21,9 +21,8 @@
 //!   `(|y| + 2^52) - 2^52` is round-half-even of `|y|` under the
 //!   default IEEE rounding direction, and floor / truncation / parity
 //!   follow from one compare each. The vector tiers' `f32` lanes
-//!   (`simd_avx2::FixedVecF32x8`, `simd_avx512::FixedVecF32x16`), where
-//!   [`FixedFastF64::f32_lanes`] holds, use `vroundps` / `vrndscaleps`
-//!   instead.
+//!   (`lanes::FixedVec`), where [`FixedFastF64::f32_lanes`] holds, use
+//!   `vrndscaleps` / `vroundps` instead.
 //!
 //! One oracle quirk is replicated on purpose: `round_ties_even(-0.5)`
 //! returns `+0.0` (its tie fix-up computes `-1.0 + 1.0`) while every
@@ -205,11 +204,6 @@ impl FixedFastF32 {
         FixedFastF64::new(format, rounding, rng).map(FixedFastF32)
     }
 
-    /// The `f64` kernel every lane runs.
-    pub fn wide(&self) -> &FixedFastF64 {
-        &self.0
-    }
-
     /// Quantizes one `f32` carrier at rounding event `index`.
     #[inline]
     pub fn quantize<const MODE: u8>(&self, x: f32, index: u64) -> f32 {
@@ -225,12 +219,14 @@ impl FixedFastF32 {
         base_index: u64,
         tier: SimdTier,
     ) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 | SimdTier::Avx512 => {
-                crate::simd_avx2::quantize_slice_fixed_f32::<MODE>(self, values, base_index)
-            }
-            _ => self.quantize_tail::<MODE>(values, base_index),
+        #[cfg(target_arch = "x86_64")]
+        if crate::lanes::quantize_slice_tier::<FixedFastF64, MODE>(
+            &self.0, values, base_index, tier,
+        ) {
+            return;
+        }
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = self.quantize::<MODE>(*v, base_index.wrapping_add(i as u64));
         }
     }
 
@@ -242,14 +238,6 @@ impl FixedFastF32 {
             M => self.quantize_slice_tier::<M>(values, base_index, tier),
             ()
         )
-    }
-
-    /// The scalar loop: the `Off` tier, the tail of the AVX2 kernel, and
-    /// every slice whose format `f32` lanes do not carry.
-    pub(crate) fn quantize_tail<const MODE: u8>(&self, values: &mut [f32], base_index: u64) {
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = self.quantize::<MODE>(*v, base_index.wrapping_add(i as u64));
-        }
     }
 }
 

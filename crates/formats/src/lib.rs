@@ -44,11 +44,12 @@
 //! assert_eq!(y, 1.25); // nearest E5M2-representable value
 //! ```
 
-// `deny` rather than `forbid`: the lane kernels in `simd_avx2` and
-// `simd_avx512` are the sanctioned `unsafe` islands (raw intrinsics
-// behind runtime feature detection); everything else stays
-// unsafe-free and any new `unsafe` outside those modules is still a
-// hard error.
+// `deny` rather than `forbid`: the lane kernels are the sanctioned
+// `unsafe` islands — the `Width` trait in `simd`, its two impls in
+// `simd_avx2` and `simd_avx512`, and the quantizers and slice loop
+// written over it in `lanes` (raw intrinsics behind runtime feature
+// detection); everything else stays unsafe-free and any new `unsafe`
+// outside them is still a hard error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -58,6 +59,8 @@ pub mod fast;
 pub mod fixed;
 pub mod fixed_fast;
 pub mod float;
+#[cfg(target_arch = "x86_64")]
+pub mod lanes;
 pub mod quant;
 pub mod rounding;
 pub mod simd;
@@ -69,7 +72,7 @@ pub mod sr;
 
 pub use block::BlockFpFormat;
 pub use error::FormatError;
-pub use fast::{FloatFastF32, FloatFastF64, LanePlanF32};
+pub use fast::FloatFastF64;
 pub use fixed::FixedFormat;
 pub use fixed_fast::{FixedFastF32, FixedFastF64};
 pub use float::FloatFormat;

@@ -6,7 +6,7 @@
 //! that the GEMM kernels in `mpt-arith` consume.
 
 use crate::block::BlockFpFormat;
-use crate::fast::FloatFastF32;
+use crate::fast::FloatFastF64;
 use crate::fixed::FixedFormat;
 use crate::fixed_fast::{FixedFastF32, FixedFastF64};
 use crate::float::FloatFormat;
@@ -263,7 +263,7 @@ impl Quantizer {
     /// those).
     ///
     /// Float and fixed-point formats dispatch once to a monomorphized
-    /// [`FloatFastF32`] / [`FixedFastF32`] lane kernel — the bulk
+    /// [`FloatFastF64`] / [`FixedFastF32`] slice kernel — the bulk
     /// operand-quantization fast path the GEMM kernels use; block FP
     /// (and fixed point wider than 52 bits) falls back to the scalar
     /// oracle. Bit-identical to the scalar path in all cases.
@@ -304,7 +304,7 @@ impl Quantizer {
         // tier-independent.
         match self.format {
             NumberFormat::Float(f) => {
-                if let Some(fast) = FloatFastF32::new(f, self.rounding, self.rng) {
+                if let Some(fast) = FloatFastF64::new(f, self.rounding, self.rng) {
                     return fast.quantize_slice_tier_dyn(values, base_index, tier);
                 }
             }
@@ -324,9 +324,9 @@ impl Quantizer {
     /// quantizer, if one exists (float format, rounding other than
     /// `NR`). GEMM kernels use it to round MAC sums without the
     /// per-element format/mode dispatch.
-    pub fn fast_f64(&self) -> Option<crate::fast::FloatFastF64> {
+    pub fn fast_f64(&self) -> Option<FloatFastF64> {
         match self.format {
-            NumberFormat::Float(f) => crate::fast::FloatFastF64::new(f, self.rounding, self.rng),
+            NumberFormat::Float(f) => FloatFastF64::new(f, self.rounding, self.rng),
             _ => None,
         }
     }

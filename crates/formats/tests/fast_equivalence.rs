@@ -1,13 +1,13 @@
 //! Cross-path bit-equality: the monomorphized fast kernels
-//! ([`FloatFastF32`]/[`FloatFastF64`], [`FixedFastF64`]) and the slice
+//! ([`FloatFastF64`] on `f64` and, widening, on `f32`, and
+//! [`FixedFastF64`]) and the slice
 //! entry point ([`Quantizer::quantize_slice_f32`]) must agree **bit
 //! for bit** with the scalar reference quantizer for every format,
 //! rounding mode, and input — including negative zero, subnormals,
 //! NaN payloads, and values straddling the saturation boundary.
 
 use mpt_formats::{
-    FixedFastF64, FixedFormat, FloatFastF32, FloatFastF64, FloatFormat, Quantizer, Rounding,
-    SimdTier, SrRng,
+    FixedFastF64, FixedFormat, FloatFastF64, FloatFormat, Quantizer, Rounding, SimdTier, SrRng,
 };
 use proptest::prelude::*;
 
@@ -126,8 +126,8 @@ fn assert_bits_f64(fast: f64, reference: f64) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    /// The f32 fast kernel agrees with the scalar reference on every
-    /// bit pattern, format, mode, seed and event index.
+    /// The fast kernel's f32 path agrees with the scalar reference on
+    /// every bit pattern, format, mode, seed and event index.
     #[test]
     fn fast_f32_matches_reference(
         fmt in float_formats_f32(),
@@ -137,10 +137,10 @@ proptest! {
         idx in any::<u64>(),
     ) {
         let rng = SrRng::new(seed);
-        match FloatFastF32::new(fmt, mode, rng) {
+        match FloatFastF64::new(fmt, mode, rng) {
             Some(fast) => {
                 let reference = fmt.quantize(x as f64, mode, &rng, idx) as f32;
-                assert_bits_f32(fast.quantize_dyn(x, idx), reference)?;
+                assert_bits_f32(fast.quantize_f32_dyn(x, idx), reference)?;
             }
             // Only NR declines a kernel (quantization is the identity).
             None => prop_assert_eq!(mode, Rounding::NoRound),
@@ -178,7 +178,7 @@ proptest! {
         idx in 0u64..1024,
     ) {
         let rng = SrRng::new(9);
-        let Some(fast) = FloatFastF32::new(fmt, mode, rng) else {
+        let Some(fast) = FloatFastF64::new(fmt, mode, rng) else {
             return Ok(());
         };
         let boundary = fmt.max_value() as f32;
@@ -187,7 +187,7 @@ proptest! {
         );
         let x = if negative { -stepped } else { stepped };
         let reference = fmt.quantize(x as f64, mode, &rng, idx) as f32;
-        assert_bits_f32(fast.quantize_dyn(x, idx), reference)?;
+        assert_bits_f32(fast.quantize_f32_dyn(x, idx), reference)?;
     }
 
     /// `quantize_slice_f32` (the GEMM input path) equals element-wise
@@ -303,11 +303,11 @@ proptest! {
         idx in any::<u64>(),
     ) {
         let rng = SrRng::new(3);
-        let Some(fast) = FloatFastF32::new(fmt, mode, rng) else {
+        let Some(fast) = FloatFastF64::new(fmt, mode, rng) else {
             return Ok(());
         };
-        assert_bits_f32(fast.quantize_dyn(-0.0, idx), -0.0)?;
-        assert_bits_f32(fast.quantize_dyn(0.0, idx), 0.0)?;
+        assert_bits_f32(fast.quantize_f32_dyn(-0.0, idx), -0.0)?;
+        assert_bits_f32(fast.quantize_f32_dyn(0.0, idx), 0.0)?;
     }
 }
 
@@ -439,9 +439,9 @@ fn tier_lane_tails_and_specials() {
     }
 }
 
-/// The 16-lane `f32` quantizer of the fused-float `f32` MAC nest
-/// equals the `f64` kernel (`FloatFastF64::quantize` of the widened
-/// lane) and the scalar oracle lane for lane on `f32` inputs, under
+/// The `f32` float quantizer of the MAC nest, `QuantVec` at 16 and at 8
+/// lanes, equals the `f64` kernel (`FloatFastF64::quantize` of the
+/// widened lane) and the scalar oracle lane for lane on `f32` inputs, under
 /// every mode and SR widths on both sides of the discarded-bit count,
 /// up to its 31-bit limit. Every hand-back class — `f32` subnormal,
 /// target subnormal, ±inf, NaN — walks through every lane position,
@@ -451,10 +451,9 @@ fn tier_lane_tails_and_specials() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn quantize16_f32_matches_the_f64_kernel_lane_for_lane() {
-    use mpt_formats::simd_avx512::quantize16_f32;
-    if !mpt_formats::simd::avx512_supported() {
-        return;
-    }
+    use mpt_formats::lanes::quantize_array;
+    use mpt_formats::simd_avx2::Avx2;
+    use mpt_formats::simd_avx512::Avx512;
     let formats = [
         FloatFormat::e6m5(),
         FloatFormat::e5m2().with_infinities(),
@@ -497,9 +496,7 @@ fn quantize16_f32_matches_the_f64_kernel_lane_for_lane() {
         };
         for rounding in modes.iter().copied() {
             let rng = SrRng::new(0xf32_5eed);
-            let fast32 = FloatFastF32::new(fmt, rounding, rng).unwrap();
             let fast64 = FloatFastF64::new(fmt, rounding, rng).unwrap();
-            let plan = fast32.lane_plan().unwrap();
             for block in 0..400 {
                 let xs: [f32; 16] = std::array::from_fn(|l| {
                     if (block + l).is_multiple_of(4) {
@@ -512,19 +509,26 @@ fn quantize16_f32_matches_the_f64_kernel_lane_for_lane() {
                 let idxs: [u64; 16] =
                     std::array::from_fn(|l| ((block as u64) << 42) | ((l as u64) << 22) | 1);
                 let hash = idxs.map(|i| rng.hash_input(i));
-                let (out, ok) = quantize16_f32(&plan, rounding, &xs, &hash).unwrap();
-                for l in 0..16 {
-                    let x = xs[l];
-                    let slow = x != 0.0 && (!x.is_normal() || (x.abs() as f64) < fmt.min_normal());
-                    let what = format!("{fmt}-{rounding} block {block} lane {l} x {x:e}");
-                    assert_eq!(ok & (1 << l) == 0, slow, "valid bit: {what}");
-                    if slow {
-                        continue;
+                for (lanes, got) in [
+                    (16, quantize_array::<Avx512, _>(&fast64, &xs, &hash)),
+                    (8, quantize_array::<Avx2, _>(&fast64, &xs, &hash)),
+                ] {
+                    // `None` where the host lacks the width.
+                    let Some((out, ok)) = got else { continue };
+                    for l in 0..lanes {
+                        let x = xs[l];
+                        let slow =
+                            x != 0.0 && (!x.is_normal() || (x.abs() as f64) < fmt.min_normal());
+                        let what = format!("{fmt}-{rounding} block {block} lane {l} x {x:e}");
+                        assert_eq!(ok & (1 << l) == 0, slow, "{lanes} lanes, valid bit: {what}");
+                        if slow {
+                            continue;
+                        }
+                        let want = fast64.quantize_dyn(x as f64, idxs[l]) as f32;
+                        let oracle = fmt.quantize(x as f64, rounding, &rng, idxs[l]) as f32;
+                        assert_eq!(want.to_bits(), oracle.to_bits(), "f64 kernel: {what}");
+                        assert_eq!(out[l].to_bits(), want.to_bits(), "{lanes} lanes: {what}");
                     }
-                    let want = fast64.quantize_dyn(x as f64, idxs[l]) as f32;
-                    let oracle = fmt.quantize(x as f64, rounding, &rng, idxs[l]) as f32;
-                    assert_eq!(want.to_bits(), oracle.to_bits(), "f64 kernel: {what}");
-                    assert_eq!(out[l].to_bits(), want.to_bits(), "16 lanes: {what}");
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Exhaustive fixed-point oracle: every implementation of fixed-point
 //! quantization — the scalar [`FixedFormat::quantize`], the
-//! monomorphized [`FixedFastF64`] (scalar body), the 8- and 16-lane
-//! `f32` quantizers (AVX2 `quantize8`, AVX-512 `quantize16`) and the
-//! `f32` slice path behind
+//! monomorphized [`FixedFastF64`] (scalar body), the `f32` lane
+//! quantizer `FixedVec` at 8 and 16 lanes and the `f32` slice path
+//! behind
 //! [`Quantizer::quantize_slice_f32_tier`] on every SIMD tier — against
 //! a slow **exact-integer** reference that shares no code with
 //! `round_scaled`.
@@ -19,7 +19,7 @@
 //! `(-0.5, 0)` ulp but `+0.0` at exactly `-0.5` ulp), so every fast
 //! path must additionally match the scalar's bits.
 
-use mpt_formats::{with_mode, FixedFormat, Quantizer, Rounding, SimdTier, SrRng};
+use mpt_formats::{FixedFormat, Quantizer, Rounding, SimdTier, SrRng};
 
 /// `x = m · 2^e` with integer `m`, exactly.
 fn decompose(x: f64) -> (i128, i32) {
@@ -171,75 +171,47 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
         let got = fast.quantize_dyn(xs[l], indices[l]);
         check("FixedFastF64", q, xs[l], got, want, scalar);
     }
-    // The vector quantizer of each vector tier this host executes, on
+    // The vector quantizer at both widths (where the host has them), on
     // the probes narrowed to `f32` (`f32` lanes take `f32` inputs: the
     // probes that are not `f32`s are checked at their narrowing),
     // repeated to fill its lanes. A format or SR width the `f32` lanes
     // do not carry runs the scalar nest on every tier.
     #[cfg(target_arch = "x86_64")]
-    for &tier in SimdTier::available() {
-        use core::arch::x86_64::*;
-        use mpt_formats::simd_avx2::FixedVecF32x8;
-        use mpt_formats::simd_avx512::FixedVecF32x16;
-        if !fast.f32_lanes() {
-            break;
-        }
+    {
+        use mpt_formats::lanes::quantize_array;
+        use mpt_formats::simd_avx2::Avx2;
+        use mpt_formats::simd_avx512::Avx512;
         let hash: [u64; 16] = std::array::from_fn(|l| rng.hash_input(indices[l % 4]));
         let narrow = xs.map(|x| x as f32);
         let x16: [f32; 16] = std::array::from_fn(|l| narrow[l % 4]);
-        let mut res = [0f32; 16];
-        // SAFETY: `available()` lists a vector tier only when the CPU
-        // has its features; loads and stores stay inside the arrays.
-        let (what, lanes, lanes_ok): (_, usize, u32) = unsafe {
-            match tier {
-                SimdTier::Avx2 => {
-                    let qv = FixedVecF32x8::new(&fast);
-                    let (x, lo, hi) = (
-                        _mm256_loadu_ps(x16.as_ptr()),
-                        _mm256_loadu_si256(hash.as_ptr().cast()),
-                        _mm256_loadu_si256(hash[4..].as_ptr().cast()),
-                    );
-                    let (r, ok) = with_mode!(
-                        q.rounding(),
-                        M => qv.quantize8::<M>(x, lo, hi),
-                        unreachable!()
-                    );
-                    _mm256_storeu_ps(res.as_mut_ptr(), r);
-                    ("FixedVecF32x8::quantize8", 8, _mm256_movemask_ps(ok) as u32)
-                }
-                SimdTier::Avx512 => {
-                    let qv = FixedVecF32x16::new(&fast);
-                    let (x, lo, hi) = (
-                        _mm512_loadu_ps(x16.as_ptr()),
-                        _mm512_loadu_si512(hash.as_ptr().cast()),
-                        _mm512_loadu_si512(hash[8..].as_ptr().cast()),
-                    );
-                    let (r, ok) = with_mode!(
-                        q.rounding(),
-                        M => qv.quantize16::<M>(x, lo, hi),
-                        unreachable!()
-                    );
-                    _mm512_storeu_ps(res.as_mut_ptr(), r);
-                    ("FixedVecF32x16::quantize16", 16, ok as u32)
-                }
-                SimdTier::Off => continue,
-            }
-        };
         let inputs = narrow.map(f64::from);
-        let results: Vec<f64> = res[..lanes].iter().map(|&v| v as f64).collect();
         let want = if inputs == xs {
             wide
         } else {
             expected(q, fmt, inputs, indices)
         };
-        for (l, &got) in results.iter().enumerate() {
-            let x = inputs[l % 4];
-            // Lanes reported invalid are the caller's to recompute
-            // (non-finite inputs only).
-            if lanes_ok & (1 << l) != 0 {
-                check(what, q, x, got, want[l % 4].0, want[l % 4].1);
-            } else {
-                assert!(!x.is_finite(), "{what}: finite lane {x:e} handed back");
+        for (what, lanes, got) in [
+            (
+                "FixedVec<Avx2>",
+                8,
+                quantize_array::<Avx2, _>(&fast, &x16, &hash),
+            ),
+            (
+                "FixedVec<Avx512>",
+                16,
+                quantize_array::<Avx512, _>(&fast, &x16, &hash),
+            ),
+        ] {
+            let Some((res, lanes_ok)) = got else { continue };
+            for (l, &got) in res[..lanes].iter().enumerate() {
+                let x = inputs[l % 4];
+                // Lanes reported invalid are the caller's to recompute
+                // (non-finite inputs only).
+                if lanes_ok & (1 << l) != 0 {
+                    check(what, q, x, got as f64, want[l % 4].0, want[l % 4].1);
+                } else {
+                    assert!(!x.is_finite(), "{what}: finite lane {x:e} handed back");
+                }
             }
         }
     }
@@ -250,9 +222,9 @@ fn oracle_sweep(fmt: FixedFormat, stride: i64) {
     let mut roundings = vec![Rounding::Nearest, Rounding::TowardZero, Rounding::ToOdd];
     let sr_seeds = [1u64, 0x5eed, u64::MAX];
     roundings.extend([Rounding::stochastic(); 3]);
-    // Both ends of the draw widths the 16-lane quantizer compares on
-    // 32-bit lanes, and past its 31-bit limit up to the widest the
-    // AVX2 quantizer compares as an exact `f64` (52 bits).
+    // Both ends of the draw widths the lane quantizers compare on
+    // 32-bit lanes, and past their 31-bit limit up to the widest the
+    // scalar body compares as an exact `f64` (52 bits).
     roundings.extend([0, 1, 31, 32, 52].map(|random_bits| Rounding::Stochastic { random_bits }));
     for (ri, rounding) in roundings.into_iter().enumerate() {
         let q = Quantizer::fixed(fmt, rounding).with_seed(sr_seeds[ri % 3]);
