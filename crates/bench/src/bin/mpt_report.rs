@@ -1,8 +1,9 @@
 //! `mpt-report` — turns a telemetry JSONL log (plus the optional
-//! Chrome trace and `serve_chaos` report) into `RESULTS.md`.
+//! `serve_chaos` report) into `RESULTS.md`, and renders the run's
+//! Chrome trace from the same log.
 //!
 //! ```text
-//! mpt-report --jsonl run.jsonl [--trace run.trace.json] \
+//! mpt-report --jsonl run.jsonl [--trace-out run.trace.json] \
 //!            [--serving serve_chaos.json] [--out RESULTS.md]
 //! mpt-report --validate-trace run.trace.json [--require-stage-tracks 4]
 //! ```
@@ -11,11 +12,16 @@
 //! strictly increase (two runs appended to one file) is refused with
 //! a non-zero exit rather than rendered as a blend of both.
 //!
-//! Optional inputs degrade gracefully: a `--trace` or `--serving`
-//! path that does not exist (or does not parse) renders a "section
-//! skipped" note instead of failing the run, and a log line that does
-//! not parse (a run cut off mid-write) is skipped, so a partial log
-//! still produces a RESULTS.md.
+//! `--trace-out` writes `mpt_telemetry::trace::render` of the log: its
+//! `span` lines on `thread-<n>` tracks and its `fpga_launch` lines on
+//! `fpga-pipeline/<stage>` tracks. A log with no span lines writes no
+//! trace and says so in RESULTS.md.
+//!
+//! Optional inputs degrade gracefully: a `--serving` path that does
+//! not exist (or does not parse) renders a "section skipped" note
+//! instead of failing the run, and a log line that does not parse (a
+//! run cut off mid-write) is skipped, so a partial log still produces
+//! a RESULTS.md and a trace.
 //!
 //! The report generator is pure post-processing: it parses the event
 //! stream with the telemetry crate's own zero-dependency JSON parser
@@ -33,7 +39,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mpt-report --jsonl <events.jsonl> [--trace <trace.json>] \
+        "usage:\n  mpt-report --jsonl <events.jsonl> [--trace-out <trace.json>] \
          [--serving <serve_chaos.json>] [--out <RESULTS.md>]\n  \
          mpt-report --validate-trace <trace.json> [--require-stage-tracks <N>]"
     );
@@ -45,7 +51,7 @@ fn main() -> ExitCode {
     let mut it = args.iter().map(String::as_str).peekable();
 
     let mut jsonl = None;
-    let mut trace = None;
+    let mut trace_out = None;
     let mut serving = None;
     let mut out = "RESULTS.md".to_string();
     let mut validate = None;
@@ -63,7 +69,7 @@ fn main() -> ExitCode {
         };
         match flag {
             "--jsonl" => jsonl = Some(val("--jsonl")),
-            "--trace" => trace = Some(val("--trace")),
+            "--trace-out" => trace_out = Some(val("--trace-out")),
             "--serving" => serving = Some(val("--serving")),
             "--out" => out = val("--out"),
             "--validate-trace" => validate = Some(val("--validate-trace")),
@@ -81,7 +87,7 @@ fn main() -> ExitCode {
         return validate_trace(&path, require_tracks);
     }
     let Some(jsonl) = jsonl else { usage() };
-    generate_report(&jsonl, trace.as_deref(), serving.as_deref(), &out)
+    generate_report(&jsonl, trace_out.as_deref(), serving.as_deref(), &out)
 }
 
 fn read_json(path: &str) -> Result<Value, String> {
@@ -226,7 +232,12 @@ fn us(ns: f64) -> String {
     format!("{:.1}", ns / 1e3)
 }
 
-fn generate_report(jsonl: &str, trace: Option<&str>, serving: Option<&str>, out: &str) -> ExitCode {
+fn generate_report(
+    jsonl: &str,
+    trace_out: Option<&str>,
+    serving: Option<&str>,
+    out: &str,
+) -> ExitCode {
     let text = match std::fs::read_to_string(jsonl) {
         Ok(t) => t,
         Err(e) => {
@@ -260,12 +271,15 @@ fn generate_report(jsonl: &str, trace: Option<&str>, serving: Option<&str>, out:
         data.loss_scale_growths,
         data.loss_scale_overflows
     ));
-    if let Some(t) = trace {
-        if std::path::Path::new(t).exists() {
-            md.push_str(&format!("- Chrome trace: `{t}` (open in Perfetto)\n"));
+    if let Some(t) = trace_out {
+        if data.span_ns.is_empty() {
+            md.push_str("- Chrome trace: section skipped (no span lines in the log)\n");
+        } else if let Err(e) = std::fs::write(t, mpt_telemetry::trace::render(text.lines())) {
+            eprintln!("cannot write {t}: {e}");
+            return ExitCode::FAILURE;
         } else {
             md.push_str(&format!(
-                "- Chrome trace: section skipped (`{t}` not found)\n"
+                "- Chrome trace: `{t}` (rendered from the event log; open in Perfetto)\n"
             ));
         }
     }
@@ -542,13 +556,15 @@ mod tests {
         format!("{code:?}") == format!("{:?}", ExitCode::SUCCESS)
     }
 
+    /// A log without span lines has no timeline: no trace file is
+    /// written, and a missing serving report only skips its section.
     #[test]
     fn report_skips_missing_trace_and_serving_sections() {
         let dir = scratch_dir("skip");
         let jsonl = dir.join("events.jsonl");
         std::fs::write(&jsonl, "{\"type\":\"step\",\"loss\":1.0}\n").unwrap();
         let out = dir.join("RESULTS.md");
-        let trace = dir.join("missing.trace.json");
+        let trace = dir.join("unwritten.trace.json");
         let serving = dir.join("missing_serving.json");
         let code = generate_report(
             jsonl.to_str().unwrap(),
@@ -559,6 +575,7 @@ mod tests {
         assert!(exit_ok(code), "missing optional inputs must not fail");
         let md = std::fs::read_to_string(&out).unwrap();
         assert!(md.contains("Chrome trace: section skipped"));
+        assert!(!trace.exists(), "a log without spans writes no trace");
         assert_eq!(md.matches("Section skipped: could not read").count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }

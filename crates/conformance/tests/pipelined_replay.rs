@@ -4,10 +4,8 @@
 //! Two angles:
 //!
 //! * the full LeNet training replay runs through a pipelined
-//!   [`FpgaBackend`] — built by hand, and as the trainer-facing
-//!   `Device::Fpga(..).backend()` — and must land on the
-//!   same golden weight digest as the eager CPU path
-//!   (`tests/golden/lenet_fp8_replay.digest`);
+//!   [`FpgaBackend`] and must land on the same golden weight digest
+//!   as the eager CPU path (`tests/golden/lenet_fp8_replay.digest`);
 //! * a property test interleaves arbitrary weight updates with
 //!   cached launches — under any cache budget (including zero and
 //!   eviction-churning ones) every launch must be bit-identical to
@@ -19,7 +17,7 @@
 
 use conformance::{replay_digest_path, replay_lenet, replay_lenet_with};
 use mpt_arith::{qgemm_parallel, GemmBackend, QGemmConfig};
-use mpt_core::{Device, TrainOptions};
+use mpt_core::TrainOptions;
 use mpt_faults::{FaultPlan, FaultSite, RetryPolicy, Trigger};
 use mpt_fpga::{Accelerator, FpgaBackend, PipelinedExecutor, SaConfig};
 use mpt_tensor::Tensor;
@@ -31,52 +29,38 @@ fn pipelined_fpga_training_reproduces_golden_digest() {
     let clean = replay_lenet(1);
     let golden = std::fs::read_to_string(replay_digest_path()).ok();
 
-    // The backend built by hand, and the one the paper's `device=`
-    // value hands the trainer: the same object either way.
-    let by_hand = Rc::new(
+    let backend = Rc::new(
         FpgaBackend::new(Accelerator::new(
             SaConfig::new(8, 8, 4).expect("valid"),
             298.0,
         ))
         .pipelined(),
     );
-    let device = Device::Fpga(Rc::new(
-        FpgaBackend::new(Accelerator::new(
-            SaConfig::new(8, 8, 4).expect("valid"),
-            298.0,
-        ))
-        .pipelined(),
-    ));
-    let Device::Fpga(of_device) = &device else {
-        unreachable!("built as an FPGA device")
-    };
-    for (backend, stats_of) in [
-        (by_hand.clone() as Rc<dyn GemmBackend>, &by_hand),
-        (device.backend(), of_device),
-    ] {
-        let pipelined = replay_lenet_with(backend, &TrainOptions::default())
-            .expect("no checkpoint I/O configured");
+    let pipelined = replay_lenet_with(
+        Rc::clone(&backend) as Rc<dyn GemmBackend>,
+        &TrainOptions::default(),
+    )
+    .expect("no checkpoint I/O configured");
 
-        let stats = stats_of.cache_stats().expect("pipelined mode");
-        assert!(stats.misses > 0, "training never launched — vacuous test");
-        assert!(
-            stats_of.pipelined_elapsed_s() > 0.0,
-            "overlap accounting recorded no hardware time"
-        );
+    let stats = backend.cache_stats().expect("pipelined mode");
+    assert!(stats.misses > 0, "training never launched — vacuous test");
+    assert!(
+        backend.pipelined_elapsed_s() > 0.0,
+        "overlap accounting recorded no hardware time"
+    );
 
-        // Same bits as the fault-free eager CPU replay...
+    // Same bits as the fault-free eager CPU replay...
+    assert_eq!(
+        pipelined.digest, clean.digest,
+        "the staged/cached executor changed the trained weights"
+    );
+    // ...and as the checked-in golden digest, when present.
+    if let Some(golden) = &golden {
         assert_eq!(
-            pipelined.digest, clean.digest,
-            "the staged/cached executor changed the trained weights"
+            pipelined.digest,
+            golden.trim(),
+            "pipelined digest diverged from the golden file"
         );
-        // ...and as the checked-in golden digest, when present.
-        if let Some(golden) = &golden {
-            assert_eq!(
-                pipelined.digest,
-                golden.trim(),
-                "pipelined digest diverged from the golden file"
-            );
-        }
     }
 }
 

@@ -10,14 +10,15 @@
 //! backward and GEMM spans, one `trainer:step` span per `step` event
 //! with the GEMM spans nested under it, nonzero SR rounding counters
 //! for the FP8×FP12-SR pipeline, loss-scale events, a valid Chrome
-//! trace, and a perf-model calibration record. The digest comparison
-//! runs with *everything* armed — counters, spans, and tracing — so
-//! the whole observability stack is
-//! covered by the bit-identical guarantee at once. A second replay
-//! goes through the pipelined FPGA backend: its MACs run in the same
-//! tallied kernel, so the accumulator's SR up/down counts must show
-//! up there too — globally and in layer scope — where the per-PE
-//! simulator loop used to report 0/0.
+//! trace rendered from the log, and a perf-model calibration record.
+//! The digest comparison runs with everything on — counters, spans
+//! and the event log the trace is drawn from — so the whole
+//! observability stack is covered by the bit-identical guarantee at
+//! once. A second replay goes through the pipelined FPGA backend: its
+//! MACs run in the same tallied kernel, so the accumulator's SR
+//! up/down counts must show up there too — globally and in layer
+//! scope — where the per-PE simulator loop used to report 0/0; and its
+//! trace must hold the four `fpga-pipeline/<stage>` tracks.
 //!
 //! Everything lives in one `#[test]` because the telemetry enable
 //! flag and event buffer are process-global.
@@ -31,6 +32,17 @@ use mpt_telemetry::QuantCat;
 use std::fs;
 use std::rc::Rc;
 
+/// The trace events of the Chrome trace rendered from the buffered
+/// log.
+fn trace_events() -> Vec<Value> {
+    let rendered = mpt_telemetry::trace::render(mpt_telemetry::sink::buffered_events());
+    let doc = json::parse(&rendered).expect("trace JSON parses");
+    let Some(Value::Array(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array in rendered trace")
+    };
+    events.clone()
+}
+
 #[test]
 fn telemetry_on_is_bit_identical_and_emits_required_events() {
     // Baseline: telemetry off (the default, but make it explicit).
@@ -40,13 +52,10 @@ fn telemetry_on_is_bit_identical_and_emits_required_events() {
     assert!(off.report.telemetry.is_none());
 
     // Instrumented run, same recipe — with the full observability
-    // stack armed: counters, spans, and the Chrome-trace capture
-    // layer.
+    // stack on: counters, spans and the event log.
     mpt_telemetry::enable();
-    mpt_telemetry::trace::enable_tracing();
     let on = replay_lenet(2);
     mpt_telemetry::disable();
-    mpt_telemetry::trace::disable_tracing();
 
     assert_eq!(
         on.digest, off.digest,
@@ -150,24 +159,16 @@ fn telemetry_on_is_bit_identical_and_emits_required_events() {
         "no gemm:cpu span nests under a trainer:step span"
     );
 
-    // Chrome trace: events were captured, the snapshot is sorted by
-    // timestamp, and the rendered JSON parses with ≥1 complete event.
-    let trace_events = mpt_telemetry::trace::snapshot();
-    assert!(!trace_events.is_empty(), "tracing captured no events");
-    assert!(
-        trace_events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us),
-        "trace snapshot not time-sorted"
-    );
-    let rendered = mpt_telemetry::trace::render(&trace_events);
-    let doc = json::parse(&rendered).expect("trace JSON parses");
-    let Some(Value::Array(tev)) = doc.get("traceEvents") else {
-        panic!("no traceEvents array in rendered trace")
-    };
-    assert!(
-        tev.iter()
-            .any(|e| e.get("ph").and_then(Value::as_str) == Some("X")),
-        "no complete events in rendered trace"
-    );
+    // Chrome trace rendered from the log: one complete event per span
+    // line, sorted by timestamp.
+    let tev = trace_events();
+    let ts: Vec<f64> = tev
+        .iter()
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+        .filter_map(|e| e.get("ts").and_then(Value::as_f64))
+        .collect();
+    assert_eq!(ts.len(), spans.len(), "one trace slice per span line");
+    assert!(ts.windows(2).all(|w| w[0] <= w[1]), "trace not time-sorted");
 
     // Perf-model calibration: run the offline matcher over this
     // model's GEMM workload and audit predicted vs measured L_total.
@@ -196,6 +197,15 @@ fn telemetry_on_is_bit_identical_and_emits_required_events() {
     )
     .expect("no checkpoint I/O configured");
     mpt_telemetry::disable();
+    let stage_tracks = trace_events()
+        .iter()
+        .filter_map(|e| e.get("args")?.get("name")?.as_str().map(str::to_owned))
+        .filter(|track| track.starts_with("fpga-pipeline/"))
+        .count();
+    assert_eq!(
+        stage_tracks, 4,
+        "the FPGA replay's trace lacks stage tracks"
+    );
     assert_eq!(
         fpga.digest, off.digest,
         "telemetry-on FPGA replay diverged from the telemetry-off CPU replay"

@@ -3,10 +3,12 @@
 //! The user-facing layer of the reproduction, tying together the
 //! substrates exactly as the paper's Figure 1 stacks them:
 //!
-//! * **Unified emulation + hardware execution** — [`Device`] selects
-//!   whether a custom-precision GEMM runs through CPU emulation
-//!   (`mpt-arith`) or the FPGA accelerator model (`mpt-fpga`); results
-//!   are bit-identical either way (the framework's central claim).
+//! * **Unified emulation + hardware execution** — a custom-precision
+//!   GEMM runs through CPU emulation (`mpt-arith`) or on the FPGA
+//!   accelerator model (`mpt_fpga::FpgaBackend`, built from the
+//!   configuration database by `SynthesisDb::accelerator`); both are
+//!   `GemmBackend`s the trainer takes, and results are bit-identical
+//!   either way (the framework's central claim).
 //! * **Model-specific accelerator optimization** — [`matching`]
 //!   implements the offline matching algorithm of Section IV-B: brute
 //!   force over the pre-generated configuration database and the
@@ -33,13 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod device;
 pub mod features;
 pub mod matching;
 pub mod trainer;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use device::Device;
 pub use matching::{
     iteration_latency, measured_optimum, select_accelerator, sweep_core_counts, MatchResult,
 };

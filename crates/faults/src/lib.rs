@@ -20,8 +20,8 @@
 //! * [`RetryPolicy`] — bounded retry with exponential backoff: the
 //!   per-site budget of the one gate sequence every launch walks
 //!   (`mpt_fpga::resilient`), whether it came through
-//!   [`FpgaBackend`](../mpt_fpga/struct.FpgaBackend.html), its
-//!   `mpt_core::Device` handle, or the serving dispatcher.
+//!   [`FpgaBackend`](../mpt_fpga/struct.FpgaBackend.html) or the
+//!   serving dispatcher.
 //!
 //! The [`crc`] module provides the CRC-32 used by the HBM image
 //! integrity check and the checkpoint file format.

@@ -135,12 +135,6 @@ impl FixedFormat {
         clamped * self.resolution()
     }
 
-    /// Convenience wrapper quantizing an `f32` carrier; see
-    /// [`quantize`](FixedFormat::quantize).
-    pub fn quantize_f32_with(&self, x: f32, mode: Rounding, rng: &SrRng, index: u64) -> f32 {
-        self.quantize(x as f64, mode, rng, index) as f32
-    }
-
     /// Returns `true` if `x` lies exactly on the representable grid.
     pub fn is_representable(&self, x: f64) -> bool {
         if x.is_nan() {

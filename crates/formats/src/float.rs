@@ -248,14 +248,6 @@ impl FloatFormat {
         y
     }
 
-    /// Convenience wrapper: quantizes an `f32` carrier.
-    ///
-    /// See [`quantize`](FloatFormat::quantize); RN with event index
-    /// ignored for non-stochastic modes.
-    pub fn quantize_f32_with(&self, x: f32, mode: Rounding, rng: &SrRng, index: u64) -> f32 {
-        self.quantize(x as f64, mode, rng, index) as f32
-    }
-
     fn overflow(&self, negative: bool) -> f64 {
         let v = if self.saturate {
             self.max_value()

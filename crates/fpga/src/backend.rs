@@ -167,8 +167,8 @@ impl FpgaBackend {
     }
 
     /// One GEMM with its measured hardware latency — the launch route
-    /// behind both [`GemmBackend::gemm`] (which drops the latency) and
-    /// `mpt_core::Device::execute_gemm`: the executor's pack stage,
+    /// behind [`GemmBackend::gemm`], which drops the latency: the
+    /// executor's pack stage,
     /// fault gates (replays charged), accounting and compute, with
     /// telemetry. A launch whose gates exhausted a retry budget
     /// degrades to the CPU fallback and reports `None`: no hardware
@@ -486,8 +486,11 @@ mod tests {
             )
             .with_retry_policy(RetryPolicy::no_delay(3));
         let want = qgemm(&a, &b, &cfg).unwrap();
-        for _ in 0..3 {
-            assert_eq!(backend.gemm(&a, &b, &cfg).unwrap(), want);
+        for launch in 1..=3 {
+            let (out, latency) = backend.gemm_timed(&a, &b, &cfg).unwrap();
+            assert_eq!(out, want);
+            // A degraded launch spent no hardware time.
+            assert_eq!(latency.is_none(), launch == 2, "launch {launch}");
         }
         assert_eq!(backend.fallback_count(), 1, "launch 2 must degrade");
         assert_eq!(

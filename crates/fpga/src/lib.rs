@@ -30,9 +30,8 @@
 //! the backend's one [`PipelinedExecutor`] (a zero-byte operand cache
 //! unless [`FpgaBackend::pipelined`]) behind the fault gates of
 //! [`resilient`], leaving the FPGA path only through [`degrade`].
-//! `mpt_core::Device` is a handle on that backend; the serving
-//! dispatcher calls the executor's `launch_resilient` under the same
-//! gates.
+//! The serving dispatcher calls the executor's `launch_resilient`
+//! under the same gates.
 //!
 //! The synthesis results of Table III/IV are embedded as the static
 //! configuration database ([`synthesis::SynthesisDb`]) exactly as the

@@ -59,8 +59,9 @@ pub const HOST_PACK_GBPS: f64 = 8.0;
 /// Number of pipeline stages: pack, transfer, compute, unpack.
 pub const STAGES: usize = 4;
 
-/// Stage names in pipeline order — used for trace tracks
-/// (`fpga-pipeline/<stage>`), the `stage_utilization` event's
+/// Stage names in pipeline order — used for the `fpga_launch`
+/// event's `<stage>_s` / `<stage>_end_s` fields (the trace's
+/// `fpga-pipeline/<stage>` tracks), the `stage_utilization` event's
 /// `busy_<stage>_s` / `util_<stage>` fields, and report tables.
 pub const STAGE_NAMES: [&str; STAGES] = ["pack", "transfer", "compute", "unpack"];
 
@@ -191,9 +192,10 @@ impl PipelinedExecutor {
 
     /// Folds one admitted launch into the accounting: eager sum,
     /// per-stage busy totals, the overlap recurrence, and — when
-    /// tracing is armed — the Chrome-trace stage tracks (each stage's
-    /// window on the modeled timeline, so Perfetto shows the
-    /// pack/transfer/compute/unpack overlap).
+    /// telemetry is on — one `fpga_launch` event holding each stage's
+    /// window on the modeled timeline: it ends at `<stage>_end_s` and
+    /// lasts `<stage>_s` (the trace's `fpga-pipeline/<stage>` tracks,
+    /// so Perfetto shows the pack/transfer/compute/unpack overlap).
     fn account_launch(&mut self, times: &StageTimes) {
         self.eager_s += times.eager_s();
         let stage_t = times.as_array();
@@ -202,20 +204,23 @@ impl PipelinedExecutor {
         }
         overlap(&mut self.stage_done, stage_t);
         self.launches += 1;
-        if mpt_telemetry::trace::tracing_enabled() {
-            let launch = self.launches;
-            for ((name, t), end) in STAGE_NAMES.iter().zip(stage_t).zip(self.stage_done) {
-                if t <= 0.0 {
-                    continue;
-                }
-                let end_s = self.drained_s + end;
-                mpt_telemetry::trace::record_complete(
-                    &format!("fpga-pipeline/{name}"),
-                    &format!("{name} #{launch}"),
-                    (end_s - t) * 1e6,
-                    t * 1e6,
-                );
+        if mpt_telemetry::enabled() {
+            use mpt_telemetry::json::Field;
+            const KEYS: [(&str, &str); STAGES] = [
+                ("pack_s", "pack_end_s"),
+                ("transfer_s", "transfer_end_s"),
+                ("compute_s", "compute_end_s"),
+                ("unpack_s", "unpack_end_s"),
+            ];
+            let mut fields = vec![
+                Field::Str("type", "fpga_launch"),
+                Field::U64("launch", self.launches as u64),
+            ];
+            for (s, (dur_key, end_key)) in KEYS.into_iter().enumerate() {
+                fields.push(Field::F64(dur_key, stage_t[s]));
+                fields.push(Field::F64(end_key, self.drained_s + self.stage_done[s]));
             }
+            mpt_telemetry::event(&fields);
         }
     }
 
@@ -487,8 +492,8 @@ mod tests {
 
     #[test]
     fn traced_launches_emit_all_four_stage_tracks() {
+        use mpt_telemetry::json::{self, Value};
         mpt_telemetry::enable();
-        mpt_telemetry::trace::enable_tracing();
         let mut px = PipelinedExecutor::new(acc(), DEFAULT_CACHE_BUDGET);
         let cfg = QGemmConfig::fp8_fp12_sr().with_seed(11);
         for i in 0..3 {
@@ -496,17 +501,30 @@ mod tests {
             px.launch(&a, &b, &cfg).unwrap();
         }
         px.flush();
-        mpt_telemetry::trace::disable_tracing();
         mpt_telemetry::disable();
-        let events = mpt_telemetry::trace::snapshot();
+        let trace = mpt_telemetry::trace::render(mpt_telemetry::sink::buffered_events());
+        let doc = json::parse(&trace).expect("trace parses");
+        let Some(Value::Array(events)) = doc.get("traceEvents") else {
+            panic!("no traceEvents array")
+        };
+        let str_of = |e: &Value, key: &str| e.get(key).and_then(Value::as_str).map(str::to_owned);
         for stage in STAGE_NAMES {
             let track = format!("fpga-pipeline/{stage}");
-            let on_track: Vec<_> = events.iter().filter(|e| e.track == track).collect();
-            assert!(!on_track.is_empty(), "missing stage track {track}");
+            let tid = events
+                .iter()
+                .find(|e| e.get("args").and_then(|a| str_of(a, "name")).as_deref() == Some(&track))
+                .and_then(|e| e.get("tid"))
+                .unwrap_or_else(|| panic!("missing stage track {track}"));
+            let on_track: Vec<_> = events
+                .iter()
+                .filter(|e| str_of(e, "ph").as_deref() == Some("X") && e.get("tid") == Some(tid))
+                .collect();
+            assert!(!on_track.is_empty(), "no slice on {track}");
             // Stage windows sit on the modeled timeline: positive
             // duration, start ≥ 0.
-            for e in &on_track {
-                assert!(e.dur_us > 0.0 && e.ts_us >= -1e-9, "bad window {e:?}");
+            for e in on_track {
+                let num = |key| e.get(key).and_then(Value::as_f64).unwrap();
+                assert!(num("dur") > 0.0 && num("ts") >= -1e-9, "bad window {e:?}");
             }
         }
     }

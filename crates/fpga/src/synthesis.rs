@@ -10,6 +10,7 @@
 //! sweep.
 
 use crate::config::{ConfigError, SaConfig, MAX_CORES};
+use crate::sim::Accelerator;
 
 /// One synthesized design point (a Table III row).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -265,6 +266,22 @@ impl SynthesisDb {
             Some(_) => Ok(()),
         }
     }
+
+    /// The accelerator `⟨n, m, c⟩` at this database's achieved
+    /// frequency — what `FpgaBackend::new` wraps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the configuration is invalid or
+    /// absent from the database.
+    pub fn accelerator(&self, n: usize, m: usize, c: usize) -> Result<Accelerator, ConfigError> {
+        let cfg = SaConfig::new(n, m, c)?;
+        self.validate(cfg)?;
+        let freq = self
+            .frequency(n, m, c)
+            .expect("validated configuration has a frequency");
+        Ok(Accelerator::new(cfg, freq))
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +350,15 @@ mod tests {
         // Sum of c_max over rows: 10*8 + 7 + 4 + 2 + 1 = 94.
         let db = SynthesisDb::u55();
         assert_eq!(db.feasible_configs().len(), 94);
+    }
+
+    #[test]
+    fn accelerator_validates_against_db() {
+        let db = SynthesisDb::u55();
+        let acc = db.accelerator(8, 8, 10).unwrap();
+        assert_eq!(acc.freq_mhz(), db.frequency(8, 8, 10).unwrap());
+        assert!(db.accelerator(16, 16, 8).is_err()); // beyond c_max
+        assert!(db.accelerator(3, 3, 1).is_err()); // invalid shape
     }
 
     #[test]

@@ -39,11 +39,11 @@ impl GemmBackend for ServingBackend {
             .call(a, b, cfg, RequestClass::Training, None, self.stream)?
         {
             ServeResult::Done { out, .. } => Ok(out),
-            // `call` retries rejections and training requests carry
-            // no deadline, so these arms are unreachable; absorb them
-            // defensively via the CPU path rather than panicking.
-            ServeResult::Rejected { .. } | ServeResult::DeadlineExceeded => {
-                mpt_fpga::degrade("serving-client", 0, 0, a, b, cfg)
+            ServeResult::Rejected { .. } => {
+                unreachable!("`ServeHandle::call` retries every rejection")
+            }
+            ServeResult::DeadlineExceeded => {
+                unreachable!("a request without a deadline is never expired")
             }
             ServeResult::Failed(e) => Err(e),
         }

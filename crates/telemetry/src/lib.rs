@@ -8,12 +8,15 @@
 //! | observation | in-process record (→ [`Snapshot`]) | out-of-process record |
 //! |---|---|---|
 //! | a quantized value's fate ([`QuantCat`]) | local [`QuantTally`], flushed once per slice / GEMM into the label's [`QuantCounters`] | cumulative `layer_quant` event per epoch (`mpt-report`: per-layer health) |
-//! | a latency: a closed [`span`] / [`span_from`] (GEMM, forward and backward layer, trainer step, served request, pipeline stage) | the exact row of its name: count, total, max, bytes | one `span` JSONL line (`mpt-report`: percentiles, nesting via `id`/`parent`); one Chrome-trace event when [`trace`] is armed (Perfetto) |
+//! | a latency: a closed [`span`] / [`span_from`] (GEMM, forward and backward layer, trainer step, served request, pipeline stage) | the exact row of its name: count, total, max, bytes | one `span` JSONL line (`mpt-report`: percentiles, nesting via `id`/`parent`, and the Chrome trace [`trace::render`] draws from `ts_us`/`thread`) |
+//! | an FPGA launch's modeled stage windows | — | one `fpga_launch` JSONL line (the trace's `fpga-pipeline/<stage>` tracks) |
 //! | which SIMD nest ran a GEMM | [`counter`]`("kernel.tier.<tier>")` | — |
 //! | predicted vs measured latency | a [`CalibrationRecord`] | one `calibration` JSONL line |
 //! | anything else a caller wants logged | — | [`event`] JSONL line (`step`, `epoch`, `loss_scale`, ...) |
 //!
-//! JSONL lines go to a capped in-memory buffer and, when
+//! A closed span thus leaves two records, its registry row and its
+//! log line; the Chrome trace is a rendering of the log, not a third
+//! record. JSONL lines go to a capped in-memory buffer and, when
 //! `MPT_TELEMETRY_JSONL` names a file, to disk ([`sink`]).
 //! [`Snapshot::render_table`] prints the in-process records: one
 //! numerics row per quantizer label, one latency row per span name
@@ -82,8 +85,10 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns collection on.
+/// Turns collection on. The first call pins the instant span start
+/// times (`ts_us`) count from.
 pub fn enable() {
+    span::epoch();
     ENABLED.store(true, Ordering::Relaxed);
 }
 
@@ -97,9 +102,8 @@ pub fn disable() {
 ///
 /// * `MPT_TELEMETRY=1` (or `true`/`on`) enables collection;
 /// * `MPT_TELEMETRY_JSONL=<path>` additionally routes events to a
-///   JSONL file (implies enable);
-/// * `MPT_TELEMETRY_TRACE=<path>` arms Chrome-trace capture and sets
-///   the [`trace::finalize`] destination (implies enable).
+///   JSONL file (implies enable); `mpt-report --trace-out` renders
+///   the Chrome trace from it.
 ///
 /// Returns whether telemetry ended up enabled.
 pub fn init_from_env() -> bool {
@@ -108,12 +112,6 @@ pub fn init_from_env() -> bool {
             if let Err(e) = sink::set_jsonl_path(&path) {
                 eprintln!("telemetry: cannot open {path}: {e}");
             }
-            enable();
-        }
-    }
-    if let Ok(path) = std::env::var("MPT_TELEMETRY_TRACE") {
-        if !path.is_empty() {
-            trace::set_trace_path(&path);
             enable();
         }
     }
@@ -138,12 +136,11 @@ pub fn event(fields: &[json::Field<'_>]) {
 }
 
 /// Zeroes every counter and latency row, drops the calibration
-/// records, the event buffer, and the captured trace, and detaches
-/// the JSONL file and trace path. The enabled flag is left as-is.
+/// records and the event buffer, and detaches the JSONL file. The
+/// enabled flag is left as-is.
 pub fn reset() {
     registry::reset();
     sink::reset();
-    trace::reset();
 }
 
 #[cfg(test)]

@@ -1,19 +1,22 @@
 //! Spans: the one record of every latency this repository measures.
 //!
-//! A [`SpanGuard`] times a region and, on drop, writes its three
-//! records: one `span` JSONL line, the exact latency row of its name
-//! in the registry (count, total, max, bytes), and one trace event
-//! when tracing is armed. Nesting is tracked per thread: each open
-//! span records its parent's id and its depth, so the event stream
-//! reconstructs the call tree without any cross-thread coordination.
-//! [`span_from`] opens a span on a clock that started earlier (a
-//! request's enqueue instant).
+//! A [`SpanGuard`] times a region and, on drop, writes its two
+//! records: one `span` JSONL line and the exact latency row of its
+//! name in the registry (count, total, max, bytes). Nesting is tracked
+//! per thread: each open span records its parent's id and its depth,
+//! so the event stream reconstructs the call tree without any
+//! cross-thread coordination. The line also carries the span's start
+//! (`ts_us`, microseconds since the first [`crate::enable`]) and its
+//! thread's ordinal (`thread`), so the log alone holds the timeline
+//! [`crate::trace::render`] draws. [`span_from`] opens a span on a
+//! clock that started earlier (a request's enqueue instant).
 //!
 //! When telemetry is disabled, [`span`] and [`span_from`] hand back an
 //! inert guard — no clock read, no allocation beyond moving the name.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::json::{self, Field};
@@ -21,10 +24,23 @@ use crate::json::{self, Field};
 /// Globally unique span ids (0 = "no parent").
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
+/// The next thread ordinal.
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     /// Ids of the spans currently open on this thread, outermost
     /// first.
     static OPEN: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// This thread's small stable ordinal, assigned at its first closed
+    /// span: the `thread` field of its span lines.
+    static THREAD: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The instant every `ts_us` counts from, pinned by the first
+/// [`crate::enable`] so that it precedes every span.
+pub(crate) fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
 /// An extra field attached to a span event.
@@ -134,12 +150,19 @@ impl Drop for SpanGuard {
             }
         });
         let dur_ns = dur.as_nanos() as u64;
+        // A `span_from` clock that started before the epoch starts at 0.
+        let ts_us = s
+            .start
+            .checked_duration_since(epoch())
+            .map_or(0.0, |d| d.as_nanos() as f64 / 1e3);
         let mut fields = vec![
             Field::Str("type", "span"),
             Field::Str("name", &s.name),
             Field::U64("id", s.id),
             Field::U64("parent", s.parent),
             Field::U64("depth", s.depth as u64),
+            Field::U64("thread", THREAD.with(|t| *t)),
+            Field::F64("ts_us", ts_us),
             Field::U64("dur_ns", dur_ns),
         ];
         if s.bytes > 0 {
@@ -152,11 +175,10 @@ impl Drop for SpanGuard {
                 SpanField::Str(k, v) => Field::Str(k, v),
             });
         }
-        // The three records of a closed span, one writer each: the
-        // JSONL line (`mpt-report` reads it), the registry entry of
-        // its name (the summary table), the armed-only trace event.
+        // The two records of a closed span, one writer each: the JSONL
+        // line (`mpt-report` and the trace read it) and the registry
+        // entry of its name (the summary table).
         crate::sink::emit_line(json::object(&fields));
         crate::registry::record_span(&s.name, dur_ns, s.bytes);
-        crate::trace::record_span(&s.name, s.start, dur_ns);
     }
 }

@@ -1,351 +1,209 @@
-//! Chrome-trace (`chrome://tracing` / Perfetto) timeline export.
+//! Chrome-trace (`chrome://tracing` / Perfetto) rendering of the
+//! telemetry log.
 //!
-//! When tracing is armed (via [`set_trace_path`], [`enable_tracing`]
-//! or the `MPT_TELEMETRY_TRACE` env knob handled by
-//! [`crate::init_from_env`]), every closed span is captured as one
-//! *complete* trace event (`"ph":"X"`) on its thread's track, and the
-//! pipelined FPGA executor additionally emits per-launch per-stage
-//! events on virtual `fpga-pipeline/<stage>` tracks laid out on the
-//! pipeline clock's modeled timeline — so the pack → transfer →
-//! compute → unpack overlap is visually inspectable.
+//! Nothing is captured for the trace: [`render`] draws it from the
+//! JSONL lines of one run — the file `MPT_TELEMETRY_JSONL` names
+//! (`mpt-report --trace-out` reads it) or
+//! [`crate::sink::buffered_events`]. Two line types become slices:
 //!
-//! The export is the trace-event JSON object format,
-//! `{"traceEvents": [...]}`: each track becomes a `tid` with a
-//! `thread_name` metadata record, timestamps/durations are
-//! microseconds, and events are sorted by `(ts, track, seq)` before
-//! writing so the file is byte-stable for a deterministic run.
-//! Recording costs one mutex push per span close and is bounded by a
-//! fixed event cap (overflow is counted, never reallocating without
-//! bound).
+//! * a `span` line is one slice on its thread's track, `thread-<n>`,
+//!   starting at its `ts_us` and lasting its `dur_ns`;
+//! * an `fpga_launch` line, one per pipelined-executor launch, is one
+//!   slice per stage with modeled time in it, on the virtual
+//!   `fpga-pipeline/<stage>` tracks: the stage's window on the
+//!   executor's modeled timeline ends at `<stage>_end_s` and lasts
+//!   `<stage>_s`, so the pack → transfer → compute → unpack overlap
+//!   is visible.
+//!
+//! Lines that do not parse (a run cut off mid-write) and lines of
+//! other types are skipped. The output is the trace-event JSON object
+//! format, `{"traceEvents": [...]}`: each track becomes a `tid` with a
+//! `thread_name` metadata record, timestamps and durations are
+//! microseconds, and slices are sorted by (start, track, line index),
+//! so one log always renders to the same bytes.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use crate::json::{self, Field, Value};
 
-use crate::json::{self, Field};
-
-/// Max trace events retained in memory per run.
-const TRACE_CAP: usize = 500_000;
-
-/// Whether trace capture is armed (independent of the global
-/// telemetry switch; both must be on for spans to be captured).
-static TRACING: AtomicBool = AtomicBool::new(false);
-
-/// One captured timeline event (a Chrome-trace "complete" event).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Event label shown on the slice.
-    pub name: String,
-    /// Track the slice renders on (becomes a named `tid`).
-    pub track: String,
-    /// Start, microseconds from the trace epoch.
-    pub ts_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-    /// Capture order, used as the final sort tiebreaker.
-    pub seq: u64,
+/// One slice of the timeline (a Chrome-trace "complete" event).
+struct Slice {
+    name: String,
+    track: String,
+    ts_us: f64,
+    dur_us: f64,
+    /// Index of the log line it came from: the last sort key.
+    line: usize,
 }
 
-#[derive(Default)]
-struct TraceState {
-    events: Vec<TraceEvent>,
-    dropped: u64,
-    path: Option<PathBuf>,
-    seq: u64,
-}
-
-fn state() -> &'static Mutex<TraceState> {
-    static STATE: OnceLock<Mutex<TraceState>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(TraceState::default()))
-}
-
-/// The process-wide trace epoch all wall-clock timestamps are
-/// relative to. Pinned when tracing is armed so it precedes every
-/// captured span.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// A small stable per-thread ordinal (assigned at first use) naming
-/// wall-clock tracks `thread-<n>`.
-fn thread_ordinal() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static ORDINAL: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+/// Renders the Chrome trace of one run from its JSONL `lines`.
+pub fn render<L: AsRef<str>>(lines: impl IntoIterator<Item = L>) -> String {
+    let mut slices = Vec::new();
+    for (line, text) in lines.into_iter().enumerate() {
+        let Ok(ev) = json::parse(text.as_ref()) else {
+            continue;
+        };
+        match ev.get("type").and_then(Value::as_str) {
+            Some("span") => slices.extend(span_slice(&ev, line)),
+            Some("fpga_launch") => launch_slices(&ev, line, &mut slices),
+            _ => {}
+        }
     }
-    ORDINAL.with(|o| *o)
-}
-
-/// Whether trace capture is armed. One relaxed atomic load.
-#[inline(always)]
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
-}
-
-/// Arms in-memory trace capture (no file; use [`write_to`] or
-/// [`snapshot`] to inspect). Pins the trace epoch.
-pub fn enable_tracing() {
-    epoch();
-    TRACING.store(true, Ordering::Relaxed);
-}
-
-/// Disarms trace capture; already-captured events are kept.
-pub fn disable_tracing() {
-    TRACING.store(false, Ordering::Relaxed);
-}
-
-/// Arms tracing and remembers `path` as the [`finalize`] destination.
-pub fn set_trace_path(path: impl AsRef<Path>) {
-    state().lock().unwrap().path = Some(path.as_ref().to_path_buf());
-    enable_tracing();
-}
-
-/// The configured trace output path, if any.
-pub fn trace_path() -> Option<PathBuf> {
-    state().lock().unwrap().path.clone()
-}
-
-/// Captures one complete event on an explicit (virtual) track — used
-/// by the pipelined executor for modeled stage timelines. No-op when
-/// tracing is disarmed.
-pub fn record_complete(track: &str, name: &str, ts_us: f64, dur_us: f64) {
-    if !tracing_enabled() {
-        return;
-    }
-    let mut s = state().lock().unwrap();
-    if s.events.len() >= TRACE_CAP {
-        s.dropped += 1;
-        return;
-    }
-    let seq = s.seq;
-    s.seq += 1;
-    s.events.push(TraceEvent {
-        name: name.to_string(),
-        track: track.to_string(),
-        ts_us,
-        dur_us,
-        seq,
-    });
-}
-
-/// Captures a wall-clock span on the calling thread's track. Called
-/// by the span layer on guard drop.
-pub(crate) fn record_span(name: &str, start: Instant, dur_ns: u64) {
-    if !tracing_enabled() {
-        return;
-    }
-    let ts_us = start
-        .checked_duration_since(epoch())
-        .map(|d| d.as_nanos() as f64 / 1e3)
-        .unwrap_or(0.0);
-    let track = format!("thread-{}", thread_ordinal());
-    record_complete(&track, name, ts_us, dur_ns as f64 / 1e3);
-}
-
-/// Number of captured events so far.
-pub fn events_len() -> usize {
-    state().lock().unwrap().events.len()
-}
-
-/// Events dropped past the in-memory cap.
-pub fn dropped_events() -> u64 {
-    state().lock().unwrap().dropped
-}
-
-/// A copy of all captured events in the canonical deterministic
-/// order: sorted by `(ts, track, seq)`, so concurrent threads'
-/// records land in a stable cross-run order (timestamps tie-broken
-/// by track name, then capture sequence).
-pub fn snapshot() -> Vec<TraceEvent> {
-    let mut events = state().lock().unwrap().events.clone();
-    sort_events(&mut events);
-    events
-}
-
-fn sort_events(events: &mut [TraceEvent]) {
-    events.sort_by(|a, b| {
+    slices.sort_by(|a, b| {
         a.ts_us
             .total_cmp(&b.ts_us)
             .then_with(|| a.track.cmp(&b.track))
-            .then(a.seq.cmp(&b.seq))
+            .then(a.line.cmp(&b.line))
     });
+    write(&slices)
 }
 
-/// Serializes `events` as a Chrome trace-event JSON document. Tracks
-/// are assigned `tid`s in sorted-name order, each introduced by a
-/// `thread_name` metadata record.
-pub fn render(events: &[TraceEvent]) -> String {
-    let mut tracks: Vec<&str> = events.iter().map(|e| e.track.as_str()).collect();
+/// A `span` line's slice; `None` for a line that lacks a field.
+fn span_slice(ev: &Value, line: usize) -> Option<Slice> {
+    let num = |key| ev.get(key).and_then(Value::as_f64);
+    Some(Slice {
+        name: ev.get("name")?.as_str()?.to_string(),
+        track: format!("thread-{}", ev.get("thread")?.as_u64()?),
+        ts_us: num("ts_us")?,
+        dur_us: num("dur_ns")? / 1e3,
+        line,
+    })
+}
+
+/// An `fpga_launch` line's slices: one per `<stage>_end_s` key whose
+/// `<stage>_s` is positive.
+fn launch_slices(ev: &Value, line: usize, out: &mut Vec<Slice>) {
+    let (Value::Object(fields), Some(launch)) = (ev, ev.get("launch").and_then(Value::as_u64))
+    else {
+        return;
+    };
+    for (key, end) in fields {
+        let Some(stage) = key.strip_suffix("_end_s") else {
+            continue;
+        };
+        let t = ev.get(&format!("{stage}_s")).and_then(Value::as_f64);
+        let (Some(end_s), Some(t)) = (end.as_f64(), t) else {
+            continue;
+        };
+        if t > 0.0 {
+            out.push(Slice {
+                name: format!("{stage} #{launch}"),
+                track: format!("fpga-pipeline/{stage}"),
+                ts_us: (end_s - t) * 1e6,
+                dur_us: t * 1e6,
+                line,
+            });
+        }
+    }
+}
+
+/// Serializes sorted `slices` as a Chrome trace-event JSON document.
+/// Tracks are assigned `tid`s in sorted-name order, each introduced
+/// by a `thread_name` metadata record.
+fn write(slices: &[Slice]) -> String {
+    let mut tracks: Vec<&str> = slices.iter().map(|e| e.track.as_str()).collect();
     tracks.sort_unstable();
     tracks.dedup();
     let tid_of = |track: &str| tracks.binary_search(&track).unwrap_or(0) as u64;
 
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, line: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(&line);
-    };
-    push(
-        &mut out,
+    let mut records = vec![
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
          \"args\":{\"name\":\"mpt\"}}"
             .to_string(),
-    );
+    ];
     for (tid, track) in tracks.iter().enumerate() {
         let mut name = String::new();
         json::escape_into(&mut name, track);
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-        );
+        records.push(format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
+             \"args\":{{\"name\":\"{name}\"}}}}"
+        ));
     }
-    for e in events {
-        push(
-            &mut out,
-            json::object(&[
-                Field::Str("name", &e.name),
-                Field::Str("cat", "mpt"),
-                Field::Str("ph", "X"),
-                Field::F64("ts", e.ts_us),
-                Field::F64("dur", e.dur_us),
-                Field::U64("pid", 1),
-                Field::U64("tid", tid_of(&e.track)),
-            ]),
-        );
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Writes the captured events (deterministically ordered) to `path`
-/// as Chrome-trace JSON; returns the event count written.
-///
-/// # Errors
-///
-/// Propagates file-creation / write I/O errors.
-pub fn write_to(path: impl AsRef<Path>) -> std::io::Result<usize> {
-    let events = snapshot();
-    std::fs::write(path, render(&events))?;
-    Ok(events.len())
-}
-
-/// Writes the trace to the path configured by [`set_trace_path`] /
-/// `MPT_TELEMETRY_TRACE`, if one is set and any events were
-/// captured. Returns the destination on success; I/O errors are
-/// reported on stderr (a full disk must not take the run down).
-pub fn finalize() -> Option<PathBuf> {
-    let path = trace_path()?;
-    if events_len() == 0 {
-        return None;
-    }
-    match write_to(&path) {
-        Ok(_) => Some(path),
-        Err(e) => {
-            eprintln!("telemetry: cannot write trace {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// Clears captured events, the drop counter, and the configured
-/// path. The tracing arm flag is left as-is (mirrors how
-/// [`crate::reset`] leaves the global enable flag).
-pub fn reset() {
-    let mut s = state().lock().unwrap();
-    s.events.clear();
-    s.dropped = 0;
-    s.path = None;
-    s.seq = 0;
+    records.extend(slices.iter().map(|e| {
+        json::object(&[
+            Field::Str("name", &e.name),
+            Field::Str("cat", "mpt"),
+            Field::Str("ph", "X"),
+            Field::F64("ts", e.ts_us),
+            Field::F64("dur", e.dur_us),
+            Field::U64("pid", 1),
+            Field::U64("tid", tid_of(&e.track)),
+        ])
+    }));
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", records.join(",\n"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn trace_events(doc: &str) -> Vec<Value> {
+        let v = json::parse(doc).expect("trace must parse");
+        match v.get("traceEvents").unwrap() {
+            Value::Array(a) => a.clone(),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn str_of<'a>(e: &'a Value, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(Value::as_str)
+    }
+
     #[test]
     fn render_is_valid_json_with_named_tracks() {
-        let events = vec![
-            TraceEvent {
-                name: "compute #0".into(),
-                track: "fpga-pipeline/compute".into(),
-                ts_us: 10.0,
-                dur_us: 5.0,
-                seq: 1,
-            },
-            TraceEvent {
-                name: "pack #0".into(),
-                track: "fpga-pipeline/pack".into(),
-                ts_us: 0.0,
-                dur_us: 10.0,
-                seq: 0,
-            },
+        let log = [
+            "{\"type\":\"fpga_launch\",\"launch\":1,\"pack_s\":1e-5,\"pack_end_s\":1e-5,\
+             \"transfer_s\":0.0,\"transfer_end_s\":1e-5,\
+             \"compute_s\":5e-6,\"compute_end_s\":1.5e-5}",
+            "not json at all",
+            "{\"type\":\"step\",\"loss\":1.0}",
         ];
-        let doc = render(&events);
-        let v = json::parse(&doc).expect("trace must parse");
-        let arr = match v.get("traceEvents").unwrap() {
-            json::Value::Array(a) => a,
-            other => panic!("{other:?}"),
-        };
-        // 1 process_name + 2 thread_name + 2 complete events.
+        let arr = trace_events(&render(log));
+        // 1 process_name + 2 thread_name + 2 complete events: the
+        // zero-length transfer stage is no slice.
         assert_eq!(arr.len(), 5);
         let metas: Vec<&str> = arr
             .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M"))
+            .filter(|e| str_of(e, "ph") == Some("M"))
             .filter_map(|e| e.get("args")?.get("name")?.as_str())
             .collect();
-        assert!(metas.contains(&"fpga-pipeline/pack"));
-        assert!(metas.contains(&"fpga-pipeline/compute"));
+        assert_eq!(
+            metas,
+            ["mpt", "fpga-pipeline/compute", "fpga-pipeline/pack"]
+        );
         let complete: Vec<_> = arr
             .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+            .filter(|e| str_of(e, "ph") == Some("X"))
+            .map(|e| {
+                let num = |k| e.get(k).and_then(Value::as_f64).unwrap();
+                (str_of(e, "name").unwrap(), num("ts"), num("dur"))
+            })
             .collect();
         assert_eq!(complete.len(), 2);
-        let durs: Vec<f64> = complete
-            .iter()
-            .filter_map(|e| e.get("dur")?.as_f64())
-            .collect();
-        assert!(durs.contains(&10.0) && durs.contains(&5.0));
+        assert_eq!(complete[0].0, "pack #1");
+        assert!((complete[0].1 - 0.0).abs() < 1e-9 && (complete[0].2 - 10.0).abs() < 1e-9);
+        assert_eq!(complete[1].0, "compute #1");
+        assert!((complete[1].1 - 10.0).abs() < 1e-9 && (complete[1].2 - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn sort_orders_by_start_then_track() {
-        let mut events = vec![
-            TraceEvent {
-                name: "b".into(),
-                track: "thread-1".into(),
-                ts_us: 5.0,
-                dur_us: 1.0,
-                seq: 0,
-            },
-            TraceEvent {
-                name: "a".into(),
-                track: "thread-0".into(),
-                ts_us: 5.0,
-                dur_us: 1.0,
-                seq: 1,
-            },
-            TraceEvent {
-                name: "c".into(),
-                track: "thread-9".into(),
-                ts_us: 1.0,
-                dur_us: 1.0,
-                seq: 2,
-            },
+        let span = |name: &str, thread: u64, ts: f64| {
+            format!(
+                "{{\"type\":\"span\",\"name\":\"{name}\",\"id\":1,\"parent\":0,\
+                 \"depth\":0,\"thread\":{thread},\"ts_us\":{ts:?},\"dur_ns\":1000}}"
+            )
+        };
+        let log = [
+            span("b", 1, 5.0),
+            span("a", 0, 5.0),
+            span("c", 9, 1.0),
+            span("d", 0, 5.0),
         ];
-        sort_events(&mut events);
-        assert_eq!(events[0].name, "c");
-        assert_eq!(events[1].name, "a"); // ts tie broken by track
-        assert_eq!(events[2].name, "b");
+        let names: Vec<String> = trace_events(&render(&log))
+            .iter()
+            .filter(|e| str_of(e, "ph") == Some("X"))
+            .map(|e| str_of(e, "name").unwrap().to_string())
+            .collect();
+        // ts ties broken by track, then by line.
+        assert_eq!(names, ["c", "a", "d", "b"]);
     }
 }

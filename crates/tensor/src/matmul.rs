@@ -56,74 +56,6 @@ impl Tensor {
         }
         Tensor::from_vec(vec![n, m], out)
     }
-
-    /// `self × otherᵀ` without materializing the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`matmul`](Tensor::matmul) with `other`
-    /// interpreted as `(m, k)`.
-    pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor, ShapeError> {
-        let (n, k) = self.as_matrix()?;
-        let (m, k2) = other.as_matrix()?;
-        if k != k2 {
-            return Err(ShapeError::Mismatch {
-                left: self.shape().to_vec(),
-                right: other.shape().to_vec(),
-                op: "matmul_nt",
-            });
-        }
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; n * m];
-        for i in 0..n {
-            for j in 0..m {
-                let mut acc = 0.0f32;
-                let arow = &a[i * k..(i + 1) * k];
-                let brow = &b[j * k..(j + 1) * k];
-                for kk in 0..k {
-                    acc += arow[kk] * brow[kk];
-                }
-                out[i * m + j] = acc;
-            }
-        }
-        Tensor::from_vec(vec![n, m], out)
-    }
-
-    /// `selfᵀ × other` without materializing the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`matmul`](Tensor::matmul) with `self`
-    /// interpreted as `(k, n)`.
-    pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor, ShapeError> {
-        let (k, n) = self.as_matrix()?;
-        let (k2, m) = other.as_matrix()?;
-        if k != k2 {
-            return Err(ShapeError::Mismatch {
-                left: self.shape().to_vec(),
-                right: other.shape().to_vec(),
-                op: "matmul_tn",
-            });
-        }
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; n * m];
-        for kk in 0..k {
-            for i in 0..n {
-                let aki = a[kk * n + i];
-                if aki == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * m..(kk + 1) * m];
-                let orow = &mut out[i * m..(i + 1) * m];
-                for j in 0..m {
-                    orow[j] += aki * brow[j];
-                }
-            }
-        }
-        Tensor::from_vec(vec![n, m], out)
-    }
 }
 
 #[cfg(test)]
@@ -162,28 +94,6 @@ mod tests {
         let a = Tensor::zeros(vec![2, 3, 4]);
         let b = Tensor::zeros(vec![4, 2]);
         assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn nt_matches_explicit_transpose() {
-        let a = Tensor::from_fn(vec![3, 4], |i| (i as f32).sin());
-        let b = Tensor::from_fn(vec![5, 4], |i| (i as f32).cos());
-        let direct = a.matmul_nt(&b).unwrap();
-        let via_t = a.matmul(&b.transpose().unwrap()).unwrap();
-        for (x, y) in direct.data().iter().zip(via_t.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn tn_matches_explicit_transpose() {
-        let a = Tensor::from_fn(vec![4, 3], |i| (i as f32).sin());
-        let b = Tensor::from_fn(vec![4, 5], |i| (i as f32).cos());
-        let direct = a.matmul_tn(&b).unwrap();
-        let via_t = a.transpose().unwrap().matmul(&b).unwrap();
-        for (x, y) in direct.data().iter().zip(via_t.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -13,13 +13,6 @@ impl Tensor {
         .expect("shape preserved")
     }
 
-    /// Applies `f` to each element in place.
-    pub fn map_mut(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data_mut() {
-            *v = f(*v);
-        }
-    }
-
     /// Combines two same-shape tensors element-wise.
     ///
     /// # Errors

@@ -116,11 +116,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing vector.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// The scalar value of a single-element tensor.
     ///
     /// # Panics

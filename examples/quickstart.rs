@@ -6,9 +6,8 @@
 //! ```
 
 use mpt_arith::{qgemm, QGemmConfig};
-use mpt_core::Device;
 use mpt_formats::{FloatFormat, Quantizer, Rounding};
-use mpt_fpga::SynthesisDb;
+use mpt_fpga::{FpgaBackend, SynthesisDb};
 use mpt_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,9 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The same GEMM on the simulated FPGA accelerator: bit-equal,
     //    plus a latency measurement.
-    let db = SynthesisDb::u55();
-    let fpga = Device::fpga(8, 8, 4, &db)?;
-    let (on_fpga, latency) = fpga.execute_gemm(&a, &b, &cfg)?;
+    let fpga = FpgaBackend::new(SynthesisDb::u55().accelerator(8, 8, 4)?);
+    let (on_fpga, latency) = fpga.gemm_timed(&a, &b, &cfg)?;
     assert_eq!(emulated, on_fpga, "emulation and FPGA must agree bitwise");
     let lat = latency.expect("FPGA reports latency");
     println!(

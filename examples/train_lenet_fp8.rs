@@ -24,10 +24,10 @@
 //! saturation/rounding counters, per-layer forward/backward time,
 //! per-GEMM spans, loss-scale events, and a perf-model calibration
 //! record for the accelerator the offline matcher would pick for this
-//! workload. Point
-//! `MPT_TELEMETRY_TRACE` at a path to additionally capture a
-//! Chrome-trace timeline (with per-stage FPGA pipeline tracks under
-//! `--backend fpga`).
+//! workload. The event log also holds the run's timeline: render it
+//! as a Chrome trace (with per-stage FPGA pipeline tracks under
+//! `--backend fpga`) with
+//! `mpt-report --jsonl <log> --trace-out <trace.json>`.
 
 use mpt_arith::{CpuBackend, GemmBackend, GemmShape};
 use mpt_core::select_accelerator;
@@ -187,9 +187,6 @@ fn main() {
         mpt_telemetry::sink::flush();
         if let Some(path) = mpt_telemetry::sink::jsonl_path() {
             println!("event log: {}", path.display());
-        }
-        if let Some(path) = mpt_telemetry::trace::finalize() {
-            println!("chrome trace: {} (open in Perfetto)", path.display());
         }
     }
 }

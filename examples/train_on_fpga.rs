@@ -7,22 +7,20 @@
 //! cargo run --release -p mpt-core --example train_on_fpga
 //! ```
 
-use mpt_core::Device;
+use mpt_arith::GemmBackend;
 use mpt_data::synthetic_mnist;
-use mpt_fpga::SynthesisDb;
+use mpt_fpga::{FpgaBackend, SynthesisDb};
 use mpt_models::lenet5;
 use mpt_nn::{GemmPrecision, Graph, Layer, Optimizer, Sgd};
+use std::rc::Rc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The paper's `device='fpga'`: the device hands the tape its GEMM
-    // backend and keeps a handle on the same object for the counters.
-    let device = Device::fpga(8, 8, 4, &SynthesisDb::u55())?;
-    let Device::Fpga(backend) = &device else {
-        unreachable!("Device::fpga builds an FPGA device")
-    };
+    // The paper's `device='fpga'`: the tape takes the FPGA backend,
+    // and this handle on the same object reads its counters.
+    let backend = Rc::new(FpgaBackend::new(SynthesisDb::u55().accelerator(8, 8, 4)?));
     println!(
         "training LeNet5 (FP8 x FP12-SR) on backend: {}\n",
-        device.backend().label()
+        backend.label()
     );
 
     let data = synthetic_mnist(64, 1);
@@ -34,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for p in &params {
             p.zero_grad();
         }
-        let mut g = Graph::with_backend(true, device.backend());
+        let mut g = Graph::with_backend(true, Rc::clone(&backend) as Rc<dyn GemmBackend>);
         let idx: Vec<usize> = (0..16).map(|i| (i + step * 16) % data.len()).collect();
         let (images, labels) = data.gather(&idx);
         let x = g.input(images);

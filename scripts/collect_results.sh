@@ -47,14 +47,14 @@ open(path, 'w').write(head + marker + '\n\n' + payload)
 EOF
 echo "EXPERIMENTS.md updated"
 
-# Profiling report: instrumented FPGA LeNet run -> RESULTS.md.
+# Profiling report: instrumented FPGA LeNet run -> RESULTS.md, plus the
+# Chrome trace rendered from the same event log.
 # Missing optional inputs only skip their section, so this also works
 # on serving-only runs.
 MPT_TELEMETRY_JSONL=/tmp/mpt_report_run.jsonl \
-MPT_TELEMETRY_TRACE=/tmp/mpt_report_run.trace.json \
   ./target/release/examples/train_lenet_fp8 --backend fpga > /dev/null
+./target/release/mpt-report --jsonl /tmp/mpt_report_run.jsonl \
+  --trace-out /tmp/mpt_report_run.trace.json --out RESULTS.md
 ./target/release/mpt-report --validate-trace /tmp/mpt_report_run.trace.json \
   --require-stage-tracks 4
-./target/release/mpt-report --jsonl /tmp/mpt_report_run.jsonl \
-  --trace /tmp/mpt_report_run.trace.json --out RESULTS.md
 echo "RESULTS.md updated"

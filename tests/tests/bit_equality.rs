@@ -5,9 +5,8 @@
 //! precision DNN training").
 
 use mpt_arith::{qgemm, MacConfig, QGemmConfig};
-use mpt_core::Device;
 use mpt_formats::{BlockFpFormat, FixedFormat, FloatFormat, Quantizer, Rounding};
-use mpt_fpga::{Accelerator, SaConfig, SynthesisDb};
+use mpt_fpga::{Accelerator, FpgaBackend, SaConfig, SynthesisDb};
 use mpt_tensor::Tensor;
 
 fn operands(n: usize, k: usize, m: usize, seed: u64) -> (Tensor, Tensor) {
@@ -87,10 +86,10 @@ fn device_dispatch_is_transparent() {
     let db = SynthesisDb::u55();
     let (a, b) = operands(12, 30, 9, 5);
     let cfg = QGemmConfig::fp8_fp12_sr().with_seed(3);
-    let (cpu, _) = Device::Cpu.execute_gemm(&a, &b, &cfg).expect("cpu");
+    let cpu = qgemm(&a, &b, &cfg).expect("cpu");
     for (n, m, c) in [(1, 1, 10), (4, 4, 5), (8, 8, 10), (64, 32, 1)] {
-        let dev = Device::fpga(n, m, c, &db).expect("config in db");
-        let (out, lat) = dev.execute_gemm(&a, &b, &cfg).expect("fpga");
+        let dev = FpgaBackend::new(db.accelerator(n, m, c).expect("config in db"));
+        let (out, lat) = dev.gemm_timed(&a, &b, &cfg).expect("fpga");
         assert_eq!(out, cpu, "<{n},{m},{c}>");
         assert!(lat.expect("latency").total_s > 0.0);
     }
