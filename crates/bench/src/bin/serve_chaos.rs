@@ -73,7 +73,7 @@ fn main() {
         RunScale::Full => (16, 200),
     };
     let serve_cfg = ServeConfig {
-        retry: RetryPolicy::no_delay(3).with_jitter(seed),
+        retry: RetryPolicy::no_delay(3),
     };
     println!(
         "serve_chaos: {clients} clients x {requests_per_client} requests, \
@@ -117,7 +117,7 @@ fn main() {
                     RequestClass::Inference => Some(Instant::now() + Duration::from_secs(30)),
                 };
                 match h
-                    .call(&a, &b, &cfg, class, deadline, client)
+                    .call(&a, &b, &cfg, class, deadline)
                     .expect("conforming operands")
                 {
                     ServeResult::Done { out, .. } => {

@@ -324,6 +324,38 @@ fn grad_transpose_batched() {
 }
 
 #[test]
+fn grad_slice_cols() {
+    let mut c = Corpus::new(0x63);
+    let x = tensor(&mut c, vec![3, 7]);
+    assert_gradients("slice_cols", &[x], |g, ids| {
+        let y = g.slice_cols(ids[0], 2, 5);
+        sq_mean(g, y)
+    });
+}
+
+#[test]
+fn grad_split_heads() {
+    let mut c = Corpus::new(0x64);
+    let x = tensor(&mut c, vec![3, 8]);
+    assert_gradients("split_heads", &[x], |g, ids| {
+        let y = g.split_heads(ids[0], 2);
+        let flat_len = g.value(y).numel();
+        let flat = g.reshape(y, vec![flat_len, 1]);
+        sq_mean(g, flat)
+    });
+}
+
+#[test]
+fn grad_merge_heads() {
+    let mut c = Corpus::new(0x65);
+    let x = tensor(&mut c, vec![2, 3, 4]);
+    assert_gradients("merge_heads", &[x], |g, ids| {
+        let y = g.merge_heads(ids[0]);
+        sq_mean(g, y)
+    });
+}
+
+#[test]
 fn grad_attention() {
     let mut c = Corpus::new(0x70);
     let x = tensor(&mut c, vec![5, 8]);

@@ -48,7 +48,7 @@ fn spawn_inference(h: ServeHandle, stop: Arc<AtomicBool>, client: u64) -> JoinHa
         while !stop.load(Ordering::Relaxed) {
             let deadline = Some(Instant::now() + Duration::from_secs(30));
             match h
-                .call(&a, &b, &cfg, RequestClass::Inference, deadline, client)
+                .call(&a, &b, &cfg, RequestClass::Inference, deadline)
                 .expect("conforming operands")
             {
                 ServeResult::Done { out, .. } => {
@@ -73,7 +73,7 @@ fn replay_through_service(injector: Option<Injector>, clients: u64) -> String {
         .map(|c| spawn_inference(service.handle(), Arc::clone(&stop), c))
         .collect();
 
-    let backend = Rc::new(ServingBackend::new(service.handle(), 0));
+    let backend = Rc::new(ServingBackend::new(service.handle()));
     let outcome =
         replay_lenet_with(backend, &TrainOptions::default()).expect("no checkpoint I/O configured");
 

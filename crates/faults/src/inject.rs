@@ -53,7 +53,7 @@ impl Injector {
 
     /// Faults injected at one site so far.
     pub fn injected_at(&self, site: FaultSite) -> u64 {
-        self.per_site[site_index(site)].get()
+        self.per_site[site.index()].get()
     }
 
     /// Consults the plan for `site` at `(launch, attempt)`; records
@@ -63,7 +63,7 @@ impl Injector {
             return None;
         }
         self.injected.set(self.injected.get() + 1);
-        let c = &self.per_site[site_index(site)];
+        let c = &self.per_site[site.index()];
         c.set(c.get() + 1);
         Some(Fault {
             site,
@@ -81,13 +81,6 @@ impl Injector {
         let xor = ((h >> 32) as u8) | 1; // never 0: must actually flip
         (byte, xor)
     }
-}
-
-fn site_index(site: FaultSite) -> usize {
-    FaultSite::ALL
-        .iter()
-        .position(|&s| s == site)
-        .expect("site in ALL")
 }
 
 #[cfg(test)]

@@ -1,19 +1,11 @@
-//! Bounded retry with exponential backoff (optionally jittered).
+//! Bounded retry with exponential backoff.
 
-use crate::plan::mix;
 use std::time::Duration;
 
 /// How an execution layer reacts to a transient fault: up to
 /// `max_attempts` tries, sleeping `base_delay * 2^attempt` (capped at
 /// `max_delay`) between them. When the budget is exhausted the caller
 /// degrades to the bit-identical CPU path.
-///
-/// Arming [`with_jitter`](Self::with_jitter) decorrelates concurrent
-/// retriers: [`delay_jittered`](Self::delay_jittered) scales each
-/// backoff by a deterministic per-`(seed, stream, attempt)` factor in
-/// `[0.5, 1.0]`, so N clients rejected together do not stampede the
-/// queue again in lockstep. The plain [`delay`](Self::delay) is
-/// unaffected.
 ///
 /// # Example
 ///
@@ -28,12 +20,6 @@ use std::time::Duration;
 /// // Tests use a zero-delay policy so chaos runs stay fast.
 /// let fast = RetryPolicy::no_delay(5);
 /// assert_eq!(fast.delay(4), Duration::ZERO);
-///
-/// // Jitter is deterministic and bounded by the plain backoff.
-/// let j = RetryPolicy::default().with_jitter(42);
-/// let d = j.delay_jittered(2, 7);
-/// assert_eq!(d, j.delay_jittered(2, 7));
-/// assert!(d <= j.delay(2) && d >= j.delay(2) / 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -43,8 +29,6 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Upper bound on any single backoff sleep.
     pub max_delay: Duration,
-    /// Jitter seed; `None` keeps backoff exact (the default).
-    pub jitter: Option<u64>,
 }
 
 impl RetryPolicy {
@@ -54,7 +38,6 @@ impl RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_delay,
             max_delay: Duration::from_millis(100),
-            jitter: None,
         }
     }
 
@@ -64,16 +47,7 @@ impl RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_delay: Duration::ZERO,
             max_delay: Duration::ZERO,
-            jitter: None,
         }
-    }
-
-    /// Arms deterministic backoff jitter under `seed` (builder
-    /// style). The draw is a pure splitmix64 hash of
-    /// `(seed, stream, attempt)` — replays identically across runs.
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter = Some(seed);
-        self
     }
 
     /// The backoff to sleep after failed attempt `attempt` (0-based):
@@ -85,34 +59,10 @@ impl RetryPolicy {
             .min(self.max_delay)
     }
 
-    /// [`delay`](Self::delay) scaled by a deterministic jitter factor
-    /// in `[0.5, 1.0]` when jitter is armed ("equal jitter": half the
-    /// backoff is kept, half is drawn). `stream` decorrelates
-    /// concurrent retriers — pass a client id or launch index so no
-    /// two of them sleep the same schedule.
-    pub fn delay_jittered(&self, attempt: u32, stream: u64) -> Duration {
-        let d = self.delay(attempt);
-        let Some(seed) = self.jitter else { return d };
-        let h = mix(seed
-            ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (attempt as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        // 53 uniform bits -> u in [0, 1); factor = 0.5 + u/2.
-        let u = ((h >> 11) as f64) / ((1u64 << 53) as f64);
-        d.mul_f64(0.5 + u / 2.0)
-    }
-
     /// Sleeps the backoff for `attempt`, skipping the syscall for a
     /// zero duration.
     pub fn sleep(&self, attempt: u32) {
         let d = self.delay(attempt);
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
-    }
-
-    /// Sleeps the jittered backoff for `attempt` on `stream`.
-    pub fn sleep_jittered(&self, attempt: u32, stream: u64) {
-        let d = self.delay_jittered(attempt, stream);
         if !d.is_zero() {
             std::thread::sleep(d);
         }
@@ -151,47 +101,6 @@ mod tests {
     fn at_least_one_attempt() {
         assert_eq!(RetryPolicy::new(0, Duration::ZERO).max_attempts, 1);
         assert_eq!(RetryPolicy::no_delay(0).max_attempts, 1);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_bounded_and_decorrelated() {
-        let p = RetryPolicy::new(5, Duration::from_millis(10)).with_jitter(7);
-        // Determinism: the same (seed, stream, attempt) always draws
-        // the same delay — pinned against a second identical policy.
-        let q = RetryPolicy::new(5, Duration::from_millis(10)).with_jitter(7);
-        for attempt in 0..4 {
-            for stream in 0..8 {
-                assert_eq!(
-                    p.delay_jittered(attempt, stream),
-                    q.delay_jittered(attempt, stream),
-                    "jitter must replay identically"
-                );
-                let d = p.delay_jittered(attempt, stream);
-                let full = p.delay(attempt);
-                assert!(d <= full, "jitter never exceeds the plain backoff");
-                assert!(d >= full / 2, "equal jitter keeps at least half");
-            }
-        }
-        // Decorrelation: distinct streams must not share a schedule.
-        let schedule = |stream: u64| -> Vec<Duration> {
-            (0..4).map(|a| p.delay_jittered(a, stream)).collect()
-        };
-        assert_ne!(schedule(1), schedule(2), "streams must decorrelate");
-        // A different seed draws a different schedule on some stream.
-        let r = RetryPolicy::new(5, Duration::from_millis(10)).with_jitter(8);
-        assert!(
-            (0..8)
-                .any(|s| schedule(s) != (0..4).map(|a| r.delay_jittered(a, s)).collect::<Vec<_>>()),
-            "seed must participate in the draw"
-        );
-    }
-
-    #[test]
-    fn unarmed_jitter_is_exact_backoff() {
-        let p = RetryPolicy::new(4, Duration::from_millis(10));
-        for attempt in 0..4 {
-            assert_eq!(p.delay_jittered(attempt, 3), p.delay(attempt));
-        }
     }
 
     #[test]

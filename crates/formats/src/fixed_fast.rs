@@ -5,7 +5,8 @@
 //! format on every call (`2^f`, `2^-f`, the code clamp bounds, the SR
 //! resolution) and takes the rounding mode as a `const` generic, so
 //! the MAC loop nests in `mpt-arith` and the operand-slice quantizer
-//! ([`FixedFastF32`]) run one branch-free body per mode.
+//! ([`FixedFastF64::quantize_slice_tier`]) run one branch-free body per
+//! mode.
 //!
 //! ## Bit-equality contract
 //!
@@ -48,8 +49,8 @@ const MAX_FAST_WIDTH: u32 = 52;
 
 /// Precomputed fast quantizer for fixed-point formats on `f64`
 /// carriers (MAC multiplier-output and accumulator rounding on exact
-/// `f64` products/sums; [`FixedFastF32`] widens operand slices onto
-/// it).
+/// `f64` products/sums; operand slices are widened onto it by
+/// [`quantize_slice_tier`](Self::quantize_slice_tier)).
 #[derive(Debug, Clone, Copy)]
 pub struct FixedFastF64 {
     format: FixedFormat,
@@ -180,39 +181,11 @@ impl FixedFastF64 {
         crate::with_mode!(self.rounding, M => self.quantize::<M>(x, index), x)
     }
 
-    /// The scalar oracle, for non-finite inputs.
-    #[cold]
-    #[inline(never)]
-    fn oracle(&self, x: f64, index: u64) -> f64 {
-        self.format.quantize(x, self.rounding, &self.rng, index)
-    }
-}
-
-/// Precomputed fast quantizer for fixed-point formats on `f32`
-/// carriers (operand quantization:
-/// `Quantizer::quantize_slice_f32`). Every element is widened to
-/// `f64`, rounded by the shared [`FixedFastF64`] body and narrowed
-/// back — literally the oracle's `quantize(x as f64) as f32`, so the
-/// equivalence holds for every width the `f64` kernel accepts.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedFastF32(FixedFastF64);
-
-impl FixedFastF32 {
-    /// Builds the fast quantizer under the same conditions as
-    /// [`FixedFastF64::new`].
-    pub fn new(format: FixedFormat, rounding: Rounding, rng: SrRng) -> Option<Self> {
-        FixedFastF64::new(format, rounding, rng).map(FixedFastF32)
-    }
-
-    /// Quantizes one `f32` carrier at rounding event `index`.
-    #[inline]
-    pub fn quantize<const MODE: u8>(&self, x: f32, index: u64) -> f32 {
-        self.0.quantize::<MODE>(x as f64, index) as f32
-    }
-
-    /// Quantizes a slice in place through the requested kernel tier;
-    /// element `i` uses rounding event `base_index + i`. All tiers are
-    /// bit-identical.
+    /// Quantizes an `f32` slice in place through the requested kernel
+    /// tier; element `i` uses rounding event `base_index + i`. Every
+    /// element rounds as its `f64` image does under
+    /// [`quantize`](Self::quantize) — literally the oracle's
+    /// `quantize(x as f64) as f32` — and all tiers are bit-identical.
     pub fn quantize_slice_tier<const MODE: u8>(
         &self,
         values: &mut [f32],
@@ -220,13 +193,11 @@ impl FixedFastF32 {
         tier: SimdTier,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if crate::lanes::quantize_slice_tier::<FixedFastF64, MODE>(
-            &self.0, values, base_index, tier,
-        ) {
+        if crate::lanes::quantize_slice_tier::<Self, MODE>(self, values, base_index, tier) {
             return;
         }
         for (i, v) in values.iter_mut().enumerate() {
-            *v = self.quantize::<MODE>(*v, base_index.wrapping_add(i as u64));
+            *v = self.quantize::<MODE>(*v as f64, base_index.wrapping_add(i as u64)) as f32;
         }
     }
 
@@ -234,10 +205,17 @@ impl FixedFastF32 {
     /// rounding mode matched once, outside the loop.
     pub fn quantize_slice_tier_dyn(&self, values: &mut [f32], base_index: u64, tier: SimdTier) {
         crate::with_mode!(
-            self.0.rounding,
+            self.rounding,
             M => self.quantize_slice_tier::<M>(values, base_index, tier),
             ()
         )
+    }
+
+    /// The scalar oracle, for non-finite inputs.
+    #[cold]
+    #[inline(never)]
+    fn oracle(&self, x: f64, index: u64) -> f64 {
+        self.format.quantize(x, self.rounding, &self.rng, index)
     }
 }
 

@@ -74,7 +74,7 @@ pub use block::BlockFpFormat;
 pub use error::FormatError;
 pub use fast::FloatFastF64;
 pub use fixed::FixedFormat;
-pub use fixed_fast::{FixedFastF32, FixedFastF64};
+pub use fixed_fast::FixedFastF64;
 pub use float::FloatFormat;
 pub use quant::{NumberFormat, Quantizer};
 pub use rounding::Rounding;

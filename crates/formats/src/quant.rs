@@ -8,7 +8,7 @@
 use crate::block::BlockFpFormat;
 use crate::fast::FloatFastF64;
 use crate::fixed::FixedFormat;
-use crate::fixed_fast::{FixedFastF32, FixedFastF64};
+use crate::fixed_fast::FixedFastF64;
 use crate::float::FloatFormat;
 use crate::rounding::Rounding;
 use crate::sr::SrRng;
@@ -180,7 +180,6 @@ impl Quantizer {
     /// # Contract
     ///
     /// Identity quantizers are **skipped entirely** by every consumer:
-    /// [`quantize_slice`](Quantizer::quantize_slice),
     /// [`quantize_slice_f32`](Quantizer::quantize_slice_f32) and the
     /// GEMM kernels in `mpt-arith` pass the carrier through untouched
     /// whenever this returns `true`. A quantizer is identity when its
@@ -216,37 +215,6 @@ impl Quantizer {
         self.quantize(x as f64, index) as f32
     }
 
-    /// Quantizes a slice of `f32` in place, using
-    /// `base_index + position` as each element's rounding-event index.
-    pub fn quantize_slice(&self, values: &mut [f32], base_index: u64) {
-        if self.is_identity() {
-            return;
-        }
-        if mpt_telemetry::enabled() {
-            // Observe without perturbing: snapshot the inputs, run the
-            // exact same kernel, classify the before/after pairs.
-            let before = values.to_vec();
-            self.quantize_slice_inner(values, base_index);
-            self.tally_pairs(&before, values);
-            return;
-        }
-        self.quantize_slice_inner(values, base_index);
-    }
-
-    fn quantize_slice_inner(&self, values: &mut [f32], base_index: u64) {
-        if let NumberFormat::BlockFp(bfp) = self.format {
-            let f64s: Vec<f64> = values.iter().map(|&v| v as f64).collect();
-            let q = bfp.quantize_slice(&f64s, self.rounding, &self.rng, base_index);
-            for (dst, src) in values.iter_mut().zip(q) {
-                *dst = src as f32;
-            }
-            return;
-        }
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = self.quantize(*v as f64, base_index + i as u64) as f32;
-        }
-    }
-
     /// Quantizes a slice of `f32` in place with **per-element**
     /// semantics: element `i` quantizes independently at rounding
     /// event `base_index + i`, exactly like calling
@@ -256,14 +224,13 @@ impl Quantizer {
     ///
     /// Identity quantizers ([`is_identity`](Quantizer::is_identity))
     /// pass the slice through untouched — the same passthrough
-    /// convention [`quantize_slice`](Quantizer::quantize_slice) and
-    /// the GEMM kernels use, which keeps the FP32 baseline equal to a
-    /// plain matmul even for operands containing infinities or `f32`
-    /// subnormals (the scalar `quantize_f32` would saturate/flush
-    /// those).
+    /// convention the GEMM kernels use, which keeps the FP32 baseline
+    /// equal to a plain matmul even for operands containing infinities
+    /// or `f32` subnormals (the scalar `quantize_f32` would
+    /// saturate/flush those).
     ///
     /// Float and fixed-point formats dispatch once to a monomorphized
-    /// [`FloatFastF64`] / [`FixedFastF32`] slice kernel — the bulk
+    /// [`FloatFastF64`] / [`FixedFastF64`] slice kernel — the bulk
     /// operand-quantization fast path the GEMM kernels use; block FP
     /// (and fixed point wider than 52 bits) falls back to the scalar
     /// oracle. Bit-identical to the scalar path in all cases.
@@ -309,7 +276,7 @@ impl Quantizer {
                 }
             }
             NumberFormat::Fixed(f) => {
-                if let Some(fast) = FixedFastF32::new(f, self.rounding, self.rng) {
+                if let Some(fast) = FixedFastF64::new(f, self.rounding, self.rng) {
                     return fast.quantize_slice_tier_dyn(values, base_index, tier);
                 }
             }
@@ -423,7 +390,7 @@ mod tests {
         let q = Quantizer::float(FloatFormat::e5m2(), Rounding::stochastic()).with_seed(9);
         let src: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) * 0.173).collect();
         let mut a = src.clone();
-        q.quantize_slice(&mut a, 100);
+        q.quantize_slice_f32(&mut a, 100);
         let b: Vec<f32> = src
             .iter()
             .enumerate()
@@ -473,9 +440,6 @@ mod tests {
         let mut vals = [f32::INFINITY, f32::NEG_INFINITY, 1.5];
         q.quantize_slice_f32(&mut vals, 0);
         assert_eq!(vals, [f32::INFINITY, f32::NEG_INFINITY, 1.5]);
-        let mut vals2 = [f32::INFINITY, f32::NEG_INFINITY];
-        q.quantize_slice(&mut vals2, 0);
-        assert_eq!(vals2, [f32::INFINITY, f32::NEG_INFINITY]);
 
         // Scalar path on the very same quantizer: saturates.
         let sat = q.quantize_f32(f32::INFINITY, 0);
@@ -706,9 +670,7 @@ mod tests {
     #[test]
     fn bfp_slice_path() {
         let bfp = BlockFpFormat::new(3, 2).unwrap();
-        let q = Quantizer::new(bfp, Rounding::Nearest);
-        let mut vals = [8.0f32, 0.4, 0.5, 0.25];
-        q.quantize_slice(&mut vals, 0);
+        let vals = bfp.quantize_slice(&[8.0, 0.4, 0.5, 0.25], Rounding::Nearest, &SrRng::new(0), 0);
         assert_eq!(vals, [8.0, 0.0, 0.5, 0.25]);
     }
 }

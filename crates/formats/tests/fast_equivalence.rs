@@ -194,8 +194,7 @@ proptest! {
     /// `quantize_f32` with consecutive indices — for float formats
     /// (fast path) at every rounding mode. Identity quantizers are
     /// passthrough by contract (the FP32-baseline convention shared
-    /// with `quantize_slice` and the GEMM kernels), so they are
-    /// asserted as no-ops instead.
+    /// with the GEMM kernels), so they are asserted as no-ops instead.
     #[test]
     fn slice_matches_scalar_float(
         fmt in float_formats_f32(),

@@ -243,7 +243,7 @@ fn oracle_sweep(fmt: FixedFormat, stride: i64) {
         for &tier in SimdTier::available() {
             let mut out = narrow.clone();
             q.quantize_slice_f32_tier(&mut out, base, tier);
-            let what = format!("FixedFastF32 slice (tier {tier})");
+            let what = format!("FixedFastF64 slice (tier {tier})");
             for ((&x, &got), &(want, scalar)) in narrow.iter().zip(&out).zip(&expected) {
                 check(&what, &q, x as f64, got as f64, want, scalar);
             }

@@ -293,7 +293,7 @@ mod tests {
 
     fn quantized(rows: usize, cols: usize, q: Quantizer) -> Tensor {
         let mut t = Tensor::from_fn(vec![rows, cols], |i| ((i * 37 % 101) as f32 - 50.0) * 0.07);
-        q.quantize_slice(t.data_mut(), 0);
+        q.quantize_slice_f32(t.data_mut(), 0);
         t
     }
 

@@ -52,8 +52,8 @@ pub(crate) struct Replays {
 /// Claims the next launch id from `inj` and walks it through
 /// [`GATES`]. At each site the attempts run until one comes back
 /// clean; a faulted attempt emits its `fault` event (labelled
-/// `layer`), backs off on the launch id's jitter stream, and — at the
-/// HBM site — corrupts and CRC-checks the image `in_flight` yields.
+/// `layer`), backs off, and — at the HBM site — corrupts and
+/// CRC-checks the image `in_flight` yields.
 ///
 /// Returns the replays to charge, or `None` when some site faulted on
 /// all `retry.max_attempts` attempts and the launch must [`degrade`].
@@ -81,7 +81,7 @@ pub(crate) fn pass_gates(
                 FaultSite::LaunchTimeout | FaultSite::LaunchTransient => replays.compute += 1,
                 _ => {}
             }
-            retry.sleep_jittered(attempt, launch);
+            retry.sleep(attempt);
             false
         });
         if !cleared {

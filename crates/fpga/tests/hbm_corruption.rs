@@ -30,7 +30,7 @@ fn packed_image(fmt_sel: u8, rows: usize, cols: usize, data_seed: u64) -> (HbmIm
         let x = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(data_seed);
         ((x % 257) as f32 - 128.0) * 0.043
     });
-    q.quantize_slice(t.data_mut(), 0);
+    q.quantize_slice_f32(t.data_mut(), 0);
     let img = HbmImage::pack(&t, fmt).expect("matrix packs");
     (img, t)
 }

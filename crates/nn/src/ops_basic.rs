@@ -106,6 +106,34 @@ impl Graph {
         )
     }
 
+    /// Swaps the middle two axes of a node viewed as `[n, a, b, c]`
+    /// ([`Tensor::swap_axes`]), giving the result `shape`; the gradient
+    /// swaps `b` and `a` back into the input's shape. The tape's one
+    /// layout op: transposes and attention's head split and merge are
+    /// shape adapters over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n·a·b·c` or the product of `shape` differs from the
+    /// node's element count.
+    pub(crate) fn swap_axes(&mut self, x: NodeId, dims: [usize; 4], shape: Vec<usize>) -> NodeId {
+        let [n, a, b, c] = dims;
+        let in_shape = self.value(x).shape().to_vec();
+        let value = self
+            .value(x)
+            .swap_axes(dims, shape)
+            .expect("swap_axes dims match the node");
+        self.push(
+            value,
+            vec![x],
+            Some(Box::new(move |args| {
+                let dx = args.grad.swap_axes([n, b, a, c], in_shape.clone());
+                vec![Some(dx.expect("gradient matches the output"))]
+            })),
+            None,
+        )
+    }
+
     /// Inverted dropout with keep-probability `1 - p`. Identity in
     /// evaluation graphs. `seed` must vary per step for fresh masks.
     ///

@@ -37,26 +37,28 @@ impl Graph {
 
         let backend = self.backend();
         let cols = im2col(input, &geom).expect("input matches geometry");
-        let out_mat = backend
+        let mut out_mat = backend
             .gemm(self.value(weight), &cols, &prec.fwd)
             .expect("conv forward GEMM conforms"); // [out_c, batch*oh*ow]
 
-        // Rearrange [out_c, batch*oh*ow] -> [batch, out_c, oh, ow],
-        // adding bias per output channel.
+        // Add each channel's bias to its row, then rearrange
+        // [out_c, batch, oh*ow] -> [batch, out_c, oh*ow]. Without a
+        // bias the row still adds 0.0, which turns -0.0 into +0.0.
         let pix = geom.out_pixels();
-        let mut out = vec![0.0f32; batch * out_c * pix];
-        let bias_vals: Option<Vec<f32>> = bias.map(|b| self.value(b).data().to_vec());
+        let bias_vals = bias.map(|b| self.value(b).data());
+        let row = batch * pix;
         for o in 0..out_c {
-            let bv = bias_vals.as_ref().map_or(0.0, |b| b[o]);
-            for img in 0..batch {
-                for p in 0..pix {
-                    out[(img * out_c + o) * pix + p] =
-                        out_mat.data()[o * (batch * pix) + img * pix + p] + bv;
-                }
+            let bv = bias_vals.map_or(0.0, |b| b[o]);
+            for v in &mut out_mat.data_mut()[o * row..(o + 1) * row] {
+                *v += bv;
             }
         }
-        let value =
-            Tensor::from_vec(vec![batch, out_c, geom.out_h, geom.out_w], out).expect("shape");
+        let value = out_mat
+            .swap_axes(
+                [1, out_c, batch, pix],
+                vec![batch, out_c, geom.out_h, geom.out_w],
+            )
+            .expect("shape");
 
         let bwd = prec.bwd;
         let parents = match bias {
@@ -69,17 +71,10 @@ impl Graph {
             parents,
             Some(Box::new(move |args| {
                 // Re-derive dY as the [out_c, batch*oh*ow] matrix.
-                let g = args.grad;
-                let mut dy = vec![0.0f32; out_c * batch * pix];
-                for img in 0..batch {
-                    for o in 0..out_c {
-                        for p in 0..pix {
-                            dy[o * (batch * pix) + img * pix + p] =
-                                g.data()[(img * out_c + o) * pix + p];
-                        }
-                    }
-                }
-                let dy = Tensor::from_vec(vec![out_c, batch * pix], dy).expect("shape");
+                let dy = args
+                    .grad
+                    .swap_axes([1, batch, out_c, pix], vec![out_c, batch * pix])
+                    .expect("shape");
 
                 let w_val = args.inputs[1];
                 let x_val = args.inputs[0];

@@ -94,18 +94,11 @@ impl Graph {
     ///
     /// Panics if the node is not a matrix.
     pub fn transpose2d(&mut self, x: NodeId) -> NodeId {
-        let value = self
+        let (r, c) = self
             .value(x)
-            .transpose()
+            .as_matrix()
             .expect("transpose2d needs a matrix");
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(|args| {
-                vec![Some(args.grad.transpose().expect("matrix"))]
-            })),
-            None,
-        )
+        self.swap_axes(x, [1, r, c, 1], vec![c, r])
     }
 }
 

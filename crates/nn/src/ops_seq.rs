@@ -103,31 +103,7 @@ impl Graph {
     /// Panics unless the node is rank 3.
     pub fn transpose_batched(&mut self, x: NodeId) -> NodeId {
         let (b, r, c) = rank3(self.value(x), "transpose_batched");
-        let mut out = vec![0.0f32; b * r * c];
-        for s in 0..b {
-            for i in 0..r {
-                for j in 0..c {
-                    out[s * r * c + j * r + i] = self.value(x).data()[s * r * c + i * c + j];
-                }
-            }
-        }
-        let value = Tensor::from_vec(vec![b, c, r], out).expect("shape");
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |args| {
-                let mut dx = vec![0.0f32; b * r * c];
-                for s in 0..b {
-                    for i in 0..c {
-                        for j in 0..r {
-                            dx[s * r * c + j * c + i] = args.grad.data()[s * r * c + i * r + j];
-                        }
-                    }
-                }
-                vec![Some(Tensor::from_vec(vec![b, r, c], dx).expect("shape"))]
-            })),
-            None,
-        )
+        self.swap_axes(x, [b, r, c, 1], vec![b, c, r])
     }
 
     /// Applies an additive causal mask to a rank-3 score node
@@ -254,31 +230,7 @@ impl Graph {
             "feature dim {c} not divisible by {heads} heads"
         );
         let hs = c / heads;
-        let mut out = vec![0.0f32; t * c];
-        for i in 0..t {
-            for h in 0..heads {
-                for d in 0..hs {
-                    out[(h * t + i) * hs + d] = self.value(x).data()[i * c + h * hs + d];
-                }
-            }
-        }
-        let value = Tensor::from_vec(vec![heads, t, hs], out).expect("shape");
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |args| {
-                let mut dx = vec![0.0f32; t * c];
-                for i in 0..t {
-                    for h in 0..heads {
-                        for d in 0..hs {
-                            dx[i * c + h * hs + d] = args.grad.data()[(h * t + i) * hs + d];
-                        }
-                    }
-                }
-                vec![Some(Tensor::from_vec(vec![t, c], dx).expect("shape"))]
-            })),
-            None,
-        )
+        self.swap_axes(x, [1, t, heads, hs], vec![heads, t, hs])
     }
 
     /// Inverse of [`split_heads`](Graph::split_heads):
@@ -289,34 +241,7 @@ impl Graph {
     /// Panics unless the node is rank 3.
     pub fn merge_heads(&mut self, x: NodeId) -> NodeId {
         let (heads, t, hs) = rank3(self.value(x), "merge_heads");
-        let c = heads * hs;
-        let mut out = vec![0.0f32; t * c];
-        for h in 0..heads {
-            for i in 0..t {
-                for d in 0..hs {
-                    out[i * c + h * hs + d] = self.value(x).data()[(h * t + i) * hs + d];
-                }
-            }
-        }
-        let value = Tensor::from_vec(vec![t, c], out).expect("shape");
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |args| {
-                let mut dx = vec![0.0f32; heads * t * hs];
-                for h in 0..heads {
-                    for i in 0..t {
-                        for d in 0..hs {
-                            dx[(h * t + i) * hs + d] = args.grad.data()[i * c + h * hs + d];
-                        }
-                    }
-                }
-                vec![Some(
-                    Tensor::from_vec(vec![heads, t, hs], dx).expect("shape"),
-                )]
-            })),
-            None,
-        )
+        self.swap_axes(x, [1, heads, t, hs], vec![t, heads * hs])
     }
 }
 
@@ -439,6 +364,19 @@ mod tests {
         assert_eq!(g.value(tt), g.value(x));
         assert_eq!(g.value(t).shape(), &[2, 4, 3]);
         assert_eq!(g.value(t).at(&[1, 2, 1]), g.value(x).at(&[1, 1, 2]));
+    }
+
+    #[test]
+    fn split_heads_moves_head_blocks_and_merge_heads_inverts_it() {
+        let mut g = Graph::new(true);
+        let x = g.input(Tensor::from_fn(vec![3, 4], |i| i as f32));
+        let h = g.split_heads(x, 2);
+        assert_eq!(g.value(h).shape(), &[2, 3, 2]);
+        // Head 1 of token 2 is columns 2..4 of row 2.
+        assert_eq!(g.value(h).at(&[1, 2, 0]), g.value(x).at(&[2, 2]));
+        assert_eq!(g.value(h).at(&[1, 2, 1]), g.value(x).at(&[2, 3]));
+        let m = g.merge_heads(h);
+        assert_eq!(g.value(m), g.value(x));
     }
 
     #[test]

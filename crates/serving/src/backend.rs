@@ -20,24 +20,18 @@ use mpt_tensor::{ShapeError, Tensor};
 #[derive(Debug, Clone)]
 pub struct ServingBackend {
     handle: ServeHandle,
-    /// Jitter stream decorrelating this client's backoff from other
-    /// clients retrying at the same instant.
-    stream: u64,
 }
 
 impl ServingBackend {
-    /// Wraps a service handle as client `stream` (any stable id).
-    pub fn new(handle: ServeHandle, stream: u64) -> Self {
-        ServingBackend { handle, stream }
+    /// Wraps a service handle.
+    pub fn new(handle: ServeHandle) -> Self {
+        ServingBackend { handle }
     }
 }
 
 impl GemmBackend for ServingBackend {
     fn gemm(&self, a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Result<Tensor, ShapeError> {
-        match self
-            .handle
-            .call(a, b, cfg, RequestClass::Training, None, self.stream)?
-        {
+        match self.handle.call(a, b, cfg, RequestClass::Training, None)? {
             ServeResult::Done { out, .. } => Ok(out),
             ServeResult::Rejected { .. } => {
                 unreachable!("`ServeHandle::call` retries every rejection")

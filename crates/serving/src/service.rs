@@ -159,9 +159,9 @@ impl ServeHandle {
     }
 
     /// Submits and blocks until the request completes, retrying
-    /// rejections after their hint (jittered by `stream` when the
-    /// service retry policy arms jitter). Deadline expirations are
-    /// surfaced to the caller — only backpressure is retried.
+    /// rejections after their hint (or the retry policy's backoff, if
+    /// longer). Deadline expirations are surfaced to the caller — only
+    /// backpressure is retried.
     ///
     /// # Errors
     ///
@@ -177,16 +177,13 @@ impl ServeHandle {
         cfg: &QGemmConfig,
         class: RequestClass,
         deadline: Option<Instant>,
-        stream: u64,
     ) -> Result<ServeResult, mpt_tensor::ShapeError> {
         let mut attempt = 0u32;
         loop {
             let rx = self.submit(a.clone(), b.clone(), *cfg, class, deadline);
             match rx.recv().expect("GemmService was shut down") {
                 ServeResult::Rejected { retry_after } => {
-                    // Honor the hint, with the retry policy's jitter
-                    // decorrelating concurrent clients.
-                    let base = self.shared.cfg.retry.delay_jittered(attempt, stream);
+                    let base = self.shared.cfg.retry.delay(attempt);
                     std::thread::sleep(retry_after.min(RETRY_AFTER_MAX).max(base));
                     attempt = attempt.saturating_add(1);
                 }

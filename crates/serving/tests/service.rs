@@ -66,10 +66,7 @@ fn concurrent_clients_get_bit_identical_results() {
             for round in 0..8 {
                 let (a, b) = operands(5 + client as usize, 9, 4 + round % 3);
                 let want = qgemm(&a, &b, &cfg).unwrap();
-                match h
-                    .call(&a, &b, &cfg, RequestClass::Inference, None, client)
-                    .unwrap()
-                {
+                match h.call(&a, &b, &cfg, RequestClass::Inference, None).unwrap() {
                     ServeResult::Done { out, .. } => assert_eq!(out, want),
                     other => panic!("client {client}: unexpected {other:?}"),
                 }
@@ -100,7 +97,7 @@ fn full_queue_rejects_with_retry_after_and_clients_recover() {
         let small = vec![(a.clone(), b.clone()); n];
         let (big_rx, rxs) = queue_behind_heavyweight(&h, qcfg, &small);
         let mut rejected = 0;
-        for (client, rx) in rxs.into_iter().enumerate() {
+        for rx in rxs {
             match rx.recv().unwrap() {
                 ServeResult::Done { out, .. } => assert_eq!(out, want),
                 ServeResult::Rejected { retry_after } => {
@@ -112,7 +109,7 @@ fn full_queue_rejects_with_retry_after_and_clients_recover() {
                     );
                     // A shed client recovers through `call`.
                     match h
-                        .call(&a, &b, &qcfg, RequestClass::Inference, None, client as u64)
+                        .call(&a, &b, &qcfg, RequestClass::Inference, None)
                         .unwrap()
                     {
                         ServeResult::Done { out, .. } => assert_eq!(out, want),
@@ -342,7 +339,7 @@ fn call_after_shutdown_panics_instead_of_retrying() {
     let client = std::thread::spawn(move || {
         let (a, b) = operands(4, 6, 3);
         let cfg = QGemmConfig::fp8_fp12_sr();
-        let _ = h.call(&a, &b, &cfg, RequestClass::Training, None, 0);
+        let _ = h.call(&a, &b, &cfg, RequestClass::Training, None);
         let _ = done_tx.send(());
     });
     match done_rx.recv_timeout(Duration::from_secs(5)) {
@@ -386,7 +383,7 @@ fn chaos_storm_never_corrupts_any_response() {
                 // fires in practice.
                 let deadline = Some(Instant::now() + Duration::from_secs(60));
                 match h
-                    .call(&a, &b, &qcfg, RequestClass::Inference, deadline, client)
+                    .call(&a, &b, &qcfg, RequestClass::Inference, deadline)
                     .unwrap()
                 {
                     ServeResult::Done { out, .. } => {

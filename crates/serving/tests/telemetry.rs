@@ -23,10 +23,7 @@ fn served_launches_emit_fpga_spans_next_to_request_latency() {
     for i in 0..8 {
         let a = Tensor::from_fn(vec![6, 10], |j| ((j * 37 + i) % 41) as f32 * 0.05 - 1.0);
         let b = Tensor::from_fn(vec![10, 5], |j| ((j * 43) % 47) as f32 * 0.04 - 0.9);
-        match h
-            .call(&a, &b, &cfg, RequestClass::Inference, None, 0)
-            .unwrap()
-        {
+        match h.call(&a, &b, &cfg, RequestClass::Inference, None).unwrap() {
             ServeResult::Done { out, degraded } => {
                 assert_eq!(out, qgemm(&a, &b, &cfg).unwrap());
                 assert!(!degraded);

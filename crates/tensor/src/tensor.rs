@@ -202,7 +202,8 @@ impl Tensor {
         Ok((self.shape[0], self.shape[1]))
     }
 
-    /// Transpose of a 2-D tensor.
+    /// Transpose of a 2-D tensor: [`swap_axes`](Tensor::swap_axes)
+    /// over `[1, r, c, 1]`.
     ///
     /// # Errors
     ///
@@ -213,20 +214,48 @@ impl Tensor {
             actual: self.rank(),
             op: "transpose",
         })?;
-        // Tile by tile: the plain `out[j][i] = in[i][j]` double loop
-        // writes one cache line per element on a wide matrix (a LeNet
-        // step's linear backward transposes a 32 × 400 activation).
-        // Within a tile the writes are contiguous and the `TILE`
-        // source lines being read stay in L1.
-        const TILE: usize = 32;
-        let mut out = Tensor::zeros(vec![c, r]);
-        for i0 in (0..r).step_by(TILE) {
-            let i1 = (i0 + TILE).min(r);
-            for j0 in (0..c).step_by(TILE) {
-                for j in j0..(j0 + TILE).min(c) {
-                    let dst = &mut out.data[j * r + i0..j * r + i1];
-                    for (d, i) in dst.iter_mut().zip(i0..i1) {
-                        *d = self.data[i * c + j];
+        self.swap_axes([1, r, c, 1], vec![c, r])
+    }
+
+    /// Swaps the middle two axes of the data viewed as `[n, a, b, c]`,
+    /// returning the `[n, b, a, c]` layout under `shape`. Every layout
+    /// change of the tape (transposes, attention's head split and
+    /// merge, conv's channel-major rearrange) is this one copy; it
+    /// moves bits, so NaN payloads and `-0.0` survive.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError::DataLength`] if `n·a·b·c` or the product
+    /// of `shape` differs from the element count.
+    pub fn swap_axes(&self, dims: [usize; 4], shape: Vec<usize>) -> Result<Tensor, ShapeError> {
+        let [_, a, b, c] = dims;
+        let numel = self.numel();
+        if dims.iter().product::<usize>() != numel {
+            return Err(ShapeError::DataLength {
+                shape: dims.to_vec(),
+                len: numel,
+            });
+        }
+        let mut out = Tensor::from_vec(shape, vec![0.0; numel])?;
+        if numel == 0 {
+            return Ok(out);
+        }
+        for (src, dst) in self
+            .data
+            .chunks_exact(a * b * c)
+            .zip(out.data.chunks_exact_mut(a * b * c))
+        {
+            if c == 1 {
+                transpose_tiled(src, dst, a, b);
+            } else {
+                // One contiguous run per `(i, j)`, by a plain loop: at
+                // conv's runs it is never slower than `copy_from_slice`.
+                for i in 0..a {
+                    for j in 0..b {
+                        let run = &src[(i * b + j) * c..][..c];
+                        for (d, &s) in dst[(j * a + i) * c..][..c].iter_mut().zip(run) {
+                            *d = s;
+                        }
                     }
                 }
             }
@@ -330,6 +359,25 @@ impl Tensor {
     }
 }
 
+/// Writes the transpose of the `r × c` matrix `src` into `dst`, tile by
+/// tile: the plain `dst[j][i] = src[i][j]` double loop writes one cache
+/// line per element on a wide matrix (a LeNet step's linear backward
+/// transposes a 32 × 400 activation). Within a tile the writes are
+/// contiguous and the `TILE` source lines being read stay in L1.
+fn transpose_tiled(src: &[f32], dst: &mut [f32], r: usize, c: usize) {
+    const TILE: usize = 32;
+    for i0 in (0..r).step_by(TILE) {
+        let i1 = (i0 + TILE).min(r);
+        for j0 in (0..c).step_by(TILE) {
+            for j in j0..(j0 + TILE).min(c) {
+                for (d, i) in dst[j * r + i0..j * r + i1].iter_mut().zip(i0..i1) {
+                    *d = src[i * c + j];
+                }
+            }
+        }
+    }
+}
+
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{:?}", self.shape)?;
@@ -422,6 +470,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn swap_axes_checks_dims_and_shape() {
+        let t = Tensor::from_fn(vec![2, 3, 4], |i| i as f32);
+        assert!(t.swap_axes([2, 3, 4, 2], vec![2, 4, 3]).is_err());
+        assert!(t.swap_axes([2, 3, 4, 1], vec![2, 4, 4]).is_err());
+        let s = t.swap_axes([2, 3, 4, 1], vec![2, 4, 3]).unwrap();
+        assert_eq!(s.at(&[1, 3, 2]), t.at(&[1, 2, 3]));
+        let empty = Tensor::zeros(vec![0, 5]);
+        assert_eq!(
+            empty.swap_axes([1, 0, 5, 1], vec![5, 0]).unwrap().shape(),
+            &[5, 0]
+        );
     }
 
     #[test]
