@@ -1,16 +1,22 @@
 //! Kernel selection and the scalar cache-blocked GEMM loop nest.
 //!
-//! [`gemm_into_tier`] inspects the MAC configuration **once** per GEMM,
-//! turns each rounding stage into a monomorphized
-//! [`Stage`](crate::stage::Stage) and runs the loop nest of the
-//! requested tier over the pair:
+//! [`gemm_into_tier`] inspects the MAC configuration **once** per GEMM:
+//! it asks each stage's [`Quantizer`] for its fast kernel, lifts the
+//! kernel and its rounding mode into a monomorphized [`KernelStage`]
+//! ([`with_kernel!`]) and runs the loop nest of the requested tier over
+//! the pair. `mpt-formats` alone decides which kernel a quantizer has
+//! ([`Quantizer::fast_kernel`]) and whether `f32` lanes carry it
+//! ([`Kernel::f32_lanes`]):
 //!
 //! | MAC configuration (`mul × acc`)               | stages                         | nest |
 //! |-----------------------------------------------|--------------------------------|------|
-//! | fused (`NR` mul) × float or fixed             | `Fused × FloatStage<M>`, `Fused × FixedStage<M>` | tier |
-//! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8` | `FixedStage<M> × FixedStage<M>` | tier |
-//! | unfused float × float                         | `FloatStage<M> × FloatStage<M>` | tier |
+//! | fused (`NR` mul) × float or fixed             | `Fused × KernelStage<FloatFastF64, M>`, `Fused × KernelStage<FixedFastF64, M>` | tier |
+//! | fixed × fixed — the paper's unfused `FXP4.4 × FXP8.8` | `KernelStage<FixedFastF64, M>` at both | tier |
+//! | unfused float × float                         | `KernelStage<FloatFastF64, M>` at both | tier |
 //! | block FP at either stage, `NR` accumulator, unfused float × fixed or fixed × float, fixed point wider than 52 bits, floats as fine as `f64` | [`Quantizer`] (the scalar oracle) at both stages | [`gemm_scalar`] only |
+//!
+//! [`Quantizer`]: mpt_formats::Quantizer
+//! [`Quantizer::fast_kernel`]: mpt_formats::Quantizer::fast_kernel
 //!
 //! "Tier" is [`gemm_scalar`] on `off`. On `avx2` and `avx512` it is
 //! the one lane nest (`simd_fused::gemm_lanes`) at 8 and 16 `f32` lanes
@@ -52,8 +58,8 @@
 //! one relaxed atomic load.
 
 use crate::mac::{mac_round, MacConfig};
-use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, NoTally, Stage};
-use mpt_formats::{with_mode, FixedFastF64, FloatFastF64, NumberFormat, Quantizer, SimdTier};
+use crate::stage::{Fused, KernelStage, MacObserver, NoTally, Stage};
+use mpt_formats::{with_kernel, with_mode, FastKernel, Kernel, SimdTier};
 
 /// Output/B-row chunk width: 256 f32 = 1 KiB per row chunk, so the
 /// output chunk plus the streaming B chunk sit comfortably in L1.
@@ -86,58 +92,6 @@ use crate::simd_fused::VecStage as LaneStage;
 pub(crate) trait LaneStage: Stage {}
 #[cfg(not(target_arch = "x86_64"))]
 impl<S: Stage> LaneStage for S {}
-
-/// A quantizer's precomputed lane kernel, its rounding mode still a
-/// runtime value.
-enum LaneKernel {
-    Float(FloatFastF64),
-    Fixed(FixedFastF64),
-}
-
-impl LaneKernel {
-    /// The lane kernel of `q`, or `None` when it has none (block FP,
-    /// `NR`, fixed point wider than 52 bits, float formats as fine as
-    /// `f64`).
-    fn of(q: &Quantizer) -> Option<Self> {
-        match q.format() {
-            NumberFormat::Float(f) if f.man_bits() < 52 => q.fast_f64().map(LaneKernel::Float),
-            NumberFormat::Float(_) => None,
-            NumberFormat::Fixed(_) => q.fixed_fast_f64().map(LaneKernel::Fixed),
-            NumberFormat::BlockFp(_) => None,
-        }
-    }
-
-    /// Whether both kernels are float or both fixed point.
-    fn same_family(&self, other: &Self) -> bool {
-        std::mem::discriminant(self) == std::mem::discriminant(other)
-    }
-}
-
-/// Evaluates `$body` with `$stage` bound to the monomorphized stage of
-/// the [`LaneKernel`] `$kernel`: its rounding mode lifted into the
-/// stage's type, one copy of `$body` per `(family, mode)`.
-macro_rules! with_stage {
-    ($kernel:expr, $stage:ident => $body:expr) => {
-        match $kernel {
-            LaneKernel::Float(fast) => with_mode!(
-                fast.rounding(),
-                M => {
-                    let $stage = FloatStage::<M>(fast);
-                    $body
-                },
-                unreachable!("NR has no fast kernel")
-            ),
-            LaneKernel::Fixed(fast) => with_mode!(
-                fast.rounding(),
-                M => {
-                    let $stage = FixedStage::<M>(fast);
-                    $body
-                },
-                unreachable!("NR has no fast kernel")
-            ),
-        }
-    };
-}
 
 /// Computes `out += A · B` under `mac` (with `out` starting at zero),
 /// quantized operands already in `ad`/`bd`, indexing rounding events
@@ -200,19 +154,18 @@ fn dispatch<T: MacObserver>(
     mul_obs: &mut T,
     acc_obs: &mut T,
 ) -> &'static str {
-    let ran = match (
-        mac.is_fused(),
-        LaneKernel::of(&mac.mul),
-        LaneKernel::of(&mac.acc),
-    ) {
-        (true, _, Some(acc)) => {
-            with_stage!(acc, acc => gemm_tier(gemm, &Fused, &acc, tier, mul_obs, acc_obs))
+    use FastKernel::{Fixed, Float};
+    let ran = match (mac.is_fused(), mac.mul.fast_kernel(), mac.acc.fast_kernel()) {
+        (true, _, Some(acc)) => with_kernel!(acc, acc, A => {
+            gemm_tier(gemm, &Fused, &KernelStage::<_, A>(acc), tier, mul_obs, acc_obs)
+        }),
+        (false, Some(Float(mul)), Some(Float(acc))) => {
+            gemm_pair(gemm, mul, acc, tier, mul_obs, acc_obs)
         }
-        (false, Some(mul), Some(acc)) if mul.same_family(&acc) => with_stage!(
-            mul,
-            mul => with_stage!(acc, acc => gemm_tier(gemm, &mul, &acc, tier, mul_obs, acc_obs))
-        ),
-        // A stage without a lane kernel, or an unfused pairing across
+        (false, Some(Fixed(mul)), Some(Fixed(acc))) => {
+            gemm_pair(gemm, mul, acc, tier, mul_obs, acc_obs)
+        }
+        // A stage without a fast kernel, or an unfused pairing across
         // families (float × fixed: nothing in the paper or the repo
         // trains it, so it is not worth 64 more instantiations of
         // each nest), sends the whole MAC to the oracle stages.
@@ -228,6 +181,35 @@ fn dispatch<T: MacObserver>(
     ran.name()
 }
 
+/// [`gemm_tier`] over an unfused MAC whose stages are kernels of one
+/// family, both rounding modes lifted into the stages' types.
+fn gemm_pair<K: Kernel, T: MacObserver>(
+    gemm: Gemm<'_>,
+    mul: K,
+    acc: K,
+    tier: SimdTier,
+    mul_obs: &mut T,
+    acc_obs: &mut T,
+) -> SimdTier {
+    let nr = || unreachable!("NR has no fast kernel");
+    with_mode!(
+        mul.rounding(),
+        M => with_mode!(
+            acc.rounding(),
+            A => gemm_tier(
+                gemm,
+                &KernelStage::<K, M>(mul),
+                &KernelStage::<K, A>(acc),
+                tier,
+                mul_obs,
+                acc_obs
+            ),
+            nr()
+        ),
+        nr()
+    )
+}
+
 /// The tier switch, over any stage pair; returns the tier whose nest
 /// ran. The vector tiers run the lane nest where it carries the MAC and
 /// the scalar nest elsewhere; off x86_64 (unreachable through
@@ -241,12 +223,6 @@ fn gemm_tier<M: LaneStage, A: LaneStage, T: MacObserver>(
     mul_obs: &mut T,
     acc_obs: &mut T,
 ) -> SimdTier {
-    // A compile-time condition: `dispatch` never pairs lane stages of
-    // different families, and this keeps the nests from being
-    // instantiated for the pairings its macro spells out anyway.
-    if !M::IDENTITY && M::FAMILY != A::FAMILY {
-        unreachable!("mixed-family MACs run the oracle stages");
-    }
     match tier {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => {
@@ -299,7 +275,7 @@ pub(crate) fn gemm_scalar<M: Stage, A: Stage, T: MacObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpt_formats::{BlockFpFormat, FixedFormat, FloatFormat, Rounding};
+    use mpt_formats::{BlockFpFormat, FixedFormat, FloatFormat, Quantizer, Rounding};
 
     /// Dispatches a tiny GEMM under `mac` on `tier` and returns the
     /// `kernel.tier.*` label of what ran.

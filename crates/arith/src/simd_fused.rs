@@ -42,10 +42,9 @@
 //!   overflow and NaN fail it).
 //!
 //! An exact `f32` value *is* the reference's `f64` value, and the
-//! stages' `f32` lane quantizers ([`QuantVec`], [`FixedVec`]) round it
-//! exactly as the `f64` kernels do wherever [`VecStage::f32_lanes`]
-//! holds for both stages,
-//! which is when dispatch takes this nest. The argument does not depend
+//! stages' `f32` lane quantizers ([`Kernel::Lanes`]) round it exactly
+//! as their `f64` kernels do wherever [`Kernel::f32_lanes`] holds for
+//! both stages, which is when dispatch takes this nest. The argument does not depend
 //! on the width. Every other live lane — inexact, tiny, non-finite or
 //! handed back by either quantizer — settles through the scalar
 //! [`mac_round`] from the same `f32` accumulator at the same event
@@ -77,13 +76,12 @@ use core::arch::x86_64::*;
 
 use crate::kernels::{gemm_scalar, Gemm};
 use crate::mac::{mac_round, sr_event_index, MacStage};
-use crate::stage::{FixedStage, FloatStage, Fused, MacObserver, Stage};
-use mpt_formats::lanes::{FixedVec, QuantVec};
+use crate::stage::{Fused, KernelStage, MacObserver, Stage};
 use mpt_formats::simd::Width;
 use mpt_formats::simd_avx2::Avx2;
 use mpt_formats::simd_avx512::Avx512;
 use mpt_formats::sr::hash::INDEX_MUL;
-use mpt_formats::SimdTier;
+use mpt_formats::{Kernel, SimdTier};
 
 /// Output columns per strip.
 pub(crate) const STRIP: usize = 32;
@@ -170,12 +168,12 @@ pub(crate) trait VecStage: Stage {
 
     /// Whether `f32` lanes carry the stage: every value it emits is an
     /// `f32`, and its lane quantizers equal the scalar one on `f32`
-    /// inputs — floats with at most 8 exponent and 22 mantissa bits,
-    /// fixed point of at most 24 bits, either under a deterministic
-    /// mode or SR with at most
-    /// [`MAX_RANDOM_BITS`](mpt_formats::simd::MAX_RANDOM_BITS) random
-    /// bits. Decided from the configuration alone.
+    /// inputs ([`Kernel::f32_lanes`]). Decided from the configuration
+    /// alone.
     fn f32_lanes(&self) -> bool;
+
+    /// The seed of the stage's SR bit source.
+    fn seed(&self) -> u64;
 
     /// Builds [`Q`](VecStage::Q).
     ///
@@ -188,11 +186,11 @@ pub(crate) trait VecStage: Stage {
     /// The host must support `W`.
     unsafe fn vec<W: Width>(&self) -> Self::Q<W>;
 
-    /// Rounds the lanes of `x`, with the hash inputs
-    /// (`rng().hash_input(index)`, read only under SR) of the
-    /// low and high lanes in `lo` and `hi`. Returns the results and the
-    /// mask of valid lanes — the caller recomputes the others through
-    /// [`Stage::quantize`].
+    /// Rounds the lanes of `x`, with the hash inputs (`hash_input(index)`
+    /// of the SR bit source under [`seed`](VecStage::seed), read only
+    /// under SR) of the low and high lanes in `lo` and `hi`. Returns the
+    /// results and the mask of valid lanes — the caller recomputes the
+    /// others through [`Stage::quantize`].
     ///
     /// # Safety
     ///
@@ -207,6 +205,10 @@ impl VecStage for Fused {
         true
     }
 
+    fn seed(&self) -> u64 {
+        0
+    }
+
     #[inline(always)]
     unsafe fn vec<W: Width>(&self) {}
 
@@ -216,39 +218,25 @@ impl VecStage for Fused {
     }
 }
 
-impl<const MODE: u8> VecStage for FloatStage<MODE> {
-    type Q<W: Width> = QuantVec<W>;
+impl<K: Kernel, const MODE: u8> VecStage for KernelStage<K, MODE> {
+    type Q<W: Width> = K::Lanes<W>;
 
     fn f32_lanes(&self) -> bool {
         self.0.f32_lanes()
     }
 
-    #[inline(always)]
-    unsafe fn vec<W: Width>(&self) -> QuantVec<W> {
-        QuantVec::new(&self.0)
+    fn seed(&self) -> u64 {
+        self.0.rng().seed()
     }
 
     #[inline(always)]
-    unsafe fn round<W: Width>(q: &QuantVec<W>, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
-        q.quantize::<MODE>(x, lo, hi)
-    }
-}
-
-impl<const MODE: u8> VecStage for FixedStage<MODE> {
-    type Q<W: Width> = FixedVec<W>;
-
-    fn f32_lanes(&self) -> bool {
-        self.0.f32_lanes()
+    unsafe fn vec<W: Width>(&self) -> K::Lanes<W> {
+        self.0.lanes::<W>()
     }
 
     #[inline(always)]
-    unsafe fn vec<W: Width>(&self) -> FixedVec<W> {
-        FixedVec::new(&self.0)
-    }
-
-    #[inline(always)]
-    unsafe fn round<W: Width>(q: &FixedVec<W>, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
-        q.quantize::<MODE>(x, lo, hi)
+    unsafe fn round<W: Width>(q: &K::Lanes<W>, x: W::V, lo: W::H, hi: W::H) -> (W::V, W::K) {
+        K::quantize_lanes::<W, MODE>(q, x, lo, hi)
     }
 }
 
@@ -574,8 +562,8 @@ unsafe fn strips<W: NestWidth, const B: usize, M: VecStage, A: VecStage, T: MacO
         acc,
         mul_q: mul.vec::<W>(),
         acc_q: acc.vec::<W>(),
-        mul_seed: W::splat64(mul.rng().seed()),
-        acc_seed: W::splat64(acc.rng().seed()),
+        mul_seed: W::splat64(mul.seed()),
+        acc_seed: W::splat64(acc.seed()),
     };
     // Plain loops over the blocks, not `array::from_fn`: a closure run
     // by a `core` function would not inline into the featured entry.

@@ -6,16 +6,15 @@
 //! at 8 and 16 lanes) is written once, generic over a [`Stage`] per
 //! stage:
 //!
-//! | stage type            | rounds through                                   |
-//! |-----------------------|--------------------------------------------------|
-//! | [`Fused`]             | nothing: the `NR` multiplier of a fused MAC      |
-//! | [`FloatStage<MODE>`]  | [`FloatFastF64`] (bit-twiddling on the `f64` carrier) |
-//! | [`FixedStage<MODE>`]  | [`FixedFastF64`] (scale / clamp / round-to-integer) |
-//! | [`Quantizer`]         | the scalar oracle itself — block FP, `NR` accumulators, formats without a lane plan; scalar nest only |
+//! | stage type              | rounds through                                   |
+//! |-------------------------|--------------------------------------------------|
+//! | [`Fused`]               | nothing: the `NR` multiplier of a fused MAC      |
+//! | [`KernelStage<K, MODE>`] | `mpt-formats`' fast [`Kernel`] `K` — [`FloatFastF64`](mpt_formats::FloatFastF64) or [`FixedFastF64`](mpt_formats::FixedFastF64) — under rounding mode `MODE` |
+//! | [`Quantizer`]           | the scalar oracle itself — block FP, `NR` accumulators, quantizers without a fast kernel; scalar nest only |
 //!
-//! The rounding mode is a `const` parameter of the lane stages, so
+//! The rounding mode is a `const` parameter of the kernel stage, so
 //! every instantiated `(multiplier, accumulator)` pairing — a fused
-//! multiplier with any accumulator, or two stages of one family —
+//! multiplier with any kernel, or two kernels of one family —
 //! monomorphizes to its own branch-free inner loop; `Fused` compiles the multiplier stage out
 //! entirely, which leaves the fused-float instantiation with exactly
 //! the loop it had before the nests became generic.
@@ -24,7 +23,7 @@
 //! stage. The telemetry tally is one; [`NoTally`] is the zero-sized
 //! other, whose calls compile to nothing.
 
-use mpt_formats::{FixedFastF64, FloatFastF64, Quantizer, SrRng};
+use mpt_formats::{Kernel, Quantizer};
 use mpt_telemetry::QuantTally;
 
 /// Watches one MAC stage round: `record(x, q)` for every value `x`
@@ -56,18 +55,6 @@ impl MacObserver for QuantTally {
     }
 }
 
-/// Format family of a [`Stage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Family {
-    /// [`FloatStage`].
-    Float,
-    /// [`FixedStage`].
-    Fixed,
-    /// Neither: [`Fused`] (pairs with any accumulator) and the
-    /// [`Quantizer`] oracle stage (never reaches a lane nest).
-    Other,
-}
-
 /// One rounding stage of the MAC, as the loop nests see it.
 ///
 /// `quantize` alone serves the scalar nest; the lane nest adds the
@@ -77,16 +64,9 @@ pub(crate) trait Stage: Copy {
     /// `true` only for [`Fused`]: the stage passes values through and
     /// is never observed.
     const IDENTITY: bool = false;
-    /// The stage's format family. Lane nests are only instantiated
-    /// for a multiplier and accumulator of one family (or a fused
-    /// multiplier); see `kernels::dispatch`.
-    const FAMILY: Family;
 
     /// Rounds one value at rounding event `index`.
     fn quantize(&self, x: f64, index: u64) -> f64;
-
-    /// The stage's stochastic bit source.
-    fn rng(&self) -> SrRng;
 }
 
 /// The `NR` multiplier of a fused MAC: the exact product feeds the
@@ -96,63 +76,30 @@ pub(crate) struct Fused;
 
 impl Stage for Fused {
     const IDENTITY: bool = true;
-    const FAMILY: Family = Family::Other;
 
     #[inline(always)]
     fn quantize(&self, x: f64, _index: u64) -> f64 {
         x
     }
-
-    fn rng(&self) -> SrRng {
-        SrRng::new(0)
-    }
 }
 
-/// A float-format stage under rounding mode `MODE`.
+/// A fast [`Kernel`] of either format family under rounding mode
+/// `MODE` (its [`mode`](mpt_formats::fast::mode) discriminant).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FloatStage<const MODE: u8>(pub(crate) FloatFastF64);
+pub(crate) struct KernelStage<K, const MODE: u8>(pub(crate) K);
 
-impl<const MODE: u8> Stage for FloatStage<MODE> {
-    const FAMILY: Family = Family::Float;
-
+impl<K: Kernel, const MODE: u8> Stage for KernelStage<K, MODE> {
     #[inline(always)]
     fn quantize(&self, x: f64, index: u64) -> f64 {
         self.0.quantize::<MODE>(x, index)
-    }
-
-    fn rng(&self) -> SrRng {
-        self.0.rng()
-    }
-}
-
-/// A fixed-point stage under rounding mode `MODE`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FixedStage<const MODE: u8>(pub(crate) FixedFastF64);
-
-impl<const MODE: u8> Stage for FixedStage<MODE> {
-    const FAMILY: Family = Family::Fixed;
-
-    #[inline(always)]
-    fn quantize(&self, x: f64, index: u64) -> f64 {
-        self.0.quantize::<MODE>(x, index)
-    }
-
-    fn rng(&self) -> SrRng {
-        self.0.rng()
     }
 }
 
 /// The scalar oracle as a stage: any [`Quantizer`], format and mode
 /// resolved per call. Only the scalar nest can run it.
 impl Stage for Quantizer {
-    const FAMILY: Family = Family::Other;
-
     #[inline]
     fn quantize(&self, x: f64, index: u64) -> f64 {
         Quantizer::quantize(self, x, index)
-    }
-
-    fn rng(&self) -> SrRng {
-        Quantizer::rng(self)
     }
 }

@@ -146,14 +146,6 @@ pub fn synthetic_imagewoof16(n: usize, seed: u64) -> ImageDataset {
     generate(n, 3, 16, 16, 10, HARD, 0x1A6E_F00F, seed)
 }
 
-/// A 3×32×32 rendition of the Imagewoof stand-in (same hard,
-/// fine-grained tier at CIFAR resolution) for the scaled ResNet-50
-/// experiments, where full-resolution training would dominate the
-/// benchmark run time.
-pub fn synthetic_imagewoof32(n: usize, seed: u64) -> ImageDataset {
-    generate(n, 3, 32, 32, 10, HARD, 0x1A6E_F00F, seed)
-}
-
 #[allow(clippy::too_many_arguments)] // internal synthetic-dataset helper
 fn generate(
     n: usize,

@@ -29,7 +29,7 @@ pub mod text;
 
 pub use images::{
     synthetic_cifar10, synthetic_cifar10_16, synthetic_imagewoof, synthetic_imagewoof16,
-    synthetic_imagewoof32, synthetic_mnist, ImageDataset,
+    synthetic_mnist, ImageDataset,
 };
 pub use loader::Batches;
 pub use text::CharCorpus;

@@ -1,4 +1,5 @@
-//! Monomorphized fast-path quantization kernels.
+//! The fast quantizer kernels, one per format family, and the one trait
+//! both implement.
 //!
 //! [`FloatFormat::quantize`] is the bit-accuracy *oracle*: a scalar
 //! routine that scales to the target ULP in `f64`, rounds, and scales
@@ -7,15 +8,20 @@
 //! round trip, two exact scalings, and a rounding-mode match.
 //!
 //! The GEMM emulation kernels in `mpt-arith` quantize millions of
-//! elements per call with one *fixed* `(format, rounding)` pair, so
-//! this module precomputes everything derivable from the format once
-//! ([`FloatFastF64`]) and then rounds the mantissa directly on the
-//! `f64` carrier's bit pattern — no per-element dispatch. The rounding
-//! mode is a `const` generic, so each mode compiles to its own
-//! branch-free inner loop, selected once per slice (or once per GEMM).
-//! `f32` values widen onto the `f64` kernel, as the oracle's own `f32`
-//! path does, and the vector tiers run its `f32` lane form
-//! (`lanes::QuantVec`) where [`FloatFastF64::f32_lanes`] holds.
+//! elements per call with one *fixed* `(format, rounding)` pair, so a
+//! [`Kernel`] precomputes everything derivable from the format once —
+//! [`FloatFastF64`] here, which rounds the mantissa directly on the
+//! `f64` carrier's bit pattern, and [`FixedFastF64`] for fixed point —
+//! and takes the rounding mode as a `const` generic, so each mode
+//! compiles to its own branch-free inner loop, selected once per slice
+//! (or once per GEMM). [`Quantizer::fast_kernel`] is the one place that
+//! decides which kernel a quantizer has, and
+//! [`with_kernel!`](crate::with_kernel) the one place that lifts it and
+//! its mode into types. `f32` values widen onto the `f64` kernel, as
+//! the oracle's own `f32` path does, and the vector tiers run the
+//! kernel's `f32` lane form ([`Kernel::Lanes`]) where
+//! [`Kernel::f32_lanes`] holds. The slice loop
+//! ([`Kernel::quantize_slice_tier`]) is written once, over the trait.
 //!
 //! ## Bit-equality contract
 //!
@@ -29,11 +35,19 @@
 //! the oracle itself. Property tests in `tests/fast_equivalence.rs`
 //! compare the two paths bit-for-bit across random formats, modes, and
 //! boundary values.
+//!
+//! [`Quantizer::fast_kernel`]: crate::Quantizer::fast_kernel
 
+use crate::fixed_fast::FixedFastF64;
 use crate::float::FloatFormat;
 use crate::rounding::Rounding;
 use crate::simd::SimdTier;
 use crate::sr::SrRng;
+
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::QuantVec;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Width;
 
 /// Rounding-mode discriminants for `const`-generic monomorphization.
 ///
@@ -48,18 +62,6 @@ pub mod mode {
     pub const SR: u8 = 2;
     /// Round to odd (RO).
     pub const RO: u8 = 3;
-}
-
-/// Returns the [`mode`] discriminant for `rounding`, or `None` for
-/// [`Rounding::NoRound`] (identity — no kernel needed).
-pub fn mode_of(rounding: Rounding) -> Option<u8> {
-    match rounding {
-        Rounding::Nearest => Some(mode::RN),
-        Rounding::TowardZero => Some(mode::RZ),
-        Rounding::Stochastic { .. } => Some(mode::SR),
-        Rounding::ToOdd => Some(mode::RO),
-        Rounding::NoRound => None,
-    }
 }
 
 /// Evaluates `$body` with `$m` bound, as a `const`, to the [`mode`]
@@ -91,14 +93,150 @@ macro_rules! with_mode {
     };
 }
 
+/// Evaluates `$body` with `$k` bound to the kernel inside the
+/// [`FastKernel`] `$kernel`, at its own type, and `$m` to its rounding
+/// mode as a `const` (see [`with_mode!`]): one copy of `$body` per
+/// `(family, mode)`.
+#[macro_export]
+macro_rules! with_kernel {
+    ($kernel:expr, $k:ident, $m:ident => $body:expr) => {
+        match $kernel {
+            $crate::FastKernel::Float($k) => $crate::with_mode!(
+                $crate::Kernel::rounding(&$k),
+                $m => $body,
+                unreachable!("NR has no fast kernel")
+            ),
+            $crate::FastKernel::Fixed($k) => $crate::with_mode!(
+                $crate::Kernel::rounding(&$k),
+                $m => $body,
+                unreachable!("NR has no fast kernel")
+            ),
+        }
+    };
+}
+
+/// The fast kernel of a quantizer, one variant per format family
+/// ([`Quantizer::fast_kernel`](crate::Quantizer::fast_kernel)).
+#[derive(Debug, Clone, Copy)]
+pub enum FastKernel {
+    /// A float format's kernel.
+    Float(FloatFastF64),
+    /// A fixed-point format's kernel.
+    Fixed(FixedFastF64),
+}
+
+/// A precomputed scalar `f64` quantizer of one format family, and its
+/// `f32` lane form: [`FloatFastF64`] and [`FixedFastF64`]. The operand
+/// slice loop and `mpt-arith`'s MAC stages run every kernel through
+/// this trait.
+///
+/// `MODE` is always the [`mode`] discriminant of the kernel's
+/// [`rounding`](Kernel::rounding) ([`with_mode!`] picks it).
+#[allow(unsafe_code)] // the lane items
+pub trait Kernel: Copy {
+    /// The `f32` lane quantizer at width `W`, its constants broadcast.
+    #[cfg(target_arch = "x86_64")]
+    type Lanes<W: Width>: Copy;
+
+    /// The kernel's rounding mode.
+    fn rounding(&self) -> Rounding;
+
+    /// The SR bit source (lane quantizers hash its
+    /// [`hash_input`](SrRng::hash_input) per lane).
+    fn rng(&self) -> SrRng;
+
+    /// Whether `f32` lanes carry the kernel: every `f32` value rounds in
+    /// [`Lanes`](Kernel::Lanes) exactly as [`quantize`](Kernel::quantize)
+    /// rounds its `f64` image, with at most
+    /// [`MAX_RANDOM_BITS`](crate::simd::MAX_RANDOM_BITS) SR bits.
+    fn f32_lanes(&self) -> bool;
+
+    /// Quantizes one value at rounding event `index`, bit-identical to
+    /// the oracle.
+    fn quantize<const MODE: u8>(&self, x: f64, index: u64) -> f64;
+
+    /// Builds [`Lanes`](Kernel::Lanes).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`f32_lanes`](Kernel::f32_lanes) holds.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `W`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn lanes<W: Width>(&self) -> Self::Lanes<W>;
+
+    /// Rounds the lanes of `x`; `lo` and `hi` carry `seed ^
+    /// event_index·INDEX_MUL` of the low and high lanes (read only under
+    /// SR). Returns the results and the mask of lanes whose result is
+    /// valid; the caller recomputes the others through
+    /// [`quantize`](Kernel::quantize).
+    ///
+    /// # Safety
+    ///
+    /// The host must support `W`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn quantize_lanes<W: Width, const MODE: u8>(
+        q: &Self::Lanes<W>,
+        x: W::V,
+        lo: W::H,
+        hi: W::H,
+    ) -> (W::V, W::K);
+
+    /// Quantizes one `f32` carrier at rounding event `index`: the `f64`
+    /// kernel on the widened value, narrowed back — the oracle's own
+    /// `quantize(x as f64) as f32`.
+    #[inline(always)]
+    fn quantize_f32<const MODE: u8>(&self, x: f32, index: u64) -> f32 {
+        self.quantize::<MODE>(x as f64, index) as f32
+    }
+
+    /// [`quantize`](Kernel::quantize) with the mode resolved at runtime
+    /// (a single small match; use the `const`-generic form in hot
+    /// loops).
+    fn quantize_dyn(&self, x: f64, index: u64) -> f64 {
+        with_mode!(self.rounding(), M => self.quantize::<M>(x, index), x)
+    }
+
+    /// [`quantize_f32`](Kernel::quantize_f32) with the mode resolved at
+    /// runtime.
+    fn quantize_f32_dyn(&self, x: f32, index: u64) -> f32 {
+        with_mode!(self.rounding(), M => self.quantize_f32::<M>(x, index), x)
+    }
+
+    /// Quantizes an `f32` slice in place through the requested kernel
+    /// tier; element `i` uses rounding event `base_index + i`. The lane
+    /// loop runs where `f32` lanes carry the kernel and the host has a
+    /// vector tier, the scalar loop elsewhere. All tiers are
+    /// bit-identical; pass [`crate::simd::active_tier`] for the ambient
+    /// `MPT_SIMD` selection, or an explicit tier for in-process
+    /// comparisons (differential tests, benches).
+    fn quantize_slice_tier<const MODE: u8>(
+        &self,
+        values: &mut [f32],
+        base_index: u64,
+        tier: SimdTier,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::lanes::quantize_slice_tier::<Self, MODE>(self, values, base_index, tier) {
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = tier;
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = self.quantize_f32::<MODE>(*v, base_index.wrapping_add(i as u64));
+        }
+    }
+}
+
 /// Precomputed fast quantizer for float formats on `f64` carriers: MAC
 /// accumulator and multiplier-output rounding on exact `f64`
 /// sums/products, and — widening each element — operand slices on `f32`
-/// carriers ([`quantize_f32`](Self::quantize_f32), literally the
-/// oracle's `quantize(x as f64) as f32`).
+/// carriers.
 #[derive(Debug, Clone, Copy)]
 pub struct FloatFastF64 {
-    format: FloatFormat,
+    pub(crate) format: FloatFormat,
     rounding: Rounding,
     rng: SrRng,
     min_exp: i32,
@@ -154,41 +292,37 @@ impl FloatFastF64 {
         })
     }
 
-    /// The format this kernel quantizes to.
-    pub fn format(&self) -> FloatFormat {
-        self.format
+    /// The scalar oracle, for inputs outside the fast regime.
+    #[cold]
+    #[inline(never)]
+    fn oracle(&self, x: f64, index: u64) -> f64 {
+        self.format.quantize(x, self.rounding, &self.rng, index)
     }
+}
 
-    /// The rounding mode baked into `MODE` selections.
-    pub fn rounding(&self) -> Rounding {
+#[allow(unsafe_code)] // the lane items
+impl Kernel for FloatFastF64 {
+    #[cfg(target_arch = "x86_64")]
+    type Lanes<W: Width> = QuantVec<W>;
+
+    fn rounding(&self) -> Rounding {
         self.rounding
     }
 
-    /// The SR bit source (lane kernels hash its
-    /// [`hash_input`](SrRng::hash_input) per lane).
-    pub fn rng(&self) -> SrRng {
+    fn rng(&self) -> SrRng {
         self.rng
     }
 
-    /// Whether `f32` lanes carry this kernel — an exponent of at most 8
-    /// bits, a mantissa narrower than `f32`'s, and at most
-    /// [`MAX_RANDOM_BITS`](crate::simd::MAX_RANDOM_BITS) SR bits. There
-    /// the `f32` lane quantizer (`lanes::QuantVec`) rounds every `f32`
-    /// value exactly as [`quantize`](Self::quantize) rounds its `f64`
-    /// image.
-    pub fn f32_lanes(&self) -> bool {
+    /// An exponent of at most 8 bits and a mantissa narrower than
+    /// `f32`'s.
+    fn f32_lanes(&self) -> bool {
         self.format.exp_bits() <= 8
             && self.format.man_bits() < 23
             && self.rb <= crate::simd::MAX_RANDOM_BITS
     }
 
-    /// Quantizes one value at rounding event `index`, bit-identical to
-    /// the oracle.
-    ///
-    /// `MODE` must be the [`mode`] discriminant matching this kernel's
-    /// rounding mode (see [`mode_of`]).
     #[inline]
-    pub fn quantize<const MODE: u8>(&self, x: f64, index: u64) -> f64 {
+    fn quantize<const MODE: u8>(&self, x: f64, index: u64) -> f64 {
         let bits = x.to_bits();
         let sign = bits & (1 << 63);
         let abs = bits ^ sign;
@@ -262,63 +396,21 @@ impl FloatFastF64 {
         f64::from_bits(sign | y_abs)
     }
 
-    /// Quantizes one value with the mode resolved at runtime (a single
-    /// small match; use the `const`-generic [`quantize`](Self::quantize)
-    /// in hot loops).
-    #[inline]
-    pub fn quantize_dyn(&self, x: f64, index: u64) -> f64 {
-        with_mode!(self.rounding, M => self.quantize::<M>(x, index), x)
-    }
-
-    /// Quantizes one `f32` carrier at rounding event `index`: the `f64`
-    /// kernel on the widened value, narrowed back — the oracle's own
-    /// `quantize(x as f64) as f32`.
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    pub fn quantize_f32<const MODE: u8>(&self, x: f32, index: u64) -> f32 {
-        self.quantize::<MODE>(x as f64, index) as f32
+    unsafe fn lanes<W: Width>(&self) -> QuantVec<W> {
+        QuantVec::new(self)
     }
 
-    /// [`quantize_f32`](Self::quantize_f32) with the mode resolved at
-    /// runtime.
-    pub fn quantize_f32_dyn(&self, x: f32, index: u64) -> f32 {
-        with_mode!(self.rounding, M => self.quantize_f32::<M>(x, index), x)
-    }
-
-    /// Quantizes an `f32` slice in place through the requested kernel
-    /// tier; element `i` uses rounding event `base_index + i`. All tiers
-    /// are bit-identical; pass [`crate::simd::active_tier`] for the
-    /// ambient `MPT_SIMD` selection, or an explicit tier for in-process
-    /// comparisons (differential tests, benches).
-    pub fn quantize_slice_tier<const MODE: u8>(
-        &self,
-        values: &mut [f32],
-        base_index: u64,
-        tier: SimdTier,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::lanes::quantize_slice_tier::<Self, MODE>(self, values, base_index, tier) {
-            return;
-        }
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = self.quantize_f32::<MODE>(*v, base_index.wrapping_add(i as u64));
-        }
-    }
-
-    /// [`quantize_slice_tier`](Self::quantize_slice_tier) with the
-    /// rounding mode matched once, outside the loop.
-    pub fn quantize_slice_tier_dyn(&self, values: &mut [f32], base_index: u64, tier: SimdTier) {
-        with_mode!(
-            self.rounding,
-            M => self.quantize_slice_tier::<M>(values, base_index, tier),
-            ()
-        )
-    }
-
-    /// The scalar oracle, for inputs outside the fast regime.
-    #[cold]
-    #[inline(never)]
-    fn oracle(&self, x: f64, index: u64) -> f64 {
-        self.format.quantize(x, self.rounding, &self.rng, index)
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn quantize_lanes<W: Width, const MODE: u8>(
+        q: &QuantVec<W>,
+        x: W::V,
+        lo: W::H,
+        hi: W::H,
+    ) -> (W::V, W::K) {
+        q.quantize::<MODE>(x, lo, hi)
     }
 }
 
@@ -456,7 +548,7 @@ mod tests {
         let fast = FloatFastF64::new(fmt, Rounding::stochastic(), rng).unwrap();
         let src: Vec<f32> = (0..512).map(|i| ((i as f32) - 256.0) * 0.173).collect();
         let mut fastv = src.clone();
-        fast.quantize_slice_tier_dyn(&mut fastv, 4096, SimdTier::Off);
+        fast.quantize_slice_tier::<{ mode::SR }>(&mut fastv, 4096, SimdTier::Off);
         for (i, (&got, &x)) in fastv.iter().zip(&src).enumerate() {
             let want = fmt.quantize(x as f64, Rounding::stochastic(), &rng, 4096 + i as u64);
             assert_eq!(got.to_bits(), (want as f32).to_bits(), "i {i}");

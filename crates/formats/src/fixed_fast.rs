@@ -1,12 +1,12 @@
-//! Monomorphized fast-path quantization kernels for fixed point.
+//! The fixed-point fast quantizer kernel.
 //!
 //! The fixed-point counterpart of [`crate::fast`]: [`FixedFastF64`]
 //! precomputes everything [`FixedFormat::quantize`] derives from the
 //! format on every call (`2^f`, `2^-f`, the code clamp bounds, the SR
-//! resolution) and takes the rounding mode as a `const` generic, so
-//! the MAC loop nests in `mpt-arith` and the operand-slice quantizer
-//! ([`FixedFastF64::quantize_slice_tier`]) run one branch-free body per
-//! mode.
+//! resolution) and, as a [`Kernel`], takes the rounding mode as a
+//! `const` generic, so the MAC loop nests in `mpt-arith` and the
+//! operand-slice loop ([`Kernel::quantize_slice_tier`]) run one
+//! branch-free body per mode.
 //!
 //! ## Bit-equality contract
 //!
@@ -22,7 +22,7 @@
 //!   `(|y| + 2^52) - 2^52` is round-half-even of `|y|` under the
 //!   default IEEE rounding direction, and floor / truncation / parity
 //!   follow from one compare each. The vector tiers' `f32` lanes
-//!   (`lanes::FixedVec`), where [`FixedFastF64::f32_lanes`] holds, use
+//!   (`lanes::FixedVec`), where [`Kernel::f32_lanes`] holds, use
 //!   `vrndscaleps` / `vroundps` instead.
 //!
 //! One oracle quirk is replicated on purpose: `round_ties_even(-0.5)`
@@ -33,12 +33,16 @@
 //! are — by [`FixedFastF64::new`] returning `None` — formats wider
 //! than 52 bits, whose codes leave the exact-integer range.
 
-use crate::fast::mode;
+use crate::fast::{mode, Kernel};
 use crate::fixed::FixedFormat;
 use crate::float::exp2i;
 use crate::rounding::Rounding;
-use crate::simd::SimdTier;
 use crate::sr::SrRng;
+
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::FixedVec;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Width;
 
 /// `2^52`: adding and subtracting it rounds a magnitude `<= 2^52` to
 /// the nearest integer, ties to even.
@@ -49,11 +53,10 @@ const MAX_FAST_WIDTH: u32 = 52;
 
 /// Precomputed fast quantizer for fixed-point formats on `f64`
 /// carriers (MAC multiplier-output and accumulator rounding on exact
-/// `f64` products/sums; operand slices are widened onto it by
-/// [`quantize_slice_tier`](Self::quantize_slice_tier)).
+/// `f64` products/sums; operand slices widen onto it).
 #[derive(Debug, Clone, Copy)]
 pub struct FixedFastF64 {
-    format: FixedFormat,
+    pub(crate) format: FixedFormat,
     rounding: Rounding,
     rng: SrRng,
     /// `2^f`: carrier → code units.
@@ -98,36 +101,35 @@ impl FixedFastF64 {
         })
     }
 
-    /// The format this kernel quantizes to.
-    pub fn format(&self) -> FixedFormat {
-        self.format
+    /// The scalar oracle, for non-finite inputs.
+    #[cold]
+    #[inline(never)]
+    fn oracle(&self, x: f64, index: u64) -> f64 {
+        self.format.quantize(x, self.rounding, &self.rng, index)
     }
+}
 
-    /// The rounding mode baked into `MODE` selections.
-    pub fn rounding(&self) -> Rounding {
+#[allow(unsafe_code)] // the lane items
+impl Kernel for FixedFastF64 {
+    #[cfg(target_arch = "x86_64")]
+    type Lanes<W: Width> = FixedVec<W>;
+
+    fn rounding(&self) -> Rounding {
         self.rounding
     }
 
-    /// The SR bit source (lane kernels hash its
-    /// [`hash_input`](SrRng::hash_input) per lane).
-    pub fn rng(&self) -> SrRng {
+    fn rng(&self) -> SrRng {
         self.rng
     }
 
-    /// Whether `f32` lanes carry this kernel: codes of at most 24 bits
-    /// (so every code and clamp bound is an `f32`) and at most
-    /// [`MAX_RANDOM_BITS`](crate::simd::MAX_RANDOM_BITS) SR bits. There
-    /// the `f32` lane quantizers round every `f32` value exactly as
-    /// [`quantize`](Self::quantize) rounds its `f64` image.
-    pub fn f32_lanes(&self) -> bool {
+    /// Codes of at most 24 bits, so every code and clamp bound is an
+    /// `f32`.
+    fn f32_lanes(&self) -> bool {
         self.format.bit_width() <= 24 && self.rb <= crate::simd::MAX_RANDOM_BITS
     }
 
-    /// Quantizes one value at rounding event `index`, bit-identical to
-    /// [`FixedFormat::quantize`]. `MODE` must be the [`mode`]
-    /// discriminant of this kernel's rounding mode.
     #[inline]
-    pub fn quantize<const MODE: u8>(&self, x: f64, index: u64) -> f64 {
+    fn quantize<const MODE: u8>(&self, x: f64, index: u64) -> f64 {
         if !x.is_finite() {
             return self.oracle(x, index);
         }
@@ -175,47 +177,21 @@ impl FixedFastF64 {
         code * self.inv
     }
 
-    /// [`quantize`](Self::quantize) with the mode resolved at runtime.
-    #[inline]
-    pub fn quantize_dyn(&self, x: f64, index: u64) -> f64 {
-        crate::with_mode!(self.rounding, M => self.quantize::<M>(x, index), x)
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn lanes<W: Width>(&self) -> FixedVec<W> {
+        FixedVec::new(self)
     }
 
-    /// Quantizes an `f32` slice in place through the requested kernel
-    /// tier; element `i` uses rounding event `base_index + i`. Every
-    /// element rounds as its `f64` image does under
-    /// [`quantize`](Self::quantize) — literally the oracle's
-    /// `quantize(x as f64) as f32` — and all tiers are bit-identical.
-    pub fn quantize_slice_tier<const MODE: u8>(
-        &self,
-        values: &mut [f32],
-        base_index: u64,
-        tier: SimdTier,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::lanes::quantize_slice_tier::<Self, MODE>(self, values, base_index, tier) {
-            return;
-        }
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = self.quantize::<MODE>(*v as f64, base_index.wrapping_add(i as u64)) as f32;
-        }
-    }
-
-    /// [`quantize_slice_tier`](Self::quantize_slice_tier) with the
-    /// rounding mode matched once, outside the loop.
-    pub fn quantize_slice_tier_dyn(&self, values: &mut [f32], base_index: u64, tier: SimdTier) {
-        crate::with_mode!(
-            self.rounding,
-            M => self.quantize_slice_tier::<M>(values, base_index, tier),
-            ()
-        )
-    }
-
-    /// The scalar oracle, for non-finite inputs.
-    #[cold]
-    #[inline(never)]
-    fn oracle(&self, x: f64, index: u64) -> f64 {
-        self.format.quantize(x, self.rounding, &self.rng, index)
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn quantize_lanes<W: Width, const MODE: u8>(
+        q: &FixedVec<W>,
+        x: W::V,
+        lo: W::H,
+        hi: W::H,
+    ) -> (W::V, W::K) {
+        q.quantize::<MODE>(x, lo, hi)
     }
 }
 

@@ -164,18 +164,6 @@ impl FloatFormat {
         exp2i(self.min_exp())
     }
 
-    /// Smallest positive representable magnitude (subnormal if the
-    /// format has subnormals, otherwise [`min_normal`]).
-    ///
-    /// [`min_normal`]: FloatFormat::min_normal
-    pub fn min_positive(&self) -> f64 {
-        if self.subnormals {
-            exp2i(self.min_exp() - self.man_bits as i32)
-        } else {
-            self.min_normal()
-        }
-    }
-
     /// Quantizes `x` to this format under `mode`, drawing stochastic
     /// bits for event `index` from `rng`.
     ///
@@ -451,7 +439,6 @@ mod tests {
         assert_eq!(f.min_exp(), -14);
         assert_eq!(f.max_value(), 57344.0); // 1.75 * 2^15
         assert_eq!(f.min_normal(), 2f64.powi(-14));
-        assert_eq!(f.min_positive(), 2f64.powi(-16));
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! The `f32` lane quantizers, one per format family, written once over
 //! the lane [`Width`]: [`QuantVec`] for floats and [`FixedVec`] for
-//! fixed point. `mpt-arith`'s MAC nest runs them on its sums and
-//! products, and the slice loop on operand slices; the `avx512` tier
-//! runs both at 16 lanes and the `avx2` tier at 8.
+//! fixed point, the [`Kernel::Lanes`] of [`FloatFastF64`] and
+//! [`FixedFastF64`]; and the slice loop over any [`Kernel`] that
+//! [`Kernel::quantize_slice_tier`] runs where `f32` lanes carry the
+//! kernel. `mpt-arith`'s MAC nest runs the quantizers on its sums and
+//! products through the same trait; the `avx512` tier runs both at 16
+//! lanes and the `avx2` tier at 8.
 //!
-//! The hand-back contract is the same at both widths: `quantize` returns
-//! the rounded lanes and the mask of lanes whose result is valid, and
-//! the caller recomputes the others through the family's scalar kernel
-//! ([`FloatFastF64`], [`FixedFastF64`]) at the same event index. Each
-//! quantizer replays its scalar kernel's operation sequence per lane, so
-//! on `f32` inputs the results are **bit-identical** to the scalar tier
-//! wherever `f32_lanes` holds for the kernel (pinned by
-//! `tests/float_oracle.rs`, `tests/fixed_oracle.rs` and
-//! `tests/fast_equivalence.rs`). Lanes outside the provable fast regime
-//! (floats: `f32` subnormals, the target's subnormal range, ±inf, NaN;
-//! fixed point: ±inf, NaN) are handed back.
+//! The hand-back contract is the same at both widths: a quantizer
+//! returns the rounded lanes and the mask of lanes whose result is
+//! valid, and the caller recomputes the others through the kernel's
+//! scalar [`Kernel::quantize`] at the same event index. Each quantizer
+//! replays its scalar kernel's operation sequence per lane, so on `f32`
+//! inputs the results are **bit-identical** to the scalar tier wherever
+//! [`Kernel::f32_lanes`] holds (pinned by `tests/float_oracle.rs`,
+//! `tests/fixed_oracle.rs` and `tests/fast_equivalence.rs`). Lanes
+//! outside the provable fast regime (floats: `f32` subnormals, the
+//! target's subnormal range, ±inf, NaN; fixed point: ±inf, NaN) are
+//! handed back.
 //!
 //! Stochastic rounding compares 32-bit draws ([`Width::draws`]) with
 //! the discarded fraction, which is why `f32` lanes take at most
@@ -26,9 +29,8 @@ use core::arch::x86_64::{
     _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_NEG_INF, _MM_FROUND_TO_ZERO,
 };
 
-use crate::fast::{mode, FloatFastF64};
+use crate::fast::{mode, FloatFastF64, Kernel};
 use crate::fixed_fast::FixedFastF64;
-use crate::rounding::Rounding;
 use crate::simd::{avx2_supported, avx512_supported, SimdTier, Width};
 use crate::simd_avx2::Avx2;
 use crate::simd_avx512::Avx512;
@@ -37,7 +39,7 @@ use crate::sr::hash::INDEX_MUL;
 /// Broadcast [`FloatFastF64`] constants for the `f32` float quantizer
 /// at width `W`, built once per slice or GEMM.
 ///
-/// On `f32` inputs it equals [`FloatFastF64::quantize`] of the widened
+/// On `f32` inputs it equals [`Kernel::quantize`] of the widened
 /// lane: in the fast regime (the format's normal range, and zero) the
 /// `f32` carrier holds the value exactly and the integer steps below
 /// round it to the same format point, and the SR draw is the same top
@@ -84,7 +86,7 @@ impl<W: Width> QuantVec<W> {
     ///
     /// # Panics
     ///
-    /// Panics unless [`FloatFastF64::f32_lanes`] holds for `fast`.
+    /// Panics unless [`Kernel::f32_lanes`] holds for `fast`.
     ///
     /// # Safety
     ///
@@ -94,10 +96,10 @@ impl<W: Width> QuantVec<W> {
         assert!(
             fast.f32_lanes(),
             "{} with {} random bits does not fit the f32 lanes",
-            fast.format(),
+            fast.format,
             fast.rb
         );
-        let format = fast.format();
+        let format = fast.format;
         let ts = 23 - format.man_bits();
         let lo = ((format.min_exp() + 127).max(1) as u32) << 23;
         // With at most 8 exponent bits the largest value is an `f32`.
@@ -185,8 +187,8 @@ impl<W: Width> QuantVec<W> {
 /// by `2^f`, clamp, round to integer (`vrndscaleps` / `vroundps`),
 /// scale back.
 ///
-/// On `f32` inputs it equals [`FixedFastF64::quantize`] lane for lane
-/// wherever [`FixedFastF64::f32_lanes`] holds: scaling by `2^f` is exact
+/// On `f32` inputs it equals [`Kernel::quantize`] lane for lane
+/// wherever [`Kernel::f32_lanes`] holds: scaling by `2^f` is exact
 /// (or overflows to ±inf, which the clamp takes to the same code as the
 /// finite `f64` value), and the clamp bounds, every code of at most 24
 /// bits and every integer step between codes are `f32` values. The one
@@ -212,7 +214,7 @@ impl<W: Width> FixedVec<W> {
     ///
     /// # Panics
     ///
-    /// Panics unless [`FixedFastF64::f32_lanes`] holds for `fast`.
+    /// Panics unless [`Kernel::f32_lanes`] holds for `fast`.
     ///
     /// # Safety
     ///
@@ -222,7 +224,7 @@ impl<W: Width> FixedVec<W> {
         assert!(
             fast.f32_lanes(),
             "{} with {} random bits does not fit the f32 lanes",
-            fast.format(),
+            fast.format,
             fast.rb
         );
         FixedVec {
@@ -284,104 +286,6 @@ impl<W: Width> FixedVec<W> {
     }
 }
 
-/// A scalar `f64` quantizer kernel with an `f32` lane quantizer:
-/// [`FloatFastF64`] ([`QuantVec`]) and [`FixedFastF64`] ([`FixedVec`]).
-/// What the slice loop needs of a family.
-pub trait LaneKernel: Copy {
-    /// The lane quantizer at width `W`.
-    type Lanes<W: Width>: Copy;
-
-    /// Whether `f32` lanes carry the kernel.
-    fn f32_lanes(&self) -> bool;
-    /// The kernel's rounding mode.
-    fn rounding(&self) -> Rounding;
-    /// The kernel's SR seed.
-    fn seed(&self) -> u64;
-    /// Quantizes one `f32` at rounding event `index`: the scalar
-    /// kernel on the widened value.
-    fn quantize_f32<const MODE: u8>(&self, x: f32, index: u64) -> f32;
-    /// Builds [`Lanes`](LaneKernel::Lanes).
-    ///
-    /// # Safety
-    ///
-    /// The host must support `W`, and [`f32_lanes`](Self::f32_lanes)
-    /// must hold.
-    unsafe fn lanes<W: Width>(&self) -> Self::Lanes<W>;
-    /// The lane quantizer's `quantize::<MODE>`.
-    ///
-    /// # Safety
-    ///
-    /// The host must support `W`.
-    unsafe fn quantize_lanes<W: Width, const MODE: u8>(
-        q: &Self::Lanes<W>,
-        x: W::V,
-        lo: W::H,
-        hi: W::H,
-    ) -> (W::V, W::K);
-}
-
-impl LaneKernel for FloatFastF64 {
-    type Lanes<W: Width> = QuantVec<W>;
-
-    fn f32_lanes(&self) -> bool {
-        FloatFastF64::f32_lanes(self)
-    }
-    fn rounding(&self) -> Rounding {
-        FloatFastF64::rounding(self)
-    }
-    fn seed(&self) -> u64 {
-        self.rng().seed()
-    }
-    #[inline(always)]
-    fn quantize_f32<const MODE: u8>(&self, x: f32, index: u64) -> f32 {
-        FloatFastF64::quantize_f32::<MODE>(self, x, index)
-    }
-    #[inline(always)]
-    unsafe fn lanes<W: Width>(&self) -> QuantVec<W> {
-        QuantVec::new(self)
-    }
-    #[inline(always)]
-    unsafe fn quantize_lanes<W: Width, const MODE: u8>(
-        q: &QuantVec<W>,
-        x: W::V,
-        lo: W::H,
-        hi: W::H,
-    ) -> (W::V, W::K) {
-        q.quantize::<MODE>(x, lo, hi)
-    }
-}
-
-impl LaneKernel for FixedFastF64 {
-    type Lanes<W: Width> = FixedVec<W>;
-
-    fn f32_lanes(&self) -> bool {
-        FixedFastF64::f32_lanes(self)
-    }
-    fn rounding(&self) -> Rounding {
-        FixedFastF64::rounding(self)
-    }
-    fn seed(&self) -> u64 {
-        self.rng().seed()
-    }
-    #[inline(always)]
-    fn quantize_f32<const MODE: u8>(&self, x: f32, index: u64) -> f32 {
-        self.quantize::<MODE>(x as f64, index) as f32
-    }
-    #[inline(always)]
-    unsafe fn lanes<W: Width>(&self) -> FixedVec<W> {
-        FixedVec::new(self)
-    }
-    #[inline(always)]
-    unsafe fn quantize_lanes<W: Width, const MODE: u8>(
-        q: &FixedVec<W>,
-        x: W::V,
-        lo: W::H,
-        hi: W::H,
-    ) -> (W::V, W::K) {
-        q.quantize::<MODE>(x, lo, hi)
-    }
-}
-
 /// The slice loop of `kernel`'s lane quantizer at width `W`: lane `l` of
 /// the block at offset `o` rounds at event `base_index + o + l`; lanes
 /// handed back and the tail go through the scalar kernel. The hash
@@ -392,15 +296,15 @@ impl LaneKernel for FixedFastF64 {
 ///
 /// # Safety
 ///
-/// The host must support `W`, and [`LaneKernel::f32_lanes`] must hold.
+/// The host must support `W`, and [`Kernel::f32_lanes`] must hold.
 #[inline(always)]
-pub(crate) unsafe fn quantize_slice<W: Width, L: LaneKernel, const MODE: u8>(
+pub(crate) unsafe fn quantize_slice<W: Width, L: Kernel, const MODE: u8>(
     kernel: &L,
     values: &mut [f32],
     base_index: u64,
 ) {
     let q = kernel.lanes::<W>();
-    let seed = W::splat64(kernel.seed());
+    let seed = W::splat64(kernel.rng().seed());
     // Plain loops, not `array::from_fn`: a closure run by a `core`
     // function would not inline into the featured entry.
     let mut parts = [0u64; 16];
@@ -443,7 +347,7 @@ pub(crate) unsafe fn quantize_slice<W: Width, L: LaneKernel, const MODE: u8>(
 /// Runs [`quantize_slice`] at the width of `tier` — or the next
 /// narrower one the host supports — if `f32` lanes carry `kernel`;
 /// returns whether it ran (the caller runs the scalar loop otherwise).
-pub(crate) fn quantize_slice_tier<L: LaneKernel, const MODE: u8>(
+pub(crate) fn quantize_slice_tier<L: Kernel, const MODE: u8>(
     kernel: &L,
     values: &mut [f32],
     base_index: u64,
@@ -474,7 +378,7 @@ pub(crate) fn quantize_slice_tier<L: LaneKernel, const MODE: u8>(
 /// do not carry `kernel` or its rounding is `NR`. For differential
 /// tests; the kernels call the vector form under their width's target
 /// features, where this one runs every intrinsic out of line.
-pub fn quantize_array<W: Width, L: LaneKernel>(
+pub fn quantize_array<W: Width, L: Kernel>(
     kernel: &L,
     xs: &[f32; 16],
     hash_inputs: &[u64; 16],

@@ -46,10 +46,11 @@
 
 // `deny` rather than `forbid`: the lane kernels are the sanctioned
 // `unsafe` islands — the `Width` trait in `simd`, its two impls in
-// `simd_avx2` and `simd_avx512`, and the quantizers and slice loop
+// `simd_avx2` and `simd_avx512`, the quantizers and slice loop
 // written over it in `lanes` (raw intrinsics behind runtime feature
-// detection); everything else stays unsafe-free and any new `unsafe`
-// outside them is still a hard error.
+// detection), and the lane items of the `Kernel` trait and its two
+// impls in `fast` and `fixed_fast`; everything else stays unsafe-free
+// and any new `unsafe` outside them is still a hard error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -72,7 +73,7 @@ pub mod sr;
 
 pub use block::BlockFpFormat;
 pub use error::FormatError;
-pub use fast::FloatFastF64;
+pub use fast::{FastKernel, FloatFastF64, Kernel};
 pub use fixed::FixedFormat;
 pub use fixed_fast::FixedFastF64;
 pub use float::FloatFormat;

@@ -6,7 +6,7 @@
 //! that the GEMM kernels in `mpt-arith` consume.
 
 use crate::block::BlockFpFormat;
-use crate::fast::FloatFastF64;
+use crate::fast::{FastKernel, FloatFastF64, Kernel};
 use crate::fixed::FixedFormat;
 use crate::fixed_fast::FixedFastF64;
 use crate::float::FloatFormat;
@@ -229,11 +229,12 @@ impl Quantizer {
     /// or `f32` subnormals (the scalar `quantize_f32` would
     /// saturate/flush those).
     ///
-    /// Float and fixed-point formats dispatch once to a monomorphized
-    /// [`FloatFastF64`] / [`FixedFastF64`] slice kernel — the bulk
-    /// operand-quantization fast path the GEMM kernels use; block FP
-    /// (and fixed point wider than 52 bits) falls back to the scalar
-    /// oracle. Bit-identical to the scalar path in all cases.
+    /// A quantizer with a [`fast_kernel`](Quantizer::fast_kernel)
+    /// dispatches once to its monomorphized slice loop
+    /// ([`Kernel::quantize_slice_tier`]) — the bulk operand-quantization
+    /// fast path the GEMM kernels use; the others (block FP among them)
+    /// run the scalar oracle. Bit-identical to the scalar path in all
+    /// cases.
     pub fn quantize_slice_f32(&self, values: &mut [f32], base_index: u64) {
         self.quantize_slice_f32_tier(values, base_index, crate::simd::active_tier());
     }
@@ -266,43 +267,34 @@ impl Quantizer {
         base_index: u64,
         tier: crate::simd::SimdTier,
     ) {
-        // Lane kernels — every tier is bit-identical to the scalar
-        // loop, so the telemetry observe-after wrapper above stays
-        // tier-independent.
-        match self.format {
-            NumberFormat::Float(f) => {
-                if let Some(fast) = FloatFastF64::new(f, self.rounding, self.rng) {
-                    return fast.quantize_slice_tier_dyn(values, base_index, tier);
-                }
-            }
-            NumberFormat::Fixed(f) => {
-                if let Some(fast) = FixedFastF64::new(f, self.rounding, self.rng) {
-                    return fast.quantize_slice_tier_dyn(values, base_index, tier);
-                }
-            }
-            NumberFormat::BlockFp(_) => {}
+        // Every tier is bit-identical to the scalar loop, so the
+        // telemetry observe-after wrapper above stays tier-independent.
+        if let Some(kernel) = self.fast_kernel() {
+            return crate::with_kernel!(
+                kernel,
+                k,
+                M => k.quantize_slice_tier::<M>(values, base_index, tier)
+            );
         }
         for (i, v) in values.iter_mut().enumerate() {
             *v = self.quantize_f32(*v, base_index.wrapping_add(i as u64));
         }
     }
 
-    /// Builds the monomorphized `f64`-carrier fast kernel for this
-    /// quantizer, if one exists (float format, rounding other than
-    /// `NR`). GEMM kernels use it to round MAC sums without the
-    /// per-element format/mode dispatch.
-    pub fn fast_f64(&self) -> Option<FloatFastF64> {
+    /// The precomputed fast kernel of this quantizer, if it has one: a
+    /// float format with a mantissa narrower than `f64`'s, or fixed
+    /// point at most 52 bits wide, under a rounding other than `NR`.
+    /// Block floating point has none. Bit-identical to the scalar
+    /// oracle wherever it exists; the slice entry points and
+    /// `mpt-arith`'s MAC stages run it, through [`with_kernel!`](crate::with_kernel).
+    pub fn fast_kernel(&self) -> Option<FastKernel> {
         match self.format {
-            NumberFormat::Float(f) => FloatFastF64::new(f, self.rounding, self.rng),
-            _ => None,
-        }
-    }
-
-    /// [`fast_f64`](Quantizer::fast_f64) for fixed-point formats (at
-    /// most 52 bits wide, rounding other than `NR`).
-    pub fn fixed_fast_f64(&self) -> Option<FixedFastF64> {
-        match self.format {
-            NumberFormat::Fixed(f) => FixedFastF64::new(f, self.rounding, self.rng),
+            NumberFormat::Float(f) if f.man_bits() < 52 => {
+                FloatFastF64::new(f, self.rounding, self.rng).map(FastKernel::Float)
+            }
+            NumberFormat::Fixed(f) => {
+                FixedFastF64::new(f, self.rounding, self.rng).map(FastKernel::Fixed)
+            }
             _ => None,
         }
     }

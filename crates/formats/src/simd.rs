@@ -1,8 +1,9 @@
 //! Kernel-tier selection for the lane-parallel quantize and MAC paths,
 //! and the vector width both vector tiers are written against.
 //!
-//! The hot loops in this crate ([`crate::FloatFastF64`],
-//! [`crate::FixedFastF64`] and their `f32` slice loops) and in
+//! The hot loops in this crate (the [kernels](crate::Kernel)
+//! [`crate::FloatFastF64`] and [`crate::FixedFastF64`] and their one
+//! `f32` slice loop) and in
 //! `mpt-arith`'s MAC GEMM loop nests exist in three implementations
 //! that produce **bit-identical** results:
 //!
@@ -43,7 +44,7 @@
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
-use crate::lanes::LaneKernel;
+use crate::fast::Kernel;
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::__m128i;
 
@@ -233,8 +234,8 @@ pub trait Width: Copy {
     /// the width's target features.
     /// # Safety
     /// The host must support the width, and `f32` lanes must carry
-    /// `kernel` ([`LaneKernel::f32_lanes`]).
-    unsafe fn quantize_slice<L: LaneKernel, const MODE: u8>(
+    /// `kernel` ([`Kernel::f32_lanes`]).
+    unsafe fn quantize_slice<L: Kernel, const MODE: u8>(
         kernel: &L,
         values: &mut [f32],
         base_index: u64,
@@ -449,7 +450,7 @@ macro_rules! width_impl {
             = $body:expr;)*
     ) => {
         #[target_feature(enable = $features)]
-        unsafe fn quantize_slice<L: $crate::lanes::LaneKernel, const MODE: u8>(
+        unsafe fn quantize_slice<L: $crate::fast::Kernel, const MODE: u8>(
             kernel: &L,
             values: &mut [f32],
             base_index: u64,

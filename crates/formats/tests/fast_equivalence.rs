@@ -7,7 +7,8 @@
 //! NaN payloads, and values straddling the saturation boundary.
 
 use mpt_formats::{
-    FixedFastF64, FixedFormat, FloatFastF64, FloatFormat, Quantizer, Rounding, SimdTier, SrRng,
+    FixedFastF64, FixedFormat, FloatFastF64, FloatFormat, Kernel, Quantizer, Rounding, SimdTier,
+    SrRng,
 };
 use proptest::prelude::*;
 

@@ -19,7 +19,7 @@
 //! `(-0.5, 0)` ulp but `+0.0` at exactly `-0.5` ulp), so every fast
 //! path must additionally match the scalar's bits.
 
-use mpt_formats::{FixedFormat, Quantizer, Rounding, SimdTier, SrRng};
+use mpt_formats::{FastKernel, FixedFormat, Kernel, Quantizer, Rounding, SimdTier, SrRng};
 
 /// `x = m · 2^e` with integer `m`, exactly.
 fn decompose(x: f64) -> (i128, i32) {
@@ -162,7 +162,9 @@ fn expected(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 4]) ->
 /// Every [`FixedFastF64`] body on one block of four, and the 8- and
 /// 16-lane `f32` quantizers on the block narrowed to `f32`.
 fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 4]) {
-    let fast = q.fixed_fast_f64().expect("<= 52-bit fixed format");
+    let Some(FastKernel::Fixed(fast)) = q.fast_kernel() else {
+        panic!("<= 52-bit fixed format");
+    };
     let rng = q.rng();
     let wide = expected(q, fmt, xs, indices);
     for l in 0..4 {

@@ -221,7 +221,10 @@ fn oracle_sweep(fmt: FloatFormat) {
             use mpt_formats::lanes::quantize_array;
             use mpt_formats::simd_avx2::Avx2;
             use mpt_formats::simd_avx512::Avx512;
-            let fast = q.fast_f64().expect("a float quantizer other than NR");
+            use mpt_formats::FastKernel;
+            let Some(FastKernel::Float(fast)) = q.fast_kernel() else {
+                panic!("a float quantizer other than NR");
+            };
             for (b, chunk) in probes.chunks(16).enumerate() {
                 let x16: [f32; 16] = std::array::from_fn(|l| chunk[l % chunk.len()].0);
                 let indices: [u64; 16] =

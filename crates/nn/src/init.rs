@@ -1,7 +1,6 @@
 //! Weight initializers.
 
 use mpt_tensor::Tensor;
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -10,15 +9,6 @@ use rand::SeedableRng;
 pub fn kaiming_normal(shape: Vec<usize>, fan_in: usize, seed: u64) -> Tensor {
     let std = (2.0 / fan_in.max(1) as f64).sqrt();
     normal(shape, 0.0, std, seed)
-}
-
-/// Xavier/Glorot uniform initialization:
-/// `U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out)))`.
-pub fn xavier_uniform(shape: Vec<usize>, fan_in: usize, fan_out: usize, seed: u64) -> Tensor {
-    let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt() as f32;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dist = rand::distributions::Uniform::new(-limit, limit);
-    Tensor::from_fn(shape, |_| dist.sample(&mut rng))
 }
 
 /// Gaussian initialization `N(mean, std)`.
@@ -52,14 +42,6 @@ mod tests {
         let expect = 2.0 / 100.0;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - expect).abs() < expect * 0.2, "var {var} vs {expect}");
-    }
-
-    #[test]
-    fn xavier_bounds_respected() {
-        let t = xavier_uniform(vec![50, 50], 50, 50, 3);
-        let limit = (6.0f32 / 100.0).sqrt();
-        assert!(t.max() <= limit && t.min() >= -limit);
-        assert!(t.abs_max() > limit * 0.5, "degenerate init");
     }
 
     #[test]

@@ -202,39 +202,32 @@ impl Optimizer for Sgd {
     }
 }
 
+/// Adam's decay rate of the first moment.
+const BETA1: f32 = 0.9;
+/// Adam's decay rate of the second moment.
+const BETA2: f32 = 0.999;
+/// Adam's denominator guard.
+const EPS: f32 = 1e-8;
+
 /// Adam — the optimizer of the paper's transformer experiment
-/// (learning rate 1e-4).
+/// (learning rate 1e-4), with betas `(0.9, 0.999)` and `eps = 1e-8`.
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     update_quant: Option<Quantizer>,
     t: u64,
     moments: HashMap<usize, (Tensor, Tensor)>,
 }
 
 impl Adam {
-    /// Creates Adam with default betas `(0.9, 0.999)` and
-    /// `eps = 1e-8`.
+    /// Creates Adam at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             update_quant: None,
             t: 0,
             moments: HashMap::new(),
         }
-    }
-
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 
     /// Performs the weight update in the given custom precision.
@@ -247,8 +240,8 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, params: &[Parameter]) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for (pi, p) in params.iter().enumerate() {
             let key = p.id();
             let (mut value, grad) = p.value_and_grad_mut();
@@ -266,11 +259,11 @@ impl Optimizer for Adam {
                 .zip(v.data_mut())
                 .enumerate()
             {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+                *mi = BETA1 * *mi + (1.0 - BETA1) * g;
+                *vi = BETA2 * *vi + (1.0 - BETA2) * g * g;
                 let mhat = *mi / bc1;
                 let vhat = *vi / bc2;
-                let step = self.lr * mhat / (vhat.sqrt() + self.eps);
+                let step = self.lr * mhat / (vhat.sqrt() + EPS);
                 match &self.update_quant {
                     None => *w -= step,
                     Some(q) => {
@@ -417,7 +410,7 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.1);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
-        let mut a = Adam::new(1e-4).with_betas(0.8, 0.95);
+        let mut a = Adam::new(1e-4);
         a.set_learning_rate(1e-3);
         assert_eq!(a.learning_rate(), 1e-3);
     }
