@@ -55,8 +55,8 @@ pub fn qgemm_parallel(
     let threads = threads.max(1).min(n.max(1));
     // Fast exit: anything that degenerates to sequential execution
     // (one thread, empty output, identity config) runs on the caller
-    // thread through the direct kernel, with no spawn. The bench suite
-    // pins this path to within 1% of calling `qgemm` directly.
+    // thread through the direct kernel, with no spawn: one kernel call
+    // (`tests/parallel_bands.rs` counts them).
     if threads == 1 || n == 0 || m == 0 || cfg.is_identity() {
         return qgemm(a, b, cfg);
     }

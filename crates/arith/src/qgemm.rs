@@ -130,8 +130,7 @@ pub fn qgemm(a: &Tensor, b: &Tensor, cfg: &QGemmConfig) -> Result<Tensor, ShapeE
 /// Every tier is bit-identical (the lane kernels replay the scalar
 /// operation and SR event sequence exactly), so the tier parameter
 /// exists purely for in-process comparison: differential tests pin
-/// `off == avx2 == avx512` and benches assert bit-equality alongside
-/// their throughput measurements without re-spawning the process per
+/// `off == avx2 == avx512` without re-spawning the process per
 /// `MPT_SIMD` value. A tier the CPU lacks runs the next narrower one.
 ///
 /// # Errors

@@ -6,7 +6,7 @@
 //! and saturation-range values.
 
 use mpt_arith::{qgemm_parallel, qgemm_reference, qgemm_with_tier, MacConfig, QGemmConfig};
-use mpt_formats::simd::active_tier;
+use mpt_formats::simd::{active_tier, widest_supported_tier};
 use mpt_formats::{FixedFormat, FloatFormat, NumberFormat, Quantizer, Rounding, SimdTier};
 use mpt_tensor::Tensor;
 use proptest::prelude::*;
@@ -272,13 +272,23 @@ fn fixed_point_tallies_match_parent_generic_counts() {
         format!("acc:{}", cfg.mac.acc),
     );
     for tier in SimdTier::ALL {
+        // The counter names the tier that ran: a tier the host lacks
+        // runs the widest one it has (`off` off x86_64).
+        let ran = if SimdTier::available().contains(&tier) {
+            tier
+        } else {
+            widest_supported_tier()
+        };
         let before = (tally_counts(&mul_label), tally_counts(&acc_label));
-        let dispatched = mpt_telemetry::counter(&format!("kernel.tier.{tier}"));
+        let dispatched = mpt_telemetry::counter(&format!("kernel.tier.{ran}"));
         let ticks = dispatched.get();
         mpt_telemetry::enable();
         qgemm_with_tier(&a, &b, &cfg, 3, 5, tier).unwrap();
         mpt_telemetry::disable();
-        assert!(dispatched.get() > ticks, "kernel.tier.{tier} did not tick");
+        assert!(
+            dispatched.get() > ticks,
+            "kernel.tier.{ran} did not tick (tier {tier} requested)"
+        );
         let delta = |after: [u64; 7], before: [u64; 7]| -> [u64; 7] {
             std::array::from_fn(|i| after[i] - before[i])
         };

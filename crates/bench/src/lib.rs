@@ -12,10 +12,6 @@
 //! | `table4_latency` | Table IV — latency sweep over C at 8×8 |
 //! | `fig7_est_vs_measured` | Fig. 7 — estimated vs measured latency |
 //!
-//! Criterion micro-benchmarks (quantizer and GEMM throughput, the
-//! rounding-mode overhead ablation, the mapping ablation) live under
-//! `benches/`.
-//!
 //! The accuracy experiments accept an `MPT_SCALE` environment
 //! variable (`quick`, `default`, `full`) trading run time for
 //! fidelity; see [`scale`].

@@ -3,7 +3,7 @@
 //! Every differentiable `nn` op is checked in FP32-passthrough mode:
 //! the op's analytic backward (one tape `backward` call) against a
 //! central finite difference of a scalar loss, element by element.
-//! The relative-error tolerance follows the acceptance criterion
+//! The relative-error tolerance follows the acceptance threshold
 //! (max relative error `< 1e-3`), with an absolute floor of `1.0` in
 //! the denominator so near-zero gradients are compared absolutely.
 

@@ -211,7 +211,7 @@ pub trait Kernel: Copy {
     /// vector tier, the scalar loop elsewhere. All tiers are
     /// bit-identical; pass [`crate::simd::active_tier`] for the ambient
     /// `MPT_SIMD` selection, or an explicit tier for in-process
-    /// comparisons (differential tests, benches).
+    /// comparisons (differential tests).
     fn quantize_slice_tier<const MODE: u8>(
         &self,
         values: &mut [f32],

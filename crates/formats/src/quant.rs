@@ -241,8 +241,8 @@ impl Quantizer {
 
     /// [`quantize_slice_f32`](Quantizer::quantize_slice_f32) with an
     /// explicit SIMD tier instead of the ambient `MPT_SIMD` selection.
-    /// Every tier is bit-identical; this entry exists so benches and
-    /// differential tests can compare tiers within one process.
+    /// Every tier is bit-identical; this entry exists so explicit-tier
+    /// GEMMs and differential tests can compare tiers within one process.
     pub fn quantize_slice_f32_tier(
         &self,
         values: &mut [f32],

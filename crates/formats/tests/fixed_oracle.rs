@@ -165,7 +165,6 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
     let Some(FastKernel::Fixed(fast)) = q.fast_kernel() else {
         panic!("<= 52-bit fixed format");
     };
-    let rng = q.rng();
     let wide = expected(q, fmt, xs, indices);
     for l in 0..4 {
         let (want, scalar) = wide[l];
@@ -183,6 +182,7 @@ fn check_fast_f64(q: &Quantizer, fmt: FixedFormat, xs: [f64; 4], indices: [u64; 
         use mpt_formats::lanes::quantize_array;
         use mpt_formats::simd_avx2::Avx2;
         use mpt_formats::simd_avx512::Avx512;
+        let rng = q.rng();
         let hash: [u64; 16] = std::array::from_fn(|l| rng.hash_input(indices[l % 4]));
         let narrow = xs.map(|x| x as f32);
         let x16: [f32; 16] = std::array::from_fn(|l| narrow[l % 4]);
